@@ -12,9 +12,9 @@
 use crate::bitmap::Bitmap;
 use crate::inode::{InodeKind, InodeTable};
 use crate::layout::{DIRECT_POINTERS, DIRENT_SIZE};
+use crate::txn::Txn;
 use crate::{FileSystem, FsResult};
 use blockrep_storage::BlockDevice;
-use blockrep_types::BlockIndex;
 use bytes::Buf;
 use core::fmt;
 use std::collections::BTreeMap;
@@ -87,10 +87,14 @@ impl<D: BlockDevice> FileSystem<D> {
     /// # }
     /// ```
     pub fn check(&self) -> FsResult<FsckReport> {
-        let _g = self.lock.lock();
+        self.run(|t| self.check_in(t))
+    }
+
+    fn check_in(&self, t: &mut Txn<'_, D>) -> FsResult<FsckReport> {
         let mut report = FsckReport::default();
-        let inodes = InodeTable::new(&self.dev, &self.geo);
-        let bitmap = Bitmap::new(&self.dev, &self.geo);
+        // Every bitmap and inode block is looked at below: fetch the whole
+        // metadata region in one vectored read.
+        t.get_many(&(self.geo.bitmap_start..self.geo.data_start).collect::<Vec<_>>())?;
 
         // Pass 1: walk the tree, counting references to inodes and blocks.
         let mut ino_refs: BTreeMap<u32, u64> = BTreeMap::new();
@@ -98,7 +102,7 @@ impl<D: BlockDevice> FileSystem<D> {
         let mut queue = vec![(crate::layout::ROOT_INO, "/".to_string())];
         *ino_refs.entry(crate::layout::ROOT_INO).or_default() += 1;
         while let Some((ino, path)) = queue.pop() {
-            let node = inodes.read(ino)?;
+            let node = InodeTable::new(t).read(ino)?;
             match node.kind {
                 InodeKind::Free => {
                     report.problem(
@@ -143,8 +147,7 @@ impl<D: BlockDevice> FileSystem<D> {
                 if (node.indirect as u64) >= self.geo.data_start
                     && (node.indirect as u64) < self.geo.num_blocks
                 {
-                    let raw = self.dev.read_block(BlockIndex::new(node.indirect as u64))?;
-                    let mut slice = raw.as_slice();
+                    let mut slice = t.get(node.indirect as u64)?;
                     let mut i = DIRECT_POINTERS;
                     while slice.len() >= 4 {
                         let p = slice.get_u32_le();
@@ -157,7 +160,7 @@ impl<D: BlockDevice> FileSystem<D> {
             }
             // Recurse into directory entries.
             if node.kind == InodeKind::Dir {
-                for entry in self.entries_of(ino)? {
+                for entry in t.dir_entries(ino)? {
                     if entry.ino == 0 || entry.ino > self.geo.inode_count {
                         report.problem(
                             "entry-inode-out-of-range",
@@ -197,12 +200,12 @@ impl<D: BlockDevice> FileSystem<D> {
 
         // Pass 3: the bitmap must match the reference map exactly.
         for block in 0..self.geo.data_start {
-            if !bitmap.is_used(block)? {
+            if !Bitmap::new(t).is_used(block)? {
                 report.problem("metadata-block-not-reserved", format!("block {block}"));
             }
         }
         for block in self.geo.data_start..self.geo.num_blocks {
-            let used = bitmap.is_used(block)?;
+            let used = Bitmap::new(t).is_used(block)?;
             let referenced = block_refs.contains_key(&block);
             match (used, referenced) {
                 (true, false) => report.problem(
@@ -218,7 +221,7 @@ impl<D: BlockDevice> FileSystem<D> {
 
         // Pass 4: orphaned inodes (allocated but unreachable).
         for ino in 1..=self.geo.inode_count {
-            let allocated = inodes.read(ino)?.kind != InodeKind::Free;
+            let allocated = InodeTable::new(t).read(ino)?.kind != InodeKind::Free;
             let reachable = ino_refs.contains_key(&ino);
             if allocated && !reachable {
                 report.problem("inode-orphaned", format!("inode {ino}"));
@@ -233,6 +236,14 @@ mod tests {
     use super::*;
     use blockrep_storage::MemStore;
     use blockrep_types::BlockData;
+
+    /// Corrupts the image behind the file system's back: an edit in its own
+    /// transaction, committed straight to the device.
+    fn tamper(fs: &FileSystem<MemStore>, edit: impl FnOnce(&mut Txn<'_, MemStore>)) {
+        let mut txn = Txn::new(&fs.dev, &fs.geo);
+        edit(&mut txn);
+        txn.commit().unwrap();
+    }
 
     fn populated() -> FileSystem<MemStore> {
         let fs = FileSystem::format(MemStore::new(256, 512)).unwrap();
@@ -270,13 +281,13 @@ mod tests {
     fn detects_leaked_block() {
         let fs = populated();
         // Corrupt: mark a free data block used behind the FS's back.
-        {
-            let bitmap = Bitmap::new(&fs.dev, &fs.geo);
+        tamper(&fs, |t| {
+            let mut bitmap = Bitmap::new(t);
             let victim = (fs.geo.data_start..fs.geo.num_blocks)
                 .find(|&b| !bitmap.is_used(b).unwrap())
                 .unwrap();
             bitmap.set(victim, true).unwrap();
-        }
+        });
         let report = fs.check().unwrap();
         assert!(
             report.problems.iter().any(|p| p.rule == "block-leaked"),
@@ -287,20 +298,18 @@ mod tests {
     #[test]
     fn detects_block_in_use_but_free() {
         let fs = populated();
-        {
-            let bitmap = Bitmap::new(&fs.dev, &fs.geo);
+        tamper(&fs, |t| {
             // Find a block actually used by /top2 via the report, then free it.
-            let ino_table = InodeTable::new(&fs.dev, &fs.geo);
             let mut block = 0;
             for ino in 1..=fs.geo.inode_count {
-                let node = ino_table.read(ino).unwrap();
+                let node = InodeTable::new(t).read(ino).unwrap();
                 if node.kind == InodeKind::File && node.direct[0] != 0 {
                     block = node.direct[0] as u64;
                 }
             }
             assert_ne!(block, 0);
-            bitmap.set(block, false).unwrap();
-        }
+            Bitmap::new(t).set(block, false).unwrap();
+        });
         let report = fs.check().unwrap();
         assert!(
             report
@@ -314,10 +323,9 @@ mod tests {
     #[test]
     fn detects_orphaned_inode() {
         let fs = populated();
-        {
-            let inodes = InodeTable::new(&fs.dev, &fs.geo);
-            inodes.alloc(InodeKind::File).unwrap(); // allocated, never linked
-        }
+        tamper(&fs, |t| {
+            InodeTable::new(t).alloc(InodeKind::File).unwrap(); // allocated, never linked
+        });
         let report = fs.check().unwrap();
         assert!(
             report.problems.iter().any(|p| p.rule == "inode-orphaned"),
@@ -328,9 +336,9 @@ mod tests {
     #[test]
     fn detects_dangling_directory_entry() {
         let fs = populated();
-        {
+        tamper(&fs, |t| {
             // Free /top2's inode directly, leaving the dirent dangling.
-            let inodes = InodeTable::new(&fs.dev, &fs.geo);
+            let mut inodes = InodeTable::new(t);
             for ino in (1..=fs.geo.inode_count).rev() {
                 let node = inodes.read(ino).unwrap();
                 if node.kind == InodeKind::File && node.size == 1 {
@@ -338,7 +346,7 @@ mod tests {
                     break;
                 }
             }
-        }
+        });
         let report = fs.check().unwrap();
         assert!(
             report
@@ -354,9 +362,9 @@ mod tests {
     #[test]
     fn detects_wild_pointer() {
         let fs = populated();
-        {
+        tamper(&fs, |t| {
             // Point an inode's direct[1] at the superblock.
-            let inodes = InodeTable::new(&fs.dev, &fs.geo);
+            let mut inodes = InodeTable::new(t);
             for ino in 1..=fs.geo.inode_count {
                 let mut node = inodes.read(ino).unwrap();
                 if node.kind == InodeKind::File {
@@ -367,7 +375,7 @@ mod tests {
                     break;
                 }
             }
-        }
+        });
         let report = fs.check().unwrap();
         assert!(
             report

@@ -4,9 +4,10 @@ use crate::bitmap::Bitmap;
 use crate::dir::Dirent;
 use crate::inode::{Inode, InodeKind, InodeTable};
 use crate::layout::{FsGeometry, DIRECT_POINTERS, DIRENT_SIZE, ROOT_INO};
+use crate::txn::Txn;
 use crate::{path, FsError, FsResult};
 use blockrep_storage::BlockDevice;
-use blockrep_types::{BlockData, BlockIndex};
+use blockrep_types::BlockIndex;
 use bytes::{Buf, BufMut};
 use parking_lot::Mutex;
 
@@ -47,6 +48,12 @@ impl Metadata {
 /// leaves concurrent-access control out of scope ("we do not attempt to
 /// model systems which guard against concurrent access of files").
 ///
+/// Every operation runs in one block transaction: it reads each device
+/// block it needs at most once, and if it changes anything it writes all
+/// changed blocks in a single `write_blocks` at the end. An operation that
+/// fails before that write — no space, no such file — changes nothing.
+/// Nothing is cached between operations.
+///
 /// # Examples
 ///
 /// ```
@@ -79,21 +86,16 @@ impl<D: BlockDevice> FileSystem<D> {
     /// unusable geometry, or a device error.
     pub fn format(dev: D) -> FsResult<Self> {
         let geo = FsGeometry::plan(dev.num_blocks(), dev.block_size())?;
+        let mut txn = Txn::new(&dev, &geo);
+        txn.put(0, geo.encode());
         // Zero the metadata region so stale images cannot leak through.
-        for block in 0..geo.data_start {
-            dev.write_block(
-                BlockIndex::new(block),
-                BlockData::zeroed(geo.block_size as usize),
-            )?;
+        for block in 1..geo.data_start {
+            txn.put(block, vec![0; geo.block_size as usize]);
         }
-        dev.write_block(BlockIndex::new(0), BlockData::from(geo.encode()))?;
-        {
-            let bitmap = Bitmap::new(&dev, &geo);
-            bitmap.reserve_metadata()?;
-            let inodes = InodeTable::new(&dev, &geo);
-            let root = inodes.alloc(InodeKind::Dir)?;
-            debug_assert_eq!(root, ROOT_INO);
-        }
+        Bitmap::new(&mut txn).reserve_metadata()?;
+        let root = InodeTable::new(&mut txn).alloc(InodeKind::Dir)?;
+        debug_assert_eq!(root, ROOT_INO);
+        txn.commit()?;
         Ok(FileSystem {
             dev,
             geo,
@@ -133,24 +135,37 @@ impl<D: BlockDevice> FileSystem<D> {
         self.dev
     }
 
+    /// Runs one operation: takes the lock, hands `op` a fresh transaction
+    /// and commits it if `op` succeeds. An `Err` from `op` drops the
+    /// transaction, so a failed operation writes nothing.
+    pub(crate) fn run<T>(&self, op: impl FnOnce(&mut Txn<'_, D>) -> FsResult<T>) -> FsResult<T> {
+        let _g = self.lock.lock();
+        let mut txn = Txn::new(&self.dev, &self.geo);
+        let out = op(&mut txn)?;
+        txn.commit()?;
+        Ok(out)
+    }
+
     /// Number of free data bytes.
     ///
     /// # Errors
     ///
     /// Propagates device errors.
     pub fn free_bytes(&self) -> FsResult<u64> {
-        let _g = self.lock.lock();
-        Ok(Bitmap::new(&self.dev, &self.geo).free_count()? * self.geo.block_size as u64)
+        self.run(|t| Ok(Bitmap::new(t).free_count()? * t.geo.block_size as u64))
     }
+}
 
+/// The file-system structures as one operation sees them. Every helper
+/// re-reads inodes through the transaction rather than trusting a copy a
+/// caller decoded earlier, so the transaction's map is the only truth.
+impl<D: BlockDevice> Txn<'_, D> {
     // ----- path resolution -------------------------------------------------
 
-    fn resolve_from(&self, parts: &[&str], full: &str) -> FsResult<u32> {
-        let inodes = InodeTable::new(&self.dev, &self.geo);
+    fn resolve_from(&mut self, parts: &[&str], full: &str) -> FsResult<u32> {
         let mut ino = ROOT_INO;
         for (depth, part) in parts.iter().enumerate() {
-            let node = inodes.read(ino)?;
-            if node.kind != InodeKind::Dir {
+            if InodeTable::new(self).read(ino)?.kind != InodeKind::Dir {
                 return Err(FsError::NotADirectory(parts[..depth].join("/")));
             }
             ino = self
@@ -161,159 +176,110 @@ impl<D: BlockDevice> FileSystem<D> {
         Ok(ino)
     }
 
-    fn resolve(&self, p: &str) -> FsResult<u32> {
+    fn resolve(&mut self, p: &str) -> FsResult<u32> {
         self.resolve_from(&path::split(p)?, p)
     }
 
     /// Resolves the parent directory of `p` and returns `(parent_ino, name)`.
-    fn resolve_parent<'p>(&self, p: &'p str) -> FsResult<(u32, &'p str)> {
+    fn resolve_parent<'p>(&mut self, p: &'p str) -> FsResult<(u32, &'p str)> {
         let (parents, name) = path::split_parent(p)?;
         let dir = self.resolve_from(&parents, p)?;
-        let node = InodeTable::new(&self.dev, &self.geo).read(dir)?;
-        if node.kind != InodeKind::Dir {
+        if InodeTable::new(self).read(dir)?.kind != InodeKind::Dir {
             return Err(FsError::NotADirectory(p.to_string()));
         }
         Ok((dir, name))
     }
 
-    // ----- block mapping ---------------------------------------------------
-
-    /// Maps a logical file block to a device block, allocating on demand.
-    /// Returns `None` for an unallocated hole when `allocate` is false.
-    fn map_block(&self, inode: &mut Inode, logical: u64, allocate: bool) -> FsResult<Option<u64>> {
-        let pointers_per_block = self.geo.block_size as u64 / 4;
-        if logical >= DIRECT_POINTERS as u64 + pointers_per_block {
-            return Err(FsError::FileTooLarge);
+    /// Inode `ino`, which must be a regular file.
+    fn file_inode(&mut self, ino: u32, p: &str) -> FsResult<Inode> {
+        let node = InodeTable::new(self).read(ino)?;
+        if node.kind != InodeKind::File {
+            return Err(FsError::IsADirectory(p.to_string()));
         }
-        let bitmap = Bitmap::new(&self.dev, &self.geo);
-        if logical < DIRECT_POINTERS as u64 {
-            let slot = &mut inode.direct[logical as usize];
-            if *slot == 0 {
-                if !allocate {
-                    return Ok(None);
-                }
-                *slot = bitmap.alloc()? as u32;
-            }
-            return Ok(Some(*slot as u64));
-        }
-        // Indirect block.
-        if inode.indirect == 0 {
-            if !allocate {
-                return Ok(None);
-            }
-            inode.indirect = bitmap.alloc()? as u32;
-        }
-        let iblock = BlockIndex::new(inode.indirect as u64);
-        let raw = self.dev.read_block(iblock)?;
-        let idx = (logical - DIRECT_POINTERS as u64) as usize * 4;
-        let entry = (&raw.as_slice()[idx..idx + 4]).get_u32_le();
-        if entry != 0 {
-            // Already mapped: no need to copy the table just to read one slot.
-            return Ok(Some(entry as u64));
-        }
-        if !allocate {
-            return Ok(None);
-        }
-        let entry = bitmap.alloc()? as u32;
-        let mut table = raw.as_slice().to_vec();
-        (&mut table[idx..idx + 4]).put_u32_le(entry);
-        self.dev.write_block(iblock, BlockData::from(table))?;
-        Ok(Some(entry as u64))
+        Ok(node)
     }
 
-    /// Maps `count` consecutive logical blocks starting at `first`,
-    /// allocating on demand — the vectored counterpart of
-    /// [`map_block`](Self::map_block). The indirect pointer table is read
-    /// once and written back at most once for the whole run, so an N-block
-    /// mapping costs O(1) device rounds instead of O(N).
+    /// Resolves `p`, which must name a regular file.
+    fn resolve_file(&mut self, p: &str) -> FsResult<(u32, Inode)> {
+        let ino = self.resolve(p)?;
+        Ok((ino, self.file_inode(ino, p)?))
+    }
+
+    // ----- block mapping ---------------------------------------------------
+
+    /// Maps `count` consecutive logical file blocks starting at `first` to
+    /// device blocks, allocating on demand. `None` marks an unallocated
+    /// hole when `allocate` is false.
     fn map_blocks(
-        &self,
+        &mut self,
         inode: &mut Inode,
         first: u64,
         count: usize,
         allocate: bool,
     ) -> FsResult<Vec<Option<u64>>> {
-        let pointers_per_block = self.geo.block_size as u64 / 4;
-        if first + count as u64 > DIRECT_POINTERS as u64 + pointers_per_block {
+        let direct = DIRECT_POINTERS as u64;
+        let end = first + count as u64;
+        if end > direct + self.geo.block_size as u64 / 4 {
             return Err(FsError::FileTooLarge);
         }
-        let bitmap = Bitmap::new(&self.dev, &self.geo);
-        let end = first + count as u64;
         let mut out = Vec::with_capacity(count);
-        let mut logical = first;
-        // Direct pointers live in the inode: no device I/O to map them.
-        while logical < end && logical < DIRECT_POINTERS as u64 {
+        for logical in first..end.min(direct) {
             let slot = &mut inode.direct[logical as usize];
             if *slot == 0 && allocate {
-                *slot = bitmap.alloc()? as u32;
+                *slot = Bitmap::new(self).alloc()? as u32;
             }
             out.push((*slot != 0).then_some(*slot as u64));
-            logical += 1;
         }
-        if logical >= end {
+        if end <= direct {
             return Ok(out);
         }
         if inode.indirect == 0 {
             if !allocate {
-                out.extend(std::iter::repeat_n(None, (end - logical) as usize));
+                out.resize(count, None);
                 return Ok(out);
             }
-            inode.indirect = bitmap.alloc()? as u32;
+            inode.indirect = Bitmap::new(self).alloc()? as u32;
         }
-        let iblock = BlockIndex::new(inode.indirect as u64);
-        let mut table = self.dev.read_block(iblock)?.as_slice().to_vec();
-        let mut dirty = false;
-        while logical < end {
-            let idx = (logical - DIRECT_POINTERS as u64) as usize * 4;
-            let mut entry = (&table[idx..idx + 4]).get_u32_le();
+        let table = inode.indirect as u64;
+        for logical in first.max(direct)..end {
+            let idx = (logical - direct) as usize * 4;
+            let mut entry = (&self.get(table)?[idx..idx + 4]).get_u32_le();
             if entry == 0 && allocate {
-                entry = bitmap.alloc()? as u32;
-                (&mut table[idx..idx + 4]).put_u32_le(entry);
-                dirty = true;
+                entry = Bitmap::new(self).alloc()? as u32;
+                self.modify(table, |raw| (&mut raw[idx..idx + 4]).put_u32_le(entry))?;
             }
             out.push((entry != 0).then_some(entry as u64));
-            logical += 1;
-        }
-        if dirty {
-            self.dev.write_block(iblock, BlockData::from(table))?;
         }
         Ok(out)
     }
 
-    fn read_at(&self, inode: &mut Inode, offset: u64, len: usize) -> FsResult<Vec<u8>> {
+    fn read_at(&mut self, inode: &mut Inode, offset: u64, len: usize) -> FsResult<Vec<u8>> {
         let bs = self.geo.block_size as u64;
-        let end = (offset + len as u64).min(inode.size);
+        let end = offset.saturating_add(len as u64).min(inode.size);
         if offset >= end {
             return Ok(Vec::new());
         }
         let first = offset / bs;
         let count = ((end - 1) / bs - first + 1) as usize;
         let mapped = self.map_blocks(inode, first, count, false)?;
-        // One vectored device round for every allocated block of the range.
-        let wanted: Vec<BlockIndex> = mapped
-            .iter()
-            .flatten()
-            .map(|&b| BlockIndex::new(b))
-            .collect();
-        let mut fetched = self.dev.read_blocks(&wanted)?.into_iter();
+        // One vectored device round for the blocks of the range this
+        // operation has not seen yet.
+        self.get_many(&mapped.iter().flatten().copied().collect::<Vec<_>>())?;
         let mut out = Vec::with_capacity((end - offset) as usize);
         let mut pos = offset;
         for slot in mapped {
             let within = (pos % bs) as usize;
             let take = ((bs as usize) - within).min((end - pos) as usize);
             match slot {
-                Some(_) => {
-                    let raw = fetched.next().expect("one fetched block per mapped block");
-                    out.extend_from_slice(&raw.as_slice()[within..within + take]);
-                }
-                None => out.extend(std::iter::repeat_n(0u8, take)), // hole
+                Some(block) => out.extend_from_slice(&self.get(block)?[within..within + take]),
+                None => out.resize(out.len() + take, 0), // hole
             }
             pos += take as u64;
         }
         Ok(out)
     }
 
-    fn write_at(&self, inode: &mut Inode, offset: u64, data: &[u8]) -> FsResult<()> {
+    fn write_at(&mut self, inode: &mut Inode, offset: u64, data: &[u8]) -> FsResult<()> {
         if data.is_empty() {
             return Ok(());
         }
@@ -325,157 +291,145 @@ impl<D: BlockDevice> FileSystem<D> {
         let first = offset / bs;
         let count = ((end - 1) / bs - first + 1) as usize;
         let mapped = self.map_blocks(inode, first, count, true)?;
-        // Chunk the byte range per block: (device block, within, take, src offset).
-        let mut chunks = Vec::with_capacity(count);
         let mut pos = offset;
-        for slot in mapped {
+        for block in mapped.into_iter().flatten() {
             let within = (pos % bs) as usize;
             let take = ((bs as usize) - within).min((end - pos) as usize);
-            let block = slot.expect("allocate=true always maps");
-            chunks.push((block, within, take, (pos - offset) as usize));
+            let src = &data[(pos - offset) as usize..][..take];
+            if take == bs as usize {
+                // Full-block overwrite: no read, no copy of the old block.
+                self.put(block, src.to_vec());
+            } else {
+                self.modify(block, |raw| raw[within..within + take].copy_from_slice(src))?;
+            }
             pos += take as u64;
         }
-        // Only partially covered blocks (at most the first and last chunk)
-        // need their old contents; fetch them in one vectored round.
-        let partial: Vec<BlockIndex> = chunks
-            .iter()
-            .filter(|&&(_, _, take, _)| take != bs as usize)
-            .map(|&(block, ..)| BlockIndex::new(block))
-            .collect();
-        let mut old = self.dev.read_blocks(&partial)?.into_iter();
-        let mut writes = Vec::with_capacity(chunks.len());
-        for (block, within, take, src_off) in chunks {
-            let src = &data[src_off..src_off + take];
-            let payload = if take == bs as usize {
-                // Full-block overwrite: no read, no copy of the old block.
-                BlockData::from(src)
-            } else {
-                let mut raw = old
-                    .next()
-                    .expect("one fetched block per partial chunk")
-                    .as_slice()
-                    .to_vec();
-                raw[within..within + take].copy_from_slice(src);
-                BlockData::from(raw)
-            };
-            writes.push((BlockIndex::new(block), payload));
-        }
-        self.dev.write_blocks(&writes)?;
         inode.size = inode.size.max(end);
         Ok(())
     }
 
-    fn free_blocks_of(&self, inode: &Inode) -> FsResult<()> {
-        let bitmap = Bitmap::new(&self.dev, &self.geo);
-        for &p in &inode.direct {
-            if p != 0 {
-                bitmap.free(p as u64)?;
+    /// Frees every block past `size`, zeroes the tail of the last kept
+    /// block so re-extension reads zeros, not stale bytes, and sets the
+    /// size. Shrinking to 0 frees everything the inode holds.
+    fn shrink(&mut self, node: &mut Inode, size: u64) -> FsResult<()> {
+        let bs = self.geo.block_size as u64;
+        let keep = size.div_ceil(bs) as usize;
+        let mut freed: Vec<u32> = Vec::new();
+        for slot in node.direct.iter_mut().skip(keep) {
+            freed.push(std::mem::take(slot));
+        }
+        if node.indirect != 0 {
+            let table = node.indirect as u64;
+            let from = (keep.saturating_sub(DIRECT_POINTERS) * 4).min(bs as usize);
+            let tail = self.get(table)?[from..].chunks_exact(4);
+            let tail: Vec<u32> = tail.map(|mut p| p.get_u32_le()).collect();
+            if from == 0 {
+                // The whole table goes away; alloc() zeroes blocks on reuse,
+                // so it needs no write-back.
+                freed.push(std::mem::take(&mut node.indirect));
+            } else if tail.iter().any(|&p| p != 0) {
+                self.modify(table, |raw| raw[from..].fill(0))?;
+            }
+            freed.extend(tail);
+        }
+        for block in freed.into_iter().filter(|&p| p != 0) {
+            Bitmap::new(self).free(block as u64)?;
+        }
+        if size % bs != 0 {
+            if let Some(&Some(block)) = self.map_blocks(node, size / bs, 1, false)?.first() {
+                self.modify(block, |raw| raw[(size % bs) as usize..].fill(0))?;
             }
         }
-        if inode.indirect != 0 {
-            let raw = self
-                .dev
-                .read_block(BlockIndex::new(inode.indirect as u64))?;
-            let mut slice = raw.as_slice();
-            while slice.len() >= 4 {
-                let p = slice.get_u32_le();
-                if p != 0 {
-                    bitmap.free(p as u64)?;
-                }
-            }
-            bitmap.free(inode.indirect as u64)?;
-        }
+        node.size = size;
         Ok(())
     }
 
     // ----- directory internals ----------------------------------------------
 
-    fn lookup(&self, dir_ino: u32, name: &str) -> FsResult<Option<(u32, u64)>> {
-        let inodes = InodeTable::new(&self.dev, &self.geo);
-        let mut dir = inodes.read(dir_ino)?;
-        let mut offset = 0;
-        while offset < dir.size {
-            let raw = self.read_at(&mut dir, offset, DIRENT_SIZE)?;
-            if let Some(entry) = Dirent::decode(&raw) {
-                if entry.name == name {
-                    return Ok(Some((entry.ino, offset)));
-                }
-            }
-            offset += DIRENT_SIZE as u64;
-        }
-        Ok(None)
+    /// Every 32-byte slot of a directory in order: its live entry, or `None`
+    /// for a free slot.
+    fn dir_slots(&mut self, dir_ino: u32) -> FsResult<Vec<Option<Dirent>>> {
+        let mut dir = InodeTable::new(self).read(dir_ino)?;
+        let raw = self.read_at(&mut dir, 0, usize::MAX)?;
+        Ok(raw.chunks_exact(DIRENT_SIZE).map(Dirent::decode).collect())
     }
 
-    fn dir_insert(&self, dir_ino: u32, name: &str, ino: u32) -> FsResult<()> {
-        let inodes = InodeTable::new(&self.dev, &self.geo);
-        let mut dir = inodes.read(dir_ino)?;
+    /// Finds `name` in a directory: `(inode, byte offset of its slot)`.
+    fn lookup(&mut self, dir_ino: u32, name: &str) -> FsResult<Option<(u32, u64)>> {
+        let slots = self.dir_slots(dir_ino)?;
+        Ok(slots.iter().enumerate().find_map(|(i, slot)| {
+            let entry = slot.as_ref().filter(|entry| entry.name == name)?;
+            Some((entry.ino, (i * DIRENT_SIZE) as u64))
+        }))
+    }
+
+    fn dir_insert(&mut self, dir_ino: u32, name: &str, ino: u32) -> FsResult<()> {
+        let slots = self.dir_slots(dir_ino)?;
         // Reuse a free slot if one exists; otherwise append.
-        let mut offset = 0;
-        let mut slot = dir.size;
-        while offset < dir.size {
-            let raw = self.read_at(&mut dir, offset, DIRENT_SIZE)?;
-            if Dirent::decode(&raw).is_none() {
-                slot = offset;
-                break;
-            }
-            offset += DIRENT_SIZE as u64;
-        }
+        let free = slots.iter().position(Option::is_none);
+        let slot = free.unwrap_or(slots.len());
         let record = Dirent {
             ino,
             name: name.to_string(),
         }
         .encode();
-        self.write_at(&mut dir, slot, &record)?;
-        inodes.write(dir_ino, &dir)?;
-        Ok(())
+        let mut dir = InodeTable::new(self).read(dir_ino)?;
+        self.write_at(&mut dir, (slot * DIRENT_SIZE) as u64, &record)?;
+        InodeTable::new(self).write(dir_ino, &dir)
     }
 
-    fn dir_remove(&self, dir_ino: u32, name: &str) -> FsResult<u32> {
-        let inodes = InodeTable::new(&self.dev, &self.geo);
-        let mut dir = inodes.read(dir_ino)?;
-        let (ino, offset) = self
-            .lookup(dir_ino, name)?
-            .ok_or_else(|| FsError::NotFound(name.to_string()))?;
-        self.write_at(&mut dir, offset, &Dirent::free_slot())?;
-        inodes.write(dir_ino, &dir)?;
+    /// Clears the slot at `offset` (as returned by [`lookup`](Self::lookup)).
+    /// The slot exists, so the directory's inode does not change.
+    fn dir_remove(&mut self, dir_ino: u32, offset: u64) -> FsResult<()> {
+        let mut dir = InodeTable::new(self).read(dir_ino)?;
+        self.write_at(&mut dir, offset, &Dirent::free_slot())
+    }
+
+    /// All live entries of a directory inode (the consistency checker walks
+    /// by inode rather than by path).
+    pub(crate) fn dir_entries(&mut self, dir_ino: u32) -> FsResult<Vec<Dirent>> {
+        Ok(self.dir_slots(dir_ino)?.into_iter().flatten().collect())
+    }
+
+    /// Allocates a `kind` inode and links it as `name` in directory `dir`.
+    fn create_in(&mut self, dir: u32, name: &str, kind: InodeKind) -> FsResult<u32> {
+        let ino = InodeTable::new(self).alloc(kind)?;
+        self.dir_insert(dir, name, ino)?;
         Ok(ino)
     }
 
-    fn dir_entries(&self, dir_ino: u32) -> FsResult<Vec<Dirent>> {
-        let inodes = InodeTable::new(&self.dev, &self.geo);
-        let mut dir = inodes.read(dir_ino)?;
-        let mut entries = Vec::new();
-        let mut offset = 0;
-        while offset < dir.size {
-            let raw = self.read_at(&mut dir, offset, DIRENT_SIZE)?;
-            if let Some(entry) = Dirent::decode(&raw) {
-                entries.push(entry);
-            }
-            offset += DIRENT_SIZE as u64;
-        }
-        Ok(entries)
-    }
-
-    /// Crate-internal: all live entries of a directory inode (used by the
-    /// consistency checker, which walks by inode rather than by path).
-    pub(crate) fn entries_of(&self, dir_ino: u32) -> FsResult<Vec<Dirent>> {
-        self.dir_entries(dir_ino)
-    }
-
-    fn create_node(&self, p: &str, kind: InodeKind) -> FsResult<u32> {
+    fn create_node(&mut self, p: &str, kind: InodeKind) -> FsResult<()> {
         let (dir, name) = self.resolve_parent(p)?;
         if self.lookup(dir, name)?.is_some() {
             return Err(FsError::AlreadyExists(p.to_string()));
         }
-        let inodes = InodeTable::new(&self.dev, &self.geo);
-        let ino = inodes.alloc(kind)?;
-        if let Err(e) = self.dir_insert(dir, name, ino) {
-            inodes.free(ino)?; // roll back the inode on a full directory
-            return Err(e);
-        }
-        Ok(ino)
+        self.create_in(dir, name, kind).map(|_| ())
     }
 
+    /// Unlinks `p`, which must be of kind `want` (and empty if a
+    /// directory), freeing its blocks and inode.
+    fn remove_node(&mut self, p: &str, want: InodeKind) -> FsResult<()> {
+        let (dir, name) = self.resolve_parent(p)?;
+        let (ino, offset) = self
+            .lookup(dir, name)?
+            .ok_or_else(|| FsError::NotFound(p.to_string()))?;
+        let mut node = InodeTable::new(self).read(ino)?;
+        if node.kind != want {
+            return Err(match want {
+                InodeKind::Dir => FsError::NotADirectory(p.to_string()),
+                _ => FsError::IsADirectory(p.to_string()),
+            });
+        }
+        if want == InodeKind::Dir && !self.dir_entries(ino)?.is_empty() {
+            return Err(FsError::DirectoryNotEmpty(p.to_string()));
+        }
+        self.dir_remove(dir, offset)?;
+        self.shrink(&mut node, 0)?;
+        InodeTable::new(self).free(ino)
+    }
+}
+
+impl<D: BlockDevice> FileSystem<D> {
     // ----- public operations -------------------------------------------------
 
     /// Creates an empty file.
@@ -485,8 +439,7 @@ impl<D: BlockDevice> FileSystem<D> {
     /// [`FsError::AlreadyExists`], [`FsError::NotFound`] (missing parent),
     /// [`FsError::NoInodes`], [`FsError::NoSpace`], or device errors.
     pub fn create(&self, p: &str) -> FsResult<()> {
-        let _g = self.lock.lock();
-        self.create_node(p, InodeKind::File).map(|_| ())
+        self.run(|t| t.create_node(p, InodeKind::File))
     }
 
     /// Creates an empty directory.
@@ -495,8 +448,7 @@ impl<D: BlockDevice> FileSystem<D> {
     ///
     /// As for [`create`](Self::create).
     pub fn mkdir(&self, p: &str) -> FsResult<()> {
-        let _g = self.lock.lock();
-        self.create_node(p, InodeKind::Dir).map(|_| ())
+        self.run(|t| t.create_node(p, InodeKind::Dir))
     }
 
     /// Writes `data` at byte `offset`, extending the file as needed
@@ -507,16 +459,21 @@ impl<D: BlockDevice> FileSystem<D> {
     /// [`FsError::NotFound`], [`FsError::IsADirectory`],
     /// [`FsError::FileTooLarge`], [`FsError::NoSpace`], or device errors.
     pub fn write(&self, p: &str, offset: u64, data: &[u8]) -> FsResult<()> {
-        let _g = self.lock.lock();
-        let ino = self.resolve(p)?;
-        let inodes = InodeTable::new(&self.dev, &self.geo);
-        let mut node = inodes.read(ino)?;
-        if node.kind != InodeKind::File {
-            return Err(FsError::IsADirectory(p.to_string()));
-        }
-        self.write_at(&mut node, offset, data)?;
-        inodes.write(ino, &node)?;
-        Ok(())
+        self.write_to(p, Some(offset), data).map(|_| ())
+    }
+
+    /// Writes `data` at `offset`, or at the end of the file for `None` —
+    /// the size is read and the bytes written inside one operation, so
+    /// concurrent appends never overwrite each other. Returns the offset
+    /// just past the written bytes.
+    pub(crate) fn write_to(&self, p: &str, offset: Option<u64>, data: &[u8]) -> FsResult<u64> {
+        self.run(|t| {
+            let (ino, mut node) = t.resolve_file(p)?;
+            let offset = offset.unwrap_or(node.size);
+            t.write_at(&mut node, offset, data)?;
+            InodeTable::new(t).write(ino, &node)?;
+            Ok(offset + data.len() as u64)
+        })
     }
 
     /// Reads up to `len` bytes from byte `offset` (short reads at EOF, like
@@ -526,28 +483,36 @@ impl<D: BlockDevice> FileSystem<D> {
     ///
     /// [`FsError::NotFound`], [`FsError::IsADirectory`], or device errors.
     pub fn read(&self, p: &str, offset: u64, len: usize) -> FsResult<Vec<u8>> {
-        let _g = self.lock.lock();
-        let ino = self.resolve(p)?;
-        let mut node = InodeTable::new(&self.dev, &self.geo).read(ino)?;
-        if node.kind != InodeKind::File {
-            return Err(FsError::IsADirectory(p.to_string()));
-        }
-        self.read_at(&mut node, offset, len)
+        self.run(|t| {
+            let (_, mut node) = t.resolve_file(p)?;
+            t.read_at(&mut node, offset, len)
+        })
     }
 
     /// Replaces the file's contents (creating it if missing) — the
-    /// `echo data > file` convenience.
+    /// `echo data > file` convenience. All or nothing: if the new contents
+    /// do not fit, the old file is left as it was.
     ///
     /// # Errors
     ///
     /// As for [`create`](Self::create) and [`write`](Self::write).
     pub fn write_file(&self, p: &str, data: &[u8]) -> FsResult<()> {
-        match self.create(p) {
-            Ok(()) => {}
-            Err(FsError::AlreadyExists(_)) => self.truncate(p, 0)?,
-            Err(e) => return Err(e),
-        }
-        self.write(p, 0, data)
+        self.run(|t| {
+            let (dir, name) = t.resolve_parent(p)?;
+            let (ino, mut node) = match t.lookup(dir, name)? {
+                Some((ino, _)) => {
+                    let mut node = t.file_inode(ino, p)?;
+                    t.shrink(&mut node, 0)?;
+                    (ino, node)
+                }
+                None => (
+                    t.create_in(dir, name, InodeKind::File)?,
+                    Inode::new(InodeKind::File),
+                ),
+            };
+            t.write_at(&mut node, 0, data)?;
+            InodeTable::new(t).write(ino, &node)
+        })
     }
 
     /// Reads a whole file.
@@ -556,8 +521,7 @@ impl<D: BlockDevice> FileSystem<D> {
     ///
     /// As for [`read`](Self::read).
     pub fn read_file(&self, p: &str) -> FsResult<Vec<u8>> {
-        let size = self.stat(p)?.size;
-        self.read(p, 0, size as usize)
+        self.read(p, 0, usize::MAX)
     }
 
     /// Truncates (or sparsely extends) a file to `size` bytes.
@@ -567,72 +531,18 @@ impl<D: BlockDevice> FileSystem<D> {
     /// [`FsError::NotFound`], [`FsError::IsADirectory`],
     /// [`FsError::FileTooLarge`], or device errors.
     pub fn truncate(&self, p: &str, size: u64) -> FsResult<()> {
-        let _g = self.lock.lock();
         if size > self.geo.max_file_size() {
             return Err(FsError::FileTooLarge);
         }
-        let ino = self.resolve(p)?;
-        let inodes = InodeTable::new(&self.dev, &self.geo);
-        let mut node = inodes.read(ino)?;
-        if node.kind != InodeKind::File {
-            return Err(FsError::IsADirectory(p.to_string()));
-        }
-        if size < node.size {
-            // Free whole blocks past the new end.
-            let bs = self.geo.block_size as u64;
-            let keep_blocks = size.div_ceil(bs);
-            let bitmap = Bitmap::new(&self.dev, &self.geo);
-            let pointers_per_block = bs / 4;
-            let total_blocks = DIRECT_POINTERS as u64 + pointers_per_block;
-            for logical in keep_blocks..DIRECT_POINTERS as u64 {
-                let slot = &mut node.direct[logical as usize];
-                if *slot != 0 {
-                    bitmap.free(*slot as u64)?;
-                    *slot = 0;
-                }
+        self.run(|t| {
+            let (ino, mut node) = t.resolve_file(p)?;
+            if size < node.size {
+                t.shrink(&mut node, size)?;
+            } else {
+                node.size = size;
             }
-            if node.indirect != 0 {
-                // One read and at most one write-back for the whole pointer
-                // table, not a round trip per freed entry.
-                let iblock = BlockIndex::new(node.indirect as u64);
-                let mut table = self.dev.read_block(iblock)?.as_slice().to_vec();
-                let mut dirty = false;
-                for logical in keep_blocks.max(DIRECT_POINTERS as u64)..total_blocks {
-                    let idx = (logical - DIRECT_POINTERS as u64) as usize * 4;
-                    let entry = (&table[idx..idx + 4]).get_u32_le();
-                    if entry != 0 {
-                        bitmap.free(entry as u64)?;
-                        (&mut table[idx..idx + 4]).put_u32_le(0);
-                        dirty = true;
-                    }
-                }
-                if keep_blocks <= DIRECT_POINTERS as u64 {
-                    // The whole table goes away; alloc() zeroes blocks on
-                    // reuse, so skipping the write-back is safe.
-                    bitmap.free(node.indirect as u64)?;
-                    node.indirect = 0;
-                } else if dirty {
-                    self.dev.write_block(iblock, BlockData::from(table))?;
-                }
-            }
-            // Zero the tail of the last kept block so re-extension reads
-            // zeros, not stale bytes.
-            if size % bs != 0 {
-                if let Some(block) = self.map_block(&mut node, size / bs, false)? {
-                    let mut raw = self
-                        .dev
-                        .read_block(BlockIndex::new(block))?
-                        .as_slice()
-                        .to_vec();
-                    raw[(size % bs) as usize..].fill(0);
-                    self.dev
-                        .write_block(BlockIndex::new(block), BlockData::from(raw))?;
-                }
-            }
-        }
-        node.size = size;
-        inodes.write(ino, &node)?;
-        Ok(())
+            InodeTable::new(t).write(ino, &node)
+        })
     }
 
     /// Removes a file, freeing its blocks and inode.
@@ -641,20 +551,7 @@ impl<D: BlockDevice> FileSystem<D> {
     ///
     /// [`FsError::NotFound`], [`FsError::IsADirectory`], or device errors.
     pub fn remove_file(&self, p: &str) -> FsResult<()> {
-        let _g = self.lock.lock();
-        let (dir, name) = self.resolve_parent(p)?;
-        let (ino, _) = self
-            .lookup(dir, name)?
-            .ok_or_else(|| FsError::NotFound(p.to_string()))?;
-        let inodes = InodeTable::new(&self.dev, &self.geo);
-        let node = inodes.read(ino)?;
-        if node.kind != InodeKind::File {
-            return Err(FsError::IsADirectory(p.to_string()));
-        }
-        self.dir_remove(dir, name)?;
-        self.free_blocks_of(&node)?;
-        inodes.free(ino)?;
-        Ok(())
+        self.run(|t| t.remove_node(p, InodeKind::File))
     }
 
     /// Removes an empty directory.
@@ -665,23 +562,7 @@ impl<D: BlockDevice> FileSystem<D> {
     /// [`FsError::NotFound`], [`FsError::InvalidPath`] (the root), or
     /// device errors.
     pub fn remove_dir(&self, p: &str) -> FsResult<()> {
-        let _g = self.lock.lock();
-        let (dir, name) = self.resolve_parent(p)?;
-        let (ino, _) = self
-            .lookup(dir, name)?
-            .ok_or_else(|| FsError::NotFound(p.to_string()))?;
-        let inodes = InodeTable::new(&self.dev, &self.geo);
-        let node = inodes.read(ino)?;
-        if node.kind != InodeKind::Dir {
-            return Err(FsError::NotADirectory(p.to_string()));
-        }
-        if !self.dir_entries(ino)?.is_empty() {
-            return Err(FsError::DirectoryNotEmpty(p.to_string()));
-        }
-        self.dir_remove(dir, name)?;
-        self.free_blocks_of(&node)?;
-        inodes.free(ino)?;
-        Ok(())
+        self.run(|t| t.remove_node(p, InodeKind::Dir))
     }
 
     /// Renames (moves) a file or directory. Refuses to move a directory
@@ -692,24 +573,26 @@ impl<D: BlockDevice> FileSystem<D> {
     /// [`FsError::NotFound`], [`FsError::AlreadyExists`],
     /// [`FsError::InvalidPath`], or device errors.
     pub fn rename(&self, from: &str, to: &str) -> FsResult<()> {
-        let _g = self.lock.lock();
         // Reject moving a directory under itself: "/a" -> "/a/b/c".
         let from_parts = path::split(from)?;
         let to_parts = path::split(to)?;
         if to_parts.len() > from_parts.len() && to_parts[..from_parts.len()] == from_parts[..] {
             return Err(FsError::InvalidPath(format!("{to} is inside {from}")));
         }
-        let (from_dir, from_name) = self.resolve_parent(from)?;
-        let (ino, _) = self
-            .lookup(from_dir, from_name)?
-            .ok_or_else(|| FsError::NotFound(from.to_string()))?;
-        let (to_dir, to_name) = self.resolve_parent(to)?;
-        if self.lookup(to_dir, to_name)?.is_some() {
-            return Err(FsError::AlreadyExists(to.to_string()));
-        }
-        self.dir_insert(to_dir, to_name, ino)?;
-        self.dir_remove(from_dir, from_name)?;
-        Ok(())
+        self.run(|t| {
+            let (from_dir, from_name) = t.resolve_parent(from)?;
+            let (ino, from_offset) = t
+                .lookup(from_dir, from_name)?
+                .ok_or_else(|| FsError::NotFound(from.to_string()))?;
+            let (to_dir, to_name) = t.resolve_parent(to)?;
+            if t.lookup(to_dir, to_name)?.is_some() {
+                return Err(FsError::AlreadyExists(to.to_string()));
+            }
+            // An insert never moves existing entries, so `from_offset`
+            // stays valid even when both names share a directory.
+            t.dir_insert(to_dir, to_name, ino)?;
+            t.dir_remove(from_dir, from_offset)
+        })
     }
 
     /// `stat`: metadata of a file or directory.
@@ -718,22 +601,22 @@ impl<D: BlockDevice> FileSystem<D> {
     ///
     /// [`FsError::NotFound`] or device errors.
     pub fn stat(&self, p: &str) -> FsResult<Metadata> {
-        let _g = self.lock.lock();
-        let ino = self.resolve(p)?;
-        let node = InodeTable::new(&self.dev, &self.geo).read(ino)?;
-        Ok(Metadata {
-            kind: match node.kind {
-                InodeKind::Dir => FileKind::Directory,
-                _ => FileKind::File,
-            },
-            size: node.size,
+        self.run(|t| {
+            let ino = t.resolve(p)?;
+            let node = InodeTable::new(t).read(ino)?;
+            Ok(Metadata {
+                kind: match node.kind {
+                    InodeKind::Dir => FileKind::Directory,
+                    _ => FileKind::File,
+                },
+                size: node.size,
+            })
         })
     }
 
     /// Whether a path exists.
     pub fn exists(&self, p: &str) -> bool {
-        let _g = self.lock.lock();
-        self.resolve(p).is_ok()
+        self.run(|t| t.resolve(p)).is_ok()
     }
 
     /// Lists a directory's entry names, sorted.
@@ -742,15 +625,15 @@ impl<D: BlockDevice> FileSystem<D> {
     ///
     /// [`FsError::NotADirectory`], [`FsError::NotFound`], or device errors.
     pub fn read_dir(&self, p: &str) -> FsResult<Vec<String>> {
-        let _g = self.lock.lock();
-        let ino = self.resolve(p)?;
-        let node = InodeTable::new(&self.dev, &self.geo).read(ino)?;
-        if node.kind != InodeKind::Dir {
-            return Err(FsError::NotADirectory(p.to_string()));
-        }
-        let mut names: Vec<String> = self.dir_entries(ino)?.into_iter().map(|e| e.name).collect();
-        names.sort();
-        Ok(names)
+        self.run(|t| {
+            let ino = t.resolve(p)?;
+            if InodeTable::new(t).read(ino)?.kind != InodeKind::Dir {
+                return Err(FsError::NotADirectory(p.to_string()));
+            }
+            let mut names: Vec<String> = t.dir_entries(ino)?.into_iter().map(|e| e.name).collect();
+            names.sort();
+            Ok(names)
+        })
     }
 }
 
@@ -987,6 +870,65 @@ mod tests {
         fs.remove_file("/d/f2").unwrap();
         fs.write_file("/d/f5", b"x").unwrap();
         assert_eq!(fs.stat("/d").unwrap().size, size_before);
+    }
+
+    /// Fills the device to the last block with files named `prefix0..`.
+    fn fill(fs: &FileSystem<MemStore>, prefix: &str) {
+        let mut n = 0;
+        while fs
+            .write_file(&format!("{prefix}{n}"), &vec![0xEE; 64 * 512])
+            .is_ok()
+        {
+            n += 1;
+        }
+        // Top up a block at a time: growing a file that already has its
+        // indirect block needs no directory entry and no pointer block.
+        let mut first = fs.open(&format!("{prefix}0")).unwrap();
+        while first.append(&[0xEE; 512]).is_ok() {}
+        assert_eq!(fs.free_bytes().unwrap(), 0);
+    }
+
+    #[test]
+    fn failed_write_file_leaves_the_old_file_intact() {
+        let fs = fresh();
+        fs.write_file("/victim", &vec![7u8; 1000]).unwrap();
+        fill(&fs, "/fill");
+        let free = fs.free_bytes().unwrap();
+        // Needs far more blocks than the victim's own two would free up.
+        let err = fs.write_file("/victim", &vec![8u8; 20 * 512]).unwrap_err();
+        assert!(matches!(err, FsError::NoSpace), "got {err}");
+        let too_large = vec![9u8; fs.geometry().max_file_size() as usize + 1];
+        let err = fs.write_file("/victim", &too_large).unwrap_err();
+        assert!(matches!(err, FsError::FileTooLarge), "got {err}");
+        assert_eq!(fs.read_file("/victim").unwrap(), vec![7u8; 1000]);
+        assert_eq!(fs.free_bytes().unwrap(), free);
+        let report = fs.check().unwrap();
+        assert!(report.is_clean(), "{:?}", report.problems);
+        // A replacement that fits in the victim's own blocks still works.
+        fs.write_file("/victim", &vec![8u8; 1024]).unwrap();
+        assert_eq!(fs.read_file("/victim").unwrap(), vec![8u8; 1024]);
+    }
+
+    #[test]
+    fn failed_create_leaks_no_inode() {
+        let fs = fresh();
+        fs.mkdir("/d").unwrap();
+        // Sixteen empty files fill /d's only entry block exactly.
+        for i in 0..16 {
+            fs.create(&format!("/d/e{i:02}")).unwrap();
+        }
+        fill(&fs, "/fill");
+        // The seventeenth entry needs a second directory block.
+        for attempt in [fs.create("/d/overflow"), fs.mkdir("/d/overflow")] {
+            assert!(matches!(attempt, Err(FsError::NoSpace)), "{attempt:?}");
+        }
+        assert!(!fs.exists("/d/overflow"));
+        assert_eq!(fs.read_dir("/d").unwrap().len(), 16);
+        let report = fs.check().unwrap();
+        assert!(report.is_clean(), "{:?}", report.problems);
+        fs.remove_file("/fill0").unwrap();
+        fs.create("/d/overflow").unwrap();
+        assert!(fs.check().unwrap().is_clean());
     }
 
     #[test]

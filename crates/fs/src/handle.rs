@@ -108,19 +108,21 @@ impl<D: BlockDevice> FileHandle<'_, D> {
     ///
     /// As for [`FileSystem::write`].
     pub fn write_at_cursor(&mut self, data: &[u8]) -> FsResult<()> {
-        self.fs.write(&self.path, self.offset, data)?;
-        self.offset += data.len() as u64;
+        self.offset = self.fs.write_to(&self.path, Some(self.offset), data)?;
         Ok(())
     }
 
     /// Appends `data` at the end of the file, leaving the cursor after it.
+    /// Finding the end and writing there are one file-system operation, so
+    /// handles appending to the same file from several threads never
+    /// overwrite each other's records.
     ///
     /// # Errors
     ///
     /// As for [`FileSystem::write`].
     pub fn append(&mut self, data: &[u8]) -> FsResult<()> {
-        self.seek_end()?;
-        self.write_at_cursor(data)
+        self.offset = self.fs.write_to(&self.path, None, data)?;
+        Ok(())
     }
 }
 
@@ -189,6 +191,40 @@ mod tests {
         let mut h2 = fs.open("/log").unwrap();
         h2.append(b"+two").unwrap();
         assert_eq!(fs.read_file("/log").unwrap(), b"start+one+two");
+    }
+
+    #[test]
+    fn concurrent_appends_never_overwrite_each_other() {
+        const RECORDS: u32 = 400;
+        let fs = FileSystem::format(MemStore::new(256, 512)).unwrap();
+        fs.create("/log").unwrap();
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for writer in 0..2u32 {
+                let (fs, start) = (&fs, &start);
+                scope.spawn(move || {
+                    let mut h = fs.open("/log").unwrap();
+                    start.wait();
+                    for seq in 0..RECORDS {
+                        // A fixed-size 8-byte record: who wrote it, and when.
+                        let record = [writer.to_le_bytes(), seq.to_le_bytes()].concat();
+                        h.append(&record).unwrap();
+                    }
+                });
+            }
+        });
+        let log = fs.read_file("/log").unwrap();
+        assert_eq!(log.len(), 2 * RECORDS as usize * 8, "a record was lost");
+        // Every record of each writer is there once, intact and in order.
+        let mut next = [0u32; 2];
+        for record in log.chunks_exact(8) {
+            let writer = u32::from_le_bytes([record[0], record[1], record[2], record[3]]);
+            let seq = u32::from_le_bytes([record[4], record[5], record[6], record[7]]);
+            assert!(writer < 2, "torn record {record:?}");
+            assert_eq!(seq, next[writer as usize], "writer {writer}");
+            next[writer as usize] += 1;
+        }
+        assert_eq!(next, [RECORDS; 2]);
     }
 
     #[test]

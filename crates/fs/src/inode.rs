@@ -1,9 +1,9 @@
 //! Inodes: 64-byte on-disk records with direct and indirect block pointers.
 
-use crate::layout::{FsGeometry, DIRECT_POINTERS, INODE_SIZE};
+use crate::layout::{DIRECT_POINTERS, INODE_SIZE};
+use crate::txn::Txn;
 use crate::{FsError, FsResult};
 use blockrep_storage::BlockDevice;
-use blockrep_types::{BlockData, BlockIndex};
 use bytes::{Buf, BufMut};
 
 /// What an inode describes.
@@ -84,42 +84,42 @@ impl Inode {
     }
 }
 
-/// The on-disk inode table.
-pub struct InodeTable<'a, D> {
-    dev: &'a D,
-    geo: &'a FsGeometry,
+/// The on-disk inode table, read and edited through one operation's
+/// [`Txn`].
+pub struct InodeTable<'t, 'a, D> {
+    txn: &'t mut Txn<'a, D>,
 }
 
-impl<'a, D: BlockDevice> InodeTable<'a, D> {
-    /// Creates a table view over `dev`.
-    pub fn new(dev: &'a D, geo: &'a FsGeometry) -> Self {
-        InodeTable { dev, geo }
+impl<'t, 'a, D: BlockDevice> InodeTable<'t, 'a, D> {
+    /// Creates a table view inside `txn`.
+    pub fn new(txn: &'t mut Txn<'a, D>) -> Self {
+        InodeTable { txn }
     }
 
-    fn locate(&self, ino: u32) -> FsResult<(BlockIndex, usize)> {
-        if ino == 0 || ino > self.geo.inode_count {
+    fn locate(&self, ino: u32) -> FsResult<(u64, usize)> {
+        let geo = self.txn.geo;
+        if ino == 0 || ino > geo.inode_count {
             return Err(FsError::BadSuperblock(format!("inode {ino} out of range")));
         }
-        let per_block = self.geo.block_size as usize / INODE_SIZE;
+        let per_block = geo.block_size as usize / INODE_SIZE;
         let index = (ino - 1) as usize;
-        let block = self.geo.inode_start + (index / per_block) as u64;
-        Ok((BlockIndex::new(block), (index % per_block) * INODE_SIZE))
+        let block = geo.inode_start + (index / per_block) as u64;
+        Ok((block, (index % per_block) * INODE_SIZE))
     }
 
     /// Reads inode `ino`.
-    pub fn read(&self, ino: u32) -> FsResult<Inode> {
+    pub fn read(&mut self, ino: u32) -> FsResult<Inode> {
         let (block, offset) = self.locate(ino)?;
-        let raw = self.dev.read_block(block)?;
-        Ok(Inode::decode(&raw.as_slice()[offset..offset + INODE_SIZE]))
+        let raw = self.txn.get(block)?;
+        Ok(Inode::decode(&raw[offset..offset + INODE_SIZE]))
     }
 
     /// Writes inode `ino`.
-    pub fn write(&self, ino: u32, inode: &Inode) -> FsResult<()> {
+    pub fn write(&mut self, ino: u32, inode: &Inode) -> FsResult<()> {
         let (block, offset) = self.locate(ino)?;
-        let mut raw = self.dev.read_block(block)?.as_slice().to_vec();
-        raw[offset..offset + INODE_SIZE].copy_from_slice(&inode.encode());
-        self.dev.write_block(block, BlockData::from(raw))?;
-        Ok(())
+        self.txn.modify(block, |raw| {
+            raw[offset..offset + INODE_SIZE].copy_from_slice(&inode.encode())
+        })
     }
 
     /// Allocates a free inode slot, initializes it to a fresh `kind` inode
@@ -128,11 +128,10 @@ impl<'a, D: BlockDevice> InodeTable<'a, D> {
     /// # Errors
     ///
     /// [`FsError::NoInodes`] when the table is full.
-    pub fn alloc(&self, kind: InodeKind) -> FsResult<u32> {
-        for ino in 1..=self.geo.inode_count {
+    pub fn alloc(&mut self, kind: InodeKind) -> FsResult<u32> {
+        for ino in 1..=self.txn.geo.inode_count {
             if self.read(ino)?.kind == InodeKind::Free {
-                let inode = Inode::new(kind);
-                self.write(ino, &inode)?;
+                self.write(ino, &Inode::new(kind))?;
                 return Ok(ino);
             }
         }
@@ -140,7 +139,7 @@ impl<'a, D: BlockDevice> InodeTable<'a, D> {
     }
 
     /// Frees inode `ino`.
-    pub fn free(&self, ino: u32) -> FsResult<()> {
+    pub fn free(&mut self, ino: u32) -> FsResult<()> {
         self.write(ino, &Inode::new(InodeKind::Free))
     }
 }
@@ -148,6 +147,7 @@ impl<'a, D: BlockDevice> InodeTable<'a, D> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layout::FsGeometry;
     use blockrep_storage::MemStore;
 
     fn setup() -> (MemStore, FsGeometry) {
@@ -169,7 +169,8 @@ mod tests {
     #[test]
     fn table_read_write_roundtrip() {
         let (dev, geo) = setup();
-        let table = InodeTable::new(&dev, &geo);
+        let mut txn = Txn::new(&dev, &geo);
+        let mut table = InodeTable::new(&mut txn);
         let mut ino = Inode::new(InodeKind::Dir);
         ino.size = 64;
         table.write(5, &ino).unwrap();
@@ -177,12 +178,17 @@ mod tests {
         // Neighbouring slots untouched.
         assert_eq!(table.read(4).unwrap().kind, InodeKind::Free);
         assert_eq!(table.read(6).unwrap().kind, InodeKind::Free);
+        // And it reaches the device at commit.
+        txn.commit().unwrap();
+        let mut txn = Txn::new(&dev, &geo);
+        assert_eq!(InodeTable::new(&mut txn).read(5).unwrap(), ino);
     }
 
     #[test]
     fn alloc_scans_for_free_slots() {
         let (dev, geo) = setup();
-        let table = InodeTable::new(&dev, &geo);
+        let mut txn = Txn::new(&dev, &geo);
+        let mut table = InodeTable::new(&mut txn);
         let a = table.alloc(InodeKind::File).unwrap();
         let b = table.alloc(InodeKind::Dir).unwrap();
         assert_ne!(a, b);
@@ -194,7 +200,8 @@ mod tests {
     #[test]
     fn exhaustion_reports_no_inodes() {
         let (dev, geo) = setup();
-        let table = InodeTable::new(&dev, &geo);
+        let mut txn = Txn::new(&dev, &geo);
+        let mut table = InodeTable::new(&mut txn);
         for _ in 0..geo.inode_count {
             table.alloc(InodeKind::File).unwrap();
         }
@@ -207,7 +214,8 @@ mod tests {
     #[test]
     fn inode_zero_is_invalid() {
         let (dev, geo) = setup();
-        let table = InodeTable::new(&dev, &geo);
+        let mut txn = Txn::new(&dev, &geo);
+        let mut table = InodeTable::new(&mut txn);
         assert!(table.read(0).is_err());
         assert!(table.read(geo.inode_count + 1).is_err());
     }

@@ -19,6 +19,20 @@
 //! blocks ..      data blocks (files, directories, indirect blocks)
 //! ```
 //!
+//! # One block transaction per operation
+//!
+//! On a replicated device every device call is a protocol round, so the
+//! file system is frugal with them. Each public operation runs in its own
+//! block transaction (`txn.rs`), the only path from this crate to the
+//! device: a block is read at most once per operation however many inodes,
+//! bitmap bits or directory entries of it are consulted, edits happen in
+//! memory, and everything the operation changed goes out in **one**
+//! `write_blocks` at the end (data blocks first, then the inode and bitmap
+//! blocks that point at them). An operation that fails on the way — no
+//! space, no such file — drops its transaction and has written nothing.
+//! Nothing is cached between operations: the device, not this client,
+//! holds the only lasting copy.
+//!
 //! # Examples
 //!
 //! ```
@@ -49,6 +63,7 @@ mod handle;
 mod inode;
 mod layout;
 mod path;
+mod txn;
 
 pub use check::{FsckProblem, FsckReport};
 pub use error::{FsError, FsResult};

@@ -32,6 +32,24 @@ impl Model {
         };
         self.dirs.contains(&parent)
     }
+    /// Sorted names directly under `dir`.
+    fn listing(&self, dir: &str) -> Vec<String> {
+        let mut names: Vec<String> = self
+            .files
+            .keys()
+            .filter_map(|p| {
+                let (parent, name) = p.rsplit_once('/').unwrap();
+                let parent = if parent.is_empty() { "/" } else { parent };
+                (parent == dir).then(|| name.to_string())
+            })
+            .collect();
+        if dir == "/" {
+            names.push("a".into());
+            names.push("b".into());
+        }
+        names.sort();
+        names
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -121,23 +139,9 @@ fn apply(
             }
         }
         FsOp::List { dir } => {
-            let mut expect: Vec<String> = model
-                .files
-                .keys()
-                .filter_map(|p| {
-                    let (parent, name) = p.rsplit_once('/').unwrap();
-                    let parent = if parent.is_empty() { "/" } else { parent };
-                    (parent == dir).then(|| name.to_string())
-                })
-                .collect();
-            if dir == "/" {
-                expect.push("a".into());
-                expect.push("b".into());
-            }
-            expect.sort();
             let got = fs.read_dir(dir);
             prop_assert!(got.is_ok(), "read_dir({dir}) failed: {got:?}");
-            prop_assert_eq!(got.unwrap(), expect, "listing of {}", dir);
+            prop_assert_eq!(got.unwrap(), model.listing(dir), "listing of {}", dir);
         }
         FsOp::FailSite(i) => {
             // Keep at least two sites up so the device never refuses ops
@@ -186,5 +190,15 @@ proptest! {
         // And the on-disk image must be structurally consistent.
         let report = fs.check().unwrap();
         prop_assert!(report.is_clean(), "fsck: {:?}", report.problems);
+        // Nothing lived only in a transaction: a fresh mount of the same
+        // device, which shares no state with `fs`, sees the model's image.
+        let remounted = FileSystem::mount(fs.into_device()).unwrap();
+        for (path, expect) in &model.files {
+            prop_assert_eq!(&remounted.read_file(path).unwrap(), expect, "remounted {}", path);
+        }
+        for dir in &model.dirs {
+            prop_assert_eq!(remounted.read_dir(dir).unwrap(), model.listing(dir), "remounted {}", dir);
+        }
+        prop_assert!(remounted.check().unwrap().is_clean());
     }
 }

@@ -89,6 +89,59 @@ fn fs_surfaces_unavailability_and_resumes_after_repair() {
 }
 
 #[test]
+fn an_op_whose_commit_is_refused_leaves_the_pre_op_image() {
+    // Read-one/write-all voting: with one site down every read still finds
+    // its quorum, so an operation runs to its commit, and the commit — its
+    // only device write — is refused for lack of a write quorum.
+    let cfg = DeviceConfig::builder(Scheme::Voting)
+        .sites(3)
+        .num_blocks(512)
+        .block_size(512)
+        .read_quorum(2)
+        .write_quorum(6)
+        .build()
+        .unwrap();
+    let c = Arc::new(Cluster::new(cfg, ClusterOptions::default()));
+    let fs = FileSystem::format(ReliableDevice::new(Arc::clone(&c), s(0))).unwrap();
+    fs.mkdir("/d").unwrap();
+    fs.write_file("/d/f", &vec![7u8; 3000]).unwrap();
+    let image = |site| -> Vec<BlockData> {
+        (0..512)
+            .map(|b| c.data_of(s(site), BlockIndex::new(b)))
+            .collect()
+    };
+    let before = image(0);
+    c.fail_site(s(2));
+    assert_eq!(fs.read_file("/d/f").unwrap(), vec![7u8; 3000]);
+    let refused = [
+        fs.write_file("/d/f", &vec![8u8; 9000]),
+        fs.write_file("/d/new", b"x"),
+        fs.write("/d/f", 100, b"patch"),
+        fs.truncate("/d/f", 10),
+        fs.rename("/d/f", "/g"),
+        fs.remove_file("/d/f"),
+        fs.mkdir("/d/sub"),
+    ];
+    for result in refused {
+        let err = result.unwrap_err();
+        assert!(matches!(&err, FsError::Device(_)), "got {err}");
+        assert!(err.is_device_unavailable());
+    }
+    c.repair_site(s(2));
+    for site in 0..3 {
+        assert!(
+            image(site) == before,
+            "site {site} differs from the pre-op image"
+        );
+    }
+    assert_eq!(fs.read_file("/d/f").unwrap(), vec![7u8; 3000]);
+    assert!(fs.check().unwrap().is_clean());
+    // With the write quorum back the same operations go through.
+    fs.write_file("/d/f", &vec![8u8; 9000]).unwrap();
+    assert_eq!(fs.read_file("/d/f").unwrap(), vec![8u8; 9000]);
+}
+
+#[test]
 fn fs_state_survives_total_failure_and_remount() {
     let c = cluster(Scheme::AvailableCopy);
     let dev = ReliableDevice::new(Arc::clone(&c), s(0));
