@@ -128,9 +128,6 @@ pub struct LiveCluster {
     /// Hands straggler replies to the drainer; `None` only during drop.
     drain_tx: Option<Sender<DrainJob>>,
     drainer: Option<JoinHandle<()>>,
-    /// Direct lines to every server thread, bypassing link state — used only
-    /// for shutdown.
-    direct: Vec<Sender<Request>>,
     handles: Vec<JoinHandle<()>>,
 }
 
@@ -141,34 +138,21 @@ impl LiveCluster {
         let net: Network<Request> = Network::new(n, mode);
         let latency_ns = Arc::new(AtomicU64::new(0));
         let mut handles = Vec::with_capacity(n);
-        let mut direct = Vec::with_capacity(n);
         for s in cfg.site_ids() {
+            // The site's one mailbox: protocol traffic and the shutdown
+            // message both arrive here, so the thread can block on it.
             let rx = net.register(s);
-            // Keep a direct sender for shutdown: the network refuses to
-            // deliver to "failed" sites, but the thread still must exit.
-            let (tx, direct_rx) = crossbeam::channel::unbounded();
-            direct.push(tx);
-            let replica = Replica::new(s, &cfg);
+            let mut replica = Replica::new(s, &cfg);
             let latency = Arc::clone(&latency_ns);
             handles.push(std::thread::spawn(move || {
-                // Serve from both queues: network traffic and control.
-                let mut replica = replica;
-                loop {
-                    crossbeam::channel::select! {
-                        recv(rx) -> msg => match msg {
-                            Ok(Request::Shutdown) | Err(_) => return,
-                            Ok(req) => {
-                                if is_rpc(&req) {
-                                    emulate_link(&latency);
-                                }
-                                handle(&mut replica, req);
-                            }
-                        },
-                        recv(direct_rx) -> msg => match msg {
-                            Ok(Request::Shutdown) | Err(_) => return,
-                            Ok(req) => handle(&mut replica, req),
-                        },
+                while let Ok(req) = rx.recv() {
+                    if matches!(req, Request::Shutdown) {
+                        return;
                     }
+                    if is_rpc(&req) {
+                        emulate_link(&latency);
+                    }
+                    handle(&mut replica, req);
                 }
             }));
         }
@@ -200,7 +184,6 @@ impl LiveCluster {
             leases: LeaseTable::new(),
             drain_tx: Some(drain_tx),
             drainer: Some(drainer),
-            direct,
             handles,
             cfg,
         }
@@ -843,8 +826,11 @@ impl Drop for LiveCluster {
         if let Some(drainer) = self.drainer.take() {
             let _ = drainer.join();
         }
-        for tx in &self.direct {
-            let _ = tx.send(Request::Shutdown);
+        // Sent as each site's message to itself: `send_raw` delivers that
+        // whatever the link state, and a failed site's thread still has to
+        // exit.
+        for s in self.cfg.site_ids() {
+            let _ = self.net.send_raw(s, s, Request::Shutdown);
         }
         for handle in self.handles.drain(..) {
             let _ = handle.join();
@@ -944,6 +930,26 @@ mod tests {
         c.write(sid(0), BlockIndex::new(0), BlockData::from(vec![1; 8]))
             .unwrap();
         drop(c); // must not hang or panic
+    }
+
+    #[test]
+    fn shutdown_reaches_a_failed_site() {
+        let c = live(Scheme::AvailableCopy, 3);
+        c.write(sid(0), BlockIndex::new(0), BlockData::from(vec![1; 8]))
+            .unwrap();
+        c.fail_site(sid(1));
+        // Drop joins every site thread, so it returns only once the thread
+        // behind the downed link has exited too.
+        let (done_tx, done_rx) = bounded(1);
+        let dropper = std::thread::spawn(move || {
+            drop(c);
+            let _ = done_tx.send(());
+        });
+        assert!(
+            done_rx.recv_timeout(Duration::from_secs(1)).is_ok(),
+            "a failed site's thread never got the shutdown message"
+        );
+        dropper.join().unwrap();
     }
 
     #[test]

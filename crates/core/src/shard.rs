@@ -395,41 +395,55 @@ impl<C: Backend> ShardedDevice<C> {
         Err(last.expect("shards have at least one site"))
     }
 
-    /// The one parallel round: launches `run` for every `(shard,
-    /// positions)` pair on its own scoped thread and collects the results
-    /// in ascending shard order.
+    /// The one parallel round: runs `run` for every `(shard, positions)`
+    /// pair and collects the results in ascending shard order. The last
+    /// pair runs on the calling thread and only the others get a scoped
+    /// thread each, so a batch that touches one shard spawns nothing.
     ///
-    /// Each shard's admission gate is held from launch until that shard's
-    /// sub-operation has been joined, so concurrent cross-shard batches
-    /// serialize per shard while still overlapping across shards. Because
-    /// a batch holds several gates at once, acquisition order is a
-    /// deadlock invariant: `split_by_shard` hands us shards ascending and
-    /// the assert pins that discipline.
+    /// Every touched shard's admission gate is taken before any
+    /// sub-operation starts and held until all of them have finished, so
+    /// concurrent cross-shard batches serialize per shard while still
+    /// overlapping across shards. Because a batch holds several gates at
+    /// once, acquisition order is a deadlock invariant: `split_by_shard`
+    /// hands us shards ascending and the assert pins that discipline.
     fn fan_out<T: Send>(
         &self,
-        split: Vec<(usize, Vec<usize>)>,
+        mut split: Vec<(usize, Vec<usize>)>,
         run: impl Fn(usize, &[usize]) -> DeviceResult<T> + Sync,
     ) -> Vec<(Vec<usize>, DeviceResult<T>)> {
-        std::thread::scope(|scope| {
-            let mut launched = Vec::with_capacity(split.len());
-            for (s, idxs) in split {
-                debug_assert!(
-                    launched.last().is_none_or(|&(prev, _, _)| prev < s),
-                    "shard gates must be acquired in ascending shard order"
-                );
-                let gate = self.gates[s].lock();
-                let run = &run;
-                let handle = scope.spawn(move || {
-                    let result = run(s, &idxs);
-                    (idxs, result)
-                });
-                launched.push((s, gate, handle));
-            }
-            launched
+        let mut held = Vec::with_capacity(split.len());
+        for &(s, _) in &split {
+            debug_assert!(
+                held.last().is_none_or(|&(prev, _)| prev < s),
+                "shard gates must be acquired in ascending shard order"
+            );
+            let gate = self.gates[s].lock();
+            held.push((s, gate));
+        }
+        let Some((last, last_idxs)) = split.pop() else {
+            return Vec::new();
+        };
+        let run = &run;
+        let outcomes = std::thread::scope(|scope| {
+            let workers: Vec<_> = split
                 .into_iter()
-                .map(|(_, _gate, handle)| handle.join().expect("shard worker panicked"))
-                .collect()
-        })
+                .map(|(s, idxs)| {
+                    scope.spawn(move || {
+                        let result = run(s, &idxs);
+                        (idxs, result)
+                    })
+                })
+                .collect();
+            let result = run(last, &last_idxs);
+            let mut outcomes: Vec<_> = workers
+                .into_iter()
+                .map(|worker| worker.join().expect("shard worker panicked"))
+                .collect();
+            outcomes.push((last_idxs, result));
+            outcomes
+        });
+        drop(held);
+        outcomes
     }
 }
 
@@ -652,6 +666,25 @@ mod tests {
                 assert_eq!(data.as_slice(), &[k.as_u64() as u8; 8], "block {k}");
             }
         }
+    }
+
+    #[test]
+    fn fan_out_runs_the_last_shard_on_the_calling_thread() {
+        let dev = ShardedDevice::deterministic(&spec(Scheme::Voting, 4), ClusterOptions::default())
+            .unwrap();
+        let here = std::thread::current().id();
+        let ran_on = |shards: &[usize]| -> Vec<bool> {
+            let split = shards.iter().map(|&s| (s, vec![s])).collect();
+            dev.fan_out(split, |_, _| Ok(std::thread::current().id() == here))
+                .into_iter()
+                .map(|(_, on_caller)| on_caller.unwrap())
+                .collect()
+        };
+        assert_eq!(ran_on(&[]), Vec::<bool>::new());
+        // One touched shard: no thread at all.
+        assert_eq!(ran_on(&[2]), [true]);
+        // Several: results stay in ascending shard order, only the last is ours.
+        assert_eq!(ran_on(&[0, 1, 3]), [false, false, true]);
     }
 
     #[test]

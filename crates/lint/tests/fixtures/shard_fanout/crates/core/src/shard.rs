@@ -18,14 +18,17 @@ impl ShardedDevice {
         drop(launched);
     }
 
-    fn fan_out(&self, split: Vec<(usize, Vec<usize>)>) {
-        let mut launched = Vec::new();
-        for (s, idxs) in split {
-            debug_assert!(launched.last().is_none_or(|&(prev, _, _)| prev < s));
+    fn fan_out(&self, mut split: Vec<(usize, Vec<usize>)>) {
+        let mut held = Vec::new();
+        for &(s, _) in &split {
+            debug_assert!(held.last().is_none_or(|&(prev, _)| prev < s));
             let gate = self.gates[s].lock();
-            let handle = self.launch(s, idxs);
-            launched.push((s, gate, handle));
+            held.push((s, gate));
         }
-        drop(launched);
+        let last = split.pop();
+        let workers = self.launch_all(split);
+        self.run_here(last);
+        self.join_all(workers);
+        drop(held);
     }
 }

@@ -30,6 +30,7 @@
 #![warn(missing_docs)]
 
 mod cache;
+mod checksum;
 mod device;
 mod file;
 mod mem;

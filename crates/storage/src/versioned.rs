@@ -390,6 +390,55 @@ mod tests {
     }
 
     #[test]
+    fn fresh_store_carries_the_checksum_of_a_zero_block() {
+        let mut s = VersionedStore::new(3, 1024);
+        let zero_sum = checksum(VersionNumber::ZERO, &BlockData::from(vec![0u8; 1024]));
+        assert_eq!(s.checksums, vec![zero_sum; 3]);
+        assert!(s.scrub().is_empty());
+    }
+
+    #[test]
+    fn torn_install_is_caught_at_every_keep_where_the_tails_differ() {
+        let bs = 1024;
+        let k = BlockIndex::new(0);
+        let old: Vec<u8> = (0..bs).map(|i| (i % 251) as u8).collect();
+        // The last 16 bytes do not change, so a tear that late tears nothing.
+        let mut new: Vec<u8> = old.iter().map(|b| b ^ 0x5A).collect();
+        new[bs - 16..].copy_from_slice(&old[bs - 16..]);
+        for keep in 0..bs {
+            let mut s = VersionedStore::new(1, bs);
+            s.install(k, BlockData::from(old.clone()), VersionNumber::new(1));
+            s.install_faulty(
+                k,
+                BlockData::from(new.clone()),
+                VersionNumber::new(2),
+                StorageFault::Torn { keep },
+            );
+            let tails_differ = old[keep..] != new[keep..];
+            assert_eq!(s.checksum_ok(k), !tails_differ, "keep {keep}");
+            assert_eq!(s.scrub().len(), usize::from(tails_differ), "keep {keep}");
+        }
+    }
+
+    #[test]
+    fn stale_version_is_caught_on_a_full_block() {
+        let mut s = VersionedStore::new(1, 1024);
+        let k = BlockIndex::new(0);
+        s.install(k, BlockData::from(vec![1; 1024]), VersionNumber::new(1));
+        // One changed bit in the payload, under the old version and sum.
+        let mut data = vec![1; 1024];
+        data[1023] ^= 0x80;
+        s.install_faulty(
+            k,
+            BlockData::from(data),
+            VersionNumber::new(2),
+            StorageFault::StaleVersion,
+        );
+        assert!(!s.checksum_ok(k));
+        assert_eq!(s.scrub(), vec![k]);
+    }
+
+    #[test]
     fn faulty_install_respects_monotone_guard() {
         let mut s = VersionedStore::new(1, 4);
         let k = BlockIndex::new(0);

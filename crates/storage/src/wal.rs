@@ -23,11 +23,11 @@
 //! [len: u32] [crc: u64] [block: u64] [version: u64] [payload: len-16 bytes]
 //! ```
 //!
-//! all little-endian, where `crc` is FNV-1a over the journal **epoch**
-//! followed by `block`, `version` and the payload. Folding the epoch into
-//! the checksum is what makes truncation cheap: bumping the epoch in the
-//! superblock invalidates every record byte still sitting in the data
-//! region, so truncate never has to erase anything.
+//! all little-endian, where `crc` is the storage crate's word-wise checksum
+//! of the payload under the header words `(epoch, block, version)`. Folding
+//! the epoch into the checksum is what makes truncation cheap: bumping the
+//! epoch in the superblock invalidates every record byte still sitting in
+//! the data region, so truncate never has to erase anything.
 //!
 //! # Recovery
 //!
@@ -40,6 +40,7 @@
 //! whose group commit had not yet returned — exactly the writes that were
 //! never acknowledged.
 
+use crate::checksum::checksum;
 use crate::BlockDevice;
 use blockrep_obs::metrics::{global, Counter};
 use blockrep_types::{BlockData, BlockIndex, DeviceError, DeviceResult, VersionNumber};
@@ -49,8 +50,9 @@ use std::sync::{Arc, OnceLock};
 
 /// Superblock magic: "BRWL" (blockrep write-ahead log).
 const MAGIC: [u8; 4] = *b"BRWL";
-/// On-device format version.
-const FORMAT: u32 = 1;
+/// On-device format version: bumped whenever the layout or either checksum
+/// changes, so [`Wal::open`] refuses a journal it would misread.
+const FORMAT: u32 = 2;
 /// Bytes of the superblock that carry data (magic + format + epoch +
 /// committed length + checksum).
 const SUPERBLOCK_LEN: usize = 4 + 4 + 8 + 8 + 8;
@@ -59,22 +61,6 @@ const SUPERBLOCK_LEN: usize = 4 + 4 + 8 + 8 + 8;
 const RECORD_HEADER: usize = 4 + 8 + 8 + 8;
 /// Fixed portion counted by a record's `len` field (`block` + `version`).
 const RECORD_FIXED: u32 = 16;
-
-/// FNV-1a, the same dependency-free checksum the
-/// [`VersionedStore`](crate::VersionedStore) uses per block; the threat
-/// model is a crash, not an adversary.
-fn fnv1a(chunks: &[&[u8]]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for chunk in chunks {
-        for b in *chunk {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(PRIME);
-        }
-    }
-    h
-}
 
 /// One journal entry: the `(block, version-vector line, payload)` triple of
 /// a single install.
@@ -98,12 +84,10 @@ impl WalRecord {
 /// Encodes one record for journal `epoch`.
 pub fn encode_record(epoch: u64, rec: &WalRecord) -> Vec<u8> {
     let len = RECORD_FIXED + rec.payload.len() as u32;
-    let crc = fnv1a(&[
-        &epoch.to_le_bytes(),
-        &rec.block.as_u64().to_le_bytes(),
-        &rec.version.as_u64().to_le_bytes(),
+    let crc = checksum(
+        &[epoch, rec.block.as_u64(), rec.version.as_u64()],
         rec.payload.as_slice(),
-    ]);
+    );
     let mut out = Vec::with_capacity(rec.encoded_len());
     out.extend_from_slice(&len.to_le_bytes());
     out.extend_from_slice(&crc.to_le_bytes());
@@ -146,13 +130,7 @@ pub fn decode_record(epoch: u64, bytes: &[u8]) -> Option<(WalRecord, usize)> {
     let block = read_u64(bytes, 12);
     let version = read_u64(bytes, 20);
     let payload = &bytes[RECORD_HEADER..total];
-    let expect = fnv1a(&[
-        &epoch.to_le_bytes(),
-        &block.to_le_bytes(),
-        &version.to_le_bytes(),
-        payload,
-    ]);
-    if crc != expect {
+    if crc != checksum(&[epoch, block, version], payload) {
         return None;
     }
     Some((
@@ -290,16 +268,19 @@ impl<J: BlockDevice> Wal<J> {
     /// later crash could let a scan run across the new tail into them,
     /// resurrecting writes this recovery already rolled back.
     ///
-    /// A torn *superblock* (checksum mismatch) can only be left by a crash
-    /// inside [`truncate`](Self::truncate) or [`create`](Self::create) —
-    /// the two writers of block 0, both of which run after the data device
-    /// was synced — so the journal is reformatted as empty, zeroing the
-    /// data region to keep stale records of unknowable epochs from ever
-    /// replaying.
+    /// A torn *superblock* (checksum mismatch, or no magic at all) can only
+    /// be left by a crash inside [`truncate`](Self::truncate) or
+    /// [`create`](Self::create) — the two writers of block 0, both of which
+    /// run after the data device was synced — so the journal is reformatted
+    /// as empty, zeroing the data region to keep stale records of
+    /// unknowable epochs from ever replaying.
     ///
     /// # Errors
     ///
-    /// Propagates device errors from the scan or the reformat.
+    /// [`DeviceError::InvalidConfig`] when block 0 carries the journal magic
+    /// under another format version: that is some other build's journal,
+    /// not a torn one, and it is left untouched. Propagates device errors
+    /// from the scan or the reformat.
     ///
     /// # Panics
     ///
@@ -308,10 +289,15 @@ impl<J: BlockDevice> Wal<J> {
         let mut wal = Wal::bare(dev, batch_window, 1);
         let sb = wal.dev.read_block(BlockIndex::new(0))?;
         let sb = sb.as_slice();
-        let valid_superblock = sb[..4] == MAGIC
-            && read_u32(sb, 4) == FORMAT
-            && read_u64(sb, SUPERBLOCK_LEN - 8) == fnv1a(&[&sb[..SUPERBLOCK_LEN - 8]]);
-        if !valid_superblock {
+        let format = read_u32(sb, 4);
+        if sb[..4] == MAGIC && format != FORMAT {
+            return Err(DeviceError::InvalidConfig(format!(
+                "journal is format {format}, this build reads format {FORMAT}"
+            )));
+        }
+        let torn = sb[..4] != MAGIC
+            || read_u64(sb, SUPERBLOCK_LEN - 8) != checksum(&[], &sb[..SUPERBLOCK_LEN - 8]);
+        if torn {
             let zero = BlockData::zeroed(wal.dev.block_size());
             let wipe: Vec<(BlockIndex, BlockData)> = (1..wal.dev.num_blocks())
                 .map(|b| (BlockIndex::new(b), zero.clone()))
@@ -408,7 +394,7 @@ impl<J: BlockDevice> Wal<J> {
         sb[4..8].copy_from_slice(&FORMAT.to_le_bytes());
         sb[8..16].copy_from_slice(&epoch.to_le_bytes());
         sb[16..24].copy_from_slice(&committed_len.to_le_bytes());
-        let crc = fnv1a(&[&sb[..SUPERBLOCK_LEN - 8]]);
+        let crc = checksum(&[], &sb[..SUPERBLOCK_LEN - 8]);
         sb[24..SUPERBLOCK_LEN].copy_from_slice(&crc.to_le_bytes());
         self.dev
             .write_block(BlockIndex::new(0), BlockData::from(sb))
@@ -1142,6 +1128,32 @@ mod tests {
         for b in 1..8 {
             assert!(dev.read_block(BlockIndex::new(b)).unwrap().is_zeroed());
         }
+    }
+
+    #[test]
+    fn journal_of_another_format_is_refused_and_left_untouched() {
+        let dev = std::sync::Arc::new(MemStore::new(8, 64));
+        let wal = Wal::create(std::sync::Arc::clone(&dev), 1).unwrap();
+        wal.append(&rec(0, 1, vec![7; 16])).unwrap();
+        drop(wal);
+        // Same magic, another format number: some other build's journal.
+        let mut sb = dev
+            .read_block(BlockIndex::new(0))
+            .unwrap()
+            .as_slice()
+            .to_vec();
+        sb[4..8].copy_from_slice(&(FORMAT - 1).to_le_bytes());
+        dev.write_block(BlockIndex::new(0), BlockData::from(sb))
+            .unwrap();
+        let image = |dev: &MemStore| -> Vec<BlockData> {
+            (0..8)
+                .map(|b| dev.read_block(BlockIndex::new(b)).unwrap())
+                .collect()
+        };
+        let before = image(&dev);
+        let err = Wal::open(std::sync::Arc::clone(&dev), 1).unwrap_err();
+        assert!(matches!(err, DeviceError::InvalidConfig(_)), "{err}");
+        assert_eq!(image(&dev), before, "a refused journal must not be wiped");
     }
 
     #[test]
