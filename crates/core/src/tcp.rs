@@ -26,6 +26,7 @@ use crate::wire::{self, WireRequest, WireResponse};
 use crate::{protocol, RepairBlocks};
 use blockrep_net::{DeliveryMode, FanoutMode, TrafficCounter};
 use blockrep_obs::event;
+use blockrep_obs::trace::start_phase;
 use blockrep_types::{
     BlockData, BlockIndex, DeviceConfig, DeviceResult, SiteId, SiteState, VersionNumber,
     VersionVector,
@@ -55,11 +56,11 @@ fn serve(
     // time, but the coordinator may replace it — after a torn frame it
     // drops the poisoned stream and reconnects — so connections are served
     // in sequence until a Shutdown frame arrives.
-    while let Ok((mut conn, _)) = listener.accept() {
+    while let Ok((conn, _)) = listener.accept() {
         // Request/response over one socket: Nagle + delayed ACK would add
         // ~40ms to every round trip.
         let _ = conn.set_nodelay(true);
-        if serve_conn(&mut replica, &mut conn, &latency_ns, site, &legacy) == Served::Shutdown {
+        if serve_conn(&mut replica, conn, &latency_ns, site, &legacy) == Served::Shutdown {
             return;
         }
     }
@@ -76,17 +77,17 @@ enum Served {
 
 fn serve_conn(
     replica: &mut Replica,
-    conn: &mut TcpStream,
+    conn: TcpStream,
     latency_ns: &AtomicU64,
     site: u32,
     legacy: &AtomicBool,
 ) -> Served {
+    // The connection's two buffers, reused from frame to frame.
+    let mut conn = wire::FrameReader::new(conn);
+    let mut reply = Vec::new();
     loop {
-        let Ok(frame) = wire::read_frame(conn) else {
-            return Served::Hangup; // hung up (or reconnected elsewhere)
-        };
-        let Ok(request) = WireRequest::decode(&frame) else {
-            return Served::Hangup; // corrupt peer: drop the connection
+        let Ok(request) = conn.read_frame(WireRequest::decode) else {
+            return Served::Hangup; // hung up, reconnected elsewhere, or corrupt
         };
         // Unwrap the trace envelope, if any. A peer flagged `legacy`
         // behaves exactly like a build that predates tag 17: the envelope
@@ -130,11 +131,7 @@ fn serve_conn(
             WireRequest::Shutdown => return Served::Shutdown,
             WireRequest::Probe => WireResponse::Ack,
             WireRequest::Vote(k) => WireResponse::Version(replica.version(k)),
-            WireRequest::Fetch(k) => {
-                let (v, data) = replica.versioned(k);
-                WireResponse::Block(v, data)
-            }
-            WireRequest::FetchLease(k) => {
+            WireRequest::Fetch(k) | WireRequest::FetchLease(k) => {
                 let (v, data) = replica.versioned(k);
                 WireResponse::Block(v, data)
             }
@@ -190,7 +187,8 @@ fn serve_conn(
             },
             None => response,
         };
-        if wire::write_frame(conn, &response.encode()).is_err() {
+        response.frame_into(&mut reply);
+        if wire::write_frame(conn.get_mut(), &reply).is_err() {
             return Served::Hangup;
         }
     }
@@ -203,7 +201,8 @@ fn serve_conn(
 /// instead of silently desyncing every later RPC (the server accepts the
 /// replacement as soon as the old stream drops).
 struct SiteConn {
-    stream: TcpStream,
+    /// Stream and read buffer, replaced together on reconnect.
+    stream: wire::FrameReader<TcpStream>,
     poisoned: bool,
     /// Whether this peer accepts the trace envelope. Starts optimistic;
     /// cleared the first time a traced frame makes the peer hang up, after
@@ -219,11 +218,10 @@ impl SiteConn {
     }
 
     /// One request/response exchange. Any failure poisons the connection.
-    fn exchange(&mut self, to: SiteId, request: &WireRequest) -> Option<WireResponse> {
-        let response = wire::write_frame(&mut self.stream, &request.encode())
+    fn exchange(&mut self, to: SiteId, frame: &[u8]) -> Option<WireResponse> {
+        let response = wire::write_frame(self.stream.get_mut(), frame)
             .ok()
-            .and_then(|()| wire::read_frame(&mut self.stream).ok())
-            .and_then(|frame| WireResponse::decode(&frame).ok());
+            .and_then(|()| self.stream.read_frame(WireResponse::decode).ok());
         if response.is_none() {
             self.poison(to);
         }
@@ -271,11 +269,12 @@ impl MuxConn {
         cvar.notify_one();
     }
 
-    /// Sends `request` under a fresh id and returns the channel its reply
-    /// will arrive on. The caller owns a window slot until it calls
+    /// Sends `frame` — a framed [`WireRequest::Mux`], see [`mux_frame`] —
+    /// under a fresh id and returns the channel its reply will arrive on.
+    /// The caller owns a window slot until it calls
     /// [`release_slot`](Self::release_slot) (after receiving). `None` means
     /// the connection is dead — the site is unreachable to this frame.
-    fn submit(&self, request: WireRequest) -> Option<Receiver<Option<WireResponse>>> {
+    fn submit(&self, frame: &mut [u8]) -> Option<Receiver<Option<WireResponse>>> {
         if self.dead.load(Ordering::Relaxed) {
             return None;
         }
@@ -289,12 +288,8 @@ impl MuxConn {
             // Park the reply slot before the frame hits the wire so the
             // reader can never see a reply to an unknown id.
             self.pending.lock().insert(id, tx);
-            let frame = WireRequest::Mux {
-                id,
-                inner: Box::new(request),
-            }
-            .encode();
-            let ok = wire::write_frame(stream, &frame).is_ok()
+            wire::set_envelope_ids(frame, &[id]);
+            let ok = wire::write_frame(stream, frame).is_ok()
                 // The reader may have died and drained `pending` before the
                 // insert above; in that window the request would never be
                 // answered, so check the flag after parking the slot.
@@ -313,15 +308,20 @@ impl MuxConn {
     }
 }
 
+/// `request` framed inside a multiplexing envelope whose id
+/// [`MuxConn::submit`] fills in, per connection, at send time.
+fn mux_frame(request: WireRequest) -> Vec<u8> {
+    let inner = Box::new(request);
+    WireRequest::Mux { id: 0, inner }.to_frame()
+}
+
 /// The demux loop: reads [`WireResponse::Mux`] frames off the socket and
 /// routes each inner reply to the submitter that parked its id. Any I/O or
 /// framing error kills the connection: every in-flight submitter is handed
 /// "no reply", which the protocol treats exactly like an unreachable site.
-fn mux_reader(mut stream: TcpStream, conn: &MuxConn) {
-    while let Ok(frame) = wire::read_frame(&mut stream) {
-        let Ok(WireResponse::Mux { id, inner }) = WireResponse::decode(&frame) else {
-            break;
-        };
+fn mux_reader(stream: TcpStream, conn: &MuxConn) {
+    let mut stream = wire::FrameReader::new(stream);
+    while let Ok(WireResponse::Mux { id, inner }) = stream.read_frame(WireResponse::decode) {
         let Some(tx) = conn.pending.lock().remove(&id) else {
             break; // a reply nobody asked for: the stream is desynced
         };
@@ -418,7 +418,7 @@ impl TcpCluster {
             let stream = TcpStream::connect(addr)?;
             stream.set_nodelay(true)?;
             conns.push(Mutex::new(SiteConn {
-                stream,
+                stream: wire::FrameReader::new(stream),
                 poisoned: false,
                 trace_ok: true,
             }));
@@ -620,7 +620,7 @@ impl TcpCluster {
                 // dead stream.
                 {
                     let mut conn = self.conns[i].lock();
-                    let _ = conn.stream.shutdown(std::net::Shutdown::Both);
+                    let _ = conn.stream.get_mut().shutdown(std::net::Shutdown::Both);
                     conn.poisoned = true;
                 }
                 let stream = TcpStream::connect(self.addrs[i])?;
@@ -674,26 +674,26 @@ impl TcpCluster {
         self.conns[s.index()].lock().trace_ok = true;
     }
 
-    /// Wraps `request` in the trace envelope when wire tracing is on, the
-    /// peer is not known to reject it, and a span context is live.
-    fn trace_wrap(&self, conn: &SiteConn, request: WireRequest) -> (WireRequest, bool) {
-        if self.wire_tracing.load(Ordering::Relaxed)
-            && conn.trace_ok
+    /// `request` as one frame, and whether inside a trace envelope: wire
+    /// tracing is on, the peer is not known to reject it, and a span
+    /// context is live. [`wire::set_envelope_ids`] re-parents that frame and
+    /// [`wire::without_trace_envelope`] bares it without a second encode.
+    fn trace_frame(&self, peer_ok: bool, request: WireRequest) -> (Vec<u8>, bool) {
+        let live = peer_ok
+            && self.wire_tracing.load(Ordering::Relaxed)
             && blockrep_obs::enabled()
-            && crate::obs_hooks::tracing()
-        {
-            if let Some(ctx) = blockrep_obs::trace::current() {
-                return (
-                    WireRequest::Traced {
-                        trace_id: ctx.trace_id,
-                        parent_span: ctx.span_id,
-                        inner: Box::new(request),
-                    },
-                    true,
-                );
+            && crate::obs_hooks::tracing();
+        match live.then(blockrep_obs::trace::current).flatten() {
+            Some(ctx) => {
+                let traced = WireRequest::Traced {
+                    trace_id: ctx.trace_id,
+                    parent_span: ctx.span_id,
+                    inner: Box::new(request),
+                };
+                (traced.to_frame(), true)
             }
+            None => (request.to_frame(), false),
         }
-        (request, false)
     }
 
     /// Locks site `to`'s connection, replacing the stream first if a torn
@@ -704,7 +704,7 @@ impl TcpCluster {
         if conn.poisoned {
             let stream = TcpStream::connect(self.addrs[to.index()]).ok()?;
             let _ = stream.set_nodelay(true);
-            conn.stream = stream;
+            conn.stream = wire::FrameReader::new(stream);
             conn.poisoned = false;
             event!("tcp.conn.reopened", site = to.as_u32());
         }
@@ -716,7 +716,7 @@ impl TcpCluster {
     /// slot. `None` is "site unreachable", exactly as for a torn classic
     /// exchange.
     fn mux_rpc(&self, conn: &MuxConn, request: WireRequest) -> Option<WireResponse> {
-        let rx = conn.submit(request)?;
+        let rx = conn.submit(&mut mux_frame(request))?;
         let reply = rx.recv().ok().flatten();
         conn.release_slot();
         reply
@@ -732,8 +732,8 @@ impl TcpCluster {
             }
         }
         let mut conn = self.checkout(to)?;
-        let (framed, traced) = self.trace_wrap(&conn, request.clone());
-        if let Some(response) = conn.exchange(to, &framed) {
+        let (mut frame, traced) = self.trace_frame(conn.trace_ok, request);
+        if let Some(response) = conn.exchange(to, &frame) {
             return Some(response);
         }
         if !traced {
@@ -746,7 +746,8 @@ impl TcpCluster {
         conn.trace_ok = false;
         drop(conn);
         event!("tcp.trace.fallback", site = to.as_u32());
-        self.checkout(to)?.exchange(to, &request)
+        self.checkout(to)?
+            .exchange(to, wire::without_trace_envelope(&mut frame))
     }
 
     /// Whether the coordinator will contact `to` on behalf of `from`.
@@ -755,23 +756,32 @@ impl TcpCluster {
         from == to || (states[from.index()].is_operational() && states[to.index()].is_operational())
     }
 
-    /// Pipelined scatter: writes one request frame per reachable target —
-    /// every request is on the wire before any reply is read — then gathers
-    /// the replies in target order. Connections are locked in ascending
-    /// site order, so concurrent scatters cannot deadlock. Early-quorum
-    /// stragglers are drained synchronously here (a reply left on a socket
-    /// would desync the next RPC) and truncated after the fact; the batch
-    /// already costs a single round trip, so there is nobody to unblock.
+    /// [`rpc`](Self::rpc) on behalf of `from`: no reply from a site the
+    /// coordinator will not contact.
+    fn rpc_from(&self, from: SiteId, to: SiteId, request: WireRequest) -> Option<WireResponse> {
+        self.reachable(from, to)
+            .then(|| self.rpc(to, request))
+            .flatten()
+    }
+
+    /// Pipelined scatter: encodes `request` once and writes that frame to
+    /// every reachable, `eligible` target — all on the wire before any reply
+    /// is read — then gathers the replies in target order. Connections are
+    /// locked in ascending site order, so concurrent scatters cannot
+    /// deadlock. Early-quorum stragglers are drained synchronously here (a
+    /// reply left on a socket would desync the next RPC) and truncated after
+    /// the fact; one round trip covers the batch, so nobody waits on them.
     fn pipelined(
         &self,
         spec: ScatterSpec,
         origin: SiteId,
         targets: &[SiteId],
-        request_for: impl Fn(SiteId) -> Option<WireRequest>,
+        request: WireRequest,
+        eligible: impl Fn(SiteId) -> bool,
         parse: impl Fn(WireResponse) -> Option<ScatterReply>,
     ) -> ScatterReplies {
         if self.muxed.load(Ordering::Relaxed) {
-            return self.pipelined_mux(spec, origin, targets, &request_for, &parse);
+            return self.pipelined_mux(spec, origin, targets, request, &eligible, &parse);
         }
         // Satellite hoist: one `enabled()` load decides whether any obs
         // work happens in this batch; the disabled path records nothing.
@@ -780,45 +790,37 @@ impl TcpCluster {
             crate::obs_hooks::scatter_batch().record(targets.len() as u64);
         }
         let tracing = obs_on && crate::obs_hooks::tracing();
-        // Per in-flight entry: the locked connection plus the bare request
-        // kept around iff the frame went out traced (fallback replay).
-        type InFlight<'a> = Option<(MutexGuard<'a, SiteConn>, Option<WireRequest>)>;
+        let (mut frame, enveloped) = self.trace_frame(true, request);
+        // Per in-flight entry: the locked connection plus whether its frame
+        // went out traced (fallback replay).
+        type InFlight<'a> = Option<(MutexGuard<'a, SiteConn>, bool)>;
         let mut in_flight: Vec<(SiteId, InFlight<'_>)> = Vec::with_capacity(targets.len());
         for &t in targets {
             debug_assert!(
                 in_flight.last().is_none_or(|&(prev, _)| prev < t),
                 "scatter targets must ascend (lock ordering)"
             );
-            let conn = if self.reachable(origin, t) {
-                request_for(t).and_then(|request| {
-                    let send_span = if tracing {
-                        blockrep_obs::trace::start_phase(
-                            crate::obs_hooks::phase_scatter_send(),
-                            t.as_u32(),
-                        )
-                    } else {
-                        None
-                    };
-                    let mut conn = self.checkout(t)?;
+            let conn = if self.reachable(origin, t) && eligible(t) {
+                let send_span = tracing
+                    .then(|| start_phase(crate::obs_hooks::phase_scatter_send(), t.as_u32()))
+                    .flatten();
+                self.checkout(t).and_then(|mut conn| {
                     // The send span is the wire parent, so the server's
                     // remote_apply span lands under this site's send leg
                     // (a grandchild of the op — attribution sums direct
                     // children only and must not double-count it).
-                    let (framed, traced) = match send_span.as_ref().map(|s| s.context()) {
-                        Some(ctx) if self.wire_tracing.load(Ordering::Relaxed) && conn.trace_ok => {
-                            (
-                                WireRequest::Traced {
-                                    trace_id: ctx.trace_id,
-                                    parent_span: ctx.span_id,
-                                    inner: Box::new(request.clone()),
-                                },
-                                true,
-                            )
+                    let ctx = send_span.as_ref().map(|s| s.context());
+                    let ctx = ctx.filter(|_| enveloped && conn.trace_ok);
+                    let bytes = match ctx {
+                        Some(ctx) => {
+                            wire::set_envelope_ids(&mut frame, &[ctx.trace_id, ctx.span_id]);
+                            &frame[..]
                         }
-                        _ => (request.clone(), false),
+                        None if enveloped => wire::without_trace_envelope(&mut frame),
+                        None => &frame[..],
                     };
-                    if wire::write_frame(&mut conn.stream, &framed.encode()).is_ok() {
-                        Some((conn, traced.then_some(request)))
+                    if wire::write_frame(conn.stream.get_mut(), bytes).is_ok() {
+                        Some((conn, ctx.is_some()))
                     } else {
                         conn.poison(t);
                         None
@@ -834,45 +836,33 @@ impl TcpCluster {
         // lower site while holding higher ones would break the ascending
         // lock order that makes concurrent scatters deadlock-free).
         let mut replies: ScatterReplies = Vec::with_capacity(targets.len());
-        let mut retries: Vec<(usize, SiteId, WireRequest)> = Vec::new();
+        let mut retries: Vec<(usize, SiteId)> = Vec::new();
         for (i, (t, conn)) in in_flight.into_iter().enumerate() {
-            let reply = conn.and_then(|(mut conn, bare)| {
-                let gather_span = if tracing {
-                    blockrep_obs::trace::start_phase(
-                        crate::obs_hooks::phase_gather_wait(),
-                        t.as_u32(),
-                    )
-                } else {
-                    None
-                };
-                let response = wire::read_frame(&mut conn.stream)
-                    .ok()
-                    .and_then(|frame| WireResponse::decode(&frame).ok());
+            let reply = conn.and_then(|(mut conn, traced)| {
+                let gather_span = tracing
+                    .then(|| start_phase(crate::obs_hooks::phase_gather_wait(), t.as_u32()))
+                    .flatten();
+                let response = conn.stream.read_frame(WireResponse::decode).ok();
                 drop(gather_span);
                 if response.is_none() {
                     conn.poison(t);
-                    if let Some(bare) = bare {
+                    if traced {
                         conn.trace_ok = false;
-                        retries.push((i, t, bare));
+                        retries.push((i, t));
                     }
                 }
                 response.and_then(&parse)
             });
             replies.push((t, reply));
         }
-        for (i, t, bare) in retries {
+        for (i, t) in retries {
             event!("tcp.trace.fallback", site = t.as_u32());
             replies[i].1 = self
                 .checkout(t)
-                .and_then(|mut conn| conn.exchange(t, &bare))
+                .and_then(|mut conn| conn.exchange(t, wire::without_trace_envelope(&mut frame)))
                 .and_then(&parse);
         }
-        if let Some(kind) = spec.reply_charge {
-            let gathered = replies.iter().filter(|(_, r)| r.is_some()).count() as u64;
-            self.counter
-                .add_many(spec.op, kind, spec.reply_units, gathered);
-        }
-        backend::truncate_to_threshold(&self.cfg, &mut replies, spec.gather);
+        let replies = self.charge_and_truncate(spec, replies);
         // On this runtime the whole batch is one round trip, so the "cut"
         // is the post-hoc truncation above; mark where it landed.
         if tracing && matches!(spec.gather, Gather::EarlyQuorum { .. }) {
@@ -884,23 +874,25 @@ impl TcpCluster {
         replies
     }
 
-    /// Multiplexed scatter: submits one [`WireRequest::Mux`] frame per
-    /// reachable target — acquiring window slots in ascending site order,
-    /// the same discipline as [`pipelined`](Self::pipelined)'s connection
-    /// locks, so concurrent scatters cannot form a wait cycle — then
-    /// gathers the demuxed replies in target order. §5 message counts are
-    /// identical to the other fan-out modes.
+    /// Multiplexed scatter: submits the one [`mux_frame`] of `request` to
+    /// every reachable, `eligible` target — acquiring window slots in
+    /// ascending site order, the discipline of [`pipelined`](Self::pipelined)'s
+    /// connection locks, so concurrent scatters cannot form a wait cycle —
+    /// then gathers the demuxed replies in target order. §5 message counts
+    /// are identical to the other fan-out modes.
     fn pipelined_mux(
         &self,
         spec: ScatterSpec,
         origin: SiteId,
         targets: &[SiteId],
-        request_for: &dyn Fn(SiteId) -> Option<WireRequest>,
+        request: WireRequest,
+        eligible: &dyn Fn(SiteId) -> bool,
         parse: &dyn Fn(WireResponse) -> Option<ScatterReply>,
     ) -> ScatterReplies {
         if blockrep_obs::enabled() {
             crate::obs_hooks::scatter_batch().record(targets.len() as u64);
         }
+        let mut frame = mux_frame(request);
         type Slot = Option<(Arc<MuxConn>, Receiver<Option<WireResponse>>)>;
         let mut in_flight: Vec<(SiteId, Slot)> = Vec::with_capacity(targets.len());
         for &t in targets {
@@ -908,10 +900,9 @@ impl TcpCluster {
                 in_flight.last().is_none_or(|(prev, _)| *prev < t),
                 "scatter targets must ascend (lock ordering)"
             );
-            let slot = if self.reachable(origin, t) {
-                request_for(t).and_then(|request| {
-                    let conn = self.mux[t.index()].read().clone()?;
-                    let rx = conn.submit(request)?;
+            let slot = if self.reachable(origin, t) && eligible(t) {
+                self.mux[t.index()].read().clone().and_then(|conn| {
+                    let rx = conn.submit(&mut frame)?;
                     Some((conn, rx))
                 })
             } else {
@@ -928,6 +919,16 @@ impl TcpCluster {
             });
             replies.push((t, reply));
         }
+        self.charge_and_truncate(spec, replies)
+    }
+
+    /// The tail of every scatter: charges the gathered replies, then applies
+    /// the early-quorum cutoff.
+    fn charge_and_truncate(
+        &self,
+        spec: ScatterSpec,
+        mut replies: ScatterReplies,
+    ) -> ScatterReplies {
         if let Some(kind) = spec.reply_charge {
             let gathered = replies.iter().filter(|(_, r)| r.is_some()).count() as u64;
             self.counter
@@ -964,7 +965,7 @@ impl Backend for TcpCluster {
     }
 
     fn probe_state(&self, from: SiteId, to: SiteId) -> Option<SiteState> {
-        if from != to && !self.reachable(from, to) {
+        if !self.reachable(from, to) {
             return None;
         }
         let state = self.states.read()[to.index()];
@@ -972,10 +973,7 @@ impl Backend for TcpCluster {
     }
 
     fn vote(&self, from: SiteId, to: SiteId, k: BlockIndex) -> Option<VersionNumber> {
-        if from != to && !self.reachable(from, to) {
-            return None;
-        }
-        match self.rpc(to, WireRequest::Vote(k))? {
+        match self.rpc_from(from, to, WireRequest::Vote(k))? {
             WireResponse::Version(v) => Some(v),
             _ => None,
         }
@@ -987,10 +985,7 @@ impl Backend for TcpCluster {
         to: SiteId,
         k: BlockIndex,
     ) -> Option<(VersionNumber, BlockData)> {
-        if from != to && !self.reachable(from, to) {
-            return None;
-        }
-        match self.rpc(to, WireRequest::Fetch(k))? {
+        match self.rpc_from(from, to, WireRequest::Fetch(k))? {
             WireResponse::Block(v, data) => Some((v, data)),
             _ => None,
         }
@@ -1002,10 +997,7 @@ impl Backend for TcpCluster {
         to: SiteId,
         k: BlockIndex,
     ) -> Option<(VersionNumber, BlockData)> {
-        if from != to && !self.reachable(from, to) {
-            return None;
-        }
-        match self.rpc(to, WireRequest::FetchLease(k))? {
+        match self.rpc_from(from, to, WireRequest::FetchLease(k))? {
             WireResponse::Block(v, data) => Some((v, data)),
             _ => None,
         }
@@ -1027,11 +1019,8 @@ impl Backend for TcpCluster {
         data: &BlockData,
         v: VersionNumber,
     ) -> bool {
-        if from != to && !self.reachable(from, to) {
-            return false;
-        }
         matches!(
-            self.rpc(to, WireRequest::ApplyWrite(k, v, data.clone())),
+            self.rpc_from(from, to, WireRequest::ApplyWrite(k, v, data.clone())),
             Some(WireResponse::Ack)
         )
     }
@@ -1051,10 +1040,7 @@ impl Backend for TcpCluster {
     }
 
     fn version_vector(&self, from: SiteId, to: SiteId) -> Option<VersionVector> {
-        if from != to && !self.reachable(from, to) {
-            return None;
-        }
-        match self.rpc(to, WireRequest::VersionVector)? {
+        match self.rpc_from(from, to, WireRequest::VersionVector)? {
             WireResponse::Vector(vv) => Some(vv),
             _ => None,
         }
@@ -1066,10 +1052,7 @@ impl Backend for TcpCluster {
         to: SiteId,
         vv: &VersionVector,
     ) -> Option<(VersionVector, RepairBlocks)> {
-        if from != to && !self.reachable(from, to) {
-            return None;
-        }
-        match self.rpc(to, WireRequest::RepairPayload(vv.clone()))? {
+        match self.rpc_from(from, to, WireRequest::RepairPayload(vv.clone()))? {
             WireResponse::Payload(vv, blocks) => Some((vv, blocks)),
             _ => None,
         }
@@ -1084,31 +1067,22 @@ impl Backend for TcpCluster {
     }
 
     fn was_available(&self, from: SiteId, to: SiteId) -> Option<BTreeSet<SiteId>> {
-        if from != to && !self.reachable(from, to) {
-            return None;
-        }
-        match self.rpc(to, WireRequest::GetW)? {
+        match self.rpc_from(from, to, WireRequest::GetW)? {
             WireResponse::W(w) => Some(w),
             _ => None,
         }
     }
 
     fn set_was_available(&self, from: SiteId, to: SiteId, w: &BTreeSet<SiteId>) -> bool {
-        if from != to && !self.reachable(from, to) {
-            return false;
-        }
         matches!(
-            self.rpc(to, WireRequest::SetW(w.clone())),
+            self.rpc_from(from, to, WireRequest::SetW(w.clone())),
             Some(WireResponse::Ack)
         )
     }
 
     fn add_was_available(&self, from: SiteId, to: SiteId, member: SiteId) -> bool {
-        if from != to && !self.reachable(from, to) {
-            return false;
-        }
         matches!(
-            self.rpc(to, WireRequest::AddW(member)),
+            self.rpc_from(from, to, WireRequest::AddW(member)),
             Some(WireResponse::Ack)
         )
     }
@@ -1122,11 +1096,12 @@ impl Backend for TcpCluster {
         v: VersionNumber,
         fault: blockrep_storage::StorageFault,
     ) -> bool {
-        if from != to && !self.reachable(from, to) {
-            return false;
-        }
         matches!(
-            self.rpc(to, WireRequest::ApplyWriteFaulty(k, v, data.clone(), fault)),
+            self.rpc_from(
+                from,
+                to,
+                WireRequest::ApplyWriteFaulty(k, v, data.clone(), fault)
+            ),
             Some(WireResponse::Ack)
         )
     }
@@ -1139,21 +1114,15 @@ impl Backend for TcpCluster {
     }
 
     fn vote_many(&self, from: SiteId, to: SiteId, ks: &[BlockIndex]) -> Option<Vec<VersionNumber>> {
-        if from != to && !self.reachable(from, to) {
-            return None;
-        }
-        match self.rpc(to, WireRequest::VoteMany(ks.to_vec()))? {
+        match self.rpc_from(from, to, WireRequest::VoteMany(ks.to_vec()))? {
             WireResponse::Versions(vs) if vs.len() == ks.len() => Some(vs),
             _ => None,
         }
     }
 
     fn apply_write_many(&self, from: SiteId, to: SiteId, writes: &WriteBatch) -> bool {
-        if from != to && !self.reachable(from, to) {
-            return false;
-        }
         matches!(
-            self.rpc(to, WireRequest::ApplyWriteMany(writes.clone())),
+            self.rpc_from(from, to, WireRequest::ApplyWriteMany(writes.clone())),
             Some(WireResponse::Ack)
         )
     }
@@ -1168,83 +1137,58 @@ impl Backend for TcpCluster {
         if !self.parallel.load(Ordering::Relaxed) {
             return backend::scatter_sequential(self, spec, origin, targets, req);
         }
-        match req {
-            ScatterRequest::Vote(k) => self.pipelined(
-                spec,
-                origin,
-                targets,
-                |_| Some(WireRequest::Vote(*k)),
-                |resp| match resp {
-                    WireResponse::Version(v) => Some(ScatterReply::Version(v)),
-                    _ => None,
-                },
-            ),
-            ScatterRequest::VersionVector => self.pipelined(
-                spec,
-                origin,
-                targets,
-                |_| Some(WireRequest::VersionVector),
-                |resp| match resp {
-                    WireResponse::Vector(vv) => Some(ScatterReply::Vector(vv)),
-                    _ => None,
-                },
-            ),
-            ScatterRequest::Install { k, v, data } => self.pipelined(
-                spec,
-                origin,
-                targets,
-                |_| Some(WireRequest::ApplyWrite(*k, *v, data.clone())),
-                |resp| matches!(resp, WireResponse::Ack).then_some(ScatterReply::Delivered),
-            ),
-            ScatterRequest::InstallIfAvailable { k, v, data } => self.pipelined(
-                spec,
-                origin,
-                targets,
-                // The availability probe is a coordination-layer state read
-                // (no socket traffic), exactly as in the sequential body.
-                |t| {
-                    (self.probe_state(origin, t) == Some(SiteState::Available))
-                        .then(|| WireRequest::ApplyWrite(*k, *v, data.clone()))
-                },
-                |resp| matches!(resp, WireResponse::Ack).then_some(ScatterReply::Delivered),
-            ),
-            ScatterRequest::VoteMany(ks) => self.pipelined(
-                spec,
-                origin,
-                targets,
-                |_| Some(WireRequest::VoteMany(ks.clone())),
-                |resp| match resp {
-                    WireResponse::Versions(vs) if vs.len() == ks.len() => {
-                        Some(ScatterReply::Versions(vs))
-                    }
-                    _ => None,
-                },
-            ),
-            ScatterRequest::InstallMany(writes) => self.pipelined(
-                spec,
-                origin,
-                targets,
-                |_| Some(WireRequest::ApplyWriteMany(writes.clone())),
-                |resp| matches!(resp, WireResponse::Ack).then_some(ScatterReply::Delivered),
-            ),
-            ScatterRequest::InstallIfAvailableMany(writes) => self.pipelined(
-                spec,
-                origin,
-                targets,
-                // The availability probe is a coordination-layer state read
-                // (no socket traffic), exactly as in the sequential body.
-                |t| {
-                    (self.probe_state(origin, t) == Some(SiteState::Available))
-                        .then(|| WireRequest::ApplyWriteMany(writes.clone()))
-                },
-                |resp| matches!(resp, WireResponse::Ack).then_some(ScatterReply::Delivered),
-            ),
+        // Every target of a scatter is sent the same request, so it is
+        // built (and, in `pipelined`, encoded) once.
+        let (request, if_available) = match req {
+            ScatterRequest::Vote(k) => (WireRequest::Vote(*k), false),
+            ScatterRequest::VersionVector => (WireRequest::VersionVector, false),
+            ScatterRequest::Install { k, v, data } => {
+                (WireRequest::ApplyWrite(*k, *v, data.clone()), false)
+            }
+            ScatterRequest::InstallIfAvailable { k, v, data } => {
+                (WireRequest::ApplyWrite(*k, *v, data.clone()), true)
+            }
+            ScatterRequest::VoteMany(ks) => (WireRequest::VoteMany(ks.clone()), false),
+            ScatterRequest::InstallMany(writes) => {
+                (WireRequest::ApplyWriteMany(writes.clone()), false)
+            }
+            ScatterRequest::InstallIfAvailableMany(writes) => {
+                (WireRequest::ApplyWriteMany(writes.clone()), true)
+            }
             // Pure state probes never touch a socket; the sequential body
             // is already instantaneous.
             ScatterRequest::ProbeState => {
-                backend::scatter_sequential(self, spec, origin, targets, req)
+                return backend::scatter_sequential(self, spec, origin, targets, req)
             }
-        }
+        };
+        let installs = matches!(
+            request,
+            WireRequest::ApplyWrite(..) | WireRequest::ApplyWriteMany(_)
+        );
+        self.pipelined(
+            spec,
+            origin,
+            targets,
+            request,
+            // The availability probe is a coordination-layer state read (no
+            // socket traffic), exactly as in the sequential body.
+            |t| !if_available || self.probe_state(origin, t) == Some(SiteState::Available),
+            |resp| match (req, resp) {
+                (ScatterRequest::Vote(_), WireResponse::Version(v)) => {
+                    Some(ScatterReply::Version(v))
+                }
+                (ScatterRequest::VersionVector, WireResponse::Vector(vv)) => {
+                    Some(ScatterReply::Vector(vv))
+                }
+                (ScatterRequest::VoteMany(ks), WireResponse::Versions(vs))
+                    if vs.len() == ks.len() =>
+                {
+                    Some(ScatterReply::Versions(vs))
+                }
+                (_, WireResponse::Ack) if installs => Some(ScatterReply::Delivered),
+                _ => None,
+            },
+        )
     }
 }
 
@@ -1255,18 +1199,19 @@ impl Drop for TcpCluster {
         // when multiplexing came on, so the loop below delivers Shutdown
         // over fresh streams. (The off-path never errors.)
         let _ = self.set_multiplexing(false);
+        let shutdown = WireRequest::Shutdown.to_frame();
         for (i, conn) in self.conns.iter().enumerate() {
             let mut conn = conn.lock();
             if conn.poisoned {
                 // The healthy stream is gone. Hang up the old one so the
                 // server falls back to `accept`, then deliver Shutdown over
                 // a fresh connection.
-                let _ = conn.stream.shutdown(std::net::Shutdown::Both);
+                let _ = conn.stream.get_mut().shutdown(std::net::Shutdown::Both);
                 if let Ok(mut stream) = TcpStream::connect(self.addrs[i]) {
-                    let _ = wire::write_frame(&mut stream, &WireRequest::Shutdown.encode());
+                    let _ = wire::write_frame(&mut stream, &shutdown);
                 }
             } else {
-                let _ = wire::write_frame(&mut conn.stream, &WireRequest::Shutdown.encode());
+                let _ = wire::write_frame(conn.stream.get_mut(), &shutdown);
             }
         }
         for handle in self.handles.drain(..) {
@@ -1383,7 +1328,7 @@ mod tests {
         c.write(sid(0), k, BlockData::from(vec![3; 32])).unwrap();
         // Corrupt the conversation with site 1: the server rejects the
         // frame and hangs up, so the next exchange on this stream tears.
-        wire::write_frame(&mut c.conns[1].lock().stream, &[0xFF]).unwrap();
+        wire::write_frame(c.conns[1].lock().stream.get_mut(), &[1, 0, 0, 0, 0xFF]).unwrap();
         assert_eq!(
             c.vote(sid(0), sid(1), k),
             None,
@@ -1396,6 +1341,29 @@ mod tests {
         // End-to-end traffic over the recovered connection still works.
         c.write(sid(2), k, BlockData::from(vec![4; 32])).unwrap();
         assert_eq!(c.read(sid(1), k).unwrap().as_slice(), &[4; 32]);
+
+        // A tear with bytes already buffered: a stand-in for site 1 answers
+        // one vote with a whole reply plus the first half of a second one,
+        // in a single write, and hangs up.
+        let impostor = TcpListener::bind("127.0.0.1:0").unwrap();
+        let dial = TcpStream::connect(impostor.local_addr().unwrap()).unwrap();
+        c.conns[1].lock().stream = wire::FrameReader::new(dial);
+        let peer = std::thread::spawn(move || {
+            let (mut peer, _) = impostor.accept().unwrap();
+            let mut request = [0u8; 4 + 9];
+            io::Read::read_exact(&mut peer, &mut request).unwrap();
+            let mut reply = Vec::new();
+            WireResponse::Version(VersionNumber::new(77)).frame_into(&mut reply);
+            reply.extend_from_slice(&[9, 0, 0, 0, 1, 0xEE, 0xEE, 0xEE]);
+            wire::write_frame(&mut peer, &reply).unwrap();
+        });
+        assert_eq!(c.vote(sid(0), sid(1), k), Some(VersionNumber::new(77)));
+        peer.join().unwrap();
+        assert_eq!(c.vote(sid(0), sid(1), k), None, "half a reply, then EOF");
+        assert!(c.conns[1].lock().poisoned);
+        // The half reply died with the stream it arrived on: the redialled
+        // connection starts in step with the real site 1.
+        assert_eq!(c.vote(sid(0), sid(1), k), Some(VersionNumber::new(2)));
     }
 
     #[test]

@@ -146,21 +146,24 @@ fn need(raw: &[u8], bytes: usize, what: &str) -> Result<(), DecodeError> {
     }
 }
 
-fn put_data(buf: &mut Vec<u8>, data: &BlockData) {
+fn put_data(buf: &mut impl BufMut, data: &BlockData) {
     buf.put_u32_le(data.len() as u32);
     buf.put_slice(data.as_slice());
 }
 
+/// The one copy a block makes on its way in: from the frame straight into
+/// the allocation it rests in. (Not a slice *of* the frame: one stored
+/// block would pin the whole batch's buffer for as long as it is current.)
 fn get_data(raw: &mut &[u8]) -> Result<BlockData, DecodeError> {
     need(raw, 4, "data length")?;
     let len = raw.get_u32_le() as usize;
     need(raw, len, "data body")?;
-    let mut body = vec![0u8; len];
-    raw.copy_to_slice(&mut body);
-    Ok(BlockData::from(body))
+    let data = BlockData::from(&raw[..len]);
+    raw.advance(len);
+    Ok(data)
 }
 
-fn put_vv(buf: &mut Vec<u8>, vv: &VersionVector) {
+fn put_vv(buf: &mut impl BufMut, vv: &VersionVector) {
     buf.put_u64_le(vv.len() as u64);
     for (_, v) in vv.iter() {
         buf.put_u64_le(v.as_u64());
@@ -180,7 +183,7 @@ fn get_vv(raw: &mut &[u8]) -> Result<VersionVector, DecodeError> {
         .collect())
 }
 
-fn put_blocks(buf: &mut Vec<u8>, blocks: &RepairBlocks) {
+fn put_blocks(buf: &mut impl BufMut, blocks: &RepairBlocks) {
     buf.put_u32_le(blocks.len() as u32);
     for (k, v, data) in blocks {
         buf.put_u64_le(k.as_u64());
@@ -202,7 +205,24 @@ fn get_blocks(raw: &mut &[u8]) -> Result<RepairBlocks, DecodeError> {
     Ok(out)
 }
 
-fn put_sites(buf: &mut Vec<u8>, sites: &BTreeSet<SiteId>) {
+/// A `u32` count, then that many `u64`s: a run of block indices or of
+/// version numbers.
+fn put_u64s(buf: &mut impl BufMut, values: impl ExactSizeIterator<Item = u64>) {
+    buf.put_u32_le(values.len() as u32);
+    for v in values {
+        buf.put_u64_le(v);
+    }
+}
+
+fn get_u64s<T>(raw: &mut &[u8], make: impl Fn(u64) -> T) -> Result<Vec<T>, DecodeError> {
+    need(raw, 4, "run length")?;
+    let count = raw.get_u32_le() as usize;
+    let bytes = count.checked_mul(8).ok_or_else(|| bad("run overflow"))?;
+    need(raw, bytes, "run body")?;
+    Ok((0..count).map(|_| make(raw.get_u64_le())).collect())
+}
+
+fn put_sites(buf: &mut impl BufMut, sites: &BTreeSet<SiteId>) {
     buf.put_u32_le(sites.len() as u32);
     for s in sites {
         buf.put_u32_le(s.as_u32());
@@ -221,9 +241,32 @@ fn get_sites(raw: &mut &[u8]) -> Result<BTreeSet<SiteId>, DecodeError> {
 }
 
 impl WireRequest {
-    /// Serializes the request.
+    /// Serializes the request into a buffer of exactly its size.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
+        let mut buf = Vec::with_capacity(self.encoded_len());
+        self.encode_into(&mut buf);
+        buf
+    }
+
+    /// The exact number of bytes [`encode_into`](Self::encode_into) appends.
+    fn encoded_len(&self) -> usize {
+        let mut len = Len(0);
+        self.encode_into(&mut len);
+        len.0
+    }
+
+    /// The request as one whole frame — length prefix, then payload — in a
+    /// buffer allocated once at its final size.
+    pub fn to_frame(&self) -> Vec<u8> {
+        let mut frame = Vec::new();
+        start_frame(&mut frame, self.encoded_len());
+        self.encode_into(&mut frame);
+        frame
+    }
+
+    /// Appends the serialized request to `buf`. An envelope writes its own
+    /// few bytes and then its inner request into the same buffer.
+    pub fn encode_into(&self, buf: &mut impl BufMut) {
         match self {
             WireRequest::Probe => buf.put_u8(0),
             WireRequest::Vote(k) => {
@@ -238,7 +281,7 @@ impl WireRequest {
                 buf.put_u8(3);
                 buf.put_u64_le(k.as_u64());
                 buf.put_u64_le(v.as_u64());
-                put_data(&mut buf, data);
+                put_data(buf, data);
             }
             WireRequest::ReadLocal(k) => {
                 buf.put_u8(4);
@@ -247,16 +290,16 @@ impl WireRequest {
             WireRequest::VersionVector => buf.put_u8(5),
             WireRequest::RepairPayload(vv) => {
                 buf.put_u8(6);
-                put_vv(&mut buf, vv);
+                put_vv(buf, vv);
             }
             WireRequest::ApplyRepair(blocks) => {
                 buf.put_u8(7);
-                put_blocks(&mut buf, blocks);
+                put_blocks(buf, blocks);
             }
             WireRequest::GetW => buf.put_u8(8),
             WireRequest::SetW(w) => {
                 buf.put_u8(9);
-                put_sites(&mut buf, w);
+                put_sites(buf, w);
             }
             WireRequest::AddW(s) => {
                 buf.put_u8(10);
@@ -267,7 +310,7 @@ impl WireRequest {
                 buf.put_u8(12);
                 buf.put_u64_le(k.as_u64());
                 buf.put_u64_le(v.as_u64());
-                put_data(&mut buf, data);
+                put_data(buf, data);
                 match fault {
                     StorageFault::Torn { keep } => {
                         buf.put_u8(0);
@@ -283,21 +326,15 @@ impl WireRequest {
             WireRequest::Scrub => buf.put_u8(13),
             WireRequest::VoteMany(ks) => {
                 buf.put_u8(14);
-                buf.put_u32_le(ks.len() as u32);
-                for k in ks {
-                    buf.put_u64_le(k.as_u64());
-                }
+                put_u64s(buf, ks.iter().map(|k| k.as_u64()));
             }
             WireRequest::ApplyWriteMany(blocks) => {
                 buf.put_u8(15);
-                put_blocks(&mut buf, blocks);
+                put_blocks(buf, blocks);
             }
             WireRequest::ReadLocalMany(ks) => {
                 buf.put_u8(16);
-                buf.put_u32_le(ks.len() as u32);
-                for k in ks {
-                    buf.put_u64_le(k.as_u64());
-                }
+                put_u64s(buf, ks.iter().map(|k| k.as_u64()));
             }
             WireRequest::Traced {
                 trace_id,
@@ -307,7 +344,7 @@ impl WireRequest {
                 buf.put_u8(17);
                 buf.put_u64_le(*trace_id);
                 buf.put_u64_le(*parent_span);
-                buf.extend_from_slice(&inner.encode());
+                inner.encode_into(buf);
             }
             WireRequest::FetchLease(k) => {
                 buf.put_u8(18);
@@ -316,10 +353,9 @@ impl WireRequest {
             WireRequest::Mux { id, inner } => {
                 buf.put_u8(19);
                 buf.put_u64_le(*id);
-                buf.extend_from_slice(&inner.encode());
+                inner.encode_into(buf);
             }
         }
-        buf
     }
 
     /// Parses a request frame.
@@ -382,20 +418,7 @@ impl WireRequest {
                 WireRequest::ApplyWriteFaulty(k, v, data, fault)
             }
             13 => WireRequest::Scrub,
-            14 => {
-                need(raw, 4, "index count")?;
-                let count = raw.get_u32_le() as usize;
-                need(
-                    raw,
-                    count.checked_mul(8).ok_or_else(|| bad("index overflow"))?,
-                    "index body",
-                )?;
-                WireRequest::VoteMany(
-                    (0..count)
-                        .map(|_| BlockIndex::new(raw.get_u64_le()))
-                        .collect(),
-                )
-            }
+            14 => WireRequest::VoteMany(get_u64s(&mut raw, BlockIndex::new)?),
             15 => WireRequest::ApplyWriteMany(get_blocks(&mut raw)?),
             17 => {
                 need(raw, 16, "trace envelope")?;
@@ -413,20 +436,7 @@ impl WireRequest {
                     inner: Box::new(inner),
                 });
             }
-            16 => {
-                need(raw, 4, "index count")?;
-                let count = raw.get_u32_le() as usize;
-                need(
-                    raw,
-                    count.checked_mul(8).ok_or_else(|| bad("index overflow"))?,
-                    "index body",
-                )?;
-                WireRequest::ReadLocalMany(
-                    (0..count)
-                        .map(|_| BlockIndex::new(raw.get_u64_le()))
-                        .collect(),
-                )
-            }
+            16 => WireRequest::ReadLocalMany(get_u64s(&mut raw, BlockIndex::new)?),
             18 => {
                 need(raw, 8, "block index")?;
                 WireRequest::FetchLease(BlockIndex::new(raw.get_u64_le()))
@@ -455,9 +465,29 @@ impl WireRequest {
 }
 
 impl WireResponse {
-    /// Serializes the response.
+    /// Serializes the response into a buffer of exactly its size.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
+        let mut buf = Vec::with_capacity(self.encoded_len());
+        self.encode_into(&mut buf);
+        buf
+    }
+
+    /// The exact number of bytes [`encode_into`](Self::encode_into) appends.
+    fn encoded_len(&self) -> usize {
+        let mut len = Len(0);
+        self.encode_into(&mut len);
+        len.0
+    }
+
+    /// Replaces the contents of `frame` — a buffer its connection reuses —
+    /// with the response as one whole frame: length prefix, then payload.
+    pub fn frame_into(&self, frame: &mut Vec<u8>) {
+        start_frame(frame, self.encoded_len());
+        self.encode_into(frame);
+    }
+
+    /// Appends the serialized response to `buf`.
+    pub fn encode_into(&self, buf: &mut impl BufMut) {
         match self {
             WireResponse::Ack => buf.put_u8(0),
             WireResponse::Version(v) => {
@@ -467,24 +497,24 @@ impl WireResponse {
             WireResponse::Block(v, data) => {
                 buf.put_u8(2);
                 buf.put_u64_le(v.as_u64());
-                put_data(&mut buf, data);
+                put_data(buf, data);
             }
             WireResponse::Data(data) => {
                 buf.put_u8(3);
-                put_data(&mut buf, data);
+                put_data(buf, data);
             }
             WireResponse::Vector(vv) => {
                 buf.put_u8(4);
-                put_vv(&mut buf, vv);
+                put_vv(buf, vv);
             }
             WireResponse::Payload(vv, blocks) => {
                 buf.put_u8(5);
-                put_vv(&mut buf, vv);
-                put_blocks(&mut buf, blocks);
+                put_vv(buf, vv);
+                put_blocks(buf, blocks);
             }
             WireResponse::W(w) => {
                 buf.put_u8(6);
-                put_sites(&mut buf, w);
+                put_sites(buf, w);
             }
             WireResponse::Count(n) => {
                 buf.put_u8(7);
@@ -492,25 +522,21 @@ impl WireResponse {
             }
             WireResponse::Versions(vs) => {
                 buf.put_u8(8);
-                buf.put_u32_le(vs.len() as u32);
-                for v in vs {
-                    buf.put_u64_le(v.as_u64());
-                }
+                put_u64s(buf, vs.iter().map(|v| v.as_u64()));
             }
             WireResponse::DataMany(ds) => {
                 buf.put_u8(9);
                 buf.put_u32_le(ds.len() as u32);
                 for d in ds {
-                    put_data(&mut buf, d);
+                    put_data(buf, d);
                 }
             }
             WireResponse::Mux { id, inner } => {
                 buf.put_u8(10);
                 buf.put_u64_le(*id);
-                buf.extend_from_slice(&inner.encode());
+                inner.encode_into(buf);
             }
         }
-        buf
     }
 
     /// Parses a response frame.
@@ -543,22 +569,7 @@ impl WireResponse {
                 need(raw, 8, "count")?;
                 WireResponse::Count(raw.get_u64_le())
             }
-            8 => {
-                need(raw, 4, "version count")?;
-                let count = raw.get_u32_le() as usize;
-                need(
-                    raw,
-                    count
-                        .checked_mul(8)
-                        .ok_or_else(|| bad("version overflow"))?,
-                    "version body",
-                )?;
-                WireResponse::Versions(
-                    (0..count)
-                        .map(|_| VersionNumber::new(raw.get_u64_le()))
-                        .collect(),
-                )
-            }
+            8 => WireResponse::Versions(get_u64s(&mut raw, VersionNumber::new)?),
             9 => {
                 need(raw, 4, "data count")?;
                 let count = raw.get_u32_le() as usize;
@@ -591,42 +602,148 @@ impl WireResponse {
     }
 }
 
-/// Writes one length-prefixed frame.
+/// Bytes of length prefix in front of every frame's payload.
+const PREFIX: usize = 4;
+
+/// A connection's read buffer starts at this size.
+const READ_CHUNK: usize = 8 * 1024;
+
+/// A read buffer that grew past this is released once the frame that grew
+/// it is handled, not pinned for the life of the connection.
+const KEEP_BUFFER: usize = 1024 * 1024;
+
+/// A [`BufMut`] that only counts: the exact size of a message is whatever
+/// its own encoder says it is.
+struct Len(usize);
+
+impl BufMut for Len {
+    fn put_slice(&mut self, src: &[u8]) {
+        self.0 += src.len();
+    }
+}
+
+/// Empties `frame` and starts a new one in it: the whole frame's room
+/// reserved at once and the length prefix first, so the finished buffer
+/// goes out in a single write.
+fn start_frame(frame: &mut Vec<u8>, payload_len: usize) {
+    frame.clear();
+    frame.reserve(PREFIX + payload_len);
+    frame.put_u32_le(payload_len as u32);
+}
+
+/// Rewrites in place the ids of the envelope heading a framed request — a
+/// [`WireRequest::Mux`]'s id, or a [`WireRequest::Traced`]'s trace id and
+/// parent span — so one encoded frame serves every target of a scatter.
+pub(crate) fn set_envelope_ids(frame: &mut [u8], ids: &[u64]) {
+    for (slot, id) in frame[PREFIX + 1..].chunks_exact_mut(8).zip(ids) {
+        slot.copy_from_slice(&id.to_le_bytes());
+    }
+}
+
+/// The bare frame inside a framed [`WireRequest::Traced`]: the inner
+/// request's prefix goes over the tail of the envelope (tag and two ids),
+/// so the untraced-peer fallback resends the same buffer minus it.
+pub(crate) fn without_trace_envelope(frame: &mut [u8]) -> &[u8] {
+    const ENVELOPE: usize = 1 + 8 + 8;
+    let inner_len = (frame.len() - PREFIX - ENVELOPE) as u32;
+    frame[ENVELOPE..ENVELOPE + PREFIX].copy_from_slice(&inner_len.to_le_bytes());
+    &frame[ENVELOPE..]
+}
+
+/// Sends one frame — prefix and payload, as [`WireRequest::to_frame`] or
+/// [`WireResponse::frame_into`] built it — with a single write.
 ///
 /// # Errors
 ///
 /// I/O errors from the writer, or `InvalidInput` for an oversized frame.
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    if payload.len() as u64 > MAX_FRAME as u64 {
+pub fn write_frame(w: &mut impl Write, frame: &[u8]) -> io::Result<()> {
+    if frame.len().saturating_sub(PREFIX) > MAX_FRAME as usize {
         return Err(io::Error::new(
             io::ErrorKind::InvalidInput,
             "frame too large",
         ));
     }
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
+    w.write_all(frame)?;
     w.flush()
 }
 
-/// Reads one length-prefixed frame.
-///
-/// # Errors
-///
-/// I/O errors from the reader (including clean EOF as `UnexpectedEof`), or
-/// `InvalidData` for an oversized length prefix.
-pub fn read_frame(r: &mut impl Read) -> io::Result<Vec<u8>> {
-    let mut len = [0u8; 4];
-    r.read_exact(&mut len)?;
-    let len = u32::from_le_bytes(len);
-    if len > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "frame too large",
-        ));
+/// The read half of a connection: the stream plus the one buffer every
+/// frame on it arrives through. A read takes whatever the stream has, so a
+/// small frame costs one `read`, and what came in behind it waits here.
+/// The buffer lives and dies with the stream — a poisoned connection drops
+/// both, so nothing stale survives a reconnect.
+#[derive(Debug)]
+pub struct FrameReader<R> {
+    stream: R,
+    /// Zero-filled once, as it grows; `..filled` has arrived and is unread.
+    buf: Vec<u8>,
+    filled: usize,
+}
+
+impl<R: Read> FrameReader<R> {
+    /// Wraps `stream` with an empty buffer.
+    pub fn new(stream: R) -> Self {
+        FrameReader {
+            stream,
+            buf: Vec::new(),
+            filled: 0,
+        }
     }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
-    Ok(payload)
+
+    /// The stream itself, for the write half of the conversation.
+    pub fn get_mut(&mut self) -> &mut R {
+        &mut self.stream
+    }
+
+    /// Reads until `need` bytes are buffered. The buffer grows only when it
+    /// is full of bytes that did arrive, so a length prefix commits no
+    /// memory on its own word.
+    fn fill(&mut self, need: usize) -> io::Result<()> {
+        while self.filled < need {
+            if self.filled == self.buf.len() {
+                self.buf.resize((2 * self.buf.len()).max(READ_CHUNK), 0);
+            }
+            match self.stream.read(&mut self.buf[self.filled..]) {
+                Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
+                Ok(n) => self.filled += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
+    }
+
+    /// Reads one length-prefixed frame and hands its payload to `decode`.
+    ///
+    /// # Errors
+    ///
+    /// I/O errors from the stream (including clean EOF as `UnexpectedEof`),
+    /// or `InvalidData` for an oversized length prefix or a payload
+    /// `decode` rejects.
+    pub fn read_frame<T>(
+        &mut self,
+        decode: impl FnOnce(&[u8]) -> Result<T, DecodeError>,
+    ) -> io::Result<T> {
+        self.fill(PREFIX)?;
+        let len = (&self.buf[..]).get_u32_le();
+        if len > MAX_FRAME {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "frame too large",
+            ));
+        }
+        let len = PREFIX + len as usize;
+        self.fill(len)?;
+        let decoded = decode(&self.buf[PREFIX..len]);
+        // What came in behind this frame moves to the front.
+        if self.buf.len() > KEEP_BUFFER {
+            self.buf = self.buf[len..self.filled].to_vec();
+        } else {
+            self.buf.copy_within(len..self.filled, 0);
+        }
+        self.filled -= len;
+        decoded.map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+    }
 }
 
 #[cfg(test)]
@@ -780,16 +897,66 @@ mod tests {
         }
     }
 
+    /// A frame holding `payload`, laid out as `start_frame` does it.
+    fn framed(payload: &[u8]) -> Vec<u8> {
+        let mut frame = Vec::new();
+        start_frame(&mut frame, payload.len());
+        frame.put_slice(payload);
+        frame
+    }
+
+    fn payload(raw: &[u8]) -> Result<Vec<u8>, DecodeError> {
+        Ok(raw.to_vec())
+    }
+
+    /// Counts the calls that reach the stream underneath, and hands a read
+    /// at most `chunk` bytes.
+    struct Calls<S> {
+        inner: S,
+        calls: usize,
+        chunk: usize,
+    }
+
+    impl<S> Calls<S> {
+        fn new(inner: S) -> Self {
+            Calls {
+                inner,
+                calls: 0,
+                chunk: usize::MAX,
+            }
+        }
+    }
+
+    impl<S: Write> Write for Calls<S> {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.calls += 1;
+            self.inner.write(buf)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            self.inner.flush()
+        }
+    }
+
+    impl<S: Read> Read for Calls<S> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.calls += 1;
+            let take = buf.len().min(self.chunk);
+            self.inner.read(&mut buf[..take])
+        }
+    }
+
     #[test]
     fn frame_roundtrip_over_a_buffer() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, b"hello").unwrap();
-        write_frame(&mut buf, b"").unwrap();
-        let mut cursor = &buf[..];
-        assert_eq!(read_frame(&mut cursor).unwrap(), b"hello");
-        assert_eq!(read_frame(&mut cursor).unwrap(), b"");
-        assert!(
-            read_frame(&mut cursor).is_err(),
+        write_frame(&mut buf, &framed(b"hello")).unwrap();
+        write_frame(&mut buf, &framed(b"")).unwrap();
+        let mut reader = FrameReader::new(&buf[..]);
+        assert_eq!(reader.read_frame(payload).unwrap(), b"hello");
+        assert_eq!(reader.read_frame(payload).unwrap(), b"");
+        assert_eq!(
+            reader.read_frame(payload).unwrap_err().kind(),
+            io::ErrorKind::UnexpectedEof,
             "clean EOF surfaces as error"
         );
     }
@@ -797,8 +964,159 @@ mod tests {
     #[test]
     fn oversized_frames_rejected_both_ways() {
         let huge = (MAX_FRAME + 1).to_le_bytes();
-        let mut cursor = &huge[..];
-        assert!(read_frame(&mut cursor).is_err());
+        let err = FrameReader::new(&huge[..]).read_frame(payload).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        // Zero pages that are never touched: the check precedes the write.
+        let huge = vec![0u8; PREFIX + MAX_FRAME as usize + 1];
+        let err = write_frame(&mut io::sink(), &huge).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+    }
+
+    #[test]
+    fn a_frame_is_one_write_and_a_small_frame_is_one_read() {
+        let batch = WireRequest::ApplyWriteMany(
+            (0..64)
+                .map(|k| {
+                    let data = BlockData::from(vec![k as u8; 1024]);
+                    (BlockIndex::new(k), VersionNumber::new(2), data)
+                })
+                .collect(),
+        );
+        let mut ack = Vec::new();
+        WireResponse::Ack.frame_into(&mut ack);
+        assert_eq!(ack, [1, 0, 0, 0, 0], "prefix, then the tag");
+
+        let mut sent = Calls::new(Vec::new());
+        write_frame(&mut sent, &batch.to_frame()).unwrap();
+        assert_eq!(sent.calls, 1, "a 66 KiB frame goes out in one write");
+        write_frame(&mut sent, &ack).unwrap();
+        assert_eq!(sent.calls, 2);
+
+        let mut reader = FrameReader::new(Calls::new(&ack[..]));
+        assert_eq!(
+            reader.read_frame(WireResponse::decode).unwrap(),
+            WireResponse::Ack
+        );
+        assert_eq!(reader.get_mut().calls, 1, "prefix and tag in one read");
+
+        // Both frames back to back, as a pipelining peer would see them.
+        let mut reader = FrameReader::new(&sent.inner[..]);
+        assert_eq!(reader.read_frame(WireRequest::decode).unwrap(), batch);
+        assert_eq!(
+            reader.read_frame(WireResponse::decode).unwrap(),
+            WireResponse::Ack
+        );
+    }
+
+    #[test]
+    fn a_length_prefix_commits_no_memory_on_its_own_word() {
+        // A peer claims the largest legal frame, sends three bytes of it
+        // and hangs up.
+        let mut lie = MAX_FRAME.to_le_bytes().to_vec();
+        lie.extend_from_slice(&[1, 2, 3]);
+        let mut reader = FrameReader::new(&lie[..]);
+        let err = reader.read_frame(payload).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert_eq!(reader.buf.len(), READ_CHUNK);
+    }
+
+    #[test]
+    fn a_buffer_that_grew_large_is_released_with_its_tail_kept() {
+        let big = vec![7u8; KEEP_BUFFER + 1];
+        let mut stream = framed(&big);
+        stream.extend_from_slice(&framed(b"next"));
+        let mut reader = FrameReader::new(&stream[..]);
+        assert_eq!(reader.read_frame(payload).unwrap(), big);
+        assert!(
+            reader.buf.len() <= PREFIX + 4,
+            "kept {} bytes after a {} byte frame",
+            reader.buf.len(),
+            big.len()
+        );
+        assert_eq!(reader.read_frame(payload).unwrap(), b"next");
+        assert!(reader.buf.len() <= READ_CHUNK);
+    }
+
+    #[test]
+    fn decode_errors_surface_as_invalid_data_and_leave_the_stream_in_step() {
+        let mut stream = framed(&[0xFF]);
+        stream.extend_from_slice(&WireRequest::Probe.to_frame());
+        let mut reader = FrameReader::new(&stream[..]);
+        let err = reader.read_frame(WireRequest::decode).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(
+            reader.read_frame(WireRequest::decode).unwrap(),
+            WireRequest::Probe
+        );
+    }
+
+    proptest! {
+        #[test]
+        fn encode_into_appends_exactly_encode(
+            req in arb_request(),
+            resp in arb_response(),
+            head in prop::collection::vec(any::<u8>(), 0..32),
+        ) {
+            let mut buf = head.clone();
+            req.encode_into(&mut buf);
+            prop_assert_eq!(&buf[..head.len()], &head[..]);
+            prop_assert_eq!(&buf[head.len()..], &req.encode()[..]);
+            prop_assert_eq!(req.encoded_len(), req.encode().len());
+            prop_assert_eq!(&req.to_frame()[..], &framed(&req.encode())[..]);
+
+            let mut buf = head.clone();
+            resp.encode_into(&mut buf);
+            prop_assert_eq!(&buf[head.len()..], &resp.encode()[..]);
+            prop_assert_eq!(resp.encoded_len(), resp.encode().len());
+            // `frame_into` replaces whatever the reused buffer held.
+            resp.frame_into(&mut buf);
+            prop_assert_eq!(&buf[..], &framed(&resp.encode())[..]);
+        }
+
+        #[test]
+        fn envelope_ids_are_rewritten_in_place(
+            inner in arb_plain_request(),
+            ids in (any::<u64>(), any::<u64>(), any::<u64>()),
+        ) {
+            let (id, trace_id, parent_span) = ids;
+            let boxed = || Box::new(inner.clone());
+            let mut frame = WireRequest::Mux { id: 0, inner: boxed() }.to_frame();
+            set_envelope_ids(&mut frame, &[id]);
+            prop_assert_eq!(&frame, &WireRequest::Mux { id, inner: boxed() }.to_frame());
+
+            let mut frame = WireRequest::Traced { trace_id: 0, parent_span: 0, inner: boxed() }
+                .to_frame();
+            set_envelope_ids(&mut frame, &[trace_id, parent_span]);
+            let traced = WireRequest::Traced { trace_id, parent_span, inner: boxed() };
+            prop_assert_eq!(&frame, &traced.to_frame());
+            // Bare for one target, re-parented for the next, bare again:
+            // the same buffer serves all three.
+            prop_assert_eq!(without_trace_envelope(&mut frame), &inner.to_frame()[..]);
+            set_envelope_ids(&mut frame, &[trace_id, parent_span]);
+            prop_assert_eq!(&frame, &traced.to_frame());
+            prop_assert_eq!(without_trace_envelope(&mut frame), &inner.to_frame()[..]);
+        }
+
+        #[test]
+        fn frames_survive_any_chunking_of_the_stream(
+            requests in prop::collection::vec(arb_request(), 1..6),
+            sizes in prop::collection::vec(0usize..20_000, 1..6),
+            chunk in 1usize..12_000,
+        ) {
+            // Pad some frames past the first buffer size so the reader has
+            // to grow, and to move a partial frame to the front.
+            let frames: Vec<Vec<u8>> = sizes
+                .iter()
+                .map(|&n| framed(&vec![0xA5; n]))
+                .chain(requests.iter().map(WireRequest::to_frame))
+                .collect();
+            let stream = frames.concat();
+            let mut reader = FrameReader::new(Calls { chunk, ..Calls::new(&stream[..]) });
+            for frame in &frames {
+                prop_assert_eq!(&reader.read_frame(payload).unwrap()[..], &frame[PREFIX..]);
+            }
+            prop_assert!(reader.read_frame(payload).is_err());
+        }
     }
 
     #[test]
@@ -870,5 +1188,83 @@ mod tests {
             inner: Box::new(reply),
         };
         assert!(WireResponse::decode(&nested_reply.encode()).is_err());
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The format as the parent commit produced it, byte for byte. These
+    /// strings were generated *before* the encoder moved to `encode_into`;
+    /// a change to any of them is a wire-format change.
+    #[test]
+    fn golden_bytes_pin_the_format() {
+        let ks = vec![BlockIndex::new(3), BlockIndex::new(0x0102_0304_0506_0708)];
+        let blocks: RepairBlocks = vec![
+            (
+                BlockIndex::new(5),
+                VersionNumber::new(9),
+                BlockData::from(vec![0xAA, 0xBB, 0xCC]),
+            ),
+            (
+                BlockIndex::new(6),
+                VersionNumber::new(1),
+                BlockData::from(vec![]),
+            ),
+        ];
+        let write_many = "0f020000000500000000000000090000000000000003000000aabbcc\
+                          0600000000000000010000000000000000000000";
+        let requests = [
+            (
+                WireRequest::VoteMany(ks.clone()),
+                "0e0200000003000000000000000807060504030201".to_string(),
+            ),
+            (
+                WireRequest::ApplyWriteMany(blocks.clone()),
+                write_many.to_string(),
+            ),
+            (
+                WireRequest::ReadLocalMany(ks),
+                "100200000003000000000000000807060504030201".to_string(),
+            ),
+            (
+                WireRequest::Traced {
+                    trace_id: 0x1122_3344_5566_7788,
+                    parent_span: 42,
+                    inner: Box::new(WireRequest::ApplyWriteMany(blocks.clone())),
+                },
+                format!("1188776655443322112a00000000000000{write_many}"),
+            ),
+            (
+                WireRequest::Mux {
+                    id: 0x0A0B,
+                    inner: Box::new(WireRequest::ApplyWriteMany(blocks)),
+                },
+                format!("130b0a000000000000{write_many}"),
+            ),
+        ];
+        for (request, golden) in requests {
+            assert_eq!(hex(&request.encode()), golden, "{request:?}");
+        }
+        let responses = [
+            (
+                WireResponse::Versions(vec![
+                    VersionNumber::new(7),
+                    VersionNumber::new(0x1_0000_0000),
+                ]),
+                "080200000007000000000000000000000001000000",
+            ),
+            (
+                WireResponse::DataMany(vec![
+                    BlockData::from(vec![1, 2]),
+                    BlockData::from(vec![]),
+                    BlockData::from(vec![0xFF]),
+                ]),
+                "09030000000200000001020000000001000000ff",
+            ),
+        ];
+        for (response, golden) in responses {
+            assert_eq!(hex(&response.encode()), golden, "{response:?}");
+        }
     }
 }

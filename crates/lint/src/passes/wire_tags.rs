@@ -1,8 +1,11 @@
 //! Pass 4 — wire-tag exhaustiveness.
 //!
-//! In `wire.rs`, every `impl` that has both an `encode` and a `decode`
+//! In `wire.rs`, every `impl` that has both an encoder and a `decode`
 //! function claims one tag byte per variant: encode arms start with
-//! `buf.put_u8(N)` and decode matches on integer patterns. This pass
+//! `buf.put_u8(N)` and decode matches on integer patterns. The encoder is
+//! whichever of `encode` / `encode_into` holds the `match self` — since
+//! frames are built in place, `encode` is a thin wrapper and the arms live
+//! in `encode_into`. This pass
 //! cross-checks, per impl, that the two sets agree and that no tag is
 //! claimed twice on either side. Only the *top-level* match arms count —
 //! nested sub-tag matches (e.g. the `StorageFault` encoding inside the
@@ -23,25 +26,29 @@ pub(crate) fn run(ws: &Workspace, out: &mut PassOutput) {
             continue;
         }
         let toks = file.tokens();
-        // impl type -> (encode fn, decode fn)
-        let mut pairs: BTreeMap<&str, (Option<&Function>, Option<&Function>)> = BTreeMap::new();
+        // impl type -> (encoder candidates, decode fn)
+        let mut pairs: BTreeMap<&str, (Vec<&Function>, Option<&Function>)> = BTreeMap::new();
         for func in &file.functions {
             if let Some(ty) = func.impl_type.as_deref() {
                 let entry = pairs.entry(ty).or_default();
                 match func.name.as_str() {
-                    "encode" => entry.0 = Some(func),
+                    "encode" | "encode_into" => entry.0.push(func),
                     "decode" => entry.1 = Some(func),
                     _ => {}
                 }
             }
         }
-        for (ty, (encode, decode)) in pairs {
-            let (Some(encode), Some(decode)) = (encode, decode) else {
+        for (ty, (encoders, decode)) in pairs {
+            // The encoder is the candidate that holds the tagged match.
+            let encoder = encoders
+                .into_iter()
+                .map(|func| (func, encode_tags(toks, func)))
+                .find(|(_, tags)| !tags.is_empty());
+            let (Some((encode, encode_tags)), Some(decode)) = (encoder, decode) else {
                 continue;
             };
-            let encode_tags = encode_tags(toks, encode);
             let decode_tags = decode_tags(toks, decode);
-            if encode_tags.is_empty() || decode_tags.is_empty() {
+            if decode_tags.is_empty() {
                 continue;
             }
             check(ty, &file.rel, &encode_tags, &decode_tags, out);
@@ -55,7 +62,7 @@ pub(crate) fn run(ws: &Workspace, out: &mut PassOutput) {
     }
 }
 
-/// Tags claimed by `encode`: the first `put_u8(N)` in each top-level arm
+/// Tags claimed by an encoder: the first `put_u8(N)` in each top-level arm
 /// of the `match self`.
 fn encode_tags(toks: &[Token], func: &Function) -> Vec<(u64, u32)> {
     let Some((open, close)) = self_match(toks, func) else {

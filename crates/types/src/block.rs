@@ -21,7 +21,6 @@ use core::fmt;
 /// assert_eq!(payload.as_slice(), &[1, 2, 3]);
 /// ```
 #[derive(Clone, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BlockData {
     bytes: Bytes,
 }

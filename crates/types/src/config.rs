@@ -5,7 +5,6 @@ use core::fmt;
 
 /// The consistency control scheme managing the replicated blocks (§3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Scheme {
     /// Majority consensus voting with per-block versions and lazy,
     /// access-time block recovery (§3.1, Figures 3–4).
@@ -52,7 +51,6 @@ impl fmt::Display for Scheme {
 /// time" for less traffic. Both variants are implemented; the difference is
 /// measured by an ablation bench.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum FailureTracking {
     /// Was-available sets are refreshed whenever a failure is detected, so
     /// after a total failure the block recovers as soon as the last site to
@@ -83,7 +81,6 @@ pub enum FailureTracking {
 /// assert_eq!(total, 9);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Weight(u32);
 
 impl Weight {
@@ -144,7 +141,6 @@ impl fmt::Display for Weight {
 /// # Ok::<(), blockrep_types::DeviceError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DeviceConfig {
     scheme: Scheme,
     weights: Vec<Weight>,

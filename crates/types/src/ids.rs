@@ -18,7 +18,6 @@ use core::fmt;
 /// assert_eq!(s.to_string(), "s3");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SiteId(u32);
 
 impl SiteId {
@@ -84,7 +83,6 @@ impl From<SiteId> for u32 {
 /// assert_eq!(b.to_string(), "b42");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BlockIndex(u64);
 
 impl BlockIndex {

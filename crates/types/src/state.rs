@@ -27,7 +27,6 @@ use core::fmt;
 /// assert!(!SiteState::Comatose.can_serve());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum SiteState {
     /// The site has halted due to hardware or software failure.
     Failed,

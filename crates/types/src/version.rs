@@ -24,7 +24,6 @@ use core::fmt;
 /// assert!(v < v.next());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct VersionNumber(u64);
 
 impl VersionNumber {
@@ -91,7 +90,6 @@ impl From<VersionNumber> for u64 {
 /// assert!(ours.stale_against(&theirs).is_empty());
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct VersionVector {
     versions: Vec<VersionNumber>,
 }
