@@ -50,15 +50,21 @@ pub fn check_invariants<B: Backend + ?Sized>(b: &B) -> Vec<Violation> {
     for k in BlockIndex::all(b.config().num_blocks()) {
         for (i, (s_a, _, vv_a)) in sites.iter().enumerate() {
             for (s_b, _, vv_b) in &sites[i + 1..] {
-                if vv_a.get(k) == vv_b.get(k) && b.read_local(*s_a, k) != b.read_local(*s_b, k) {
-                    violations.push(Violation {
-                        rule: "version-determines-data",
-                        detail: format!(
-                            "{s_a} and {s_b} both hold {} of {k} with different bytes",
-                            vv_a.get(k)
-                        ),
-                    });
+                if vv_a.get(k) != vv_b.get(k) {
+                    continue;
                 }
+                let detail = match (b.read_local(*s_a, k), b.read_local(*s_b, k)) {
+                    (Ok(a), Ok(b)) if a == b => continue,
+                    (Ok(_), Ok(_)) => format!(
+                        "{s_a} and {s_b} both hold {} of {k} with different bytes",
+                        vv_a.get(k)
+                    ),
+                    (Err(e), _) | (_, Err(e)) => format!("{k} could not be compared: {e}"),
+                };
+                violations.push(Violation {
+                    rule: "version-determines-data",
+                    detail,
+                });
             }
         }
     }

@@ -65,7 +65,7 @@ pub(crate) fn read<B: Backend + ?Sized>(
     ensure_serving(b, origin)?;
     check_block(b, k)?;
     event!("read.local", site = origin.as_u32(), block = k.as_u64());
-    Ok(b.read_local(origin, k))
+    b.read_local(origin, k)
 }
 
 /// Write under available copy ("write to all available copies") or, with
@@ -102,7 +102,7 @@ pub(crate) fn write<B: Backend + ?Sized>(
     let v_new = {
         let _leg = obs_hooks::phase_span(obs_hooks::phase_local_leg, origin.as_u32());
         b.vote(origin, origin, k)
-            .expect("available origin answers its own version lookup")
+            .ok_or_else(|| backend::dead_local_leg(origin))?
             .next()
     };
     let others = backend::others(cfg, origin);
@@ -171,7 +171,7 @@ pub(crate) fn read_many<B: Backend + ?Sized>(
         site = origin.as_u32(),
         blocks = ks.len()
     );
-    Ok(b.read_local_many(origin, ks))
+    b.read_local_many(origin, ks)
 }
 
 /// Vectored write under available copy (or, with `naive = true`, naive
@@ -215,7 +215,7 @@ pub(crate) fn write_many<B: Backend + ?Sized>(
     let own = {
         let _leg = obs_hooks::phase_span(obs_hooks::phase_local_leg, origin.as_u32());
         b.vote_many(origin, origin, &ks)
-            .expect("available origin answers its own version lookup")
+            .ok_or_else(|| backend::dead_local_leg(origin))?
     };
     let batch: WriteBatch = writes
         .iter()
@@ -418,7 +418,9 @@ pub(crate) fn try_complete_recovery<B: Backend + ?Sized>(b: &B, c: SiteId, naive
         return false;
     };
     if t != c {
-        let vv = b.version_vector(c, c).expect("own version vector is local");
+        let Some(vv) = b.version_vector(c, c) else {
+            return false; // own server did not answer; retry on next sweep
+        };
         b.counter()
             .add(OpClass::Recovery, MsgKind::VersionVector, 1);
         let Some((_, blocks)) = b.repair_payload(c, t, &vv) else {

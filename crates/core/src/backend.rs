@@ -6,9 +6,10 @@
 //! * [`Cluster`](crate::Cluster) — a deterministic in-process cluster where
 //!   "messages" are direct state access, used by tests, property tests and
 //!   the simulation harnesses;
-//! * [`LiveCluster`](crate::LiveCluster) — one server thread per site,
-//!   exchanging real messages over channels, the shape the paper deploys on
-//!   a network.
+//! * [`ServerCluster`](crate::ServerCluster) — one server thread per site
+//!   exchanging real messages, the shape the paper deploys on a network:
+//!   over channels ([`LiveCluster`](crate::LiveCluster)) or loopback
+//!   sockets ([`TcpCluster`](crate::TcpCluster)).
 //!
 //! Methods with a `from` site model a remote exchange and return `None`
 //! when the target is failed or unreachable (fail-stop sites simply do not
@@ -22,7 +23,8 @@ use crate::locks::{BlockLockTable, LeaseTable};
 use blockrep_net::{DeliveryMode, MsgKind, OpClass, TrafficCounter};
 use blockrep_storage::StorageFault;
 use blockrep_types::{
-    BlockData, BlockIndex, DeviceConfig, SiteId, SiteState, VersionNumber, VersionVector,
+    BlockData, BlockIndex, DeviceConfig, DeviceError, DeviceResult, SiteId, SiteState,
+    VersionNumber, VersionVector,
 };
 use std::collections::BTreeSet;
 
@@ -188,7 +190,13 @@ pub trait Backend: Send + Sync {
     ) -> bool;
 
     /// Reads block `k` straight off `s`'s local disk.
-    fn read_local(&self, s: SiteId, k: BlockIndex) -> BlockData;
+    ///
+    /// # Errors
+    ///
+    /// [`DeviceError::Io`] when `s`'s
+    /// server does not answer its own coordinator (a message-passing
+    /// runtime whose local leg died); the in-process cluster never fails.
+    fn read_local(&self, s: SiteId, k: BlockIndex) -> DeviceResult<BlockData>;
 
     /// Reads a run of blocks straight off `s`'s local disk in **one**
     /// exchange, in the order of `ks`.
@@ -196,8 +204,18 @@ pub trait Backend: Send + Sync {
     /// The default loops [`read_local`](Self::read_local); message-passing
     /// runtimes override it with a single batched frame so a vectored read
     /// pays one round trip to the local replica instead of one per block.
-    fn read_local_many(&self, s: SiteId, ks: &[BlockIndex]) -> Vec<BlockData> {
-        ks.iter().map(|&k| self.read_local(s, k)).collect()
+    ///
+    /// # Errors
+    ///
+    /// As for [`read_local`](Self::read_local).
+    fn read_local_many(&self, s: SiteId, ks: &[BlockIndex]) -> DeviceResult<Vec<BlockData>> {
+        // Not `collect()`: through a `Result` it loses the size hint and
+        // grows the vector by doubling.
+        let mut blocks = Vec::with_capacity(ks.len());
+        for &k in ks {
+            blocks.push(self.read_local(s, k)?);
+        }
+        Ok(blocks)
     }
 
     /// Requests `to`'s version vector.
@@ -209,7 +227,8 @@ pub trait Backend: Send + Sync {
         -> Option<RepairPayload>;
 
     /// Installs a repair payload on `s`'s local store; returns the number of
-    /// blocks replaced.
+    /// blocks replaced — `0`, on every runtime, when `s`'s server does not
+    /// take the payload (its local leg died): nothing was installed.
     fn apply_repair_local(&self, s: SiteId, blocks: RepairBlocks) -> usize;
 
     /// Requests `to`'s was-available set `W`.
@@ -238,7 +257,8 @@ pub trait Backend: Send + Sync {
 
     /// Runs the restart-time integrity scrub on `s`'s local disk, resetting
     /// checksum-broken blocks to the freshly formatted state. Returns the
-    /// number of blocks reset.
+    /// number of blocks reset — `0`, on every runtime, when `s`'s server
+    /// does not answer (its local leg died): nothing was scrubbed.
     fn scrub_local(&self, s: SiteId) -> usize;
 
     /// Requests `to`'s votes for a whole run of blocks in **one** exchange.
@@ -444,6 +464,15 @@ pub(crate) fn truncate_to_threshold(
             gathered += cfg.weight(*t).as_u64();
         }
     }
+}
+
+/// What a coordinator reports when its own site's server does not answer
+/// it: on a message-passing runtime the local leg is an exchange like any
+/// other, and can die (a torn frame, a dead server thread).
+pub(crate) fn dead_local_leg(s: SiteId) -> DeviceError {
+    DeviceError::Io(std::io::Error::other(format!(
+        "{s} did not answer its own coordinator"
+    )))
 }
 
 /// Every site except `from`, in ascending order — the address list of a

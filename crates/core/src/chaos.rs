@@ -37,6 +37,7 @@
 use crate::backend::Backend;
 use crate::fault::{FaultKind, FaultPlan, FaultSpec, FaultyBackend, OpReport};
 use crate::scenario::Action;
+use crate::transport::{ServerCluster, Transport};
 use crate::{protocol, Cluster, ClusterOptions, LiveCluster, TcpCluster};
 use blockrep_net::{DeliveryMode, TrafficSnapshot};
 use blockrep_types::{BlockData, BlockIndex, DeviceConfig, Scheme, SiteId, SiteState};
@@ -69,9 +70,9 @@ pub struct ChaosScript {
 }
 
 /// A runtime the chaos runner can drive: a [`Backend`] plus the hooks the
-/// runner needs to make a mid-operation crash real (the live cluster must
-/// also take the site's link down; the other runtimes derive reachability
-/// from site state and need nothing extra).
+/// runner needs to make a mid-operation crash real (a transport that models
+/// links must also take the site's link down; the other runtimes derive
+/// reachability from site state and need nothing extra).
 pub trait ChaosRuntime: Backend {
     /// The runtime's name in parity reports.
     fn runtime_name(&self) -> &'static str;
@@ -87,21 +88,15 @@ impl ChaosRuntime for Cluster {
     }
 }
 
-impl ChaosRuntime for LiveCluster {
+impl<T: Transport> ChaosRuntime for ServerCluster<T> {
     fn runtime_name(&self) -> &'static str {
-        "live"
+        T::NAME
     }
     fn on_fail(&self, s: SiteId) {
-        self.set_link(s, false);
+        self.transport.set_site_up(s, false);
     }
     fn on_restart(&self, s: SiteId) {
-        self.set_link(s, true);
-    }
-}
-
-impl ChaosRuntime for TcpCluster {
-    fn runtime_name(&self) -> &'static str {
-        "tcp"
+        self.transport.set_site_up(s, true);
     }
 }
 

@@ -376,8 +376,8 @@ impl Backend for Cluster {
         true
     }
 
-    fn read_local(&self, s: SiteId, k: BlockIndex) -> BlockData {
-        self.replicas[s.index()].lock().data(k)
+    fn read_local(&self, s: SiteId, k: BlockIndex) -> DeviceResult<BlockData> {
+        Ok(self.replicas[s.index()].lock().data(k))
     }
 
     fn version_vector(&self, from: SiteId, to: SiteId) -> Option<VersionVector> {

@@ -28,7 +28,8 @@ use blockrep_net::{DeliveryMode, TrafficCounter};
 use blockrep_obs::event;
 use blockrep_storage::StorageFault;
 use blockrep_types::{
-    BlockData, BlockIndex, DeviceConfig, SiteId, SiteState, VersionNumber, VersionVector,
+    BlockData, BlockIndex, DeviceConfig, DeviceResult, SiteId, SiteState, VersionNumber,
+    VersionVector,
 };
 use parking_lot::Mutex;
 use std::collections::BTreeSet;
@@ -650,11 +651,11 @@ impl<B: Backend> Backend for FaultyBackend<'_, B> {
         }
     }
 
-    fn read_local(&self, s: SiteId, k: BlockIndex) -> BlockData {
+    fn read_local(&self, s: SiteId, k: BlockIndex) -> DeviceResult<BlockData> {
         self.inner.read_local(s, k)
     }
 
-    fn read_local_many(&self, s: SiteId, ks: &[BlockIndex]) -> Vec<BlockData> {
+    fn read_local_many(&self, s: SiteId, ks: &[BlockIndex]) -> DeviceResult<Vec<BlockData>> {
         self.inner.read_local_many(s, ks)
     }
 

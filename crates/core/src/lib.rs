@@ -11,9 +11,10 @@
 //!  ReliableDevice / DriverStub                  (device.rs — Figures 1–2)
 //!          │  coordinated protocol operations
 //!          ▼
-//!  Cluster (deterministic) or LiveCluster (threads + channels)
+//!  Cluster (deterministic) or ServerCluster<T> (LiveCluster: threads +
+//!  channels; TcpCluster: threads + sockets)
 //!          │  votes, write updates, version vectors, repairs
-//!          ▼
+//!          ▼  (ServerCluster: as WireRequests, to the one site service)
 //!  Replica per site: VersionedStore + site state + was-available set
 //! ```
 //!
@@ -81,9 +82,11 @@ mod persist;
 mod protocol;
 mod replica;
 pub mod scenario;
+mod service;
 pub mod shard;
 pub mod simulate;
 mod tcp;
+mod transport;
 pub mod wire;
 
 pub(crate) mod available_copy;
@@ -96,8 +99,9 @@ pub use backend::{
 };
 pub use cluster::{Cluster, ClusterOptions};
 pub use device::{DriverStub, ReliableDevice};
-pub use live::LiveCluster;
+pub use live::{LiveCluster, LiveTransport};
 pub use locks::{BlockLockTable, LeaseTable};
 pub use replica::Replica;
 pub use shard::{PlacementManifest, ShardSpec, ShardedDevice};
-pub use tcp::TcpCluster;
+pub use tcp::{TcpCluster, TcpTransport};
+pub use transport::ServerCluster;

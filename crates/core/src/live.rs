@@ -7,33 +7,25 @@
 //! site's link down: a failed site answers nothing, synchronously, so tests
 //! stay deterministic.
 //!
-//! The protocol logic is byte-for-byte the same code the deterministic
-//! [`Cluster`](crate::Cluster) runs — both implement
-//! [`Backend`](crate::backend::Backend) — and it charges the same traffic
-//! counter the same way, which the integration tests exploit: a workload
-//! replayed on both runtimes must produce identical message counts.
+//! [`LiveTransport`] is the in-memory [`Transport`]: it moves the same
+//! [`WireRequest`] values the TCP cluster frames onto sockets, unencoded,
+//! to threads running the same [`serve`]. The coordinator over it is
+//! [`ServerCluster`], which runs the protocol code the deterministic
+//! [`Cluster`](crate::Cluster) runs and charges the same traffic counter
+//! the same way — which the integration tests exploit: a workload replayed
+//! on both runtimes must produce identical message counts.
 
-use crate::backend::{
-    self, Backend, Gather, ScatterReplies, ScatterReply, ScatterRequest, ScatterSpec, WriteBatch,
-};
-use crate::locks::{BlockLockTable, LeaseTable};
+use crate::backend::{Gather, ScatterReplies};
 use crate::protocol;
 use crate::replica::Replica;
-use blockrep_net::{DeliveryMode, FanoutMode, Network, TrafficCounter};
-use blockrep_storage::StorageFault;
-use blockrep_types::{
-    BlockData, BlockIndex, DeviceConfig, DeviceResult, SiteId, SiteState, VersionNumber,
-    VersionVector,
-};
+use crate::service::serve;
+use crate::transport::{Links, Scatter, ServerCluster, Transport};
+use crate::wire::{WireRequest, WireResponse};
+use blockrep_net::{DeliveryMode, Network};
+use blockrep_types::{DeviceConfig, SiteId};
 use crossbeam::channel::{bounded, Receiver, Sender};
-use parking_lot::RwLock;
-use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
-
-use crate::backend::RepairBlocks;
 
 /// Work for the straggler-drain thread: replies an early-quorum scatter did
 /// not wait for still have to be received — and charged — off the hot path.
@@ -44,119 +36,70 @@ enum DrainJob {
     Sync(Sender<()>),
 }
 
-/// The messages a site's server process understands.
-enum Request {
-    Vote(BlockIndex, Sender<VersionNumber>),
-    Fetch(BlockIndex, Sender<(VersionNumber, BlockData)>),
-    /// A lease read served by a holder site: same payload as `Fetch`, but a
-    /// distinct message so fault injection can target lease validation
-    /// without touching quorum reads.
-    FetchLease(BlockIndex, Sender<(VersionNumber, BlockData)>),
-    ApplyWrite(BlockIndex, BlockData, VersionNumber),
-    ApplyWriteFaulty(BlockIndex, BlockData, VersionNumber, StorageFault),
-    Scrub(Sender<usize>),
-    ReadLocal(BlockIndex, Sender<BlockData>),
-    VersionVector(Sender<VersionVector>),
-    RepairPayload(VersionVector, Sender<(VersionVector, RepairBlocks)>),
-    ApplyRepair(RepairBlocks),
-    GetW(Sender<BTreeSet<SiteId>>),
-    SetW(BTreeSet<SiteId>),
-    AddW(SiteId),
-    VoteMany(Vec<BlockIndex>, Sender<Vec<VersionNumber>>),
-    ApplyWriteMany(WriteBatch),
-    ReadLocalMany(Vec<BlockIndex>, Sender<Vec<BlockData>>),
-    /// The in-process analogue of the wire trace envelope: carries the
-    /// sender's span context so the serving thread's apply span stitches
-    /// into the coordinator's causal tree. Only built while tracing is on.
-    Traced {
-        trace_id: u64,
-        parent: u64,
-        /// The target site (the server thread's own id, for span labels).
-        site: u32,
-        inner: Box<Request>,
-    },
-    Shutdown,
+/// What travels to a site's mailbox: a request, and where to send the
+/// reply if the sender is waiting for one. A cast carries no sender, so
+/// "is this a round trip" is not a list of request kinds to keep in step.
+struct Envelope {
+    request: WireRequest,
+    reply: Option<Sender<WireResponse>>,
 }
 
-/// A cluster of threaded server processes, one per site, exchanging
-/// messages over channels.
-///
-/// The public surface mirrors [`Cluster`](crate::Cluster); the two are
-/// interchangeable wherever a [`Backend`](crate::backend::Backend) is
-/// accepted (e.g. under a [`ReliableDevice`](crate::ReliableDevice)).
-///
-/// # Examples
-///
-/// ```
-/// use blockrep_core::LiveCluster;
-/// use blockrep_net::DeliveryMode;
-/// use blockrep_types::{BlockData, BlockIndex, DeviceConfig, Scheme, SiteId};
-///
-/// # fn main() -> Result<(), blockrep_types::DeviceError> {
-/// let cfg = DeviceConfig::builder(Scheme::NaiveAvailableCopy)
-///     .sites(3).num_blocks(2).block_size(4).build()?;
-/// let cluster = LiveCluster::spawn(cfg, DeliveryMode::Multicast);
-/// let k = BlockIndex::new(0);
-/// cluster.write(SiteId::new(0), k, BlockData::from(vec![1, 2, 3, 4]))?;
-/// cluster.fail_site(SiteId::new(0));
-/// assert_eq!(cluster.read(SiteId::new(1), k)?.as_slice(), &[1, 2, 3, 4]);
-/// # Ok(())
-/// # }
-/// ```
-pub struct LiveCluster {
-    cfg: DeviceConfig,
-    net: Network<Request>,
-    /// Authoritative site states, maintained by the coordination layer
-    /// (a failed site's own thread cannot be asked).
-    states: RwLock<Vec<SiteState>>,
-    /// Shared with the straggler drainer, which charges late replies.
-    counter: Arc<TrafficCounter>,
-    mode: DeliveryMode,
-    /// Whether scatters dispatch to all targets before gathering
-    /// ([`FanoutMode::Parallel`], the default) or fall back to the
-    /// sequential per-target loop.
-    parallel: AtomicBool,
-    /// Whether MCV vote collection stops gathering at quorum weight.
-    early_quorum: AtomicBool,
-    /// Emulated one-way link delay in nanoseconds, served by each site
-    /// before handling a network request. Shared with the server threads.
-    latency_ns: Arc<AtomicU64>,
-    /// Per-block lock shards serializing same-block coordinations.
-    locks: BlockLockTable,
-    /// Read-lease registry for the offload fast path.
-    leases: LeaseTable,
+/// `request` inside a trace envelope when tracing is on and a span context
+/// is live, so the server thread (which does not share this thread's
+/// context) can stitch its apply span into the tree.
+fn traced(request: WireRequest) -> WireRequest {
+    if blockrep_obs::enabled() && crate::obs_hooks::tracing() {
+        if let Some(ctx) = blockrep_obs::trace::current() {
+            return WireRequest::Traced {
+                trace_id: ctx.trace_id,
+                parent_span: ctx.span_id,
+                inner: Box::new(request),
+            };
+        }
+    }
+    request
+}
+
+/// The in-memory transport: one mailbox and one server thread per site.
+pub struct LiveTransport {
+    net: Network<Envelope>,
     /// Hands straggler replies to the drainer; `None` only during drop.
     drain_tx: Option<Sender<DrainJob>>,
     drainer: Option<JoinHandle<()>>,
     handles: Vec<JoinHandle<()>>,
 }
 
-impl LiveCluster {
+impl LiveTransport {
     /// Spawns one server thread per site over a freshly formatted device.
-    pub fn spawn(cfg: DeviceConfig, mode: DeliveryMode) -> Self {
-        let n = cfg.num_sites();
-        let net: Network<Request> = Network::new(n, mode);
-        let latency_ns = Arc::new(AtomicU64::new(0));
-        let mut handles = Vec::with_capacity(n);
-        for s in cfg.site_ids() {
-            // The site's one mailbox: protocol traffic and the shutdown
-            // message both arrive here, so the thread can block on it.
-            let rx = net.register(s);
-            let mut replica = Replica::new(s, &cfg);
-            let latency = Arc::clone(&latency_ns);
-            handles.push(std::thread::spawn(move || {
-                while let Ok(req) = rx.recv() {
-                    if matches!(req, Request::Shutdown) {
-                        return;
+    fn spawn(cfg: &DeviceConfig, mode: DeliveryMode, links: &Links) -> Self {
+        let net: Network<Envelope> = Network::new(cfg.num_sites(), mode);
+        let handles = cfg
+            .site_ids()
+            .map(|s| {
+                // The site's one mailbox: protocol traffic and the shutdown
+                // message both arrive here, so the thread can block on it.
+                let rx = net.register(s);
+                let mut replica = Replica::new(s, cfg);
+                let links = links.clone();
+                std::thread::spawn(move || {
+                    while let Ok(Envelope { request, reply }) = rx.recv() {
+                        if matches!(request, WireRequest::Shutdown) {
+                            return;
+                        }
+                        // Only a round trip pays the emulated link delay: a
+                        // cast is in flight on a real network without
+                        // occupying the server.
+                        if reply.is_some() {
+                            links.delay();
+                        }
+                        let response = serve(&mut replica, s.as_u32(), request);
+                        if let (Some(reply), Some(response)) = (reply, response) {
+                            let _ = reply.send(response);
+                        }
                     }
-                    if is_rpc(&req) {
-                        emulate_link(&latency);
-                    }
-                    handle(&mut replica, req);
-                }
-            }));
-        }
-        let counter = Arc::new(TrafficCounter::new());
+                })
+            })
+            .collect();
         let (drain_tx, drain_rx) = crossbeam::channel::unbounded::<DrainJob>();
         let drainer = std::thread::spawn(move || {
             while let Ok(job) = drain_rx.recv() {
@@ -172,248 +115,60 @@ impl LiveCluster {
                 }
             }
         });
-        LiveCluster {
-            states: RwLock::new(vec![SiteState::Available; n]),
-            counter,
+        LiveTransport {
             net,
-            mode,
-            parallel: AtomicBool::new(true),
-            early_quorum: AtomicBool::new(false),
-            latency_ns,
-            locks: BlockLockTable::new(),
-            leases: LeaseTable::new(),
             drain_tx: Some(drain_tx),
             drainer: Some(drainer),
             handles,
-            cfg,
         }
     }
 
-    /// Reads block `k`, coordinated by site `origin`.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Cluster::read`](crate::Cluster::read).
-    pub fn read(&self, origin: SiteId, k: BlockIndex) -> DeviceResult<BlockData> {
-        protocol::read(self, origin, k)
+    fn send(&self, from: SiteId, to: SiteId, envelope: Envelope) -> bool {
+        self.net.send_raw(from, to, envelope).is_ok()
+    }
+}
+
+impl Transport for LiveTransport {
+    const NAME: &'static str = "live";
+    const CAST_BLOCKS: bool = false;
+
+    fn can_deliver(&self, from: SiteId, to: SiteId) -> bool {
+        self.net.can_deliver(from, to)
     }
 
-    /// Writes block `k`, coordinated by site `origin`.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Cluster::write`](crate::Cluster::write).
-    pub fn write(&self, origin: SiteId, k: BlockIndex, data: BlockData) -> DeviceResult<()> {
-        protocol::write(self, origin, k, &data)
-    }
-
-    /// Reads a batch of distinct blocks in one vectored protocol round,
-    /// coordinated by site `origin`.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Cluster::read_many`](crate::Cluster::read_many).
-    pub fn read_many(&self, origin: SiteId, ks: &[BlockIndex]) -> DeviceResult<Vec<BlockData>> {
-        protocol::read_many(self, origin, ks)
-    }
-
-    /// Writes a batch of distinct blocks in one vectored protocol round,
-    /// coordinated by site `origin`.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Cluster::write_many`](crate::Cluster::write_many).
-    pub fn write_many(
-        &self,
-        origin: SiteId,
-        writes: &[(BlockIndex, BlockData)],
-    ) -> DeviceResult<()> {
-        protocol::write_many(self, origin, writes)
-    }
-
-    /// Fail-stops site `s`: its link goes down and it stops answering.
-    pub fn fail_site(&self, s: SiteId) {
-        assert!(self.cfg.contains_site(s), "unknown site {s}");
-        protocol::fail(self, s);
-        self.net.set_site_up(s, false);
-    }
-
-    /// Restarts site `s` and runs the scheme's recovery.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` is not currently failed.
-    pub fn repair_site(&self, s: SiteId) {
-        assert!(self.cfg.contains_site(s), "unknown site {s}");
-        assert_eq!(
-            self.site_state(s),
-            SiteState::Failed,
-            "repairing a site that is not failed"
-        );
-        self.net.set_site_up(s, true);
-        protocol::repair(self, s);
-    }
-
-    /// Splits the network into partitions (messages across groups are
-    /// refused synchronously). The available copy schemes assume this never
-    /// happens; the hook exists to demonstrate why.
-    pub fn partition(&self, groups: &[Vec<SiteId>]) {
-        // A partitioned holder can no longer be reached to serve a lease;
-        // epoch-bump so every outstanding grant dies with the topology.
-        self.leases.bump_epoch();
-        let mut topo = blockrep_net::Topology::fully_connected(self.cfg.num_sites());
-        topo.partition(groups);
-        self.net.set_topology(topo);
-    }
-
-    /// Heals all partitions and re-runs the recovery sweep.
-    pub fn heal(&self) {
-        self.leases.bump_epoch();
-        self.net
-            .set_topology(blockrep_net::Topology::fully_connected(
-                self.cfg.num_sites(),
-            ));
-        protocol::sweep(self);
-    }
-
-    /// The state of site `s`.
-    pub fn site_state(&self, s: SiteId) -> SiteState {
-        self.states.read()[s.index()]
-    }
-
-    /// Whether the device is available under the scheme's criterion.
-    pub fn is_available(&self) -> bool {
-        protocol::is_available(self)
-    }
-
-    /// The device configuration.
-    pub fn config(&self) -> &DeviceConfig {
-        &self.cfg
-    }
-
-    /// The high-level transmission counter (the protocol layer's §5
-    /// accounting; the router's own counter is not used).
-    pub fn counter(&self) -> &TrafficCounter {
-        &self.counter
-    }
-
-    /// Selects the fan-out mode for scatter exchanges. The default is
-    /// [`FanoutMode::Parallel`]; [`FanoutMode::Sequential`] restores the
-    /// historical blocking per-target loop. Either way the §5 message
-    /// counts are identical (`tests/runtime_parity.rs`) — only latency
-    /// changes.
-    pub fn set_fanout(&self, mode: FanoutMode) {
-        self.parallel
-            .store(mode == FanoutMode::Parallel, Ordering::Relaxed);
-    }
-
-    /// The current fan-out mode.
-    pub fn fanout(&self) -> FanoutMode {
-        if self.parallel.load(Ordering::Relaxed) {
-            FanoutMode::Parallel
-        } else {
-            FanoutMode::Sequential
-        }
-    }
-
-    /// Opts MCV vote collection in (or out) of early-quorum termination:
-    /// the coordinator unblocks as soon as the gathered weight reaches the
-    /// quorum, while straggler replies are received — and charged — by a
-    /// background drainer. Call [`quiesce`](Self::quiesce) before comparing
-    /// traffic snapshots.
-    pub fn set_early_quorum(&self, on: bool) {
-        self.early_quorum.store(on, Ordering::Relaxed);
-    }
-
-    /// Turns lease-based read offload on or off (see [`crate::locks`]).
-    pub fn set_leases(&self, on: bool) {
-        self.leases.set_enabled(on);
-    }
-
-    /// Emulates a network link delay: every site sleeps `delay` before
-    /// serving a blocking request/reply exchange (one-way casts, local
-    /// actions and shutdown are exempt — their transit occupies no server
-    /// on a real network). Zero — the default — disables the emulation.
-    ///
-    /// This is the benchmark's knob for giving the loopback channels a
-    /// realistic message cost: under a nonzero delay a sequential fan-out
-    /// pays one delay per target while a parallel fan-out overlaps them,
-    /// which is exactly the geometry on a real network. Message *counts*
-    /// are unaffected.
-    pub fn set_link_latency(&self, delay: Duration) {
-        self.latency_ns.store(
-            delay.as_nanos().min(u64::MAX as u128) as u64,
-            Ordering::Relaxed,
-        );
-    }
-
-    /// Blocks until every straggler reply handed to the background drainer
-    /// has been received and charged, so a traffic snapshot taken afterwards
-    /// is complete.
-    pub fn quiesce(&self) {
-        if let Some(tx) = &self.drain_tx {
-            let (ack_tx, ack_rx) = bounded(1);
-            if tx.send(DrainJob::Sync(ack_tx)).is_ok() {
-                let _ = ack_rx.recv();
-            }
-        }
-    }
-
-    /// Raises or lowers site `s`'s network link without running any
-    /// protocol — the chaos runner's hook for making a mid-operation crash
-    /// real (protocol-level failure handling is driven separately, in the
-    /// same order `fail_site`/`repair_site` use).
-    pub(crate) fn set_link(&self, s: SiteId, up: bool) {
-        self.net.set_site_up(s, up);
-    }
-
-    /// Wraps `req` in the in-process trace envelope when tracing is on and
-    /// a span context is live, so the server thread (which does not share
-    /// this thread's context) can stitch its apply span into the tree.
-    fn trace_wrap(&self, to: SiteId, req: Request) -> Request {
-        if blockrep_obs::enabled() && crate::obs_hooks::tracing() {
-            if let Some(ctx) = blockrep_obs::trace::current() {
-                return Request::Traced {
-                    trace_id: ctx.trace_id,
-                    parent: ctx.span_id,
-                    site: to.as_u32(),
-                    inner: Box::new(req),
-                };
-            }
-        }
-        req
-    }
-
-    fn call<T>(
-        &self,
-        from: SiteId,
-        to: SiteId,
-        build: impl FnOnce(Sender<T>) -> Request,
-    ) -> Option<T> {
+    fn call(&self, from: SiteId, to: SiteId, request: WireRequest) -> Option<WireResponse> {
         let (tx, rx) = bounded(1);
-        let req = self.trace_wrap(to, build(tx));
-        self.net.send_raw(from, to, req).ok()?;
+        let envelope = Envelope {
+            request: traced(request),
+            reply: Some(tx),
+        };
+        if !self.send(from, to, envelope) {
+            return None;
+        }
         rx.recv().ok()
     }
 
-    fn cast(&self, from: SiteId, to: SiteId, req: Request) -> bool {
-        let req = self.trace_wrap(to, req);
-        self.net.send_raw(from, to, req).is_ok()
+    fn cast(&self, from: SiteId, to: SiteId, request: WireRequest) -> bool {
+        let envelope = Envelope {
+            request: traced(request),
+            reply: None,
+        };
+        self.send(from, to, envelope)
     }
 
-    /// Parallel scatter over request/reply exchanges: dispatches to every
-    /// target before awaiting any reply, then gathers — and charges — in
-    /// target order, so results and counts are byte-identical to the
-    /// sequential loop while the blocking time drops from the *sum* of the
-    /// round trips to the *slowest* one.
-    fn scatter_calls<T: Send + 'static>(
-        &self,
-        spec: ScatterSpec,
-        origin: SiteId,
-        targets: &[SiteId],
-        build: impl Fn(Sender<T>) -> Request,
-        wrap: impl Fn(T) -> ScatterReply,
-    ) -> ScatterReplies {
+    fn set_site_up(&self, s: SiteId, up: bool) {
+        self.net.set_site_up(s, up);
+    }
+
+    /// Straggler replies of an early-quorum gather are received — and
+    /// charged — by the drainer thread, so nobody blocks on them.
+    fn scatter(&self, cx: Scatter<'_>, request: WireRequest) -> ScatterReplies {
+        let Scatter {
+            spec,
+            origin,
+            targets,
+            ..
+        } = cx;
         // Satellite hoist: one `enabled()` load decides whether any obs
         // work happens in this batch; the disabled path records nothing.
         let obs_on = blockrep_obs::enabled();
@@ -428,9 +183,12 @@ impl LiveCluster {
         } else {
             None
         };
-        let pending: Vec<(SiteId, Option<Receiver<T>>)> = targets
+        let pending: Vec<(SiteId, Option<Receiver<WireResponse>>)> = targets
             .iter()
             .map(|&t| {
+                if !(cx.eligible)(t) {
+                    return (t, None);
+                }
                 let send_span = if tracing {
                     blockrep_obs::trace::start_phase(
                         crate::obs_hooks::phase_scatter_send(),
@@ -440,18 +198,18 @@ impl LiveCluster {
                     None
                 };
                 let (tx, rx) = bounded(1);
-                let mut req = build(tx);
+                let mut request = request.clone();
                 // The send span is the envelope parent, so the server's
                 // remote_apply span lands under this site's send leg.
                 if let Some(ctx) = send_span.as_ref().map(|s| s.context()) {
-                    req = Request::Traced {
+                    request = WireRequest::Traced {
                         trace_id: ctx.trace_id,
-                        parent: ctx.span_id,
-                        site: t.as_u32(),
-                        inner: Box::new(req),
+                        parent_span: ctx.span_id,
+                        inner: Box::new(request),
                     };
                 }
-                let sent = self.net.send_raw(origin, t, req).is_ok();
+                let reply = Some(tx);
+                let sent = self.send(origin, t, Envelope { request, reply });
                 (t, sent.then_some(rx))
             })
             .collect();
@@ -475,7 +233,7 @@ impl LiveCluster {
                     );
                 }
                 if let Some(rx) = rx {
-                    let counter = Arc::clone(&self.counter);
+                    let counter = Arc::clone(cx.counter);
                     let (op, charge, units) = (spec.op, spec.reply_charge, spec.reply_units);
                     let drain_phase = crate::obs_hooks::phase_straggler_drain();
                     let site = t.as_u32();
@@ -502,15 +260,15 @@ impl LiveCluster {
                 } else {
                     None
                 };
-                rx.recv().ok()
+                rx.recv().ok().and_then(cx.parse)
             });
             if reply.is_some() {
                 if let Some(kind) = spec.reply_charge {
-                    self.counter.add(spec.op, kind, spec.reply_units);
+                    cx.counter.add(spec.op, kind, spec.reply_units);
                 }
-                gathered += self.cfg.weight(t).as_u64();
+                gathered += cx.cfg.weight(t).as_u64();
             }
-            replies.push((t, reply.map(&wrap)));
+            replies.push((t, reply));
         }
         if !stragglers.is_empty() {
             if let Some(tx) = &self.drain_tx {
@@ -521,304 +279,7 @@ impl LiveCluster {
     }
 }
 
-/// Whether a request carries a reply channel — i.e. it is a round trip the
-/// sender blocks on. Only these pay the emulated link delay: a one-way cast
-/// is in flight on a real network without occupying the server, so sleeping
-/// in the service thread for it would model a bottleneck that does not
-/// exist.
-fn is_rpc(req: &Request) -> bool {
-    match req {
-        Request::Traced { inner, .. } => is_rpc(inner),
-        _ => matches!(
-            req,
-            Request::Vote(..)
-                | Request::Fetch(..)
-                | Request::FetchLease(..)
-                | Request::Scrub(_)
-                | Request::ReadLocal(..)
-                | Request::VersionVector(_)
-                | Request::RepairPayload(..)
-                | Request::GetW(_)
-                | Request::VoteMany(..)
-                | Request::ReadLocalMany(..)
-        ),
-    }
-}
-
-/// Sleeps for the emulated link delay, if one is set (see
-/// [`LiveCluster::set_link_latency`]).
-fn emulate_link(latency_ns: &AtomicU64) {
-    let ns = latency_ns.load(Ordering::Relaxed);
-    if ns > 0 {
-        std::thread::sleep(Duration::from_nanos(ns));
-    }
-}
-
-fn handle(replica: &mut Replica, req: Request) {
-    match req {
-        Request::Vote(k, reply) => {
-            let _ = reply.send(replica.version(k));
-        }
-        Request::Fetch(k, reply) => {
-            let _ = reply.send(replica.versioned(k));
-        }
-        Request::FetchLease(k, reply) => {
-            let _ = reply.send(replica.versioned(k));
-        }
-        Request::ApplyWrite(k, data, v) => {
-            replica.install(k, data, v);
-        }
-        Request::ApplyWriteFaulty(k, data, v, fault) => {
-            replica.install_faulty(k, data, v, fault);
-        }
-        Request::Scrub(reply) => {
-            let _ = reply.send(replica.scrub().len());
-        }
-        Request::ReadLocal(k, reply) => {
-            let _ = reply.send(replica.data(k));
-        }
-        Request::VersionVector(reply) => {
-            let _ = reply.send(replica.version_vector());
-        }
-        Request::RepairPayload(vv, reply) => {
-            let _ = reply.send(replica.repair_payload(&vv));
-        }
-        Request::ApplyRepair(blocks) => {
-            replica.apply_repair(blocks);
-        }
-        Request::GetW(reply) => {
-            let _ = reply.send(replica.was_available().clone());
-        }
-        Request::SetW(w) => replica.set_was_available(w),
-        Request::AddW(s) => replica.add_was_available(s),
-        Request::VoteMany(ks, reply) => {
-            let _ = reply.send(ks.into_iter().map(|k| replica.version(k)).collect());
-        }
-        Request::ApplyWriteMany(writes) => {
-            for (k, v, data) in writes {
-                replica.install(k, data, v);
-            }
-        }
-        Request::ReadLocalMany(ks, reply) => {
-            let _ = reply.send(ks.into_iter().map(|k| replica.data(k)).collect());
-        }
-        Request::Traced {
-            trace_id,
-            parent,
-            site,
-            inner,
-        } => {
-            let _remote = blockrep_obs::trace::start_remote(
-                trace_id,
-                parent,
-                crate::obs_hooks::phase_remote_apply(),
-                site,
-            );
-            handle(replica, *inner);
-        }
-        Request::Shutdown => {}
-    }
-}
-
-impl Backend for LiveCluster {
-    fn config(&self) -> &DeviceConfig {
-        &self.cfg
-    }
-
-    fn delivery_mode(&self) -> DeliveryMode {
-        self.mode
-    }
-
-    fn counter(&self) -> &TrafficCounter {
-        &self.counter
-    }
-
-    fn local_state(&self, s: SiteId) -> SiteState {
-        self.states.read()[s.index()]
-    }
-
-    fn set_local_state(&self, s: SiteId, state: SiteState) {
-        self.states.write()[s.index()] = state;
-    }
-
-    fn probe_state(&self, from: SiteId, to: SiteId) -> Option<SiteState> {
-        if from != to && !self.net.can_deliver(from, to) {
-            return None;
-        }
-        let state = self.states.read()[to.index()];
-        state.is_operational().then_some(state)
-    }
-
-    fn vote(&self, from: SiteId, to: SiteId, k: BlockIndex) -> Option<VersionNumber> {
-        self.call(from, to, |tx| Request::Vote(k, tx))
-    }
-
-    fn vote_many(&self, from: SiteId, to: SiteId, ks: &[BlockIndex]) -> Option<Vec<VersionNumber>> {
-        self.call(from, to, |tx| Request::VoteMany(ks.to_vec(), tx))
-    }
-
-    fn fetch_block(
-        &self,
-        from: SiteId,
-        to: SiteId,
-        k: BlockIndex,
-    ) -> Option<(VersionNumber, BlockData)> {
-        self.call(from, to, |tx| Request::Fetch(k, tx))
-    }
-
-    fn fetch_lease(
-        &self,
-        from: SiteId,
-        to: SiteId,
-        k: BlockIndex,
-    ) -> Option<(VersionNumber, BlockData)> {
-        self.call(from, to, |tx| Request::FetchLease(k, tx))
-    }
-
-    fn apply_write(
-        &self,
-        from: SiteId,
-        to: SiteId,
-        k: BlockIndex,
-        data: &BlockData,
-        v: VersionNumber,
-    ) -> bool {
-        self.cast(from, to, Request::ApplyWrite(k, data.clone(), v))
-    }
-
-    fn apply_write_many(&self, from: SiteId, to: SiteId, writes: &WriteBatch) -> bool {
-        self.cast(from, to, Request::ApplyWriteMany(writes.clone()))
-    }
-
-    fn read_local(&self, s: SiteId, k: BlockIndex) -> BlockData {
-        self.call(s, s, |tx| Request::ReadLocal(k, tx))
-            .expect("a site can always read its own disk")
-    }
-
-    fn read_local_many(&self, s: SiteId, ks: &[BlockIndex]) -> Vec<BlockData> {
-        self.call(s, s, |tx| Request::ReadLocalMany(ks.to_vec(), tx))
-            .expect("a site can always read its own disk")
-    }
-
-    fn version_vector(&self, from: SiteId, to: SiteId) -> Option<VersionVector> {
-        self.call(from, to, Request::VersionVector)
-    }
-
-    fn repair_payload(
-        &self,
-        from: SiteId,
-        to: SiteId,
-        vv: &VersionVector,
-    ) -> Option<(VersionVector, RepairBlocks)> {
-        self.call(from, to, |tx| Request::RepairPayload(vv.clone(), tx))
-    }
-
-    fn apply_repair_local(&self, s: SiteId, blocks: RepairBlocks) -> usize {
-        let n = blocks.len();
-        if self.cast(s, s, Request::ApplyRepair(blocks)) {
-            n
-        } else {
-            0
-        }
-    }
-
-    fn was_available(&self, from: SiteId, to: SiteId) -> Option<BTreeSet<SiteId>> {
-        self.call(from, to, Request::GetW)
-    }
-
-    fn set_was_available(&self, from: SiteId, to: SiteId, w: &BTreeSet<SiteId>) -> bool {
-        self.cast(from, to, Request::SetW(w.clone()))
-    }
-
-    fn add_was_available(&self, from: SiteId, to: SiteId, member: SiteId) -> bool {
-        self.cast(from, to, Request::AddW(member))
-    }
-
-    fn apply_write_faulty(
-        &self,
-        from: SiteId,
-        to: SiteId,
-        k: BlockIndex,
-        data: &BlockData,
-        v: VersionNumber,
-        fault: StorageFault,
-    ) -> bool {
-        self.cast(
-            from,
-            to,
-            Request::ApplyWriteFaulty(k, data.clone(), v, fault),
-        )
-    }
-
-    fn scrub_local(&self, s: SiteId) -> usize {
-        self.call(s, s, Request::Scrub)
-            .expect("a site can always scrub its own disk")
-    }
-
-    fn early_quorum(&self) -> bool {
-        self.early_quorum.load(Ordering::Relaxed)
-    }
-
-    fn block_locks(&self) -> &BlockLockTable {
-        &self.locks
-    }
-
-    fn leases(&self) -> &LeaseTable {
-        &self.leases
-    }
-
-    fn scatter(
-        &self,
-        spec: ScatterSpec,
-        origin: SiteId,
-        targets: &[SiteId],
-        req: &ScatterRequest,
-    ) -> ScatterReplies {
-        if !self.parallel.load(Ordering::Relaxed) {
-            return backend::scatter_sequential(self, spec, origin, targets, req);
-        }
-        match req {
-            ScatterRequest::Vote(k) => {
-                let k = *k;
-                self.scatter_calls(
-                    spec,
-                    origin,
-                    targets,
-                    move |tx| Request::Vote(k, tx),
-                    ScatterReply::Version,
-                )
-            }
-            ScatterRequest::VoteMany(ks) => {
-                let ks = ks.clone();
-                self.scatter_calls(
-                    spec,
-                    origin,
-                    targets,
-                    move |tx| Request::VoteMany(ks.clone(), tx),
-                    ScatterReply::Versions,
-                )
-            }
-            ScatterRequest::VersionVector => self.scatter_calls(
-                spec,
-                origin,
-                targets,
-                Request::VersionVector,
-                ScatterReply::Vector,
-            ),
-            // Installs are one-way casts and probes are local state reads on
-            // this runtime: the sequential body already never blocks.
-            ScatterRequest::Install { .. }
-            | ScatterRequest::InstallMany(_)
-            | ScatterRequest::InstallIfAvailable { .. }
-            | ScatterRequest::InstallIfAvailableMany(_)
-            | ScatterRequest::ProbeState => {
-                backend::scatter_sequential(self, spec, origin, targets, req)
-            }
-        }
-    }
-}
-
-impl Drop for LiveCluster {
+impl Drop for LiveTransport {
     fn drop(&mut self) {
         // Finish draining stragglers while the servers still answer, then
         // shut the servers down.
@@ -829,8 +290,10 @@ impl Drop for LiveCluster {
         // Sent as each site's message to itself: `send_raw` delivers that
         // whatever the link state, and a failed site's thread still has to
         // exit.
-        for s in self.cfg.site_ids() {
-            let _ = self.net.send_raw(s, s, Request::Shutdown);
+        for i in 0..self.handles.len() {
+            let s = SiteId::new(i as u32);
+            let request = WireRequest::Shutdown;
+            self.send(s, s, Envelope { request, reply: None });
         }
         for handle in self.handles.drain(..) {
             let _ = handle.join();
@@ -838,20 +301,76 @@ impl Drop for LiveCluster {
     }
 }
 
-impl std::fmt::Debug for LiveCluster {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LiveCluster")
-            .field("sites", &self.cfg.num_sites())
-            .field("scheme", &self.cfg.scheme())
-            .field("mode", &self.mode)
-            .finish()
+/// A cluster of threaded server processes, one per site, exchanging
+/// messages over channels.
+///
+/// # Examples
+///
+/// ```
+/// use blockrep_core::LiveCluster;
+/// use blockrep_net::DeliveryMode;
+/// use blockrep_types::{BlockData, BlockIndex, DeviceConfig, Scheme, SiteId};
+///
+/// # fn main() -> Result<(), blockrep_types::DeviceError> {
+/// let cfg = DeviceConfig::builder(Scheme::NaiveAvailableCopy)
+///     .sites(3).num_blocks(2).block_size(4).build()?;
+/// let cluster = LiveCluster::spawn(cfg, DeliveryMode::Multicast);
+/// let k = BlockIndex::new(0);
+/// cluster.write(SiteId::new(0), k, BlockData::from(vec![1, 2, 3, 4]))?;
+/// cluster.fail_site(SiteId::new(0));
+/// assert_eq!(cluster.read(SiteId::new(1), k)?.as_slice(), &[1, 2, 3, 4]);
+/// # Ok(())
+/// # }
+/// ```
+pub type LiveCluster = ServerCluster<LiveTransport>;
+
+impl ServerCluster<LiveTransport> {
+    /// Spawns one server thread per site over a freshly formatted device.
+    pub fn spawn(cfg: DeviceConfig, mode: DeliveryMode) -> Self {
+        let links = Links::new(&cfg);
+        let transport = LiveTransport::spawn(&cfg, mode, &links);
+        ServerCluster::over(cfg, mode, links, transport)
+    }
+
+    /// Splits the network into partitions (messages across groups are
+    /// refused synchronously). The available copy schemes assume this never
+    /// happens; the hook exists to demonstrate why.
+    pub fn partition(&self, groups: &[Vec<SiteId>]) {
+        // A partitioned holder can no longer be reached to serve a lease;
+        // epoch-bump so every outstanding grant dies with the topology.
+        self.leases.bump_epoch();
+        let mut topo = blockrep_net::Topology::fully_connected(self.config().num_sites());
+        topo.partition(groups);
+        self.transport.net.set_topology(topo);
+    }
+
+    /// Heals all partitions and re-runs the recovery sweep.
+    pub fn heal(&self) {
+        self.leases.bump_epoch();
+        let whole = blockrep_net::Topology::fully_connected(self.config().num_sites());
+        self.transport.net.set_topology(whole);
+        protocol::sweep(self);
+    }
+
+    /// Blocks until every straggler reply handed to the background drainer
+    /// has been received and charged, so a traffic snapshot taken afterwards
+    /// is complete.
+    pub fn quiesce(&self) {
+        if let Some(tx) = &self.transport.drain_tx {
+            let (ack_tx, ack_rx) = bounded(1);
+            if tx.send(DrainJob::Sync(ack_tx)).is_ok() {
+                let _ = ack_rx.recv();
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use blockrep_types::Scheme;
+    use blockrep_net::FanoutMode;
+    use blockrep_types::{BlockData, BlockIndex, Scheme, SiteState};
+    use std::time::Duration;
 
     fn sid(i: u32) -> SiteId {
         SiteId::new(i)

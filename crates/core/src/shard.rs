@@ -15,7 +15,7 @@
 //! round: the batch is split by shard, per-shard `read_many`/`write_many`
 //! sub-batches are issued concurrently (acquiring the per-shard admission
 //! gates in **ascending shard index**, the same lock-order discipline the
-//! workspace lint verifies on `TcpCluster::pipelined`), and the replies
+//! workspace lint verifies on `TcpTransport::pipelined`), and the replies
 //! are stitched back in caller order.
 //!
 //! # Partial-batch failure semantics
@@ -725,7 +725,7 @@ mod tests {
             let expect = if dev.shard_of(k) == 0 { 1u8 } else { 2u8 };
             let holder = &dev.shard_backends()[dev.shard_of(k)];
             assert_eq!(
-                holder.read_local(SiteId::new(2), k).as_slice(),
+                holder.read_local(SiteId::new(2), k).unwrap().as_slice(),
                 &[expect; 8],
                 "block {k}"
             );

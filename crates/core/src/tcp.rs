@@ -4,11 +4,12 @@
 //! a network. [`TcpCluster`] is that, minus the machine room: every site is
 //! an OS thread owning its replica behind a loopback `TcpListener`, and
 //! every protocol exchange is a length-prefixed [`wire`](crate::wire) frame
-//! over a real socket — serialization, framing and all. The protocol logic
-//! is still the one shared implementation (this type implements
-//! [`Backend`](crate::backend::Backend)), so the three runtimes —
-//! deterministic, channel-threaded, TCP — are interchangeable and must
-//! agree, which the integration tests check.
+//! over a real socket — serialization, framing and all. [`TcpTransport`] is
+//! the socket [`Transport`]: the coordinator over it is the same
+//! [`ServerCluster`] that runs over mailboxes, and the threads behind the
+//! listeners run the same [`serve`], so the three runtimes — deterministic,
+//! channel-threaded, TCP — are interchangeable and must agree, which the
+//! integration tests check.
 //!
 //! Fail-stop is enforced at the coordination layer (a failed site is not
 //! contacted), keeping failure injection deterministic; the site's server
@@ -17,41 +18,29 @@
 //! schemes assume none, and the deterministic runtimes cover the
 //! partition experiments.
 
-use crate::backend::{
-    self, Backend, Gather, ScatterReplies, ScatterReply, ScatterRequest, ScatterSpec, WriteBatch,
-};
-use crate::locks::{BlockLockTable, LeaseTable};
+use crate::backend::{self, Gather, ScatterReplies};
 use crate::replica::Replica;
+use crate::service::serve;
+use crate::transport::{Links, Scatter, ServerCluster, Transport};
 use crate::wire::{self, WireRequest, WireResponse};
-use crate::{protocol, RepairBlocks};
-use blockrep_net::{DeliveryMode, FanoutMode, TrafficCounter};
+use blockrep_net::DeliveryMode;
 use blockrep_obs::event;
 use blockrep_obs::trace::start_phase;
-use blockrep_types::{
-    BlockData, BlockIndex, DeviceConfig, DeviceResult, SiteId, SiteState, VersionNumber,
-    VersionVector,
-};
+use blockrep_types::{DeviceConfig, SiteId};
 use crossbeam::channel::{bounded, Receiver};
 use parking_lot::{Mutex, MutexGuard, RwLock};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 /// In-flight request budget per multiplexed connection (see
 /// [`TcpCluster::set_multiplexing`]).
 const MUX_WINDOW: usize = 32;
 
-fn serve(
-    mut replica: Replica,
-    listener: TcpListener,
-    latency_ns: Arc<AtomicU64>,
-    site: u32,
-    legacy: Arc<AtomicBool>,
-) {
+fn listen(mut replica: Replica, listener: TcpListener, links: Links, site: u32) {
     // Single-coordinator design: one connection drives the replica at a
     // time, but the coordinator may replace it — after a torn frame it
     // drops the poisoned stream and reconnects — so connections are served
@@ -60,7 +49,7 @@ fn serve(
         // Request/response over one socket: Nagle + delayed ACK would add
         // ~40ms to every round trip.
         let _ = conn.set_nodelay(true);
-        if serve_conn(&mut replica, conn, &latency_ns, site, &legacy) == Served::Shutdown {
+        if serve_conn(&mut replica, conn, &links, site) == Served::Shutdown {
             return;
         }
     }
@@ -75,13 +64,7 @@ enum Served {
     Shutdown,
 }
 
-fn serve_conn(
-    replica: &mut Replica,
-    conn: TcpStream,
-    latency_ns: &AtomicU64,
-    site: u32,
-    legacy: &AtomicBool,
-) -> Served {
+fn serve_conn(replica: &mut Replica, conn: TcpStream, links: &Links, site: u32) -> Served {
     // The connection's two buffers, reused from frame to frame.
     let mut conn = wire::FrameReader::new(conn);
     let mut reply = Vec::new();
@@ -89,96 +72,23 @@ fn serve_conn(
         let Ok(request) = conn.read_frame(WireRequest::decode) else {
             return Served::Hangup; // hung up, reconnected elsewhere, or corrupt
         };
-        // Unwrap the trace envelope, if any. A peer flagged `legacy`
-        // behaves exactly like a build that predates tag 17: the envelope
-        // is an unknown tag, i.e. a decode error, i.e. a hangup — which is
-        // what the coordinator's fallback path is built to survive.
-        let (request, remote_ctx) = match request {
-            WireRequest::Traced {
-                trace_id,
-                parent_span,
-                inner,
-            } => {
-                if legacy.load(Ordering::Relaxed) {
-                    return Served::Hangup;
-                }
-                (*inner, Some((trace_id, parent_span)))
-            }
-            request => (request, None),
-        };
-        // Unwrap the multiplexing envelope, if any; the id is echoed on the
+        // Open the multiplexing envelope, if any; the id is echoed on the
         // reply so the coordinator's demux thread can route it.
         let (request, mux_id) = match request {
             WireRequest::Mux { id, inner } => (*inner, Some(id)),
             request => (request, None),
         };
-        // Emulated one-way link delay (see `TcpCluster::set_link_latency`).
-        // Deliberately outside the remote span: transit time is the
-        // coordinator's gather wait, not this site's apply work.
-        let delay = latency_ns.load(Ordering::Relaxed);
-        if delay > 0 && !matches!(request, WireRequest::Shutdown) {
-            std::thread::sleep(Duration::from_nanos(delay));
+        if matches!(request, WireRequest::Shutdown) {
+            return Served::Shutdown;
         }
-        let _remote = remote_ctx.map(|(trace_id, parent_span)| {
-            blockrep_obs::trace::start_remote(
-                trace_id,
-                parent_span,
-                crate::obs_hooks::phase_remote_apply(),
-                site,
-            )
-        });
-        let response = match request {
-            WireRequest::Shutdown => return Served::Shutdown,
-            WireRequest::Probe => WireResponse::Ack,
-            WireRequest::Vote(k) => WireResponse::Version(replica.version(k)),
-            WireRequest::Fetch(k) | WireRequest::FetchLease(k) => {
-                let (v, data) = replica.versioned(k);
-                WireResponse::Block(v, data)
-            }
-            WireRequest::ApplyWrite(k, v, data) => {
-                replica.install(k, data, v);
-                WireResponse::Ack
-            }
-            WireRequest::ReadLocal(k) => WireResponse::Data(replica.data(k)),
-            WireRequest::VersionVector => WireResponse::Vector(replica.version_vector()),
-            WireRequest::RepairPayload(vv) => {
-                let (vv, blocks) = replica.repair_payload(&vv);
-                WireResponse::Payload(vv, blocks)
-            }
-            WireRequest::ApplyRepair(blocks) => {
-                replica.apply_repair(blocks);
-                WireResponse::Ack
-            }
-            WireRequest::GetW => WireResponse::W(replica.was_available().clone()),
-            WireRequest::SetW(w) => {
-                replica.set_was_available(w);
-                WireResponse::Ack
-            }
-            WireRequest::AddW(s) => {
-                replica.add_was_available(s);
-                WireResponse::Ack
-            }
-            WireRequest::ApplyWriteFaulty(k, v, data, fault) => {
-                replica.install_faulty(k, data, v, fault);
-                WireResponse::Ack
-            }
-            WireRequest::Scrub => WireResponse::Count(replica.scrub().len() as u64),
-            WireRequest::VoteMany(ks) => {
-                WireResponse::Versions(ks.into_iter().map(|k| replica.version(k)).collect())
-            }
-            WireRequest::ApplyWriteMany(blocks) => {
-                for (k, v, data) in blocks {
-                    replica.install(k, data, v);
-                }
-                WireResponse::Ack
-            }
-            WireRequest::ReadLocalMany(ks) => {
-                WireResponse::DataMany(ks.into_iter().map(|k| replica.data(k)).collect())
-            }
-            // Decode rejects nested envelopes and the outer ones were
-            // already unwrapped above, so these arms are unreachable by
-            // construction.
-            WireRequest::Traced { .. } | WireRequest::Mux { .. } => return Served::Hangup,
+        // Emulated one-way link delay, outside the service's remote span:
+        // transit time is the coordinator's gather wait, not this site's
+        // apply work.
+        links.delay();
+        // Decode rejects nested multiplexing envelopes, so "not a site
+        // request" here is a peer that is not speaking the protocol.
+        let Some(response) = serve(replica, site, request) else {
+            return Served::Hangup;
         };
         let response = match mux_id {
             Some(id) => WireResponse::Mux {
@@ -204,10 +114,6 @@ struct SiteConn {
     /// Stream and read buffer, replaced together on reconnect.
     stream: wire::FrameReader<TcpStream>,
     poisoned: bool,
-    /// Whether this peer accepts the trace envelope. Starts optimistic;
-    /// cleared the first time a traced frame makes the peer hang up, after
-    /// which every frame to it goes bare (one flag flip, no negotiation).
-    trace_ok: bool,
 }
 
 impl SiteConn {
@@ -333,84 +239,42 @@ fn mux_reader(stream: TcpStream, conn: &MuxConn) {
     }
 }
 
-/// A cluster of replica servers behind loopback TCP sockets.
-///
-/// # Examples
-///
-/// ```
-/// use blockrep_core::TcpCluster;
-/// use blockrep_net::DeliveryMode;
-/// use blockrep_types::{BlockData, BlockIndex, DeviceConfig, Scheme, SiteId};
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let cfg = DeviceConfig::builder(Scheme::NaiveAvailableCopy)
-///     .sites(3).num_blocks(4).block_size(16).build()?;
-/// let cluster = TcpCluster::spawn(cfg, DeliveryMode::Multicast)?;
-/// let k = BlockIndex::new(0);
-/// cluster.write(SiteId::new(0), k, BlockData::from(vec![7; 16]))?;
-/// cluster.fail_site(SiteId::new(0));
-/// assert_eq!(cluster.read(SiteId::new(1), k)?.as_slice(), &[7; 16]);
-/// # Ok(())
-/// # }
-/// ```
-pub struct TcpCluster {
-    cfg: DeviceConfig,
-    states: RwLock<Vec<SiteState>>,
-    counter: TrafficCounter,
-    mode: DeliveryMode,
+/// The socket transport: one listener and one server thread per site, and
+/// the coordinator's connection to each.
+pub struct TcpTransport {
+    /// Site states decide reachability here: a failed site is not
+    /// contacted.
+    links: Links,
     addrs: Vec<SocketAddr>,
     conns: Vec<Mutex<SiteConn>>,
-    /// Whether scatters pipeline their frames (write all requests, then
-    /// read all replies) instead of one blocking RPC per target.
-    parallel: AtomicBool,
-    /// Whether vote collection stops building on replies past quorum weight.
-    early_quorum: AtomicBool,
-    /// Emulated one-way link delay in nanoseconds, shared with the servers.
-    latency_ns: Arc<AtomicU64>,
     /// Whether request frames carry the trace envelope when a span context
-    /// is live. Off by default — the untraced-peer mode the parity tests
-    /// pin — so frames stay byte-identical unless explicitly opted in.
+    /// is live. Off by default, so frames stay byte-identical to an
+    /// untraced run unless explicitly opted in.
     wire_tracing: AtomicBool,
-    /// Per-site "pretend this server predates the trace envelope" flags,
-    /// shared with the server threads (mixed-version testing).
-    legacy: Vec<Arc<AtomicBool>>,
     /// Per-site multiplexed connections, populated by
-    /// [`set_multiplexing`](Self::set_multiplexing).
+    /// [`set_multiplexing`](TcpCluster::set_multiplexing).
     mux: Vec<RwLock<Option<Arc<MuxConn>>>>,
     /// Fast path for "is any mux connection live" checks.
     muxed: AtomicBool,
     /// Demux reader threads, joined on drop / un-multiplexing.
     mux_readers: Mutex<Vec<JoinHandle<()>>>,
-    /// Per-block lock shards serializing same-block coordinations.
-    locks: BlockLockTable,
-    /// Read-lease registry for the offload fast path.
-    leases: LeaseTable,
     handles: Vec<JoinHandle<()>>,
 }
 
-impl TcpCluster {
+impl TcpTransport {
     /// Binds one loopback listener per site, spawns the server threads, and
     /// connects the coordinator to each.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors from binding or connecting the loopback sockets.
-    pub fn spawn(cfg: DeviceConfig, mode: DeliveryMode) -> io::Result<TcpCluster> {
+    fn spawn(cfg: &DeviceConfig, links: &Links) -> io::Result<Self> {
         let n = cfg.num_sites();
-        let latency_ns = Arc::new(AtomicU64::new(0));
         let mut addrs = Vec::with_capacity(n);
         let mut handles = Vec::with_capacity(n);
-        let legacy: Vec<Arc<AtomicBool>> =
-            (0..n).map(|_| Arc::new(AtomicBool::new(false))).collect();
         for s in cfg.site_ids() {
             let listener = TcpListener::bind("127.0.0.1:0")?;
             addrs.push(listener.local_addr()?);
-            let replica = Replica::new(s, &cfg);
-            let latency = Arc::clone(&latency_ns);
-            let legacy_flag = Arc::clone(&legacy[s.index()]);
-            let site = s.as_u32();
+            let replica = Replica::new(s, cfg);
+            let links = links.clone();
             handles.push(std::thread::spawn(move || {
-                serve(replica, listener, latency, site, legacy_flag)
+                listen(replica, listener, links, s.as_u32())
             }));
         }
         let mut conns = Vec::with_capacity(n);
@@ -420,188 +284,22 @@ impl TcpCluster {
             conns.push(Mutex::new(SiteConn {
                 stream: wire::FrameReader::new(stream),
                 poisoned: false,
-                trace_ok: true,
             }));
         }
-        Ok(TcpCluster {
-            states: RwLock::new(vec![SiteState::Available; n]),
-            counter: TrafficCounter::new(),
-            mode,
+        Ok(TcpTransport {
+            links: links.clone(),
             addrs,
             conns,
-            parallel: AtomicBool::new(true),
-            early_quorum: AtomicBool::new(false),
-            latency_ns,
             wire_tracing: AtomicBool::new(false),
-            legacy,
             mux: (0..n).map(|_| RwLock::new(None)).collect(),
             muxed: AtomicBool::new(false),
             mux_readers: Mutex::new(Vec::new()),
-            locks: BlockLockTable::new(),
-            leases: LeaseTable::new(),
             handles,
-            cfg,
         })
     }
 
-    /// The socket address of site `s`'s server.
-    pub fn addr(&self, s: SiteId) -> SocketAddr {
-        self.addrs[s.index()]
-    }
-
-    /// Reads block `k`, coordinated by site `origin`.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Cluster::read`](crate::Cluster::read).
-    pub fn read(&self, origin: SiteId, k: BlockIndex) -> DeviceResult<BlockData> {
-        protocol::read(self, origin, k)
-    }
-
-    /// Writes block `k`, coordinated by site `origin`.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Cluster::write`](crate::Cluster::write).
-    pub fn write(&self, origin: SiteId, k: BlockIndex, data: BlockData) -> DeviceResult<()> {
-        protocol::write(self, origin, k, &data)
-    }
-
-    /// Reads a run of distinct blocks in one batched protocol round — one
-    /// request frame per site for the whole run.
-    ///
-    /// # Errors
-    ///
-    /// As for [`read`](Self::read); the quorum check covers the batch.
-    pub fn read_many(&self, origin: SiteId, ks: &[BlockIndex]) -> DeviceResult<Vec<BlockData>> {
-        protocol::read_many(self, origin, ks)
-    }
-
-    /// Writes a run of distinct blocks in one batched protocol round — one
-    /// request frame per site for the whole run.
-    ///
-    /// # Errors
-    ///
-    /// As for [`write`](Self::write); the quorum check covers the batch.
-    pub fn write_many(
-        &self,
-        origin: SiteId,
-        writes: &[(BlockIndex, BlockData)],
-    ) -> DeviceResult<()> {
-        protocol::write_many(self, origin, writes)
-    }
-
-    /// Fail-stops site `s` (it stops being contacted; its server and disk
-    /// survive, like a halted machine).
-    pub fn fail_site(&self, s: SiteId) {
-        assert!(self.cfg.contains_site(s), "unknown site {s}");
-        protocol::fail(self, s);
-    }
-
-    /// Restarts site `s` and runs the scheme's recovery.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` is not currently failed.
-    pub fn repair_site(&self, s: SiteId) {
-        assert!(self.cfg.contains_site(s), "unknown site {s}");
-        assert_eq!(
-            self.site_state(s),
-            SiteState::Failed,
-            "repairing a site that is not failed"
-        );
-        protocol::repair(self, s);
-    }
-
-    /// The state of site `s`.
-    pub fn site_state(&self, s: SiteId) -> SiteState {
-        self.states.read()[s.index()]
-    }
-
-    /// Whether the device is available under the scheme's criterion.
-    pub fn is_available(&self) -> bool {
-        protocol::is_available(self)
-    }
-
-    /// The device configuration.
-    pub fn config(&self) -> &DeviceConfig {
-        &self.cfg
-    }
-
-    /// The §5 transmission counter.
-    pub fn counter(&self) -> &TrafficCounter {
-        &self.counter
-    }
-
-    /// Selects the fan-out mode for scatter exchanges. The default is
-    /// [`FanoutMode::Parallel`] (request frames for the whole batch are
-    /// pipelined: all written, then all replies read — one round trip
-    /// instead of one per target); [`FanoutMode::Sequential`] restores the
-    /// historical blocking per-target loop. The §5 message counts are
-    /// identical either way.
-    pub fn set_fanout(&self, mode: FanoutMode) {
-        self.parallel
-            .store(mode == FanoutMode::Parallel, Ordering::Relaxed);
-    }
-
-    /// The current fan-out mode.
-    pub fn fanout(&self) -> FanoutMode {
-        if self.parallel.load(Ordering::Relaxed) {
-            FanoutMode::Parallel
-        } else {
-            FanoutMode::Sequential
-        }
-    }
-
-    /// Enables or disables early-quorum vote collection. Since a pipelined
-    /// batch already costs a single round trip, every reply in the batch is
-    /// still read (and charged) synchronously — the toggle only narrows the
-    /// voter set the coordinator builds on, exactly as on the other
-    /// runtimes.
-    pub fn set_early_quorum(&self, on: bool) {
-        self.early_quorum.store(on, Ordering::Relaxed);
-    }
-
-    /// Emulates a one-way network link delay: every server sleeps `delay`
-    /// before serving a frame (Shutdown is exempt). Zero — the default —
-    /// disables the emulation. Under a nonzero delay a sequential fan-out
-    /// pays one delay per target while a pipelined batch overlaps them on
-    /// the servers; message counts are unaffected.
-    pub fn set_link_latency(&self, delay: Duration) {
-        self.latency_ns.store(
-            delay.as_nanos().min(u64::MAX as u128) as u64,
-            Ordering::Relaxed,
-        );
-    }
-
-    /// Enables or disables the wire trace envelope. Off (the default) is
-    /// "untraced-peer mode": frames are byte-identical to an untraced
-    /// build, which is what the runtime-parity suites pin. On, every
-    /// request sent while a span context is live is wrapped in
-    /// [`WireRequest::Traced`] so the servers emit child spans into the
-    /// same causal tree.
-    pub fn set_wire_tracing(&self, on: bool) {
-        self.wire_tracing.store(on, Ordering::Relaxed);
-    }
-
-    /// Switches the coordinator between one-exchange-at-a-time connections
-    /// and multiplexed ones. On, each site's connection is replaced by a
-    /// [`MuxConn`]: requests carry per-connection ids under a bounded
-    /// in-flight window ([`MUX_WINDOW`]) and a dedicated reader thread
-    /// demultiplexes replies, so concurrent clients of one `TcpCluster`
-    /// share each socket instead of serializing on it. Off restores the
-    /// classic connections (the next RPC per site redials).
-    ///
-    /// Deadlock-freedom: a scatter submits to targets in ascending site
-    /// order, so a client blocked on site `j`'s window only holds slots on
-    /// sites `< j` — the wait graph is acyclic, and every held slot is
-    /// released once the server (which always replies in order) answers.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors from dialing the replacement connections; sites already
-    /// multiplexed keep their connection.
-    pub fn set_multiplexing(&self, on: bool) -> io::Result<()> {
+    /// See [`TcpCluster::set_multiplexing`].
+    fn set_multiplexing(&self, on: bool) -> io::Result<()> {
         if on {
             // Installation walks sites in ascending order — the same
             // discipline every scatter follows — so a concurrent caller
@@ -654,33 +352,12 @@ impl TcpCluster {
         Ok(())
     }
 
-    /// Whether the coordinator's connections are currently multiplexed.
-    pub fn multiplexing(&self) -> bool {
-        self.muxed.load(Ordering::Relaxed)
-    }
-
-    /// Enables or disables coordinator-granted read leases (see
-    /// [`crate::locks::LeaseTable`]). Off by default.
-    pub fn set_leases(&self, on: bool) {
-        self.leases.set_enabled(on);
-    }
-
-    /// Makes site `s`'s server behave like a build that predates the trace
-    /// envelope: any [`WireRequest::Traced`] frame is treated as a decode
-    /// error (hangup). Also resets the coordinator's cached `trace_ok`
-    /// verdict for that site so a test can flip the flag both ways.
-    pub fn set_untraced_peer(&self, s: SiteId, untraced: bool) {
-        self.legacy[s.index()].store(untraced, Ordering::Relaxed);
-        self.conns[s.index()].lock().trace_ok = true;
-    }
-
     /// `request` as one frame, and whether inside a trace envelope: wire
-    /// tracing is on, the peer is not known to reject it, and a span
-    /// context is live. [`wire::set_envelope_ids`] re-parents that frame and
-    /// [`wire::without_trace_envelope`] bares it without a second encode.
-    fn trace_frame(&self, peer_ok: bool, request: WireRequest) -> (Vec<u8>, bool) {
-        let live = peer_ok
-            && self.wire_tracing.load(Ordering::Relaxed)
+    /// tracing is on and a span context is live.
+    /// [`wire::set_envelope_ids`] re-parents that frame without a second
+    /// encode.
+    fn trace_frame(&self, request: WireRequest) -> (Vec<u8>, bool) {
+        let live = self.wire_tracing.load(Ordering::Relaxed)
             && blockrep_obs::enabled()
             && crate::obs_hooks::tracing();
         match live.then(blockrep_obs::trace::current).flatten() {
@@ -722,6 +399,8 @@ impl TcpCluster {
         reply
     }
 
+    /// One exchange with `to`. A torn one — traced or not — is a failed
+    /// exchange: the connection is poisoned and the next checkout redials.
     fn rpc(&self, to: SiteId, request: WireRequest) -> Option<WireResponse> {
         let _timer = crate::obs_hooks::timer(crate::obs_hooks::tcp_rpc_latency);
         if self.muxed.load(Ordering::Relaxed) {
@@ -732,57 +411,30 @@ impl TcpCluster {
             }
         }
         let mut conn = self.checkout(to)?;
-        let (mut frame, traced) = self.trace_frame(conn.trace_ok, request);
-        if let Some(response) = conn.exchange(to, &frame) {
-            return Some(response);
-        }
-        if !traced {
-            return None;
-        }
-        // The traced attempt died — most likely an untraced peer hanging up
-        // on the unknown tag. Remember that and retry once bare; every
-        // request sent through here is idempotent, so the replay is safe
-        // even if the first frame was actually served.
-        conn.trace_ok = false;
-        drop(conn);
-        event!("tcp.trace.fallback", site = to.as_u32());
-        self.checkout(to)?
-            .exchange(to, wire::without_trace_envelope(&mut frame))
+        let (frame, _) = self.trace_frame(request);
+        conn.exchange(to, &frame)
     }
 
     /// Whether the coordinator will contact `to` on behalf of `from`.
     fn reachable(&self, from: SiteId, to: SiteId) -> bool {
-        let states = self.states.read();
+        let states = self.links.states.read();
         from == to || (states[from.index()].is_operational() && states[to.index()].is_operational())
     }
 
-    /// [`rpc`](Self::rpc) on behalf of `from`: no reply from a site the
-    /// coordinator will not contact.
-    fn rpc_from(&self, from: SiteId, to: SiteId, request: WireRequest) -> Option<WireResponse> {
-        self.reachable(from, to)
-            .then(|| self.rpc(to, request))
-            .flatten()
-    }
-
     /// Pipelined scatter: encodes `request` once and writes that frame to
-    /// every reachable, `eligible` target — all on the wire before any reply
+    /// every reachable, eligible target — all on the wire before any reply
     /// is read — then gathers the replies in target order. Connections are
     /// locked in ascending site order, so concurrent scatters cannot
     /// deadlock. Early-quorum stragglers are drained synchronously here (a
     /// reply left on a socket would desync the next RPC) and truncated after
     /// the fact; one round trip covers the batch, so nobody waits on them.
-    fn pipelined(
-        &self,
-        spec: ScatterSpec,
-        origin: SiteId,
-        targets: &[SiteId],
-        request: WireRequest,
-        eligible: impl Fn(SiteId) -> bool,
-        parse: impl Fn(WireResponse) -> Option<ScatterReply>,
-    ) -> ScatterReplies {
-        if self.muxed.load(Ordering::Relaxed) {
-            return self.pipelined_mux(spec, origin, targets, request, &eligible, &parse);
-        }
+    fn pipelined(&self, cx: Scatter<'_>, request: WireRequest) -> ScatterReplies {
+        let Scatter {
+            spec,
+            origin,
+            targets,
+            ..
+        } = cx;
         // Satellite hoist: one `enabled()` load decides whether any obs
         // work happens in this batch; the disabled path records nothing.
         let obs_on = blockrep_obs::enabled();
@@ -790,17 +442,15 @@ impl TcpCluster {
             crate::obs_hooks::scatter_batch().record(targets.len() as u64);
         }
         let tracing = obs_on && crate::obs_hooks::tracing();
-        let (mut frame, enveloped) = self.trace_frame(true, request);
-        // Per in-flight entry: the locked connection plus whether its frame
-        // went out traced (fallback replay).
-        type InFlight<'a> = Option<(MutexGuard<'a, SiteConn>, bool)>;
+        let (mut frame, enveloped) = self.trace_frame(request);
+        type InFlight<'a> = Option<MutexGuard<'a, SiteConn>>;
         let mut in_flight: Vec<(SiteId, InFlight<'_>)> = Vec::with_capacity(targets.len());
         for &t in targets {
             debug_assert!(
                 in_flight.last().is_none_or(|&(prev, _)| prev < t),
                 "scatter targets must ascend (lock ordering)"
             );
-            let conn = if self.reachable(origin, t) && eligible(t) {
+            let conn = if self.reachable(origin, t) && (cx.eligible)(t) {
                 let send_span = tracing
                     .then(|| start_phase(crate::obs_hooks::phase_scatter_send(), t.as_u32()))
                     .flatten();
@@ -809,18 +459,12 @@ impl TcpCluster {
                     // remote_apply span lands under this site's send leg
                     // (a grandchild of the op — attribution sums direct
                     // children only and must not double-count it).
-                    let ctx = send_span.as_ref().map(|s| s.context());
-                    let ctx = ctx.filter(|_| enveloped && conn.trace_ok);
-                    let bytes = match ctx {
-                        Some(ctx) => {
-                            wire::set_envelope_ids(&mut frame, &[ctx.trace_id, ctx.span_id]);
-                            &frame[..]
-                        }
-                        None if enveloped => wire::without_trace_envelope(&mut frame),
-                        None => &frame[..],
-                    };
-                    if wire::write_frame(conn.stream.get_mut(), bytes).is_ok() {
-                        Some((conn, ctx.is_some()))
+                    if let Some(ctx) = send_span.as_ref().filter(|_| enveloped) {
+                        let ctx = ctx.context();
+                        wire::set_envelope_ids(&mut frame, &[ctx.trace_id, ctx.span_id]);
+                    }
+                    if wire::write_frame(conn.stream.get_mut(), &frame).is_ok() {
+                        Some(conn)
                     } else {
                         conn.poison(t);
                         None
@@ -831,14 +475,9 @@ impl TcpCluster {
             };
             in_flight.push((t, conn));
         }
-        // Gather in target order. A traced frame that dies here is retried
-        // bare *after* the loop (all guards released first — re-locking a
-        // lower site while holding higher ones would break the ascending
-        // lock order that makes concurrent scatters deadlock-free).
         let mut replies: ScatterReplies = Vec::with_capacity(targets.len());
-        let mut retries: Vec<(usize, SiteId)> = Vec::new();
-        for (i, (t, conn)) in in_flight.into_iter().enumerate() {
-            let reply = conn.and_then(|(mut conn, traced)| {
+        for (t, conn) in in_flight {
+            let reply = conn.and_then(|mut conn| {
                 let gather_span = tracing
                     .then(|| start_phase(crate::obs_hooks::phase_gather_wait(), t.as_u32()))
                     .flatten();
@@ -846,23 +485,12 @@ impl TcpCluster {
                 drop(gather_span);
                 if response.is_none() {
                     conn.poison(t);
-                    if traced {
-                        conn.trace_ok = false;
-                        retries.push((i, t));
-                    }
                 }
-                response.and_then(&parse)
+                response.and_then(cx.parse)
             });
             replies.push((t, reply));
         }
-        for (i, t) in retries {
-            event!("tcp.trace.fallback", site = t.as_u32());
-            replies[i].1 = self
-                .checkout(t)
-                .and_then(|mut conn| conn.exchange(t, wire::without_trace_envelope(&mut frame)))
-                .and_then(&parse);
-        }
-        let replies = self.charge_and_truncate(spec, replies);
+        let replies = charge_and_truncate(&cx, replies);
         // On this runtime the whole batch is one round trip, so the "cut"
         // is the post-hoc truncation above; mark where it landed.
         if tracing && matches!(spec.gather, Gather::EarlyQuorum { .. }) {
@@ -875,20 +503,13 @@ impl TcpCluster {
     }
 
     /// Multiplexed scatter: submits the one [`mux_frame`] of `request` to
-    /// every reachable, `eligible` target — acquiring window slots in
+    /// every reachable, eligible target — acquiring window slots in
     /// ascending site order, the discipline of [`pipelined`](Self::pipelined)'s
     /// connection locks, so concurrent scatters cannot form a wait cycle —
     /// then gathers the demuxed replies in target order. §5 message counts
     /// are identical to the other fan-out modes.
-    fn pipelined_mux(
-        &self,
-        spec: ScatterSpec,
-        origin: SiteId,
-        targets: &[SiteId],
-        request: WireRequest,
-        eligible: &dyn Fn(SiteId) -> bool,
-        parse: &dyn Fn(WireResponse) -> Option<ScatterReply>,
-    ) -> ScatterReplies {
+    fn pipelined_mux(&self, cx: Scatter<'_>, request: WireRequest) -> ScatterReplies {
+        let targets = cx.targets;
         if blockrep_obs::enabled() {
             crate::obs_hooks::scatter_batch().record(targets.len() as u64);
         }
@@ -900,7 +521,7 @@ impl TcpCluster {
                 in_flight.last().is_none_or(|(prev, _)| *prev < t),
                 "scatter targets must ascend (lock ordering)"
             );
-            let slot = if self.reachable(origin, t) && eligible(t) {
+            let slot = if self.reachable(cx.origin, t) && (cx.eligible)(t) {
                 self.mux[t.index()].read().clone().and_then(|conn| {
                     let rx = conn.submit(&mut frame)?;
                     Some((conn, rx))
@@ -915,284 +536,57 @@ impl TcpCluster {
             let reply = slot.and_then(|(conn, rx)| {
                 let response = rx.recv().ok().flatten();
                 conn.release_slot();
-                response.and_then(parse)
+                response.and_then(cx.parse)
             });
             replies.push((t, reply));
         }
-        self.charge_and_truncate(spec, replies)
-    }
-
-    /// The tail of every scatter: charges the gathered replies, then applies
-    /// the early-quorum cutoff.
-    fn charge_and_truncate(
-        &self,
-        spec: ScatterSpec,
-        mut replies: ScatterReplies,
-    ) -> ScatterReplies {
-        if let Some(kind) = spec.reply_charge {
-            let gathered = replies.iter().filter(|(_, r)| r.is_some()).count() as u64;
-            self.counter
-                .add_many(spec.op, kind, spec.reply_units, gathered);
-        }
-        backend::truncate_to_threshold(&self.cfg, &mut replies, spec.gather);
-        replies
+        charge_and_truncate(&cx, replies)
     }
 }
 
-impl Backend for TcpCluster {
-    fn config(&self) -> &DeviceConfig {
-        &self.cfg
+/// The tail of every scatter: charges the gathered replies, then applies
+/// the early-quorum cutoff.
+fn charge_and_truncate(cx: &Scatter<'_>, mut replies: ScatterReplies) -> ScatterReplies {
+    if let Some(kind) = cx.spec.reply_charge {
+        let gathered = replies.iter().filter(|(_, r)| r.is_some()).count() as u64;
+        cx.counter
+            .add_many(cx.spec.op, kind, cx.spec.reply_units, gathered);
+    }
+    backend::truncate_to_threshold(cx.cfg, &mut replies, cx.spec.gather);
+    replies
+}
+
+impl Transport for TcpTransport {
+    const NAME: &'static str = "tcp";
+    /// A cast is an exchange that expects `Ack`, so an install fan-out is
+    /// worth pipelining.
+    const CAST_BLOCKS: bool = true;
+
+    fn can_deliver(&self, from: SiteId, to: SiteId) -> bool {
+        self.reachable(from, to)
     }
 
-    fn delivery_mode(&self) -> DeliveryMode {
-        self.mode
-    }
-
-    fn counter(&self) -> &TrafficCounter {
-        &self.counter
-    }
-
-    fn early_quorum(&self) -> bool {
-        self.early_quorum.load(Ordering::Relaxed)
-    }
-
-    fn local_state(&self, s: SiteId) -> SiteState {
-        self.states.read()[s.index()]
-    }
-
-    fn set_local_state(&self, s: SiteId, state: SiteState) {
-        self.states.write()[s.index()] = state;
-    }
-
-    fn probe_state(&self, from: SiteId, to: SiteId) -> Option<SiteState> {
+    fn call(&self, from: SiteId, to: SiteId, request: WireRequest) -> Option<WireResponse> {
         if !self.reachable(from, to) {
             return None;
         }
-        let state = self.states.read()[to.index()];
-        state.is_operational().then_some(state)
+        self.rpc(to, request)
     }
 
-    fn vote(&self, from: SiteId, to: SiteId, k: BlockIndex) -> Option<VersionNumber> {
-        match self.rpc_from(from, to, WireRequest::Vote(k))? {
-            WireResponse::Version(v) => Some(v),
-            _ => None,
+    fn cast(&self, from: SiteId, to: SiteId, request: WireRequest) -> bool {
+        matches!(self.call(from, to, request), Some(WireResponse::Ack))
+    }
+
+    fn scatter(&self, cx: Scatter<'_>, request: WireRequest) -> ScatterReplies {
+        if self.muxed.load(Ordering::Relaxed) {
+            self.pipelined_mux(cx, request)
+        } else {
+            self.pipelined(cx, request)
         }
-    }
-
-    fn fetch_block(
-        &self,
-        from: SiteId,
-        to: SiteId,
-        k: BlockIndex,
-    ) -> Option<(VersionNumber, BlockData)> {
-        match self.rpc_from(from, to, WireRequest::Fetch(k))? {
-            WireResponse::Block(v, data) => Some((v, data)),
-            _ => None,
-        }
-    }
-
-    fn fetch_lease(
-        &self,
-        from: SiteId,
-        to: SiteId,
-        k: BlockIndex,
-    ) -> Option<(VersionNumber, BlockData)> {
-        match self.rpc_from(from, to, WireRequest::FetchLease(k))? {
-            WireResponse::Block(v, data) => Some((v, data)),
-            _ => None,
-        }
-    }
-
-    fn block_locks(&self) -> &BlockLockTable {
-        &self.locks
-    }
-
-    fn leases(&self) -> &LeaseTable {
-        &self.leases
-    }
-
-    fn apply_write(
-        &self,
-        from: SiteId,
-        to: SiteId,
-        k: BlockIndex,
-        data: &BlockData,
-        v: VersionNumber,
-    ) -> bool {
-        matches!(
-            self.rpc_from(from, to, WireRequest::ApplyWrite(k, v, data.clone())),
-            Some(WireResponse::Ack)
-        )
-    }
-
-    fn read_local(&self, s: SiteId, k: BlockIndex) -> BlockData {
-        match self.rpc(s, WireRequest::ReadLocal(k)) {
-            Some(WireResponse::Data(data)) => data,
-            other => unreachable!("a site can always read its own disk (got {other:?})"),
-        }
-    }
-
-    fn read_local_many(&self, s: SiteId, ks: &[BlockIndex]) -> Vec<BlockData> {
-        match self.rpc(s, WireRequest::ReadLocalMany(ks.to_vec())) {
-            Some(WireResponse::DataMany(ds)) if ds.len() == ks.len() => ds,
-            other => unreachable!("a site can always read its own disk (got {other:?})"),
-        }
-    }
-
-    fn version_vector(&self, from: SiteId, to: SiteId) -> Option<VersionVector> {
-        match self.rpc_from(from, to, WireRequest::VersionVector)? {
-            WireResponse::Vector(vv) => Some(vv),
-            _ => None,
-        }
-    }
-
-    fn repair_payload(
-        &self,
-        from: SiteId,
-        to: SiteId,
-        vv: &VersionVector,
-    ) -> Option<(VersionVector, RepairBlocks)> {
-        match self.rpc_from(from, to, WireRequest::RepairPayload(vv.clone()))? {
-            WireResponse::Payload(vv, blocks) => Some((vv, blocks)),
-            _ => None,
-        }
-    }
-
-    fn apply_repair_local(&self, s: SiteId, blocks: RepairBlocks) -> usize {
-        let n = blocks.len();
-        match self.rpc(s, WireRequest::ApplyRepair(blocks)) {
-            Some(WireResponse::Ack) => n,
-            _ => 0,
-        }
-    }
-
-    fn was_available(&self, from: SiteId, to: SiteId) -> Option<BTreeSet<SiteId>> {
-        match self.rpc_from(from, to, WireRequest::GetW)? {
-            WireResponse::W(w) => Some(w),
-            _ => None,
-        }
-    }
-
-    fn set_was_available(&self, from: SiteId, to: SiteId, w: &BTreeSet<SiteId>) -> bool {
-        matches!(
-            self.rpc_from(from, to, WireRequest::SetW(w.clone())),
-            Some(WireResponse::Ack)
-        )
-    }
-
-    fn add_was_available(&self, from: SiteId, to: SiteId, member: SiteId) -> bool {
-        matches!(
-            self.rpc_from(from, to, WireRequest::AddW(member)),
-            Some(WireResponse::Ack)
-        )
-    }
-
-    fn apply_write_faulty(
-        &self,
-        from: SiteId,
-        to: SiteId,
-        k: BlockIndex,
-        data: &BlockData,
-        v: VersionNumber,
-        fault: blockrep_storage::StorageFault,
-    ) -> bool {
-        matches!(
-            self.rpc_from(
-                from,
-                to,
-                WireRequest::ApplyWriteFaulty(k, v, data.clone(), fault)
-            ),
-            Some(WireResponse::Ack)
-        )
-    }
-
-    fn scrub_local(&self, s: SiteId) -> usize {
-        match self.rpc(s, WireRequest::Scrub) {
-            Some(WireResponse::Count(n)) => n as usize,
-            _ => 0,
-        }
-    }
-
-    fn vote_many(&self, from: SiteId, to: SiteId, ks: &[BlockIndex]) -> Option<Vec<VersionNumber>> {
-        match self.rpc_from(from, to, WireRequest::VoteMany(ks.to_vec()))? {
-            WireResponse::Versions(vs) if vs.len() == ks.len() => Some(vs),
-            _ => None,
-        }
-    }
-
-    fn apply_write_many(&self, from: SiteId, to: SiteId, writes: &WriteBatch) -> bool {
-        matches!(
-            self.rpc_from(from, to, WireRequest::ApplyWriteMany(writes.clone())),
-            Some(WireResponse::Ack)
-        )
-    }
-
-    fn scatter(
-        &self,
-        spec: ScatterSpec,
-        origin: SiteId,
-        targets: &[SiteId],
-        req: &ScatterRequest,
-    ) -> ScatterReplies {
-        if !self.parallel.load(Ordering::Relaxed) {
-            return backend::scatter_sequential(self, spec, origin, targets, req);
-        }
-        // Every target of a scatter is sent the same request, so it is
-        // built (and, in `pipelined`, encoded) once.
-        let (request, if_available) = match req {
-            ScatterRequest::Vote(k) => (WireRequest::Vote(*k), false),
-            ScatterRequest::VersionVector => (WireRequest::VersionVector, false),
-            ScatterRequest::Install { k, v, data } => {
-                (WireRequest::ApplyWrite(*k, *v, data.clone()), false)
-            }
-            ScatterRequest::InstallIfAvailable { k, v, data } => {
-                (WireRequest::ApplyWrite(*k, *v, data.clone()), true)
-            }
-            ScatterRequest::VoteMany(ks) => (WireRequest::VoteMany(ks.clone()), false),
-            ScatterRequest::InstallMany(writes) => {
-                (WireRequest::ApplyWriteMany(writes.clone()), false)
-            }
-            ScatterRequest::InstallIfAvailableMany(writes) => {
-                (WireRequest::ApplyWriteMany(writes.clone()), true)
-            }
-            // Pure state probes never touch a socket; the sequential body
-            // is already instantaneous.
-            ScatterRequest::ProbeState => {
-                return backend::scatter_sequential(self, spec, origin, targets, req)
-            }
-        };
-        let installs = matches!(
-            request,
-            WireRequest::ApplyWrite(..) | WireRequest::ApplyWriteMany(_)
-        );
-        self.pipelined(
-            spec,
-            origin,
-            targets,
-            request,
-            // The availability probe is a coordination-layer state read (no
-            // socket traffic), exactly as in the sequential body.
-            |t| !if_available || self.probe_state(origin, t) == Some(SiteState::Available),
-            |resp| match (req, resp) {
-                (ScatterRequest::Vote(_), WireResponse::Version(v)) => {
-                    Some(ScatterReply::Version(v))
-                }
-                (ScatterRequest::VersionVector, WireResponse::Vector(vv)) => {
-                    Some(ScatterReply::Vector(vv))
-                }
-                (ScatterRequest::VoteMany(ks), WireResponse::Versions(vs))
-                    if vs.len() == ks.len() =>
-                {
-                    Some(ScatterReply::Versions(vs))
-                }
-                (_, WireResponse::Ack) if installs => Some(ScatterReply::Delivered),
-                _ => None,
-            },
-        )
     }
 }
 
-impl Drop for TcpCluster {
+impl Drop for TcpTransport {
     fn drop(&mut self) {
         // Tear down any mux connections first: their servers fall back to
         // `accept`, and the corresponding classic connections were poisoned
@@ -1220,20 +614,88 @@ impl Drop for TcpCluster {
     }
 }
 
-impl std::fmt::Debug for TcpCluster {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TcpCluster")
-            .field("sites", &self.cfg.num_sites())
-            .field("scheme", &self.cfg.scheme())
-            .field("addrs", &self.addrs)
-            .finish()
+/// A cluster of replica servers behind loopback TCP sockets.
+///
+/// # Examples
+///
+/// ```
+/// use blockrep_core::TcpCluster;
+/// use blockrep_net::DeliveryMode;
+/// use blockrep_types::{BlockData, BlockIndex, DeviceConfig, Scheme, SiteId};
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let cfg = DeviceConfig::builder(Scheme::NaiveAvailableCopy)
+///     .sites(3).num_blocks(4).block_size(16).build()?;
+/// let cluster = TcpCluster::spawn(cfg, DeliveryMode::Multicast)?;
+/// let k = BlockIndex::new(0);
+/// cluster.write(SiteId::new(0), k, BlockData::from(vec![7; 16]))?;
+/// cluster.fail_site(SiteId::new(0));
+/// assert_eq!(cluster.read(SiteId::new(1), k)?.as_slice(), &[7; 16]);
+/// # Ok(())
+/// # }
+/// ```
+pub type TcpCluster = ServerCluster<TcpTransport>;
+
+impl ServerCluster<TcpTransport> {
+    /// Binds one loopback listener per site, spawns the server threads, and
+    /// connects the coordinator to each.
+    ///
+    /// # Errors
+    ///
+    /// I/O errors from binding or connecting the loopback sockets.
+    pub fn spawn(cfg: DeviceConfig, mode: DeliveryMode) -> io::Result<Self> {
+        let links = Links::new(&cfg);
+        let transport = TcpTransport::spawn(&cfg, &links)?;
+        Ok(ServerCluster::over(cfg, mode, links, transport))
+    }
+
+    /// The socket address of site `s`'s server.
+    pub fn addr(&self, s: SiteId) -> SocketAddr {
+        self.transport.addrs[s.index()]
+    }
+
+    /// Enables or disables the wire trace envelope. Off (the default),
+    /// frames are byte-identical to an untraced run, which is what the
+    /// runtime-parity suites pin. On, every request sent while a span
+    /// context is live is wrapped in [`WireRequest::Traced`] so the servers
+    /// emit child spans into the same causal tree.
+    pub fn set_wire_tracing(&self, on: bool) {
+        self.transport.wire_tracing.store(on, Ordering::Relaxed);
+    }
+
+    /// Switches the coordinator between one-exchange-at-a-time connections
+    /// and multiplexed ones. On, each site's connection is replaced by a
+    /// [`MuxConn`]: requests carry per-connection ids under a bounded
+    /// in-flight window ([`MUX_WINDOW`]) and a dedicated reader thread
+    /// demultiplexes replies, so concurrent clients of one `TcpCluster`
+    /// share each socket instead of serializing on it. Off restores the
+    /// classic connections (the next RPC per site redials).
+    ///
+    /// Deadlock-freedom: a scatter submits to targets in ascending site
+    /// order, so a client blocked on site `j`'s window only holds slots on
+    /// sites `< j` — the wait graph is acyclic, and every held slot is
+    /// released once the server (which always replies in order) answers.
+    ///
+    /// # Errors
+    ///
+    /// I/O errors from dialing the replacement connections; sites already
+    /// multiplexed keep their connection.
+    pub fn set_multiplexing(&self, on: bool) -> io::Result<()> {
+        self.transport.set_multiplexing(on)
+    }
+
+    /// Whether the coordinator's connections are currently multiplexed.
+    pub fn multiplexing(&self) -> bool {
+        self.transport.muxed.load(Ordering::Relaxed)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use blockrep_types::Scheme;
+    use crate::backend::Backend;
+    use blockrep_net::FanoutMode;
+    use blockrep_types::{BlockData, BlockIndex, Scheme, SiteState, VersionNumber};
 
     fn sid(i: u32) -> SiteId {
         SiteId::new(i)
@@ -1328,16 +790,16 @@ mod tests {
         c.write(sid(0), k, BlockData::from(vec![3; 32])).unwrap();
         // Corrupt the conversation with site 1: the server rejects the
         // frame and hangs up, so the next exchange on this stream tears.
-        wire::write_frame(c.conns[1].lock().stream.get_mut(), &[1, 0, 0, 0, 0xFF]).unwrap();
+        wire::write_frame(c.transport.conns[1].lock().stream.get_mut(), &[1, 0, 0, 0, 0xFF]).unwrap();
         assert_eq!(
             c.vote(sid(0), sid(1), k),
             None,
             "the torn exchange must fail fast, not desync"
         );
-        assert!(c.conns[1].lock().poisoned);
+        assert!(c.transport.conns[1].lock().poisoned);
         // The next exchange replaces the stream and succeeds.
         assert_eq!(c.vote(sid(0), sid(1), k), Some(VersionNumber::new(1)));
-        assert!(!c.conns[1].lock().poisoned);
+        assert!(!c.transport.conns[1].lock().poisoned);
         // End-to-end traffic over the recovered connection still works.
         c.write(sid(2), k, BlockData::from(vec![4; 32])).unwrap();
         assert_eq!(c.read(sid(1), k).unwrap().as_slice(), &[4; 32]);
@@ -1347,7 +809,7 @@ mod tests {
         // in a single write, and hangs up.
         let impostor = TcpListener::bind("127.0.0.1:0").unwrap();
         let dial = TcpStream::connect(impostor.local_addr().unwrap()).unwrap();
-        c.conns[1].lock().stream = wire::FrameReader::new(dial);
+        c.transport.conns[1].lock().stream = wire::FrameReader::new(dial);
         let peer = std::thread::spawn(move || {
             let (mut peer, _) = impostor.accept().unwrap();
             let mut request = [0u8; 4 + 9];
@@ -1360,10 +822,33 @@ mod tests {
         assert_eq!(c.vote(sid(0), sid(1), k), Some(VersionNumber::new(77)));
         peer.join().unwrap();
         assert_eq!(c.vote(sid(0), sid(1), k), None, "half a reply, then EOF");
-        assert!(c.conns[1].lock().poisoned);
+        assert!(c.transport.conns[1].lock().poisoned);
         // The half reply died with the stream it arrived on: the redialled
         // connection starts in step with the real site 1.
         assert_eq!(c.vote(sid(0), sid(1), k), Some(VersionNumber::new(2)));
+    }
+
+    #[test]
+    fn a_torn_frame_on_the_coordinators_own_connection_is_an_error_not_a_panic() {
+        for scheme in Scheme::ALL {
+            let c = tcp(scheme, 3);
+            let k = BlockIndex::new(0);
+            c.write(sid(0), k, BlockData::from(vec![3; 32])).unwrap();
+            // Corrupt the conversation with the coordinator's *own* site: a
+            // read at site 0 crosses this connection for its local leg.
+            let garbage = [1, 0, 0, 0, 0xFF];
+            wire::write_frame(c.transport.conns[0].lock().stream.get_mut(), &garbage).unwrap();
+            // The torn exchange is a failed exchange: the read says so (it
+            // does not replay a request the site may already have served),
+            // and the connection is left poisoned for the next checkout.
+            let torn = c.read(sid(0), k);
+            assert!(
+                matches!(torn, Err(blockrep_types::DeviceError::Io(_))),
+                "{scheme}: {torn:?}"
+            );
+            // The following read redials and finds the written data.
+            assert_eq!(c.read(sid(0), k).unwrap().as_slice(), &[3; 32], "{scheme}");
+        }
     }
 
     #[test]

@@ -30,7 +30,7 @@ fn collect_votes<B: Backend + ?Sized>(
     op: OpClass,
     origin: SiteId,
     k: BlockIndex,
-) -> Vec<(SiteId, VersionNumber)> {
+) -> DeviceResult<Vec<(SiteId, VersionNumber)>> {
     let cfg = b.config();
     let others = backend::others(cfg, origin);
     backend::charge_fanout(b, op, MsgKind::VoteRequest, others.len());
@@ -44,7 +44,7 @@ fn collect_votes<B: Backend + ?Sized>(
     let own = {
         let _leg = obs_hooks::phase_span(obs_hooks::phase_local_leg, origin.as_u32());
         b.vote(origin, origin, k)
-            .expect("coordinator is operational, so its own vote cannot fail")
+            .ok_or_else(|| backend::dead_local_leg(origin))?
     };
     let mut votes = vec![(origin, own)];
     // Opt-in early quorum: stop gathering once the remote weight (plus the
@@ -66,7 +66,7 @@ fn collect_votes<B: Backend + ?Sized>(
         }
     }
     obs_hooks::record(obs_hooks::quorum_size, votes.len() as u64);
-    votes
+    Ok(votes)
 }
 
 /// The early-quorum gathering policy shared by single-block and batched
@@ -101,7 +101,7 @@ fn collect_votes_many<B: Backend + ?Sized>(
     op: OpClass,
     origin: SiteId,
     ks: &[BlockIndex],
-) -> Vec<(SiteId, Vec<VersionNumber>)> {
+) -> DeviceResult<Vec<(SiteId, Vec<VersionNumber>)>> {
     let cfg = b.config();
     let others = backend::others(cfg, origin);
     for _ in ks {
@@ -117,7 +117,7 @@ fn collect_votes_many<B: Backend + ?Sized>(
     let own: Vec<VersionNumber> = {
         let _leg = obs_hooks::phase_span(obs_hooks::phase_local_leg, origin.as_u32());
         b.vote_many(origin, origin, ks)
-            .expect("coordinator is operational, so its own votes cannot fail")
+            .ok_or_else(|| backend::dead_local_leg(origin))?
     };
     let mut votes = vec![(origin, own)];
     let spec = ScatterSpec {
@@ -135,7 +135,7 @@ fn collect_votes_many<B: Backend + ?Sized>(
         }
     }
     obs_hooks::record(obs_hooks::quorum_size, votes.len() as u64);
-    votes
+    Ok(votes)
 }
 
 fn ensure_coordinator<B: Backend + ?Sized>(b: &B, origin: SiteId) -> DeviceResult<()> {
@@ -188,7 +188,7 @@ pub(crate) fn read<B: Backend + ?Sized>(
     }
     let cfg = b.config();
     let epoch = b.leases().current_epoch();
-    let votes = collect_votes(b, OpClass::Read, origin, k);
+    let votes = collect_votes(b, OpClass::Read, origin, k)?;
     let voters: Vec<SiteId> = votes.iter().map(|&(s, _)| s).collect();
     let gathered = backend::weight_of(cfg, &voters);
     if gathered < cfg.read_quorum() {
@@ -236,7 +236,7 @@ pub(crate) fn read<B: Backend + ?Sized>(
         epoch,
     );
     let _leg = obs_hooks::phase_span(obs_hooks::phase_local_leg, origin.as_u32());
-    Ok(b.read_local(origin, k))
+    b.read_local(origin, k)
 }
 
 /// Records a read lease from a successful vote round: the holders are the
@@ -289,7 +289,7 @@ fn lease_read<B: Backend + ?Sized>(b: &B, origin: SiteId, k: BlockIndex) -> Opti
                 holder = h.as_u32(),
                 local = true
             );
-            return Some(b.read_local(origin, k));
+            return b.read_local(origin, k).ok();
         }
         // One request to one replica instead of a quorum round.
         b.counter().add(OpClass::Read, MsgKind::BlockRequest, 1);
@@ -342,7 +342,7 @@ pub(crate) fn write<B: Backend + ?Sized>(
         });
     }
     let epoch = b.leases().current_epoch();
-    let votes = collect_votes(b, OpClass::Write, origin, k);
+    let votes = collect_votes(b, OpClass::Write, origin, k)?;
     let voters: Vec<SiteId> = votes.iter().map(|&(s, _)| s).collect();
     let gathered = backend::weight_of(cfg, &voters);
     if gathered < cfg.write_quorum() {
@@ -437,7 +437,7 @@ pub(crate) fn read_many<B: Backend + ?Sized>(
     let _span = span!("mcv.read_many", origin = origin.as_u32(), blocks = ks.len());
     let cfg = b.config();
     let epoch = b.leases().current_epoch();
-    let votes = collect_votes_many(b, OpClass::Read, origin, ks);
+    let votes = collect_votes_many(b, OpClass::Read, origin, ks)?;
     let voters: Vec<SiteId> = votes.iter().map(|&(s, _)| s).collect();
     let gathered = backend::weight_of(cfg, &voters);
     if gathered < cfg.read_quorum() {
@@ -482,7 +482,7 @@ pub(crate) fn read_many<B: Backend + ?Sized>(
         );
     }
     let _leg = obs_hooks::phase_span(obs_hooks::phase_local_leg, origin.as_u32());
-    Ok(b.read_local_many(origin, ks))
+    b.read_local_many(origin, ks)
 }
 
 /// Vectored Figure 4: one batched vote round for a run of distinct blocks,
@@ -522,7 +522,7 @@ pub(crate) fn write_many<B: Backend + ?Sized>(
     );
     let ks: Vec<BlockIndex> = writes.iter().map(|&(k, _)| k).collect();
     let epoch = b.leases().current_epoch();
-    let votes = collect_votes_many(b, OpClass::Write, origin, &ks);
+    let votes = collect_votes_many(b, OpClass::Write, origin, &ks)?;
     let voters: Vec<SiteId> = votes.iter().map(|&(s, _)| s).collect();
     let gathered = backend::weight_of(cfg, &voters);
     if gathered < cfg.write_quorum() {

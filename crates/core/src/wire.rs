@@ -1,9 +1,13 @@
-//! Wire format for the TCP transport.
+//! The request/response vocabulary of the site service, and its wire
+//! format.
 //!
-//! Length-prefixed frames carrying a compact, hand-rolled binary encoding
-//! of the protocol's request/response vocabulary — what actually crosses
-//! the network when the reliable device runs as real server processes
-//! ([`TcpCluster`](crate::TcpCluster)). No serialization framework: the
+//! [`WireRequest`] and [`WireResponse`] are what a coordinator says to a
+//! site's server process and what it answers, on every message-passing
+//! runtime: the live cluster moves the values as they are over mailboxes,
+//! and the TCP cluster ([`TcpCluster`](crate::TcpCluster)) moves them as
+//! length-prefixed frames in the compact, hand-rolled binary encoding
+//! defined here — what actually crosses the network when the reliable
+//! device runs as real server processes. No serialization framework: the
 //! messages are nine shapes of integers, byte blocks and site sets, and a
 //! fuzzed round-trip property pins the format down.
 
@@ -59,10 +63,9 @@ pub enum WireRequest {
     ReadLocalMany(Vec<BlockIndex>),
     /// A trace envelope: the inner request plus the coordinator's causal
     /// identifiers, so the serving site's phase spans stitch into the
-    /// coordinator's trace tree. Strictly optional — an untraced peer never
-    /// sees this tag (the coordinator only wraps frames after wire tracing
-    /// is switched on, and falls back to bare frames when a peer rejects
-    /// the envelope), so the format stays backward-compatible.
+    /// coordinator's trace tree. Strictly optional: the coordinator only
+    /// wraps frames after wire tracing is switched on, so an untraced run
+    /// never puts this tag on the wire.
     Traced {
         /// The coordinator's trace id.
         trace_id: u64,
@@ -640,16 +643,6 @@ pub(crate) fn set_envelope_ids(frame: &mut [u8], ids: &[u64]) {
     }
 }
 
-/// The bare frame inside a framed [`WireRequest::Traced`]: the inner
-/// request's prefix goes over the tail of the envelope (tag and two ids),
-/// so the untraced-peer fallback resends the same buffer minus it.
-pub(crate) fn without_trace_envelope(frame: &mut [u8]) -> &[u8] {
-    const ENVELOPE: usize = 1 + 8 + 8;
-    let inner_len = (frame.len() - PREFIX - ENVELOPE) as u32;
-    frame[ENVELOPE..ENVELOPE + PREFIX].copy_from_slice(&inner_len.to_le_bytes());
-    &frame[ENVELOPE..]
-}
-
 /// Sends one frame — prefix and payload, as [`WireRequest::to_frame`] or
 /// [`WireResponse::frame_into`] built it — with a single write.
 ///
@@ -1089,12 +1082,6 @@ mod tests {
             set_envelope_ids(&mut frame, &[trace_id, parent_span]);
             let traced = WireRequest::Traced { trace_id, parent_span, inner: boxed() };
             prop_assert_eq!(&frame, &traced.to_frame());
-            // Bare for one target, re-parented for the next, bare again:
-            // the same buffer serves all three.
-            prop_assert_eq!(without_trace_envelope(&mut frame), &inner.to_frame()[..]);
-            set_envelope_ids(&mut frame, &[trace_id, parent_span]);
-            prop_assert_eq!(&frame, &traced.to_frame());
-            prop_assert_eq!(without_trace_envelope(&mut frame), &inner.to_frame()[..]);
         }
 
         #[test]

@@ -2,7 +2,7 @@
 //! workspace's concurrency and wire-format invariants.
 //!
 //! The paper's one-copy guarantees lean on conventions the compiler cannot
-//! see: ascending-site-order connection locks in `TcpCluster::pipelined`,
+//! see: ascending-site-order connection locks in `TcpTransport::pipelined`,
 //! the fence pairing of the flight recorder's seqlock, hoisted
 //! `enabled()` checks on the protocol hot path, and a bijective wire-tag
 //! space. This crate machine-checks them. It hand-rolls a small Rust

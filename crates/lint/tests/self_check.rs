@@ -28,7 +28,7 @@ fn workspace_is_clean_under_baseline() {
 fn key_invariants_are_positively_verified() {
     let report = blockrep_lint::run(&blockrep_lint::Config::new(workspace_root()))
         .expect("lint run succeeds");
-    // The ascending-conn-lock-order discipline in TcpCluster::pipelined
+    // The ascending-conn-lock-order discipline in TcpTransport::pipelined
     // must be machine-verified, not merely "no finding".
     assert!(
         report

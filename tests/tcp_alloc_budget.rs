@@ -1,9 +1,13 @@
-//! Allocation budget of the TCP wire path, counted — not timed — at the
-//! repo benchmark's `tcp-batch-mcv` shape: 64-block × 1 KiB voting batches
-//! over loopback sockets. The twin of `crates/fs/tests/device_call_budget.rs`
-//! one layer down: a change that puts a copy, a clone or a growing buffer
-//! back on the path between `write_many`/`read_many` and the sockets fails
-//! here on any host, however noisy.
+//! Allocation budgets of the two message-passing runtimes, counted — not
+//! timed. (The file is named for its first tenant; CI, the verify notes and
+//! ROADMAP cite it by this name.)
+//!
+//! **The TCP wire path**, at the repo benchmark's `tcp-batch-mcv` shape:
+//! 64-block × 1 KiB voting batches over loopback sockets. The twin of
+//! `crates/fs/tests/device_call_budget.rs` one layer down: a change that
+//! puts a copy, a clone or a growing buffer back on the path between
+//! `write_many`/`read_many` and the sockets fails here on any host, however
+//! noisy.
 //!
 //! The floor this defends: a block that arrives over a socket is copied
 //! once, into the allocation it then lives in (a site's store, or the
@@ -18,14 +22,21 @@
 //! 640 KiB and 400; with it, 428 KiB and 321 (385 multiplexed: a reply
 //! channel and two envelope boxes per exchange), and 567 KiB and 461 on
 //! five sites.
+//!
+//! **The live mailbox path**, at the same batch shape and at `live-fs-ac`'s
+//! (single-block available-copy traffic with a fail / repair cycle): what
+//! crosses a mailbox is a request value, so the whole cost is envelopes,
+//! reply channels and index vectors — what would move if a cast grew a
+//! reply channel or a request grew a box.
 
 use blockrep::core::wire::{FrameReader, MAX_FRAME};
-use blockrep::core::TcpCluster;
+use blockrep::core::{LiveCluster, TcpCluster};
 use blockrep::net::DeliveryMode;
 use blockrep::types::{BlockData, BlockIndex, DeviceConfig, Scheme, SiteId};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
+use std::time::Duration;
 
 /// Counts allocation calls and requested bytes of every thread — the
 /// sites' server threads included — and forwards to the system allocator.
@@ -90,21 +101,18 @@ const BLOCKS: u64 = 64;
 const BLOCK_SIZE: usize = 1024;
 const PAIRS: u64 = 16;
 
+type Batch = Vec<(BlockIndex, BlockData)>;
+
 /// Allocation calls and bytes per steady-state `write_many` + `read_many`
-/// pair on an `n`-site voting cluster.
-fn per_pair(sites: usize, multiplexed: bool) -> (u64, u64) {
-    let cfg = DeviceConfig::builder(Scheme::Voting)
-        .sites(sites)
-        .num_blocks(BLOCKS)
-        .block_size(BLOCK_SIZE)
-        .build()
-        .unwrap();
-    let cluster = TcpCluster::spawn(cfg, DeliveryMode::default()).unwrap();
-    cluster.set_multiplexing(multiplexed).unwrap();
-    let origin = SiteId::new(0);
+/// pair of 64 × 1 KiB blocks through `write`/`read`, a cluster's two
+/// vectored entry points.
+fn per_batch_pair(
+    write: &dyn Fn(&Batch),
+    read: &dyn Fn(&[BlockIndex]) -> Vec<BlockData>,
+) -> (u64, u64) {
     let ks: Vec<BlockIndex> = (0..BLOCKS).map(BlockIndex::new).collect();
     // The payloads exist before counting starts, as a caller's data does.
-    let batches: Vec<Vec<(BlockIndex, BlockData)>> = (0..PAIRS + 2)
+    let batches: Vec<Batch> = (0..PAIRS + 2)
         .map(|round| {
             let fill = |k: &BlockIndex| (round * BLOCKS + k.as_u64()) as u8;
             ks.iter()
@@ -112,10 +120,10 @@ fn per_pair(sites: usize, multiplexed: bool) -> (u64, u64) {
                 .collect()
         })
         .collect();
-    let pair = |batch: &Vec<(BlockIndex, BlockData)>| {
-        cluster.write_many(origin, batch).unwrap();
-        let read = cluster.read_many(origin, &ks).unwrap();
-        assert!(read.iter().zip(batch).all(|(got, (_, sent))| got == sent));
+    let pair = |batch: &Batch| {
+        write(batch);
+        let got = read(&ks);
+        assert!(got.iter().zip(batch).all(|(got, (_, sent))| got == sent));
     };
     // Warm up: connections' buffers reach their working size.
     pair(&batches[0]);
@@ -123,6 +131,57 @@ fn per_pair(sites: usize, multiplexed: bool) -> (u64, u64) {
     let (allocs, bytes) = counted(|| batches[2..].iter().for_each(pair));
     (allocs / PAIRS, bytes / PAIRS)
 }
+
+fn batch_config(scheme: Scheme, sites: usize) -> DeviceConfig {
+    DeviceConfig::builder(scheme)
+        .sites(sites)
+        .num_blocks(BLOCKS)
+        .block_size(BLOCK_SIZE)
+        .build()
+        .unwrap()
+}
+
+/// [`per_batch_pair`] on an `n`-site voting cluster over loopback sockets.
+fn per_pair(sites: usize, multiplexed: bool) -> (u64, u64) {
+    let cluster =
+        TcpCluster::spawn(batch_config(Scheme::Voting, sites), DeliveryMode::default()).unwrap();
+    cluster.set_multiplexing(multiplexed).unwrap();
+    let origin = SiteId::new(0);
+    per_batch_pair(
+        &|batch| cluster.write_many(origin, batch).unwrap(),
+        &|ks| cluster.read_many(origin, ks).unwrap(),
+    )
+}
+
+/// A caller that has to block for a reply allocates once to park itself
+/// (the reply channel's waiter list) and one that finds the reply already
+/// there does not, so on an undelayed cluster the count moves with thread
+/// timing by up to one per round trip. Under this link delay the reply
+/// always comes second: the count is the ceiling, and repeats.
+const REPLY_AFTER_CALLER_WAITS: Duration = Duration::from_micros(200);
+
+/// Single-block write + read pairs, and counted rounds, of the
+/// available-copy case.
+const AC_PAIRS: u64 = 32;
+const AC_ROUNDS: u64 = 8;
+
+/// `(allocations, bytes)` per batch pair and per available-copy round.
+///
+/// The allocation counts are the ones measured at the last commit whose
+/// live runtime moved its own `Request` enum (reply senders inside the
+/// variants) instead of `WireRequest` values: 441 a round, and 64 a pair
+/// plus one for each of a pair's two scatters whose second reply has to be
+/// waited for. Moving the shared vocabulary costs no allocation.
+///
+/// It does cost bytes, and the budget says how many: that commit measured
+/// 84 991 a round and 31 306–31 498 a pair. A mailbox slot now holds a
+/// 48-byte `WireRequest` beside a 24-byte optional reply sender where the
+/// old enum packed both into 56 bytes, and a reply slot holds a 48-byte
+/// `WireResponse` where it held the bare answer (8–24 bytes) — 16 bytes
+/// more per message sent and 24–40 per reply awaited, whatever the
+/// payload.
+const LIVE_BATCH_PAIR: (u64, u64) = (66, 31_790);
+const LIVE_AC_ROUND: (u64, u64) = (441, 91_921);
 
 /// Blocks that cross a socket, and are decoded, per pair on `n` sites.
 fn blocks_decoded(sites: u64) -> u64 {
@@ -172,6 +231,71 @@ fn a_batch_pair_allocates_its_decoded_blocks_plus_a_constant_per_site() {
         (bytes_5 - bytes_3) * 4 <= extra_sites * per_site_bytes * 5,
         "bytes per pair grew {bytes_3} -> {bytes_5} from 3 to 5 sites; \
          each site owes one copy of the {per_site_bytes}-byte batch (budget 1.25x)"
+    );
+}
+
+/// The same batch pair on the channel runtime: what crosses a mailbox is a
+/// request *value*, so no block is copied at all and the whole budget is
+/// envelopes, reply channels and index/version vectors.
+#[test]
+fn a_live_batch_pair_allocates_what_it_did_before_the_shared_service() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let cluster = LiveCluster::spawn(batch_config(Scheme::Voting, 3), DeliveryMode::default());
+    cluster.set_link_latency(REPLY_AFTER_CALLER_WAITS);
+    let origin = SiteId::new(0);
+    let (allocs, bytes) = per_batch_pair(
+        &|batch| cluster.write_many(origin, batch).unwrap(),
+        &|ks| cluster.read_many(origin, ks).unwrap(),
+    );
+    println!("live batch pair: {allocs} allocations, {bytes} bytes");
+    assert!(
+        allocs <= LIVE_BATCH_PAIR.0 && bytes <= LIVE_BATCH_PAIR.1,
+        "{allocs} allocations and {bytes} bytes per live batch pair, budget {LIVE_BATCH_PAIR:?}"
+    );
+}
+
+/// The `live-fs-ac` shape: single-block available-copy traffic — one-way
+/// install casts, local reads — and one fail / degraded write / repair
+/// cycle per round, which is where the was-available sets and the repair
+/// payload travel.
+#[test]
+fn a_live_available_copy_round_allocates_what_it_did_before_the_shared_service() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let cluster = LiveCluster::spawn(
+        batch_config(Scheme::AvailableCopy, 3),
+        DeliveryMode::default(),
+    );
+    cluster.set_link_latency(REPLY_AFTER_CALLER_WAITS);
+    let blocks: Vec<BlockData> = (0..=u8::MAX)
+        .map(|fill| BlockData::from(vec![fill; BLOCK_SIZE]))
+        .collect();
+    let site = SiteId::new;
+    let round = |r: u64| {
+        let data = |i: u64| blocks[((r * BLOCKS + i) % 256) as usize].clone();
+        for i in 0..AC_PAIRS {
+            let k = BlockIndex::new(i % BLOCKS);
+            cluster.write(site(0), k, data(i)).unwrap();
+            assert_eq!(cluster.read(site(0), k).unwrap(), data(i));
+        }
+        cluster.fail_site(site(2));
+        cluster.write(site(0), BlockIndex::new(0), data(1)).unwrap();
+        cluster.write(site(1), BlockIndex::new(1), data(2)).unwrap();
+        cluster.repair_site(site(2));
+        // Casts are one-way: a read at each site is behind every install
+        // sent to it, so the sites' own allocations are all counted.
+        for s in 0..3 {
+            assert_eq!(cluster.read(site(s), BlockIndex::new(1)).unwrap(), data(2));
+        }
+    };
+    round(0);
+    round(1);
+    let (allocs, bytes) = counted(|| (2..2 + AC_ROUNDS).for_each(round));
+    let (allocs, bytes) = (allocs / AC_ROUNDS, bytes / AC_ROUNDS);
+    println!("live available-copy round: {allocs} allocations, {bytes} bytes");
+    assert!(
+        allocs <= LIVE_AC_ROUND.0 && bytes <= LIVE_AC_ROUND.1,
+        "{allocs} allocations and {bytes} bytes per live available-copy round, budget \
+         {LIVE_AC_ROUND:?}"
     );
 }
 

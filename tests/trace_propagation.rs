@@ -1,13 +1,13 @@
-//! Cross-site trace propagation and its compatibility story.
+//! Cross-site trace propagation.
 //!
 //! Two invariants share this binary (and a lock, since tracing is a
 //! process-global flag):
 //!
-//! 1. **Mixed versions degrade cleanly.** A traced coordinator talking to a
-//!    peer that predates the wire trace envelope gets a hangup on the first
-//!    traced frame, falls back to bare frames for that connection, and the
-//!    operation still succeeds — the causal tree simply misses that peer's
-//!    remote spans.
+//! 1. **Every runtime stitches remote work into the coordinator's tree.**
+//!    A traced coordinator wraps its requests in the trace envelope — over
+//!    mailboxes always, over sockets once wire tracing is on — and the one
+//!    site service opens it, so every contacted site emits
+//!    `phase.remote_apply` spans under the operation that caused them.
 //! 2. **Untraced-peer mode is byte-identical.** With tracing enabled but
 //!    wire tracing off (the default), every runtime produces exactly the
 //!    results and §5 traffic counts of a fully untraced run — the parity
@@ -53,49 +53,62 @@ fn remote_applies_by_site(site: u32) -> usize {
 }
 
 #[test]
-fn traced_coordinator_falls_back_to_bare_frames_for_untraced_peers() {
+fn traced_peers_stitch_remote_apply_spans_on_both_message_passing_runtimes() {
     let _serial = TRACER_LOCK.lock().unwrap();
     let was_obs = obs::enabled();
     let was_tracing = trace::enabled();
     trace::enable();
-    trace::clear();
 
     let tcp = TcpCluster::spawn(cfg(Scheme::Voting), DeliveryMode::Multicast).unwrap();
     tcp.set_wire_tracing(true);
-    // Site 2 runs the "old" protocol: traced frames make it hang up.
-    tcp.set_untraced_peer(s(2), true);
-
-    // Single-op path (`rpc`): the first scatter to site 2 is traced, gets
-    // the hangup, and is retried bare on a fresh connection.
-    tcp.write(s(0), blk(0), fill(1)).unwrap();
-    // Batched path (`pipelined`): retries happen after the gather loop.
-    tcp.write_many(s(0), &[(blk(1), fill(2)), (blk(2), fill(3))])
-        .unwrap();
-    assert_eq!(tcp.read(s(1), blk(0)).unwrap(), fill(1));
-    assert_eq!(tcp.read(s(2), blk(1)).unwrap(), fill(2));
-    assert_eq!(tcp.read(s(0), blk(2)).unwrap(), fill(3));
-
-    // The traced peer contributed remote spans; the legacy one could not.
-    assert!(
-        remote_applies_by_site(1) > 0,
-        "traced peer must stitch remote apply spans into the tree"
-    );
-    assert_eq!(
-        remote_applies_by_site(2),
-        0,
-        "legacy peer cannot emit remote spans"
-    );
-
-    // An upgraded peer starts stitching in without reconnect gymnastics:
-    // clearing the legacy flag also re-arms the connection's trace_ok.
-    tcp.set_untraced_peer(s(2), false);
-    trace::clear();
-    tcp.write(s(0), blk(3), fill(4)).unwrap();
-    assert_eq!(tcp.read(s(1), blk(3)).unwrap(), fill(4));
-    assert!(
-        remote_applies_by_site(2) > 0,
-        "upgraded peer must resume emitting remote spans"
-    );
+    let live = LiveCluster::spawn(cfg(Scheme::Voting), DeliveryMode::Multicast);
+    type Write<'a> = &'a dyn Fn(SiteId, BlockIndex, BlockData);
+    type WriteMany<'a> = &'a dyn Fn(SiteId, &[(BlockIndex, BlockData)]);
+    type Read<'a> = &'a dyn Fn(SiteId, BlockIndex) -> BlockData;
+    let runtimes: [(&str, Write, WriteMany, Read); 2] = [
+        (
+            "tcp",
+            &|o, k, d| tcp.write(o, k, d).unwrap(),
+            &|o, ws| tcp.write_many(o, ws).unwrap(),
+            &|o, k| tcp.read(o, k).unwrap(),
+        ),
+        (
+            "live",
+            &|o, k, d| live.write(o, k, d).unwrap(),
+            &|o, ws| live.write_many(o, ws).unwrap(),
+            &|o, k| live.read(o, k).unwrap(),
+        ),
+    ];
+    for (name, write, write_many, read) in runtimes {
+        trace::clear();
+        // The single-exchange path and the batched scatter path.
+        write(s(0), blk(0), fill(1));
+        write_many(s(0), &[(blk(1), fill(2)), (blk(2), fill(3))]);
+        assert_eq!(read(s(1), blk(0)), fill(1));
+        assert_eq!(read(s(2), blk(1)), fill(2));
+        assert_eq!(read(s(0), blk(2)), fill(3));
+        for site in 0..3 {
+            assert!(
+                remote_applies_by_site(site) > 0,
+                "{name}: site {site} must stitch remote apply spans into the tree"
+            );
+        }
+        // Stitched, not merely emitted: every remote span hangs under a
+        // span of the same trace that this process recorded.
+        let spans = trace::snapshot();
+        for remote in spans
+            .iter()
+            .filter(|r| trace::phase_name(r.phase) == "phase.remote_apply")
+        {
+            assert!(
+                spans
+                    .iter()
+                    .any(|p| p.span_id == remote.parent && p.trace_id == remote.trace_id),
+                "{name}: a remote apply span on site {} has no parent in its trace",
+                remote.site
+            );
+        }
+    }
 
     if !was_tracing {
         trace::disable();
