@@ -10,14 +10,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod fs_bench;
 pub mod fsload;
-pub mod load_bench;
-pub mod protocol_bench;
 pub mod report;
-pub mod schema;
-pub mod shard_bench;
-pub mod storage_bench;
 pub mod trace_bench;
 
 use blockrep_analysis::sweep::Series;

@@ -41,41 +41,6 @@ usage:
                                            blackout, torn cross-shard
                                            batch) on an N-shard device
                                            instead of seeded schedules
-  blockrep bench [flags]                   protocol throughput/latency suite
-      --scheme S --sites N --blocks B      over all runtimes and fan-out
-      --block-size Z --ops K               modes; writes BENCH_protocol.json
-      --net multicast|unicast --out PATH   with --out
-      --latency-us D                       emulated one-way link delay
-  blockrep bench --suite fs [flags]        fs workloads (seq-read, seq-write,
-      --sites N --file-blocks B            fsync-heavy) over every runtime
-      --block-size Z --ops K               and scheme, batched vs per-block
-      --net multicast|unicast --out PATH   device I/O; writes BENCH_fs.json
-      --latency-us D                       with --out
-  blockrep bench --suite storage [flags]   journaled-device durability suite:
-      --data-blocks N --block-size Z       installs through a file-backed WAL
-      --writes K --out PATH                at several group-commit windows vs
-                                           the per-install-fsync baseline;
-                                           writes BENCH_storage.json with --out
-  blockrep bench --suite trace [flags]     per-phase latency attribution
-      --sites N --blocks B                 matrix (scheme x runtime x io)
-      --block-size Z                       from the causal tracer; writes
-      --net multicast|unicast --out PATH   BENCH_trace.json with --out
-      --latency-us D
-  blockrep bench --suite load [flags]      closed-loop concurrent-client fleet
-      --scheme S --sites N --blocks B      (uniform + zipfian keys) on the
-      --block-size Z --ops K               live and mux-TCP runtimes, leases
-      --clients 1,4,16,64,256              off/on: throughput-scaling curves
-      --write-every W --out PATH           and p99 under contention; writes
-      --net multicast|unicast              BENCH_load.json with --out
-      --latency-us D
-  blockrep bench --suite shard [flags]     sharded-device scaling sweep:
-      --scheme S --shards 1,2,4,8          aggregate vectored throughput of
-      --groups G --group-size Z            a closed-loop fleet of 64-block
-      --block-size B --clients C           batches at each shard count, on
-      --batches K --journaled              the live and mux-TCP runtimes;
-      --net multicast|unicast              writes BENCH_shard.json with --out
-      --latency-us D --out PATH
-  blockrep bench [--suite S] --check PATH  validate an emitted report
   blockrep trace [flags]                   run one traced workload; print its
       --scheme S --runtime R --io M        per-phase attribution table and
       --sites N --blocks B --block-size Z  emit the causal trace as Chrome
@@ -142,7 +107,7 @@ fn dispatch(parsed: &Parsed) -> Result<(), UsageError> {
         Some("fig") => run_fig(parsed),
         Some("simulate") => run_simulate(parsed),
         Some("chaos") => run_chaos(parsed),
-        Some("bench") => run_bench(parsed),
+        Some("bench") => run_bench(),
         Some("trace") => run_trace(parsed),
         Some("shell") => run_shell(parsed),
         Some("mkfs") => run_mkfs(parsed),
@@ -355,283 +320,19 @@ fn run_chaos(parsed: &Parsed) -> Result<(), UsageError> {
     outcome
 }
 
-fn run_bench(parsed: &Parsed) -> Result<(), UsageError> {
-    match parsed.flag("suite") {
-        None | Some("protocol") => run_bench_protocol(parsed),
-        Some("fs") => run_bench_fs(parsed),
-        Some("storage") => run_bench_storage(parsed),
-        Some("trace") => run_bench_trace(parsed),
-        Some("load") => run_bench_load(parsed),
-        Some("shard") => run_bench_shard(parsed),
-        Some(other) => Err(UsageError(format!(
-            "--suite: expected protocol, fs, storage, trace, load or shard, got {other:?}"
-        ))),
-    }
-}
-
-fn run_bench_protocol(parsed: &Parsed) -> Result<(), UsageError> {
-    use blockrep_bench::protocol_bench::{self, ProtocolBenchConfig};
-    if let Some(path) = parsed.flag("check") {
-        let text =
-            std::fs::read_to_string(path).map_err(|e| UsageError(format!("bench: {path}: {e}")))?;
-        protocol_bench::validate(&text)
-            .map_err(|e| UsageError(format!("bench: {path}: invalid report: {e}")))?;
-        println!("{path}: valid {}", protocol_bench::SCHEMA);
-        return Ok(());
-    }
-    let mut cfg = ProtocolBenchConfig::new(parsed.flag_scheme("scheme", Scheme::Voting)?);
-    cfg.sites = parsed.flag_usize("sites", cfg.sites)?;
-    cfg.blocks = parsed.flag_u64("blocks", cfg.blocks)?;
-    cfg.block_size = parsed.flag_usize("block-size", cfg.block_size)?;
-    cfg.ops = parsed.flag_u64("ops", cfg.ops)?;
-    cfg.mode = parsed.flag_mode("net", cfg.mode)?;
-    cfg.link_latency_us = parsed.flag_u64("latency-us", cfg.link_latency_us)?;
-    println!(
-        "bench: scheme {}, n = {}, {} blocks x {} B, {} ops/case, {}, link delay {} us",
-        cfg.scheme, cfg.sites, cfg.blocks, cfg.block_size, cfg.ops, cfg.mode, cfg.link_latency_us
-    );
-    let report = protocol_bench::run_suite(&cfg);
-    print!("{}", report.to_table());
-    if let Some(path) = parsed.flag("out") {
-        let json = report.to_json();
-        // Never emit a report the --check path would reject.
-        protocol_bench::validate(&json)
-            .map_err(|e| UsageError(format!("bench: emitted report invalid: {e}")))?;
-        std::fs::write(path, &json).map_err(|e| UsageError(format!("bench: {path}: {e}")))?;
-        println!("wrote {path}");
-    }
-    Ok(())
-}
-
-fn run_bench_load(parsed: &Parsed) -> Result<(), UsageError> {
-    use blockrep_bench::load_bench::{self, LoadBenchConfig};
-    if let Some(path) = parsed.flag("check") {
-        let text =
-            std::fs::read_to_string(path).map_err(|e| UsageError(format!("bench: {path}: {e}")))?;
-        load_bench::validate(&text)
-            .map_err(|e| UsageError(format!("bench: {path}: invalid report: {e}")))?;
-        println!("{path}: valid {}", load_bench::SCHEMA);
-        return Ok(());
-    }
-    let mut cfg = LoadBenchConfig::new(parsed.flag_scheme("scheme", Scheme::Voting)?);
-    cfg.sites = parsed.flag_usize("sites", cfg.sites)?;
-    cfg.blocks = parsed.flag_u64("blocks", cfg.blocks)?;
-    cfg.block_size = parsed.flag_usize("block-size", cfg.block_size)?;
-    cfg.total_ops = parsed.flag_u64("ops", cfg.total_ops)?;
-    cfg.write_every = parsed.flag_u64("write-every", cfg.write_every)?;
-    cfg.mode = parsed.flag_mode("net", cfg.mode)?;
-    cfg.link_latency_us = parsed.flag_u64("latency-us", cfg.link_latency_us)?;
-    cfg.journaled = parsed.flag_bool("journaled");
-    if let Some(raw) = parsed.flag("clients") {
-        cfg.clients = raw
-            .split(',')
-            .map(|p| {
-                p.trim()
-                    .parse::<usize>()
-                    .map_err(|_| UsageError(format!("--clients: expected integers, got {p:?}")))
-            })
-            .collect::<Result<Vec<usize>, UsageError>>()?;
-        if cfg.clients.is_empty() {
-            return Err(UsageError("--clients: empty list".into()));
-        }
-    }
-    println!(
-        "bench load: scheme {}, n = {}, {} blocks x {} B, ~{} ops/case over clients {:?}, \
-         {}, link delay {} us{}",
-        cfg.scheme,
-        cfg.sites,
-        cfg.blocks,
-        cfg.block_size,
-        cfg.total_ops,
-        cfg.clients,
-        cfg.mode,
-        cfg.link_latency_us,
-        if cfg.journaled { ", journaled" } else { "" }
-    );
-    let report = load_bench::run_suite(&cfg);
-    print!("{}", report.to_table());
-    if let Some(path) = parsed.flag("out") {
-        let json = report.to_json();
-        // Never emit a report the --check path would reject.
-        load_bench::validate(&json)
-            .map_err(|e| UsageError(format!("bench: emitted report invalid: {e}")))?;
-        std::fs::write(path, &json).map_err(|e| UsageError(format!("bench: {path}: {e}")))?;
-        println!("wrote {path}");
-    }
-    Ok(())
-}
-
-fn run_bench_shard(parsed: &Parsed) -> Result<(), UsageError> {
-    use blockrep_bench::shard_bench::{self, ShardBenchConfig};
-    if let Some(path) = parsed.flag("check") {
-        let text =
-            std::fs::read_to_string(path).map_err(|e| UsageError(format!("bench: {path}: {e}")))?;
-        shard_bench::validate(&text)
-            .map_err(|e| UsageError(format!("bench: {path}: invalid report: {e}")))?;
-        println!("{path}: valid {}", shard_bench::SCHEMA);
-        return Ok(());
-    }
-    let mut cfg = ShardBenchConfig::new(parsed.flag_scheme("scheme", Scheme::Voting)?);
-    if let Some(raw) = parsed.flag("shards") {
-        cfg.shards = raw
-            .split(',')
-            .map(|p| {
-                p.trim()
-                    .parse::<usize>()
-                    .map_err(|_| UsageError(format!("--shards: expected integers, got {p:?}")))
-            })
-            .collect::<Result<Vec<usize>, UsageError>>()?;
-        if cfg.shards.is_empty() || cfg.shards.contains(&0) {
-            return Err(UsageError(
-                "--shards: expected positive shard counts".into(),
-            ));
-        }
-    }
-    cfg.groups = parsed.flag_u64("groups", cfg.groups)?;
-    cfg.group_size = parsed.flag_u64("group-size", cfg.group_size)?;
-    cfg.block_size = parsed.flag_usize("block-size", cfg.block_size)?;
-    cfg.clients = parsed.flag_usize("clients", cfg.clients)?;
-    cfg.batches_per_client = parsed.flag_u64("batches", cfg.batches_per_client)?;
-    cfg.mode = parsed.flag_mode("net", cfg.mode)?;
-    cfg.link_latency_us = parsed.flag_u64("latency-us", cfg.link_latency_us)?;
-    cfg.journaled = parsed.flag_bool("journaled");
-    if cfg.group_size == 0 || cfg.groups == 0 || cfg.clients == 0 {
-        return Err(UsageError(
-            "bench shard: --groups, --group-size and --clients must be positive".into(),
-        ));
-    }
-    println!(
-        "bench shard: scheme {}, shards {:?} x {} sites, {} groups x {} blocks x {} B, \
-         {} clients x {} batches, {}, link delay {} us{}",
-        cfg.scheme,
-        cfg.shards,
-        cfg.sites_per_shard,
-        cfg.groups,
-        cfg.group_size,
-        cfg.block_size,
-        cfg.clients,
-        cfg.batches_per_client,
-        cfg.mode,
-        cfg.link_latency_us,
-        if cfg.journaled { ", journaled" } else { "" }
-    );
-    let report = shard_bench::run_suite(&cfg);
-    print!("{}", report.to_table());
-    if let Some(path) = parsed.flag("out") {
-        let json = report.to_json();
-        // Never emit a report the --check path would reject.
-        shard_bench::validate(&json)
-            .map_err(|e| UsageError(format!("bench: emitted report invalid: {e}")))?;
-        std::fs::write(path, &json).map_err(|e| UsageError(format!("bench: {path}: {e}")))?;
-        println!("wrote {path}");
-    }
-    Ok(())
-}
-
-fn run_bench_fs(parsed: &Parsed) -> Result<(), UsageError> {
-    use blockrep_bench::fs_bench::{self, FsBenchConfig};
-    if let Some(path) = parsed.flag("check") {
-        let text =
-            std::fs::read_to_string(path).map_err(|e| UsageError(format!("bench: {path}: {e}")))?;
-        fs_bench::validate(&text)
-            .map_err(|e| UsageError(format!("bench: {path}: invalid report: {e}")))?;
-        println!("{path}: valid {}", fs_bench::SCHEMA);
-        return Ok(());
-    }
-    let mut cfg = FsBenchConfig::new();
-    cfg.sites = parsed.flag_usize("sites", cfg.sites)?;
-    cfg.file_blocks = parsed.flag_u64("file-blocks", cfg.file_blocks)?;
-    cfg.block_size = parsed.flag_usize("block-size", cfg.block_size)?;
-    cfg.ops = parsed.flag_u64("ops", cfg.ops)?;
-    cfg.mode = parsed.flag_mode("net", cfg.mode)?;
-    cfg.link_latency_us = parsed.flag_u64("latency-us", cfg.link_latency_us)?;
-    println!(
-        "bench fs: n = {}, {}-block file x {} B, {} ops/case, {}, link delay {} us",
-        cfg.sites, cfg.file_blocks, cfg.block_size, cfg.ops, cfg.mode, cfg.link_latency_us
-    );
-    let report = fs_bench::run_suite(&cfg);
-    print!("{}", report.to_table());
-    if let Some(path) = parsed.flag("out") {
-        let json = report.to_json();
-        // Never emit a report the --check path would reject.
-        fs_bench::validate(&json)
-            .map_err(|e| UsageError(format!("bench: emitted report invalid: {e}")))?;
-        std::fs::write(path, &json).map_err(|e| UsageError(format!("bench: {path}: {e}")))?;
-        println!("wrote {path}");
-    }
-    Ok(())
-}
-
-fn run_bench_storage(parsed: &Parsed) -> Result<(), UsageError> {
-    use blockrep_bench::storage_bench::{self, StorageBenchConfig};
-    if let Some(path) = parsed.flag("check") {
-        let text =
-            std::fs::read_to_string(path).map_err(|e| UsageError(format!("bench: {path}: {e}")))?;
-        storage_bench::validate(&text)
-            .map_err(|e| UsageError(format!("bench: {path}: invalid report: {e}")))?;
-        println!("{path}: valid {}", storage_bench::SCHEMA);
-        return Ok(());
-    }
-    let mut cfg = StorageBenchConfig::new();
-    cfg.data_blocks = parsed.flag_u64("data-blocks", cfg.data_blocks)?;
-    cfg.block_size = parsed.flag_usize("block-size", cfg.block_size)?;
-    cfg.writes = parsed.flag_u64("writes", cfg.writes)?;
-    println!(
-        "bench storage: {} blocks x {} B, {} installs/window, windows {:?}",
-        cfg.data_blocks,
-        cfg.block_size,
-        cfg.writes,
-        storage_bench::WINDOWS
-    );
-    let report = storage_bench::run_suite(&cfg);
-    print!("{}", report.to_table());
-    if let Some(path) = parsed.flag("out") {
-        let json = report.to_json();
-        // Never emit a report the --check path would reject.
-        storage_bench::validate(&json)
-            .map_err(|e| UsageError(format!("bench: emitted report invalid: {e}")))?;
-        std::fs::write(path, &json).map_err(|e| UsageError(format!("bench: {path}: {e}")))?;
-        println!("wrote {path}");
-    }
-    Ok(())
-}
-
-fn run_bench_trace(parsed: &Parsed) -> Result<(), UsageError> {
-    use blockrep_bench::trace_bench::{self, TraceBenchConfig};
-    if let Some(path) = parsed.flag("check") {
-        let text =
-            std::fs::read_to_string(path).map_err(|e| UsageError(format!("bench: {path}: {e}")))?;
-        trace_bench::validate(&text)
-            .map_err(|e| UsageError(format!("bench: {path}: invalid report: {e}")))?;
-        println!("{path}: valid {}", trace_bench::SCHEMA);
-        return Ok(());
-    }
-    let mut cfg = TraceBenchConfig::new();
-    cfg.sites = parsed.flag_usize("sites", cfg.sites)?;
-    cfg.blocks = parsed.flag_u64("blocks", cfg.blocks)?;
-    cfg.block_size = parsed.flag_usize("block-size", cfg.block_size)?;
-    cfg.mode = parsed.flag_mode("net", cfg.mode)?;
-    cfg.link_latency_us = parsed.flag_u64("latency-us", cfg.link_latency_us)?;
-    println!(
-        "bench trace: n = {}, {} blocks x {} B, {}, link delay {} us",
-        cfg.sites, cfg.blocks, cfg.block_size, cfg.mode, cfg.link_latency_us
-    );
-    let report = trace_bench::run_suite(&cfg);
-    print!("{}", report.to_table());
-    if let Some(path) = parsed.flag("out") {
-        let json = report.to_json();
-        // Never emit a report the --check path would reject.
-        trace_bench::validate(&json)
-            .map_err(|e| UsageError(format!("bench: emitted report invalid: {e}")))?;
-        std::fs::write(path, &json).map_err(|e| UsageError(format!("bench: {path}: {e}")))?;
-        println!("wrote {path}");
-    }
-    Ok(())
+/// The suites this subcommand ran are gone; scripts that still call it
+/// are told where the numbers come from now.
+fn run_bench() -> Result<(), UsageError> {
+    Err(UsageError(
+        "bench: the built-in suites were removed; the repository benchmark is \
+         `cargo run --release --manifest-path benchmark/Cargo.toml -- --workload <w>` \
+         (BENCHMARK.json names the workloads)"
+            .into(),
+    ))
 }
 
 fn run_trace(parsed: &Parsed) -> Result<(), UsageError> {
-    use blockrep_bench::protocol_bench::BenchRuntime;
-    use blockrep_bench::trace_bench::{self, TraceBenchConfig, TraceIoMode};
+    use blockrep_bench::trace_bench::{self, BenchRuntime, TraceBenchConfig, TraceIoMode};
     if let Some(path) = parsed.flag("check") {
         let text =
             std::fs::read_to_string(path).map_err(|e| UsageError(format!("trace: {path}: {e}")))?;
@@ -840,6 +541,23 @@ mod tests {
     fn help_runs() {
         assert!(run(&parsed(&[])).is_ok());
         assert!(run(&parsed(&["help"])).is_ok());
+        assert!(!USAGE.contains("--suite") && !USAGE.contains("blockrep bench"));
+    }
+
+    #[test]
+    fn bench_subcommand_points_at_the_repository_benchmark() {
+        for args in [
+            &["bench"][..],
+            &["bench", "--suite", "fs", "--check", "x.json"],
+        ] {
+            let err = run(&parsed(args)).unwrap_err().to_string();
+            assert!(
+                err.contains(
+                    "cargo run --release --manifest-path benchmark/Cargo.toml -- --workload <w>"
+                ),
+                "{err}"
+            );
+        }
     }
 
     #[test]
@@ -978,83 +696,6 @@ mod tests {
     }
 
     #[test]
-    fn bench_storage_suite_writes_and_checks_a_report() -> Result<(), UsageError> {
-        let mut path = std::env::temp_dir();
-        path.push(format!(
-            "blockrep-cli-bench-storage-{}.json",
-            std::process::id()
-        ));
-        let path_str = path
-            .to_str()
-            .ok_or_else(|| UsageError("temp path is not UTF-8".into()))?
-            .to_string();
-        run(&parsed(&[
-            "bench",
-            "--suite",
-            "storage",
-            "--data-blocks",
-            "4",
-            "--block-size",
-            "64",
-            "--writes",
-            "8",
-            "--out",
-            &path_str,
-        ]))?;
-        run(&parsed(&[
-            "bench", "--suite", "storage", "--check", &path_str,
-        ]))?;
-        // A storage report is not a protocol report.
-        assert!(run(&parsed(&["bench", "--check", &path_str])).is_err());
-        std::fs::remove_file(path)?;
-        Ok(())
-    }
-
-    #[test]
-    fn bench_shard_suite_writes_and_checks_a_report() -> Result<(), UsageError> {
-        let mut path = std::env::temp_dir();
-        path.push(format!(
-            "blockrep-cli-bench-shard-{}.json",
-            std::process::id()
-        ));
-        let path_str = path
-            .to_str()
-            .ok_or_else(|| UsageError("temp path is not UTF-8".into()))?
-            .to_string();
-        run(&parsed(&[
-            "bench",
-            "--suite",
-            "shard",
-            "--shards",
-            "1,2",
-            "--groups",
-            "4",
-            "--group-size",
-            "4",
-            "--block-size",
-            "16",
-            "--clients",
-            "2",
-            "--batches",
-            "2",
-            "--latency-us",
-            "0",
-            "--out",
-            &path_str,
-        ]))?;
-        run(&parsed(&[
-            "bench", "--suite", "shard", "--check", &path_str,
-        ]))?;
-        // A shard report is not a protocol report.
-        assert!(run(&parsed(&["bench", "--check", &path_str])).is_err());
-        // Malformed sweeps are rejected before any cluster spawns.
-        assert!(run(&parsed(&["bench", "--suite", "shard", "--shards", "0"])).is_err());
-        assert!(run(&parsed(&["bench", "--suite", "shard", "--shards", "x"])).is_err());
-        std::fs::remove_file(path)?;
-        Ok(())
-    }
-
-    #[test]
     fn mkfs_shards_formats_images_and_prints_the_manifest() -> Result<(), UsageError> {
         let mut path = std::env::temp_dir();
         path.push(format!(
@@ -1113,105 +754,6 @@ mod tests {
         // Exercises the mcv alias and one short seed on all three runtimes.
         let p = parsed(&["chaos", "--seed", "1", "--steps", "8", "--scheme", "mcv"]);
         assert!(run(&p).is_ok());
-    }
-
-    #[test]
-    fn bench_writes_and_checks_a_report() -> Result<(), UsageError> {
-        let mut path = std::env::temp_dir();
-        path.push(format!("blockrep-cli-bench-{}.json", std::process::id()));
-        let path_str = path
-            .to_str()
-            .ok_or_else(|| UsageError("temp path is not UTF-8".into()))?
-            .to_string();
-        run(&parsed(&[
-            "bench",
-            "--scheme",
-            "voting",
-            "--sites",
-            "3",
-            "--blocks",
-            "2",
-            "--block-size",
-            "32",
-            "--ops",
-            "4",
-            "--out",
-            &path_str,
-        ]))?;
-        run(&parsed(&["bench", "--check", &path_str]))?;
-        // Damage the report: --check must fail.
-        std::fs::write(&path, "{\"schema\": \"wrong\"}")?;
-        assert!(run(&parsed(&["bench", "--check", &path_str])).is_err());
-        std::fs::remove_file(path)?;
-        Ok(())
-    }
-
-    #[test]
-    fn bench_fs_suite_writes_and_checks_a_report() -> Result<(), UsageError> {
-        let mut path = std::env::temp_dir();
-        path.push(format!("blockrep-cli-bench-fs-{}.json", std::process::id()));
-        let path_str = path
-            .to_str()
-            .ok_or_else(|| UsageError("temp path is not UTF-8".into()))?
-            .to_string();
-        run(&parsed(&[
-            "bench",
-            "--suite",
-            "fs",
-            "--sites",
-            "3",
-            "--file-blocks",
-            "2",
-            "--block-size",
-            "64",
-            "--ops",
-            "1",
-            "--latency-us",
-            "0",
-            "--out",
-            &path_str,
-        ]))?;
-        run(&parsed(&["bench", "--suite", "fs", "--check", &path_str]))?;
-        // A protocol report is not an fs report, and vice versa.
-        assert!(run(&parsed(&["bench", "--check", &path_str])).is_err());
-        assert!(run(&parsed(&["bench", "--suite", "nope"])).is_err());
-        std::fs::remove_file(path)?;
-        Ok(())
-    }
-
-    #[test]
-    fn bench_trace_suite_writes_and_checks_a_report() -> Result<(), UsageError> {
-        let mut path = std::env::temp_dir();
-        path.push(format!(
-            "blockrep-cli-bench-trace-{}.json",
-            std::process::id()
-        ));
-        let path_str = path
-            .to_str()
-            .ok_or_else(|| UsageError("temp path is not UTF-8".into()))?
-            .to_string();
-        run(&parsed(&[
-            "bench",
-            "--suite",
-            "trace",
-            "--sites",
-            "3",
-            "--blocks",
-            "2",
-            "--block-size",
-            "32",
-            "--latency-us",
-            "0",
-            "--out",
-            &path_str,
-        ]))?;
-        run(&parsed(&[
-            "bench", "--suite", "trace", "--check", &path_str,
-        ]))?;
-        // A trace report is not a protocol report.
-        assert!(run(&parsed(&["bench", "--check", &path_str])).is_err());
-        std::fs::remove_file(path)?;
-        Ok(())
     }
 
     #[test]

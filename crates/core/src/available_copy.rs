@@ -9,9 +9,7 @@
 //! (Definition 3.2) has recovered — the closure necessarily contains the
 //! last site(s) to fail, hence a most-current copy.
 
-use crate::backend::{
-    self, Backend, Gather, ScatterReply, ScatterRequest, ScatterSpec, WriteBatch,
-};
+use crate::backend::{self, Backend, ScatterReply, ScatterRequest, ScatterSpec, WriteBatch};
 use crate::obs_hooks;
 use blockrep_net::{MsgKind, OpClass};
 use blockrep_obs::event;
@@ -114,7 +112,6 @@ pub(crate) fn write<B: Backend + ?Sized>(
         op: OpClass::Write,
         reply_charge: (!naive).then_some(MsgKind::WriteAck),
         reply_units: 1,
-        gather: Gather::All,
     };
     let update = ScatterRequest::InstallIfAvailable {
         k,
@@ -231,7 +228,6 @@ pub(crate) fn write_many<B: Backend + ?Sized>(
         op: OpClass::Write,
         reply_charge: (!naive).then_some(MsgKind::WriteAck),
         reply_units: writes.len() as u64,
-        gather: Gather::All,
     };
     let update = ScatterRequest::InstallIfAvailableMany(batch.clone());
     for (t, reply) in b.scatter(spec, origin, &others, &update) {
@@ -303,7 +299,6 @@ pub(crate) fn begin_recovery<B: Backend + ?Sized>(b: &B, s: SiteId) {
         op: OpClass::Recovery,
         reply_charge: Some(MsgKind::RecoveryReply),
         reply_units: 1,
-        gather: Gather::All,
     };
     b.scatter(spec, s, &others, &ScatterRequest::ProbeState);
 }
@@ -364,7 +359,6 @@ pub(crate) fn most_current<B: Backend + ?Sized>(
         op: OpClass::Recovery,
         reply_charge: None,
         reply_units: 1,
-        gather: Gather::All,
     };
     let fetched = b.scatter(spec, observer, &remote, &ScatterRequest::VersionVector);
     let mut best: Option<(u64, SiteId)> = None;

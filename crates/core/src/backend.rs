@@ -98,29 +98,12 @@ pub enum ScatterReply {
     Versions(Vec<VersionNumber>),
 }
 
-/// How much of a scatter the coordinator must wait for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Gather {
-    /// Wait for every target to answer (or fail).
-    All,
-    /// Return once the gathered targets' voting weight (in target order)
-    /// reaches `threshold`. Stragglers are still drained — and their replies
-    /// still charged to the [`TrafficCounter`] — but come back as `None`, so
-    /// §5 accounting is identical to [`Gather::All`]; only the caller's
-    /// blocking time shrinks.
-    EarlyQuorum {
-        /// Voting weight the gathered replies must reach.
-        threshold: u64,
-    },
-}
-
 /// Replies from one scatter, in target order. `None` marks a target that
-/// did not answer (failed/unreachable) or whose reply was ceded to the
-/// early-quorum drain.
+/// did not answer (failed/unreachable).
 pub type ScatterReplies = Vec<(SiteId, Option<ScatterReply>)>;
 
-/// Accounting and gathering context of one scatter — plumbing shared by the
-/// runtime overrides.
+/// Accounting context of one scatter — plumbing shared by the runtime
+/// overrides.
 #[derive(Debug, Clone, Copy)]
 pub struct ScatterSpec {
     /// The operation this fan-out belongs to.
@@ -133,8 +116,6 @@ pub struct ScatterSpec {
     /// physical reply frame is charged as the per-block replies it stands
     /// for, keeping vectored traffic byte-identical to the per-block loop.
     pub reply_units: u64,
-    /// Gathering policy.
-    pub gather: Gather,
 }
 
 /// A version vector paired with the repair blocks it implies — Figure 5's
@@ -289,12 +270,6 @@ pub trait Backend: Send + Sync {
         delivered
     }
 
-    /// Whether MCV vote collection may stop gathering at quorum weight
-    /// ([`Gather::EarlyQuorum`]). Opt-in per runtime; off by default.
-    fn early_quorum(&self) -> bool {
-        false
-    }
-
     /// The coordinator-side sharded block-lock table. The protocol entry
     /// points hold the touched blocks' shards for the duration of each
     /// operation, so clients of the same runtime handle serialize per
@@ -379,11 +354,8 @@ fn exchange_once<B: Backend + ?Sized>(
     }
 }
 
-/// The default sequential scatter body, also the fallback the concurrent
-/// runtimes use when their fan-out mode is
-/// [`FanoutMode::Sequential`](blockrep_net::FanoutMode). Every exchange is
-/// performed (early quorum never skips a straggler) and every gathered
-/// reply charged; the result is then truncated per `spec.gather`.
+/// The default sequential scatter body: every exchange is performed, in
+/// target order, and every gathered reply charged.
 pub fn scatter_sequential<B: Backend + ?Sized>(
     b: &B,
     spec: ScatterSpec,
@@ -407,7 +379,6 @@ pub fn scatter_sequential<B: Backend + ?Sized>(
         }
         replies.push((t, reply));
     }
-    truncate_to_threshold(b.config(), &mut replies, spec.gather);
     replies
 }
 
@@ -440,30 +411,7 @@ fn scatter_sequential_observed<B: Backend + ?Sized>(
         }
         replies.push((t, reply));
     }
-    truncate_to_threshold(b.config(), &mut replies, spec.gather);
     replies
-}
-
-/// Applies the early-quorum cutoff: once the gathered weight (scanning in
-/// target order) reaches the threshold, the remaining entries become `None`
-/// — their replies were drained and charged but the caller must not build
-/// on them, so results match what a truly early-returning gather sees.
-pub(crate) fn truncate_to_threshold(
-    cfg: &DeviceConfig,
-    replies: &mut ScatterReplies,
-    gather: Gather,
-) {
-    let Gather::EarlyQuorum { threshold } = gather else {
-        return;
-    };
-    let mut gathered = 0u64;
-    for (t, reply) in replies.iter_mut() {
-        if gathered >= threshold {
-            *reply = None;
-        } else if reply.is_some() {
-            gathered += cfg.weight(*t).as_u64();
-        }
-    }
 }
 
 /// What a coordinator reports when its own site's server does not answer
@@ -547,57 +495,5 @@ mod tests {
         // weights are 3,2,2,2
         assert_eq!(weight_of(&cfg, &[SiteId::new(0), SiteId::new(3)]), 5);
         assert_eq!(weight_of(&cfg, &[]), 0);
-    }
-
-    fn replies(entries: &[(u32, Option<u64>)]) -> ScatterReplies {
-        entries
-            .iter()
-            .map(|&(s, v)| {
-                (
-                    SiteId::new(s),
-                    v.map(|v| ScatterReply::Version(VersionNumber::new(v))),
-                )
-            })
-            .collect()
-    }
-
-    #[test]
-    fn gather_all_truncates_nothing() {
-        let cfg = DeviceConfig::builder(Scheme::Voting)
-            .sites(4)
-            .build()
-            .unwrap();
-        let mut r = replies(&[(1, Some(4)), (2, None), (3, Some(2))]);
-        let full = r.clone();
-        truncate_to_threshold(&cfg, &mut r, Gather::All);
-        assert_eq!(r, full);
-    }
-
-    #[test]
-    fn early_quorum_blanks_entries_past_the_threshold() {
-        let cfg = DeviceConfig::builder(Scheme::Voting)
-            .sites(4)
-            .build()
-            .unwrap();
-        // weights 3,2,2,2; gathering from sites 1..3 (weight 2 each).
-        let mut r = replies(&[(1, Some(4)), (2, Some(4)), (3, Some(2))]);
-        truncate_to_threshold(&cfg, &mut r, Gather::EarlyQuorum { threshold: 4 });
-        assert_eq!(
-            r,
-            replies(&[(1, Some(4)), (2, Some(4)), (3, None)]),
-            "site 3's reply is ceded to the drain once weight 4 is gathered"
-        );
-    }
-
-    #[test]
-    fn early_quorum_skips_non_answers_when_counting_weight() {
-        let cfg = DeviceConfig::builder(Scheme::Voting)
-            .sites(4)
-            .build()
-            .unwrap();
-        let mut r = replies(&[(1, None), (2, Some(4)), (3, Some(2))]);
-        truncate_to_threshold(&cfg, &mut r, Gather::EarlyQuorum { threshold: 4 });
-        // Site 1 never answered, so site 3's weight is still needed.
-        assert_eq!(r, replies(&[(1, None), (2, Some(4)), (3, Some(2))]));
     }
 }

@@ -10,7 +10,6 @@ use blockrep_types::{
 };
 use parking_lot::{Mutex, RwLock};
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Runtime options for a cluster.
 #[derive(Debug, Clone, Copy, Default)]
@@ -67,7 +66,6 @@ pub struct Cluster {
     topology: RwLock<Topology>,
     counter: TrafficCounter,
     mode: DeliveryMode,
-    early_quorum: AtomicBool,
     locks: BlockLockTable,
     leases: LeaseTable,
 }
@@ -85,7 +83,6 @@ impl Cluster {
             replicas,
             counter: TrafficCounter::new(),
             mode: options.mode,
-            early_quorum: AtomicBool::new(false),
             locks: BlockLockTable::new(),
             leases: LeaseTable::new(),
             cfg,
@@ -110,7 +107,6 @@ impl Cluster {
             topology: RwLock::new(self.topology.read().clone()),
             counter: TrafficCounter::new(),
             mode: self.mode,
-            early_quorum: AtomicBool::new(self.early_quorum.load(Ordering::Relaxed)),
             locks: BlockLockTable::new(),
             leases,
         }
@@ -123,15 +119,6 @@ impl Cluster {
     /// a read quorum. Off by default.
     pub fn set_leases(&self, on: bool) {
         self.leases.set_enabled(on);
-    }
-
-    /// Opts MCV vote collection in (or out) of early-quorum termination. On
-    /// this deterministic runtime the exchanges stay sequential — stragglers
-    /// are still polled and charged — so this toggles only which voters the
-    /// coordinator *builds on*, byte-identical to what the concurrent
-    /// runtimes return.
-    pub fn set_early_quorum(&self, on: bool) {
-        self.early_quorum.store(on, Ordering::Relaxed);
     }
 
     /// The device configuration.
@@ -448,10 +435,6 @@ impl Backend for Cluster {
 
     fn scrub_local(&self, s: SiteId) -> usize {
         self.replicas[s.index()].lock().scrub().len()
-    }
-
-    fn early_quorum(&self) -> bool {
-        self.early_quorum.load(Ordering::Relaxed)
     }
 
     fn block_locks(&self) -> &BlockLockTable {

@@ -94,7 +94,7 @@ pub(crate) mod naive;
 pub(crate) mod voting;
 
 pub use backend::{
-    Gather, RepairBlocks, RepairPayload, ScatterReplies, ScatterReply, ScatterRequest, ScatterSpec,
+    RepairBlocks, RepairPayload, ScatterReplies, ScatterReply, ScatterRequest, ScatterSpec,
     WriteBatch,
 };
 pub use cluster::{Cluster, ClusterOptions};

@@ -15,7 +15,7 @@
 //! the same way — which the integration tests exploit: a workload replayed
 //! on both runtimes must produce identical message counts.
 
-use crate::backend::{Gather, ScatterReplies};
+use crate::backend::ScatterReplies;
 use crate::protocol;
 use crate::replica::Replica;
 use crate::service::serve;
@@ -24,17 +24,7 @@ use crate::wire::{WireRequest, WireResponse};
 use blockrep_net::{DeliveryMode, Network};
 use blockrep_types::{DeviceConfig, SiteId};
 use crossbeam::channel::{bounded, Receiver, Sender};
-use std::sync::Arc;
 use std::thread::JoinHandle;
-
-/// Work for the straggler-drain thread: replies an early-quorum scatter did
-/// not wait for still have to be received — and charged — off the hot path.
-enum DrainJob {
-    /// Receive each pending reply and charge it to the traffic counter.
-    Drain(Vec<Box<dyn FnOnce() + Send>>),
-    /// Barrier: acknowledge once every prior job has fully drained.
-    Sync(Sender<()>),
-}
 
 /// What travels to a site's mailbox: a request, and where to send the
 /// reply if the sender is waiting for one. A cast carries no sender, so
@@ -63,9 +53,6 @@ fn traced(request: WireRequest) -> WireRequest {
 /// The in-memory transport: one mailbox and one server thread per site.
 pub struct LiveTransport {
     net: Network<Envelope>,
-    /// Hands straggler replies to the drainer; `None` only during drop.
-    drain_tx: Option<Sender<DrainJob>>,
-    drainer: Option<JoinHandle<()>>,
     handles: Vec<JoinHandle<()>>,
 }
 
@@ -100,27 +87,7 @@ impl LiveTransport {
                 })
             })
             .collect();
-        let (drain_tx, drain_rx) = crossbeam::channel::unbounded::<DrainJob>();
-        let drainer = std::thread::spawn(move || {
-            while let Ok(job) = drain_rx.recv() {
-                match job {
-                    DrainJob::Drain(receives) => {
-                        for receive in receives {
-                            receive();
-                        }
-                    }
-                    DrainJob::Sync(ack) => {
-                        let _ = ack.send(());
-                    }
-                }
-            }
-        });
-        LiveTransport {
-            net,
-            drain_tx: Some(drain_tx),
-            drainer: Some(drainer),
-            handles,
-        }
+        LiveTransport { net, handles }
     }
 
     fn send(&self, from: SiteId, to: SiteId, envelope: Envelope) -> bool {
@@ -160,8 +127,6 @@ impl Transport for LiveTransport {
         self.net.set_site_up(s, up);
     }
 
-    /// Straggler replies of an early-quorum gather are received — and
-    /// charged — by the drainer thread, so nobody blocks on them.
     fn scatter(&self, cx: Scatter<'_>, request: WireRequest) -> ScatterReplies {
         let Scatter {
             spec,
@@ -176,13 +141,6 @@ impl Transport for LiveTransport {
             crate::obs_hooks::scatter_batch().record(targets.len() as u64);
         }
         let tracing = obs_on && crate::obs_hooks::tracing();
-        // Captured for the straggler drainer, which runs on its own thread
-        // and therefore cannot inherit this thread's span context.
-        let op_ctx = if tracing {
-            blockrep_obs::trace::current()
-        } else {
-            None
-        };
         let pending: Vec<(SiteId, Option<Receiver<WireResponse>>)> = targets
             .iter()
             .map(|&t| {
@@ -213,44 +171,8 @@ impl Transport for LiveTransport {
                 (t, sent.then_some(rx))
             })
             .collect();
-        let threshold = match spec.gather {
-            Gather::All => u64::MAX,
-            Gather::EarlyQuorum { threshold } => threshold,
-        };
-        let mut gathered = 0u64;
-        let mut cut_marked = false;
         let mut replies: ScatterReplies = Vec::with_capacity(targets.len());
-        let mut stragglers: Vec<Box<dyn FnOnce() + Send>> = Vec::new();
         for (t, rx) in pending {
-            if gathered >= threshold {
-                // Quorum reached: the reply still arrives and is still
-                // charged — by the drainer — but nobody blocks on it.
-                if tracing && !cut_marked {
-                    cut_marked = true;
-                    blockrep_obs::trace::instant(
-                        crate::obs_hooks::phase_early_quorum_cut(),
-                        origin.as_u32(),
-                    );
-                }
-                if let Some(rx) = rx {
-                    let counter = Arc::clone(cx.counter);
-                    let (op, charge, units) = (spec.op, spec.reply_charge, spec.reply_units);
-                    let drain_phase = crate::obs_hooks::phase_straggler_drain();
-                    let site = t.as_u32();
-                    stragglers.push(Box::new(move || {
-                        let _drain = op_ctx.map(|ctx| {
-                            blockrep_obs::trace::start_phase_under(ctx, drain_phase, site)
-                        });
-                        if rx.recv().is_ok() {
-                            if let Some(kind) = charge {
-                                counter.add(op, kind, units);
-                            }
-                        }
-                    }));
-                }
-                replies.push((t, None));
-                continue;
-            }
             let reply = rx.and_then(|rx| {
                 let _gather = if tracing {
                     blockrep_obs::trace::start_phase(
@@ -266,14 +188,8 @@ impl Transport for LiveTransport {
                 if let Some(kind) = spec.reply_charge {
                     cx.counter.add(spec.op, kind, spec.reply_units);
                 }
-                gathered += cx.cfg.weight(t).as_u64();
             }
             replies.push((t, reply));
-        }
-        if !stragglers.is_empty() {
-            if let Some(tx) = &self.drain_tx {
-                let _ = tx.send(DrainJob::Drain(stragglers));
-            }
         }
         replies
     }
@@ -281,19 +197,20 @@ impl Transport for LiveTransport {
 
 impl Drop for LiveTransport {
     fn drop(&mut self) {
-        // Finish draining stragglers while the servers still answer, then
-        // shut the servers down.
-        self.drain_tx.take();
-        if let Some(drainer) = self.drainer.take() {
-            let _ = drainer.join();
-        }
         // Sent as each site's message to itself: `send_raw` delivers that
         // whatever the link state, and a failed site's thread still has to
         // exit.
         for i in 0..self.handles.len() {
             let s = SiteId::new(i as u32);
             let request = WireRequest::Shutdown;
-            self.send(s, s, Envelope { request, reply: None });
+            self.send(
+                s,
+                s,
+                Envelope {
+                    request,
+                    reply: None,
+                },
+            );
         }
         for handle in self.handles.drain(..) {
             let _ = handle.join();
@@ -351,24 +268,11 @@ impl ServerCluster<LiveTransport> {
         self.transport.net.set_topology(whole);
         protocol::sweep(self);
     }
-
-    /// Blocks until every straggler reply handed to the background drainer
-    /// has been received and charged, so a traffic snapshot taken afterwards
-    /// is complete.
-    pub fn quiesce(&self) {
-        if let Some(tx) = &self.transport.drain_tx {
-            let (ack_tx, ack_rx) = bounded(1);
-            if tx.send(DrainJob::Sync(ack_tx)).is_ok() {
-                let _ = ack_rx.recv();
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use blockrep_net::FanoutMode;
     use blockrep_types::{BlockData, BlockIndex, Scheme, SiteState};
     use std::time::Duration;
 
@@ -469,49 +373,5 @@ mod tests {
             "a failed site's thread never got the shutdown message"
         );
         dropper.join().unwrap();
-    }
-
-    #[test]
-    fn parallel_and_sequential_fanout_agree_on_results_and_traffic() {
-        for scheme in Scheme::ALL {
-            let par = live(scheme, 4);
-            let seq = live(scheme, 4);
-            seq.set_fanout(FanoutMode::Sequential);
-            assert_eq!(par.fanout(), FanoutMode::Parallel);
-            assert_eq!(seq.fanout(), FanoutMode::Sequential);
-            for c in [&par, &seq] {
-                let k = BlockIndex::new(0);
-                c.write(sid(0), k, BlockData::from(vec![5; 8])).unwrap();
-                c.fail_site(sid(3));
-                c.write(sid(1), k, BlockData::from(vec![6; 8])).unwrap();
-                c.repair_site(sid(3));
-                assert_eq!(c.read(sid(3), k).unwrap().as_slice(), &[6; 8], "{scheme}");
-            }
-            assert_eq!(
-                par.counter().snapshot(),
-                seq.counter().snapshot(),
-                "{scheme}: fan-out mode must not change §5 counts"
-            );
-        }
-    }
-
-    #[test]
-    fn early_quorum_charges_stragglers_through_the_drainer() {
-        let baseline = live(Scheme::Voting, 5);
-        let early = live(Scheme::Voting, 5);
-        early.set_early_quorum(true);
-        let k = BlockIndex::new(1);
-        for c in [&baseline, &early] {
-            c.write(sid(0), k, BlockData::from(vec![9; 8])).unwrap();
-        }
-        early.quiesce();
-        // Multicast: straggler vote replies are still charged (by the
-        // drainer), so the write's §5 cost matches gather-all exactly.
-        assert_eq!(baseline.counter().snapshot(), early.counter().snapshot());
-        // Quorum intersection keeps reads correct everywhere — including at
-        // a straggler that missed the install and repairs lazily.
-        for s in 0..5 {
-            assert_eq!(early.read(sid(s), k).unwrap().as_slice(), &[9; 8]);
-        }
     }
 }

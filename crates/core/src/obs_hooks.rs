@@ -60,8 +60,6 @@ cached_phase!(phase_exchange, "phase.exchange");
 cached_phase!(phase_scatter_send, "phase.scatter_send");
 cached_phase!(phase_gather_wait, "phase.gather_wait");
 cached_phase!(phase_remote_apply, "phase.remote_apply");
-cached_phase!(phase_early_quorum_cut, "phase.early_quorum_cut");
-cached_phase!(phase_straggler_drain, "phase.straggler_drain");
 cached_phase!(phase_chaos_fault, "chaos.fault");
 
 /// Whether causal tracing is live. Callers must already be past the base

@@ -1,8 +1,11 @@
 //! Scheme dispatch and the recovery sweep.
 //!
-//! These are the crate-internal entry points both cluster runtimes
-//! ([`Cluster`](crate::Cluster) and [`LiveCluster`](crate::LiveCluster))
-//! call; they route each operation to the protocol selected by the device
+//! These are the crate-internal entry points every runtime calls — the
+//! deterministic [`Cluster`](crate::Cluster), the two
+//! [`ServerCluster`](crate::ServerCluster) aliases
+//! ([`LiveCluster`](crate::LiveCluster), [`TcpCluster`](crate::TcpCluster))
+//! and, per shard, [`ShardedDevice`](crate::shard::ShardedDevice); they
+//! route each operation to the protocol selected by the device
 //! configuration.
 
 use crate::backend::Backend;

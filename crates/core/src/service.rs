@@ -21,7 +21,11 @@ use crate::wire::{WireRequest, WireResponse};
 /// coordinator's causal tree. `None` is "not a site request" —
 /// [`WireRequest::Mux`] and [`WireRequest::Shutdown`] are about the
 /// connection the request came in on, and stay the transport's business.
-pub(crate) fn serve(replica: &mut Replica, site: u32, request: WireRequest) -> Option<WireResponse> {
+pub(crate) fn serve(
+    replica: &mut Replica,
+    site: u32,
+    request: WireRequest,
+) -> Option<WireResponse> {
     Some(match request {
         WireRequest::Probe => WireResponse::Ack,
         WireRequest::Vote(k) => WireResponse::Version(replica.version(k)),
@@ -145,18 +149,22 @@ mod tests {
             (WireRequest::ReadLocal(blk(1)), |r| {
                 matches!(r, WireResponse::Data(_))
             }),
-            (WireRequest::VoteMany(ks.clone()), |r| {
-                matches!(r, WireResponse::Versions(vs) if vs.len() == 3)
-            }),
-            (WireRequest::ReadLocalMany(ks), |r| {
-                matches!(r, WireResponse::DataMany(ds) if ds.len() == 3)
-            }),
-            (WireRequest::VersionVector, |r| {
-                matches!(r, WireResponse::Vector(vv) if vv.len() == BLOCKS as usize)
-            }),
-            (WireRequest::RepairPayload(VersionVector::new(BLOCKS)), |r| {
-                matches!(r, WireResponse::Payload(..))
-            }),
+            (
+                WireRequest::VoteMany(ks.clone()),
+                |r| matches!(r, WireResponse::Versions(vs) if vs.len() == 3),
+            ),
+            (
+                WireRequest::ReadLocalMany(ks),
+                |r| matches!(r, WireResponse::DataMany(ds) if ds.len() == 3),
+            ),
+            (
+                WireRequest::VersionVector,
+                |r| matches!(r, WireResponse::Vector(vv) if vv.len() == BLOCKS as usize),
+            ),
+            (
+                WireRequest::RepairPayload(VersionVector::new(BLOCKS)),
+                |r| matches!(r, WireResponse::Payload(..)),
+            ),
             (WireRequest::GetW, |r| matches!(r, WireResponse::W(_))),
             (WireRequest::Scrub, |r| matches!(r, WireResponse::Count(_))),
             (WireRequest::ApplyWrite(blk(1), ver(1), fill(3)), ack),

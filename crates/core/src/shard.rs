@@ -383,16 +383,14 @@ impl<C: Backend> ShardedDevice<C> {
     ) -> DeviceResult<T> {
         let backend = &*self.shards[s];
         let preferred = self.preferred;
-        let origins = std::iter::once(preferred)
-            .chain(backend.config().site_ids().filter(move |&x| x != preferred));
-        let mut last = None;
-        for origin in origins {
-            match op(backend, origin) {
-                Err(e @ DeviceError::SiteNotServing { .. }) => last = Some(e),
-                other => return other,
+        let mut outcome = op(backend, preferred);
+        for origin in backend.config().site_ids().filter(|&x| x != preferred) {
+            if !matches!(outcome, Err(DeviceError::SiteNotServing { .. })) {
+                break;
             }
+            outcome = op(backend, origin);
         }
-        Err(last.expect("shards have at least one site"))
+        outcome
     }
 
     /// The one parallel round: runs `run` for every `(shard, positions)`
@@ -437,7 +435,15 @@ impl<C: Backend> ShardedDevice<C> {
             let result = run(last, &last_idxs);
             let mut outcomes: Vec<_> = workers
                 .into_iter()
-                .map(|worker| worker.join().expect("shard worker panicked"))
+                // A panic in one shard's protocol code fails that sub-batch
+                // (its positions die with the worker; a failed outcome
+                // carries none) instead of unwinding through the caller.
+                .map(|worker| {
+                    worker.join().unwrap_or_else(|_| {
+                        let panicked = std::io::Error::other("shard worker panicked");
+                        (Vec::new(), Err(DeviceError::Io(panicked)))
+                    })
+                })
                 .collect();
             outcomes.push((last_idxs, result));
             outcomes
@@ -445,6 +451,13 @@ impl<C: Backend> ShardedDevice<C> {
         drop(held);
         outcomes
     }
+}
+
+/// A shard answered a read with fewer blocks than it was asked for.
+fn short_read() -> DeviceError {
+    DeviceError::Io(std::io::Error::other(
+        "shard returned fewer blocks than requested",
+    ))
 }
 
 impl<C: Backend> BlockDevice for ShardedDevice<C> {
@@ -457,8 +470,8 @@ impl<C: Backend> BlockDevice for ShardedDevice<C> {
     }
 
     fn read_block(&self, k: BlockIndex) -> DeviceResult<BlockData> {
-        let mut blocks = self.read_blocks(std::slice::from_ref(&k))?;
-        Ok(blocks.pop().expect("one block requested"))
+        let blocks = self.read_blocks(std::slice::from_ref(&k))?;
+        blocks.into_iter().next().ok_or_else(short_read)
     }
 
     fn write_block(&self, k: BlockIndex, data: BlockData) -> DeviceResult<()> {
@@ -495,10 +508,10 @@ impl<C: Backend> BlockDevice for ShardedDevice<C> {
         if let Some(e) = first_err {
             return Err(e);
         }
-        Ok(stitched
+        stitched
             .into_iter()
-            .map(|d| d.expect("every position stitched"))
-            .collect())
+            .collect::<Option<Vec<BlockData>>>()
+            .ok_or_else(short_read)
     }
 
     fn write_blocks(&self, writes: &[(BlockIndex, BlockData)]) -> DeviceResult<()> {
@@ -587,6 +600,8 @@ impl ShardedDevice<crate::TcpCluster> {
 mod tests {
     use super::*;
     use crate::ClusterOptions;
+    use blockrep_types::{VersionNumber, VersionVector};
+    use std::collections::BTreeSet;
 
     fn spec(scheme: Scheme, shards: usize) -> ShardSpec {
         ShardSpec {
@@ -756,5 +771,126 @@ mod tests {
         let owner = &dev.shard_backends()[dev.shard_of(k)];
         protocol::fail(&**owner, SiteId::new(0));
         assert_eq!(dev.read_block(k).unwrap().as_slice(), &[7; 8]);
+    }
+
+    /// A naive-available-copy shard whose local disk either reads zeros or
+    /// panics. Only the methods a vectored NAC read reaches are live.
+    struct PanickyDisk {
+        cfg: DeviceConfig,
+        locks: crate::locks::BlockLockTable,
+        panics: bool,
+    }
+
+    impl Backend for PanickyDisk {
+        fn config(&self) -> &DeviceConfig {
+            &self.cfg
+        }
+        fn block_locks(&self) -> &crate::locks::BlockLockTable {
+            &self.locks
+        }
+        fn local_state(&self, _: SiteId) -> blockrep_types::SiteState {
+            blockrep_types::SiteState::Available
+        }
+        fn read_local(&self, _: SiteId, _: BlockIndex) -> DeviceResult<BlockData> {
+            assert!(!self.panics, "disk double: sub-batch read panics");
+            Ok(BlockData::zeroed(self.cfg.block_size()))
+        }
+        fn delivery_mode(&self) -> DeliveryMode {
+            unreachable!()
+        }
+        fn counter(&self) -> &blockrep_net::TrafficCounter {
+            unreachable!()
+        }
+        fn set_local_state(&self, _: SiteId, _: blockrep_types::SiteState) {
+            unreachable!()
+        }
+        fn probe_state(&self, _: SiteId, _: SiteId) -> Option<blockrep_types::SiteState> {
+            unreachable!()
+        }
+        fn vote(&self, _: SiteId, _: SiteId, _: BlockIndex) -> Option<VersionNumber> {
+            unreachable!()
+        }
+        fn fetch_block(
+            &self,
+            _: SiteId,
+            _: SiteId,
+            _: BlockIndex,
+        ) -> Option<(VersionNumber, BlockData)> {
+            unreachable!()
+        }
+        fn apply_write(
+            &self,
+            _: SiteId,
+            _: SiteId,
+            _: BlockIndex,
+            _: &BlockData,
+            _: VersionNumber,
+        ) -> bool {
+            unreachable!()
+        }
+        fn version_vector(&self, _: SiteId, _: SiteId) -> Option<VersionVector> {
+            unreachable!()
+        }
+        fn repair_payload(
+            &self,
+            _: SiteId,
+            _: SiteId,
+            _: &VersionVector,
+        ) -> Option<crate::backend::RepairPayload> {
+            unreachable!()
+        }
+        fn apply_repair_local(&self, _: SiteId, _: crate::backend::RepairBlocks) -> usize {
+            unreachable!()
+        }
+        fn was_available(&self, _: SiteId, _: SiteId) -> Option<BTreeSet<SiteId>> {
+            unreachable!()
+        }
+        fn set_was_available(&self, _: SiteId, _: SiteId, _: &BTreeSet<SiteId>) -> bool {
+            unreachable!()
+        }
+        fn add_was_available(&self, _: SiteId, _: SiteId, _: SiteId) -> bool {
+            unreachable!()
+        }
+        fn apply_write_faulty(
+            &self,
+            _: SiteId,
+            _: SiteId,
+            _: BlockIndex,
+            _: &BlockData,
+            _: VersionNumber,
+            _: blockrep_storage::StorageFault,
+        ) -> bool {
+            unreachable!()
+        }
+        fn scrub_local(&self, _: SiteId) -> usize {
+            unreachable!()
+        }
+        fn leases(&self) -> &crate::locks::LeaseTable {
+            unreachable!()
+        }
+    }
+
+    #[test]
+    fn a_panicking_shard_worker_fails_the_batch_with_a_typed_error() {
+        let spec = spec(Scheme::NaiveAvailableCopy, 2);
+        // Shard 0 is a fan-out worker (the last shard runs on the caller).
+        let shards = [true, false]
+            .map(|panics| {
+                Arc::new(PanickyDisk {
+                    cfg: spec.shard_config().unwrap(),
+                    locks: crate::locks::BlockLockTable::new(),
+                    panics,
+                })
+            })
+            .to_vec();
+        let dev = ShardedDevice::new(shards, spec.manifest().unwrap(), SiteId::new(0));
+        let ks: Vec<BlockIndex> = (0..64).map(BlockIndex::new).collect();
+        assert!(ks.iter().any(|&k| dev.shard_of(k) == 0));
+        assert!(ks.iter().any(|&k| dev.shard_of(k) == 1));
+        let err = dev.read_blocks(&ks).unwrap_err();
+        assert!(matches!(err, DeviceError::Io(_)), "{err}");
+        // The healthy shard alone still answers.
+        let healthy: Vec<BlockIndex> = ks.into_iter().filter(|&k| dev.shard_of(k) == 1).collect();
+        assert_eq!(dev.read_blocks(&healthy).unwrap().len(), healthy.len());
     }
 }

@@ -18,7 +18,7 @@
 //! schemes assume none, and the deterministic runtimes cover the
 //! partition experiments.
 
-use crate::backend::{self, Gather, ScatterReplies};
+use crate::backend::ScatterReplies;
 use crate::replica::Replica;
 use crate::service::serve;
 use crate::transport::{Links, Scatter, ServerCluster, Transport};
@@ -425,15 +425,10 @@ impl TcpTransport {
     /// every reachable, eligible target — all on the wire before any reply
     /// is read — then gathers the replies in target order. Connections are
     /// locked in ascending site order, so concurrent scatters cannot
-    /// deadlock. Early-quorum stragglers are drained synchronously here (a
-    /// reply left on a socket would desync the next RPC) and truncated after
-    /// the fact; one round trip covers the batch, so nobody waits on them.
+    /// deadlock.
     fn pipelined(&self, cx: Scatter<'_>, request: WireRequest) -> ScatterReplies {
         let Scatter {
-            spec,
-            origin,
-            targets,
-            ..
+            origin, targets, ..
         } = cx;
         // Satellite hoist: one `enabled()` load decides whether any obs
         // work happens in this batch; the disabled path records nothing.
@@ -490,15 +485,7 @@ impl TcpTransport {
             });
             replies.push((t, reply));
         }
-        let replies = charge_and_truncate(&cx, replies);
-        // On this runtime the whole batch is one round trip, so the "cut"
-        // is the post-hoc truncation above; mark where it landed.
-        if tracing && matches!(spec.gather, Gather::EarlyQuorum { .. }) {
-            blockrep_obs::trace::instant(
-                crate::obs_hooks::phase_early_quorum_cut(),
-                origin.as_u32(),
-            );
-        }
+        charge(&cx, &replies);
         replies
     }
 
@@ -507,7 +494,7 @@ impl TcpTransport {
     /// ascending site order, the discipline of [`pipelined`](Self::pipelined)'s
     /// connection locks, so concurrent scatters cannot form a wait cycle —
     /// then gathers the demuxed replies in target order. §5 message counts
-    /// are identical to the other fan-out modes.
+    /// are identical to the classic path's.
     fn pipelined_mux(&self, cx: Scatter<'_>, request: WireRequest) -> ScatterReplies {
         let targets = cx.targets;
         if blockrep_obs::enabled() {
@@ -540,20 +527,18 @@ impl TcpTransport {
             });
             replies.push((t, reply));
         }
-        charge_and_truncate(&cx, replies)
+        charge(&cx, &replies);
+        replies
     }
 }
 
-/// The tail of every scatter: charges the gathered replies, then applies
-/// the early-quorum cutoff.
-fn charge_and_truncate(cx: &Scatter<'_>, mut replies: ScatterReplies) -> ScatterReplies {
+/// The tail of every scatter: charges the gathered replies.
+fn charge(cx: &Scatter<'_>, replies: &ScatterReplies) {
     if let Some(kind) = cx.spec.reply_charge {
         let gathered = replies.iter().filter(|(_, r)| r.is_some()).count() as u64;
         cx.counter
             .add_many(cx.spec.op, kind, cx.spec.reply_units, gathered);
     }
-    backend::truncate_to_threshold(cx.cfg, &mut replies, cx.spec.gather);
-    replies
 }
 
 impl Transport for TcpTransport {
@@ -694,7 +679,6 @@ impl ServerCluster<TcpTransport> {
 mod tests {
     use super::*;
     use crate::backend::Backend;
-    use blockrep_net::FanoutMode;
     use blockrep_types::{BlockData, BlockIndex, Scheme, SiteState, VersionNumber};
 
     fn sid(i: u32) -> SiteId {
@@ -790,7 +774,11 @@ mod tests {
         c.write(sid(0), k, BlockData::from(vec![3; 32])).unwrap();
         // Corrupt the conversation with site 1: the server rejects the
         // frame and hangs up, so the next exchange on this stream tears.
-        wire::write_frame(c.transport.conns[1].lock().stream.get_mut(), &[1, 0, 0, 0, 0xFF]).unwrap();
+        wire::write_frame(
+            c.transport.conns[1].lock().stream.get_mut(),
+            &[1, 0, 0, 0, 0xFF],
+        )
+        .unwrap();
         assert_eq!(
             c.vote(sid(0), sid(1), k),
             None,
@@ -906,28 +894,5 @@ mod tests {
         assert!(!c.multiplexing());
         c.write(sid(1), k, BlockData::from(vec![5; 32])).unwrap();
         assert_eq!(c.read(sid(2), k).unwrap().as_slice(), &[5; 32]);
-    }
-
-    #[test]
-    fn parallel_and_sequential_fanout_agree_on_results_and_traffic() {
-        for scheme in Scheme::ALL {
-            let par = tcp(scheme, 4);
-            let seq = tcp(scheme, 4);
-            seq.set_fanout(FanoutMode::Sequential);
-            assert_eq!(par.fanout(), FanoutMode::Parallel);
-            for c in [&par, &seq] {
-                let k = BlockIndex::new(2);
-                c.write(sid(0), k, BlockData::from(vec![8; 32])).unwrap();
-                c.fail_site(sid(1));
-                c.write(sid(2), k, BlockData::from(vec![9; 32])).unwrap();
-                c.repair_site(sid(1));
-                assert_eq!(c.read(sid(1), k).unwrap().as_slice(), &[9; 32], "{scheme}");
-            }
-            assert_eq!(
-                par.counter().snapshot(),
-                seq.counter().snapshot(),
-                "{scheme}: fan-out mode must not change §5 counts"
-            );
-        }
     }
 }

@@ -17,7 +17,7 @@ use crate::backend::{
 use crate::locks::{BlockLockTable, LeaseTable};
 use crate::protocol;
 use crate::wire::{WireRequest, WireResponse};
-use blockrep_net::{DeliveryMode, FanoutMode, TrafficCounter};
+use blockrep_net::{DeliveryMode, TrafficCounter};
 use blockrep_storage::StorageFault;
 use blockrep_types::{
     BlockData, BlockIndex, DeviceConfig, DeviceResult, SiteId, SiteState, VersionNumber,
@@ -25,7 +25,7 @@ use blockrep_types::{
 };
 use parking_lot::RwLock;
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -62,8 +62,7 @@ impl Links {
 /// One fan-out, as a [`Transport`] sees it: the coordinator's accounting
 /// plus the two decisions that are not the transport's to make.
 pub(crate) struct Scatter<'a> {
-    pub(crate) cfg: &'a DeviceConfig,
-    pub(crate) counter: &'a Arc<TrafficCounter>,
+    pub(crate) counter: &'a TrafficCounter,
     pub(crate) spec: ScatterSpec,
     pub(crate) origin: SiteId,
     /// In ascending site order.
@@ -114,15 +113,8 @@ pub(crate) trait Transport: Send + Sync {
 pub struct ServerCluster<T> {
     cfg: DeviceConfig,
     links: Links,
-    /// Shared with whatever drains straggler replies off the hot path.
-    counter: Arc<TrafficCounter>,
+    counter: TrafficCounter,
     mode: DeliveryMode,
-    /// Whether scatters reach all targets before gathering
-    /// ([`FanoutMode::Parallel`], the default).
-    parallel: AtomicBool,
-    /// Whether MCV vote collection stops building on replies past quorum
-    /// weight.
-    early_quorum: AtomicBool,
     /// Per-block lock shards serializing same-block coordinations.
     locks: BlockLockTable,
     /// Read-lease registry for the offload fast path.
@@ -137,10 +129,8 @@ impl<T> ServerCluster<T> {
         ServerCluster {
             cfg,
             links,
-            counter: Arc::default(),
+            counter: TrafficCounter::new(),
             mode,
-            parallel: AtomicBool::new(true),
-            early_quorum: AtomicBool::new(false),
             locks: BlockLockTable::new(),
             leases: LeaseTable::new(),
             transport,
@@ -239,37 +229,6 @@ impl<T: Transport> ServerCluster<T> {
         &self.counter
     }
 
-    /// Selects the fan-out mode for scatter exchanges. The default is
-    /// [`FanoutMode::Parallel`]: every target is sent its request before
-    /// any reply is awaited, so a round costs the slowest round trip, not
-    /// their sum. [`FanoutMode::Sequential`] restores the historical
-    /// blocking per-target loop. The §5 message counts are identical either
-    /// way (`tests/runtime_parity.rs`).
-    pub fn set_fanout(&self, mode: FanoutMode) {
-        self.parallel
-            .store(mode == FanoutMode::Parallel, Ordering::Relaxed);
-    }
-
-    /// The current fan-out mode.
-    pub fn fanout(&self) -> FanoutMode {
-        if self.parallel.load(Ordering::Relaxed) {
-            FanoutMode::Parallel
-        } else {
-            FanoutMode::Sequential
-        }
-    }
-
-    /// Opts MCV vote collection in (or out) of early-quorum termination:
-    /// the coordinator builds only on the replies that reach quorum weight.
-    /// Stragglers are still received and charged, so §5 counts do not move
-    /// — on the live cluster by a background drainer (call
-    /// [`quiesce`](crate::LiveCluster::quiesce) before comparing traffic
-    /// snapshots), on the TCP cluster synchronously, since a pipelined
-    /// batch is one round trip anyway.
-    pub fn set_early_quorum(&self, on: bool) {
-        self.early_quorum.store(on, Ordering::Relaxed);
-    }
-
     /// Turns lease-based read offload on or off (see [`crate::locks`]).
     pub fn set_leases(&self, on: bool) {
         self.leases.set_enabled(on);
@@ -279,11 +238,7 @@ impl<T: Transport> ServerCluster<T> {
     /// serving a round trip (shutdown, and the live cluster's one-way casts
     /// — whose transit occupies no server on a real network — are exempt;
     /// on the TCP cluster a cast is a round trip). Zero, the default,
-    /// disables the emulation.
-    ///
-    /// Under a nonzero delay a sequential fan-out pays one delay per target
-    /// while a parallel fan-out overlaps them, which is the geometry of a
-    /// real network. Message *counts* are unaffected.
+    /// disables the emulation. Message *counts* are unaffected.
     pub fn set_link_latency(&self, delay: Duration) {
         self.links.latency_ns.store(
             delay.as_nanos().min(u64::MAX as u128) as u64,
@@ -456,10 +411,6 @@ impl<T: Transport> Backend for ServerCluster<T> {
         }
     }
 
-    fn early_quorum(&self) -> bool {
-        self.early_quorum.load(Ordering::Relaxed)
-    }
-
     fn block_locks(&self) -> &BlockLockTable {
         &self.locks
     }
@@ -485,7 +436,7 @@ impl<T: Transport> Backend for ServerCluster<T> {
         let sequential = || backend::scatter_sequential(self, spec, origin, targets, req);
         // A one-way cast does not block, so an install fan-out made of
         // them gains nothing from the transport's scatter.
-        if !self.parallel.load(Ordering::Relaxed) || (install && !T::CAST_BLOCKS) {
+        if install && !T::CAST_BLOCKS {
             return sequential();
         }
         // Every target is sent the same request, so it is built once.
@@ -510,7 +461,6 @@ impl<T: Transport> Backend for ServerCluster<T> {
             }
         };
         let scatter = Scatter {
-            cfg: &self.cfg,
             counter: &self.counter,
             spec,
             origin,

@@ -12,9 +12,7 @@
 //!   block from the highest-versioned voter and installs it — recovering
 //!   "only those blocks which have been modified", on access.
 
-use crate::backend::{
-    self, Backend, Gather, ScatterReply, ScatterRequest, ScatterSpec, WriteBatch,
-};
+use crate::backend::{self, Backend, ScatterReply, ScatterRequest, ScatterSpec, WriteBatch};
 use crate::obs_hooks;
 use blockrep_net::{MsgKind, OpClass};
 use blockrep_obs::{event, span};
@@ -47,17 +45,10 @@ fn collect_votes<B: Backend + ?Sized>(
             .ok_or_else(|| backend::dead_local_leg(origin))?
     };
     let mut votes = vec![(origin, own)];
-    // Opt-in early quorum: stop gathering once the remote weight (plus the
-    // origin's own, already in hand) reaches the operation's quorum.
-    // Quorum intersection makes this safe: any quorum-weight subset of
-    // voters contains a current copy, so v_max over the subset equals v_max
-    // over all voters and the read-refresh / write-version decisions below
-    // are unchanged.
     let spec = ScatterSpec {
         op,
         reply_charge: Some(MsgKind::VoteReply),
         reply_units: 1,
-        gather: vote_gather(b, op, origin),
     };
     for (t, reply) in b.scatter(spec, origin, &others, &ScatterRequest::Vote(k)) {
         if let Some(ScatterReply::Version(v)) = reply {
@@ -67,24 +58,6 @@ fn collect_votes<B: Backend + ?Sized>(
     }
     obs_hooks::record(obs_hooks::quorum_size, votes.len() as u64);
     Ok(votes)
-}
-
-/// The early-quorum gathering policy shared by single-block and batched
-/// vote collection: the remote weight still needed once the origin's own
-/// vote is in hand. Site weights are block-independent, so one threshold
-/// covers every block of a batch.
-fn vote_gather<B: Backend + ?Sized>(b: &B, op: OpClass, origin: SiteId) -> Gather {
-    if !b.early_quorum() {
-        return Gather::All;
-    }
-    let cfg = b.config();
-    let quorum = match op {
-        OpClass::Read => cfg.read_quorum(),
-        _ => cfg.write_quorum(),
-    };
-    Gather::EarlyQuorum {
-        threshold: quorum.saturating_sub(cfg.weight(origin).as_u64()),
-    }
 }
 
 /// One **batched** round of vote collection for the run of distinct blocks
@@ -124,7 +97,6 @@ fn collect_votes_many<B: Backend + ?Sized>(
         op,
         reply_charge: Some(MsgKind::VoteReply),
         reply_units: ks.len() as u64,
-        gather: vote_gather(b, op, origin),
     };
     let req = ScatterRequest::VoteMany(ks.to_vec());
     for (t, reply) in b.scatter(spec, origin, &others, &req) {
@@ -371,7 +343,6 @@ pub(crate) fn write<B: Backend + ?Sized>(
         op: OpClass::Write,
         reply_charge: None,
         reply_units: 1,
-        gather: Gather::All,
     };
     let installs = b.scatter(
         spec,
@@ -559,7 +530,6 @@ pub(crate) fn write_many<B: Backend + ?Sized>(
         op: OpClass::Write,
         reply_charge: None,
         reply_units: 1,
-        gather: Gather::All,
     };
     let installs = b.scatter(
         spec,

@@ -43,5 +43,5 @@ mod topology;
 
 pub use counter::{MsgKind, OpClass, TrafficCounter, TrafficSnapshot};
 pub use live::{Network, SendError};
-pub use mode::{DeliveryMode, FanoutMode};
+pub use mode::DeliveryMode;
 pub use topology::Topology;

@@ -64,41 +64,6 @@ impl fmt::Display for DeliveryMode {
     }
 }
 
-/// How a coordinator spreads one logical fan-out over *time*: one exchange
-/// strictly after another, or every request in flight before any reply is
-/// awaited.
-///
-/// Orthogonal to [`DeliveryMode`], which is the §5 *accounting* rule:
-/// changing the fan-out mode changes latency, never the number of
-/// high-level transmissions (`tests/runtime_parity.rs` pins this down).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum FanoutMode {
-    /// The historical blocking loop: request, await reply, next target.
-    Sequential,
-    /// Scatter-gather: dispatch to every target, then collect the replies.
-    #[default]
-    Parallel,
-}
-
-impl FanoutMode {
-    /// Both modes, sequential baseline first.
-    pub const ALL: [FanoutMode; 2] = [FanoutMode::Sequential, FanoutMode::Parallel];
-
-    /// Short label used in benches and reports.
-    pub const fn label(self) -> &'static str {
-        match self {
-            FanoutMode::Sequential => "sequential",
-            FanoutMode::Parallel => "parallel",
-        }
-    }
-}
-
-impl fmt::Display for FanoutMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,12 +92,5 @@ mod tests {
     fn labels() {
         assert_eq!(DeliveryMode::Multicast.to_string(), "multicast");
         assert_eq!(DeliveryMode::Unicast.to_string(), "unicast");
-    }
-
-    #[test]
-    fn fanout_mode_defaults_to_parallel() {
-        assert_eq!(FanoutMode::default(), FanoutMode::Parallel);
-        assert_eq!(FanoutMode::Sequential.to_string(), "sequential");
-        assert_eq!(FanoutMode::ALL[0], FanoutMode::Sequential);
     }
 }

@@ -5,8 +5,8 @@
 //! span** carrying a [`TraceContext`] (trace id, span id, parent id); the
 //! protocol and runtime layers open child **phase spans** around each leg
 //! — the coordinator's local install, each per-site scatter send, each
-//! gather wait, the remote apply on the serving site, cache flushes,
-//! straggler drains. Contexts cross the `Backend` seam through a
+//! gather wait, the remote apply on the serving site, cache flushes.
+//! Contexts cross the `Backend` seam through a
 //! thread-local and cross the wire through an optional trace envelope, so
 //! the spans recorded on every site stitch into one causal tree per
 //! operation.
@@ -402,27 +402,20 @@ pub fn start_remote(trace_id: u64, parent: u64, phase: u32, site: u32) -> Span {
 /// envelope — parents under the phase rather than the op; phases opened
 /// sequentially (the normal shape) still land as siblings off the op span.
 pub fn start_phase(phase: u32, site: u32) -> Option<Span> {
-    current().map(|parent| start_phase_under(parent, phase, site))
-}
-
-/// Opens a phase span under an explicit parent context — for threads that
-/// do work on an op's behalf without inheriting its thread-local (e.g. the
-/// straggler drainer). Installs its context for the duration, restoring
-/// the previous one (if any) on drop.
-pub fn start_phase_under(parent: TraceContext, phase: u32, site: u32) -> Span {
+    let parent = current()?;
     let ctx = TraceContext {
         trace_id: parent.trace_id,
         span_id: next_id(),
         parent: parent.span_id,
     };
     let prev = CURRENT.with(|c| c.replace(Some(ctx)));
-    Span {
+    Some(Span {
         ctx,
         phase,
         site,
         start_ns: now_ns(),
         restore: Some(prev),
-    }
+    })
 }
 
 /// Records an instantaneous mark (duration 0) under the current context,
@@ -567,8 +560,7 @@ impl Attribution {
 pub fn attribution_for(records: &[SpanRecord], root: u64) -> Option<Attribution> {
     let root_rec = records.iter().find(|r| r.span_id == root)?;
     // Clip each child to the root's interval: a child that outlives the op
-    // (e.g. a straggler drain finishing after the quorum cut returned) only
-    // accounts for the portion overlapping the op's wall time, so the
+    // only accounts for the portion overlapping the op's wall time, so the
     // attributed fraction stays meaningful as "where the op's time went".
     let root_end = root_rec.start_ns.saturating_add(root_rec.dur_ns);
     let children: Vec<SpanRecord> = records

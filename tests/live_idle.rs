@@ -1,10 +1,10 @@
 //! An idle `LiveCluster` must not run: its site threads block on their
 //! mailboxes, so a cluster nobody talks to costs no wake-ups. A polling
 //! receive loop shows up here as thousands of voluntary context switches
-//! per 100 ms.
+//! per 100 ms. And it is one thread per site, nothing else.
 //!
-//! Counts context switches of every thread in the process, so this file
-//! holds a single test function in its own binary.
+//! Counts the threads of the process and their context switches, so this
+//! file holds a single test function in its own binary.
 
 #![cfg(target_os = "linux")]
 
@@ -12,6 +12,13 @@ use blockrep::core::LiveCluster;
 use blockrep::net::DeliveryMode;
 use blockrep::types::{BlockData, BlockIndex, DeviceConfig, Scheme, SiteId};
 use std::time::Duration;
+
+/// Threads this process has right now.
+fn thread_count() -> usize {
+    std::fs::read_dir("/proc/self/task")
+        .expect("procfs lists the process's threads")
+        .count()
+}
 
 /// Sum of `voluntary_ctxt_switches` over every thread of this process.
 fn voluntary_switches() -> u64 {
@@ -37,7 +44,13 @@ fn idle_live_cluster_makes_no_wakeups() {
         .block_size(64)
         .build()
         .unwrap();
+    let threads_before = thread_count();
     let cluster = LiveCluster::spawn(cfg, DeliveryMode::Multicast);
+    assert_eq!(
+        thread_count() - threads_before,
+        3,
+        "a live cluster is one server thread per site"
+    );
     let k = BlockIndex::new(1);
     cluster
         .write(SiteId::new(0), k, BlockData::from(vec![7; 64]))

@@ -4,7 +4,7 @@
 //! identical results **and identical §5 traffic counts** on all of them.
 
 use blockrep::core::{Cluster, ClusterOptions, LiveCluster, TcpCluster};
-use blockrep::net::{DeliveryMode, FanoutMode, TrafficSnapshot};
+use blockrep::net::{DeliveryMode, TrafficSnapshot};
 use blockrep::types::{BlockData, BlockIndex, DeviceConfig, Scheme, SiteId};
 
 fn cfg(scheme: Scheme) -> DeviceConfig {
@@ -130,91 +130,17 @@ fn naive_runtimes_agree_unicast() {
     parity_for(Scheme::NaiveAvailableCopy, DeliveryMode::Unicast);
 }
 
-/// Concurrency must change latency, never §5 message counts: on both
-/// concurrent runtimes, the traffic snapshot produced by the parallel
-/// fan-out is byte-identical to its own sequential baseline (and to the
-/// deterministic cluster) for every scheme × delivery mode.
+/// Concurrency must change latency, never §5 message counts: the
+/// deterministic cluster performs every fan-out as a sequential loop, the
+/// live and TCP runtimes put every request in flight before awaiting any
+/// reply, and their traffic snapshots must be byte-identical to its for
+/// every scheme × delivery mode.
 #[test]
 fn parallel_fanout_traffic_is_byte_identical_to_sequential() {
     for scheme in Scheme::ALL {
         for mode in DeliveryMode::ALL {
-            let det = Cluster::new(cfg(scheme), ClusterOptions { mode });
-            let baseline = drive(
-                &|o, k| det.read(o, k).ok(),
-                &|o, k, d| det.write(o, k, d).is_ok(),
-                &|x| det.fail_site(x),
-                &|x| det.repair_site(x),
-                &|| det.traffic(),
-            );
-
-            for fanout in FanoutMode::ALL {
-                let live = LiveCluster::spawn(cfg(scheme), mode);
-                live.set_fanout(fanout);
-                let got = drive(
-                    &|o, k| live.read(o, k).ok(),
-                    &|o, k, d| live.write(o, k, d).is_ok(),
-                    &|x| live.fail_site(x),
-                    &|x| live.repair_site(x),
-                    &|| live.counter().snapshot(),
-                );
-                assert_eq!(baseline, got, "{scheme}/{mode}/live/{fanout}");
-
-                let tcp = TcpCluster::spawn(cfg(scheme), mode).unwrap();
-                tcp.set_fanout(fanout);
-                let got = drive(
-                    &|o, k| tcp.read(o, k).ok(),
-                    &|o, k, d| tcp.write(o, k, d).is_ok(),
-                    &|x| tcp.fail_site(x),
-                    &|x| tcp.repair_site(x),
-                    &|| tcp.counter().snapshot(),
-                );
-                assert_eq!(baseline, got, "{scheme}/{mode}/tcp/{fanout}");
-            }
+            parity_for(scheme, mode);
         }
-    }
-}
-
-/// Early-quorum vote collection builds on a (deterministic) prefix of the
-/// voter set, so the install fan-out narrows the same way on every runtime:
-/// results and §5 traffic stay byte-identical across the three runtimes,
-/// with the live cluster's straggler charges drained before snapshotting.
-#[test]
-fn early_quorum_runtimes_agree() {
-    for mode in DeliveryMode::ALL {
-        let det = Cluster::new(cfg(Scheme::Voting), ClusterOptions { mode });
-        det.set_early_quorum(true);
-        let baseline = drive(
-            &|o, k| det.read(o, k).ok(),
-            &|o, k, d| det.write(o, k, d).is_ok(),
-            &|x| det.fail_site(x),
-            &|x| det.repair_site(x),
-            &|| det.traffic(),
-        );
-
-        let live = LiveCluster::spawn(cfg(Scheme::Voting), mode);
-        live.set_early_quorum(true);
-        let got = drive(
-            &|o, k| live.read(o, k).ok(),
-            &|o, k, d| live.write(o, k, d).is_ok(),
-            &|x| live.fail_site(x),
-            &|x| live.repair_site(x),
-            &|| {
-                live.quiesce();
-                live.counter().snapshot()
-            },
-        );
-        assert_eq!(baseline, got, "early-quorum/{mode}: live diverged");
-
-        let tcp = TcpCluster::spawn(cfg(Scheme::Voting), mode).unwrap();
-        tcp.set_early_quorum(true);
-        let got = drive(
-            &|o, k| tcp.read(o, k).ok(),
-            &|o, k, d| tcp.write(o, k, d).is_ok(),
-            &|x| tcp.fail_site(x),
-            &|x| tcp.repair_site(x),
-            &|| tcp.counter().snapshot(),
-        );
-        assert_eq!(baseline, got, "early-quorum/{mode}: tcp diverged");
     }
 }
 
@@ -252,6 +178,47 @@ fn drive_vectored(
     (reads, traffic())
 }
 
+type VectoredRun = (Vec<Option<Vec<Vec<u8>>>>, TrafficSnapshot);
+
+/// The vectored workload on each runtime, labelled: deterministic, live, tcp.
+fn vectored_on_every_runtime(
+    scheme: Scheme,
+    mode: DeliveryMode,
+) -> [(&'static str, VectoredRun); 3] {
+    fn bytes(blocks: Vec<BlockData>) -> Vec<Vec<u8>> {
+        blocks.iter().map(|d| d.as_slice().to_vec()).collect()
+    }
+    let det = Cluster::new(cfg(scheme), ClusterOptions { mode });
+    let det_run = drive_vectored(
+        &|o, ws| det.write_many(o, ws).is_ok(),
+        &|o, ks| det.read_many(o, ks).ok().map(bytes),
+        &|x| det.fail_site(x),
+        &|x| det.repair_site(x),
+        &|| det.traffic(),
+    );
+    let live = LiveCluster::spawn(cfg(scheme), mode);
+    let live_run = drive_vectored(
+        &|o, ws| live.write_many(o, ws).is_ok(),
+        &|o, ks| live.read_many(o, ks).ok().map(bytes),
+        &|x| live.fail_site(x),
+        &|x| live.repair_site(x),
+        &|| live.counter().snapshot(),
+    );
+    let tcp = TcpCluster::spawn(cfg(scheme), mode).unwrap();
+    let tcp_run = drive_vectored(
+        &|o, ws| tcp.write_many(o, ws).is_ok(),
+        &|o, ks| tcp.read_many(o, ks).ok().map(bytes),
+        &|x| tcp.fail_site(x),
+        &|x| tcp.repair_site(x),
+        &|| tcp.counter().snapshot(),
+    );
+    [
+        ("deterministic", det_run),
+        ("live", live_run),
+        ("tcp", tcp_run),
+    ]
+}
+
 /// Batched reads/writes must be byte-identical AND §5-traffic-identical to
 /// the equivalent per-block loop, on every scheme × delivery mode — and the
 /// vectored path must agree across all three runtimes.
@@ -276,110 +243,24 @@ fn vectored_ops_match_per_block_loop_on_all_runtimes() {
                 &|x| unrolled.repair_site(x),
                 &|| unrolled.traffic(),
             );
-
-            let det = Cluster::new(cfg(scheme), ClusterOptions { mode });
-            let got = drive_vectored(
-                &|o, ws| det.write_many(o, ws).is_ok(),
-                &|o, ks| {
-                    det.read_many(o, ks)
-                        .ok()
-                        .map(|v| v.iter().map(|d| d.as_slice().to_vec()).collect())
-                },
-                &|x| det.fail_site(x),
-                &|x| det.repair_site(x),
-                &|| det.traffic(),
-            );
-            assert_eq!(
-                baseline, got,
-                "{scheme}/{mode}: batched ops diverged from the per-block loop"
-            );
-
-            let live = LiveCluster::spawn(cfg(scheme), mode);
-            let got = drive_vectored(
-                &|o, ws| live.write_many(o, ws).is_ok(),
-                &|o, ks| {
-                    live.read_many(o, ks)
-                        .ok()
-                        .map(|v| v.iter().map(|d| d.as_slice().to_vec()).collect())
-                },
-                &|x| live.fail_site(x),
-                &|x| live.repair_site(x),
-                &|| live.counter().snapshot(),
-            );
-            assert_eq!(baseline, got, "{scheme}/{mode}: live vectored diverged");
-
-            let tcp = TcpCluster::spawn(cfg(scheme), mode).unwrap();
-            let got = drive_vectored(
-                &|o, ws| tcp.write_many(o, ws).is_ok(),
-                &|o, ks| {
-                    tcp.read_many(o, ks)
-                        .ok()
-                        .map(|v| v.iter().map(|d| d.as_slice().to_vec()).collect())
-                },
-                &|x| tcp.fail_site(x),
-                &|x| tcp.repair_site(x),
-                &|| tcp.counter().snapshot(),
-            );
-            assert_eq!(baseline, got, "{scheme}/{mode}: tcp vectored diverged");
+            for (runtime, got) in vectored_on_every_runtime(scheme, mode) {
+                assert_eq!(
+                    baseline, got,
+                    "{scheme}/{mode}: {runtime} batched ops diverged from the per-block loop"
+                );
+            }
         }
     }
 }
 
-/// The parallel and early-quorum fan-out paths of the concurrent runtimes
-/// must also leave vectored results and traffic untouched.
+/// The concurrent runtimes' scatter must leave vectored voting results and
+/// traffic exactly as the deterministic cluster's sequential loop has them.
 #[test]
 fn vectored_ops_are_fanout_and_quorum_invariant() {
-    let scheme = Scheme::Voting;
     for mode in DeliveryMode::ALL {
-        let det = Cluster::new(cfg(scheme), ClusterOptions { mode });
-        det.set_early_quorum(true);
-        let baseline = drive_vectored(
-            &|o, ws| det.write_many(o, ws).is_ok(),
-            &|o, ks| {
-                det.read_many(o, ks)
-                    .ok()
-                    .map(|v| v.iter().map(|d| d.as_slice().to_vec()).collect())
-            },
-            &|x| det.fail_site(x),
-            &|x| det.repair_site(x),
-            &|| det.traffic(),
-        );
-
-        for fanout in FanoutMode::ALL {
-            let live = LiveCluster::spawn(cfg(scheme), mode);
-            live.set_fanout(fanout);
-            live.set_early_quorum(true);
-            let got = drive_vectored(
-                &|o, ws| live.write_many(o, ws).is_ok(),
-                &|o, ks| {
-                    live.read_many(o, ks)
-                        .ok()
-                        .map(|v| v.iter().map(|d| d.as_slice().to_vec()).collect())
-                },
-                &|x| live.fail_site(x),
-                &|x| live.repair_site(x),
-                &|| {
-                    live.quiesce();
-                    live.counter().snapshot()
-                },
-            );
-            assert_eq!(baseline, got, "early-quorum/{mode}/live/{fanout}");
-
-            let tcp = TcpCluster::spawn(cfg(scheme), mode).unwrap();
-            tcp.set_fanout(fanout);
-            tcp.set_early_quorum(true);
-            let got = drive_vectored(
-                &|o, ws| tcp.write_many(o, ws).is_ok(),
-                &|o, ks| {
-                    tcp.read_many(o, ks)
-                        .ok()
-                        .map(|v| v.iter().map(|d| d.as_slice().to_vec()).collect())
-                },
-                &|x| tcp.fail_site(x),
-                &|x| tcp.repair_site(x),
-                &|| tcp.counter().snapshot(),
-            );
-            assert_eq!(baseline, got, "early-quorum/{mode}/tcp/{fanout}");
+        let [(_, baseline), concurrent @ ..] = vectored_on_every_runtime(Scheme::Voting, mode);
+        for (runtime, got) in concurrent {
+            assert_eq!(baseline, got, "{mode}/{runtime}");
         }
     }
 }

@@ -147,10 +147,9 @@ fn per_pair(sites: usize, multiplexed: bool) -> (u64, u64) {
         TcpCluster::spawn(batch_config(Scheme::Voting, sites), DeliveryMode::default()).unwrap();
     cluster.set_multiplexing(multiplexed).unwrap();
     let origin = SiteId::new(0);
-    per_batch_pair(
-        &|batch| cluster.write_many(origin, batch).unwrap(),
-        &|ks| cluster.read_many(origin, ks).unwrap(),
-    )
+    per_batch_pair(&|batch| cluster.write_many(origin, batch).unwrap(), &|ks| {
+        cluster.read_many(origin, ks).unwrap()
+    })
 }
 
 /// A caller that has to block for a reply allocates once to park itself
@@ -243,10 +242,10 @@ fn a_live_batch_pair_allocates_what_it_did_before_the_shared_service() {
     let cluster = LiveCluster::spawn(batch_config(Scheme::Voting, 3), DeliveryMode::default());
     cluster.set_link_latency(REPLY_AFTER_CALLER_WAITS);
     let origin = SiteId::new(0);
-    let (allocs, bytes) = per_batch_pair(
-        &|batch| cluster.write_many(origin, batch).unwrap(),
-        &|ks| cluster.read_many(origin, ks).unwrap(),
-    );
+    let (allocs, bytes) =
+        per_batch_pair(&|batch| cluster.write_many(origin, batch).unwrap(), &|ks| {
+            cluster.read_many(origin, ks).unwrap()
+        });
     println!("live batch pair: {allocs} allocations, {bytes} bytes");
     assert!(
         allocs <= LIVE_BATCH_PAIR.0 && bytes <= LIVE_BATCH_PAIR.1,
