@@ -1,5 +1,5 @@
-//! Available copy (§3.2, Figure 5) — and the shared machinery the naive
-//! variant (§3.3) reuses.
+//! Available copy (§3.2, Figure 5) and, behind the `naive` parameter, naive
+//! available copy (§3.3, Figure 6).
 //!
 //! Writes go to every available copy; reads are served locally for free.
 //! Each site keeps a *was-available set* `W_s` (Definition 3.1) on stable
@@ -8,6 +8,21 @@
 //! may safely restart service once every member of the closure `C*(W_s)`
 //! (Definition 3.2) has recovered — the closure necessarily contains the
 //! last site(s) to fail, hence a most-current copy.
+//!
+//! # The `naive` parameter
+//!
+//! Naive available copy is identical on the hot path — write to all
+//! available copies, read locally — but it "does not maintain any failure
+//! information": no was-available sets, no write acknowledgements ("the
+//! naive available copy scheme need only broadcast one message when a write
+//! is performed"), nothing recorded when a site fails, and the recovery
+//! rule degenerates to Figure 6's `SIMPLE_RECOVERY`: repair from any
+//! available site, or after a total failure wait until *all* sites have
+//! recovered and adopt the highest version. The paper's conclusion is that
+//! this is the algorithm of choice: one multicast per write, no
+//! bookkeeping, and (§4.4) an availability loss that is negligible at
+//! realistic failure-to-repair ratios. Every function here that differs
+//! between the two schemes takes `naive`; the others serve both unchanged.
 
 use crate::backend::{self, Backend, ScatterReply, ScatterRequest, ScatterSpec, WriteBatch};
 use crate::obs_hooks;
@@ -17,17 +32,6 @@ use blockrep_types::{
     BlockData, BlockIndex, DeviceError, DeviceResult, FailureTracking, SiteId, SiteState,
 };
 use std::collections::BTreeSet;
-
-fn check_block<B: Backend + ?Sized>(b: &B, k: BlockIndex) -> DeviceResult<()> {
-    if k.as_u64() < b.config().num_blocks() {
-        Ok(())
-    } else {
-        Err(DeviceError::BlockOutOfRange {
-            block: k,
-            num_blocks: b.config().num_blocks(),
-        })
-    }
-}
 
 fn ensure_serving<B: Backend + ?Sized>(b: &B, origin: SiteId) -> DeviceResult<()> {
     if !b.config().contains_site(origin) {
@@ -61,7 +65,7 @@ pub(crate) fn read<B: Backend + ?Sized>(
     k: BlockIndex,
 ) -> DeviceResult<BlockData> {
     ensure_serving(b, origin)?;
-    check_block(b, k)?;
+    backend::check_block(b, k)?;
     event!("read.local", site = origin.as_u32(), block = k.as_u64());
     b.read_local(origin, k)
 }
@@ -88,7 +92,7 @@ pub(crate) fn write<B: Backend + ?Sized>(
     naive: bool,
 ) -> DeviceResult<()> {
     ensure_serving(b, origin)?;
-    check_block(b, k)?;
+    backend::check_block(b, k)?;
     let cfg = b.config();
     if data.len() != cfg.block_size() {
         return Err(DeviceError::WrongBlockSize {
@@ -161,7 +165,7 @@ pub(crate) fn read_many<B: Backend + ?Sized>(
 ) -> DeviceResult<Vec<BlockData>> {
     ensure_serving(b, origin)?;
     for &k in ks {
-        check_block(b, k)?;
+        backend::check_block(b, k)?;
     }
     event!(
         "read.local.batch",
@@ -196,7 +200,7 @@ pub(crate) fn write_many<B: Backend + ?Sized>(
     ensure_serving(b, origin)?;
     let cfg = b.config();
     for (k, data) in writes {
-        check_block(b, *k)?;
+        backend::check_block(b, *k)?;
         if data.len() != cfg.block_size() {
             return Err(DeviceError::WrongBlockSize {
                 got: data.len(),
@@ -321,8 +325,8 @@ pub(crate) fn recovered_closure<B: Backend + ?Sized>(b: &B, c: SiteId) -> Option
                 b.was_available(c, c)
             } else {
                 match b.probe_state(c, u) {
-                    Some(st) if st.is_operational() => b.was_available(c, u),
-                    _ => return None, // a closure member is still down
+                    Some(_) => b.was_available(c, u),
+                    None => return None, // a closure member is still down
                 }
             }?;
             grown.extend(w);
@@ -395,9 +399,7 @@ pub(crate) fn try_complete_recovery<B: Backend + ?Sized>(b: &B, c: SiteId, naive
     } else if naive {
         // Naive: wait for every site, then take the globally most current.
         let all: BTreeSet<SiteId> = b.config().site_ids().collect();
-        let all_recovered = all
-            .iter()
-            .all(|&u| u == c || b.probe_state(c, u).is_some_and(|st| st.is_operational()));
+        let all_recovered = all.iter().all(|&u| u == c || b.probe_state(c, u).is_some());
         if all_recovered {
             most_current(b, c, &all)
         } else {

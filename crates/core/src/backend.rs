@@ -20,6 +20,7 @@
 //! layer knows.
 
 use crate::locks::{BlockLockTable, LeaseTable};
+use crate::transport::Links;
 use blockrep_net::{DeliveryMode, MsgKind, OpClass, TrafficCounter};
 use blockrep_storage::StorageFault;
 use blockrep_types::{
@@ -122,29 +123,93 @@ pub struct ScatterSpec {
 /// `(v', {blocks})` response.
 pub type RepairPayload = (VersionVector, RepairBlocks);
 
+/// What a protocol coordinator is, whichever runtime it runs on: the
+/// device configuration, the network environment and its §5 counter, the
+/// link model, and the block-lock and lease tables. Every [`Backend`] holds
+/// (or wraps a backend that holds) exactly one.
+#[derive(Debug)]
+pub struct Coordinator {
+    pub(crate) cfg: DeviceConfig,
+    pub(crate) mode: DeliveryMode,
+    pub(crate) counter: TrafficCounter,
+    /// Site states and topology: who is up and who can reach whom.
+    pub(crate) links: Links,
+    /// Per-block lock shards serializing same-block coordinations.
+    pub(crate) locks: BlockLockTable,
+    /// Read-lease registry for the offload fast path.
+    pub(crate) leases: LeaseTable,
+}
+
+impl Coordinator {
+    /// The coordinator of a freshly formatted device: every site available,
+    /// the network whole, nothing charged, leases off.
+    pub(crate) fn new(cfg: DeviceConfig, mode: DeliveryMode) -> Self {
+        Coordinator {
+            links: Links::new(cfg.num_sites()),
+            cfg,
+            mode,
+            counter: TrafficCounter::new(),
+            locks: BlockLockTable::new(),
+            leases: LeaseTable::new(),
+        }
+    }
+
+    /// An independent coordinator in the same site states and topology and
+    /// with the same lease setting; counter, locks and grants start fresh.
+    pub(crate) fn fork(&self) -> Self {
+        let forked = Coordinator {
+            links: self.links.fork(),
+            ..Coordinator::new(self.cfg.clone(), self.mode)
+        };
+        forked.leases.set_enabled(self.leases.enabled());
+        forked
+    }
+}
+
 /// Access to a cluster of replicas, as seen by a protocol coordinator.
 ///
 /// Implementations must be internally synchronized (`&self` methods), since
 /// a device handle and a failure injector may act concurrently.
 pub trait Backend: Send + Sync {
+    /// The coordinator state behind this backend; the eight methods below
+    /// are read off it.
+    fn coordinator(&self) -> &Coordinator;
+
     /// The device configuration (scheme, weights, quorums, geometry).
-    fn config(&self) -> &DeviceConfig;
+    fn config(&self) -> &DeviceConfig {
+        &self.coordinator().cfg
+    }
 
     /// The network environment, for fan-out accounting.
-    fn delivery_mode(&self) -> DeliveryMode;
+    fn delivery_mode(&self) -> DeliveryMode {
+        self.coordinator().mode
+    }
 
     /// The shared high-level transmission counter.
-    fn counter(&self) -> &TrafficCounter;
+    fn counter(&self) -> &TrafficCounter {
+        &self.coordinator().counter
+    }
 
     /// A site's own knowledge of its state (no network involved).
-    fn local_state(&self, s: SiteId) -> SiteState;
+    fn local_state(&self, s: SiteId) -> SiteState {
+        self.coordinator().links.state(s)
+    }
 
     /// Sets a site's state (local action: crash, restart, promotion).
-    fn set_local_state(&self, s: SiteId, state: SiteState);
+    fn set_local_state(&self, s: SiteId, state: SiteState) {
+        self.coordinator().links.set_state(s, state);
+    }
 
     /// Observes `to`'s state from `from`: `None` if `to` is failed or
-    /// unreachable, otherwise its state.
-    fn probe_state(&self, from: SiteId, to: SiteId) -> Option<SiteState>;
+    /// unreachable — a failed site answers nobody, itself included —
+    /// otherwise its (operational) state. A coordination-layer read on
+    /// every runtime; only the fault-injection layer, which decides this
+    /// exchange's fate like any other's, overrides it.
+    fn probe_state(&self, from: SiteId, to: SiteId) -> Option<SiteState> {
+        let links = &self.coordinator().links;
+        let state = links.state(to);
+        (state.is_operational() && links.reachable(from, to)).then_some(state)
+    }
 
     /// Requests `to`'s vote — its version number for block `k`. With
     /// `from == to` this is the local version lookup.
@@ -274,11 +339,15 @@ pub trait Backend: Send + Sync {
     /// points hold the touched blocks' shards for the duration of each
     /// operation, so clients of the same runtime handle serialize per
     /// block, not per cluster (see [`crate::locks`]).
-    fn block_locks(&self) -> &BlockLockTable;
+    fn block_locks(&self) -> &BlockLockTable {
+        &self.coordinator().locks
+    }
 
     /// The coordinator-side read-lease registry behind Harmonia-style read
     /// offload (see [`crate::locks`]). Disabled by default.
-    fn leases(&self) -> &LeaseTable;
+    fn leases(&self) -> &LeaseTable {
+        &self.coordinator().leases
+    }
 
     /// Fetches the current copy of block `k` from `to` to validate and
     /// serve a read lease. Semantically identical to
@@ -331,10 +400,7 @@ fn exchange_once<B: Backend + ?Sized>(
 ) -> Option<ScatterReply> {
     match req {
         ScatterRequest::Vote(k) => b.vote(origin, t, *k).map(ScatterReply::Version),
-        ScatterRequest::ProbeState => b
-            .probe_state(origin, t)
-            .filter(|st| st.is_operational())
-            .map(ScatterReply::State),
+        ScatterRequest::ProbeState => b.probe_state(origin, t).map(ScatterReply::State),
         ScatterRequest::Install { k, v, data } => b
             .apply_write(origin, t, *k, data, *v)
             .then_some(ScatterReply::Delivered),
@@ -414,6 +480,18 @@ fn scatter_sequential_observed<B: Backend + ?Sized>(
     replies
 }
 
+/// Rejects a block index beyond the device.
+pub(crate) fn check_block<B: Backend + ?Sized>(b: &B, k: BlockIndex) -> DeviceResult<()> {
+    if k.as_u64() < b.config().num_blocks() {
+        Ok(())
+    } else {
+        Err(DeviceError::BlockOutOfRange {
+            block: k,
+            num_blocks: b.config().num_blocks(),
+        })
+    }
+}
+
 /// What a coordinator reports when its own site's server does not answer
 /// it: on a message-passing runtime the local leg is an exchange like any
 /// other, and can die (a torn frame, a dead server thread).
@@ -429,33 +507,12 @@ pub fn others(cfg: &DeviceConfig, from: SiteId) -> Vec<SiteId> {
     cfg.site_ids().filter(|&s| s != from).collect()
 }
 
-/// Sites whose server answers `from` right now (operational and reachable),
-/// including `from` itself when operational.
-pub fn operational_reachable<B: Backend + ?Sized>(b: &B, from: SiteId) -> Vec<SiteId> {
-    b.config()
-        .site_ids()
-        .filter(|&s| {
-            if s == from {
-                b.local_state(s).is_operational()
-            } else {
-                b.probe_state(from, s).is_some_and(|st| st.is_operational())
-            }
-        })
-        .collect()
-}
-
 /// Available (serving) sites reachable from `from`, including `from` itself
 /// when available.
 pub fn available_reachable<B: Backend + ?Sized>(b: &B, from: SiteId) -> Vec<SiteId> {
     b.config()
         .site_ids()
-        .filter(|&s| {
-            if s == from {
-                b.local_state(s).can_serve()
-            } else {
-                b.probe_state(from, s).is_some_and(|st| st.can_serve())
-            }
-        })
+        .filter(|&s| b.probe_state(from, s).is_some_and(|st| st.can_serve()))
         .collect()
 }
 

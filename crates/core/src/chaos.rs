@@ -69,17 +69,12 @@ pub struct ChaosScript {
     pub steps: Vec<ChaosStep>,
 }
 
-/// A runtime the chaos runner can drive: a [`Backend`] plus the hooks the
-/// runner needs to make a mid-operation crash real (a transport that models
-/// links must also take the site's link down; the other runtimes derive
-/// reachability from site state and need nothing extra).
+/// A runtime the chaos runner can drive: a [`Backend`] with a name. Every
+/// runtime derives reachability from the one link model, so making a
+/// mid-operation crash real is `protocol::fail` and nothing else.
 pub trait ChaosRuntime: Backend {
     /// The runtime's name in parity reports.
     fn runtime_name(&self) -> &'static str;
-    /// Called after `protocol::fail` when the runner fail-stops a site.
-    fn on_fail(&self, _s: SiteId) {}
-    /// Called before `protocol::repair` when the runner restarts a site.
-    fn on_restart(&self, _s: SiteId) {}
 }
 
 impl ChaosRuntime for Cluster {
@@ -91,12 +86,6 @@ impl ChaosRuntime for Cluster {
 impl<T: Transport> ChaosRuntime for ServerCluster<T> {
     fn runtime_name(&self) -> &'static str {
         T::NAME
-    }
-    fn on_fail(&self, s: SiteId) {
-        self.transport.set_site_up(s, false);
-    }
-    fn on_restart(&self, s: SiteId) {
-        self.transport.set_site_up(s, true);
     }
 }
 
@@ -503,7 +492,6 @@ fn finalize_crashes<R: ChaosRuntime>(rt: &R, report: &OpReport) {
     for &s in &report.crashed {
         if rt.local_state(s).is_operational() {
             protocol::fail(rt, s);
-            rt.on_fail(s);
         }
     }
 }
@@ -607,7 +595,6 @@ pub fn run_on<R: ChaosRuntime>(rt: &R, steps: &[ChaosStep]) -> Result<RunOutcome
                 let _ = fb.end_op();
                 let did = if rt.local_state(s).is_operational() {
                     protocol::fail(rt, s);
-                    rt.on_fail(s);
                     "failed"
                 } else {
                     "already-down"
@@ -617,7 +604,6 @@ pub fn run_on<R: ChaosRuntime>(rt: &R, steps: &[ChaosStep]) -> Result<RunOutcome
             Action::Repair(s) => {
                 let outcome = match rt.local_state(s) {
                     SiteState::Failed => {
-                        rt.on_restart(s);
                         let scrubbed = rt.scrub_local(s);
                         protocol::repair(&fb, s);
                         format!("restarted scrubbed={scrubbed}")
@@ -1170,7 +1156,6 @@ pub fn run_shard_scenarios_on<R: ChaosRuntime>(
     // #1: fail-stop every site of the victim shard.
     for s in raw[victim].config().site_ids() {
         protocol::fail(&*raw[victim], s);
-        raw[victim].on_fail(s);
     }
     log.push(format!(
         "#1 crash-shard {victim} -> all sites failed |{}",
@@ -1218,7 +1203,6 @@ pub fn run_shard_scenarios_on<R: ChaosRuntime>(
     // sweep per site before the closure admits the shard back.
     for s in raw[victim].config().site_ids() {
         if raw[victim].local_state(s) == SiteState::Failed {
-            raw[victim].on_restart(s);
             let _ = raw[victim].scrub_local(s);
             begin(5);
             protocol::repair(&*fdev.shard_backends()[victim], s);
@@ -1272,7 +1256,6 @@ pub fn run_shard_scenarios_on<R: ChaosRuntime>(
     // #9: repair whatever the torn install crashed.
     for s in raw[victim].config().site_ids() {
         if raw[victim].local_state(s) == SiteState::Failed {
-            raw[victim].on_restart(s);
             let _ = raw[victim].scrub_local(s);
             begin(9);
             protocol::repair(&*fdev.shard_backends()[victim], s);

@@ -1,14 +1,13 @@
 //! The deterministic in-process cluster.
 
-use crate::backend::Backend;
-use crate::locks::{BlockLockTable, LeaseTable};
+use crate::backend::{Backend, Coordinator};
 use crate::{protocol, replica::Replica};
-use blockrep_net::{DeliveryMode, Topology, TrafficCounter, TrafficSnapshot};
+use blockrep_net::{DeliveryMode, TrafficCounter, TrafficSnapshot};
 use blockrep_types::{
     BlockData, BlockIndex, DeviceConfig, DeviceResult, SiteId, SiteState, VersionNumber,
     VersionVector,
 };
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use std::collections::BTreeSet;
 
 /// Runtime options for a cluster.
@@ -57,17 +56,13 @@ pub struct ClusterOptions {
 /// ```
 #[derive(Debug)]
 pub struct Cluster {
-    cfg: DeviceConfig,
+    coord: Coordinator,
     /// One lock per site: an exchange with site `s` touches only `s`'s
     /// replica, so exchanges with distinct sites never serialize. Ops on
-    /// the *same block* are serialized above this layer by `locks` — the
-    /// per-replica mutexes only make individual exchanges atomic.
+    /// the *same block* are serialized above this layer by the
+    /// coordinator's block locks — the per-replica mutexes only make
+    /// individual exchanges atomic.
     replicas: Vec<Mutex<Replica>>,
-    topology: RwLock<Topology>,
-    counter: TrafficCounter,
-    mode: DeliveryMode,
-    locks: BlockLockTable,
-    leases: LeaseTable,
 }
 
 impl Cluster {
@@ -79,13 +74,8 @@ impl Cluster {
             .map(|s| Mutex::new(Replica::new(s, &cfg)))
             .collect();
         Cluster {
-            topology: RwLock::new(Topology::fully_connected(cfg.num_sites())),
+            coord: Coordinator::new(cfg, options.mode),
             replicas,
-            counter: TrafficCounter::new(),
-            mode: options.mode,
-            locks: BlockLockTable::new(),
-            leases: LeaseTable::new(),
-            cfg,
         }
     }
 
@@ -95,20 +85,13 @@ impl Cluster {
     /// model-checking tests use this to explore every interleaving of
     /// failures, repairs and writes from a common prefix.
     pub fn fork(&self) -> Cluster {
-        let leases = LeaseTable::new();
-        leases.set_enabled(self.leases.enabled());
         Cluster {
-            cfg: self.cfg.clone(),
+            coord: self.coord.fork(),
             replicas: self
                 .replicas
                 .iter()
                 .map(|r| Mutex::new(r.lock().clone()))
                 .collect(),
-            topology: RwLock::new(self.topology.read().clone()),
-            counter: TrafficCounter::new(),
-            mode: self.mode,
-            locks: BlockLockTable::new(),
-            leases,
         }
     }
 
@@ -118,17 +101,17 @@ impl Cluster {
     /// are served from one of them in a single round instead of gathering
     /// a read quorum. Off by default.
     pub fn set_leases(&self, on: bool) {
-        self.leases.set_enabled(on);
+        self.coord.leases.set_enabled(on);
     }
 
     /// The device configuration.
     pub fn config(&self) -> &DeviceConfig {
-        &self.cfg
+        &self.coord.cfg
     }
 
     /// Number of sites.
     pub fn num_sites(&self) -> usize {
-        self.cfg.num_sites()
+        self.coord.cfg.num_sites()
     }
 
     /// Reads block `k`, coordinated by site `origin`.
@@ -186,7 +169,7 @@ impl Cluster {
     ///
     /// Panics if `s` is not a site of this device.
     pub fn fail_site(&self, s: SiteId) {
-        assert!(self.cfg.contains_site(s), "unknown site {s}");
+        assert!(self.coord.cfg.contains_site(s), "unknown site {s}");
         protocol::fail(self, s);
     }
 
@@ -199,7 +182,7 @@ impl Cluster {
     /// Panics if `s` is not a site of this device or is not currently
     /// failed.
     pub fn repair_site(&self, s: SiteId) {
-        assert!(self.cfg.contains_site(s), "unknown site {s}");
+        assert!(self.coord.cfg.contains_site(s), "unknown site {s}");
         assert_eq!(
             self.site_state(s),
             SiteState::Failed,
@@ -208,21 +191,18 @@ impl Cluster {
         protocol::repair(self, s);
     }
 
-    /// Splits the network into partitions (see [`Topology::partition`]).
-    /// The available copy schemes assume this never happens; the topology
-    /// hook exists so tests can demonstrate why.
+    /// Splits the network into partitions (see
+    /// [`Topology::partition`](blockrep_net::Topology::partition)). The
+    /// available copy schemes assume this never happens; the hook exists so
+    /// tests can demonstrate why.
     pub fn partition(&self, groups: &[Vec<SiteId>]) {
-        self.topology.write().partition(groups);
-        // Reachability just changed under every outstanding lease.
-        self.leases.bump_epoch();
+        protocol::partition(self, groups);
     }
 
     /// Heals all partitions and re-runs the recovery sweep (recoveries that
     /// were blocked on unreachable closure members can now complete).
     pub fn heal(&self) {
-        self.topology.write().heal();
-        self.leases.bump_epoch();
-        protocol::sweep(self);
+        protocol::heal(self);
     }
 
     /// The state of site `s`.
@@ -231,7 +211,7 @@ impl Cluster {
     ///
     /// Panics if `s` is not a site of this device.
     pub fn site_state(&self, s: SiteId) -> SiteState {
-        self.replicas[s.index()].lock().state()
+        self.local_state(s)
     }
 
     /// Whether the replicated block is available under the scheme's own
@@ -243,9 +223,9 @@ impl Cluster {
     /// A site currently able to coordinate reads and writes, if any —
     /// lowest id first, for determinism.
     pub fn any_serving_site(&self) -> Option<SiteId> {
-        let voting = self.cfg.scheme() == blockrep_types::Scheme::Voting;
-        self.cfg.site_ids().find(|&s| {
-            let state = self.replicas[s.index()].lock().state();
+        let voting = self.coord.cfg.scheme() == blockrep_types::Scheme::Voting;
+        self.coord.cfg.site_ids().find(|&s| {
+            let state = self.local_state(s);
             if voting {
                 state.is_operational()
             } else {
@@ -256,12 +236,12 @@ impl Cluster {
 
     /// The shared high-level transmission counter.
     pub fn counter(&self) -> &TrafficCounter {
-        &self.counter
+        &self.coord.counter
     }
 
     /// Convenience: a point-in-time snapshot of the traffic counters.
     pub fn traffic(&self) -> TrafficSnapshot {
-        self.counter.snapshot()
+        self.coord.counter.snapshot()
     }
 
     /// Inspection: the version site `s` holds for block `k` (test support).
@@ -290,50 +270,23 @@ impl Cluster {
         *self.replicas[s.index()].lock() = replica;
     }
 
-    fn reachable_and_operational(&self, from: SiteId, to: SiteId) -> bool {
-        if !self.topology.read().reachable(from, to) {
-            return false;
-        }
-        self.replicas[to.index()].lock().state().is_operational()
+    /// Site `to`'s replica as an exchange from `from` finds it: `None`
+    /// when `to` is unreachable from `from`.
+    fn exchange(&self, from: SiteId, to: SiteId) -> Option<parking_lot::MutexGuard<'_, Replica>> {
+        self.coord
+            .links
+            .reachable(from, to)
+            .then(|| self.replicas[to.index()].lock())
     }
 }
 
 impl Backend for Cluster {
-    fn config(&self) -> &DeviceConfig {
-        &self.cfg
-    }
-
-    fn delivery_mode(&self) -> DeliveryMode {
-        self.mode
-    }
-
-    fn counter(&self) -> &TrafficCounter {
-        &self.counter
-    }
-
-    fn local_state(&self, s: SiteId) -> SiteState {
-        self.replicas[s.index()].lock().state()
-    }
-
-    fn set_local_state(&self, s: SiteId, state: SiteState) {
-        self.replicas[s.index()].lock().set_state(state);
-    }
-
-    fn probe_state(&self, from: SiteId, to: SiteId) -> Option<SiteState> {
-        if from == to {
-            return Some(self.local_state(to));
-        }
-        if !self.reachable_and_operational(from, to) {
-            return None;
-        }
-        Some(self.replicas[to.index()].lock().state())
+    fn coordinator(&self) -> &Coordinator {
+        &self.coord
     }
 
     fn vote(&self, from: SiteId, to: SiteId, k: BlockIndex) -> Option<VersionNumber> {
-        if from != to && !self.reachable_and_operational(from, to) {
-            return None;
-        }
-        Some(self.replicas[to.index()].lock().version(k))
+        Some(self.exchange(from, to)?.version(k))
     }
 
     fn fetch_block(
@@ -342,10 +295,7 @@ impl Backend for Cluster {
         to: SiteId,
         k: BlockIndex,
     ) -> Option<(VersionNumber, BlockData)> {
-        if from != to && !self.reachable_and_operational(from, to) {
-            return None;
-        }
-        Some(self.replicas[to.index()].lock().versioned(k))
+        Some(self.exchange(from, to)?.versioned(k))
     }
 
     fn apply_write(
@@ -356,10 +306,10 @@ impl Backend for Cluster {
         data: &BlockData,
         v: VersionNumber,
     ) -> bool {
-        if from != to && !self.reachable_and_operational(from, to) {
+        let Some(mut replica) = self.exchange(from, to) else {
             return false;
-        }
-        self.replicas[to.index()].lock().install(k, data.clone(), v);
+        };
+        replica.install(k, data.clone(), v);
         true
     }
 
@@ -368,10 +318,7 @@ impl Backend for Cluster {
     }
 
     fn version_vector(&self, from: SiteId, to: SiteId) -> Option<VersionVector> {
-        if from != to && !self.reachable_and_operational(from, to) {
-            return None;
-        }
-        Some(self.replicas[to.index()].lock().version_vector())
+        Some(self.exchange(from, to)?.version_vector())
     }
 
     fn repair_payload(
@@ -380,10 +327,7 @@ impl Backend for Cluster {
         to: SiteId,
         vv: &VersionVector,
     ) -> Option<crate::backend::RepairPayload> {
-        if from != to && !self.reachable_and_operational(from, to) {
-            return None;
-        }
-        Some(self.replicas[to.index()].lock().repair_payload(vv))
+        Some(self.exchange(from, to)?.repair_payload(vv))
     }
 
     fn apply_repair_local(&self, s: SiteId, blocks: crate::backend::RepairBlocks) -> usize {
@@ -391,27 +335,22 @@ impl Backend for Cluster {
     }
 
     fn was_available(&self, from: SiteId, to: SiteId) -> Option<BTreeSet<SiteId>> {
-        if from != to && !self.reachable_and_operational(from, to) {
-            return None;
-        }
-        Some(self.replicas[to.index()].lock().was_available().clone())
+        Some(self.exchange(from, to)?.was_available().clone())
     }
 
     fn set_was_available(&self, from: SiteId, to: SiteId, w: &BTreeSet<SiteId>) -> bool {
-        if from != to && !self.reachable_and_operational(from, to) {
+        let Some(mut replica) = self.exchange(from, to) else {
             return false;
-        }
-        self.replicas[to.index()]
-            .lock()
-            .set_was_available(w.clone());
+        };
+        replica.set_was_available(w.clone());
         true
     }
 
     fn add_was_available(&self, from: SiteId, to: SiteId, member: SiteId) -> bool {
-        if from != to && !self.reachable_and_operational(from, to) {
+        let Some(mut replica) = self.exchange(from, to) else {
             return false;
-        }
-        self.replicas[to.index()].lock().add_was_available(member);
+        };
+        replica.add_was_available(member);
         true
     }
 
@@ -424,25 +363,15 @@ impl Backend for Cluster {
         v: VersionNumber,
         fault: blockrep_storage::StorageFault,
     ) -> bool {
-        if from != to && !self.reachable_and_operational(from, to) {
+        let Some(mut replica) = self.exchange(from, to) else {
             return false;
-        }
-        self.replicas[to.index()]
-            .lock()
-            .install_faulty(k, data.clone(), v, fault);
+        };
+        replica.install_faulty(k, data.clone(), v, fault);
         true
     }
 
     fn scrub_local(&self, s: SiteId) -> usize {
         self.replicas[s.index()].lock().scrub().len()
-    }
-
-    fn block_locks(&self) -> &BlockLockTable {
-        &self.locks
-    }
-
-    fn leases(&self) -> &LeaseTable {
-        &self.leases
     }
 }
 

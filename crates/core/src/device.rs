@@ -11,8 +11,27 @@
 use crate::backend::Backend;
 use crate::protocol;
 use blockrep_storage::BlockDevice;
-use blockrep_types::{BlockData, BlockIndex, DeviceError, DeviceResult, SiteId};
+use blockrep_types::{BlockData, BlockIndex, DeviceConfig, DeviceError, DeviceResult, SiteId};
 use std::sync::Arc;
+
+/// The one failover rule, shared with [`ShardedDevice`](crate::ShardedDevice):
+/// run `op` through the `preferred` origin, then through the other sites in
+/// id order — but only while the coordinator itself cannot serve. A quorum
+/// failure is global, and retrying it elsewhere would just repeat it.
+pub(crate) fn with_failover<T>(
+    cfg: &DeviceConfig,
+    preferred: SiteId,
+    mut op: impl FnMut(SiteId) -> DeviceResult<T>,
+) -> DeviceResult<T> {
+    let mut outcome = op(preferred);
+    for origin in cfg.site_ids().filter(|&s| s != preferred) {
+        if !matches!(outcome, Err(DeviceError::SiteNotServing { .. })) {
+            break;
+        }
+        outcome = op(origin);
+    }
+    outcome
+}
 
 /// A block device served by one pinned site, like the kernel stub of
 /// Figure 1: every request is forwarded to the same server, and if that
@@ -160,29 +179,9 @@ impl<C: Backend> ReliableDevice<C> {
         &self.cluster
     }
 
-    /// Origins to try, preferred first, then the rest in id order.
-    fn origins(&self) -> impl Iterator<Item = SiteId> + '_ {
-        let preferred = self.preferred;
-        std::iter::once(preferred).chain(
-            self.cluster
-                .config()
-                .site_ids()
-                .filter(move |&s| s != preferred),
-        )
-    }
-
-    fn with_failover<T>(&self, mut op: impl FnMut(SiteId) -> DeviceResult<T>) -> DeviceResult<T> {
-        let mut last = None;
-        for origin in self.origins() {
-            match op(origin) {
-                // Only a coordinator that cannot serve triggers failover;
-                // a quorum failure is global and retrying elsewhere would
-                // just repeat it.
-                Err(e @ DeviceError::SiteNotServing { .. }) => last = Some(e),
-                other => return other,
-            }
-        }
-        Err(last.expect("devices have at least one site"))
+    /// Runs `op` under the failover rule, over this device's sites.
+    fn failover<T>(&self, op: impl FnMut(SiteId) -> DeviceResult<T>) -> DeviceResult<T> {
+        with_failover(self.cluster.config(), self.preferred, op)
     }
 }
 
@@ -196,21 +195,21 @@ impl<C: Backend> BlockDevice for ReliableDevice<C> {
     }
 
     fn read_block(&self, k: BlockIndex) -> DeviceResult<BlockData> {
-        self.with_failover(|origin| protocol::read(&*self.cluster, origin, k))
+        self.failover(|origin| protocol::read(&*self.cluster, origin, k))
     }
 
     fn write_block(&self, k: BlockIndex, data: BlockData) -> DeviceResult<()> {
         // The payload is borrowed by every attempt: failover retries reuse
         // it, and the common single-origin success path never clones.
-        self.with_failover(|origin| protocol::write(&*self.cluster, origin, k, &data))
+        self.failover(|origin| protocol::write(&*self.cluster, origin, k, &data))
     }
 
     fn read_blocks(&self, ks: &[BlockIndex]) -> DeviceResult<Vec<BlockData>> {
-        self.with_failover(|origin| protocol::read_many(&*self.cluster, origin, ks))
+        self.failover(|origin| protocol::read_many(&*self.cluster, origin, ks))
     }
 
     fn write_blocks(&self, writes: &[(BlockIndex, BlockData)]) -> DeviceResult<()> {
-        self.with_failover(|origin| protocol::write_many(&*self.cluster, origin, writes))
+        self.failover(|origin| protocol::write_many(&*self.cluster, origin, writes))
     }
 }
 

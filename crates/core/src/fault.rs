@@ -22,14 +22,12 @@
 //! protocol step on all three runtimes, concurrency notwithstanding (see
 //! `scatter_keeps_exchange_indices_pinned_on_all_runtimes` below).
 
-use crate::backend::{Backend, RepairBlocks, RepairPayload, WriteBatch};
+use crate::backend::{Backend, Coordinator, RepairBlocks, RepairPayload, WriteBatch};
 use crate::obs_hooks;
-use blockrep_net::{DeliveryMode, TrafficCounter};
 use blockrep_obs::event;
 use blockrep_storage::StorageFault;
 use blockrep_types::{
-    BlockData, BlockIndex, DeviceConfig, DeviceResult, SiteId, SiteState, VersionNumber,
-    VersionVector,
+    BlockData, BlockIndex, DeviceResult, SiteId, SiteState, VersionNumber, VersionVector,
 };
 use parking_lot::Mutex;
 use std::collections::BTreeSet;
@@ -443,24 +441,11 @@ impl<'a, B: Backend> FaultyBackend<'a, B> {
 }
 
 impl<B: Backend> Backend for FaultyBackend<'_, B> {
-    fn config(&self) -> &DeviceConfig {
-        self.inner.config()
-    }
-
-    fn delivery_mode(&self) -> DeliveryMode {
-        self.inner.delivery_mode()
-    }
-
-    fn counter(&self) -> &TrafficCounter {
-        self.inner.counter()
-    }
-
-    fn local_state(&self, s: SiteId) -> SiteState {
-        self.inner.local_state(s)
-    }
-
-    fn set_local_state(&self, s: SiteId, state: SiteState) {
-        self.inner.set_local_state(s, state);
+    fn coordinator(&self) -> &Coordinator {
+        // Configuration, states, accounting, locks and leases are the inner
+        // runtime's: the wrapper only decides message fates, so same-block
+        // exclusion and lease epochs must come from one coordinator.
+        self.inner.coordinator()
     }
 
     fn probe_state(&self, from: SiteId, to: SiteId) -> Option<SiteState> {
@@ -733,23 +718,14 @@ impl<B: Backend> Backend for FaultyBackend<'_, B> {
     fn scrub_local(&self, s: SiteId) -> usize {
         self.inner.scrub_local(s)
     }
-
-    fn block_locks(&self) -> &crate::locks::BlockLockTable {
-        // Locking is the inner runtime's concern; the wrapper only decides
-        // message fates, so same-block exclusion must come from one table.
-        self.inner.block_locks()
-    }
-
-    fn leases(&self) -> &crate::locks::LeaseTable {
-        self.inner.leases()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{Cluster, ClusterOptions};
-    use blockrep_types::Scheme;
+    use blockrep_net::DeliveryMode;
+    use blockrep_types::{DeviceConfig, Scheme};
 
     fn cluster(scheme: Scheme) -> Cluster {
         let cfg = DeviceConfig::builder(scheme)

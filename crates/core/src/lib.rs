@@ -12,10 +12,12 @@
 //!          │  coordinated protocol operations
 //!          ▼
 //!  Cluster (deterministic) or ServerCluster<T> (LiveCluster: threads +
-//!  channels; TcpCluster: threads + sockets)
+//!  channels; TcpCluster: threads + sockets) — each one Coordinator:
+//!  config, §5 counter, block locks, leases, and the link model (site
+//!  states + topology) that decides which exchanges below may happen
 //!          │  votes, write updates, version vectors, repairs
 //!          ▼  (ServerCluster: as WireRequests, to the one site service)
-//!  Replica per site: VersionedStore + site state + was-available set
+//!  Replica per site: VersionedStore + was-available set (+ journal)
 //! ```
 //!
 //! The three consistency schemes of §3 are implemented against a common
@@ -90,12 +92,11 @@ mod transport;
 pub mod wire;
 
 pub(crate) mod available_copy;
-pub(crate) mod naive;
 pub(crate) mod voting;
 
 pub use backend::{
-    RepairBlocks, RepairPayload, ScatterReplies, ScatterReply, ScatterRequest, ScatterSpec,
-    WriteBatch,
+    Coordinator, RepairBlocks, RepairPayload, ScatterReplies, ScatterReply, ScatterRequest,
+    ScatterSpec, WriteBatch,
 };
 pub use cluster::{Cluster, ClusterOptions};
 pub use device::{DriverStub, ReliableDevice};

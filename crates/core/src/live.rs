@@ -3,9 +3,11 @@
 //! This is the deployment shape of the paper — "a set of server processes
 //! on several sites" — scaled to one machine: each site's replica is owned
 //! by its own OS thread, and every protocol exchange travels as a real
-//! message over the [`Network`] router. Fail-stop is modeled by taking the
-//! site's link down: a failed site answers nothing, synchronously, so tests
-//! stay deterministic.
+//! message to that thread's mailbox. Fail-stop and partitions are enforced
+//! at the coordination layer, by the link model every runtime shares: a
+//! failed or partitioned-away site is not sent to, synchronously, so tests
+//! stay deterministic; its thread and its disk survive, like a halted
+//! machine's.
 //!
 //! [`LiveTransport`] is the in-memory [`Transport`]: it moves the same
 //! [`WireRequest`] values the TCP cluster frames onto sockets, unencoded,
@@ -15,15 +17,14 @@
 //! the same way — which the integration tests exploit: a workload replayed
 //! on both runtimes must produce identical message counts.
 
-use crate::backend::ScatterReplies;
-use crate::protocol;
+use crate::backend::{Coordinator, ScatterReplies};
 use crate::replica::Replica;
 use crate::service::serve;
 use crate::transport::{Links, Scatter, ServerCluster, Transport};
 use crate::wire::{WireRequest, WireResponse};
-use blockrep_net::{DeliveryMode, Network};
+use blockrep_net::DeliveryMode;
 use blockrep_types::{DeviceConfig, SiteId};
-use crossbeam::channel::{bounded, Receiver, Sender};
+use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use std::thread::JoinHandle;
 
 /// What travels to a site's mailbox: a request, and where to send the
@@ -52,23 +53,22 @@ fn traced(request: WireRequest) -> WireRequest {
 
 /// The in-memory transport: one mailbox and one server thread per site.
 pub struct LiveTransport {
-    net: Network<Envelope>,
+    /// Each site's one mailbox: protocol traffic and the shutdown message
+    /// both arrive there, so the site's thread can block on it.
+    mailboxes: Vec<Sender<Envelope>>,
     handles: Vec<JoinHandle<()>>,
 }
 
 impl LiveTransport {
     /// Spawns one server thread per site over a freshly formatted device.
-    fn spawn(cfg: &DeviceConfig, mode: DeliveryMode, links: &Links) -> Self {
-        let net: Network<Envelope> = Network::new(cfg.num_sites(), mode);
-        let handles = cfg
+    fn spawn(cfg: &DeviceConfig, links: &Links) -> Self {
+        let (mailboxes, handles) = cfg
             .site_ids()
             .map(|s| {
-                // The site's one mailbox: protocol traffic and the shutdown
-                // message both arrive here, so the thread can block on it.
-                let rx = net.register(s);
+                let (tx, rx) = unbounded::<Envelope>();
                 let mut replica = Replica::new(s, cfg);
                 let links = links.clone();
-                std::thread::spawn(move || {
+                let handle = std::thread::spawn(move || {
                     while let Ok(Envelope { request, reply }) = rx.recv() {
                         if matches!(request, WireRequest::Shutdown) {
                             return;
@@ -84,14 +84,16 @@ impl LiveTransport {
                             let _ = reply.send(response);
                         }
                     }
-                })
+                });
+                (tx, handle)
             })
-            .collect();
-        LiveTransport { net, handles }
+            .unzip();
+        LiveTransport { mailboxes, handles }
     }
 
-    fn send(&self, from: SiteId, to: SiteId, envelope: Envelope) -> bool {
-        self.net.send_raw(from, to, envelope).is_ok()
+    /// Whether `to`'s thread is still there to take the envelope.
+    fn send(&self, to: SiteId, envelope: Envelope) -> bool {
+        self.mailboxes[to.index()].send(envelope).is_ok()
     }
 }
 
@@ -99,41 +101,28 @@ impl Transport for LiveTransport {
     const NAME: &'static str = "live";
     const CAST_BLOCKS: bool = false;
 
-    fn can_deliver(&self, from: SiteId, to: SiteId) -> bool {
-        self.net.can_deliver(from, to)
-    }
-
-    fn call(&self, from: SiteId, to: SiteId, request: WireRequest) -> Option<WireResponse> {
+    fn call(&self, to: SiteId, request: WireRequest) -> Option<WireResponse> {
         let (tx, rx) = bounded(1);
         let envelope = Envelope {
             request: traced(request),
             reply: Some(tx),
         };
-        if !self.send(from, to, envelope) {
+        if !self.send(to, envelope) {
             return None;
         }
         rx.recv().ok()
     }
 
-    fn cast(&self, from: SiteId, to: SiteId, request: WireRequest) -> bool {
+    fn cast(&self, to: SiteId, request: WireRequest) -> bool {
         let envelope = Envelope {
             request: traced(request),
             reply: None,
         };
-        self.send(from, to, envelope)
-    }
-
-    fn set_site_up(&self, s: SiteId, up: bool) {
-        self.net.set_site_up(s, up);
+        self.send(to, envelope)
     }
 
     fn scatter(&self, cx: Scatter<'_>, request: WireRequest) -> ScatterReplies {
-        let Scatter {
-            spec,
-            origin,
-            targets,
-            ..
-        } = cx;
+        let Scatter { spec, targets, .. } = cx;
         // Satellite hoist: one `enabled()` load decides whether any obs
         // work happens in this batch; the disabled path records nothing.
         let obs_on = blockrep_obs::enabled();
@@ -167,7 +156,7 @@ impl Transport for LiveTransport {
                     };
                 }
                 let reply = Some(tx);
-                let sent = self.send(origin, t, Envelope { request, reply });
+                let sent = self.send(t, Envelope { request, reply });
                 (t, sent.then_some(rx))
             })
             .collect();
@@ -197,20 +186,12 @@ impl Transport for LiveTransport {
 
 impl Drop for LiveTransport {
     fn drop(&mut self) {
-        // Sent as each site's message to itself: `send_raw` delivers that
-        // whatever the link state, and a failed site's thread still has to
-        // exit.
-        for i in 0..self.handles.len() {
-            let s = SiteId::new(i as u32);
+        // Straight into every mailbox, whatever the links say: a failed
+        // site's thread still has to exit.
+        for mailbox in &self.mailboxes {
             let request = WireRequest::Shutdown;
-            self.send(
-                s,
-                s,
-                Envelope {
-                    request,
-                    reply: None,
-                },
-            );
+            let reply = None;
+            let _ = mailbox.send(Envelope { request, reply });
         }
         for handle in self.handles.drain(..) {
             let _ = handle.join();
@@ -244,29 +225,9 @@ pub type LiveCluster = ServerCluster<LiveTransport>;
 impl ServerCluster<LiveTransport> {
     /// Spawns one server thread per site over a freshly formatted device.
     pub fn spawn(cfg: DeviceConfig, mode: DeliveryMode) -> Self {
-        let links = Links::new(&cfg);
-        let transport = LiveTransport::spawn(&cfg, mode, &links);
-        ServerCluster::over(cfg, mode, links, transport)
-    }
-
-    /// Splits the network into partitions (messages across groups are
-    /// refused synchronously). The available copy schemes assume this never
-    /// happens; the hook exists to demonstrate why.
-    pub fn partition(&self, groups: &[Vec<SiteId>]) {
-        // A partitioned holder can no longer be reached to serve a lease;
-        // epoch-bump so every outstanding grant dies with the topology.
-        self.leases.bump_epoch();
-        let mut topo = blockrep_net::Topology::fully_connected(self.config().num_sites());
-        topo.partition(groups);
-        self.transport.net.set_topology(topo);
-    }
-
-    /// Heals all partitions and re-runs the recovery sweep.
-    pub fn heal(&self) {
-        self.leases.bump_epoch();
-        let whole = blockrep_net::Topology::fully_connected(self.config().num_sites());
-        self.transport.net.set_topology(whole);
-        protocol::sweep(self);
+        let coord = Coordinator::new(cfg, mode);
+        let transport = LiveTransport::spawn(&coord.cfg, &coord.links);
+        ServerCluster::over(coord, transport)
     }
 }
 

@@ -7,6 +7,7 @@
 //! incarnation imports it and runs the ordinary recovery protocol — exactly
 //! what a production deployment would persist under each server process.
 
+use crate::backend::Backend;
 use crate::replica::Replica;
 use crate::{Cluster, ClusterOptions};
 use blockrep_storage::VersionedStore;
@@ -23,7 +24,8 @@ const VERSION: u32 = 1;
 impl Replica {
     /// Serializes the replica's persistent state: block contents, version
     /// numbers, and the was-available set. Site state is volatile and not
-    /// included — an imported replica starts failed, awaiting recovery.
+    /// the replica's to hold — the cluster that imports an image keeps the
+    /// site failed, awaiting recovery.
     pub fn to_image(&self) -> Vec<u8> {
         let num_blocks = self.version_vector().len() as u64;
         let block_size = self.data(BlockIndex::new(0)).len();
@@ -47,9 +49,7 @@ impl Replica {
     }
 
     /// Reconstructs a replica from an image, validating it against the
-    /// device configuration. The replica comes back in the
-    /// [`Failed`](SiteState::Failed) state — its process is not running
-    /// until the cluster repairs it.
+    /// device configuration.
     ///
     /// # Errors
     ///
@@ -104,7 +104,6 @@ impl Replica {
             store.install(k, BlockData::from(data), v);
         }
         let mut replica = Replica::new(id, cfg);
-        replica.set_state(SiteState::Failed);
         replica.set_was_available(w);
         replica.replace_store(store);
         Ok(replica)
@@ -174,6 +173,8 @@ impl Cluster {
                 )));
             }
             let id = replica.id();
+            // The disk is back; its server process is not running yet.
+            cluster.set_local_state(id, SiteState::Failed);
             cluster.replace_replica(id, replica);
         }
         Ok(cluster)
@@ -211,11 +212,6 @@ mod tests {
         let image = r.to_image();
         let back = Replica::from_image(&image, &device).unwrap();
         assert_eq!(back.id(), s(1));
-        assert_eq!(
-            back.state(),
-            SiteState::Failed,
-            "imported replicas start failed"
-        );
         assert_eq!(back.version(BlockIndex::new(2)), VersionNumber::new(5));
         assert_eq!(back.data(BlockIndex::new(2)), fill(7));
         assert_eq!(back.was_available().len(), 2);
@@ -286,6 +282,26 @@ mod tests {
         c.repair_site(s(1));
         // …and recovery brings it current.
         assert_eq!(c.read(s(1), BlockIndex::new(0)).unwrap(), fill(2));
+    }
+
+    #[test]
+    fn imported_disks_belong_to_failed_sites_until_repaired() {
+        // Site state is the cluster's, not the image's: a cold restart
+        // marks every site failed, and a disk swap leaves the site as down
+        // as it had to be for the swap.
+        let device = cfg();
+        let c = Cluster::new(device.clone(), ClusterOptions::default());
+        let images: Vec<Vec<u8>> = (0..3).map(|i| c.export_site(s(i))).collect();
+        let cold = Cluster::from_images(device, ClusterOptions::default(), &images).unwrap();
+        for i in 0..3 {
+            assert_eq!(cold.site_state(s(i)), SiteState::Failed, "cold s{i}");
+        }
+        c.fail_site(s(2));
+        c.import_site(s(2), &images[2]).unwrap();
+        assert_eq!(c.site_state(s(2)), SiteState::Failed);
+        assert_eq!(c.site_state(s(0)), SiteState::Available);
+        c.repair_site(s(2));
+        assert_eq!(c.site_state(s(2)), SiteState::Available);
     }
 
     #[test]

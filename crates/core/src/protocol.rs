@@ -1,4 +1,4 @@
-//! Scheme dispatch and the recovery sweep.
+//! Scheme dispatch, partitions and the recovery sweep.
 //!
 //! These are the crate-internal entry points every runtime calls — the
 //! deterministic [`Cluster`](crate::Cluster), the two
@@ -9,7 +9,7 @@
 //! configuration.
 
 use crate::backend::Backend;
-use crate::{available_copy, naive, obs_hooks, voting};
+use crate::{available_copy, obs_hooks, voting};
 use blockrep_types::{BlockData, BlockIndex, DeviceResult, Scheme, SiteId, SiteState};
 
 /// Reads block `k`, coordinated by `origin`, under the configured scheme.
@@ -27,8 +27,7 @@ pub(crate) fn read<B: Backend + ?Sized>(
     let _block = b.block_locks().read_guard(k);
     match b.config().scheme() {
         Scheme::Voting => voting::read(b, origin, k),
-        Scheme::AvailableCopy => available_copy::read(b, origin, k),
-        Scheme::NaiveAvailableCopy => naive::read(b, origin, k),
+        Scheme::AvailableCopy | Scheme::NaiveAvailableCopy => available_copy::read(b, origin, k),
     }
 }
 
@@ -50,7 +49,7 @@ pub(crate) fn write<B: Backend + ?Sized>(
     match b.config().scheme() {
         Scheme::Voting => voting::write(b, origin, k, data),
         Scheme::AvailableCopy => available_copy::write(b, origin, k, data, false),
-        Scheme::NaiveAvailableCopy => naive::write(b, origin, k, data),
+        Scheme::NaiveAvailableCopy => available_copy::write(b, origin, k, data, true),
     }
 }
 
@@ -67,8 +66,9 @@ pub(crate) fn read_many<B: Backend + ?Sized>(
     let _blocks = b.block_locks().read_guard_many(ks);
     match b.config().scheme() {
         Scheme::Voting => voting::read_many(b, origin, ks),
-        Scheme::AvailableCopy => available_copy::read_many(b, origin, ks),
-        Scheme::NaiveAvailableCopy => naive::read_many(b, origin, ks),
+        Scheme::AvailableCopy | Scheme::NaiveAvailableCopy => {
+            available_copy::read_many(b, origin, ks)
+        }
     }
 }
 
@@ -87,7 +87,7 @@ pub(crate) fn write_many<B: Backend + ?Sized>(
     match b.config().scheme() {
         Scheme::Voting => voting::write_many(b, origin, writes),
         Scheme::AvailableCopy => available_copy::write_many(b, origin, writes, false),
-        Scheme::NaiveAvailableCopy => naive::write_many(b, origin, writes),
+        Scheme::NaiveAvailableCopy => available_copy::write_many(b, origin, writes, true),
     }
 }
 
@@ -99,7 +99,7 @@ pub(crate) fn fail<B: Backend + ?Sized>(b: &B, s: SiteId) {
     match b.config().scheme() {
         Scheme::Voting => b.set_local_state(s, SiteState::Failed),
         Scheme::AvailableCopy => available_copy::fail(b, s, false),
-        Scheme::NaiveAvailableCopy => naive::fail(b, s),
+        Scheme::NaiveAvailableCopy => available_copy::fail(b, s, true),
     }
 }
 
@@ -112,15 +112,29 @@ pub(crate) fn repair<B: Backend + ?Sized>(b: &B, s: SiteId) {
     b.leases().bump_epoch();
     match b.config().scheme() {
         Scheme::Voting => voting::repair(b, s),
-        Scheme::AvailableCopy => {
+        Scheme::AvailableCopy | Scheme::NaiveAvailableCopy => {
             available_copy::begin_recovery(b, s);
             sweep(b);
         }
-        Scheme::NaiveAvailableCopy => {
-            naive::begin_recovery(b, s);
-            sweep(b);
-        }
     }
+}
+
+/// Splits the network into `groups`. The topology changes first and the
+/// lease epoch is bumped after it, so no grant made against the old
+/// reachability outlives the change: a partitioned holder can no longer be
+/// reached to serve or validate its lease.
+pub(crate) fn partition<B: Backend + ?Sized>(b: &B, groups: &[Vec<SiteId>]) {
+    b.coordinator().links.partition(groups);
+    b.leases().bump_epoch();
+}
+
+/// Heals all partitions — topology, then epoch, as for [`partition`] — and
+/// re-runs the recovery sweep: recoveries that were blocked on unreachable
+/// closure members can now complete.
+pub(crate) fn heal<B: Backend + ?Sized>(b: &B) {
+    b.coordinator().links.heal();
+    b.leases().bump_epoch();
+    sweep(b);
 }
 
 /// Promotes every comatose site whose recovery condition is now satisfied,

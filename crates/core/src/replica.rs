@@ -2,9 +2,7 @@
 
 use blockrep_storage::wal::{self, WalRecord};
 use blockrep_storage::{StorageFault, VersionedStore};
-use blockrep_types::{
-    BlockData, BlockIndex, DeviceConfig, SiteId, SiteState, VersionNumber, VersionVector,
-};
+use blockrep_types::{BlockData, BlockIndex, DeviceConfig, SiteId, VersionNumber, VersionVector};
 use std::collections::BTreeSet;
 
 /// Replica journals are cleared on every restart scrub, so stale bytes of a
@@ -23,22 +21,23 @@ const JOURNAL_EPOCH: u64 = 1;
 /// scrub.)
 const JOURNAL_CAPACITY: usize = 64 * 1024;
 
-/// Everything one site's server process keeps for the reliable device: its
-/// versioned block store (on disk — it survives fail-stop crashes), its
-/// site state, and — for available copy — its was-available set `W_s`
-/// (Definition 3.1), which is also kept on stable storage so it is still
-/// there when the site restarts after a failure.
+/// Everything one site's server process keeps on stable storage for the
+/// reliable device: its versioned block store (it survives fail-stop
+/// crashes) and — for available copy — its was-available set `W_s`
+/// (Definition 3.1), which is still there when the site restarts after a
+/// failure. Whether the site is *up* is not the replica's to know: site
+/// state lives with the coordinator's link model, next to the topology.
 ///
 /// # Examples
 ///
 /// ```
 /// use blockrep_core::Replica;
-/// use blockrep_types::{DeviceConfig, Scheme, SiteId, SiteState};
+/// use blockrep_types::{BlockIndex, DeviceConfig, Scheme, SiteId, VersionNumber};
 ///
 /// # fn main() -> Result<(), blockrep_types::DeviceError> {
 /// let cfg = DeviceConfig::builder(Scheme::AvailableCopy).sites(3).build()?;
 /// let r = Replica::new(SiteId::new(1), &cfg);
-/// assert_eq!(r.state(), SiteState::Available);
+/// assert_eq!(r.version(BlockIndex::new(0)), VersionNumber::ZERO);
 /// assert_eq!(r.was_available().len(), 3); // initially W_s = S
 /// # Ok(())
 /// # }
@@ -46,7 +45,6 @@ const JOURNAL_CAPACITY: usize = 64 * 1024;
 #[derive(Debug, Clone)]
 pub struct Replica {
     id: SiteId,
-    state: SiteState,
     store: VersionedStore,
     was_available: BTreeSet<SiteId>,
     /// The site's write-ahead journal (`Some` when the device is
@@ -59,13 +57,11 @@ pub struct Replica {
 }
 
 impl Replica {
-    /// Creates the replica of a freshly formatted device: available, all
-    /// blocks zeroed at version zero, and `W_s = S` (every site saw the
-    /// "initial write").
+    /// Creates the replica of a freshly formatted device: all blocks zeroed
+    /// at version zero, and `W_s = S` (every site saw the "initial write").
     pub fn new(id: SiteId, cfg: &DeviceConfig) -> Self {
         Replica {
             id,
-            state: SiteState::Available,
             store: VersionedStore::new(cfg.num_blocks(), cfg.block_size()),
             was_available: cfg.site_ids().collect(),
             journal: cfg.journaled().then(Vec::new),
@@ -75,17 +71,6 @@ impl Replica {
     /// This replica's site identifier.
     pub fn id(&self) -> SiteId {
         self.id
-    }
-
-    /// Current site state.
-    pub fn state(&self) -> SiteState {
-        self.state
-    }
-
-    /// Transitions the site state. Fail-stop: failing loses the process,
-    /// not the disk — store, versions and `W_s` persist.
-    pub fn set_state(&mut self, state: SiteState) {
-        self.state = state;
     }
 
     /// The version number this site holds for block `k` — its vote.
@@ -254,26 +239,10 @@ mod tests {
     }
 
     #[test]
-    fn fresh_replica_is_available_with_full_w() {
+    fn fresh_replica_is_zeroed_with_full_w() {
         let r = Replica::new(SiteId::new(0), &cfg());
-        assert_eq!(r.state(), SiteState::Available);
         assert_eq!(r.was_available().len(), 3);
         assert_eq!(r.version(BlockIndex::new(0)), VersionNumber::ZERO);
-    }
-
-    #[test]
-    fn state_transitions_preserve_disk() {
-        let mut r = Replica::new(SiteId::new(0), &cfg());
-        r.install(
-            BlockIndex::new(1),
-            BlockData::from(vec![5; 8]),
-            VersionNumber::new(2),
-        );
-        r.set_state(SiteState::Failed);
-        assert_eq!(r.version(BlockIndex::new(1)), VersionNumber::new(2));
-        assert_eq!(r.data(BlockIndex::new(1)).as_slice(), &[5; 8]);
-        r.set_state(SiteState::Comatose);
-        assert_eq!(r.was_available().len(), 3);
     }
 
     #[test]

@@ -30,6 +30,7 @@
 //! never weakened (the chaos shard scenarios check it per shard).
 
 use crate::backend::Backend;
+use crate::device::with_failover;
 use crate::protocol;
 use blockrep_net::DeliveryMode;
 use blockrep_storage::BlockDevice;
@@ -372,25 +373,17 @@ impl<C: Backend> ShardedDevice<C> {
         by_shard.into_iter().collect()
     }
 
-    /// Runs `op` against shard `s` with the same failover rule as
-    /// [`ReliableDevice`](crate::ReliableDevice): try the preferred
-    /// origin, fail over to the other shard-local sites only when the
-    /// coordinator itself cannot serve.
+    /// Runs `op` against shard `s` under [`ReliableDevice`](crate::ReliableDevice)'s
+    /// failover rule, over the shard-local sites.
     fn on_shard<T>(
         &self,
         s: usize,
         mut op: impl FnMut(&C, SiteId) -> DeviceResult<T>,
     ) -> DeviceResult<T> {
         let backend = &*self.shards[s];
-        let preferred = self.preferred;
-        let mut outcome = op(backend, preferred);
-        for origin in backend.config().site_ids().filter(|&x| x != preferred) {
-            if !matches!(outcome, Err(DeviceError::SiteNotServing { .. })) {
-                break;
-            }
-            outcome = op(backend, origin);
-        }
-        outcome
+        with_failover(backend.config(), self.preferred, |origin| {
+            op(backend, origin)
+        })
     }
 
     /// The one parallel round: runs `run` for every `(shard, positions)`
@@ -599,6 +592,7 @@ impl ShardedDevice<crate::TcpCluster> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::Coordinator;
     use crate::ClusterOptions;
     use blockrep_types::{VersionNumber, VersionVector};
     use std::collections::BTreeSet;
@@ -776,36 +770,17 @@ mod tests {
     /// A naive-available-copy shard whose local disk either reads zeros or
     /// panics. Only the methods a vectored NAC read reaches are live.
     struct PanickyDisk {
-        cfg: DeviceConfig,
-        locks: crate::locks::BlockLockTable,
+        coord: Coordinator,
         panics: bool,
     }
 
     impl Backend for PanickyDisk {
-        fn config(&self) -> &DeviceConfig {
-            &self.cfg
-        }
-        fn block_locks(&self) -> &crate::locks::BlockLockTable {
-            &self.locks
-        }
-        fn local_state(&self, _: SiteId) -> blockrep_types::SiteState {
-            blockrep_types::SiteState::Available
+        fn coordinator(&self) -> &Coordinator {
+            &self.coord
         }
         fn read_local(&self, _: SiteId, _: BlockIndex) -> DeviceResult<BlockData> {
             assert!(!self.panics, "disk double: sub-batch read panics");
-            Ok(BlockData::zeroed(self.cfg.block_size()))
-        }
-        fn delivery_mode(&self) -> DeliveryMode {
-            unreachable!()
-        }
-        fn counter(&self) -> &blockrep_net::TrafficCounter {
-            unreachable!()
-        }
-        fn set_local_state(&self, _: SiteId, _: blockrep_types::SiteState) {
-            unreachable!()
-        }
-        fn probe_state(&self, _: SiteId, _: SiteId) -> Option<blockrep_types::SiteState> {
-            unreachable!()
+            Ok(BlockData::zeroed(self.coord.cfg.block_size()))
         }
         fn vote(&self, _: SiteId, _: SiteId, _: BlockIndex) -> Option<VersionNumber> {
             unreachable!()
@@ -865,9 +840,6 @@ mod tests {
         fn scrub_local(&self, _: SiteId) -> usize {
             unreachable!()
         }
-        fn leases(&self) -> &crate::locks::LeaseTable {
-            unreachable!()
-        }
     }
 
     #[test]
@@ -877,8 +849,7 @@ mod tests {
         let shards = [true, false]
             .map(|panics| {
                 Arc::new(PanickyDisk {
-                    cfg: spec.shard_config().unwrap(),
-                    locks: crate::locks::BlockLockTable::new(),
+                    coord: Coordinator::new(spec.shard_config().unwrap(), DeliveryMode::default()),
                     panics,
                 })
             })

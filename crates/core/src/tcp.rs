@@ -11,14 +11,13 @@
 //! channel-threaded, TCP — are interchangeable and must agree, which the
 //! integration tests check.
 //!
-//! Fail-stop is enforced at the coordination layer (a failed site is not
-//! contacted), keeping failure injection deterministic; the site's server
-//! keeps its socket and its disk, exactly like a halted machine keeps both.
-//! Partitions are not modeled on this transport — the available copy
-//! schemes assume none, and the deterministic runtimes cover the
-//! partition experiments.
+//! Fail-stop and partitions are enforced at the coordination layer, by the
+//! link model every runtime shares (a failed or partitioned-away site is
+//! not contacted), keeping failure injection deterministic; the site's
+//! server keeps its socket and its disk, exactly like a halted machine
+//! keeps both.
 
-use crate::backend::ScatterReplies;
+use crate::backend::{Coordinator, ScatterReplies};
 use crate::replica::Replica;
 use crate::service::serve;
 use crate::transport::{Links, Scatter, ServerCluster, Transport};
@@ -242,9 +241,6 @@ fn mux_reader(stream: TcpStream, conn: &MuxConn) {
 /// The socket transport: one listener and one server thread per site, and
 /// the coordinator's connection to each.
 pub struct TcpTransport {
-    /// Site states decide reachability here: a failed site is not
-    /// contacted.
-    links: Links,
     addrs: Vec<SocketAddr>,
     conns: Vec<Mutex<SiteConn>>,
     /// Whether request frames carry the trace envelope when a span context
@@ -287,7 +283,6 @@ impl TcpTransport {
             }));
         }
         Ok(TcpTransport {
-            links: links.clone(),
             addrs,
             conns,
             wire_tracing: AtomicBool::new(false),
@@ -415,21 +410,13 @@ impl TcpTransport {
         conn.exchange(to, &frame)
     }
 
-    /// Whether the coordinator will contact `to` on behalf of `from`.
-    fn reachable(&self, from: SiteId, to: SiteId) -> bool {
-        let states = self.links.states.read();
-        from == to || (states[from.index()].is_operational() && states[to.index()].is_operational())
-    }
-
     /// Pipelined scatter: encodes `request` once and writes that frame to
-    /// every reachable, eligible target — all on the wire before any reply
+    /// every eligible target — all on the wire before any reply
     /// is read — then gathers the replies in target order. Connections are
     /// locked in ascending site order, so concurrent scatters cannot
     /// deadlock.
     fn pipelined(&self, cx: Scatter<'_>, request: WireRequest) -> ScatterReplies {
-        let Scatter {
-            origin, targets, ..
-        } = cx;
+        let targets = cx.targets;
         // Satellite hoist: one `enabled()` load decides whether any obs
         // work happens in this batch; the disabled path records nothing.
         let obs_on = blockrep_obs::enabled();
@@ -445,7 +432,7 @@ impl TcpTransport {
                 in_flight.last().is_none_or(|&(prev, _)| prev < t),
                 "scatter targets must ascend (lock ordering)"
             );
-            let conn = if self.reachable(origin, t) && (cx.eligible)(t) {
+            let conn = if (cx.eligible)(t) {
                 let send_span = tracing
                     .then(|| start_phase(crate::obs_hooks::phase_scatter_send(), t.as_u32()))
                     .flatten();
@@ -490,7 +477,7 @@ impl TcpTransport {
     }
 
     /// Multiplexed scatter: submits the one [`mux_frame`] of `request` to
-    /// every reachable, eligible target — acquiring window slots in
+    /// every eligible target — acquiring window slots in
     /// ascending site order, the discipline of [`pipelined`](Self::pipelined)'s
     /// connection locks, so concurrent scatters cannot form a wait cycle —
     /// then gathers the demuxed replies in target order. §5 message counts
@@ -508,7 +495,7 @@ impl TcpTransport {
                 in_flight.last().is_none_or(|(prev, _)| *prev < t),
                 "scatter targets must ascend (lock ordering)"
             );
-            let slot = if self.reachable(cx.origin, t) && (cx.eligible)(t) {
+            let slot = if (cx.eligible)(t) {
                 self.mux[t.index()].read().clone().and_then(|conn| {
                     let rx = conn.submit(&mut frame)?;
                     Some((conn, rx))
@@ -547,19 +534,12 @@ impl Transport for TcpTransport {
     /// worth pipelining.
     const CAST_BLOCKS: bool = true;
 
-    fn can_deliver(&self, from: SiteId, to: SiteId) -> bool {
-        self.reachable(from, to)
-    }
-
-    fn call(&self, from: SiteId, to: SiteId, request: WireRequest) -> Option<WireResponse> {
-        if !self.reachable(from, to) {
-            return None;
-        }
+    fn call(&self, to: SiteId, request: WireRequest) -> Option<WireResponse> {
         self.rpc(to, request)
     }
 
-    fn cast(&self, from: SiteId, to: SiteId, request: WireRequest) -> bool {
-        matches!(self.call(from, to, request), Some(WireResponse::Ack))
+    fn cast(&self, to: SiteId, request: WireRequest) -> bool {
+        matches!(self.rpc(to, request), Some(WireResponse::Ack))
     }
 
     fn scatter(&self, cx: Scatter<'_>, request: WireRequest) -> ScatterReplies {
@@ -629,9 +609,9 @@ impl ServerCluster<TcpTransport> {
     ///
     /// I/O errors from binding or connecting the loopback sockets.
     pub fn spawn(cfg: DeviceConfig, mode: DeliveryMode) -> io::Result<Self> {
-        let links = Links::new(&cfg);
-        let transport = TcpTransport::spawn(&cfg, &links)?;
-        Ok(ServerCluster::over(cfg, mode, links, transport))
+        let coord = Coordinator::new(cfg, mode);
+        let transport = TcpTransport::spawn(&coord.cfg, &coord.links)?;
+        Ok(ServerCluster::over(coord, transport))
     }
 
     /// The socket address of site `s`'s server.

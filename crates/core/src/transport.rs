@@ -6,18 +6,19 @@
 //! ([`LiveTransport`](crate::LiveTransport)) or as frames over a socket
 //! ([`TcpTransport`](crate::TcpTransport)). That difference is the
 //! [`Transport`] trait — `call`, `cast`, and a concurrent `scatter`.
-//! Everything else a coordinator is — site states, the §5 counter, block
-//! locks, leases, the [`Backend`] methods that turn a protocol step into a
+//! Whether a message may be sent at all is [`Links`]: site states and the
+//! topology, the one link model of all three runtimes. Everything else a
+//! message-passing coordinator is — the [`Coordinator`] every runtime
+//! holds, and the [`Backend`] methods that turn a protocol step into a
 //! request and a reply back into its answer — is [`ServerCluster`], once.
 
 use crate::backend::{
-    self, Backend, RepairBlocks, RepairPayload, ScatterReplies, ScatterReply, ScatterRequest,
-    ScatterSpec, WriteBatch,
+    self, Backend, Coordinator, RepairBlocks, RepairPayload, ScatterReplies, ScatterReply,
+    ScatterRequest, ScatterSpec, WriteBatch,
 };
-use crate::locks::{BlockLockTable, LeaseTable};
 use crate::protocol;
 use crate::wire::{WireRequest, WireResponse};
-use blockrep_net::{DeliveryMode, TrafficCounter};
+use blockrep_net::{Topology, TrafficCounter};
 use blockrep_storage::StorageFault;
 use blockrep_types::{
     BlockData, BlockIndex, DeviceConfig, DeviceResult, SiteId, SiteState, VersionNumber,
@@ -29,23 +30,76 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// What a cluster shares with its transport and the transport's server
-/// threads.
-#[derive(Clone)]
-pub(crate) struct Links {
+/// The two facts the paper's model has about the world outside a replica:
+/// which sites are up (fail-stop, §2) and which can reach which (§3.2's
+/// partition-free assumption, and its violation).
+#[derive(Debug, Clone)]
+struct LinkState {
     /// Authoritative site states, maintained by the coordination layer (a
     /// failed site's own server cannot be asked).
-    pub(crate) states: Arc<RwLock<Vec<SiteState>>>,
+    states: Vec<SiteState>,
+    topology: Topology,
+}
+
+/// The one link model of every runtime: site states and the topology under
+/// one lock, and the emulated link delay. A clone is a second handle on the
+/// same links — what a cluster hands its transport's server threads.
+#[derive(Debug, Clone)]
+pub(crate) struct Links {
+    net: Arc<RwLock<LinkState>>,
     /// Emulated one-way link delay in nanoseconds.
     latency_ns: Arc<AtomicU64>,
 }
 
 impl Links {
-    pub(crate) fn new(cfg: &DeviceConfig) -> Self {
+    /// `n` sites, all available, fully connected.
+    pub(crate) fn new(n: usize) -> Self {
         Links {
-            states: Arc::new(RwLock::new(vec![SiteState::Available; cfg.num_sites()])),
+            net: Arc::new(RwLock::new(LinkState {
+                states: vec![SiteState::Available; n],
+                topology: Topology::fully_connected(n),
+            })),
             latency_ns: Arc::default(),
         }
+    }
+
+    /// Independent links in the same states and topology, with no delay.
+    pub(crate) fn fork(&self) -> Self {
+        Links {
+            net: Arc::new(RwLock::new(self.net.read().clone())),
+            latency_ns: Arc::default(),
+        }
+    }
+
+    pub(crate) fn state(&self, s: SiteId) -> SiteState {
+        self.net.read().states[s.index()]
+    }
+
+    pub(crate) fn set_state(&self, s: SiteId, state: SiteState) {
+        self.net.write().states[s.index()] = state;
+    }
+
+    /// Whether a message from `from` reaches `to`: a site always reaches
+    /// itself (local actions, even while failed); otherwise both ends must
+    /// be operational and in the same partition.
+    pub(crate) fn reachable(&self, from: SiteId, to: SiteId) -> bool {
+        if from == to {
+            return true;
+        }
+        let net = self.net.read();
+        net.states[from.index()].is_operational()
+            && net.states[to.index()].is_operational()
+            && net.topology.reachable(from, to)
+    }
+
+    /// Splits the network into `groups` (see [`Topology::partition`]).
+    pub(crate) fn partition(&self, groups: &[Vec<SiteId>]) {
+        self.net.write().topology.partition(groups);
+    }
+
+    /// Removes all partitions.
+    pub(crate) fn heal(&self) {
+        self.net.write().topology.heal();
     }
 
     /// Sleeps for the emulated link delay, if one is set: what a server
@@ -64,17 +118,19 @@ impl Links {
 pub(crate) struct Scatter<'a> {
     pub(crate) counter: &'a TrafficCounter,
     pub(crate) spec: ScatterSpec,
-    pub(crate) origin: SiteId,
     /// In ascending site order.
     pub(crate) targets: &'a [SiteId],
-    /// Whether a target is sent the request at all.
+    /// Whether a target is sent the request at all: reachable from the
+    /// origin and, for a conditional install, available.
     pub(crate) eligible: &'a dyn Fn(SiteId) -> bool,
     /// A target's reply as the protocol reads it; `None` for a reply of
     /// the wrong shape, which counts as no reply.
     pub(crate) parse: &'a dyn Fn(WireResponse) -> Option<ScatterReply>,
 }
 
-/// How requests reach the sites' servers and replies come back.
+/// How requests reach the sites' servers and replies come back. Whether a
+/// request may be sent at all is not the transport's to decide:
+/// [`ServerCluster`] asks [`Links::reachable`] first.
 pub(crate) trait Transport: Send + Sync {
     /// The runtime's name in parity reports.
     const NAME: &'static str;
@@ -83,20 +139,12 @@ pub(crate) trait Transport: Send + Sync {
     /// time and never goes through [`scatter`](Self::scatter).
     const CAST_BLOCKS: bool;
 
-    /// Whether a message from `from` would currently reach `to`.
-    fn can_deliver(&self, from: SiteId, to: SiteId) -> bool;
+    /// One round trip with `to`'s server. `None` when the exchange died.
+    fn call(&self, to: SiteId, request: WireRequest) -> Option<WireResponse>;
 
-    /// One round trip. `None` when `to` is unreachable from `from` or the
-    /// exchange died.
-    fn call(&self, from: SiteId, to: SiteId, request: WireRequest) -> Option<WireResponse>;
-
-    /// One delivery nobody waits on the effect of; returns whether the
-    /// request was delivered.
-    fn cast(&self, from: SiteId, to: SiteId, request: WireRequest) -> bool;
-
-    /// Takes `s`'s link down or up, on a transport that models links apart
-    /// from site state.
-    fn set_site_up(&self, _s: SiteId, _up: bool) {}
+    /// One delivery to `to`'s server nobody waits on the effect of; returns
+    /// whether the request was delivered.
+    fn cast(&self, to: SiteId, request: WireRequest) -> bool;
 
     /// Sends `request` to every eligible target before waiting on any, then
     /// gathers — and charges — the replies in target order: results and §5
@@ -111,30 +159,15 @@ pub(crate) trait Transport: Send + Sync {
 /// sockets); both are interchangeable with [`Cluster`](crate::Cluster)
 /// wherever a [`Backend`] is accepted.
 pub struct ServerCluster<T> {
-    cfg: DeviceConfig,
-    links: Links,
-    counter: TrafficCounter,
-    mode: DeliveryMode,
-    /// Per-block lock shards serializing same-block coordinations.
-    locks: BlockLockTable,
-    /// Read-lease registry for the offload fast path.
-    pub(crate) leases: LeaseTable,
+    coord: Coordinator,
     pub(crate) transport: T,
 }
 
 impl<T> ServerCluster<T> {
-    /// The cluster over an already running `transport`, which shares
-    /// `links` with it.
-    pub(crate) fn over(cfg: DeviceConfig, mode: DeliveryMode, links: Links, transport: T) -> Self {
-        ServerCluster {
-            cfg,
-            links,
-            counter: TrafficCounter::new(),
-            mode,
-            locks: BlockLockTable::new(),
-            leases: LeaseTable::new(),
-            transport,
-        }
+    /// The cluster of `coord` over an already running `transport`, whose
+    /// server threads share the coordinator's links.
+    pub(crate) fn over(coord: Coordinator, transport: T) -> Self {
+        ServerCluster { coord, transport }
     }
 }
 
@@ -187,9 +220,8 @@ impl<T: Transport> ServerCluster<T> {
     /// Fail-stops site `s`: it stops being contacted and stops answering.
     /// Its server and disk survive, like a halted machine's.
     pub fn fail_site(&self, s: SiteId) {
-        assert!(self.cfg.contains_site(s), "unknown site {s}");
+        assert!(self.coord.cfg.contains_site(s), "unknown site {s}");
         protocol::fail(self, s);
-        self.transport.set_site_up(s, false);
     }
 
     /// Restarts site `s` and runs the scheme's recovery.
@@ -198,14 +230,25 @@ impl<T: Transport> ServerCluster<T> {
     ///
     /// Panics if `s` is not currently failed.
     pub fn repair_site(&self, s: SiteId) {
-        assert!(self.cfg.contains_site(s), "unknown site {s}");
+        assert!(self.coord.cfg.contains_site(s), "unknown site {s}");
         assert_eq!(
             self.site_state(s),
             SiteState::Failed,
             "repairing a site that is not failed"
         );
-        self.transport.set_site_up(s, true);
         protocol::repair(self, s);
+    }
+
+    /// Splits the network into partitions: messages across groups are
+    /// refused synchronously. The available copy schemes assume this never
+    /// happens; the hook exists to demonstrate why.
+    pub fn partition(&self, groups: &[Vec<SiteId>]) {
+        protocol::partition(self, groups);
+    }
+
+    /// Heals all partitions and re-runs the recovery sweep.
+    pub fn heal(&self) {
+        protocol::heal(self);
     }
 
     /// The state of site `s`.
@@ -220,18 +263,18 @@ impl<T: Transport> ServerCluster<T> {
 
     /// The device configuration.
     pub fn config(&self) -> &DeviceConfig {
-        &self.cfg
+        &self.coord.cfg
     }
 
     /// The §5 high-level transmission counter, charged by the protocol
     /// layer.
     pub fn counter(&self) -> &TrafficCounter {
-        &self.counter
+        &self.coord.counter
     }
 
     /// Turns lease-based read offload on or off (see [`crate::locks`]).
     pub fn set_leases(&self, on: bool) {
-        self.leases.set_enabled(on);
+        self.coord.leases.set_enabled(on);
     }
 
     /// Emulates a network link delay: every server sleeps `delay` before
@@ -240,44 +283,34 @@ impl<T: Transport> ServerCluster<T> {
     /// on the TCP cluster a cast is a round trip). Zero, the default,
     /// disables the emulation. Message *counts* are unaffected.
     pub fn set_link_latency(&self, delay: Duration) {
-        self.links.latency_ns.store(
+        self.coord.links.latency_ns.store(
             delay.as_nanos().min(u64::MAX as u128) as u64,
             Ordering::Relaxed,
         );
     }
+
+    /// One round trip from `from` to `to`'s server; `None` when `to` is
+    /// unreachable from `from` or the exchange died.
+    fn call(&self, from: SiteId, to: SiteId, request: WireRequest) -> Option<WireResponse> {
+        if !self.coord.links.reachable(from, to) {
+            return None;
+        }
+        self.transport.call(to, request)
+    }
+
+    /// One delivery from `from` to `to`'s server; whether it was delivered.
+    fn cast(&self, from: SiteId, to: SiteId, request: WireRequest) -> bool {
+        self.coord.links.reachable(from, to) && self.transport.cast(to, request)
+    }
 }
 
 impl<T: Transport> Backend for ServerCluster<T> {
-    fn config(&self) -> &DeviceConfig {
-        &self.cfg
-    }
-
-    fn delivery_mode(&self) -> DeliveryMode {
-        self.mode
-    }
-
-    fn counter(&self) -> &TrafficCounter {
-        &self.counter
-    }
-
-    fn local_state(&self, s: SiteId) -> SiteState {
-        self.links.states.read()[s.index()]
-    }
-
-    fn set_local_state(&self, s: SiteId, state: SiteState) {
-        self.links.states.write()[s.index()] = state;
-    }
-
-    fn probe_state(&self, from: SiteId, to: SiteId) -> Option<SiteState> {
-        if from != to && !self.transport.can_deliver(from, to) {
-            return None;
-        }
-        let state = self.links.states.read()[to.index()];
-        state.is_operational().then_some(state)
+    fn coordinator(&self) -> &Coordinator {
+        &self.coord
     }
 
     fn vote(&self, from: SiteId, to: SiteId, k: BlockIndex) -> Option<VersionNumber> {
-        match self.transport.call(from, to, WireRequest::Vote(k))? {
+        match self.call(from, to, WireRequest::Vote(k))? {
             WireResponse::Version(v) => Some(v),
             _ => None,
         }
@@ -285,7 +318,7 @@ impl<T: Transport> Backend for ServerCluster<T> {
 
     fn vote_many(&self, from: SiteId, to: SiteId, ks: &[BlockIndex]) -> Option<Vec<VersionNumber>> {
         let request = WireRequest::VoteMany(ks.to_vec());
-        match self.transport.call(from, to, request)? {
+        match self.call(from, to, request)? {
             WireResponse::Versions(vs) if vs.len() == ks.len() => Some(vs),
             _ => None,
         }
@@ -297,7 +330,7 @@ impl<T: Transport> Backend for ServerCluster<T> {
         to: SiteId,
         k: BlockIndex,
     ) -> Option<(VersionNumber, BlockData)> {
-        match self.transport.call(from, to, WireRequest::Fetch(k))? {
+        match self.call(from, to, WireRequest::Fetch(k))? {
             WireResponse::Block(v, data) => Some((v, data)),
             _ => None,
         }
@@ -309,7 +342,7 @@ impl<T: Transport> Backend for ServerCluster<T> {
         to: SiteId,
         k: BlockIndex,
     ) -> Option<(VersionNumber, BlockData)> {
-        match self.transport.call(from, to, WireRequest::FetchLease(k))? {
+        match self.call(from, to, WireRequest::FetchLease(k))? {
             WireResponse::Block(v, data) => Some((v, data)),
             _ => None,
         }
@@ -324,12 +357,12 @@ impl<T: Transport> Backend for ServerCluster<T> {
         v: VersionNumber,
     ) -> bool {
         let request = WireRequest::ApplyWrite(k, v, data.clone());
-        self.transport.cast(from, to, request)
+        self.cast(from, to, request)
     }
 
     fn apply_write_many(&self, from: SiteId, to: SiteId, writes: &WriteBatch) -> bool {
         let request = WireRequest::ApplyWriteMany(writes.clone());
-        self.transport.cast(from, to, request)
+        self.cast(from, to, request)
     }
 
     fn apply_write_faulty(
@@ -342,11 +375,11 @@ impl<T: Transport> Backend for ServerCluster<T> {
         fault: StorageFault,
     ) -> bool {
         let request = WireRequest::ApplyWriteFaulty(k, v, data.clone(), fault);
-        self.transport.cast(from, to, request)
+        self.cast(from, to, request)
     }
 
     fn read_local(&self, s: SiteId, k: BlockIndex) -> DeviceResult<BlockData> {
-        match self.transport.call(s, s, WireRequest::ReadLocal(k)) {
+        match self.call(s, s, WireRequest::ReadLocal(k)) {
             Some(WireResponse::Data(data)) => Ok(data),
             _ => Err(backend::dead_local_leg(s)),
         }
@@ -354,14 +387,14 @@ impl<T: Transport> Backend for ServerCluster<T> {
 
     fn read_local_many(&self, s: SiteId, ks: &[BlockIndex]) -> DeviceResult<Vec<BlockData>> {
         let request = WireRequest::ReadLocalMany(ks.to_vec());
-        match self.transport.call(s, s, request) {
+        match self.call(s, s, request) {
             Some(WireResponse::DataMany(ds)) if ds.len() == ks.len() => Ok(ds),
             _ => Err(backend::dead_local_leg(s)),
         }
     }
 
     fn version_vector(&self, from: SiteId, to: SiteId) -> Option<VersionVector> {
-        match self.transport.call(from, to, WireRequest::VersionVector)? {
+        match self.call(from, to, WireRequest::VersionVector)? {
             WireResponse::Vector(vv) => Some(vv),
             _ => None,
         }
@@ -374,7 +407,7 @@ impl<T: Transport> Backend for ServerCluster<T> {
         vv: &VersionVector,
     ) -> Option<RepairPayload> {
         let request = WireRequest::RepairPayload(vv.clone());
-        match self.transport.call(from, to, request)? {
+        match self.call(from, to, request)? {
             WireResponse::Payload(vv, blocks) => Some((vv, blocks)),
             _ => None,
         }
@@ -382,7 +415,7 @@ impl<T: Transport> Backend for ServerCluster<T> {
 
     fn apply_repair_local(&self, s: SiteId, blocks: RepairBlocks) -> usize {
         let n = blocks.len();
-        if self.transport.cast(s, s, WireRequest::ApplyRepair(blocks)) {
+        if self.cast(s, s, WireRequest::ApplyRepair(blocks)) {
             n
         } else {
             0
@@ -390,33 +423,25 @@ impl<T: Transport> Backend for ServerCluster<T> {
     }
 
     fn was_available(&self, from: SiteId, to: SiteId) -> Option<BTreeSet<SiteId>> {
-        match self.transport.call(from, to, WireRequest::GetW)? {
+        match self.call(from, to, WireRequest::GetW)? {
             WireResponse::W(w) => Some(w),
             _ => None,
         }
     }
 
     fn set_was_available(&self, from: SiteId, to: SiteId, w: &BTreeSet<SiteId>) -> bool {
-        self.transport.cast(from, to, WireRequest::SetW(w.clone()))
+        self.cast(from, to, WireRequest::SetW(w.clone()))
     }
 
     fn add_was_available(&self, from: SiteId, to: SiteId, member: SiteId) -> bool {
-        self.transport.cast(from, to, WireRequest::AddW(member))
+        self.cast(from, to, WireRequest::AddW(member))
     }
 
     fn scrub_local(&self, s: SiteId) -> usize {
-        match self.transport.call(s, s, WireRequest::Scrub) {
+        match self.call(s, s, WireRequest::Scrub) {
             Some(WireResponse::Count(n)) => n as usize,
             _ => 0,
         }
-    }
-
-    fn block_locks(&self) -> &BlockLockTable {
-        &self.locks
-    }
-
-    fn leases(&self) -> &LeaseTable {
-        &self.leases
     }
 
     fn scatter(
@@ -460,15 +485,19 @@ impl<T: Transport> Backend for ServerCluster<T> {
                 (WireRequest::ApplyWriteMany(writes.clone()), true)
             }
         };
+        let links = &self.coord.links;
         let scatter = Scatter {
-            counter: &self.counter,
+            counter: &self.coord.counter,
             spec,
-            origin,
             targets,
             // The availability probe is a state read, as in the sequential
             // body.
             eligible: &|t| {
-                !if_available || self.probe_state(origin, t) == Some(SiteState::Available)
+                if if_available {
+                    self.probe_state(origin, t) == Some(SiteState::Available)
+                } else {
+                    links.reachable(origin, t)
+                }
             },
             parse: &|response| match (req, response) {
                 (ScatterRequest::Vote(_), WireResponse::Version(v)) => {
@@ -494,9 +523,85 @@ impl<T: Transport> std::fmt::Debug for ServerCluster<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServerCluster")
             .field("transport", &T::NAME)
-            .field("sites", &self.cfg.num_sites())
-            .field("scheme", &self.cfg.scheme())
-            .field("mode", &self.mode)
+            .field("sites", &self.coord.cfg.num_sites())
+            .field("scheme", &self.coord.cfg.scheme())
+            .field("mode", &self.coord.mode)
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Cluster, ClusterOptions, LiveCluster, TcpCluster};
+    use blockrep_net::DeliveryMode;
+    use blockrep_types::Scheme;
+
+    fn sid(i: u32) -> SiteId {
+        SiteId::new(i)
+    }
+
+    #[test]
+    fn reachable_truth_table() {
+        let links = Links::new(3);
+        let (a, b, c) = (sid(0), sid(1), sid(2));
+        assert!(links.reachable(a, b) && links.reachable(b, a));
+        // Either end failed: no message passes, in either direction.
+        links.set_state(b, SiteState::Failed);
+        assert!(!links.reachable(a, b), "to a failed site");
+        assert!(!links.reachable(b, a), "from a failed site");
+        assert!(links.reachable(a, c), "bystanders are unaffected");
+        // A site always reaches itself, even failed: local actions.
+        assert!(links.reachable(b, b));
+        // Comatose is operational: the site answers, it just does not serve.
+        links.set_state(b, SiteState::Comatose);
+        assert!(links.reachable(a, b) && links.reachable(b, a));
+        // Across a partition nothing passes; within one, everything does.
+        links.partition(&[vec![a, b], vec![c]]);
+        assert!(links.reachable(a, b));
+        assert!(!links.reachable(a, c) && !links.reachable(c, b));
+        assert!(links.reachable(c, c));
+        links.heal();
+        assert!(links.reachable(a, c) && links.reachable(c, b));
+        // A fork starts where the original stands and then goes its own way.
+        let fork = links.fork();
+        assert_eq!(fork.state(b), SiteState::Comatose);
+        fork.set_state(a, SiteState::Failed);
+        assert!(links.reachable(a, c) && !fork.reachable(a, c));
+    }
+
+    #[test]
+    fn a_failed_site_answers_no_probe_not_even_its_own_on_every_runtime() {
+        let cfg = DeviceConfig::builder(Scheme::AvailableCopy)
+            .sites(3)
+            .num_blocks(2)
+            .block_size(8)
+            .build()
+            .unwrap();
+        let det = Cluster::new(cfg.clone(), ClusterOptions::default());
+        let live = LiveCluster::spawn(cfg.clone(), DeliveryMode::Multicast);
+        let tcp = TcpCluster::spawn(cfg, DeliveryMode::Multicast).unwrap();
+        let runtimes: [(&str, &dyn Backend); 3] = [("det", &det), ("live", &live), ("tcp", &tcp)];
+        for (name, rt) in runtimes {
+            protocol::fail(rt, sid(1));
+            assert_eq!(rt.probe_state(sid(1), sid(1)), None, "{name}: own probe");
+            assert_eq!(rt.probe_state(sid(0), sid(1)), None, "{name}: remote probe");
+            assert_eq!(rt.local_state(sid(1)), SiteState::Failed, "{name}");
+            let up = Some(SiteState::Available);
+            assert_eq!(rt.probe_state(sid(0), sid(0)), up, "{name}: own probe, up");
+            assert_eq!(rt.probe_state(sid(0), sid(2)), up, "{name}: remote, up");
+            // Restarted but not yet recovered: comatose sites do answer.
+            rt.set_local_state(sid(1), SiteState::Comatose);
+            let comatose = Some(SiteState::Comatose);
+            assert_eq!(rt.probe_state(sid(1), sid(1)), comatose, "{name}");
+            assert_eq!(rt.probe_state(sid(2), sid(1)), comatose, "{name}");
+            protocol::partition(rt, &[vec![sid(0)], vec![sid(1), sid(2)]]);
+            assert_eq!(rt.probe_state(sid(0), sid(2)), None, "{name}: partitioned");
+            assert_eq!(
+                rt.probe_state(sid(2), sid(1)),
+                comatose,
+                "{name}: same side"
+            );
+        }
     }
 }

@@ -125,17 +125,6 @@ fn ensure_coordinator<B: Backend + ?Sized>(b: &B, origin: SiteId) -> DeviceResul
     }
 }
 
-fn check_block<B: Backend + ?Sized>(b: &B, k: BlockIndex) -> DeviceResult<()> {
-    if k.as_u64() < b.config().num_blocks() {
-        Ok(())
-    } else {
-        Err(DeviceError::BlockOutOfRange {
-            block: k,
-            num_blocks: b.config().num_blocks(),
-        })
-    }
-}
-
 /// The weighted-voting read algorithm of Figure 3.
 ///
 /// Collects votes from all reachable sites; if their weight reaches the
@@ -154,7 +143,7 @@ pub(crate) fn read<B: Backend + ?Sized>(
     k: BlockIndex,
 ) -> DeviceResult<BlockData> {
     ensure_coordinator(b, origin)?;
-    check_block(b, k)?;
+    backend::check_block(b, k)?;
     if let Some(data) = lease_read(b, origin, k) {
         return Ok(data);
     }
@@ -304,7 +293,7 @@ pub(crate) fn write<B: Backend + ?Sized>(
     data: &BlockData,
 ) -> DeviceResult<()> {
     ensure_coordinator(b, origin)?;
-    check_block(b, k)?;
+    backend::check_block(b, k)?;
     let _span = span!("mcv.write", origin = origin.as_u32(), block = k.as_u64());
     let cfg = b.config();
     if data.len() != cfg.block_size() {
@@ -400,7 +389,7 @@ pub(crate) fn read_many<B: Backend + ?Sized>(
 ) -> DeviceResult<Vec<BlockData>> {
     ensure_coordinator(b, origin)?;
     for &k in ks {
-        check_block(b, k)?;
+        backend::check_block(b, k)?;
     }
     if ks.is_empty() {
         return Ok(Vec::new());
@@ -475,7 +464,7 @@ pub(crate) fn write_many<B: Backend + ?Sized>(
     ensure_coordinator(b, origin)?;
     let cfg = b.config();
     for (k, data) in writes {
-        check_block(b, *k)?;
+        backend::check_block(b, *k)?;
         if data.len() != cfg.block_size() {
             return Err(DeviceError::WrongBlockSize {
                 got: data.len(),

@@ -1,4 +1,4 @@
-//! Network substrate for `blockrep`.
+//! Network model for `blockrep`.
 //!
 //! The paper's §5 compares consistency schemes by the number of **high-level
 //! transmissions** they generate — vote requests, version-vector exchanges,
@@ -16,8 +16,10 @@
 //! * [`Topology`] — reachability between sites. The available copy schemes
 //!   assume a partition-free network; the topology lets tests inject
 //!   partitions anyway and watch what breaks.
-//! * [`Network`] — a live message router over crossbeam channels for the
-//!   threaded server-process runtime.
+//!
+//! Nothing here moves a message: the runtimes in `blockrep-core` do, and
+//! its one link model (`core::transport::Links`: site states plus a
+//! [`Topology`]) decides which messages may be sent.
 //!
 //! # Examples
 //!
@@ -37,11 +39,9 @@
 #![warn(missing_docs)]
 
 mod counter;
-mod live;
 mod mode;
 mod topology;
 
 pub use counter::{MsgKind, OpClass, TrafficCounter, TrafficSnapshot};
-pub use live::{Network, SendError};
 pub use mode::DeliveryMode;
 pub use topology::Topology;

@@ -22,7 +22,7 @@
 //! * [`storage`] — block stores (memory and file-backed) and the
 //!   [`storage::BlockDevice`] trait the file system consumes.
 //! * [`sim`] — the discrete-event simulation kernel.
-//! * [`net`] — delivery modes, traffic accounting, topology, live transport.
+//! * [`net`] — delivery modes, traffic accounting, partition topology.
 //! * [`core`] — the reliable device itself: replicas, protocols, clusters,
 //!   failure injection, and the simulation harnesses.
 //! * [`fs`] — a small UNIX-like file system that runs over any block device.

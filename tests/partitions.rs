@@ -9,7 +9,7 @@
 //! partition, and available copy visibly diverging when the assumption is
 //! broken — the precise behaviour the paper's restriction exists to avoid.
 
-use blockrep::core::{Cluster, ClusterOptions, LiveCluster};
+use blockrep::core::{Cluster, ClusterOptions, LiveCluster, TcpCluster};
 use blockrep::net::DeliveryMode;
 use blockrep::types::{BlockData, BlockIndex, DeviceConfig, Scheme, SiteId};
 
@@ -133,21 +133,41 @@ fn recovery_blocked_by_partition_completes_after_heal() {
 
 #[test]
 fn live_cluster_partition_parity() {
-    // The live threaded runtime honors partitions the same way.
+    // Partitions are one piece of code over the one link model, so all
+    // three runtimes honor them the same way, message for message — real
+    // sockets included.
     let cfg = DeviceConfig::builder(Scheme::Voting)
         .sites(3)
         .num_blocks(2)
         .block_size(16)
         .build()
         .unwrap();
-    let live = LiveCluster::spawn(cfg, DeliveryMode::Multicast);
-    live.write(s(0), k(0), fill(5)).unwrap();
-    live.partition(&[vec![s(0)], vec![s(1), s(2)]]);
-    assert!(
-        live.write(s(0), k(0), fill(6)).is_err(),
-        "isolated site has no quorum"
+    macro_rules! scenario {
+        ($name:literal, $c:expr) => {{
+            let c = $c;
+            c.write(s(0), k(0), fill(5)).unwrap();
+            c.partition(&[vec![s(0)], vec![s(1), s(2)]]);
+            assert!(
+                c.write(s(0), k(0), fill(6)).is_err(),
+                "{}: isolated site has no quorum",
+                $name
+            );
+            assert!(c.read(s(0), k(0)).is_err(), "{}: nor a stale read", $name);
+            c.write(s(1), k(0), fill(7)).unwrap();
+            c.heal();
+            assert_eq!(c.read(s(0), k(0)).unwrap(), fill(7), "{}", $name);
+            c.counter().snapshot()
+        }};
+    }
+    let det = scenario!("det", Cluster::new(cfg.clone(), ClusterOptions::default()));
+    let live = scenario!(
+        "live",
+        LiveCluster::spawn(cfg.clone(), DeliveryMode::Multicast)
     );
-    live.write(s(1), k(0), fill(7)).unwrap();
-    live.heal();
-    assert_eq!(live.read(s(0), k(0)).unwrap(), fill(7));
+    let tcp = scenario!(
+        "tcp",
+        TcpCluster::spawn(cfg, DeliveryMode::Multicast).unwrap()
+    );
+    assert_eq!(live, det, "live traffic differs from deterministic");
+    assert_eq!(tcp, det, "tcp traffic differs from deterministic");
 }
