@@ -239,17 +239,18 @@ pub trait Backend: Send + Sync {
     ///
     /// # Errors
     ///
-    /// [`DeviceError::Io`] when `s`'s
-    /// server does not answer its own coordinator (a message-passing
-    /// runtime whose local leg died); the in-process cluster never fails.
+    /// [`DeviceError::Io`] when `s`'s replica does not answer its own
+    /// coordinator: never on the shipped runtimes, where the local leg is
+    /// served on the coordinator's thread; a backend standing in for a
+    /// broken disk may.
     fn read_local(&self, s: SiteId, k: BlockIndex) -> DeviceResult<BlockData>;
 
     /// Reads a run of blocks straight off `s`'s local disk in **one**
     /// exchange, in the order of `ks`.
     ///
     /// The default loops [`read_local`](Self::read_local); message-passing
-    /// runtimes override it with a single batched frame so a vectored read
-    /// pays one round trip to the local replica instead of one per block.
+    /// runtimes override it with a single batched request so a vectored
+    /// read takes the local replica's lock once instead of once per block.
     ///
     /// # Errors
     ///
@@ -492,9 +493,12 @@ pub(crate) fn check_block<B: Backend + ?Sized>(b: &B, k: BlockIndex) -> DeviceRe
     }
 }
 
-/// What a coordinator reports when its own site's server does not answer
-/// it: on a message-passing runtime the local leg is an exchange like any
-/// other, and can die (a torn frame, a dead server thread).
+/// What a coordinator reports when its own site's replica does not answer
+/// it. No shipped runtime's local leg can fail — it is served on the
+/// coordinator's own thread, in process on [`Cluster`](crate::Cluster) and
+/// through [`Transport::local`](crate::transport::Transport::local) on the
+/// message-passing ones — so this is for backends whose can: a wrapper or a
+/// test double (`shard.rs`' `PanickyDisk`) standing in for a broken disk.
 pub(crate) fn dead_local_leg(s: SiteId) -> DeviceError {
     DeviceError::Io(std::io::Error::other(format!(
         "{s} did not answer its own coordinator"

@@ -1,13 +1,24 @@
 //! The live cluster: one server thread per site.
 //!
 //! This is the deployment shape of the paper — "a set of server processes
-//! on several sites" — scaled to one machine: each site's replica is owned
-//! by its own OS thread, and every protocol exchange travels as a real
-//! message to that thread's mailbox. Fail-stop and partitions are enforced
-//! at the coordination layer, by the link model every runtime shares: a
-//! failed or partitioned-away site is not sent to, synchronously, so tests
-//! stay deterministic; its thread and its disk survive, like a halted
-//! machine's.
+//! on several sites" — scaled to one machine: each site has its replica, an
+//! inbox and an OS thread that serves the inbox, and every protocol
+//! exchange between two sites travels as a real message to the target's
+//! inbox. Fail-stop and partitions are enforced at the coordination layer,
+//! by the link model every runtime shares: a failed or partitioned-away
+//! site is not sent to, synchronously, so tests stay deterministic; its
+//! thread and its disk survive, like a halted machine's.
+//!
+//! **Who may touch a replica.** Two parties: the site's own thread, serving
+//! what other sites sent, and a coordinator running at that site, whose
+//! requests to its own replica are local actions served on the
+//! coordinator's thread ([`Transport::local`]) — the paper's coordinator
+//! *is* its site's server process. One mutex per site covers both, with one
+//! rule: **whoever holds the replica lock serves the inbox first, in
+//! arrival order**. So a request at site `s`, local or remote, is behind
+//! every install already sent to `s`, although installs are one-way casts
+//! nobody waits for. Envelopes are popped only under the replica lock
+//! (lock order replica → inbox; a poster holds neither).
 //!
 //! [`LiveTransport`] is the in-memory [`Transport`]: it moves the same
 //! [`WireRequest`] values the TCP cluster frames onto sockets, unencoded,
@@ -20,16 +31,19 @@
 use crate::backend::{Coordinator, ScatterReplies};
 use crate::replica::Replica;
 use crate::service::serve;
-use crate::transport::{Links, Scatter, ServerCluster, Transport};
+use crate::transport::{Links, Scatter, ServerCluster, Transport, WINDOW};
 use crate::wire::{WireRequest, WireResponse};
 use blockrep_net::DeliveryMode;
 use blockrep_types::{DeviceConfig, SiteId};
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
+use crossbeam::channel::{bounded, Receiver, Sender};
+use parking_lot::Mutex;
+use std::collections::VecDeque;
+use std::sync::{Arc, Condvar, PoisonError};
 use std::thread::JoinHandle;
 
-/// What travels to a site's mailbox: a request, and where to send the
-/// reply if the sender is waiting for one. A cast carries no sender, so
-/// "is this a round trip" is not a list of request kinds to keep in step.
+/// What travels to a site's inbox: a request, and where to send the reply
+/// if the sender is waiting for one. A cast carries no sender, so "is this
+/// a round trip" is not a list of request kinds to keep in step.
 struct Envelope {
     request: WireRequest,
     reply: Option<Sender<WireResponse>>,
@@ -51,49 +65,156 @@ fn traced(request: WireRequest) -> WireRequest {
     request
 }
 
-/// The in-memory transport: one mailbox and one server thread per site.
+/// What other sites have sent a site and nobody has served yet, oldest
+/// first; never more than [`WINDOW`] envelopes.
+struct Inbox {
+    queue: VecDeque<Envelope>,
+    /// The cluster is going down, or the site's thread is gone: nothing
+    /// more is taken.
+    closed: bool,
+}
+
+/// One site: its replica and its inbox (see the module docs for who may
+/// touch which, and in what order).
+struct Site {
+    id: SiteId,
+    replica: Mutex<Replica>,
+    inbox: Mutex<Inbox>,
+    /// Rung when the inbox stops being empty and when it closes: what the
+    /// site's thread sleeps on.
+    bell: Condvar,
+    /// Signalled when the inbox stops being full: what a poster sleeps on.
+    room: Condvar,
+    links: Links,
+}
+
+impl Site {
+    /// Queues `envelope` behind everything already sent here, blocking
+    /// while the inbox holds a full window. Whether it was taken: `false`
+    /// once the inbox is closed.
+    fn post(&self, envelope: Envelope) -> bool {
+        let mut inbox = self.inbox.lock();
+        while inbox.queue.len() >= WINDOW && !inbox.closed {
+            inbox = self
+                .room
+                .wait(inbox)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        if inbox.closed {
+            return false;
+        }
+        inbox.queue.push_back(envelope);
+        // The site's thread sleeps only on an inbox it saw empty.
+        if inbox.queue.len() == 1 {
+            self.bell.notify_one();
+        }
+        true
+    }
+
+    /// Serves everything in the inbox, in arrival order, on `replica` —
+    /// which the caller has locked: the guard is what makes the order of
+    /// popping the order of serving.
+    fn drain(&self, replica: &mut Replica) {
+        loop {
+            let envelope = {
+                let mut inbox = self.inbox.lock();
+                let envelope = inbox.queue.pop_front();
+                // Posters sleep only on an inbox they saw full.
+                if inbox.queue.len() + 1 == WINDOW {
+                    self.room.notify_all();
+                }
+                envelope
+            };
+            let Some(Envelope { request, reply }) = envelope else {
+                return;
+            };
+            // Only a round trip pays the emulated link delay: a cast is in
+            // flight on a real network without occupying the server.
+            if reply.is_some() {
+                self.links.delay();
+            }
+            let response = serve(replica, self.id.as_u32(), request);
+            if let (Some(reply), Some(response)) = (reply, response) {
+                let _ = reply.send(response);
+            }
+        }
+    }
+
+    /// The site's server thread: sleep until something arrives, lock the
+    /// replica, serve the inbox; until the inbox closes.
+    fn run(&self) {
+        // However this thread ends, nobody may queue behind it or wait on a
+        // reply it will not send.
+        struct CloseOnExit<'a>(&'a Site);
+        impl Drop for CloseOnExit<'_> {
+            fn drop(&mut self) {
+                self.0.close();
+            }
+        }
+        let _close = CloseOnExit(self);
+        loop {
+            {
+                let mut inbox = self.inbox.lock();
+                while inbox.queue.is_empty() && !inbox.closed {
+                    inbox = self
+                        .bell
+                        .wait(inbox)
+                        .unwrap_or_else(PoisonError::into_inner);
+                }
+                if inbox.closed {
+                    return;
+                }
+            }
+            self.drain(&mut self.replica.lock());
+        }
+    }
+
+    /// Closes the inbox: unserved envelopes are dropped (a waiting sender
+    /// reads that as "no reply"), blocked posters and the site's thread
+    /// wake up and leave.
+    fn close(&self) {
+        let mut inbox = self.inbox.lock();
+        inbox.closed = true;
+        inbox.queue.clear();
+        self.bell.notify_one();
+        self.room.notify_all();
+    }
+}
+
+/// The in-memory transport: one replica, one inbox and one server thread
+/// per site.
 pub struct LiveTransport {
-    /// Each site's one mailbox: protocol traffic and the shutdown message
-    /// both arrive there, so the site's thread can block on it.
-    mailboxes: Vec<Sender<Envelope>>,
+    sites: Vec<Arc<Site>>,
     handles: Vec<JoinHandle<()>>,
 }
 
 impl LiveTransport {
     /// Spawns one server thread per site over a freshly formatted device.
     fn spawn(cfg: &DeviceConfig, links: &Links) -> Self {
-        let (mailboxes, handles) = cfg
+        let (sites, handles) = cfg
             .site_ids()
-            .map(|s| {
-                let (tx, rx) = unbounded::<Envelope>();
-                let mut replica = Replica::new(s, cfg);
-                let links = links.clone();
-                let handle = std::thread::spawn(move || {
-                    while let Ok(Envelope { request, reply }) = rx.recv() {
-                        if matches!(request, WireRequest::Shutdown) {
-                            return;
-                        }
-                        // Only a round trip pays the emulated link delay: a
-                        // cast is in flight on a real network without
-                        // occupying the server.
-                        if reply.is_some() {
-                            links.delay();
-                        }
-                        let response = serve(&mut replica, s.as_u32(), request);
-                        if let (Some(reply), Some(response)) = (reply, response) {
-                            let _ = reply.send(response);
-                        }
-                    }
+            .map(|id| {
+                let site = Arc::new(Site {
+                    id,
+                    replica: Mutex::new(Replica::new(id, cfg)),
+                    inbox: Mutex::new(Inbox {
+                        queue: VecDeque::with_capacity(WINDOW),
+                        closed: false,
+                    }),
+                    bell: Condvar::new(),
+                    room: Condvar::new(),
+                    links: links.clone(),
                 });
-                (tx, handle)
+                let server = Arc::clone(&site);
+                (site, std::thread::spawn(move || server.run()))
             })
             .unzip();
-        LiveTransport { mailboxes, handles }
+        LiveTransport { sites, handles }
     }
 
-    /// Whether `to`'s thread is still there to take the envelope.
-    fn send(&self, to: SiteId, envelope: Envelope) -> bool {
-        self.mailboxes[to.index()].send(envelope).is_ok()
+    /// Whether `to` took the envelope.
+    fn post(&self, to: SiteId, envelope: Envelope) -> bool {
+        self.sites[to.index()].post(envelope)
     }
 }
 
@@ -107,7 +228,7 @@ impl Transport for LiveTransport {
             request: traced(request),
             reply: Some(tx),
         };
-        if !self.send(to, envelope) {
+        if !self.post(to, envelope) {
             return None;
         }
         rx.recv().ok()
@@ -118,7 +239,15 @@ impl Transport for LiveTransport {
             request: traced(request),
             reply: None,
         };
-        self.send(to, envelope)
+        self.post(to, envelope)
+    }
+
+    fn local(&self, s: SiteId, request: WireRequest) -> Option<WireResponse> {
+        let site = &self.sites[s.index()];
+        let mut replica = site.replica.lock();
+        site.drain(&mut replica);
+        // Bare: the caller's span context is already live on this thread.
+        serve(&mut replica, s.as_u32(), request)
     }
 
     fn scatter(&self, cx: Scatter<'_>, request: WireRequest) -> ScatterReplies {
@@ -156,7 +285,7 @@ impl Transport for LiveTransport {
                     };
                 }
                 let reply = Some(tx);
-                let sent = self.send(t, Envelope { request, reply });
+                let sent = self.post(t, Envelope { request, reply });
                 (t, sent.then_some(rx))
             })
             .collect();
@@ -186,12 +315,11 @@ impl Transport for LiveTransport {
 
 impl Drop for LiveTransport {
     fn drop(&mut self) {
-        // Straight into every mailbox, whatever the links say: a failed
-        // site's thread still has to exit.
-        for mailbox in &self.mailboxes {
-            let request = WireRequest::Shutdown;
-            let reply = None;
-            let _ = mailbox.send(Envelope { request, reply });
+        // A flag and the bell, not a message: a local leg draining the
+        // inbox must not swallow it. Every site, whatever the links say: a
+        // failed site's thread still has to exit.
+        for site in &self.sites {
+            site.close();
         }
         for handle in self.handles.drain(..) {
             let _ = handle.join();
@@ -334,5 +462,109 @@ mod tests {
             "a failed site's thread never got the shutdown message"
         );
         dropper.join().unwrap();
+    }
+
+    #[test]
+    fn a_full_inbox_blocks_the_poster_until_somebody_serves_it() {
+        let c = live(Scheme::Voting, 3);
+        let site = Arc::clone(&c.transport.sites[2]);
+        // With site 2's replica held, its thread can serve nothing.
+        let replica = site.replica.lock();
+        for _ in 0..WINDOW {
+            assert!(c.transport.cast(sid(2), WireRequest::Probe));
+        }
+        assert_eq!(site.inbox.lock().queue.len(), WINDOW);
+        let (done_tx, done_rx) = bounded(1);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let taken = c.transport.cast(sid(2), WireRequest::Probe);
+                let _ = done_tx.send(taken);
+            });
+            assert!(
+                done_rx.recv_timeout(Duration::from_millis(50)).is_err(),
+                "the cast past the window went through a full inbox"
+            );
+            drop(replica);
+            assert_eq!(done_rx.recv_timeout(Duration::from_secs(1)), Ok(true));
+        });
+        // A round trip is behind all of them, and finds the site in order.
+        assert_eq!(
+            c.transport.call(sid(2), WireRequest::Probe),
+            Some(WireResponse::Ack)
+        );
+        assert!(site.inbox.lock().queue.is_empty());
+    }
+
+    #[test]
+    fn shutdown_with_a_non_empty_inbox_terminates() {
+        let c = live(Scheme::Voting, 3);
+        let site = Arc::clone(&c.transport.sites[2]);
+        let replica = site.replica.lock();
+        let (reply_tx, reply_rx) = bounded(1);
+        for reply in [None, None, Some(reply_tx)] {
+            let request = WireRequest::Probe;
+            assert!(site.post(Envelope { request, reply }));
+        }
+        // Site 2's thread is parked on the replica lock with three
+        // envelopes queued. Drop closes the inbox first, so once the lock
+        // is free the thread finds nothing to serve and leaves.
+        let (done_tx, done_rx) = bounded(1);
+        let dropper = std::thread::spawn(move || {
+            drop(c);
+            let _ = done_tx.send(());
+        });
+        assert!(
+            reply_rx.recv().is_err(),
+            "an unserved round trip reads as no reply"
+        );
+        assert!(!site.post(Envelope {
+            request: WireRequest::Probe,
+            reply: None
+        }));
+        drop(replica);
+        assert!(
+            done_rx.recv_timeout(Duration::from_secs(1)).is_ok(),
+            "a site thread with a non-empty inbox never left"
+        );
+        dropper.join().unwrap();
+    }
+
+    #[test]
+    fn a_coordinator_that_crashes_between_votes_and_installs_commits_nothing() {
+        use crate::backend::Backend;
+        use blockrep_types::DeviceError;
+        let c = live(Scheme::Voting, 3);
+        let k = BlockIndex::new(0);
+        c.write(sid(0), k, BlockData::from(vec![1; 8])).unwrap();
+        let before = c.vote(sid(0), sid(0), k);
+        let site_1 = Arc::clone(&c.transport.sites[1]);
+        std::thread::scope(|scope| {
+            // Hold the vote round open: site 1 cannot answer.
+            let replica = site_1.replica.lock();
+            let write = scope.spawn(|| c.write(sid(0), k, BlockData::from(vec![2; 8])));
+            while site_1.inbox.lock().queue.is_empty() {
+                std::thread::yield_now();
+            }
+            // The votes are out; the coordinator's site fail-stops.
+            c.fail_site(sid(0));
+            drop(replica);
+            // Every vote comes back, no install can be sent — and the write
+            // must not then succeed on the strength of site 0's disk alone.
+            let outcome = write.join().unwrap();
+            assert!(
+                matches!(outcome, Err(DeviceError::SiteNotServing { .. })),
+                "{outcome:?}"
+            );
+        });
+        assert_eq!(
+            c.vote(sid(0), sid(0), k),
+            before,
+            "installed on a dead site"
+        );
+        // Otherwise the next coordinator hands out the same version number
+        // for different contents, and site 0 never learns.
+        c.write(sid(1), k, BlockData::from(vec![3; 8])).unwrap();
+        c.repair_site(sid(0));
+        assert_eq!(c.read(sid(0), k).unwrap().as_slice(), &[3; 8]);
     }
 }

@@ -7,8 +7,9 @@
 //! a [`Replica`]. Every message-passing runtime is a
 //! [`Transport`](crate::transport::Transport) that carries
 //! [`WireRequest`] values to a thread running this function — encoded over
-//! a socket or as they are over a mailbox — so a request is handled the
-//! same way whatever path it arrived by.
+//! a socket, as they are over an inbox, or not carried at all when a
+//! coordinator asks its own site — so a request is handled the same way
+//! whatever path it arrived by.
 
 use crate::replica::Replica;
 use crate::wire::{WireRequest, WireResponse};

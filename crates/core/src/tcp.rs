@@ -2,11 +2,17 @@
 //!
 //! The paper's deployment is "a set of server processes on several sites" of
 //! a network. [`TcpCluster`] is that, minus the machine room: every site is
-//! an OS thread owning its replica behind a loopback `TcpListener`, and
-//! every protocol exchange is a length-prefixed [`wire`](crate::wire) frame
-//! over a real socket — serialization, framing and all. [`TcpTransport`] is
+//! an OS thread serving its replica behind a loopback `TcpListener`, and
+//! every protocol exchange between two sites is a length-prefixed
+//! [`wire`](crate::wire) frame over a real socket — serialization, framing
+//! and all. What a coordinator asks of its *own* site is not an exchange:
+//! it is served on the coordinator's thread ([`Transport::local`]) under
+//! the per-site replica mutex the site's thread also takes, per request.
+//! Every exchange here is an acknowledged round trip, so nothing can be
+//! queued ahead of a local leg and the mutex is the whole arrangement.
+//! [`TcpTransport`] is
 //! the socket [`Transport`]: the coordinator over it is the same
-//! [`ServerCluster`] that runs over mailboxes, and the threads behind the
+//! [`ServerCluster`] that runs over inboxes, and the threads behind the
 //! listeners run the same [`serve`], so the three runtimes — deterministic,
 //! channel-threaded, TCP — are interchangeable and must agree, which the
 //! integration tests check.
@@ -20,7 +26,7 @@
 use crate::backend::{Coordinator, ScatterReplies};
 use crate::replica::Replica;
 use crate::service::serve;
-use crate::transport::{Links, Scatter, ServerCluster, Transport};
+use crate::transport::{Links, Scatter, ServerCluster, Transport, WINDOW};
 use crate::wire::{self, WireRequest, WireResponse};
 use blockrep_net::DeliveryMode;
 use blockrep_obs::event;
@@ -35,11 +41,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, PoisonError};
 use std::thread::JoinHandle;
 
-/// In-flight request budget per multiplexed connection (see
-/// [`TcpCluster::set_multiplexing`]).
-const MUX_WINDOW: usize = 32;
-
-fn listen(mut replica: Replica, listener: TcpListener, links: Links, site: u32) {
+fn listen(replica: &Mutex<Replica>, listener: TcpListener, links: Links, site: u32) {
     // Single-coordinator design: one connection drives the replica at a
     // time, but the coordinator may replace it — after a torn frame it
     // drops the poisoned stream and reconnects — so connections are served
@@ -48,7 +50,7 @@ fn listen(mut replica: Replica, listener: TcpListener, links: Links, site: u32) 
         // Request/response over one socket: Nagle + delayed ACK would add
         // ~40ms to every round trip.
         let _ = conn.set_nodelay(true);
-        if serve_conn(&mut replica, conn, &links, site) == Served::Shutdown {
+        if serve_conn(replica, conn, &links, site) == Served::Shutdown {
             return;
         }
     }
@@ -63,7 +65,7 @@ enum Served {
     Shutdown,
 }
 
-fn serve_conn(replica: &mut Replica, conn: TcpStream, links: &Links, site: u32) -> Served {
+fn serve_conn(replica: &Mutex<Replica>, conn: TcpStream, links: &Links, site: u32) -> Served {
     // The connection's two buffers, reused from frame to frame.
     let mut conn = wire::FrameReader::new(conn);
     let mut reply = Vec::new();
@@ -85,8 +87,10 @@ fn serve_conn(replica: &mut Replica, conn: TcpStream, links: &Links, site: u32) 
         // apply work.
         links.delay();
         // Decode rejects nested multiplexing envelopes, so "not a site
-        // request" here is a peer that is not speaking the protocol.
-        let Some(response) = serve(replica, site, request) else {
+        // request" here is a peer that is not speaking the protocol. The
+        // replica is locked per request: a coordinator at this site serves
+        // its local legs in between.
+        let Some(response) = serve(&mut replica.lock(), site, request) else {
             return Served::Hangup;
         };
         let response = match mux_id {
@@ -238,9 +242,12 @@ fn mux_reader(stream: TcpStream, conn: &MuxConn) {
     }
 }
 
-/// The socket transport: one listener and one server thread per site, and
-/// the coordinator's connection to each.
+/// The socket transport: one replica, one listener and one server thread
+/// per site, and the coordinator's connection to each.
 pub struct TcpTransport {
+    /// Each site's replica, shared between its server thread (remote
+    /// requests) and the coordinator (local legs).
+    replicas: Vec<Arc<Mutex<Replica>>>,
     addrs: Vec<SocketAddr>,
     conns: Vec<Mutex<SiteConn>>,
     /// Whether request frames carry the trace envelope when a span context
@@ -262,15 +269,17 @@ impl TcpTransport {
     /// connects the coordinator to each.
     fn spawn(cfg: &DeviceConfig, links: &Links) -> io::Result<Self> {
         let n = cfg.num_sites();
+        let mut replicas = Vec::with_capacity(n);
         let mut addrs = Vec::with_capacity(n);
         let mut handles = Vec::with_capacity(n);
         for s in cfg.site_ids() {
             let listener = TcpListener::bind("127.0.0.1:0")?;
             addrs.push(listener.local_addr()?);
-            let replica = Replica::new(s, cfg);
+            let replica = Arc::new(Mutex::new(Replica::new(s, cfg)));
+            replicas.push(Arc::clone(&replica));
             let links = links.clone();
             handles.push(std::thread::spawn(move || {
-                listen(replica, listener, links, s.as_u32())
+                listen(&replica, listener, links, s.as_u32())
             }));
         }
         let mut conns = Vec::with_capacity(n);
@@ -283,6 +292,7 @@ impl TcpTransport {
             }));
         }
         Ok(TcpTransport {
+            replicas,
             addrs,
             conns,
             wire_tracing: AtomicBool::new(false),
@@ -322,7 +332,7 @@ impl TcpTransport {
                 let conn = Arc::new(MuxConn {
                     writer: Mutex::new((stream, 0)),
                     pending: Mutex::new(HashMap::new()),
-                    window: (Mutex::new(MUX_WINDOW), Condvar::new()),
+                    window: (Mutex::new(WINDOW), Condvar::new()),
                     dead: AtomicBool::new(false),
                 });
                 let reader_conn = Arc::clone(&conn);
@@ -542,6 +552,10 @@ impl Transport for TcpTransport {
         matches!(self.rpc(to, request), Some(WireResponse::Ack))
     }
 
+    fn local(&self, s: SiteId, request: WireRequest) -> Option<WireResponse> {
+        serve(&mut self.replicas[s.index()].lock(), s.as_u32(), request)
+    }
+
     fn scatter(&self, cx: Scatter<'_>, request: WireRequest) -> ScatterReplies {
         if self.muxed.load(Ordering::Relaxed) {
             self.pipelined_mux(cx, request)
@@ -554,23 +568,21 @@ impl Transport for TcpTransport {
 impl Drop for TcpTransport {
     fn drop(&mut self) {
         // Tear down any mux connections first: their servers fall back to
-        // `accept`, and the corresponding classic connections were poisoned
-        // when multiplexing came on, so the loop below delivers Shutdown
-        // over fresh streams. (The off-path never errors.)
+        // `accept`. (The off-path never errors.)
         let _ = self.set_multiplexing(false);
         let shutdown = WireRequest::Shutdown.to_frame();
-        for (i, conn) in self.conns.iter().enumerate() {
+        for (conn, addr) in self.conns.iter().zip(&self.addrs) {
+            // A server still reading this stream takes Shutdown from it.
+            // One that is back in `accept` — the stream was poisoned,
+            // retired for a mux connection, or hung up by the site without
+            // the coordinator having noticed — takes it from a redial,
+            // which the hang-up makes it free to accept. A refused redial
+            // means the server already left.
             let mut conn = conn.lock();
-            if conn.poisoned {
-                // The healthy stream is gone. Hang up the old one so the
-                // server falls back to `accept`, then deliver Shutdown over
-                // a fresh connection.
-                let _ = conn.stream.get_mut().shutdown(std::net::Shutdown::Both);
-                if let Ok(mut stream) = TcpStream::connect(self.addrs[i]) {
-                    let _ = wire::write_frame(&mut stream, &shutdown);
-                }
-            } else {
-                let _ = wire::write_frame(conn.stream.get_mut(), &shutdown);
+            let _ = wire::write_frame(conn.stream.get_mut(), &shutdown);
+            let _ = conn.stream.get_mut().shutdown(std::net::Shutdown::Both);
+            if let Ok(mut stream) = TcpStream::connect(addr) {
+                let _ = wire::write_frame(&mut stream, &shutdown);
             }
         }
         for handle in self.handles.drain(..) {
@@ -631,7 +643,7 @@ impl ServerCluster<TcpTransport> {
     /// Switches the coordinator between one-exchange-at-a-time connections
     /// and multiplexed ones. On, each site's connection is replaced by a
     /// [`MuxConn`]: requests carry per-connection ids under a bounded
-    /// in-flight window ([`MUX_WINDOW`]) and a dedicated reader thread
+    /// in-flight window ([`WINDOW`]) and a dedicated reader thread
     /// demultiplexes replies, so concurrent clients of one `TcpCluster`
     /// share each socket instead of serializing on it. Off restores the
     /// classic connections (the next RPC per site redials).
@@ -797,26 +809,55 @@ mod tests {
     }
 
     #[test]
-    fn a_torn_frame_on_the_coordinators_own_connection_is_an_error_not_a_panic() {
+    fn the_coordinators_own_site_is_not_behind_its_connection() {
         for scheme in Scheme::ALL {
             let c = tcp(scheme, 3);
             let k = BlockIndex::new(0);
             c.write(sid(0), k, BlockData::from(vec![3; 32])).unwrap();
-            // Corrupt the conversation with the coordinator's *own* site: a
-            // read at site 0 crosses this connection for its local leg.
+            // Corrupt the conversation with site 0: the server rejects the
+            // frame and hangs up, so the next exchange on this stream tears.
             let garbage = [1, 0, 0, 0, 0xFF];
             wire::write_frame(c.transport.conns[0].lock().stream.get_mut(), &garbage).unwrap();
-            // The torn exchange is a failed exchange: the read says so (it
-            // does not replay a request the site may already have served),
-            // and the connection is left poisoned for the next checkout.
-            let torn = c.read(sid(0), k);
-            assert!(
-                matches!(torn, Err(blockrep_types::DeviceError::Io(_))),
-                "{scheme}: {torn:?}"
-            );
-            // The following read redials and finds the written data.
+            // Operations coordinated *at* site 0 never use that stream: the
+            // local leg is served on this thread.
             assert_eq!(c.read(sid(0), k).unwrap().as_slice(), &[3; 32], "{scheme}");
+            c.write(sid(0), k, BlockData::from(vec![4; 32])).unwrap();
+            assert_eq!(c.read(sid(0), k).unwrap().as_slice(), &[4; 32], "{scheme}");
+            assert!(!c.transport.conns[0].lock().poisoned, "{scheme}: untouched");
+            // The first exchange from another site to site 0 tears once and
+            // counts as no reply; the next redials.
+            assert_eq!(c.vote(sid(1), sid(0), k), None, "{scheme}");
+            assert!(c.transport.conns[0].lock().poisoned, "{scheme}");
+            let version = c.vote(sid(0), sid(0), k);
+            assert_eq!(c.vote(sid(1), sid(0), k), version, "{scheme}");
+            assert!(!c.transport.conns[0].lock().poisoned, "{scheme}");
         }
+    }
+
+    #[test]
+    fn shutdown_reaches_a_site_that_hung_up_unnoticed() {
+        let c = tcp(Scheme::Voting, 3);
+        // Site 1 rejects the frame, hangs up and goes back to `accept`; the
+        // coordinator never uses the stream again, so never poisons it.
+        wire::write_frame(
+            c.transport.conns[1].lock().stream.get_mut(),
+            &[1, 0, 0, 0, 0xFF],
+        )
+        .unwrap();
+        // Drop joins every site thread, so it returns only once site 1 has
+        // been told to leave over a connection it is listening to.
+        let (done_tx, done_rx) = bounded(1);
+        let dropper = std::thread::spawn(move || {
+            drop(c);
+            let _ = done_tx.send(());
+        });
+        assert!(
+            done_rx
+                .recv_timeout(std::time::Duration::from_secs(1))
+                .is_ok(),
+            "shutdown went into a stream the site had hung up on"
+        );
+        dropper.join().unwrap();
     }
 
     #[test]

@@ -2,10 +2,13 @@
 //!
 //! A message-passing runtime differs from another only in how a
 //! [`WireRequest`] reaches the thread that [`serve`](crate::service::serve)s
-//! it and how the [`WireResponse`] comes back: as values over a mailbox
+//! it and how the [`WireResponse`] comes back: as values over an inbox
 //! ([`LiveTransport`](crate::LiveTransport)) or as frames over a socket
 //! ([`TcpTransport`](crate::TcpTransport)). That difference is the
-//! [`Transport`] trait — `call`, `cast`, and a concurrent `scatter`.
+//! [`Transport`] trait — `call`, `cast`, and a concurrent `scatter` for what
+//! crosses a link, and `local` for what does not: a coordinator *is* its
+//! site's server process (§2), so what it asks of its own replica is served
+//! on its own thread and never becomes a message.
 //! Whether a message may be sent at all is [`Links`]: site states and the
 //! topology, the one link model of all three runtimes. Everything else a
 //! message-passing coordinator is — the [`Coordinator`] every runtime
@@ -103,8 +106,9 @@ impl Links {
     }
 
     /// Sleeps for the emulated link delay, if one is set: what a server
-    /// does before it serves a round trip (see
-    /// [`ServerCluster::set_link_latency`]).
+    /// does before it serves a *remote* round trip (see
+    /// [`ServerCluster::set_link_latency`]). A local action crosses no link
+    /// and never comes here.
     pub(crate) fn delay(&self) {
         let ns = self.latency_ns.load(Ordering::Relaxed);
         if ns > 0 {
@@ -128,9 +132,17 @@ pub(crate) struct Scatter<'a> {
     pub(crate) parse: &'a dyn Fn(WireResponse) -> Option<ScatterReply>,
 }
 
+/// Requests a site's server may hold unserved, per sender-side queue: the
+/// live cluster's inbox and a multiplexed TCP connection's in-flight window.
+/// Past it the sender blocks, so a coordinator cannot outrun the sites it
+/// writes to by more than this.
+pub(crate) const WINDOW: usize = 32;
+
 /// How requests reach the sites' servers and replies come back. Whether a
 /// request may be sent at all is not the transport's to decide:
-/// [`ServerCluster`] asks [`Links::reachable`] first.
+/// [`ServerCluster`] asks [`Links::reachable`] first — and routes a site's
+/// request to itself to [`local`](Self::local), so `call`, `cast` and
+/// `scatter` only ever see `to != from`.
 pub(crate) trait Transport: Send + Sync {
     /// The runtime's name in parity reports.
     const NAME: &'static str;
@@ -146,6 +158,12 @@ pub(crate) trait Transport: Send + Sync {
     /// whether the request was delivered.
     fn cast(&self, to: SiteId, request: WireRequest) -> bool;
 
+    /// Serves `request` on site `s`'s replica, on the calling thread,
+    /// through the same [`serve`](crate::service::serve) as `s`'s server and
+    /// behind everything already delivered to `s`. No link is crossed: no
+    /// envelope, no emulated delay. `None` for what `serve` does not serve.
+    fn local(&self, s: SiteId, request: WireRequest) -> Option<WireResponse>;
+
     /// Sends `request` to every eligible target before waiting on any, then
     /// gathers — and charges — the replies in target order: results and §5
     /// counts of the sequential loop, blocking time of the slowest target.
@@ -153,9 +171,9 @@ pub(crate) trait Transport: Send + Sync {
 }
 
 /// A cluster of site server processes behind a transport `T`, one per
-/// site, each owning its replica and running the one site service. Use it
+/// site, each serving its replica through the one site service. Use it
 /// through its two instantiations, [`LiveCluster`](crate::LiveCluster)
-/// (threads and mailboxes) and [`TcpCluster`](crate::TcpCluster) (loopback
+/// (threads and inboxes) and [`TcpCluster`](crate::TcpCluster) (loopback
 /// sockets); both are interchangeable with [`Cluster`](crate::Cluster)
 /// wherever a [`Backend`] is accepted.
 pub struct ServerCluster<T> {
@@ -278,10 +296,12 @@ impl<T: Transport> ServerCluster<T> {
     }
 
     /// Emulates a network link delay: every server sleeps `delay` before
-    /// serving a round trip (shutdown, and the live cluster's one-way casts
-    /// — whose transit occupies no server on a real network — are exempt;
-    /// on the TCP cluster a cast is a round trip). Zero, the default,
-    /// disables the emulation. Message *counts* are unaffected.
+    /// serving a *remote* round trip (what a coordinator asks of its own
+    /// site crosses no link and pays nothing; shutdown, and the live
+    /// cluster's one-way casts — whose transit occupies no server on a real
+    /// network — are exempt too; on the TCP cluster a cast is a round trip).
+    /// Zero, the default, disables the emulation. Message *counts* are
+    /// unaffected.
     pub fn set_link_latency(&self, delay: Duration) {
         self.coord.links.latency_ns.store(
             delay.as_nanos().min(u64::MAX as u128) as u64,
@@ -290,8 +310,12 @@ impl<T: Transport> ServerCluster<T> {
     }
 
     /// One round trip from `from` to `to`'s server; `None` when `to` is
-    /// unreachable from `from` or the exchange died.
+    /// unreachable from `from` or the exchange died. A site's request to
+    /// itself is a local action, not an exchange.
     fn call(&self, from: SiteId, to: SiteId, request: WireRequest) -> Option<WireResponse> {
+        if from == to {
+            return self.transport.local(to, request);
+        }
         if !self.coord.links.reachable(from, to) {
             return None;
         }
@@ -299,7 +323,11 @@ impl<T: Transport> ServerCluster<T> {
     }
 
     /// One delivery from `from` to `to`'s server; whether it was delivered.
+    /// A site's delivery to itself is done by the time this returns.
     fn cast(&self, from: SiteId, to: SiteId, request: WireRequest) -> bool {
+        if from == to {
+            return self.transport.local(to, request).is_some();
+        }
         self.coord.links.reachable(from, to) && self.transport.cast(to, request)
     }
 }
@@ -451,6 +479,10 @@ impl<T: Transport> Backend for ServerCluster<T> {
         targets: &[SiteId],
         req: &ScatterRequest,
     ) -> ScatterReplies {
+        debug_assert!(
+            !targets.contains(&origin),
+            "a scatter is remote: {origin}'s own leg goes through `local`"
+        );
         let install = matches!(
             req,
             ScatterRequest::Install { .. }
@@ -603,5 +635,128 @@ mod tests {
                 "{name}: same side"
             );
         }
+    }
+
+    fn cfg(scheme: Scheme, sites: usize) -> DeviceConfig {
+        DeviceConfig::builder(scheme)
+            .sites(sites)
+            .num_blocks(4)
+            .block_size(8)
+            .build()
+            .unwrap()
+    }
+
+    /// `check` on a live and on a TCP cluster of `sites` sites, per scheme.
+    fn on_both_runtimes(sites: usize, check: impl Fn(&dyn Runtime)) {
+        for scheme in Scheme::ALL {
+            let mode = DeliveryMode::Multicast;
+            check(&LiveCluster::spawn(cfg(scheme, sites), mode));
+            check(&TcpCluster::spawn(cfg(scheme, sites), mode).unwrap());
+        }
+    }
+
+    /// What the seam tests drive: a message-passing cluster, whichever
+    /// (its `Debug` names the transport and the scheme).
+    trait Runtime: Backend + std::fmt::Debug {
+        fn set_link_latency(&self, delay: Duration);
+    }
+
+    impl<T: Transport> Runtime for ServerCluster<T> {
+        fn set_link_latency(&self, delay: Duration) {
+            ServerCluster::set_link_latency(self, delay);
+        }
+    }
+
+    #[test]
+    fn a_read_at_any_site_is_behind_every_install_already_sent_there() {
+        on_both_runtimes(3, |c| {
+            let k = BlockIndex::new(1);
+            // The available copy schemes wait for no acknowledgement, so on
+            // the live cluster only "serve the inbox first" makes this true.
+            for round in 0..1_000u64 {
+                let data = BlockData::from(round.to_le_bytes().to_vec());
+                protocol::write(c, sid(0), k, &data).unwrap();
+                for origin in [sid(1), sid(2)] {
+                    let got = protocol::read(c, origin, k).unwrap();
+                    assert_eq!(got, data, "{c:?}: {origin}, {round}");
+                }
+            }
+        });
+    }
+
+    /// Client `i`'s script: at origin `i`, write a tagged block and read a
+    /// neighbour's, `ROUNDS` times over four overlapping blocks.
+    const CLIENTS: u32 = 4;
+    const ROUNDS: u32 = 50;
+
+    fn client_script<B: Backend + ?Sized>(b: &B, i: u32) {
+        let block_of = |i: u32, round: u32| BlockIndex::new(u64::from((i + round) % 4));
+        for round in 0..ROUNDS {
+            let tag = (1 + i * ROUNDS + round) as u8;
+            let data = BlockData::from(vec![tag; 8]);
+            protocol::write(b, sid(i), block_of(i, round), &data).unwrap();
+            let k = block_of(i, round + 1);
+            let got = protocol::read(b, sid(i), k).unwrap();
+            let tag = u32::from(got.as_slice()[0]);
+            assert!(got.as_slice().iter().all(|&b| u32::from(b) == tag), "torn");
+            if tag != 0 {
+                let (writer, round) = ((tag - 1) / ROUNDS, (tag - 1) % ROUNDS);
+                assert!(writer < CLIENTS, "{tag} was never written");
+                assert_eq!(block_of(writer, round), k, "{tag} was written elsewhere");
+            }
+        }
+    }
+
+    #[test]
+    fn coordinators_at_every_site_share_the_replicas_with_the_site_threads() {
+        on_both_runtimes(CLIENTS as usize, |c| {
+            std::thread::scope(|scope| {
+                for i in 0..CLIENTS {
+                    scope.spawn(move || client_script(c, i));
+                }
+            });
+            // Quiescence: every copy of every block is the same copy. (Each
+            // probe is a local leg, so it is behind that site's inbox.)
+            for k in (0..4).map(BlockIndex::new) {
+                let copy_at = |s: u32| c.fetch_block(sid(s), sid(s), k).unwrap();
+                for s in 1..CLIENTS {
+                    assert_eq!(copy_at(s), copy_at(0), "{c:?}: {k}");
+                }
+            }
+            // With every site up an operation's traffic does not depend on
+            // what it raced with: the same scripts, serially.
+            let det = Cluster::new(c.config().clone(), ClusterOptions::default());
+            (0..CLIENTS).for_each(|i| client_script(&det, i));
+            assert_eq!(c.counter().snapshot(), det.traffic(), "{c:?}");
+        });
+    }
+
+    #[test]
+    fn a_local_action_pays_no_link_delay() {
+        let delay = Duration::from_millis(20);
+        on_both_runtimes(3, |c| {
+            let k = BlockIndex::new(0);
+            let data = BlockData::from(vec![7; 8]);
+            protocol::write(c, sid(0), k, &data).unwrap();
+            c.set_link_latency(delay);
+            // The fastest of a few reads: a descheduled test thread can make
+            // one slow, but not make a delayed one fast.
+            let fastest = (0..5)
+                .map(|_| {
+                    let start = std::time::Instant::now();
+                    assert_eq!(protocol::read(c, sid(0), k).unwrap(), data);
+                    start.elapsed()
+                })
+                .min()
+                .unwrap();
+            if c.config().scheme() == Scheme::Voting {
+                // A quorum is a round trip to somebody else.
+                assert!(fastest >= delay, "{c:?}: {fastest:?}");
+            } else {
+                // §3.2: a local copy is read "avoiding any network traffic".
+                let bound = Duration::from_millis(5);
+                assert!(fastest < bound, "{c:?}: {fastest:?}");
+            }
+        });
     }
 }

@@ -343,6 +343,10 @@ pub(crate) fn write<B: Backend + ?Sized>(
             data: data.clone(),
         },
     );
+    // Fail-stop: a coordinator that crashed during the fan-out sent nothing
+    // after it crashed, and completes nothing now — least of all a copy at
+    // v_new that only its own disk holds.
+    ensure_coordinator(b, origin)?;
     {
         let _leg = obs_hooks::phase_span(obs_hooks::phase_local_leg, origin.as_u32());
         b.apply_write(origin, origin, k, data, v_new);
@@ -526,6 +530,8 @@ pub(crate) fn write_many<B: Backend + ?Sized>(
         &remote_voters,
         &ScatterRequest::InstallMany(batch.clone()),
     );
+    // Fail-stop, as in [`write`]: a crashed coordinator completes nothing.
+    ensure_coordinator(b, origin)?;
     {
         let _leg = obs_hooks::phase_span(obs_hooks::phase_local_leg, origin.as_u32());
         b.apply_write_many(origin, origin, &batch);

@@ -3,7 +3,7 @@
 //!
 //! [`WireRequest`] and [`WireResponse`] are what a coordinator says to a
 //! site's server process and what it answers, on every message-passing
-//! runtime: the live cluster moves the values as they are over mailboxes,
+//! runtime: the live cluster moves the values as they are over inboxes,
 //! and the TCP cluster ([`TcpCluster`](crate::TcpCluster)) moves them as
 //! length-prefixed frames in the compact, hand-rolled binary encoding
 //! defined here — what actually crosses the network when the reliable

@@ -1,5 +1,5 @@
 //! An idle `LiveCluster` must not run: its site threads block on their
-//! mailboxes, so a cluster nobody talks to costs no wake-ups. A polling
+//! inboxes, so a cluster nobody talks to costs no wake-ups. A polling
 //! receive loop shows up here as thousands of voluntary context switches
 //! per 100 ms. And it is one thread per site, nothing else.
 //!

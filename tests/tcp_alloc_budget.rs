@@ -13,21 +13,25 @@
 //! once, into the allocation it then lives in (a site's store, or the
 //! caller's result) — so one allocation per decoded block is owed — and
 //! everything else an operation allocates is a few frames and vectors per
-//! site, whatever the batch size. A write lands its batch on every site
-//! and a read fetches it from one, so per write + read pair on `n` sites
-//! `(n + 1) × 64` blocks cross a socket and are decoded.
+//! site, whatever the batch size. A write lands its batch on every *other*
+//! site — the coordinator's own install is a local action on its own
+//! thread, no socket — and the read that follows finds the coordinator's
+//! copy current and fetches nothing, so per write + read pair on `n` sites
+//! `(n − 1) × 64` blocks cross a socket and are decoded.
 //!
 //! Before the frame was encoded once and in place this test measured, on
 //! three sites, 1 374 KiB and 749 allocations per pair against a budget of
 //! 640 KiB and 400; with it, 428 KiB and 321 (385 multiplexed: a reply
 //! channel and two envelope boxes per exchange), and 567 KiB and 461 on
-//! five sites.
+//! five sites. Those figures had the local leg on a socket of its own,
+//! `(n + 1) × 64` decoded blocks a pair; with the local leg local, 225 KiB
+//! and 182 (217–218 multiplexed), and 364 KiB and 322 on five sites.
 //!
-//! **The live mailbox path**, at the same batch shape and at `live-fs-ac`'s
+//! **The live inbox path**, at the same batch shape and at `live-fs-ac`'s
 //! (single-block available-copy traffic with a fail / repair cycle): what
-//! crosses a mailbox is a request value, so the whole cost is envelopes,
+//! crosses an inbox is a request value, so the whole cost is envelopes,
 //! reply channels and index vectors — what would move if a cast grew a
-//! reply channel or a request grew a box.
+//! reply channel, a request grew a box, or a local leg grew an envelope.
 
 use blockrep::core::wire::{FrameReader, MAX_FRAME};
 use blockrep::core::{LiveCluster, TcpCluster};
@@ -164,27 +168,25 @@ const REPLY_AFTER_CALLER_WAITS: Duration = Duration::from_micros(200);
 const AC_PAIRS: u64 = 32;
 const AC_ROUNDS: u64 = 8;
 
-/// `(allocations, bytes)` per batch pair and per available-copy round.
+/// `(allocations, bytes)` per batch pair and per available-copy round: the
+/// measured ceilings. A round is 223 allocations and 14 400 bytes on every
+/// run; a pair is 55 allocations and 28 606 bytes plus one 96-byte
+/// allocation for each of its two scatters whose second reply has to be
+/// waited for (55–56 and up to 28 696 seen).
 ///
-/// The allocation counts are the ones measured at the last commit whose
-/// live runtime moved its own `Request` enum (reply senders inside the
-/// variants) instead of `WireRequest` values: 441 a round, and 64 a pair
-/// plus one for each of a pair's two scatters whose second reply has to be
-/// waited for. Moving the shared vocabulary costs no allocation.
-///
-/// It does cost bytes, and the budget says how many: that commit measured
-/// 84 991 a round and 31 306–31 498 a pair. A mailbox slot now holds a
-/// 48-byte `WireRequest` beside a 24-byte optional reply sender where the
-/// old enum packed both into 56 bytes, and a reply slot holds a 48-byte
-/// `WireResponse` where it held the bare answer (8–24 bytes) — 16 bytes
-/// more per message sent and 24–40 per reply awaited, whatever the
-/// payload.
-const LIVE_BATCH_PAIR: (u64, u64) = (66, 31_790);
-const LIVE_AC_ROUND: (u64, u64) = (441, 91_921);
+/// While the local leg was a message to the coordinator's own site — an
+/// envelope in a channel that allocates its slots by the block, and a reply
+/// channel per round trip — the same figures were 441 and 91 921 a round,
+/// 64–66 and 31 598–31 790 a pair. What is left is what crosses to the
+/// *other* sites: an inbox slot holds a 48-byte `WireRequest` beside a
+/// 24-byte optional reply sender (the inbox itself is allocated once, at
+/// spawn), and a reply slot a 48-byte `WireResponse`.
+const LIVE_BATCH_PAIR: (u64, u64) = (57, 28_800);
+const LIVE_AC_ROUND: (u64, u64) = (223, 14_400);
 
 /// Blocks that cross a socket, and are decoded, per pair on `n` sites.
 fn blocks_decoded(sites: u64) -> u64 {
-    (sites + 1) * BLOCKS
+    (sites - 1) * BLOCKS
 }
 
 /// What a pair may allocate beyond its decoded blocks, per site: request
@@ -194,6 +196,7 @@ const PER_SITE: u64 = 48;
 
 fn assert_within_budget(sites: u64, multiplexed: bool) -> (u64, u64) {
     let (allocs, bytes) = per_pair(sites as usize, multiplexed);
+    println!("tcp batch pair, {sites} sites, multiplexed {multiplexed}: {allocs} allocations, {bytes} bytes");
     let payload = blocks_decoded(sites) * BLOCK_SIZE as u64;
     assert!(
         bytes * 2 <= payload * 5,
@@ -233,7 +236,7 @@ fn a_batch_pair_allocates_its_decoded_blocks_plus_a_constant_per_site() {
     );
 }
 
-/// The same batch pair on the channel runtime: what crosses a mailbox is a
+/// The same batch pair on the channel runtime: what crosses an inbox is a
 /// request *value*, so no block is copied at all and the whole budget is
 /// envelopes, reply channels and index/version vectors.
 #[test]

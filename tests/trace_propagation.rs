@@ -5,9 +5,11 @@
 //!
 //! 1. **Every runtime stitches remote work into the coordinator's tree.**
 //!    A traced coordinator wraps its requests in the trace envelope — over
-//!    mailboxes always, over sockets once wire tracing is on — and the one
+//!    inboxes always, over sockets once wire tracing is on — and the one
 //!    site service opens it, so every contacted site emits
-//!    `phase.remote_apply` spans under the operation that caused them.
+//!    `phase.remote_apply` spans under the operation that caused them. (A
+//!    coordinator's requests to its own site are served on its own thread,
+//!    under the span already live there: no envelope, no remote span.)
 //! 2. **Untraced-peer mode is byte-identical.** With tracing enabled but
 //!    wire tracing off (the default), every runtime produces exactly the
 //!    results and §5 traffic counts of a fully untraced run — the parity
