@@ -246,24 +246,13 @@ pub trait Backend: Send + Sync {
     fn read_local(&self, s: SiteId, k: BlockIndex) -> DeviceResult<BlockData>;
 
     /// Reads a run of blocks straight off `s`'s local disk in **one**
-    /// exchange, in the order of `ks`.
-    ///
-    /// The default loops [`read_local`](Self::read_local); message-passing
-    /// runtimes override it with a single batched request so a vectored
-    /// read takes the local replica's lock once instead of once per block.
+    /// exchange, in the order of `ks`: the local replica is locked once for
+    /// the batch, not once per block.
     ///
     /// # Errors
     ///
     /// As for [`read_local`](Self::read_local).
-    fn read_local_many(&self, s: SiteId, ks: &[BlockIndex]) -> DeviceResult<Vec<BlockData>> {
-        // Not `collect()`: through a `Result` it loses the size hint and
-        // grows the vector by doubling.
-        let mut blocks = Vec::with_capacity(ks.len());
-        for &k in ks {
-            blocks.push(self.read_local(s, k)?);
-        }
-        Ok(blocks)
-    }
+    fn read_local_many(&self, s: SiteId, ks: &[BlockIndex]) -> DeviceResult<Vec<BlockData>>;
 
     /// Requests `to`'s version vector.
     fn version_vector(&self, from: SiteId, to: SiteId) -> Option<VersionVector>;
@@ -313,28 +302,17 @@ pub trait Backend: Send + Sync {
     /// not answer (failed/unreachable), exactly as per-block
     /// [`vote`](Self::vote) would have for every block.
     ///
-    /// The default loops [`vote`](Self::vote); message-passing runtimes
-    /// override it with a single batched frame. The fault-injection layer
-    /// counts one call to this method as one `(op, exchange)` slot.
-    fn vote_many(&self, from: SiteId, to: SiteId, ks: &[BlockIndex]) -> Option<Vec<VersionNumber>> {
-        ks.iter().map(|&k| self.vote(from, to, k)).collect()
-    }
+    /// Every runtime answers it as one exchange: one reachability check and
+    /// one replica lock at `to` for the whole run. The fault-injection
+    /// layer counts one call to this method as one `(op, exchange)` slot.
+    fn vote_many(&self, from: SiteId, to: SiteId, ks: &[BlockIndex]) -> Option<Vec<VersionNumber>>;
 
     /// Delivers a batch of write updates to `to` in **one** exchange (or
     /// applies them locally when `from == to`). Delivery is all-or-nothing:
-    /// the batch frame either reaches `to` (every block installed if newer)
-    /// or does not.
-    ///
-    /// The default loops [`apply_write`](Self::apply_write); message-passing
-    /// runtimes override it with a single batched frame. The fault-injection
-    /// layer counts one call as one `(op, exchange)` slot.
-    fn apply_write_many(&self, from: SiteId, to: SiteId, writes: &WriteBatch) -> bool {
-        let mut delivered = true;
-        for (k, v, data) in writes {
-            delivered &= self.apply_write(from, to, *k, data, *v);
-        }
-        delivered
-    }
+    /// the batch either reaches `to` (every block installed if newer) or
+    /// does not. The fault-injection layer counts one call as one
+    /// `(op, exchange)` slot.
+    fn apply_write_many(&self, from: SiteId, to: SiteId, writes: &WriteBatch) -> bool;
 
     /// The coordinator-side sharded block-lock table. The protocol entry
     /// points hold the touched blocks' shards for the duration of each
@@ -498,7 +476,7 @@ pub(crate) fn check_block<B: Backend + ?Sized>(b: &B, k: BlockIndex) -> DeviceRe
 /// coordinator's own thread, in process on [`Cluster`](crate::Cluster) and
 /// through [`Transport::local`](crate::transport::Transport::local) on the
 /// message-passing ones — so this is for backends whose can: a wrapper or a
-/// test double (`shard.rs`' `PanickyDisk`) standing in for a broken disk.
+/// test double standing in for a broken disk.
 pub(crate) fn dead_local_leg(s: SiteId) -> DeviceError {
     DeviceError::Io(std::io::Error::other(format!(
         "{s} did not answer its own coordinator"

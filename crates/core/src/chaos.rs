@@ -534,7 +534,7 @@ pub fn run_on<R: ChaosRuntime>(rt: &R, steps: &[ChaosStep]) -> Result<RunOutcome
             })
         })
         .collect();
-    let fb = FaultyBackend::new(rt, &plan);
+    let fb = FaultyBackend::new(rt, plan);
     let mut oracle = Oracle::new(cfg.scheme(), cfg.num_blocks() as usize, cfg.journaled());
     let mut log = Vec::with_capacity(steps.len());
     let mut faults_fired = 0u64;
@@ -969,7 +969,7 @@ fn shard_scenario_spec(scheme: Scheme, shards: usize, journaled: bool) -> crate:
 /// flows through a per-shard [`FaultyBackend`] (sequential scatter, pinned
 /// exchange coordinates), so the log — including per-shard §5 traffic — is
 /// byte-identical across runtimes.
-pub fn run_shard_scenarios_on<R: ChaosRuntime>(
+pub fn run_shard_scenarios_on<R: ChaosRuntime + 'static>(
     dev: &crate::shard::ShardedDevice<R>,
 ) -> Result<ShardRunOutcome, String> {
     use blockrep_storage::BlockDevice as _;
@@ -1006,24 +1006,22 @@ pub fn run_shard_scenarios_on<R: ChaosRuntime>(
         Scheme::Voting => cfg.num_sites() as u64 - 1,
         Scheme::AvailableCopy | Scheme::NaiveAvailableCopy => 0,
     };
-    let victim_plan: FaultPlan = [FaultSpec {
-        op: torn_op,
-        exchange: torn_x,
-        kind: FaultKind::TornWrite { keep: 3 },
-    }]
-    .into_iter()
-    .collect();
-    let clean_plan = FaultPlan::default();
-    let fbs: Vec<Arc<FaultyBackend<'_, R>>> = raw
+    let fbs: Vec<Arc<FaultyBackend<Arc<R>>>> = raw
         .iter()
         .enumerate()
         .map(|(i, b)| {
             let plan = if i == victim {
-                &victim_plan
+                [FaultSpec {
+                    op: torn_op,
+                    exchange: torn_x,
+                    kind: FaultKind::TornWrite { keep: 3 },
+                }]
+                .into_iter()
+                .collect()
             } else {
-                &clean_plan
+                FaultPlan::default()
             };
-            Arc::new(FaultyBackend::new(&**b, plan))
+            Arc::new(FaultyBackend::new(Arc::clone(b), plan))
         })
         .collect();
     let fdev = crate::shard::ShardedDevice::new(fbs, manifest.clone(), dev.preferred());

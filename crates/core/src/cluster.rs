@@ -1,6 +1,6 @@
 //! The deterministic in-process cluster.
 
-use crate::backend::{Backend, Coordinator};
+use crate::backend::{Backend, Coordinator, WriteBatch};
 use crate::{protocol, replica::Replica};
 use blockrep_net::{DeliveryMode, TrafficCounter, TrafficSnapshot};
 use blockrep_types::{
@@ -289,6 +289,11 @@ impl Backend for Cluster {
         Some(self.exchange(from, to)?.version(k))
     }
 
+    fn vote_many(&self, from: SiteId, to: SiteId, ks: &[BlockIndex]) -> Option<Vec<VersionNumber>> {
+        let replica = self.exchange(from, to)?;
+        Some(ks.iter().map(|&k| replica.version(k)).collect())
+    }
+
     fn fetch_block(
         &self,
         from: SiteId,
@@ -313,8 +318,23 @@ impl Backend for Cluster {
         true
     }
 
+    fn apply_write_many(&self, from: SiteId, to: SiteId, writes: &WriteBatch) -> bool {
+        let Some(mut replica) = self.exchange(from, to) else {
+            return false;
+        };
+        for (k, v, data) in writes {
+            replica.install(*k, data.clone(), *v);
+        }
+        true
+    }
+
     fn read_local(&self, s: SiteId, k: BlockIndex) -> DeviceResult<BlockData> {
         Ok(self.replicas[s.index()].lock().data(k))
+    }
+
+    fn read_local_many(&self, s: SiteId, ks: &[BlockIndex]) -> DeviceResult<Vec<BlockData>> {
+        let replica = self.replicas[s.index()].lock();
+        Ok(ks.iter().map(|&k| replica.data(k)).collect())
     }
 
     fn version_vector(&self, from: SiteId, to: SiteId) -> Option<VersionVector> {
@@ -504,6 +524,42 @@ mod tests {
             c.write(sid(2), k, block(6)).unwrap();
             assert_eq!(c.read(sid(2), k).unwrap(), block(6), "{scheme}");
         }
+    }
+
+    #[test]
+    fn a_batch_is_one_exchange_whole_or_not_at_all() {
+        let c = cluster(Scheme::Voting, 3);
+        let ks: Vec<BlockIndex> = (0..4).map(BlockIndex::new).collect();
+        let batch = |v: u64| -> WriteBatch {
+            ks.iter()
+                .map(|&k| (k, VersionNumber::new(v), block(v as u8 + k.as_u64() as u8)))
+                .collect()
+        };
+        // A reachable target: each batch answer is the per-block answers.
+        for s in [sid(1), sid(2)] {
+            assert!(c.apply_write_many(sid(0), s, &batch(1)));
+            for (k, v, data) in batch(1) {
+                assert_eq!((c.version_of(s, k), c.data_of(s, k)), (v, data));
+            }
+            let votes: Option<Vec<_>> = ks.iter().map(|&k| c.vote(sid(0), s, k)).collect();
+            assert_eq!(c.vote_many(sid(0), s, &ks), votes);
+            let reads: Vec<_> = ks.iter().map(|&k| c.read_local(s, k).unwrap()).collect();
+            assert_eq!(c.read_local_many(s, &ks).unwrap(), reads);
+        }
+        // A failed and a partitioned-away target: no votes, and not one
+        // block of the batch installed.
+        c.fail_site(sid(2));
+        c.partition(&[vec![sid(0)], vec![sid(1), sid(2)]]);
+        for s in [sid(1), sid(2)] {
+            assert_eq!(c.vote_many(sid(0), s, &ks), None);
+            assert!(!c.apply_write_many(sid(0), s, &batch(2)));
+            for (k, v, data) in batch(1) {
+                assert_eq!((c.version_of(s, k), c.data_of(s, k)), (v, data));
+            }
+        }
+        // A site's own disk answers it even while the site is failed.
+        let own: Vec<BlockData> = batch(1).into_iter().map(|(_, _, data)| data).collect();
+        assert_eq!(c.read_local_many(sid(2), &ks).unwrap(), own);
     }
 
     #[test]

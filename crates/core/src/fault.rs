@@ -31,6 +31,7 @@ use blockrep_types::{
 };
 use parking_lot::Mutex;
 use std::collections::BTreeSet;
+use std::ops::Deref;
 
 /// The kinds of fault the injection layer can fire on a remote exchange.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -256,15 +257,20 @@ enum Decision {
 /// The *real* state transition (and the scheme's failure detection) is
 /// deferred to the runner via [`end_op`](Self::end_op), so the protocol's
 /// in-flight operation observes only silence — never a reentrant recovery.
-pub struct FaultyBackend<'a, B: Backend> {
-    inner: &'a B,
-    plan: &'a FaultPlan,
+///
+/// The wrapper reaches its backend through any pointer `R` to it: a
+/// borrow, or an `Arc` when the wrapper must own its share (a shard of a
+/// [`ShardedDevice`](crate::ShardedDevice), whose workers outlive any
+/// borrow).
+pub struct FaultyBackend<R> {
+    inner: R,
+    plan: FaultPlan,
     state: Mutex<InjectState>,
 }
 
-impl<'a, B: Backend> FaultyBackend<'a, B> {
+impl<R: Deref<Target: Backend>> FaultyBackend<R> {
     /// Wraps `inner` under `plan`.
-    pub fn new(inner: &'a B, plan: &'a FaultPlan) -> Self {
+    pub fn new(inner: R, plan: FaultPlan) -> Self {
         FaultyBackend {
             inner,
             plan,
@@ -440,7 +446,7 @@ impl<'a, B: Backend> FaultyBackend<'a, B> {
     }
 }
 
-impl<B: Backend> Backend for FaultyBackend<'_, B> {
+impl<R: Deref<Target: Backend> + Send + Sync> Backend for FaultyBackend<R> {
     fn coordinator(&self) -> &Coordinator {
         // Configuration, states, accounting, locks and leases are the inner
         // runtime's: the wrapper only decides message fates, so same-block
@@ -745,7 +751,7 @@ mod tests {
     fn empty_plan_is_transparent() {
         let c = cluster(Scheme::Voting);
         let plan = FaultPlan::new();
-        let fb = FaultyBackend::new(&c, &plan);
+        let fb = FaultyBackend::new(&c, plan);
         fb.begin_op(0);
         crate::protocol::write(
             &fb,
@@ -774,7 +780,7 @@ mod tests {
         }]
         .into_iter()
         .collect();
-        let fb = FaultyBackend::new(&c, &plan);
+        let fb = FaultyBackend::new(&c, plan);
         fb.begin_op(0);
         crate::protocol::write(
             &fb,
@@ -803,7 +809,7 @@ mod tests {
         }]
         .into_iter()
         .collect();
-        let fb = FaultyBackend::new(&c, &plan);
+        let fb = FaultyBackend::new(&c, plan);
         fb.begin_op(0);
         let _ = crate::protocol::write(
             &fb,
@@ -828,7 +834,7 @@ mod tests {
         }]
         .into_iter()
         .collect();
-        let fb = FaultyBackend::new(&c, &plan);
+        let fb = FaultyBackend::new(&c, plan);
         fb.begin_op(0);
         crate::protocol::write(
             &fb,
@@ -857,7 +863,7 @@ mod tests {
         }]
         .into_iter()
         .collect();
-        let fb = FaultyBackend::new(inner, &plan);
+        let fb = FaultyBackend::new(inner, plan);
         fb.begin_op(0);
         crate::protocol::write(
             &fb,
@@ -918,7 +924,7 @@ mod tests {
         }]
         .into_iter()
         .collect();
-        let fb = FaultyBackend::new(inner, &plan);
+        let fb = FaultyBackend::new(inner, plan);
         fb.begin_op(0);
         let writes: Vec<(BlockIndex, BlockData)> = (0..2)
             .map(|k| (BlockIndex::new(k), BlockData::from(vec![6 + k as u8; 4])))
@@ -975,7 +981,7 @@ mod tests {
         }]
         .into_iter()
         .collect();
-        let fb = FaultyBackend::new(&c, &plan);
+        let fb = FaultyBackend::new(&c, plan);
         fb.begin_op(0);
         crate::protocol::write(
             &fb,
@@ -1008,7 +1014,7 @@ mod tests {
         }]
         .into_iter()
         .collect();
-        let fb = FaultyBackend::new(&c, &plan);
+        let fb = FaultyBackend::new(&c, plan);
         fb.begin_op(0);
         crate::protocol::write(
             &fb,

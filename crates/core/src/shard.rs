@@ -16,7 +16,9 @@
 //! sub-batches are issued concurrently (acquiring the per-shard admission
 //! gates in **ascending shard index**, the same lock-order discipline the
 //! workspace lint verifies on `TcpTransport::pipelined`), and the replies
-//! are stitched back in caller order.
+//! are stitched back in caller order. The caller runs the last touched
+//! shard's sub-batch itself and hands each other one to that shard's
+//! long-lived worker thread, so a batch spawns no thread.
 //!
 //! # Partial-batch failure semantics
 //!
@@ -38,8 +40,9 @@ use blockrep_types::{
     BlockData, BlockIndex, DeviceConfig, DeviceError, DeviceResult, Scheme, SiteId,
 };
 use parking_lot::Mutex;
-use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Condvar, OnceLock, PoisonError};
+use std::thread::JoinHandle;
 
 /// SplitMix64: the placement hash. Deterministic across runs and
 /// platforms, well-mixed enough that rendezvous scores spread block
@@ -257,7 +260,11 @@ impl ShardSpec {
 /// Each shard is a complete cluster of its own — any [`Backend`] runtime
 /// works — and the device routes every block to its manifest-assigned
 /// shard. Vectored operations fan out to all touched shards in one
-/// parallel round and stitch replies back in caller order.
+/// parallel round and stitch replies back in caller order. Every shard but
+/// the highest has one worker thread for that round, started by the first
+/// batch that needs it and joined when the device is dropped; the highest
+/// is always the last shard a batch touches, which the caller serves
+/// itself.
 ///
 /// # Examples
 ///
@@ -293,12 +300,158 @@ pub struct ShardedDevice<C> {
     /// concurrent batches meet each shard in a fixed order. Gates are
     /// always taken in ascending shard index — the `fan_out` loop asserts
     /// it — which is what makes holding several at once deadlock-free.
+    /// A gate also makes its shard's worker mailbox exclusive.
     gates: Vec<Mutex<()>>,
+    /// One per shard but the highest, in shard order, each started by the
+    /// first batch that hands its shard a sub-batch.
+    workers: Vec<OnceLock<Worker>>,
     num_blocks: u64,
     block_size: usize,
 }
 
-impl<C: Backend> ShardedDevice<C> {
+/// One shard's sub-batch, owned so that the shard's worker can take it.
+#[derive(Debug)]
+enum Job {
+    Read(Vec<BlockIndex>),
+    Write(Vec<(BlockIndex, BlockData)>),
+}
+
+/// What a sub-batch returns: the blocks read, in sub-batch order (none for
+/// a write).
+type Answer = DeviceResult<Vec<BlockData>>;
+
+impl Job {
+    /// Runs the sub-batch against `shard` under
+    /// [`ReliableDevice`](crate::ReliableDevice)'s failover rule, over the
+    /// shard-local sites.
+    ///
+    /// A panic in the shard's protocol code fails the sub-batch, whichever
+    /// thread runs it: it neither takes a worker down nor unwinds through a
+    /// caller whose other sub-batches are still out on workers.
+    fn run<C: Backend>(&self, shard: &C, preferred: SiteId) -> Answer {
+        let run = || {
+            with_failover(shard.config(), preferred, |origin| match self {
+                Job::Read(ks) => protocol::read_many(shard, origin, ks),
+                Job::Write(writes) => {
+                    protocol::write_many(shard, origin, writes).map(|()| Vec::new())
+                }
+            })
+        };
+        catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|_| {
+            let panicked = std::io::Error::other("shard sub-batch panicked");
+            Err(DeviceError::Io(panicked))
+        })
+    }
+}
+
+/// A shard worker's mailbox: one job in, one answer out. It never holds
+/// more than one job because only a batch holding the shard's gate posts
+/// to it, and that batch takes the answer before it lets the gate go — so
+/// at most one thread waits on the bell at a time: the worker for a job,
+/// or the poster for its answer.
+#[derive(Debug, Default)]
+struct Mailbox {
+    slot: Mutex<Slot>,
+    bell: Condvar,
+}
+
+#[derive(Debug, Default)]
+struct Slot {
+    job: Option<Job>,
+    answer: Option<Answer>,
+    /// The device is going down, or the worker's thread is gone: no job
+    /// will be answered any more.
+    closed: bool,
+}
+
+impl Mailbox {
+    /// Hands `job` to the worker; the caller holds the shard's gate.
+    fn post(&self, job: Job) {
+        let mut slot = self.slot.lock();
+        debug_assert!(
+            slot.job.is_none() && slot.answer.is_none(),
+            "a shard's mailbox is posted to only under its gate"
+        );
+        if !slot.closed {
+            slot.job = Some(job);
+            drop(slot);
+            self.bell.notify_one();
+        }
+    }
+
+    /// Waits for the answer to the posted job.
+    fn answer(&self) -> Answer {
+        let mut slot = self.slot.lock();
+        while slot.answer.is_none() && !slot.closed {
+            slot = self.bell.wait(slot).unwrap_or_else(PoisonError::into_inner);
+        }
+        slot.answer.take().unwrap_or_else(|| {
+            let gone = std::io::Error::other("shard worker is gone");
+            Err(DeviceError::Io(gone))
+        })
+    }
+
+    fn close(&self) {
+        self.slot.lock().closed = true;
+        self.bell.notify_all();
+    }
+
+    /// A worker's thread: take a job, run it on `shard`, post the answer;
+    /// until the mailbox closes.
+    fn serve<C: Backend>(&self, shard: &C, preferred: SiteId) {
+        // However this thread ends, nobody may wait on an answer it will
+        // not send.
+        struct CloseOnExit<'a>(&'a Mailbox);
+        impl Drop for CloseOnExit<'_> {
+            fn drop(&mut self) {
+                self.0.close();
+            }
+        }
+        let _close = CloseOnExit(self);
+        loop {
+            let job = {
+                let mut slot = self.slot.lock();
+                while slot.job.is_none() && !slot.closed {
+                    slot = self.bell.wait(slot).unwrap_or_else(PoisonError::into_inner);
+                }
+                match slot.job.take() {
+                    Some(job) => job,
+                    None => return,
+                }
+            };
+            let answer = job.run(shard, preferred);
+            self.slot.lock().answer = Some(answer);
+            self.bell.notify_one();
+        }
+    }
+}
+
+/// A shard's long-lived fan-out thread.
+#[derive(Debug)]
+struct Worker {
+    mailbox: Arc<Mailbox>,
+    thread: JoinHandle<()>,
+}
+
+impl Worker {
+    fn spawn<C: Backend + 'static>(shard: Arc<C>, preferred: SiteId) -> Worker {
+        let mailbox = Arc::new(Mailbox::default());
+        let inbox = Arc::clone(&mailbox);
+        let thread = std::thread::spawn(move || inbox.serve(&*shard, preferred));
+        Worker { mailbox, thread }
+    }
+}
+
+impl<C> Drop for ShardedDevice<C> {
+    fn drop(&mut self) {
+        for worker in self.workers.drain(..).filter_map(OnceLock::into_inner) {
+            worker.mailbox.close();
+            let _ = worker.thread.join();
+        }
+    }
+}
+
+impl<C: Backend + 'static> ShardedDevice<C> {
     /// Assembles a device from per-shard clusters and their manifest.
     ///
     /// # Panics
@@ -330,11 +483,13 @@ impl<C: Backend> ShardedDevice<C> {
             );
         }
         let gates = (0..shards.len()).map(|_| Mutex::new(())).collect();
+        let workers = (1..shards.len()).map(|_| OnceLock::new()).collect();
         ShardedDevice {
             shards,
             manifest,
             preferred,
             gates,
+            workers,
             num_blocks,
             block_size,
         }
@@ -361,35 +516,29 @@ impl<C: Backend> ShardedDevice<C> {
     }
 
     /// Splits caller-order positions by owning shard, ascending shard
-    /// index (`BTreeMap` iteration order).
+    /// index, touched shards only.
     fn split_by_shard(&self, ks: impl Iterator<Item = BlockIndex>) -> Vec<(usize, Vec<usize>)> {
-        let mut by_shard: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+        let mut by_shard: Vec<(usize, Vec<usize>)> =
+            (0..self.shards.len()).map(|s| (s, Vec::new())).collect();
         for (i, k) in ks.enumerate() {
-            by_shard
-                .entry(self.manifest.shard_of(k))
-                .or_default()
-                .push(i);
+            by_shard[self.manifest.shard_of(k)].1.push(i);
         }
-        by_shard.into_iter().collect()
+        by_shard.retain(|(_, idxs)| !idxs.is_empty());
+        by_shard
     }
 
-    /// Runs `op` against shard `s` under [`ReliableDevice`](crate::ReliableDevice)'s
-    /// failover rule, over the shard-local sites.
-    fn on_shard<T>(
-        &self,
-        s: usize,
-        mut op: impl FnMut(&C, SiteId) -> DeviceResult<T>,
-    ) -> DeviceResult<T> {
-        let backend = &*self.shards[s];
-        with_failover(backend.config(), self.preferred, |origin| {
-            op(backend, origin)
-        })
+    /// Shard `s`'s worker mailbox, starting the worker on first use: a
+    /// device that only ever sees single-shard batches starts no thread.
+    fn mailbox(&self, s: usize) -> &Mailbox {
+        let worker = self.workers[s]
+            .get_or_init(|| Worker::spawn(Arc::clone(&self.shards[s]), self.preferred));
+        &worker.mailbox
     }
 
-    /// The one parallel round: runs `run` for every `(shard, positions)`
-    /// pair and collects the results in ascending shard order. The last
-    /// pair runs on the calling thread and only the others get a scoped
-    /// thread each, so a batch that touches one shard spawns nothing.
+    /// The one parallel round: runs the `job` of every `(shard, positions)`
+    /// pair and collects the answers in ascending shard order. The last
+    /// pair runs on the calling thread and the others on their shards'
+    /// workers, so a batch that touches one shard hands nothing off.
     ///
     /// Every touched shard's admission gate is taken before any
     /// sub-operation starts and held until all of them have finished, so
@@ -397,11 +546,11 @@ impl<C: Backend> ShardedDevice<C> {
     /// overlapping across shards. Because a batch holds several gates at
     /// once, acquisition order is a deadlock invariant: `split_by_shard`
     /// hands us shards ascending and the assert pins that discipline.
-    fn fan_out<T: Send>(
+    fn fan_out(
         &self,
         mut split: Vec<(usize, Vec<usize>)>,
-        run: impl Fn(usize, &[usize]) -> DeviceResult<T> + Sync,
-    ) -> Vec<(Vec<usize>, DeviceResult<T>)> {
+        job: impl Fn(&[usize]) -> Job,
+    ) -> Vec<(Vec<usize>, Answer)> {
         let mut held = Vec::with_capacity(split.len());
         for &(s, _) in &split {
             debug_assert!(
@@ -414,33 +563,17 @@ impl<C: Backend> ShardedDevice<C> {
         let Some((last, last_idxs)) = split.pop() else {
             return Vec::new();
         };
-        let run = &run;
-        let outcomes = std::thread::scope(|scope| {
-            let workers: Vec<_> = split
+        for (s, idxs) in &split {
+            self.mailbox(*s).post(job(idxs));
+        }
+        let answer = job(&last_idxs).run(&*self.shards[last], self.preferred);
+        let mut outcomes = Vec::with_capacity(split.len() + 1);
+        outcomes.extend(
+            split
                 .into_iter()
-                .map(|(s, idxs)| {
-                    scope.spawn(move || {
-                        let result = run(s, &idxs);
-                        (idxs, result)
-                    })
-                })
-                .collect();
-            let result = run(last, &last_idxs);
-            let mut outcomes: Vec<_> = workers
-                .into_iter()
-                // A panic in one shard's protocol code fails that sub-batch
-                // (its positions die with the worker; a failed outcome
-                // carries none) instead of unwinding through the caller.
-                .map(|worker| {
-                    worker.join().unwrap_or_else(|_| {
-                        let panicked = std::io::Error::other("shard worker panicked");
-                        (Vec::new(), Err(DeviceError::Io(panicked)))
-                    })
-                })
-                .collect();
-            outcomes.push((last_idxs, result));
-            outcomes
-        });
+                .map(|(s, idxs)| (idxs, self.mailbox(s).answer())),
+        );
+        outcomes.push((last_idxs, answer));
         drop(held);
         outcomes
     }
@@ -453,7 +586,7 @@ fn short_read() -> DeviceError {
     ))
 }
 
-impl<C: Backend> BlockDevice for ShardedDevice<C> {
+impl<C: Backend + 'static> BlockDevice for ShardedDevice<C> {
     fn num_blocks(&self) -> u64 {
         self.num_blocks
     }
@@ -476,11 +609,8 @@ impl<C: Backend> BlockDevice for ShardedDevice<C> {
             return Ok(Vec::new());
         }
         let split = self.split_by_shard(ks.iter().copied());
-        let outcomes = self.fan_out(split, |s, idxs| {
-            let sub: Vec<BlockIndex> = idxs.iter().map(|&i| ks[i]).collect();
-            self.on_shard(s, |backend, origin| {
-                protocol::read_many(backend, origin, &sub)
-            })
+        let outcomes = self.fan_out(split, |idxs| {
+            Job::Read(idxs.iter().map(|&i| ks[i]).collect())
         });
         let mut stitched: Vec<Option<BlockData>> = vec![None; ks.len()];
         let mut first_err = None;
@@ -512,13 +642,9 @@ impl<C: Backend> BlockDevice for ShardedDevice<C> {
             return Ok(());
         }
         let split = self.split_by_shard(writes.iter().map(|&(k, _)| k));
-        let outcomes = self.fan_out(split, |s, idxs| {
-            // Block payloads are refcounted; the sub-batch clone is cheap.
-            let sub: Vec<(BlockIndex, BlockData)> =
-                idxs.iter().map(|&i| writes[i].clone()).collect();
-            self.on_shard(s, |backend, origin| {
-                protocol::write_many(backend, origin, &sub)
-            })
+        // Block payloads are refcounted; the sub-batch clone is cheap.
+        let outcomes = self.fan_out(split, |idxs| {
+            Job::Write(idxs.iter().map(|&i| writes[i].clone()).collect())
         });
         // Healthy shards have already committed; report the first failed
         // sub-batch (ascending shard order) without undoing the others.
@@ -596,6 +722,9 @@ mod tests {
     use crate::ClusterOptions;
     use blockrep_types::{VersionNumber, VersionVector};
     use std::collections::BTreeSet;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::thread::ThreadId;
+    use std::time::Duration;
 
     fn spec(scheme: Scheme, shards: usize) -> ShardSpec {
         ShardSpec {
@@ -679,21 +808,54 @@ mod tests {
 
     #[test]
     fn fan_out_runs_the_last_shard_on_the_calling_thread() {
-        let dev = ShardedDevice::deterministic(&spec(Scheme::Voting, 4), ClusterOptions::default())
-            .unwrap();
+        let spec = spec(Scheme::NaiveAvailableCopy, 4);
+        let disks: Vec<_> = (0..4).map(|_| DiskDouble::new(&spec, false)).collect();
+        let dev = ShardedDevice::new(disks.clone(), spec.manifest().unwrap(), SiteId::new(0));
         let here = std::thread::current().id();
-        let ran_on = |shards: &[usize]| -> Vec<bool> {
+        // The thread each touched shard's sub-batch ran on, in shard order.
+        let ran_on = |shards: &[usize]| -> Vec<ThreadId> {
             let split = shards.iter().map(|&s| (s, vec![s])).collect();
-            dev.fan_out(split, |_, _| Ok(std::thread::current().id() == here))
+            let outcomes = dev.fan_out(split, |_| Job::Read(vec![BlockIndex::new(0)]));
+            let positions: Vec<Vec<usize>> = outcomes
                 .into_iter()
-                .map(|(_, on_caller)| on_caller.unwrap())
+                .map(|(idxs, answer)| {
+                    assert_eq!(answer.unwrap().len(), 1);
+                    idxs
+                })
+                .collect();
+            assert_eq!(
+                positions,
+                shards.iter().map(|&s| vec![s]).collect::<Vec<_>>()
+            );
+            shards
+                .iter()
+                .map(|&s| disks[s].readers.lock().pop().unwrap())
                 .collect()
         };
-        assert_eq!(ran_on(&[]), Vec::<bool>::new());
-        // One touched shard: no thread at all.
-        assert_eq!(ran_on(&[2]), [true]);
-        // Several: results stay in ascending shard order, only the last is ours.
-        assert_eq!(ran_on(&[0, 1, 3]), [false, false, true]);
+        assert!(ran_on(&[]).is_empty());
+        // One touched shard: the caller serves it.
+        assert_eq!(ran_on(&[2]), [here]);
+        assert_eq!(ran_on(&[3]), [here]);
+        // Several: the last is the caller's, and every other one runs on its
+        // shard's own worker — the same thread, batch after batch.
+        let mut worker_of: [Option<ThreadId>; 3] = [None; 3];
+        let sets: [&[usize]; 4] = [&[0, 1, 3], &[0, 2], &[1, 2, 3], &[0, 1, 2, 3]];
+        for batch in 0..100 {
+            let shards = sets[batch % sets.len()];
+            let threads = ran_on(shards);
+            let (&last, others) = threads.split_last().unwrap();
+            assert_eq!(last, here, "batch {batch}");
+            for (&s, &t) in shards.iter().zip(others) {
+                assert_ne!(t, here, "batch {batch}: shard {s} ran on the caller");
+                assert_eq!(
+                    *worker_of[s].get_or_insert(t),
+                    t,
+                    "batch {batch}: shard {s}"
+                );
+            }
+        }
+        let workers: std::collections::HashSet<_> = worker_of.iter().flatten().collect();
+        assert_eq!(workers.len(), 3, "one worker per shard, none shared");
     }
 
     #[test]
@@ -767,22 +929,50 @@ mod tests {
         assert_eq!(dev.read_block(k).unwrap().as_slice(), &[7; 8]);
     }
 
-    /// A naive-available-copy shard whose local disk either reads zeros or
-    /// panics. Only the methods a vectored NAC read reaches are live.
-    struct PanickyDisk {
+    /// A naive-available-copy shard whose local disk reads zeros, noting the
+    /// thread of every read, or panics while its switch is on. Only the
+    /// methods a vectored NAC read reaches are live.
+    struct DiskDouble {
         coord: Coordinator,
-        panics: bool,
+        panics: AtomicBool,
+        readers: Mutex<Vec<ThreadId>>,
     }
 
-    impl Backend for PanickyDisk {
+    impl DiskDouble {
+        fn new(spec: &ShardSpec, panics: bool) -> Arc<DiskDouble> {
+            Arc::new(DiskDouble {
+                coord: Coordinator::new(spec.shard_config().unwrap(), DeliveryMode::default()),
+                panics: AtomicBool::new(panics),
+                readers: Mutex::new(Vec::new()),
+            })
+        }
+    }
+
+    impl Backend for DiskDouble {
         fn coordinator(&self) -> &Coordinator {
             &self.coord
         }
+        fn read_local_many(&self, _: SiteId, ks: &[BlockIndex]) -> DeviceResult<Vec<BlockData>> {
+            assert!(
+                !self.panics.load(Ordering::SeqCst),
+                "disk double: sub-batch read panics"
+            );
+            self.readers.lock().push(std::thread::current().id());
+            Ok(vec![
+                BlockData::zeroed(self.coord.cfg.block_size());
+                ks.len()
+            ])
+        }
         fn read_local(&self, _: SiteId, _: BlockIndex) -> DeviceResult<BlockData> {
-            assert!(!self.panics, "disk double: sub-batch read panics");
-            Ok(BlockData::zeroed(self.coord.cfg.block_size()))
+            unreachable!()
         }
         fn vote(&self, _: SiteId, _: SiteId, _: BlockIndex) -> Option<VersionNumber> {
+            unreachable!()
+        }
+        fn vote_many(&self, _: SiteId, _: SiteId, _: &[BlockIndex]) -> Option<Vec<VersionNumber>> {
+            unreachable!()
+        }
+        fn apply_write_many(&self, _: SiteId, _: SiteId, _: &crate::backend::WriteBatch) -> bool {
             unreachable!()
         }
         fn fetch_block(
@@ -846,22 +1036,41 @@ mod tests {
     fn a_panicking_shard_worker_fails_the_batch_with_a_typed_error() {
         let spec = spec(Scheme::NaiveAvailableCopy, 2);
         // Shard 0 is a fan-out worker (the last shard runs on the caller).
-        let shards = [true, false]
-            .map(|panics| {
-                Arc::new(PanickyDisk {
-                    coord: Coordinator::new(spec.shard_config().unwrap(), DeliveryMode::default()),
-                    panics,
-                })
-            })
-            .to_vec();
-        let dev = ShardedDevice::new(shards, spec.manifest().unwrap(), SiteId::new(0));
+        let disks = vec![DiskDouble::new(&spec, true), DiskDouble::new(&spec, false)];
+        let dev = ShardedDevice::new(disks.clone(), spec.manifest().unwrap(), SiteId::new(0));
         let ks: Vec<BlockIndex> = (0..64).map(BlockIndex::new).collect();
         assert!(ks.iter().any(|&k| dev.shard_of(k) == 0));
         assert!(ks.iter().any(|&k| dev.shard_of(k) == 1));
         let err = dev.read_blocks(&ks).unwrap_err();
         assert!(matches!(err, DeviceError::Io(_)), "{err}");
         // The healthy shard alone still answers.
-        let healthy: Vec<BlockIndex> = ks.into_iter().filter(|&k| dev.shard_of(k) == 1).collect();
+        let healthy: Vec<BlockIndex> = ks
+            .iter()
+            .copied()
+            .filter(|&k| dev.shard_of(k) == 1)
+            .collect();
         assert_eq!(dev.read_blocks(&healthy).unwrap().len(), healthy.len());
+        // The panic did not take the worker down: with the disk mended, the
+        // panicking shard answers the next batch.
+        disks[0].panics.store(false, Ordering::SeqCst);
+        assert_eq!(dev.read_blocks(&ks).unwrap().len(), ks.len());
+        // A panic on the shard the caller runs fails the batch the same
+        // way, after the worker's sub-batch has come back.
+        disks[1].panics.store(true, Ordering::SeqCst);
+        let err = dev.read_blocks(&ks).unwrap_err();
+        assert!(matches!(err, DeviceError::Io(_)), "{err}");
+        disks[1].panics.store(false, Ordering::SeqCst);
+        assert_eq!(dev.read_blocks(&ks).unwrap().len(), ks.len());
+        // And dropping the device stops and joins its worker.
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let dropper = std::thread::spawn(move || {
+            drop(dev);
+            let _ = done_tx.send(());
+        });
+        assert!(
+            done_rx.recv_timeout(Duration::from_secs(5)).is_ok(),
+            "dropping the device hung"
+        );
+        dropper.join().unwrap();
     }
 }

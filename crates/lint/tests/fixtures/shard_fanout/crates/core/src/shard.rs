@@ -8,14 +8,14 @@
 
 impl ShardedDevice {
     fn fan_out_descending(&self, split: Vec<(usize, Vec<usize>)>) {
-        let mut launched = Vec::new();
+        let mut posted = Vec::new();
         for (s, idxs) in split.into_iter().rev() {
-            debug_assert!(launched.last().is_none_or(|&(prev, _, _)| prev > s));
+            debug_assert!(posted.last().is_none_or(|&(prev, _)| prev > s));
             let gate = self.gates[s].lock();
-            let handle = self.launch(s, idxs);
-            launched.push((s, gate, handle));
+            self.workers[s].mailbox.post(idxs);
+            posted.push((s, gate));
         }
-        drop(launched);
+        drop(posted);
     }
 
     fn fan_out(&self, mut split: Vec<(usize, Vec<usize>)>) {
@@ -26,9 +26,11 @@ impl ShardedDevice {
             held.push((s, gate));
         }
         let last = split.pop();
-        let workers = self.launch_all(split);
+        for (s, idxs) in &split {
+            self.workers[*s].mailbox.post(idxs);
+        }
         self.run_here(last);
-        self.join_all(workers);
+        self.collect_answers(split);
         drop(held);
     }
 }
