@@ -1,7 +1,8 @@
 //! The data behind the paper's evaluation figures 9–12.
 //!
-//! Each function returns the figure's curves as [`Series`]; the bench
-//! binaries in `blockrep-bench` render them and compare against simulation.
+//! Each function returns the figure's curves as [`Series`]; `blockrep fig
+//! <n>` (`crates/cli/src/report.rs`) renders them and compares against
+//! simulation.
 
 use crate::sweep::{grid, Series};
 use crate::traffic::{costs, NetModel};

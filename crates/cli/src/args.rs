@@ -172,6 +172,26 @@ impl Parsed {
     }
 }
 
+/// Checks that flag `--key`'s value is above zero: a count, size, rate or
+/// duration of zero (or, for a float, a negative or NaN) is a usage error,
+/// not a panic deep inside an experiment.
+///
+/// # Errors
+///
+/// [`UsageError`] when `value` is not greater than zero.
+pub fn positive<T: PartialOrd + Default + fmt::Display>(
+    key: &str,
+    value: T,
+) -> Result<T, UsageError> {
+    if value > T::default() {
+        Ok(value)
+    } else {
+        Err(UsageError(format!(
+            "--{key}: must be positive, got {value}"
+        )))
+    }
+}
+
 /// Parses a scheme name, with short aliases.
 ///
 /// # Errors

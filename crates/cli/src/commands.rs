@@ -1,7 +1,9 @@
 //! Subcommand dispatch for the `blockrep` binary.
 
-use crate::args::{Parsed, UsageError};
+use crate::args::{positive, Parsed, UsageError};
+use crate::report;
 use crate::shell::{self, ShellConfig};
+use crate::trace_case::{self, TraceConfig, TraceIoMode, TraceRuntime};
 use blockrep_core::simulate::availability::{estimate, AvailabilityConfig};
 use blockrep_core::simulate::lifetimes::{measure as measure_lifetimes, LifetimeConfig};
 use blockrep_core::simulate::traffic::{measure as measure_traffic, TrafficConfig};
@@ -13,7 +15,7 @@ pub const USAGE: &str =
     "blockrep — reliable replicated block devices (Carroll, Long & Pâris, ICDCS 1987)
 
 usage:
-  blockrep tables                          equation tables E1–E6
+  blockrep tables                          equation tables E1–E8
   blockrep fig <9|10|11|12>                regenerate an evaluation figure
   blockrep simulate availability [flags]   measure availability by DES
       --scheme S --sites N --rho R --horizon T --seed X
@@ -101,7 +103,7 @@ fn dispatch(parsed: &Parsed) -> Result<(), UsageError> {
             Ok(())
         }
         Some("tables") => {
-            blockrep_bench::report::tables();
+            report::tables();
             Ok(())
         }
         Some("fig") => run_fig(parsed),
@@ -118,13 +120,13 @@ fn dispatch(parsed: &Parsed) -> Result<(), UsageError> {
 }
 
 fn run_fig(parsed: &Parsed) -> Result<(), UsageError> {
-    let horizon = parsed.flag_f64("horizon", 100_000.0)?;
-    let ops = parsed.flag_u64("ops", 30_000)?;
+    let horizon = positive("horizon", parsed.flag_f64("horizon", 100_000.0)?)?;
+    let ops = positive("ops", parsed.flag_u64("ops", 30_000)?)?;
     match parsed.positional(1) {
-        Some("9") => blockrep_bench::report::fig09(horizon),
-        Some("10") => blockrep_bench::report::fig10(horizon),
-        Some("11") => blockrep_bench::report::fig11(ops),
-        Some("12") => blockrep_bench::report::fig12(ops),
+        Some("9") => report::fig09(horizon),
+        Some("10") => report::fig10(horizon),
+        Some("11") => report::fig11(ops),
+        Some("12") => report::fig12(ops),
         other => {
             return Err(UsageError(format!(
                 "usage: blockrep fig <9|10|11|12> (got {other:?})"
@@ -136,12 +138,13 @@ fn run_fig(parsed: &Parsed) -> Result<(), UsageError> {
 
 fn run_simulate(parsed: &Parsed) -> Result<(), UsageError> {
     let scheme = parsed.flag_scheme("scheme", Scheme::NaiveAvailableCopy)?;
-    let sites = parsed.flag_usize("sites", 3)?;
-    let rho = parsed.flag_f64("rho", 0.05)?;
+    // Every experiment below needs a site and a failure process.
+    let sites = positive("sites", parsed.flag_usize("sites", 3)?)?;
+    let rho = positive("rho", parsed.flag_f64("rho", 0.05)?)?;
     match parsed.positional(1) {
         Some("availability") => {
             let mut cfg = AvailabilityConfig::new(scheme, sites, rho);
-            cfg.horizon = parsed.flag_f64("horizon", 100_000.0)?;
+            cfg.horizon = positive("horizon", parsed.flag_f64("horizon", 100_000.0)?)?;
             cfg.seed = parsed.flag_u64("seed", cfg.seed)?;
             let est = estimate(&cfg);
             println!("scheme {scheme}, n = {sites}, rho = {rho}");
@@ -159,7 +162,7 @@ fn run_simulate(parsed: &Parsed) -> Result<(), UsageError> {
             let mode = parsed.flag_mode("net", DeliveryMode::Multicast)?;
             let mut cfg = TrafficConfig::new(scheme, sites, mode);
             cfg.rho = rho;
-            cfg.ops = parsed.flag_u64("ops", cfg.ops)?;
+            cfg.ops = positive("ops", parsed.flag_u64("ops", cfg.ops)?)?;
             cfg.reads_per_write = parsed.flag_f64("ratio", cfg.reads_per_write)?;
             cfg.seed = parsed.flag_u64("seed", cfg.seed)?;
             let est = measure_traffic(&cfg);
@@ -189,7 +192,13 @@ fn run_simulate(parsed: &Parsed) -> Result<(), UsageError> {
         }
         Some("lifetimes") => {
             let mut cfg = LifetimeConfig::new(scheme, sites, rho);
-            cfg.episodes = parsed.flag_u64("episodes", cfg.episodes as u64)? as u32;
+            let episodes = positive(
+                "episodes",
+                parsed.flag_u64("episodes", cfg.episodes.into())?,
+            )?;
+            cfg.episodes = u32::try_from(episodes).map_err(|_| {
+                UsageError(format!("--episodes: at most {}, got {episodes}", u32::MAX))
+            })?;
             cfg.seed = parsed.flag_u64("seed", cfg.seed)?;
             let mut est = measure_lifetimes(&cfg);
             println!(
@@ -332,20 +341,19 @@ fn run_bench() -> Result<(), UsageError> {
 }
 
 fn run_trace(parsed: &Parsed) -> Result<(), UsageError> {
-    use blockrep_bench::trace_bench::{self, BenchRuntime, TraceBenchConfig, TraceIoMode};
     if let Some(path) = parsed.flag("check") {
         let text =
             std::fs::read_to_string(path).map_err(|e| UsageError(format!("trace: {path}: {e}")))?;
-        trace_bench::validate_chrome_trace(&text)
+        blockrep_obs::trace::validate_chrome_trace(&text)
             .map_err(|e| UsageError(format!("trace: {path}: invalid trace: {e}")))?;
         println!("{path}: valid Chrome trace-event JSON");
         return Ok(());
     }
     let scheme = parsed.flag_scheme("scheme", Scheme::Voting)?;
     let runtime = match parsed.flag("runtime") {
-        None | Some("tcp") => BenchRuntime::Tcp,
-        Some("live") => BenchRuntime::Live,
-        Some("deterministic") | Some("det") => BenchRuntime::Deterministic,
+        None | Some("tcp") => TraceRuntime::Tcp,
+        Some("live") => TraceRuntime::Live,
+        Some("deterministic") | Some("det") => TraceRuntime::Deterministic,
         Some(other) => {
             return Err(UsageError(format!(
                 "--runtime: expected deterministic, live or tcp, got {other:?}"
@@ -361,12 +369,14 @@ fn run_trace(parsed: &Parsed) -> Result<(), UsageError> {
             )))
         }
     };
-    let mut cfg = TraceBenchConfig::new();
-    cfg.sites = parsed.flag_usize("sites", cfg.sites)?;
-    cfg.blocks = parsed.flag_u64("blocks", cfg.blocks)?;
-    cfg.block_size = parsed.flag_usize("block-size", cfg.block_size)?;
-    cfg.mode = parsed.flag_mode("net", cfg.mode)?;
-    cfg.link_latency_us = parsed.flag_u64("latency-us", cfg.link_latency_us)?;
+    let default = TraceConfig::default();
+    let cfg = TraceConfig {
+        sites: parsed.flag_usize("sites", default.sites)?,
+        blocks: parsed.flag_u64("blocks", default.blocks)?,
+        block_size: parsed.flag_usize("block-size", default.block_size)?,
+        mode: parsed.flag_mode("net", default.mode)?,
+        link_latency_us: parsed.flag_u64("latency-us", default.link_latency_us)?,
+    };
     println!(
         "trace: scheme {scheme}, runtime {}, io {}, n = {}, {} blocks x {} B, {}, link delay {} us",
         runtime.label(),
@@ -377,7 +387,8 @@ fn run_trace(parsed: &Parsed) -> Result<(), UsageError> {
         cfg.mode,
         cfg.link_latency_us
     );
-    let (records, case) = trace_bench::capture(&cfg, runtime, scheme, io);
+    let (records, case) = trace_case::capture(&cfg, runtime, scheme, io)
+        .map_err(|e| UsageError(format!("trace: {e}")))?;
     println!(
         "{} op(s), {:.3} ms op time, {} spans, {:.1}% attributed to phases",
         case.ops,
@@ -399,7 +410,7 @@ fn run_trace(parsed: &Parsed) -> Result<(), UsageError> {
     }
     let json = blockrep_obs::trace::chrome_trace_json(&records);
     // Never emit a dump the --check path (or the Chrome viewer) rejects.
-    trace_bench::validate_chrome_trace(&json)
+    blockrep_obs::trace::validate_chrome_trace(&json)
         .map_err(|e| UsageError(format!("trace: emitted dump invalid: {e}")))?;
     match parsed.flag("out") {
         Some(path) => {
@@ -584,6 +595,44 @@ mod tests {
         assert!(run(&parsed(&["frobnicate"])).is_err());
         assert!(run(&parsed(&["fig", "13"])).is_err());
         assert!(run(&parsed(&["simulate", "everything"])).is_err());
+    }
+
+    #[test]
+    fn out_of_range_numeric_flags_are_usage_errors() {
+        let cases: &[&[&str]] = &[
+            &["trace", "--sites", "0"],
+            &["trace", "--blocks", "0"],
+            &["trace", "--block-size", "0"],
+            &["fig", "9", "--horizon", "0"],
+            &["fig", "10", "--horizon", "0"],
+            &["fig", "10", "--horizon", "NaN"],
+            &["fig", "11", "--ops", "0"],
+            &["fig", "12", "--ops", "0"],
+            &["simulate", "availability", "--horizon", "0"],
+            &["simulate", "availability", "--sites", "0"],
+            &["simulate", "traffic", "--ops", "0"],
+            &["simulate", "traffic", "--rho", "0"],
+            &["simulate", "traffic", "--rho", "-0.1"],
+            &["simulate", "lifetimes", "--episodes", "0"],
+            &["simulate", "lifetimes", "--episodes", "4294967296"],
+        ];
+        for args in cases {
+            assert!(run(&parsed(args)).is_err(), "{args:?} must be rejected");
+        }
+    }
+
+    #[test]
+    fn figure_and_table_regenerators_run_small() {
+        let cases: &[&[&str]] = &[
+            &["tables"],
+            &["fig", "9", "--horizon", "200"],
+            &["fig", "10", "--horizon", "200"],
+            &["fig", "11", "--ops", "200"],
+            &["fig", "12", "--ops", "200"],
+        ];
+        for args in cases {
+            assert!(run(&parsed(args)).is_ok(), "{args:?}");
+        }
     }
 
     #[test]
@@ -812,7 +861,7 @@ mod tests {
             &path_str,
         ]))?;
         let dump = std::fs::read_to_string(&path)?;
-        blockrep_bench::trace_bench::validate_chrome_trace(&dump)
+        blockrep_obs::trace::validate_chrome_trace(&dump)
             .map_err(|e| UsageError(format!("chaos dump invalid: {e}")))?;
         std::fs::remove_file(path)?;
         Ok(())

@@ -2,7 +2,7 @@
 //!
 //! Subcommands:
 //!
-//! * `blockrep tables` — the paper's equation-level tables E1–E6.
+//! * `blockrep tables` — the paper's equation-level tables E1–E8.
 //! * `blockrep fig <9|10|11|12>` — regenerate an evaluation figure
 //!   (analytic + measured).
 //! * `blockrep simulate availability|traffic|lifetimes [flags]` —
@@ -11,8 +11,8 @@
 //!   crash, partition, and audit from a prompt.
 //! * `blockrep chaos [flags]` — seeded fault-injection with schedule
 //!   shrinking over all three runtimes.
-//! * `blockrep bench [--suite S] [flags]` — throughput/latency suites with
-//!   JSON reports; `blockrep trace` for per-phase latency attribution.
+//! * `blockrep trace [flags]` — one traced workload with its per-phase
+//!   latency attribution and a Chrome trace-event dump.
 //! * `blockrep mkfs` / `blockrep fsck` — format and check file-backed
 //!   device images (with WAL replay under `--journal`).
 //! * `blockrep lint [--deny]` — the [`blockrep_lint`] static analyzer over
@@ -28,4 +28,6 @@
 
 pub mod args;
 pub mod commands;
+mod report;
 pub mod shell;
+mod trace_case;

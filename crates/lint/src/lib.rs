@@ -8,7 +8,7 @@
 //! space. This crate machine-checks them. It hand-rolls a small Rust
 //! lexer and a brace-matched item scanner (no `syn`, no proc-macros — the
 //! registry is vendored stubs, same spirit as the hand-rolled JSON reader
-//! under `blockrep_bench::trace_bench::validate_chrome_trace`), builds a per-function token model with an
+//! under `blockrep_obs::trace::validate_chrome_trace`), builds a per-function token model with an
 //! approximate same-file call graph, and runs four passes over it:
 //!
 //! | pass           | invariant                                             |

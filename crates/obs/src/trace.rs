@@ -490,6 +490,293 @@ pub fn chrome_trace_json(records: &[SpanRecord]) -> String {
     out
 }
 
+/// Validates a Chrome trace-event JSON dump (the output of
+/// [`chrome_trace_json`], as `blockrep trace --out` and the chaos runner's
+/// flight recorder write it): a `traceEvents` array of complete events,
+/// each with the fields the trace viewer requires and the causal args the
+/// tracer always writes. Reads the text with the minimal JSON reader below
+/// (the workspace has no JSON dependency).
+///
+/// # Errors
+///
+/// The first structural problem found.
+pub fn validate_chrome_trace(text: &str) -> Result<(), String> {
+    let doc = parse_json(text)?;
+    let events = doc
+        .get("traceEvents")
+        .and_then(JsonValue::as_array)
+        .ok_or("missing \"traceEvents\" array")?;
+    doc.get("displayTimeUnit")
+        .and_then(JsonValue::as_str)
+        .ok_or("missing string field \"displayTimeUnit\"")?;
+    for (i, e) in events.iter().enumerate() {
+        for key in ["name", "cat", "ph"] {
+            e.get(key)
+                .and_then(JsonValue::as_str)
+                .ok_or(format!("traceEvents[{i}]: missing string field {key:?}"))?;
+        }
+        if e.get("ph").and_then(JsonValue::as_str) != Some("X") {
+            return Err(format!("traceEvents[{i}].ph is not \"X\""));
+        }
+        for key in ["ts", "dur", "pid", "tid"] {
+            e.get(key)
+                .and_then(JsonValue::as_f64)
+                .ok_or(format!("traceEvents[{i}]: missing numeric field {key:?}"))?;
+        }
+        let args = e
+            .get("args")
+            .ok_or(format!("traceEvents[{i}]: missing \"args\""))?;
+        for key in ["trace", "span", "parent"] {
+            let id = args
+                .get(key)
+                .and_then(JsonValue::as_str)
+                .ok_or(format!("traceEvents[{i}].args: missing {key:?}"))?;
+            id.parse::<u64>()
+                .map_err(|_| format!("traceEvents[{i}].args.{key} is not a u64 string"))?;
+        }
+    }
+    Ok(())
+}
+
+/// A parsed JSON value.
+#[derive(Debug, Clone, PartialEq)]
+enum JsonValue {
+    Null,
+    Bool(bool),
+    /// Any number, parsed as `f64`.
+    Number(f64),
+    /// A string, escapes decoded.
+    String(String),
+    Array(Vec<JsonValue>),
+    /// An object, in source order.
+    Object(Vec<(String, JsonValue)>),
+}
+
+impl JsonValue {
+    /// Looks up `key` in an object.
+    fn get(&self, key: &str) -> Option<&JsonValue> {
+        match self {
+            JsonValue::Object(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    fn as_str(&self) -> Option<&str> {
+        match self {
+            JsonValue::String(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    fn as_f64(&self) -> Option<f64> {
+        match self {
+            JsonValue::Number(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    fn as_array(&self) -> Option<&[JsonValue]> {
+        match self {
+            JsonValue::Array(items) => Some(items),
+            _ => None,
+        }
+    }
+}
+
+struct JsonParser<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl JsonParser<'_> {
+    fn skip_ws(&mut self) {
+        while self
+            .bytes
+            .get(self.pos)
+            .is_some_and(|b| b.is_ascii_whitespace())
+        {
+            self.pos += 1;
+        }
+    }
+
+    fn peek(&self) -> Option<u8> {
+        self.bytes.get(self.pos).copied()
+    }
+
+    fn expect(&mut self, b: u8) -> Result<(), String> {
+        if self.peek() == Some(b) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(format!(
+                "expected {:?} at byte {}, found {:?}",
+                b as char,
+                self.pos,
+                self.peek().map(|b| b as char)
+            ))
+        }
+    }
+
+    fn value(&mut self) -> Result<JsonValue, String> {
+        self.skip_ws();
+        match self.peek() {
+            Some(b'{') => self.object(),
+            Some(b'[') => self.array(),
+            Some(b'"') => Ok(JsonValue::String(self.string()?)),
+            Some(b't') => self.literal("true", JsonValue::Bool(true)),
+            Some(b'f') => self.literal("false", JsonValue::Bool(false)),
+            Some(b'n') => self.literal("null", JsonValue::Null),
+            Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
+            other => Err(format!(
+                "unexpected {:?} at byte {}",
+                other.map(|b| b as char),
+                self.pos
+            )),
+        }
+    }
+
+    fn literal(&mut self, text: &str, value: JsonValue) -> Result<JsonValue, String> {
+        if self.bytes[self.pos..].starts_with(text.as_bytes()) {
+            self.pos += text.len();
+            Ok(value)
+        } else {
+            Err(format!("bad literal at byte {}", self.pos))
+        }
+    }
+
+    fn number(&mut self) -> Result<JsonValue, String> {
+        let start = self.pos;
+        while self
+            .peek()
+            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
+        {
+            self.pos += 1;
+        }
+        let text = std::str::from_utf8(&self.bytes[start..self.pos])
+            .map_err(|_| "non-utf8 number".to_string())?;
+        text.parse::<f64>()
+            .map(JsonValue::Number)
+            .map_err(|_| format!("bad number {text:?} at byte {start}"))
+    }
+
+    fn string(&mut self) -> Result<String, String> {
+        self.expect(b'"')?;
+        let mut out = String::new();
+        loop {
+            match self.peek() {
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(out);
+                }
+                Some(b'\\') => {
+                    self.pos += 1;
+                    match self.peek() {
+                        Some(b'"') => out.push('"'),
+                        Some(b'\\') => out.push('\\'),
+                        Some(b'/') => out.push('/'),
+                        Some(b'n') => out.push('\n'),
+                        Some(b't') => out.push('\t'),
+                        Some(b'r') => out.push('\r'),
+                        other => {
+                            return Err(format!(
+                                "unsupported escape {:?} at byte {}",
+                                other.map(|b| b as char),
+                                self.pos
+                            ))
+                        }
+                    }
+                    self.pos += 1;
+                }
+                Some(_) => {
+                    // Copy one UTF-8 scalar verbatim.
+                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                        .map_err(|_| "non-utf8 string".to_string())?;
+                    let c = rest.chars().next().ok_or("truncated string")?;
+                    out.push(c);
+                    self.pos += c.len_utf8();
+                }
+                None => return Err("unterminated string".into()),
+            }
+        }
+    }
+
+    fn array(&mut self) -> Result<JsonValue, String> {
+        self.expect(b'[')?;
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(JsonValue::Array(items));
+        }
+        loop {
+            items.push(self.value()?);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(JsonValue::Array(items));
+                }
+                other => {
+                    return Err(format!(
+                        "expected ',' or ']' at byte {}, found {:?}",
+                        self.pos,
+                        other.map(|b| b as char)
+                    ))
+                }
+            }
+        }
+    }
+
+    fn object(&mut self) -> Result<JsonValue, String> {
+        self.expect(b'{')?;
+        let mut fields = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(JsonValue::Object(fields));
+        }
+        loop {
+            self.skip_ws();
+            let key = self.string()?;
+            self.skip_ws();
+            self.expect(b':')?;
+            let value = self.value()?;
+            fields.push((key, value));
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(JsonValue::Object(fields));
+                }
+                other => {
+                    return Err(format!(
+                        "expected ',' or '}}' at byte {}, found {:?}",
+                        self.pos,
+                        other.map(|b| b as char)
+                    ))
+                }
+            }
+        }
+    }
+}
+
+/// Parses a JSON document; errors carry the byte offset of the first
+/// syntax error.
+fn parse_json(text: &str) -> Result<JsonValue, String> {
+    let mut p = JsonParser {
+        bytes: text.as_bytes(),
+        pos: 0,
+    };
+    let v = p.value()?;
+    p.skip_ws();
+    if p.pos != p.bytes.len() {
+        return Err(format!("trailing garbage at byte {}", p.pos));
+    }
+    Ok(v)
+}
+
 /// Aggregate of one phase across a set of records.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhaseStat {
@@ -790,6 +1077,41 @@ mod tests {
         let table = attribution_table(&records);
         assert!(table.contains("t.json.op"));
         assert!(table.contains("% attributed"));
+    }
+
+    #[test]
+    fn chrome_trace_validator_accepts_tracer_output_and_rejects_damage() {
+        let records = [SpanRecord {
+            trace_id: 7,
+            span_id: 8,
+            parent: 0,
+            phase: phase_id("t.validate.op"),
+            site: 0,
+            start_ns: 1_500,
+            dur_ns: 2_000,
+        }];
+        let good = chrome_trace_json(&records);
+        validate_chrome_trace(&good).unwrap();
+        assert!(validate_chrome_trace(&good.replace("\"ph\":\"X\"", "\"ph\":\"B\"")).is_err());
+        assert!(validate_chrome_trace(&good.replace("traceEvents", "events")).is_err());
+        assert!(validate_chrome_trace("not json").is_err());
+        assert!(validate_chrome_trace(&format!("{good} trailing")).is_err());
+    }
+
+    #[test]
+    fn json_reader_handles_escapes_and_nesting() {
+        let v = parse_json(r#"{"a": [1, -2.5e1, "x\"y\n"], "b": {"c": null, "d": true}}"#).unwrap();
+        assert_eq!(
+            v.get("a").unwrap().as_array().unwrap()[1],
+            JsonValue::Number(-25.0)
+        );
+        assert_eq!(
+            v.get("a").unwrap().as_array().unwrap()[2],
+            JsonValue::String("x\"y\n".into())
+        );
+        assert_eq!(v.get("b").unwrap().get("c"), Some(&JsonValue::Null));
+        assert!(parse_json(r#"{"a": }"#).is_err());
+        assert!(parse_json(r#"[1, 2"#).is_err());
     }
 
     #[test]

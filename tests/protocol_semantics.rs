@@ -2,6 +2,7 @@
 //! behaviour, lazy voting recovery, was-available sets and closures, naive
 //! recovery, and partition behaviour.
 
+use blockrep::core::backend::Backend;
 use blockrep::core::{Cluster, ClusterOptions};
 use blockrep::net::{DeliveryMode, MsgKind, OpClass};
 use blockrep::types::{
@@ -234,6 +235,21 @@ fn recovered_site_catches_up_only_modified_blocks() {
     c.fail_site(s(2));
     c.write(s(0), blk(3), fill(0xAA)).unwrap();
     c.write(s(0), blk(5), fill(0xBB)).unwrap();
+    // The repair exchange of Figure 5: site 2 sends the version vector on
+    // its disk, and the source answers with exactly the blocks that vector
+    // lacks — here the two written while site 2 was down, not the device.
+    // (Asked of the source locally: a failed site reaches no one yet.)
+    let stale = Backend::version_vector(&c, s(2), s(2)).unwrap();
+    let (_, payload) = Backend::repair_payload(&c, s(0), s(0), &stale).unwrap();
+    let repaired: Vec<_> = payload
+        .iter()
+        .map(|(k, v, d)| (*k, v.as_u64(), d.clone()))
+        .collect();
+    assert_eq!(
+        repaired,
+        vec![(blk(3), 2, fill(0xAA)), (blk(5), 2, fill(0xBB))],
+        "repair payload holds exactly the modified blocks"
+    );
     c.repair_site(s(2));
     // Everything current again.
     for i in 0..8 {

@@ -13,7 +13,6 @@
 use blockrep::core::chaos::{self, ChaosFailure};
 use blockrep::obs::trace;
 use blockrep::types::Scheme;
-use blockrep_bench::trace_bench::validate_chrome_trace;
 
 #[test]
 fn chaos_failure_dump_is_valid_chrome_trace_json() {
@@ -41,7 +40,7 @@ fn chaos_failure_dump_is_valid_chrome_trace_json() {
         "dumping must restore the tracing flag"
     );
 
-    validate_chrome_trace(&dump).expect("chaos dump must be valid Chrome trace JSON");
+    trace::validate_chrome_trace(&dump).expect("chaos dump must be valid Chrome trace JSON");
     // The replay actually recorded protocol work, not an empty ring.
     assert!(
         dump.contains("\"cat\":\"blockrep\""),
