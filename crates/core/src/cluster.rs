@@ -563,6 +563,33 @@ mod tests {
     }
 
     #[test]
+    fn a_recovery_waits_for_a_writer_in_flight() {
+        for scheme in [Scheme::AvailableCopy, Scheme::NaiveAvailableCopy] {
+            let c = cluster(scheme, 3);
+            let (k, v) = (BlockIndex::new(0), VersionNumber::new(1));
+            c.fail_site(sid(2));
+            // A writer coordinated at s0 holds k's shard and has installed at
+            // s1, not yet at s0 — the source a recovery of s2 copies from.
+            let writer = c.block_locks().write_guard(k);
+            c.apply_write(sid(0), sid(1), k, &block(9), v);
+            std::thread::scope(|scope| {
+                let repair = scope.spawn(|| c.repair_site(sid(2)));
+                std::thread::sleep(std::time::Duration::from_millis(50));
+                assert_ne!(
+                    c.site_state(sid(2)),
+                    SiteState::Available,
+                    "{scheme}: s2 promoted past a write in flight"
+                );
+                c.apply_write(sid(0), sid(0), k, &block(9), v);
+                drop(writer);
+                repair.join().unwrap();
+            });
+            assert_eq!(c.site_state(sid(2)), SiteState::Available, "{scheme}");
+            assert_eq!(c.read(sid(2), k).unwrap(), block(9), "{scheme}");
+        }
+    }
+
+    #[test]
     fn any_serving_site_tracks_failures() {
         let c = cluster(Scheme::AvailableCopy, 3);
         assert_eq!(c.any_serving_site(), Some(sid(0)));

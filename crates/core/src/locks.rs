@@ -21,6 +21,10 @@
 //! conn locks, and `blockrep-lint`'s lock-order pass machine-verifies both.
 //! Replica locks are only ever acquired *after* block-shard locks (and one
 //! at a time), so the global order is `block shard (ascending) → replica`.
+//! The available-copy recovery sweep takes every shard
+//! ([`write_guard_all`](BlockLockTable::write_guard_all)): a site's copy
+//! from its source and its promotion to available must not straddle a
+//! write that left the site out.
 //!
 //! # Read leases
 //!
@@ -118,6 +122,14 @@ impl BlockLockTable {
             guards.push((s, self.shards[s].write()));
         }
         guards
+    }
+
+    /// Acquires every shard for exclusive access: while the guards are held
+    /// no block operation is in flight. `from_fn` calls its closure in
+    /// index order, so the shards are taken ascending, and nothing is
+    /// allocated.
+    pub fn write_guard_all(&self) -> [RwLockWriteGuard<'_, ()>; SHARDS] {
+        std::array::from_fn(|s| self.shards[s].write())
     }
 }
 

@@ -146,6 +146,12 @@ pub(crate) fn sweep<B: Backend + ?Sized>(b: &B) {
         Scheme::AvailableCopy => false,
         Scheme::NaiveAvailableCopy => true,
     };
+    // A recovery copies from a source, then promotes. A writer that left a
+    // comatose site out of its install set must not land at the source in
+    // between, or the site comes back available without that write; with
+    // every block-lock shard held, each recovery runs wholly before or
+    // after each write.
+    let _all = b.block_locks().write_guard_all();
     loop {
         let mut progressed = false;
         for c in b.config().site_ids() {

@@ -73,6 +73,11 @@ impl Replica {
         self.id
     }
 
+    /// The disk's geometry: number of blocks and block size in bytes.
+    pub(crate) fn geometry(&self) -> (u64, usize) {
+        (self.store.num_blocks(), self.store.block_size())
+    }
+
     /// The version number this site holds for block `k` — its vote.
     pub fn version(&self, k: BlockIndex) -> VersionNumber {
         self.store.version(k)

@@ -13,6 +13,43 @@
 
 use crate::replica::Replica;
 use crate::wire::{WireRequest, WireResponse};
+use blockrep_types::{BlockData, BlockIndex, VersionNumber};
+
+/// Whether `request` fits `replica`'s disk: every block it names exists,
+/// every payload is one block long, and a version vector covers every
+/// block. The wire layer decodes a frame without knowing the geometry, so
+/// this is where a well-formed frame that names a block the site does not
+/// have is turned away, before the store's indexing would panic.
+fn fits(replica: &Replica, request: &WireRequest) -> bool {
+    let (num_blocks, block_size) = replica.geometry();
+    let block = |k: &BlockIndex| k.as_u64() < num_blocks;
+    let install = |k: &BlockIndex, data: &BlockData| block(k) && data.len() == block_size;
+    let batch = |blocks: &[(BlockIndex, VersionNumber, BlockData)]| {
+        blocks.iter().all(|(k, _, data)| install(k, data))
+    };
+    match request {
+        WireRequest::Vote(k)
+        | WireRequest::Fetch(k)
+        | WireRequest::FetchLease(k)
+        | WireRequest::ReadLocal(k) => block(k),
+        WireRequest::ApplyWrite(k, _, data) | WireRequest::ApplyWriteFaulty(k, _, data, _) => {
+            install(k, data)
+        }
+        WireRequest::ApplyWriteMany(blocks) | WireRequest::ApplyRepair(blocks) => batch(blocks),
+        WireRequest::ReadLocalMany(ks) | WireRequest::VoteMany(ks) => ks.iter().all(block),
+        WireRequest::RepairPayload(vv) => vv.len() as u64 == num_blocks,
+        // An envelope's request is checked when `serve` opens it.
+        WireRequest::Probe
+        | WireRequest::VersionVector
+        | WireRequest::Scrub
+        | WireRequest::GetW
+        | WireRequest::SetW(_)
+        | WireRequest::AddW(_)
+        | WireRequest::Traced { .. }
+        | WireRequest::Mux { .. }
+        | WireRequest::Shutdown => true,
+    }
+}
 
 /// Serves one request on `site`'s replica and returns the reply.
 ///
@@ -21,12 +58,17 @@ use crate::wire::{WireRequest, WireResponse};
 /// parented under the sender's, which is how a site's work lands in the
 /// coordinator's causal tree. `None` is "not a site request" —
 /// [`WireRequest::Mux`] and [`WireRequest::Shutdown`] are about the
-/// connection the request came in on, and stay the transport's business.
+/// connection the request came in on, and stay the transport's business —
+/// or a request that does not [fit](fits) this site's disk, which the
+/// transport treats the same way: the exchange fails, the site stays up.
 pub(crate) fn serve(
     replica: &mut Replica,
     site: u32,
     request: WireRequest,
 ) -> Option<WireResponse> {
+    if !fits(replica, &request) {
+        return None;
+    }
     Some(match request {
         WireRequest::Probe => WireResponse::Ack,
         WireRequest::Vote(k) => WireResponse::Version(replica.version(k)),
@@ -213,6 +255,42 @@ mod tests {
             };
             assert_eq!(serve(&mut replica(), 1, request), None);
             assert_eq!(serve(&mut replica(), 1, traced), None);
+        }
+    }
+
+    #[test]
+    fn a_request_that_does_not_fit_the_disk_is_turned_away_not_a_panic() {
+        let out = blk(BLOCKS);
+        let short = BlockData::from(vec![1; 7]);
+        let fault = StorageFault::Torn { keep: 3 };
+        for request in [
+            WireRequest::Vote(out),
+            WireRequest::Fetch(out),
+            WireRequest::FetchLease(out),
+            WireRequest::ReadLocal(out),
+            WireRequest::ReadLocalMany(vec![blk(0), out]),
+            WireRequest::VoteMany(vec![out]),
+            WireRequest::ApplyWrite(out, ver(1), fill(1)),
+            WireRequest::ApplyWrite(blk(0), ver(1), short.clone()),
+            WireRequest::ApplyWriteFaulty(blk(0), ver(1), short.clone(), fault),
+            WireRequest::ApplyWriteMany(vec![(blk(0), ver(1), fill(1)), (out, ver(1), fill(1))]),
+            WireRequest::ApplyRepair(vec![(blk(1), ver(1), short)]),
+            WireRequest::RepairPayload(VersionVector::new(BLOCKS + 1)),
+        ] {
+            let traced = WireRequest::Traced {
+                trace_id: 7,
+                parent_span: 9,
+                inner: Box::new(request.clone()),
+            };
+            let mut r = replica();
+            assert_eq!(serve(&mut r, 1, traced), None, "{request:?}");
+            assert_eq!(serve(&mut r, 1, request.clone()), None, "{request:?}");
+            // Nothing of a batch lands, not even its blocks that fit.
+            assert_eq!(
+                r.version_vector(),
+                VersionVector::new(BLOCKS),
+                "{request:?}"
+            );
         }
     }
 

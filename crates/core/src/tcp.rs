@@ -87,9 +87,10 @@ fn serve_conn(replica: &Mutex<Replica>, conn: TcpStream, links: &Links, site: u3
         // apply work.
         links.delay();
         // Decode rejects nested multiplexing envelopes, so "not a site
-        // request" here is a peer that is not speaking the protocol. The
-        // replica is locked per request: a coordinator at this site serves
-        // its local legs in between.
+        // request" here is a peer that is not speaking the protocol, or one
+        // that disagrees about this site's geometry. The replica is locked
+        // per request: a coordinator at this site serves its local legs in
+        // between.
         let Some(response) = serve(&mut replica.lock(), site, request) else {
             return Served::Hangup;
         };
@@ -831,6 +832,36 @@ mod tests {
             let version = c.vote(sid(0), sid(0), k);
             assert_eq!(c.vote(sid(1), sid(0), k), version, "{scheme}");
             assert!(!c.transport.conns[0].lock().poisoned, "{scheme}");
+        }
+    }
+
+    #[test]
+    fn a_frame_that_does_not_fit_the_disk_fails_one_exchange_not_the_site() {
+        for scheme in Scheme::ALL {
+            let c = tcp(scheme, 3);
+            let k = BlockIndex::new(0);
+            c.write(sid(0), k, BlockData::from(vec![3; 32])).unwrap();
+            // Well-formed frames that site 1's disk cannot serve: a block
+            // past its end, and a payload one byte short of a block.
+            let short = BlockData::from(vec![5; 31]);
+            for misfit in [
+                WireRequest::Vote(BlockIndex::new(4)),
+                WireRequest::ApplyWrite(k, VersionNumber::new(9), short),
+            ] {
+                let frame = misfit.to_frame();
+                wire::write_frame(c.transport.conns[1].lock().stream.get_mut(), &frame).unwrap();
+                // The site hangs up on it, so the exchange behind it fails
+                // once; the next one redials a site that is still serving.
+                assert_eq!(c.vote(sid(0), sid(1), k), None, "{scheme}: {misfit:?}");
+                assert!(c.vote(sid(0), sid(1), k).is_some(), "{scheme}: {misfit:?}");
+            }
+            c.write(sid(1), k, BlockData::from(vec![4; 32])).unwrap();
+            assert_eq!(c.read(sid(1), k).unwrap().as_slice(), &[4; 32], "{scheme}");
+            assert_eq!(
+                c.vote(sid(0), sid(1), k),
+                c.vote(sid(1), sid(1), k),
+                "{scheme}"
+            );
         }
     }
 

@@ -1,13 +1,11 @@
-//! The storage layer's word-wise checksum.
+//! The storage layer's one checksum.
 //!
-//! The journal's stored fault-detection values — a record's CRC, the
-//! superblock's CRC — are this function. A
-//! [`VersionedStore`](crate::VersionedStore) block's `(version, data)` sum
-//! is meant to be too, but still runs its own byte-serial FNV-1a: see
-//! ROADMAP item 1 for why that switch has to be a change of its own.
-//! The threat model is a crash (a torn or misordered write), not an
-//! adversary, so it needs to be deterministic, dependency-free and cheap,
-//! not collision-resistant.
+//! Every stored fault-detection value in the crate is this function: a
+//! journal record's CRC, the journal superblock's CRC, and a
+//! [`VersionedStore`](crate::VersionedStore) block's `(version, data)` sum,
+//! which every install, repair and scrub computes. The threat model is a
+//! crash (a torn or misordered write), not an adversary, so it needs to be
+//! deterministic, dependency-free and cheap, not collision-resistant.
 
 /// Odd 64-bit multipliers (the xxHash64 primes).
 const P1: u64 = 0x9E37_79B1_85EB_CA87;

@@ -1,5 +1,6 @@
 //! Versioned per-site storage.
 
+use crate::checksum::checksum;
 use blockrep_types::{BlockData, BlockIndex, VersionNumber, VersionVector};
 
 /// A fault injected into the *storage* layer at install time, modelling the
@@ -7,11 +8,11 @@ use blockrep_types::{BlockData, BlockIndex, VersionNumber, VersionVector};
 /// disk inconsistent (cf. the torn-write regime studied for stable memory
 /// devices).
 ///
-/// Both faults are detectable on restart because every block carries a
-/// checksum over `(version, data)`: a torn block commits the new metadata
-/// with partially old data, a stale-version block commits the new data under
-/// the old metadata, and in either case [`VersionedStore::scrub`] finds the
-/// mismatch.
+/// Both faults are detectable on restart because every block carries the
+/// storage layer's one checksum — the journal's — over `(version, data)`: a
+/// torn block commits the new metadata with partially old data, a
+/// stale-version block commits the new data under the old metadata, and in
+/// either case [`VersionedStore::scrub`] finds the mismatch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StorageFault {
     /// The metadata (version + checksum) of the new write reached the disk,
@@ -36,20 +37,6 @@ pub enum StorageFault {
         /// persisted to the journal.
         keep: usize,
     },
-}
-
-/// FNV-1a over the version number followed by the block data — cheap,
-/// deterministic, and dependency-free; collision resistance is irrelevant
-/// here because the threat model is a crash, not an adversary.
-fn checksum(v: VersionNumber, data: &BlockData) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for b in v.as_u64().to_le_bytes().iter().chain(data.as_slice()) {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(PRIME);
-    }
-    h
 }
 
 /// A site's disk as the consistency protocols see it: every block carries a
@@ -89,9 +76,10 @@ impl VersionedStore {
     pub fn new(num_blocks: u64, block_size: usize) -> Self {
         assert!(num_blocks > 0, "a device needs at least one block");
         assert!(block_size > 0, "block size must be nonzero");
-        let zero_sum = checksum(VersionNumber::ZERO, &BlockData::zeroed(block_size));
+        let zero = BlockData::zeroed(block_size);
+        let zero_sum = checksum(&[VersionNumber::ZERO.as_u64()], zero.as_slice());
         VersionedStore {
-            blocks: vec![BlockData::zeroed(block_size); num_blocks as usize],
+            blocks: vec![zero; num_blocks as usize],
             versions: VersionVector::new(num_blocks),
             checksums: vec![zero_sum; num_blocks as usize],
             block_size,
@@ -150,7 +138,7 @@ impl VersionedStore {
     pub fn install(&mut self, k: BlockIndex, data: BlockData, v: VersionNumber) -> bool {
         assert_eq!(data.len(), self.block_size, "payload must match block size");
         if v > self.versions.get(k) {
-            self.checksums[k.index()] = checksum(v, &data);
+            self.checksums[k.index()] = checksum(&[v.as_u64()], data.as_slice());
             self.blocks[k.index()] = data;
             self.versions.set(k, v);
             true
@@ -183,7 +171,7 @@ impl VersionedStore {
         match fault {
             StorageFault::Torn { keep } => {
                 // Metadata of the new write committed; data only partially.
-                self.checksums[k.index()] = checksum(v, &data);
+                self.checksums[k.index()] = checksum(&[v.as_u64()], data.as_slice());
                 self.versions.set(k, v);
                 let keep = keep.min(self.block_size);
                 let mut torn = self.blocks[k.index()].as_slice().to_vec();
@@ -206,7 +194,8 @@ impl VersionedStore {
     /// Whether block `k`'s checksum matches its `(version, data)` pair —
     /// `false` exactly when a faulty install left the block broken.
     pub fn checksum_ok(&self, k: BlockIndex) -> bool {
-        self.checksums[k.index()] == checksum(self.versions.get(k), &self.blocks[k.index()])
+        let (v, data) = (self.versions.get(k), &self.blocks[k.index()]);
+        self.checksums[k.index()] == checksum(&[v.as_u64()], data.as_slice())
     }
 
     /// Restart-time integrity pass: every block whose checksum does not
@@ -220,7 +209,10 @@ impl VersionedStore {
             if !self.checksum_ok(k) {
                 self.blocks[k.index()] = BlockData::zeroed(self.block_size);
                 self.versions.set(k, VersionNumber::ZERO);
-                self.checksums[k.index()] = checksum(VersionNumber::ZERO, &self.blocks[k.index()]);
+                self.checksums[k.index()] = checksum(
+                    &[VersionNumber::ZERO.as_u64()],
+                    self.blocks[k.index()].as_slice(),
+                );
                 reset.push(k);
             }
         }
@@ -266,7 +258,7 @@ impl VersionedStore {
         let mut replaced = 0;
         for (k, v, data) in blocks {
             assert_eq!(data.len(), self.block_size, "payload must match block size");
-            self.checksums[k.index()] = checksum(v, &data);
+            self.checksums[k.index()] = checksum(&[v.as_u64()], data.as_slice());
             self.blocks[k.index()] = data;
             self.versions.set(k, v);
             replaced += 1;
@@ -392,8 +384,80 @@ mod tests {
     #[test]
     fn fresh_store_carries_the_checksum_of_a_zero_block() {
         let mut s = VersionedStore::new(3, 1024);
-        let zero_sum = checksum(VersionNumber::ZERO, &BlockData::from(vec![0u8; 1024]));
+        let zero_sum = checksum(&[0], &[0u8; 1024]);
         assert_eq!(s.checksums, vec![zero_sum; 3]);
+        assert!(s.scrub().is_empty());
+    }
+
+    #[test]
+    fn every_stored_sum_is_the_one_checksum_of_version_and_data() {
+        let mut s = VersionedStore::new(4, 64);
+        let sum = |v: u64, b: u8| checksum(&[v], &[b; 64]);
+        let (a, b, c) = (BlockIndex::new(0), BlockIndex::new(1), BlockIndex::new(2));
+        s.install(a, BlockData::from(vec![1; 64]), VersionNumber::new(3));
+        s.install_faulty(
+            b,
+            BlockData::from(vec![2; 64]),
+            VersionNumber::new(5),
+            StorageFault::Torn { keep: 64 },
+        );
+        s.apply_repair(vec![(
+            c,
+            VersionNumber::new(9),
+            BlockData::from(vec![4; 64]),
+        )]);
+        assert_eq!(
+            s.checksums,
+            vec![sum(3, 1), sum(5, 2), sum(9, 4), sum(0, 0)]
+        );
+    }
+
+    #[test]
+    fn every_bit_flip_and_a_version_bump_of_a_full_block_are_caught() {
+        let k = BlockIndex::new(0);
+        let data: Vec<u8> = (0..1024u32).map(|i| (i * 37 + i / 5) as u8).collect();
+        let mut s = VersionedStore::new(1, 1024);
+        s.install(k, BlockData::from(data.clone()), VersionNumber::new(7));
+        assert!(s.checksum_ok(k));
+        for bit in 0..data.len() * 8 {
+            let mut flipped = data.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            s.blocks[0] = BlockData::from(flipped);
+            assert!(!s.checksum_ok(k), "flip of bit {bit} went unseen");
+        }
+        s.blocks[0] = BlockData::from(data);
+        assert!(s.checksum_ok(k));
+        s.versions.set(k, VersionNumber::new(8));
+        assert!(!s.checksum_ok(k), "v + 1 under the same data went unseen");
+    }
+
+    #[test]
+    fn scrub_of_a_benchmark_sized_store_resets_exactly_the_torn_blocks() {
+        let (n, bs) = (16_384, 1024);
+        let mut s = VersionedStore::new(n, bs);
+        for i in (0..n).step_by(97) {
+            let fill = (i % 251) as u8 + 1;
+            s.install(
+                BlockIndex::new(i),
+                BlockData::from(vec![fill; bs]),
+                VersionNumber::new(1),
+            );
+        }
+        let torn = [(0, 0), (97 * 40, 511), (n - 1, bs - 1)];
+        for &(i, keep) in &torn {
+            s.install_faulty(
+                BlockIndex::new(i),
+                BlockData::from(vec![0xEE; bs]),
+                VersionNumber::new(2),
+                StorageFault::Torn { keep },
+            );
+        }
+        let expected: Vec<BlockIndex> = torn.iter().map(|&(i, _)| BlockIndex::new(i)).collect();
+        assert_eq!(s.scrub(), expected);
+        for &k in &expected {
+            assert_eq!(s.version(k), VersionNumber::ZERO);
+            assert!(s.data(k).is_zeroed());
+        }
         assert!(s.scrub().is_empty());
     }
 
