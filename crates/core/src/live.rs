@@ -20,6 +20,14 @@
 //! nobody waits for. Envelopes are popped only under the replica lock
 //! (lock order replica → inbox; a poster holds neither).
 //!
+//! **Who wakes a site.** A site's thread is woken only when somebody will
+//! wait on it: a round trip, or a cast that fills the inbox to [`WINDOW`].
+//! Other casts queue silently until that ring or a local leg at the site,
+//! whichever comes first, so a site lags by at most `WINDOW − 1` casts and
+//! an available-copy write's installs cost no thread hand-off. Nothing the
+//! protocol can observe changes: every request at `s` still finds the casts
+//! before it served. Shutdown discards whatever is still queued.
+//!
 //! [`LiveTransport`] is the in-memory [`Transport`]: it moves the same
 //! [`WireRequest`] values the TCP cluster frames onto sockets, unencoded,
 //! to threads running the same [`serve`]. The coordinator over it is
@@ -80,8 +88,8 @@ struct Site {
     id: SiteId,
     replica: Mutex<Replica>,
     inbox: Mutex<Inbox>,
-    /// Rung when the inbox stops being empty and when it closes: what the
-    /// site's thread sleeps on.
+    /// What the site's thread sleeps on. Rung only when somebody will wait
+    /// on this site (see [`post`](Self::post)), and when the inbox closes.
     bell: Condvar,
     /// Signalled when the inbox stops being full: what a poster sleeps on.
     room: Condvar,
@@ -92,7 +100,15 @@ impl Site {
     /// Queues `envelope` behind everything already sent here, blocking
     /// while the inbox holds a full window. Whether it was taken: `false`
     /// once the inbox is closed.
+    ///
+    /// Rings the bell only when a poster will wait on this site: the
+    /// envelope is a round trip, or it fills the inbox to the window, so
+    /// the next poster would block on `room`. A cast below the window
+    /// queues silently and is served, in arrival order, by whichever comes
+    /// first: the site's thread at the next ring, or a local leg here,
+    /// which drains before it serves itself.
     fn post(&self, envelope: Envelope) -> bool {
+        let round_trip = envelope.reply.is_some();
         let mut inbox = self.inbox.lock();
         while inbox.queue.len() >= WINDOW && !inbox.closed {
             inbox = self
@@ -104,8 +120,9 @@ impl Site {
             return false;
         }
         inbox.queue.push_back(envelope);
-        // The site's thread sleeps only on an inbox it saw empty.
-        if inbox.queue.len() == 1 {
+        let ring = round_trip || inbox.queue.len() == WINDOW;
+        drop(inbox);
+        if ring {
             self.bell.notify_one();
         }
         true
@@ -140,8 +157,9 @@ impl Site {
         }
     }
 
-    /// The site's server thread: sleep until something arrives, lock the
-    /// replica, serve the inbox; until the inbox closes.
+    /// The site's server thread: sleep until rung, lock the replica, serve
+    /// the inbox; until the inbox closes. It sleeps only on an inbox it saw
+    /// empty; casts that arrive while it sleeps wait for the next ring.
     fn run(&self) {
         // However this thread ends, nobody may queue behind it or wait on a
         // reply it will not send.
@@ -173,9 +191,11 @@ impl Site {
     /// reads that as "no reply"), blocked posters and the site's thread
     /// wake up and leave.
     fn close(&self) {
-        let mut inbox = self.inbox.lock();
-        inbox.closed = true;
-        inbox.queue.clear();
+        {
+            let mut inbox = self.inbox.lock();
+            inbox.closed = true;
+            inbox.queue.clear();
+        }
         self.bell.notify_one();
         self.room.notify_all();
     }
@@ -493,6 +513,58 @@ mod tests {
             Some(WireResponse::Ack)
         );
         assert!(site.inbox.lock().queue.is_empty());
+    }
+
+    #[test]
+    fn a_cast_wakes_no_thread_and_the_next_round_trip_is_behind_it() {
+        use crate::backend::Backend;
+        use blockrep_types::VersionNumber;
+        let c = live(Scheme::AvailableCopy, 3);
+        let site = Arc::clone(&c.transport.sites[2]);
+        let k = BlockIndex::new(0);
+        // A thread that has not reached its first sleep yet serves whatever
+        // it finds queued.
+        std::thread::sleep(Duration::from_millis(20));
+        let casts = WINDOW as u64 - 1;
+        for v in 1..=casts {
+            let data = BlockData::from(vec![v as u8; 8]);
+            assert!(c.apply_write(sid(0), sid(2), k, &data, VersionNumber::new(v)));
+        }
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(
+            site.inbox.lock().queue.len(),
+            casts as usize,
+            "a cast below the window woke site 2's thread"
+        );
+        assert_eq!(c.vote(sid(0), sid(2), k), Some(VersionNumber::new(casts)));
+        assert!(site.inbox.lock().queue.is_empty());
+    }
+
+    #[test]
+    fn installs_queued_at_a_site_that_fails_are_served_before_it_recovers() {
+        use crate::backend::Backend;
+        for scheme in [Scheme::AvailableCopy, Scheme::NaiveAvailableCopy] {
+            let c = live(scheme, 3);
+            // Fewer installs than the window, so they sit in site 2's inbox
+            // while it fails: nobody sends it a round trip.
+            for b in 0..4 {
+                let data = BlockData::from(vec![b as u8 + 1; 8]);
+                c.write(sid(0), BlockIndex::new(b), data).unwrap();
+            }
+            c.fail_site(sid(2));
+            let k = BlockIndex::new(1);
+            c.write(sid(0), k, BlockData::from(vec![9; 8])).unwrap();
+            // Recovery's first local action at site 2 drains them, so it
+            // starts from a disk that has every install sent before the
+            // failure.
+            c.repair_site(sid(2));
+            assert_eq!(c.site_state(sid(2)), SiteState::Available, "{scheme}");
+            assert_eq!(c.read(sid(2), k).unwrap().as_slice(), &[9; 8], "{scheme}");
+            let vv = |s| c.version_vector(sid(s), sid(s)).unwrap();
+            for s in 1..3 {
+                assert_eq!(vv(s), vv(0), "{scheme}: site {s}");
+            }
+        }
     }
 
     #[test]

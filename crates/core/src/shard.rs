@@ -693,9 +693,11 @@ impl ShardedDevice<crate::LiveCluster> {
 
 impl ShardedDevice<crate::TcpCluster> {
     /// Spawns the framed-TCP runtime per shard, with the windowed
-    /// connection multiplexer on: cross-shard fan-out issues sub-batches
-    /// from several threads at once, and without multiplexing they would
-    /// serialize behind each shard's per-site connection mutex.
+    /// connection multiplexer on, so that concurrent clients of one shard
+    /// share each of its per-site sockets instead of serializing behind
+    /// its connection mutex. (The sub-batches of one cross-shard batch
+    /// never meet there: each shard is its own `TcpCluster`, with its own
+    /// connections.)
     ///
     /// # Errors
     ///
