@@ -94,7 +94,7 @@ impl<D: BlockDevice> FileSystem<D> {
         let mut report = FsckReport::default();
         // Every bitmap and inode block is looked at below: fetch the whole
         // metadata region in one vectored read.
-        t.get_many(&(self.geo.bitmap_start..self.geo.data_start).collect::<Vec<_>>())?;
+        t.get_many(self.geo.bitmap_start..self.geo.data_start)?;
 
         // Pass 1: walk the tree, counting references to inodes and blocks.
         let mut ino_refs: BTreeMap<u32, u64> = BTreeMap::new();
@@ -158,23 +158,29 @@ impl<D: BlockDevice> FileSystem<D> {
                     }
                 }
             }
-            // Recurse into directory entries.
+            // Recurse into directory entries, each inode on its first
+            // reference only: a second one is a cross-link that pass 2
+            // reports, and following it would walk a directory cycle
+            // forever.
             if node.kind == InodeKind::Dir {
                 for entry in t.dir_entries(ino)? {
-                    if entry.ino == 0 || entry.ino > self.geo.inode_count {
-                        report.problem(
-                            "entry-inode-out-of-range",
-                            format!("{path}{} -> {}", entry.name, entry.ino),
-                        );
-                        continue;
-                    }
-                    *ino_refs.entry(entry.ino).or_default() += 1;
                     let child_path = if path == "/" {
                         format!("/{}", entry.name)
                     } else {
                         format!("{path}/{}", entry.name)
                     };
-                    queue.push((entry.ino, child_path));
+                    if entry.ino == 0 || entry.ino > self.geo.inode_count {
+                        report.problem(
+                            "entry-inode-out-of-range",
+                            format!("{child_path} -> {}", entry.ino),
+                        );
+                        continue;
+                    }
+                    let refs = ino_refs.entry(entry.ino).or_default();
+                    *refs += 1;
+                    if *refs == 1 {
+                        queue.push((entry.ino, child_path));
+                    }
                 }
             }
         }
@@ -234,6 +240,7 @@ impl<D: BlockDevice> FileSystem<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dir::Dirent;
     use blockrep_storage::MemStore;
     use blockrep_types::BlockData;
 
@@ -384,6 +391,61 @@ mod tests {
                 .any(|p| p.rule == "pointer-outside-data-region"),
             "{report:?}"
         );
+    }
+
+    /// Points the entry of `/a/f` (the first slot of `/a`, inode 2) at
+    /// inode `ino`.
+    fn relink_a_f(fs: &FileSystem<MemStore>, ino: u32) {
+        tamper(fs, |t| {
+            let block = InodeTable::new(t).read(2).unwrap().direct[0] as u64;
+            let slot = &t.get(block).unwrap()[..DIRENT_SIZE];
+            assert_eq!(Dirent::decode(slot).unwrap().name, "f");
+            t.modify(block, |raw| raw[..4].copy_from_slice(&ino.to_le_bytes()))
+                .unwrap();
+        });
+    }
+
+    fn a_with_f() -> FileSystem<MemStore> {
+        let fs = FileSystem::format(MemStore::new(256, 512)).unwrap();
+        fs.mkdir("/a").unwrap();
+        fs.write_file("/a/f", b"x").unwrap();
+        fs
+    }
+
+    #[test]
+    fn a_directory_cycle_is_reported_not_walked_forever() {
+        let fs = a_with_f();
+        // `/a/f` is now the root, which holds `/a`.
+        relink_a_f(&fs, crate::layout::ROOT_INO);
+        // On its own thread, so a walk that never ends fails the test
+        // instead of hanging it.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let checker = std::thread::spawn(move || tx.send(fs.check().unwrap()));
+        let report = rx
+            .recv_timeout(std::time::Duration::from_secs(5))
+            .expect("check returns on a directory cycle");
+        checker.join().unwrap().unwrap();
+        assert!(!report.is_clean());
+        assert!(
+            report
+                .problems
+                .iter()
+                .any(|p| p.rule == "inode-referenced-twice" && p.detail.starts_with("inode 1 ")),
+            "{report:?}"
+        );
+    }
+
+    #[test]
+    fn an_out_of_range_entry_is_named_by_its_path() {
+        let fs = a_with_f();
+        relink_a_f(&fs, u32::MAX);
+        let report = fs.check().unwrap();
+        let problem = report
+            .problems
+            .iter()
+            .find(|p| p.rule == "entry-inode-out-of-range")
+            .unwrap_or_else(|| panic!("{report:?}"));
+        assert_eq!(problem.detail, format!("/a/f -> {}", u32::MAX));
     }
 
     #[test]

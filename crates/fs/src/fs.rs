@@ -4,10 +4,11 @@ use crate::bitmap::Bitmap;
 use crate::dir::Dirent;
 use crate::inode::{Inode, InodeKind, InodeTable};
 use crate::layout::{FsGeometry, DIRECT_POINTERS, DIRENT_SIZE, ROOT_INO};
+use crate::path::{self, Components};
 use crate::txn::Txn;
-use crate::{path, FsError, FsResult};
+use crate::{FsError, FsResult};
 use blockrep_storage::BlockDevice;
-use blockrep_types::BlockIndex;
+use blockrep_types::{BlockData, BlockIndex};
 use bytes::{Buf, BufMut};
 use parking_lot::Mutex;
 
@@ -87,10 +88,10 @@ impl<D: BlockDevice> FileSystem<D> {
     pub fn format(dev: D) -> FsResult<Self> {
         let geo = FsGeometry::plan(dev.num_blocks(), dev.block_size())?;
         let mut txn = Txn::new(&dev, &geo);
-        txn.put(0, geo.encode());
+        txn.put(0, geo.encode().into());
         // Zero the metadata region so stale images cannot leak through.
         for block in 1..geo.data_start {
-            txn.put(block, vec![0; geo.block_size as usize]);
+            txn.put_zeroed(block);
         }
         Bitmap::new(&mut txn).reserve_metadata()?;
         let root = InodeTable::new(&mut txn).alloc(InodeKind::Dir)?;
@@ -162,11 +163,11 @@ impl<D: BlockDevice> FileSystem<D> {
 impl<D: BlockDevice> Txn<'_, D> {
     // ----- path resolution -------------------------------------------------
 
-    fn resolve_from(&mut self, parts: &[&str], full: &str) -> FsResult<u32> {
+    fn resolve_from(&mut self, parts: Components<'_>, full: &str) -> FsResult<u32> {
         let mut ino = ROOT_INO;
         for (depth, part) in parts.iter().enumerate() {
             if InodeTable::new(self).read(ino)?.kind != InodeKind::Dir {
-                return Err(FsError::NotADirectory(parts[..depth].join("/")));
+                return Err(FsError::NotADirectory(parts.prefix(depth)));
             }
             ino = self
                 .lookup(ino, part)?
@@ -177,13 +178,13 @@ impl<D: BlockDevice> Txn<'_, D> {
     }
 
     fn resolve(&mut self, p: &str) -> FsResult<u32> {
-        self.resolve_from(&path::split(p)?, p)
+        self.resolve_from(path::split(p)?, p)
     }
 
     /// Resolves the parent directory of `p` and returns `(parent_ino, name)`.
     fn resolve_parent<'p>(&mut self, p: &'p str) -> FsResult<(u32, &'p str)> {
         let (parents, name) = path::split_parent(p)?;
-        let dir = self.resolve_from(&parents, p)?;
+        let dir = self.resolve_from(parents, p)?;
         if InodeTable::new(self).read(dir)?.kind != InodeKind::Dir {
             return Err(FsError::NotADirectory(p.to_string()));
         }
@@ -264,7 +265,7 @@ impl<D: BlockDevice> Txn<'_, D> {
         let mapped = self.map_blocks(inode, first, count, false)?;
         // One vectored device round for the blocks of the range this
         // operation has not seen yet.
-        self.get_many(&mapped.iter().flatten().copied().collect::<Vec<_>>())?;
+        self.get_many(mapped.iter().flatten().copied())?;
         let mut out = Vec::with_capacity((end - offset) as usize);
         let mut pos = offset;
         for slot in mapped {
@@ -297,8 +298,9 @@ impl<D: BlockDevice> Txn<'_, D> {
             let take = ((bs as usize) - within).min((end - pos) as usize);
             let src = &data[(pos - offset) as usize..][..take];
             if take == bs as usize {
-                // Full-block overwrite: no read, no copy of the old block.
-                self.put(block, src.to_vec());
+                // Full-block overwrite: no read, no copy of the old block,
+                // and this one copy of the new one is what commit writes.
+                self.put(block, BlockData::from(src));
             } else {
                 self.modify(block, |raw| raw[within..within + take].copy_from_slice(src))?;
             }
@@ -314,23 +316,22 @@ impl<D: BlockDevice> Txn<'_, D> {
     fn shrink(&mut self, node: &mut Inode, size: u64) -> FsResult<()> {
         let bs = self.geo.block_size as u64;
         let keep = size.div_ceil(bs) as usize;
-        let mut freed: Vec<u32> = Vec::new();
-        for slot in node.direct.iter_mut().skip(keep) {
-            freed.push(std::mem::take(slot));
-        }
+        let mut freed = Vec::with_capacity(DIRECT_POINTERS + 1 + bs as usize / 4);
+        freed.extend(node.direct.iter_mut().skip(keep).map(std::mem::take));
         if node.indirect != 0 {
             let table = node.indirect as u64;
             let from = (keep.saturating_sub(DIRECT_POINTERS) * 4).min(bs as usize);
-            let tail = self.get(table)?[from..].chunks_exact(4);
-            let tail: Vec<u32> = tail.map(|mut p| p.get_u32_le()).collect();
             if from == 0 {
                 // The whole table goes away; alloc() zeroes blocks on reuse,
                 // so it needs no write-back.
                 freed.push(std::mem::take(&mut node.indirect));
-            } else if tail.iter().any(|&p| p != 0) {
+            }
+            let tail = freed.len();
+            let raw = self.get(table)?;
+            freed.extend(raw[from..].chunks_exact(4).map(|mut p| p.get_u32_le()));
+            if from != 0 && freed[tail..].iter().any(|&p| p != 0) {
                 self.modify(table, |raw| raw[from..].fill(0))?;
             }
-            freed.extend(tail);
         }
         for block in freed.into_iter().filter(|&p| p != 0) {
             Bitmap::new(self).free(block as u64)?;
@@ -346,35 +347,78 @@ impl<D: BlockDevice> Txn<'_, D> {
 
     // ----- directory internals ----------------------------------------------
 
-    /// Every 32-byte slot of a directory in order: its live entry, or `None`
-    /// for a free slot.
-    fn dir_slots(&mut self, dir_ino: u32) -> FsResult<Vec<Option<Dirent>>> {
+    /// Offers a directory's 32-byte slots to `visit` in order, as
+    /// `(slot index, slot bytes)`, until it returns `Some`, and returns
+    /// that. The slots are read in place in the transaction's blocks, all
+    /// fetched first in one vectored read. A slot that straddles two
+    /// blocks (a block size that is not a multiple of 32) is gathered into
+    /// a stack buffer, and a hole reads as free slots.
+    fn scan_dir<T>(
+        &mut self,
+        dir_ino: u32,
+        mut visit: impl FnMut(u64, &[u8]) -> Option<T>,
+    ) -> FsResult<Option<T>> {
         let mut dir = InodeTable::new(self).read(dir_ino)?;
-        let raw = self.read_at(&mut dir, 0, usize::MAX)?;
-        Ok(raw.chunks_exact(DIRENT_SIZE).map(Dirent::decode).collect())
+        if dir.size == 0 {
+            return Ok(None);
+        }
+        let count = dir.size.div_ceil(self.geo.block_size as u64) as usize;
+        let mapped = self.map_blocks(&mut dir, 0, count, false)?;
+        self.get_many(mapped.iter().flatten().copied())?;
+        let slots = dir.size / DIRENT_SIZE as u64;
+        // `next` is the index of the next slot to offer; `held` bytes of it
+        // are in `split` when it began in the previous block.
+        let (mut next, mut split, mut held) = (0, [0; DIRENT_SIZE], 0);
+        for block in mapped {
+            let zero;
+            let mut raw = match block {
+                Some(block) => self.get(block)?,
+                None => {
+                    zero = self.zeroed();
+                    zero.as_slice()
+                }
+            };
+            if held > 0 {
+                let (head, rest) = raw.split_at(DIRENT_SIZE - held);
+                split[held..].copy_from_slice(head);
+                raw = rest;
+                if next < slots {
+                    if let Some(hit) = visit(next, &split) {
+                        return Ok(Some(hit));
+                    }
+                    next += 1;
+                }
+            }
+            let mut whole = raw.chunks_exact(DIRENT_SIZE);
+            for slot in whole.by_ref() {
+                if next == slots {
+                    return Ok(None);
+                }
+                if let Some(hit) = visit(next, slot) {
+                    return Ok(Some(hit));
+                }
+                next += 1;
+            }
+            held = whole.remainder().len();
+            split[..held].copy_from_slice(whole.remainder());
+        }
+        Ok(None)
     }
 
     /// Finds `name` in a directory: `(inode, byte offset of its slot)`.
     fn lookup(&mut self, dir_ino: u32, name: &str) -> FsResult<Option<(u32, u64)>> {
-        let slots = self.dir_slots(dir_ino)?;
-        Ok(slots.iter().enumerate().find_map(|(i, slot)| {
-            let entry = slot.as_ref().filter(|entry| entry.name == name)?;
-            Some((entry.ino, (i * DIRENT_SIZE) as u64))
-        }))
+        self.scan_dir(dir_ino, |i, slot| {
+            Some((Dirent::inode_named(slot, name)?, i * DIRENT_SIZE as u64))
+        })
     }
 
     fn dir_insert(&mut self, dir_ino: u32, name: &str, ino: u32) -> FsResult<()> {
-        let slots = self.dir_slots(dir_ino)?;
         // Reuse a free slot if one exists; otherwise append.
-        let free = slots.iter().position(Option::is_none);
-        let slot = free.unwrap_or(slots.len());
-        let record = Dirent {
-            ino,
-            name: name.to_string(),
-        }
-        .encode();
+        let free = self.scan_dir(dir_ino, |i, slot| Dirent::is_free(slot).then_some(i))?;
         let mut dir = InodeTable::new(self).read(dir_ino)?;
-        self.write_at(&mut dir, (slot * DIRENT_SIZE) as u64, &record)?;
+        let slot = free.unwrap_or(dir.size / DIRENT_SIZE as u64);
+        let record = Dirent::record(ino, name);
+        self.write_at(&mut dir, slot * DIRENT_SIZE as u64, &record)?;
         InodeTable::new(self).write(dir_ino, &dir)
     }
 
@@ -388,7 +432,12 @@ impl<D: BlockDevice> Txn<'_, D> {
     /// All live entries of a directory inode (the consistency checker walks
     /// by inode rather than by path).
     pub(crate) fn dir_entries(&mut self, dir_ino: u32) -> FsResult<Vec<Dirent>> {
-        Ok(self.dir_slots(dir_ino)?.into_iter().flatten().collect())
+        let mut entries = Vec::new();
+        self.scan_dir(dir_ino, |_, slot| {
+            entries.extend(Dirent::decode(slot));
+            None::<()>
+        })?;
+        Ok(entries)
     }
 
     /// Allocates a `kind` inode and links it as `name` in directory `dir`.
@@ -420,7 +469,11 @@ impl<D: BlockDevice> Txn<'_, D> {
                 _ => FsError::IsADirectory(p.to_string()),
             });
         }
-        if want == InodeKind::Dir && !self.dir_entries(ino)?.is_empty() {
+        if want == InodeKind::Dir
+            && self
+                .scan_dir(ino, |_, slot| (!Dirent::is_free(slot)).then_some(()))?
+                .is_some()
+        {
             return Err(FsError::DirectoryNotEmpty(p.to_string()));
         }
         self.dir_remove(dir, offset)?;
@@ -574,9 +627,7 @@ impl<D: BlockDevice> FileSystem<D> {
     /// [`FsError::InvalidPath`], or device errors.
     pub fn rename(&self, from: &str, to: &str) -> FsResult<()> {
         // Reject moving a directory under itself: "/a" -> "/a/b/c".
-        let from_parts = path::split(from)?;
-        let to_parts = path::split(to)?;
-        if to_parts.len() > from_parts.len() && to_parts[..from_parts.len()] == from_parts[..] {
+        if path::split(to)?.is_below(path::split(from)?) {
             return Err(FsError::InvalidPath(format!("{to} is inside {from}")));
         }
         self.run(|t| {
@@ -870,6 +921,30 @@ mod tests {
         fs.remove_file("/d/f2").unwrap();
         fs.write_file("/d/f5", b"x").unwrap();
         assert_eq!(fs.stat("/d").unwrap().size, size_before);
+    }
+
+    #[test]
+    fn directory_slots_may_straddle_blocks() {
+        // An 80-byte block holds two and a half 32-byte slots, so slot 2
+        // spans the directory's first two blocks.
+        let fs = FileSystem::format(MemStore::new(512, 80)).unwrap();
+        fs.mkdir("/d").unwrap();
+        for i in 0..12 {
+            fs.write_file(&format!("/d/e{i:02}"), &[i as u8]).unwrap();
+        }
+        let size = fs.stat("/d").unwrap().size;
+        fs.remove_file("/d/e02").unwrap();
+        assert!(!fs.exists("/d/e02"));
+        assert_eq!(fs.read_file("/d/e07").unwrap(), [7]);
+        // The freed straddling slot is the first free one, and is reused.
+        fs.create("/d/new").unwrap();
+        assert_eq!(fs.stat("/d").unwrap().size, size);
+        assert_eq!(fs.read_dir("/d").unwrap().len(), 12);
+        assert!(matches!(
+            fs.remove_dir("/d"),
+            Err(FsError::DirectoryNotEmpty(_))
+        ));
+        assert!(fs.check().unwrap().is_clean());
     }
 
     /// Fills the device to the last block with files named `prefix0..`.

@@ -48,25 +48,31 @@ impl Inode {
 
     /// Serializes to the 64-byte on-disk record.
     pub fn encode(&self) -> [u8; INODE_SIZE] {
-        let mut buf = Vec::with_capacity(INODE_SIZE);
-        buf.put_u16_le(self.kind as u16);
-        buf.put_u16_le(self.nlink);
-        buf.put_u64_le(self.size);
+        let mut buf = [0; INODE_SIZE];
+        let mut out = &mut buf[..];
+        out.put_u16_le(self.kind as u16);
+        out.put_u16_le(self.nlink);
+        out.put_u64_le(self.size);
         for p in self.direct {
-            buf.put_u32_le(p);
+            out.put_u32_le(p);
         }
-        buf.put_u32_le(self.indirect);
-        buf.resize(INODE_SIZE, 0);
-        buf.try_into().expect("inode record is exactly 64 bytes")
+        out.put_u32_le(self.indirect);
+        buf
+    }
+
+    /// The kind of an on-disk record, read in place.
+    fn kind_of(mut raw: &[u8]) -> InodeKind {
+        match raw.get_u16_le() {
+            1 => InodeKind::File,
+            2 => InodeKind::Dir,
+            _ => InodeKind::Free,
+        }
     }
 
     /// Parses the 64-byte on-disk record.
     pub fn decode(mut raw: &[u8]) -> Inode {
-        let kind = match raw.get_u16_le() {
-            1 => InodeKind::File,
-            2 => InodeKind::Dir,
-            _ => InodeKind::Free,
-        };
+        let kind = Self::kind_of(raw);
+        raw.advance(2);
         let nlink = raw.get_u16_le();
         let size = raw.get_u64_le();
         let mut direct = [0u32; DIRECT_POINTERS];
@@ -122,15 +128,24 @@ impl<'t, 'a, D: BlockDevice> InodeTable<'t, 'a, D> {
         })
     }
 
-    /// Allocates a free inode slot, initializes it to a fresh `kind` inode
-    /// and returns its number.
+    /// Allocates the lowest free inode slot, initializes it to a fresh
+    /// `kind` inode and returns its number. The scan reads each table
+    /// block once and looks only at each record's kind, in place.
     ///
     /// # Errors
     ///
     /// [`FsError::NoInodes`] when the table is full.
     pub fn alloc(&mut self, kind: InodeKind) -> FsResult<u32> {
-        for ino in 1..=self.txn.geo.inode_count {
-            if self.read(ino)?.kind == InodeKind::Free {
+        let count = self.txn.geo.inode_count;
+        let per_block = (self.txn.geo.block_size as usize / INODE_SIZE) as u32;
+        for first in (1..=count).step_by(per_block as usize) {
+            let (block, _) = self.locate(first)?;
+            let in_block = per_block.min(count - first + 1) as usize;
+            let free = self.txn.get(block)?[..in_block * INODE_SIZE]
+                .chunks_exact(INODE_SIZE)
+                .position(|raw| Inode::kind_of(raw) == InodeKind::Free);
+            if let Some(i) = free {
+                let ino = first + i as u32;
                 self.write(ino, &Inode::new(kind))?;
                 return Ok(ino);
             }

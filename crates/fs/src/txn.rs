@@ -10,15 +10,55 @@
 //! Dropping the transaction instead (any `?` on the way) writes nothing, so
 //! an operation that fails before its commit leaves the image untouched.
 //!
+//! A block's bytes are touched once on their way through. Callers read a
+//! block in place ([`get`](Txn::get) lends the transaction's copy; a
+//! directory lookup compares names in it without copying the directory).
+//! A block installed whole ([`put`](Txn::put)) enters the map as the
+//! [`BlockData`] that `commit` hands the device, so a full-block write
+//! costs one allocation and one copy of the caller's bytes. Every block
+//! the operation zeroes ([`put_zeroed`](Txn::put_zeroed)) shares one zeroed
+//! buffer. Only an edit ([`modify`](Txn::modify)) takes a private copy of
+//! the block, once, on its first edit.
+//!
 //! Nothing is kept across operations: tools and tests write to the device
 //! behind the file system's back, and the (replicated) device — not this
-//! client — stays the single source of truth.
+//! client — stays the single source of truth. The one piece of state a
+//! transaction adds, [`Bitmap`](crate::bitmap::Bitmap)'s first-fit cursor,
+//! dies with it too.
 
 use crate::layout::FsGeometry;
 use crate::FsResult;
 use blockrep_storage::BlockDevice;
 use blockrep_types::{BlockData, BlockIndex};
 use std::collections::btree_map::{BTreeMap, Entry};
+
+/// A block this operation will write at commit.
+enum Dirty {
+    /// A whole block, not yet edited: handed to the device as it is.
+    Shared(BlockData),
+    /// This transaction's own copy, edited in place.
+    Own(Vec<u8>),
+}
+
+impl Dirty {
+    fn bytes(&self) -> &[u8] {
+        match self {
+            Dirty::Shared(block) => block.as_slice(),
+            Dirty::Own(own) => own,
+        }
+    }
+
+    /// The bytes to edit, copied out of a shared block on the first edit.
+    fn edit(&mut self) -> &mut [u8] {
+        if let Dirty::Shared(shared) = self {
+            *self = Dirty::Own(shared.as_slice().to_vec());
+        }
+        match self {
+            Dirty::Own(own) => own,
+            Dirty::Shared(_) => unreachable!("copied out above"),
+        }
+    }
+}
 
 /// One operation's view of the device: blocks read so far, and blocks it
 /// will write at commit.
@@ -29,7 +69,12 @@ pub(crate) struct Txn<'a, D> {
     /// Blocks as fetched from the device, unmodified.
     clean: BTreeMap<u64, BlockData>,
     /// Blocks edited or installed by this operation; these shadow `clean`.
-    dirty: BTreeMap<u64, Vec<u8>>,
+    dirty: BTreeMap<u64, Dirty>,
+    /// The zeroed block every [`put_zeroed`](Self::put_zeroed) shares.
+    zero: Option<BlockData>,
+    /// [`Bitmap::alloc`](crate::bitmap::Bitmap::alloc)'s first-fit cursor:
+    /// no data block below it is free.
+    pub(crate) alloc_from: u64,
 }
 
 impl<'a, D: BlockDevice> Txn<'a, D> {
@@ -40,14 +85,16 @@ impl<'a, D: BlockDevice> Txn<'a, D> {
             geo,
             clean: BTreeMap::new(),
             dirty: BTreeMap::new(),
+            zero: None,
+            alloc_from: 0,
         }
     }
 
     /// Block `k` as this operation sees it: its own edit if it made one,
     /// else the device's copy, fetched on first use and kept.
     pub(crate) fn get(&mut self, k: u64) -> FsResult<&[u8]> {
-        if let Some(bytes) = self.dirty.get(&k) {
-            return Ok(bytes);
+        if let Some(block) = self.dirty.get(&k) {
+            return Ok(block.bytes());
         }
         Ok(match self.clean.entry(k) {
             Entry::Occupied(hit) => hit.into_mut(),
@@ -58,11 +105,11 @@ impl<'a, D: BlockDevice> Txn<'a, D> {
 
     /// Makes every block of `ks` resident, fetching the ones this operation
     /// has not seen yet in one vectored `read_blocks`.
-    pub(crate) fn get_many(&mut self, ks: &[u64]) -> FsResult<()> {
+    pub(crate) fn get_many(&mut self, ks: impl IntoIterator<Item = u64>) -> FsResult<()> {
         let mut misses: Vec<BlockIndex> = ks
-            .iter()
+            .into_iter()
             .filter(|k| !self.dirty.contains_key(k) && !self.clean.contains_key(k))
-            .map(|&k| BlockIndex::new(k))
+            .map(BlockIndex::new)
             .collect();
         // `read_blocks` wants distinct indices; a cross-linked image may
         // hand us the same block twice.
@@ -79,24 +126,37 @@ impl<'a, D: BlockDevice> Txn<'a, D> {
     /// Edits block `k` in memory (fetching it first if this operation has
     /// not seen it) and marks it dirty.
     pub(crate) fn modify(&mut self, k: u64, edit: impl FnOnce(&mut [u8])) -> FsResult<()> {
-        let bytes = match self.dirty.entry(k) {
+        let block = match self.dirty.entry(k) {
             Entry::Occupied(hit) => hit.into_mut(),
-            Entry::Vacant(miss) => {
-                let old = match self.clean.remove(&k) {
-                    Some(raw) => raw,
-                    None => self.dev.read_block(BlockIndex::new(k))?,
-                };
-                miss.insert(old.as_slice().to_vec())
-            }
+            Entry::Vacant(miss) => miss.insert(Dirty::Shared(match self.clean.remove(&k) {
+                Some(raw) => raw,
+                None => self.dev.read_block(BlockIndex::new(k))?,
+            })),
         };
-        edit(bytes);
+        edit(block.edit());
         Ok(())
     }
 
-    /// Installs a full block without reading the old one.
-    pub(crate) fn put(&mut self, k: u64, bytes: Vec<u8>) {
-        debug_assert_eq!(bytes.len(), self.geo.block_size as usize);
-        self.dirty.insert(k, bytes);
+    /// Installs a full block without reading the old one; `commit` writes
+    /// `block` itself.
+    pub(crate) fn put(&mut self, k: u64, block: BlockData) {
+        debug_assert_eq!(block.len(), self.geo.block_size as usize);
+        self.dirty.insert(k, Dirty::Shared(block));
+    }
+
+    /// One zeroed block, allocated on first use and shared by every block
+    /// of this operation that reads as zeros without being on the device.
+    pub(crate) fn zeroed(&mut self) -> BlockData {
+        let bs = self.geo.block_size as usize;
+        self.zero
+            .get_or_insert_with(|| BlockData::zeroed(bs))
+            .clone()
+    }
+
+    /// Installs an all-zero block, sharing the operation's zeroed buffer.
+    pub(crate) fn put_zeroed(&mut self, k: u64) {
+        let zero = self.zeroed();
+        self.put(k, zero);
     }
 
     /// Writes every dirty block, each once, in one `write_blocks`: data
@@ -112,7 +172,13 @@ impl<'a, D: BlockDevice> Txn<'a, D> {
         let writes: Vec<(BlockIndex, BlockData)> = data
             .into_iter()
             .chain(self.dirty)
-            .map(|(k, bytes)| (BlockIndex::new(k), BlockData::from(bytes)))
+            .map(|(k, block)| {
+                let block = match block {
+                    Dirty::Shared(block) => block,
+                    Dirty::Own(own) => BlockData::from(own),
+                };
+                (BlockIndex::new(k), block)
+            })
             .collect();
         Ok(self.dev.write_blocks(&writes)?)
     }
@@ -179,7 +245,7 @@ mod tests {
         for _ in 0..3 {
             assert!(txn.get(7).unwrap().iter().all(|&b| b == 0));
         }
-        txn.get_many(&[7, 9, 9, 8]).unwrap();
+        txn.get_many([7, 9, 9, 8]).unwrap();
         txn.get(8).unwrap();
         txn.commit().unwrap();
         // One single read, one vectored read of the two misses, no write.
@@ -198,10 +264,10 @@ mod tests {
         txn.modify(2, |b| b[1] = 2).unwrap();
         assert_eq!(txn.get(2).unwrap()[..2], [1, 2]);
         // A put needs no read, and a later edit of it finds it in memory.
-        txn.put(data + 5, vec![9; 512]);
-        txn.put(data + 5, vec![7; 512]);
+        txn.put(data + 5, vec![9; 512].into());
+        txn.put(data + 5, vec![7; 512].into());
         txn.modify(data + 5, |b| b[0] = 0).unwrap();
-        txn.put(data + 1, vec![3; 512]);
+        txn.put(data + 1, vec![3; 512].into());
         txn.modify(1, |b| b[0] = 0xFF).unwrap();
         assert!(dev.calls.lock().iter().all(|(write, _)| !write));
         txn.commit().unwrap();
@@ -220,11 +286,31 @@ mod tests {
     }
 
     #[test]
+    fn put_blocks_reach_the_device_without_a_copy() {
+        let (dev, geo) = setup();
+        let data = geo.data_start;
+        let block = BlockData::from(vec![5; 512]);
+        let mut txn = Txn::new(&dev, &geo);
+        txn.put(data, block.clone());
+        txn.put_zeroed(data + 1);
+        txn.put_zeroed(data + 2);
+        txn.commit().unwrap();
+        let at = |k| dev.inner.read_block(BlockIndex::new(k)).unwrap();
+        assert_eq!(at(data).as_slice().as_ptr(), block.as_slice().as_ptr());
+        // Every zero fill of one operation shares one buffer.
+        assert!(at(data + 1).is_zeroed());
+        assert_eq!(
+            at(data + 1).as_slice().as_ptr(),
+            at(data + 2).as_slice().as_ptr()
+        );
+    }
+
+    #[test]
     fn dropping_without_commit_writes_nothing() {
         let (dev, geo) = setup();
         let mut txn = Txn::new(&dev, &geo);
         txn.modify(3, |b| b.fill(1)).unwrap();
-        txn.put(geo.data_start, vec![1; 512]);
+        txn.put(geo.data_start, vec![1; 512].into());
         drop(txn);
         assert!(dev.calls.lock().iter().all(|(write, _)| !write));
         assert!(dev

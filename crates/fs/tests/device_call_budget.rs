@@ -25,11 +25,40 @@
 //! and 13 blocks written for a 3-block `write_file`, 166 for a 40-block
 //! one; `free_bytes` was one call per device block (8 192) and `format`
 //! 262 write calls.
+//!
+//! The last test pins *placement*: a seeded script of every public
+//! operation must make the same device calls, block for block, and leave
+//! the same image as it always has (DESIGN.md §4i). Its digests were taken
+//! before the file system stopped copying whole directories per lookup;
+//! a change to how the fs finds a free block or a free directory slot, or
+//! to the order it reads or writes blocks in, moves them.
 
 use blockrep_fs::FileSystem;
 use blockrep_storage::{BlockDevice, MemStore};
 use blockrep_types::{BlockData, BlockIndex, DeviceResult};
 use std::sync::Mutex;
+
+/// FNV-1a, 64-bit: the same digest on every host and toolchain.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Fnv(u64);
+
+impl Default for Fnv {
+    fn default() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Fnv {
+    fn eat(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn eat_u64(&mut self, v: u64) {
+        self.eat(&v.to_le_bytes());
+    }
+}
 
 #[derive(Debug, Default, Clone)]
 struct Calls {
@@ -37,9 +66,28 @@ struct Calls {
     writes: u64,
     /// Every block index written, in order, across all write calls.
     written: Vec<u64>,
+    /// Digest of every call in order: its kind, then its block indices.
+    log: Fnv,
+}
+
+/// The four device entry points, as the call log tells them apart.
+#[derive(Clone, Copy)]
+enum Kind {
+    ReadBlock,
+    ReadBlocks,
+    WriteBlock,
+    WriteBlocks,
 }
 
 impl Calls {
+    fn log(&mut self, kind: Kind, ks: impl ExactSizeIterator<Item = BlockIndex>) {
+        self.log.eat(&[kind as u8]);
+        self.log.eat_u64(ks.len() as u64);
+        for k in ks {
+            self.log.eat_u64(k.as_u64());
+        }
+    }
+
     fn total(&self) -> u64 {
         self.reads + self.writes
     }
@@ -71,24 +119,32 @@ impl BlockDevice for Counting {
         self.inner.block_size()
     }
     fn read_block(&self, k: BlockIndex) -> DeviceResult<BlockData> {
-        self.note(|c| c.reads += 1);
+        self.note(|c| {
+            c.reads += 1;
+            c.log(Kind::ReadBlock, [k].into_iter());
+        });
         self.inner.read_block(k)
     }
     fn write_block(&self, k: BlockIndex, data: BlockData) -> DeviceResult<()> {
         self.note(|c| {
             c.writes += 1;
             c.written.push(k.as_u64());
+            c.log(Kind::WriteBlock, [k].into_iter());
         });
         self.inner.write_block(k, data)
     }
     fn read_blocks(&self, ks: &[BlockIndex]) -> DeviceResult<Vec<BlockData>> {
-        self.note(|c| c.reads += 1);
+        self.note(|c| {
+            c.reads += 1;
+            c.log(Kind::ReadBlocks, ks.iter().copied());
+        });
         self.inner.read_blocks(ks)
     }
     fn write_blocks(&self, writes: &[(BlockIndex, BlockData)]) -> DeviceResult<()> {
         self.note(|c| {
             c.writes += 1;
             c.written.extend(writes.iter().map(|(k, _)| k.as_u64()));
+            c.log(Kind::WriteBlocks, writes.iter().map(|(k, _)| *k));
         });
         self.inner.write_blocks(writes)
     }
@@ -238,4 +294,105 @@ fn whole_image_operations_read_each_metadata_block_once() {
     // large files here.
     let calls = calls_of(&fs, |fs| assert!(fs.check().unwrap().is_clean()));
     assert_read_only("check", &calls, 1 + 9 + 16);
+}
+
+/// SplitMix64: the placement script's only source of choices.
+struct Rng(u64);
+
+impl Rng {
+    fn below(&mut self, n: u64) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        (z ^ (z >> 31)) % n
+    }
+}
+
+const PLACEMENT_SEED: u64 = 29;
+const PLACEMENT_STEPS: u64 = 1_500;
+/// `(call log, final image)` digests of the placement script, computed
+/// before the file system stopped copying whole directories per lookup.
+const PLACEMENT_DIGESTS: (u64, u64) = (0x2542_407d_f620_74e0, 0xddd0_55de_c677_db49);
+
+/// One step of the placement script: a public operation (or two) on paths
+/// and sizes drawn from `rng`. Many fail — missing parents, names taken,
+/// directories not empty, no space — and a failure is placement too: it
+/// must read what it read before and write nothing.
+fn placement_step(fs: &FileSystem<Counting>, rng: &mut Rng, step: u64) {
+    let d = rng.below(8);
+    let file = format!("/d{d}/f{}", rng.below(12));
+    let other = format!("/d{}/f{}", rng.below(8), rng.below(12));
+    let sub = format!("/d{d}/s{}", rng.below(3));
+    let nested = format!("{sub}/g{}", rng.below(4));
+    // Sizes straddle block boundaries, the 12 direct pointers, and zero.
+    let len = match rng.below(3) {
+        0 => rng.below(3 * 1024),
+        1 => 1024 * rng.below(48),
+        _ => rng.below(48 * 1024),
+    } as usize;
+    let off = rng.below(60 * 1024);
+    let data = payload(len, step as u8);
+    let _ = match rng.below(24) {
+        // A rewrite frees the old blocks, then allocates the new ones.
+        0..=3 => fs.write_file(&file, &data),
+        4 => fs.write(&file, off, &data),
+        5 | 6 => fs.open(&file).and_then(|mut h| h.append(&data)),
+        7 => fs.read(&file, off, len).map(drop),
+        8 => fs.read_file(&file).map(drop),
+        // A truncate frees; the write after it allocates again.
+        9 => fs
+            .truncate(&file, off / 4)
+            .and_then(|()| fs.write(&file, off / 2, &data)),
+        // The create reuses the inode and the slot the remove freed.
+        10 => fs.remove_file(&file).and_then(|()| fs.create(&file)),
+        11 => fs.remove_file(&other).and_then(|()| fs.create(&file)),
+        12 => fs.mkdir(&sub),
+        13 => fs.remove_dir(&sub),
+        14 => fs.write_file(&nested, &data),
+        15 => fs.rename(&file, &other),
+        16 => fs.rename(&nested, &file),
+        17 => fs.rename(&sub, &format!("/d{}/s{}", rng.below(8), rng.below(3))),
+        18 => fs.stat(&file).and_then(|_| fs.read_dir(&sub)).map(drop),
+        19 => fs.copy(&other, &nested),
+        20 => fs.walk(&sub).and_then(|_| fs.free_bytes()).map(drop),
+        // Files up to the 268 KiB maximum: the device fills, and some
+        // rewrites fail with no space.
+        21 | 22 => fs.write_file(
+            &format!("/d{d}/b{}", rng.below(8)),
+            &payload((64 + rng.below(205)) as usize * 1024, step as u8),
+        ),
+        _ => match fs.exists(&sub) {
+            true => fs.remove_dir_all(&sub),
+            false => fs.read_dir(&format!("/d{d}")).map(drop),
+        },
+    };
+}
+
+#[test]
+fn a_seeded_script_makes_the_same_calls_and_leaves_the_same_image() {
+    let (fs, _) = image();
+    *fs.device().calls.lock().unwrap() = Calls::default();
+    let mut rng = Rng(PLACEMENT_SEED);
+    for step in 0..PLACEMENT_STEPS {
+        placement_step(&fs, &mut rng, step);
+        if step % 500 == 499 {
+            let report = fs.check().unwrap();
+            assert!(report.is_clean(), "step {step}: {:?}", report.problems);
+        }
+    }
+    let log = fs.device().calls.lock().unwrap().log;
+    let mut image = Fnv::default();
+    let inner = &fs.device().inner;
+    for k in 0..inner.num_blocks() {
+        image.eat(inner.read_block(BlockIndex::new(k)).unwrap().as_slice());
+    }
+    assert_eq!(
+        (log.0, image.0),
+        PLACEMENT_DIGESTS,
+        "the script's device calls or final image moved: (call log, image) \
+         = ({:#018x}, {:#018x})",
+        log.0,
+        image.0
+    );
 }
