@@ -233,7 +233,7 @@ pub(crate) fn write_many<B: Backend + ?Sized>(
         reply_charge: (!naive).then_some(MsgKind::WriteAck),
         reply_units: writes.len() as u64,
     };
-    let update = ScatterRequest::InstallIfAvailableMany(batch.clone());
+    let update = ScatterRequest::InstallIfAvailableMany(&batch);
     for (t, reply) in b.scatter(spec, origin, &others, &update) {
         if reply == Some(ScatterReply::Delivered) {
             recipients.insert(t);

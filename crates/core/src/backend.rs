@@ -22,7 +22,7 @@
 use crate::locks::{BlockLockTable, LeaseTable};
 use crate::transport::Links;
 use blockrep_net::{DeliveryMode, MsgKind, OpClass, TrafficCounter};
-use blockrep_storage::StorageFault;
+use blockrep_storage::{SealedBlock, StorageFault};
 use blockrep_types::{
     BlockData, BlockIndex, DeviceConfig, DeviceError, DeviceResult, SiteId, SiteState,
     VersionNumber, VersionVector,
@@ -33,16 +33,54 @@ use std::collections::BTreeSet;
 /// the recovering site is missing.
 pub type RepairBlocks = Vec<(BlockIndex, VersionNumber, BlockData)>;
 
-/// A vectored install: `(block, version, data)` triples for every distinct
-/// block of one batched write round. Shares the wire shape of
-/// [`RepairBlocks`], but carries fresh write versions rather than repair
-/// payloads.
-pub type WriteBatch = Vec<(BlockIndex, VersionNumber, BlockData)>;
+/// A vectored install: every distinct block of one batched write round,
+/// [sealed](SealedBlock) at the fresh version the write chose for it, so
+/// each replica that installs the block stores the sum computed here.
+///
+/// It is collected from `(block, version, data)` triples, sealing each as
+/// it goes, and it shares the wire shape of [`RepairBlocks`]: a frame
+/// carries no sum, and a site that decodes one seals what it received.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct WriteBatch(Vec<(BlockIndex, SealedBlock)>);
+
+impl From<Vec<(BlockIndex, SealedBlock)>> for WriteBatch {
+    fn from(blocks: Vec<(BlockIndex, SealedBlock)>) -> Self {
+        WriteBatch(blocks)
+    }
+}
+
+impl FromIterator<(BlockIndex, VersionNumber, BlockData)> for WriteBatch {
+    fn from_iter<I: IntoIterator<Item = (BlockIndex, VersionNumber, BlockData)>>(iter: I) -> Self {
+        WriteBatch(
+            iter.into_iter()
+                .map(|(k, v, data)| (k, SealedBlock::new(v, data)))
+                .collect(),
+        )
+    }
+}
+
+impl std::ops::Deref for WriteBatch {
+    type Target = [(BlockIndex, SealedBlock)];
+
+    fn deref(&self) -> &Self::Target {
+        &self.0
+    }
+}
+
+impl IntoIterator for WriteBatch {
+    type Item = (BlockIndex, SealedBlock);
+    type IntoIter = std::vec::IntoIter<(BlockIndex, SealedBlock)>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.into_iter()
+    }
+}
 
 /// One batched fan-out request: the question every target of a
-/// [`Backend::scatter`] is asked.
+/// [`Backend::scatter`] is asked. A batch is borrowed from the write that
+/// sealed it, which installs the same batch on its own site afterwards.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ScatterRequest {
+pub enum ScatterRequest<'a> {
     /// Request each target's vote — its version number for the block (MCV
     /// vote collection).
     Vote(BlockIndex),
@@ -78,10 +116,10 @@ pub enum ScatterRequest {
     /// Install a batch of blocks unconditionally in one exchange (vectored
     /// MCV write installation). Delivery is all-or-nothing per target: one
     /// frame either lands or does not.
-    InstallMany(WriteBatch),
+    InstallMany(&'a WriteBatch),
     /// Probe each target and install the whole batch only on the available
     /// ones (the vectored AC/NAC write fan-out).
-    InstallIfAvailableMany(WriteBatch),
+    InstallIfAvailableMany(&'a WriteBatch),
 }
 
 /// One target's answer to a [`ScatterRequest`].
@@ -363,7 +401,7 @@ pub trait Backend: Send + Sync {
         spec: ScatterSpec,
         origin: SiteId,
         targets: &[SiteId],
-        req: &ScatterRequest,
+        req: &ScatterRequest<'_>,
     ) -> ScatterReplies {
         scatter_sequential(self, spec, origin, targets, req)
     }
@@ -375,7 +413,7 @@ fn exchange_once<B: Backend + ?Sized>(
     b: &B,
     origin: SiteId,
     t: SiteId,
-    req: &ScatterRequest,
+    req: &ScatterRequest<'_>,
 ) -> Option<ScatterReply> {
     match req {
         ScatterRequest::Vote(k) => b.vote(origin, t, *k).map(ScatterReply::Version),
@@ -406,7 +444,7 @@ pub fn scatter_sequential<B: Backend + ?Sized>(
     spec: ScatterSpec,
     origin: SiteId,
     targets: &[SiteId],
-    req: &ScatterRequest,
+    req: &ScatterRequest<'_>,
 ) -> ScatterReplies {
     // The enabled-check is hoisted out of the per-target loop (the same fix
     // the cache hit path got): with observability off, the whole scatter
@@ -436,7 +474,7 @@ fn scatter_sequential_observed<B: Backend + ?Sized>(
     spec: ScatterSpec,
     origin: SiteId,
     targets: &[SiteId],
-    req: &ScatterRequest,
+    req: &ScatterRequest<'_>,
 ) -> ScatterReplies {
     crate::obs_hooks::scatter_batch().record(targets.len() as u64);
     let tracing = crate::obs_hooks::tracing();

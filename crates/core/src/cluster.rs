@@ -322,8 +322,8 @@ impl Backend for Cluster {
         let Some(mut replica) = self.exchange(from, to) else {
             return false;
         };
-        for (k, v, data) in writes {
-            replica.install(*k, data.clone(), *v);
+        for (k, block) in writes.iter() {
+            replica.install_sealed(*k, block.clone());
         }
         true
     }
@@ -398,6 +398,7 @@ impl Backend for Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use blockrep_storage::SealedBlock;
     use blockrep_types::Scheme;
 
     fn cluster(scheme: Scheme, n: usize) -> Cluster {
@@ -535,12 +536,13 @@ mod tests {
                 .map(|&k| (k, VersionNumber::new(v), block(v as u8 + k.as_u64() as u8)))
                 .collect()
         };
+        let holds = |s: SiteId, (k, block): &(BlockIndex, SealedBlock)| {
+            (c.version_of(s, *k), c.data_of(s, *k)) == (block.version(), block.data().clone())
+        };
         // A reachable target: each batch answer is the per-block answers.
         for s in [sid(1), sid(2)] {
             assert!(c.apply_write_many(sid(0), s, &batch(1)));
-            for (k, v, data) in batch(1) {
-                assert_eq!((c.version_of(s, k), c.data_of(s, k)), (v, data));
-            }
+            assert!(batch(1).iter().all(|write| holds(s, write)));
             let votes: Option<Vec<_>> = ks.iter().map(|&k| c.vote(sid(0), s, k)).collect();
             assert_eq!(c.vote_many(sid(0), s, &ks), votes);
             let reads: Vec<_> = ks.iter().map(|&k| c.read_local(s, k).unwrap()).collect();
@@ -553,12 +555,10 @@ mod tests {
         for s in [sid(1), sid(2)] {
             assert_eq!(c.vote_many(sid(0), s, &ks), None);
             assert!(!c.apply_write_many(sid(0), s, &batch(2)));
-            for (k, v, data) in batch(1) {
-                assert_eq!((c.version_of(s, k), c.data_of(s, k)), (v, data));
-            }
+            assert!(batch(1).iter().all(|write| holds(s, write)));
         }
         // A site's own disk answers it even while the site is failed.
-        let own: Vec<BlockData> = batch(1).into_iter().map(|(_, _, data)| data).collect();
+        let own: Vec<BlockData> = batch(1).iter().map(|(_, b)| b.data().clone()).collect();
         assert_eq!(c.read_local_many(sid(2), &ks).unwrap(), own);
     }
 

@@ -601,39 +601,39 @@ impl<R: Deref<Target: Backend> + Send + Sync> Backend for FaultyBackend<R> {
             // it lands torn/stale, the rest of the batch never reaches the
             // platter, and no ack is sent.
             Decision::Torn(keep) => {
-                if let Some((k, v, data)) = writes.first() {
+                if let Some((k, block)) = writes.first() {
                     self.inner.apply_write_faulty(
                         from,
                         to,
                         *k,
-                        data,
-                        *v,
+                        block.data(),
+                        block.version(),
                         StorageFault::Torn { keep },
                     );
                 }
                 false
             }
             Decision::Stale => {
-                if let Some((k, v, data)) = writes.first() {
+                if let Some((k, block)) = writes.first() {
                     self.inner.apply_write_faulty(
                         from,
                         to,
                         *k,
-                        data,
-                        *v,
+                        block.data(),
+                        block.version(),
                         StorageFault::StaleVersion,
                     );
                 }
                 false
             }
             Decision::WalTorn(keep) => {
-                if let Some((k, v, data)) = writes.first() {
+                if let Some((k, block)) = writes.first() {
                     self.inner.apply_write_faulty(
                         from,
                         to,
                         *k,
-                        data,
-                        *v,
+                        block.data(),
+                        block.version(),
                         StorageFault::WalTorn { keep },
                     );
                 }

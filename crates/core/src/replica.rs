@@ -1,7 +1,7 @@
 //! Per-site replica state.
 
 use blockrep_storage::wal::{self, WalRecord};
-use blockrep_storage::{StorageFault, VersionedStore};
+use blockrep_storage::{SealedBlock, StorageFault, VersionedStore};
 use blockrep_types::{BlockData, BlockIndex, DeviceConfig, SiteId, VersionNumber, VersionVector};
 use std::collections::BTreeSet;
 
@@ -133,6 +133,13 @@ impl Replica {
     pub fn install(&mut self, k: BlockIndex, data: BlockData, v: VersionNumber) -> bool {
         self.journal_install(k, &data, v, None);
         self.store.install(k, data, v)
+    }
+
+    /// [`install`](Self::install) of a block sealed where its write chose
+    /// the version: the store keeps the sum the seal carries.
+    pub fn install_sealed(&mut self, k: BlockIndex, block: SealedBlock) -> bool {
+        self.journal_install(k, block.data(), block.version(), None);
+        self.store.install_sealed(k, block)
     }
 
     /// Installs a block but leaves it in the broken on-disk state `fault`

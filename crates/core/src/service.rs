@@ -35,7 +35,10 @@ fn fits(replica: &Replica, request: &WireRequest) -> bool {
         WireRequest::ApplyWrite(k, _, data) | WireRequest::ApplyWriteFaulty(k, _, data, _) => {
             install(k, data)
         }
-        WireRequest::ApplyWriteMany(blocks) | WireRequest::ApplyRepair(blocks) => batch(blocks),
+        WireRequest::ApplyWriteMany(blocks) => {
+            blocks.iter().all(|(k, block)| install(k, block.data()))
+        }
+        WireRequest::ApplyRepair(blocks) => batch(blocks),
         WireRequest::ReadLocalMany(ks) | WireRequest::VoteMany(ks) => ks.iter().all(block),
         WireRequest::RepairPayload(vv) => vv.len() as u64 == num_blocks,
         // An envelope's request is checked when `serve` opens it.
@@ -85,8 +88,8 @@ pub(crate) fn serve(
             WireResponse::Ack
         }
         WireRequest::ApplyWriteMany(blocks) => {
-            for (k, v, data) in blocks {
-                replica.install(k, data, v);
+            for (k, block) in blocks {
+                replica.install_sealed(k, block);
             }
             WireResponse::Ack
         }
@@ -215,7 +218,10 @@ mod tests {
                 WireRequest::ApplyWriteFaulty(blk(2), ver(1), fill(4), StorageFault::StaleVersion),
                 ack,
             ),
-            (WireRequest::ApplyWriteMany(batch.clone()), ack),
+            (
+                WireRequest::ApplyWriteMany(batch.iter().cloned().collect()),
+                ack,
+            ),
             (WireRequest::ApplyRepair(batch), ack),
             (WireRequest::SetW(w), ack),
             (WireRequest::AddW(SiteId::new(2)), ack),
@@ -273,7 +279,11 @@ mod tests {
             WireRequest::ApplyWrite(out, ver(1), fill(1)),
             WireRequest::ApplyWrite(blk(0), ver(1), short.clone()),
             WireRequest::ApplyWriteFaulty(blk(0), ver(1), short.clone(), fault),
-            WireRequest::ApplyWriteMany(vec![(blk(0), ver(1), fill(1)), (out, ver(1), fill(1))]),
+            WireRequest::ApplyWriteMany(
+                [(blk(0), ver(1), fill(1)), (out, ver(1), fill(1))]
+                    .into_iter()
+                    .collect(),
+            ),
             WireRequest::ApplyRepair(vec![(blk(1), ver(1), short)]),
             WireRequest::RepairPayload(VersionVector::new(BLOCKS + 1)),
         ] {
@@ -310,8 +320,12 @@ mod tests {
             Some(WireResponse::Version(ver(5)))
         );
         // A batch lands whole, and an older version does not overwrite.
-        let batch = vec![(blk(0), ver(1), fill(1)), (blk(2), ver(4), fill(0))];
-        serve(&mut r, 1, WireRequest::ApplyWriteMany(batch));
+        let batch = [(blk(0), ver(1), fill(1)), (blk(2), ver(4), fill(0))];
+        serve(
+            &mut r,
+            1,
+            WireRequest::ApplyWriteMany(batch.into_iter().collect()),
+        );
         assert_eq!(
             serve(&mut r, 1, WireRequest::ReadLocalMany(vec![blk(0), blk(2)])),
             Some(WireResponse::DataMany(vec![fill(1), fill(9)]))

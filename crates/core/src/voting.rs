@@ -528,7 +528,7 @@ pub(crate) fn write_many<B: Backend + ?Sized>(
         spec,
         origin,
         &remote_voters,
-        &ScatterRequest::InstallMany(batch.clone()),
+        &ScatterRequest::InstallMany(&batch),
     );
     // Fail-stop, as in [`write`]: a crashed coordinator completes nothing.
     ensure_coordinator(b, origin)?;
@@ -538,15 +538,16 @@ pub(crate) fn write_many<B: Backend + ?Sized>(
     }
     // Batch delivery is all-or-nothing per target, so one delivered set
     // covers every block: re-grant each block's lease at its new version.
-    for (k, v_new, _) in &batch {
+    for (k, block) in batch.iter() {
+        let v_new = block.version();
         grant_from_votes(
             b,
             *k,
-            *v_new,
+            v_new,
             installs
                 .iter()
                 .filter(|(_, r)| r.is_some())
-                .map(|&(s, _)| (s, *v_new)),
+                .map(|&(s, _)| (s, v_new)),
             origin,
             epoch,
         );

@@ -11,8 +11,8 @@
 //! messages are nine shapes of integers, byte blocks and site sets, and a
 //! fuzzed round-trip property pins the format down.
 
-use crate::backend::RepairBlocks;
-use blockrep_storage::StorageFault;
+use crate::backend::{RepairBlocks, WriteBatch};
+use blockrep_storage::{SealedBlock, StorageFault};
 use blockrep_types::{BlockData, BlockIndex, SiteId, VersionNumber, VersionVector};
 use bytes::{Buf, BufMut};
 use std::collections::BTreeSet;
@@ -57,8 +57,9 @@ pub enum WireRequest {
     /// Request the site's votes for a whole run of blocks in one frame.
     VoteMany(Vec<BlockIndex>),
     /// Install a batch of blocks at their versions (each if newer) in one
-    /// frame. Same payload shape as [`WireRequest::ApplyRepair`].
-    ApplyWriteMany(RepairBlocks),
+    /// frame. Same payload shape as [`WireRequest::ApplyRepair`]: the
+    /// blocks' seals do not travel, and a decoded batch is sealed afresh.
+    ApplyWriteMany(WriteBatch),
     /// Read a run of blocks off the local disk in one frame.
     ReadLocalMany(Vec<BlockIndex>),
     /// A trace envelope: the inner request plus the coordinator's causal
@@ -186,7 +187,12 @@ fn get_vv(raw: &mut &[u8]) -> Result<VersionVector, DecodeError> {
         .collect())
 }
 
-fn put_blocks(buf: &mut impl BufMut, blocks: &RepairBlocks) {
+/// A `u32` count, then each block's index, version and data: the one
+/// layout of a repair payload and of a write batch.
+fn put_blocks<'a>(
+    buf: &mut impl BufMut,
+    blocks: impl ExactSizeIterator<Item = (BlockIndex, VersionNumber, &'a BlockData)>,
+) {
     buf.put_u32_le(blocks.len() as u32);
     for (k, v, data) in blocks {
         buf.put_u64_le(k.as_u64());
@@ -195,7 +201,15 @@ fn put_blocks(buf: &mut impl BufMut, blocks: &RepairBlocks) {
     }
 }
 
-fn get_blocks(raw: &mut &[u8]) -> Result<RepairBlocks, DecodeError> {
+fn put_repair(buf: &mut impl BufMut, blocks: &RepairBlocks) {
+    put_blocks(buf, blocks.iter().map(|(k, v, data)| (*k, *v, data)));
+}
+
+/// Reads what [`put_blocks`] wrote, making each block into a `T`.
+fn get_blocks<T>(
+    raw: &mut &[u8],
+    make: impl Fn(BlockIndex, VersionNumber, BlockData) -> T,
+) -> Result<Vec<T>, DecodeError> {
     need(raw, 4, "block count")?;
     let count = raw.get_u32_le() as usize;
     let mut out = Vec::with_capacity(count.min(4096));
@@ -203,9 +217,13 @@ fn get_blocks(raw: &mut &[u8]) -> Result<RepairBlocks, DecodeError> {
         need(raw, 16, "block header")?;
         let k = BlockIndex::new(raw.get_u64_le());
         let v = VersionNumber::new(raw.get_u64_le());
-        out.push((k, v, get_data(raw)?));
+        out.push(make(k, v, get_data(raw)?));
     }
     Ok(out)
+}
+
+fn get_repair(raw: &mut &[u8]) -> Result<RepairBlocks, DecodeError> {
+    get_blocks(raw, |k, v, data| (k, v, data))
 }
 
 /// A `u32` count, then that many `u64`s: a run of block indices or of
@@ -297,7 +315,7 @@ impl WireRequest {
             }
             WireRequest::ApplyRepair(blocks) => {
                 buf.put_u8(7);
-                put_blocks(buf, blocks);
+                put_repair(buf, blocks);
             }
             WireRequest::GetW => buf.put_u8(8),
             WireRequest::SetW(w) => {
@@ -331,9 +349,9 @@ impl WireRequest {
                 buf.put_u8(14);
                 put_u64s(buf, ks.iter().map(|k| k.as_u64()));
             }
-            WireRequest::ApplyWriteMany(blocks) => {
+            WireRequest::ApplyWriteMany(batch) => {
                 buf.put_u8(15);
-                put_blocks(buf, blocks);
+                put_blocks(buf, batch.iter().map(|(k, b)| (*k, b.version(), b.data())));
             }
             WireRequest::ReadLocalMany(ks) => {
                 buf.put_u8(16);
@@ -388,7 +406,7 @@ impl WireRequest {
             }
             5 => WireRequest::VersionVector,
             6 => WireRequest::RepairPayload(get_vv(&mut raw)?),
-            7 => WireRequest::ApplyRepair(get_blocks(&mut raw)?),
+            7 => WireRequest::ApplyRepair(get_repair(&mut raw)?),
             8 => WireRequest::GetW,
             9 => WireRequest::SetW(get_sites(&mut raw)?),
             10 => {
@@ -422,7 +440,10 @@ impl WireRequest {
             }
             13 => WireRequest::Scrub,
             14 => WireRequest::VoteMany(get_u64s(&mut raw, BlockIndex::new)?),
-            15 => WireRequest::ApplyWriteMany(get_blocks(&mut raw)?),
+            15 => WireRequest::ApplyWriteMany(WriteBatch::from(get_blocks(
+                &mut raw,
+                |k, v, data| (k, SealedBlock::new(v, data)),
+            )?)),
             17 => {
                 need(raw, 16, "trace envelope")?;
                 let trace_id = raw.get_u64_le();
@@ -513,7 +534,7 @@ impl WireResponse {
             WireResponse::Payload(vv, blocks) => {
                 buf.put_u8(5);
                 put_vv(buf, vv);
-                put_blocks(buf, blocks);
+                put_repair(buf, blocks);
             }
             WireResponse::W(w) => {
                 buf.put_u8(6);
@@ -565,7 +586,7 @@ impl WireResponse {
             4 => WireResponse::Vector(get_vv(&mut raw)?),
             5 => {
                 let vv = get_vv(&mut raw)?;
-                WireResponse::Payload(vv, get_blocks(&mut raw)?)
+                WireResponse::Payload(vv, get_repair(&mut raw)?)
             }
             6 => WireResponse::W(get_sites(&mut raw)?),
             7 => {
@@ -798,7 +819,7 @@ mod tests {
             prop::collection::vec(any::<u16>(), 0..8).prop_map(|ks| WireRequest::VoteMany(
                 ks.into_iter().map(|k| BlockIndex::new(k as u64)).collect()
             )),
-            arb_blocks().prop_map(WireRequest::ApplyWriteMany),
+            arb_blocks().prop_map(|b| WireRequest::ApplyWriteMany(b.into_iter().collect())),
             prop::collection::vec(any::<u16>(), 0..8).prop_map(|ks| WireRequest::ReadLocalMany(
                 ks.into_iter().map(|k| BlockIndex::new(k as u64)).collect()
             )),
@@ -1187,7 +1208,7 @@ mod tests {
     #[test]
     fn golden_bytes_pin_the_format() {
         let ks = vec![BlockIndex::new(3), BlockIndex::new(0x0102_0304_0506_0708)];
-        let blocks: RepairBlocks = vec![
+        let blocks: WriteBatch = [
             (
                 BlockIndex::new(5),
                 VersionNumber::new(9),
@@ -1198,7 +1219,9 @@ mod tests {
                 VersionNumber::new(1),
                 BlockData::from(vec![]),
             ),
-        ];
+        ]
+        .into_iter()
+        .collect();
         let write_many = "0f020000000500000000000000090000000000000003000000aabbcc\
                           0600000000000000010000000000000000000000";
         let requests = [

@@ -3,7 +3,9 @@
 //! Every stored fault-detection value in the crate is this function: a
 //! journal record's CRC, the journal superblock's CRC, and a
 //! [`VersionedStore`](crate::VersionedStore) block's `(version, data)` sum,
-//! which every install, repair and scrub computes. The threat model is a
+//! which a [`SealedBlock`](crate::SealedBlock) carries from where a write
+//! chose the version to every replica it installs on, and which an unsealed
+//! install, a repair and a scrub compute in place. The threat model is a
 //! crash (a torn or misordered write), not an adversary, so it needs to be
 //! deterministic, dependency-free and cheap, not collision-resistant.
 

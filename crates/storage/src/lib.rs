@@ -41,5 +41,5 @@ pub use cache::{CacheStats, CacheStore};
 pub use device::BlockDevice;
 pub use file::FileStore;
 pub use mem::MemStore;
-pub use versioned::{StorageFault, VersionedStore};
+pub use versioned::{SealedBlock, StorageFault, VersionedStore};
 pub use wal::{Journaled, Wal, WalRecord, WalStats};

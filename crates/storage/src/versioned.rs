@@ -39,6 +39,57 @@ pub enum StorageFault {
     },
 }
 
+/// A block's new contents bound to the version they will be installed at,
+/// with the store's checksum of the pair computed once, when the block is
+/// sealed.
+///
+/// A write seals each block where it chooses the block's version, and every
+/// replica that installs it through
+/// [`VersionedStore::install_sealed`] stores the sum it carries instead of
+/// hashing the bytes again. The fields are private, so the sum is always
+/// the one an unsealed [`install`](VersionedStore::install) of the same
+/// `(version, data)` would compute.
+///
+/// # Examples
+///
+/// ```
+/// use blockrep_storage::{SealedBlock, VersionedStore};
+/// use blockrep_types::{BlockData, BlockIndex, VersionNumber};
+///
+/// let block = SealedBlock::new(VersionNumber::new(3), BlockData::zeroed(512));
+/// let (mut a, mut b) = (VersionedStore::new(8, 512), VersionedStore::new(8, 512));
+/// let k = BlockIndex::new(0);
+/// assert!(a.install_sealed(k, block.clone()) && b.install_sealed(k, block));
+/// assert!(a.checksum_ok(k) && b.checksum_ok(k));
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SealedBlock {
+    version: VersionNumber,
+    sum: u64,
+    data: BlockData,
+}
+
+impl SealedBlock {
+    /// Seals `data` at `version`: the one checksum of the pair.
+    pub fn new(version: VersionNumber, data: BlockData) -> Self {
+        SealedBlock {
+            version,
+            sum: checksum(&[version.as_u64()], data.as_slice()),
+            data,
+        }
+    }
+
+    /// The version the block is sealed at.
+    pub fn version(&self) -> VersionNumber {
+        self.version
+    }
+
+    /// The sealed contents.
+    pub fn data(&self) -> &BlockData {
+        &self.data
+    }
+}
+
 /// A site's disk as the consistency protocols see it: every block carries a
 /// version number alongside its data.
 ///
@@ -137,10 +188,28 @@ impl VersionedStore {
     /// block size.
     pub fn install(&mut self, k: BlockIndex, data: BlockData, v: VersionNumber) -> bool {
         assert_eq!(data.len(), self.block_size, "payload must match block size");
-        if v > self.versions.get(k) {
-            self.checksums[k.index()] = checksum(&[v.as_u64()], data.as_slice());
-            self.blocks[k.index()] = data;
-            self.versions.set(k, v);
+        // A stale install hashes nothing.
+        v > self.versions.get(k) && self.install_sealed(k, SealedBlock::new(v, data))
+    }
+
+    /// [`install`](Self::install) of a block sealed elsewhere: the same
+    /// monotone guard and result, but the stored checksum is the one the
+    /// seal carries, so the bytes are not hashed again.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` is out of range or the payload size differs from the
+    /// block size.
+    pub fn install_sealed(&mut self, k: BlockIndex, block: SealedBlock) -> bool {
+        assert_eq!(
+            block.data.len(),
+            self.block_size,
+            "payload must match block size"
+        );
+        if block.version > self.versions.get(k) {
+            self.checksums[k.index()] = block.sum;
+            self.blocks[k.index()] = block.data;
+            self.versions.set(k, block.version);
             true
         } else {
             false
@@ -410,6 +479,43 @@ mod tests {
             s.checksums,
             vec![sum(3, 1), sum(5, 2), sum(9, 4), sum(0, 0)]
         );
+    }
+
+    #[test]
+    fn a_sealed_install_leaves_the_store_an_install_leaves() {
+        let (mut plain, mut sealed) = (VersionedStore::new(3, 64), VersionedStore::new(3, 64));
+        let writes = [(0, 2, 1u8), (2, 5, 7), (0, 1, 9), (0, 3, 4), (2, 5, 8)];
+        for (i, v, fill) in writes {
+            let (k, v, data) = (BlockIndex::new(i), VersionNumber::new(v), vec![fill; 64]);
+            let block = SealedBlock::new(v, BlockData::from(data.clone()));
+            // The same monotone guard: stale and equal versions land nowhere.
+            assert_eq!(
+                sealed.install_sealed(k, block),
+                plain.install(k, BlockData::from(data), v)
+            );
+        }
+        assert_eq!(sealed.checksums, plain.checksums);
+        assert_eq!(sealed.versions, plain.versions);
+        assert_eq!(sealed.blocks, plain.blocks);
+    }
+
+    #[test]
+    fn a_sealed_install_stores_the_sum_it_carries() {
+        let mut s = VersionedStore::new(2, 8);
+        let k = BlockIndex::new(1);
+        let good = SealedBlock::new(VersionNumber::new(4), BlockData::from(vec![6; 8]));
+        // The store does not hash a sealed block: a seal that lies about its
+        // sum is what a scrub then finds, as it would a torn write.
+        let lying = SealedBlock {
+            sum: good.sum ^ 1,
+            ..good.clone()
+        };
+        assert!(s.install_sealed(k, lying));
+        assert_eq!(s.data(k).as_slice(), &[6; 8]);
+        assert!(!s.checksum_ok(k));
+        assert_eq!(s.scrub(), vec![k]);
+        assert!(s.install_sealed(k, good));
+        assert!(s.checksum_ok(k));
     }
 
     #[test]

@@ -25,7 +25,10 @@
 //! channel and two envelope boxes per exchange), and 567 KiB and 461 on
 //! five sites. Those figures had the local leg on a socket of its own,
 //! `(n + 1) × 64` decoded blocks a pair; with the local leg local, 225 KiB
-//! and 182 (217–218 multiplexed), and 364 KiB and 322 on five sites.
+//! and 182 (217–218 multiplexed), and 364 KiB and 322 on five sites. Since
+//! a write batch is sealed (each block carries its 8-byte sum) and its
+//! install scatter borrows it instead of copying it, 226 KiB and 181 (217
+//! multiplexed), and 366 KiB and 321 on five sites.
 //!
 //! **The live inbox path**, at the same batch shape and at `live-fs-ac`'s
 //! (single-block available-copy traffic with a fail / repair cycle): what
@@ -181,9 +184,12 @@ const AC_ROUNDS: u64 = 8;
 
 /// `(allocations, bytes)` per batch pair and per available-copy round: the
 /// measured ceilings. A round is 223 allocations and 14 400 bytes on every
-/// run; a pair is 55 allocations and 28 606 bytes plus one 96-byte
+/// run; a pair is 54 allocations and 28 600 bytes plus one 96-byte
 /// allocation for each of its two scatters whose second reply has to be
-/// waited for (55–56 and up to 28 696 seen).
+/// waited for. Each block of a write batch carries its 8-byte seal, so a
+/// copy of the batch is a quarter larger than it was; the install scatter
+/// borrows the batch instead of copying it, so a pair allocates one copy
+/// fewer (55 and 28 606 before) and the bytes stay where they were.
 ///
 /// While the local leg was a message to the coordinator's own site — an
 /// envelope in a channel that allocates its slots by the block, and a reply
@@ -192,7 +198,7 @@ const AC_ROUNDS: u64 = 8;
 /// *other* sites: an inbox slot holds a 48-byte `WireRequest` beside a
 /// 24-byte optional reply sender (the inbox itself is allocated once, at
 /// spawn), and a reply slot a 48-byte `WireResponse`.
-const LIVE_BATCH_PAIR: (u64, u64) = (57, 28_800);
+const LIVE_BATCH_PAIR: (u64, u64) = (56, 28_800);
 const LIVE_AC_ROUND: (u64, u64) = (223, 14_400);
 
 /// Blocks that cross a socket, and are decoded, per pair on `n` sites.
