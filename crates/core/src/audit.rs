@@ -303,13 +303,11 @@ mod tests {
         // Bypass the protocol: install a version on one site only, via the
         // backend trait.
         use crate::backend::Backend as _;
-        c.apply_write(
-            s(0),
-            s(0),
-            BlockIndex::new(0),
-            &BlockData::from(vec![9; 8]),
+        let block = blockrep_storage::SealedBlock::new(
             blockrep_types::VersionNumber::new(5),
+            BlockData::from(vec![9; 8]),
         );
+        c.apply_write(s(0), s(0), BlockIndex::new(0), &block);
         let violations = check_invariants(&c);
         assert!(
             violations

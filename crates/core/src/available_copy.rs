@@ -24,14 +24,31 @@
 //! realistic failure-to-repair ratios. Every function here that differs
 //! between the two schemes takes `naive`; the others serve both unchanged.
 
-use crate::backend::{self, Backend, ScatterReply, ScatterRequest, ScatterSpec, WriteBatch};
+use crate::backend::{
+    self, Backend, ScatterReplies, ScatterReply, ScatterRequest, ScatterSpec, SiteVec, WriteBatch,
+};
 use crate::obs_hooks;
 use blockrep_net::{MsgKind, OpClass};
 use blockrep_obs::event;
+use blockrep_storage::SealedBlock;
 use blockrep_types::{
     BlockData, BlockIndex, DeviceError, DeviceResult, FailureTracking, SiteId, SiteState,
 };
 use std::collections::BTreeSet;
+
+/// A write's group: `origin` and every target its install fan-out was
+/// delivered to, in ascending site order — the set Definition 3.1 has each
+/// of them record as its new was-available set.
+fn write_group(origin: SiteId, installs: ScatterReplies) -> SiteVec<SiteId> {
+    let mut group: SiteVec<SiteId> = installs
+        .into_iter()
+        .filter(|(_, reply)| *reply == Some(ScatterReply::Delivered))
+        .map(|(t, _)| t)
+        .chain([origin])
+        .collect();
+    group.sort_unstable();
+    group
+}
 
 fn ensure_serving<B: Backend + ?Sized>(b: &B, origin: SiteId) -> DeviceResult<()> {
     if !b.config().contains_site(origin) {
@@ -107,9 +124,10 @@ pub(crate) fn write<B: Backend + ?Sized>(
             .ok_or_else(|| backend::dead_local_leg(origin))?
             .next()
     };
+    // Sealed once, here, for every replica that installs it.
+    let block = SealedBlock::new(v_new, data.clone());
     let others = backend::others(cfg, origin);
     backend::charge_fanout(b, OpClass::Write, MsgKind::WriteUpdate, others.len());
-    let mut recipients: BTreeSet<SiteId> = BTreeSet::from([origin]);
     // Conventional available copy collects an acknowledgement from every
     // available recipient; the naive variant skips them (its §5 advantage).
     let spec = ScatterSpec {
@@ -117,19 +135,11 @@ pub(crate) fn write<B: Backend + ?Sized>(
         reply_charge: (!naive).then_some(MsgKind::WriteAck),
         reply_units: 1,
     };
-    let update = ScatterRequest::InstallIfAvailable {
-        k,
-        v: v_new,
-        data: data.clone(),
-    };
-    for (t, reply) in b.scatter(spec, origin, &others, &update) {
-        if reply == Some(ScatterReply::Delivered) {
-            recipients.insert(t);
-        }
-    }
+    let update = ScatterRequest::InstallIfAvailable { k, block: &block };
+    let recipients = write_group(origin, b.scatter(spec, origin, &others, &update));
     {
         let _leg = obs_hooks::phase_span(obs_hooks::phase_local_leg, origin.as_u32());
-        b.apply_write(origin, origin, k, data, v_new);
+        b.apply_write(origin, origin, k, &block);
     }
     event!(
         "acwrite.fanout",
@@ -227,18 +237,13 @@ pub(crate) fn write_many<B: Backend + ?Sized>(
     for _ in writes {
         backend::charge_fanout(b, OpClass::Write, MsgKind::WriteUpdate, others.len());
     }
-    let mut recipients: BTreeSet<SiteId> = BTreeSet::from([origin]);
     let spec = ScatterSpec {
         op: OpClass::Write,
         reply_charge: (!naive).then_some(MsgKind::WriteAck),
         reply_units: writes.len() as u64,
     };
     let update = ScatterRequest::InstallIfAvailableMany(&batch);
-    for (t, reply) in b.scatter(spec, origin, &others, &update) {
-        if reply == Some(ScatterReply::Delivered) {
-            recipients.insert(t);
-        }
-    }
+    let recipients = write_group(origin, b.scatter(spec, origin, &others, &update));
     {
         let _leg = obs_hooks::phase_span(obs_hooks::phase_local_leg, origin.as_u32());
         b.apply_write_many(origin, origin, &batch);
@@ -283,9 +288,8 @@ pub(crate) fn fail<B: Backend + ?Sized>(b: &B, s: SiteId, naive: bool) {
     if survivors.is_empty() {
         return;
     }
-    let group: BTreeSet<SiteId> = survivors.iter().copied().collect();
     for &t in &survivors {
-        b.set_was_available(t, t, &group);
+        b.set_was_available(t, t, &survivors);
     }
     backend::charge_fanout(b, OpClass::Control, MsgKind::FailureNotice, survivors.len());
 }
@@ -436,6 +440,7 @@ pub(crate) fn try_complete_recovery<B: Backend + ?Sized>(b: &B, c: SiteId, naive
             // W_s ← W_t ∪ {s}; send(t, W_s) — piggybacked on the exchange.
             if let Some(mut w) = b.was_available(c, t) {
                 w.insert(c);
+                let w: Vec<SiteId> = w.into_iter().collect();
                 b.set_was_available(c, c, &w);
                 b.add_was_available(c, t, c);
             }

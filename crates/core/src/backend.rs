@@ -28,6 +28,140 @@ use blockrep_types::{
     VersionNumber, VersionVector,
 };
 use std::collections::BTreeSet;
+use std::ops::{Deref, DerefMut};
+
+/// Entries a [`SiteVec`] holds without allocating: a round on a cluster of
+/// up to this many sites — every configuration the paper evaluates, and
+/// the benchmark's three — keeps its per-site lists inline.
+pub const INLINE_SITES: usize = 8;
+
+/// A per-site list of one protocol round: the sites a request is addressed
+/// to, the votes gathered, a scatter's replies. Up to [`INLINE_SITES`]
+/// entries live inline, so a round on a small cluster allocates nothing;
+/// the first entry past that moves the list to the heap, so no site count
+/// is refused. It reads as a slice.
+#[derive(Clone)]
+pub struct SiteVec<T>(SiteStore<T>);
+
+#[derive(Clone)]
+enum SiteStore<T> {
+    /// The first `len` entries are the list; the rest are `T::default()`.
+    Inline {
+        len: usize,
+        items: [T; INLINE_SITES],
+    },
+    Heap(Vec<T>),
+}
+
+impl<T: Default> SiteVec<T> {
+    /// An empty list, inline.
+    pub fn new() -> Self {
+        SiteVec(SiteStore::Inline {
+            len: 0,
+            items: std::array::from_fn(|_| T::default()),
+        })
+    }
+
+    /// Appends `item`, moving the list to the heap when it outgrows
+    /// [`INLINE_SITES`].
+    pub fn push(&mut self, item: T) {
+        match &mut self.0 {
+            SiteStore::Inline { len, items } if *len < INLINE_SITES => {
+                items[*len] = item;
+                *len += 1;
+            }
+            SiteStore::Inline { items, .. } => {
+                let mut heap = Vec::with_capacity(2 * INLINE_SITES);
+                heap.extend(items.iter_mut().map(std::mem::take));
+                heap.push(item);
+                self.0 = SiteStore::Heap(heap);
+            }
+            SiteStore::Heap(heap) => heap.push(item),
+        }
+    }
+}
+
+impl<T: Default> Default for SiteVec<T> {
+    fn default() -> Self {
+        SiteVec::new()
+    }
+}
+
+impl<T> Deref for SiteVec<T> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        match &self.0 {
+            SiteStore::Inline { len, items } => &items[..*len],
+            SiteStore::Heap(heap) => heap,
+        }
+    }
+}
+
+impl<T> DerefMut for SiteVec<T> {
+    fn deref_mut(&mut self) -> &mut [T] {
+        match &mut self.0 {
+            SiteStore::Inline { len, items } => &mut items[..*len],
+            SiteStore::Heap(heap) => heap,
+        }
+    }
+}
+
+impl<T: Default> FromIterator<T> for SiteVec<T> {
+    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
+        let mut list = SiteVec::new();
+        for item in iter {
+            list.push(item);
+        }
+        list
+    }
+}
+
+/// The owning iterator of a [`SiteVec`], in list order.
+pub struct SiteVecIntoIter<T>(SiteIter<T>);
+
+enum SiteIter<T> {
+    Inline(std::iter::Take<std::array::IntoIter<T, INLINE_SITES>>),
+    Heap(std::vec::IntoIter<T>),
+}
+
+impl<T> Iterator for SiteVecIntoIter<T> {
+    type Item = T;
+
+    fn next(&mut self) -> Option<T> {
+        match &mut self.0 {
+            SiteIter::Inline(items) => items.next(),
+            SiteIter::Heap(items) => items.next(),
+        }
+    }
+}
+
+impl<T> IntoIterator for SiteVec<T> {
+    type Item = T;
+    type IntoIter = SiteVecIntoIter<T>;
+
+    fn into_iter(self) -> SiteVecIntoIter<T> {
+        SiteVecIntoIter(match self.0 {
+            SiteStore::Inline { len, items } => SiteIter::Inline(items.into_iter().take(len)),
+            SiteStore::Heap(heap) => SiteIter::Heap(heap.into_iter()),
+        })
+    }
+}
+
+impl<'a, T> IntoIterator for &'a SiteVec<T> {
+    type Item = &'a T;
+    type IntoIter = std::slice::Iter<'a, T>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl<T: std::fmt::Debug> std::fmt::Debug for SiteVec<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
 
 /// A recovery transfer: `(block, version, data)` triples for every block
 /// the recovering site is missing.
@@ -77,8 +211,9 @@ impl IntoIterator for WriteBatch {
 }
 
 /// One batched fan-out request: the question every target of a
-/// [`Backend::scatter`] is asked. A batch is borrowed from the write that
-/// sealed it, which installs the same batch on its own site afterwards.
+/// [`Backend::scatter`] is asked. A block or a batch is borrowed from the
+/// write that sealed it, which installs the same seal on its own site
+/// afterwards.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ScatterRequest<'a> {
     /// Request each target's vote — its version number for the block (MCV
@@ -91,10 +226,8 @@ pub enum ScatterRequest<'a> {
     Install {
         /// The block being written.
         k: BlockIndex,
-        /// The new version number.
-        v: VersionNumber,
-        /// The new contents.
-        data: BlockData,
+        /// The new contents, sealed at the new version.
+        block: &'a SealedBlock,
     },
     /// Probe each target and install only on the available ones (the AC/NAC
     /// write fan-out: two exchanges per available target, one per
@@ -102,10 +235,8 @@ pub enum ScatterRequest<'a> {
     InstallIfAvailable {
         /// The block being written.
         k: BlockIndex,
-        /// The new version number.
-        v: VersionNumber,
-        /// The new contents.
-        data: BlockData,
+        /// The new contents, sealed at the new version.
+        block: &'a SealedBlock,
     },
     /// Request each target's version vector (recovery source selection).
     VersionVector,
@@ -139,7 +270,7 @@ pub enum ScatterReply {
 
 /// Replies from one scatter, in target order. `None` marks a target that
 /// did not answer (failed/unreachable).
-pub type ScatterReplies = Vec<(SiteId, Option<ScatterReply>)>;
+pub type ScatterReplies = SiteVec<(SiteId, Option<ScatterReply>)>;
 
 /// Accounting context of one scatter — plumbing shared by the runtime
 /// overrides.
@@ -262,16 +393,10 @@ pub trait Backend: Send + Sync {
     ) -> Option<(VersionNumber, BlockData)>;
 
     /// Delivers a write update to `to` (or applies locally when
-    /// `from == to`); the replica installs it if `v` is newer. Returns
-    /// whether the update was delivered.
-    fn apply_write(
-        &self,
-        from: SiteId,
-        to: SiteId,
-        k: BlockIndex,
-        data: &BlockData,
-        v: VersionNumber,
-    ) -> bool;
+    /// `from == to`); the replica installs `block` if its version is newer,
+    /// storing the sum it was sealed with. Returns whether the update was
+    /// delivered.
+    fn apply_write(&self, from: SiteId, to: SiteId, k: BlockIndex, block: &SealedBlock) -> bool;
 
     /// Reads block `k` straight off `s`'s local disk.
     ///
@@ -308,9 +433,10 @@ pub trait Backend: Send + Sync {
     /// Requests `to`'s was-available set `W`.
     fn was_available(&self, from: SiteId, to: SiteId) -> Option<BTreeSet<SiteId>>;
 
-    /// Replaces `to`'s was-available set (piggybacked on writes/repairs).
-    /// Returns whether `to` received it.
-    fn set_was_available(&self, from: SiteId, to: SiteId, w: &BTreeSet<SiteId>) -> bool;
+    /// Replaces `to`'s was-available set with the sites of `w`, in
+    /// ascending order (piggybacked on writes/repairs). Returns whether
+    /// `to` received it.
+    fn set_was_available(&self, from: SiteId, to: SiteId, w: &[SiteId]) -> bool;
 
     /// Tells `to` that `member` has repaired from it: `W_to ← W_to ∪ {member}`.
     fn add_was_available(&self, from: SiteId, to: SiteId, member: SiteId) -> bool;
@@ -418,12 +544,12 @@ fn exchange_once<B: Backend + ?Sized>(
     match req {
         ScatterRequest::Vote(k) => b.vote(origin, t, *k).map(ScatterReply::Version),
         ScatterRequest::ProbeState => b.probe_state(origin, t).map(ScatterReply::State),
-        ScatterRequest::Install { k, v, data } => b
-            .apply_write(origin, t, *k, data, *v)
+        ScatterRequest::Install { k, block } => b
+            .apply_write(origin, t, *k, block)
             .then_some(ScatterReply::Delivered),
-        ScatterRequest::InstallIfAvailable { k, v, data } => (b.probe_state(origin, t)
+        ScatterRequest::InstallIfAvailable { k, block } => (b.probe_state(origin, t)
             == Some(SiteState::Available)
-            && b.apply_write(origin, t, *k, data, *v))
+            && b.apply_write(origin, t, *k, block))
         .then_some(ScatterReply::Delivered),
         ScatterRequest::VersionVector => b.version_vector(origin, t).map(ScatterReply::Vector),
         ScatterRequest::VoteMany(ks) => b.vote_many(origin, t, ks).map(ScatterReply::Versions),
@@ -452,7 +578,7 @@ pub fn scatter_sequential<B: Backend + ?Sized>(
     if blockrep_obs::enabled() {
         return scatter_sequential_observed(b, spec, origin, targets, req);
     }
-    let mut replies: ScatterReplies = Vec::with_capacity(targets.len());
+    let mut replies = ScatterReplies::new();
     for &t in targets {
         let reply = exchange_once(b, origin, t, req);
         if reply.is_some() {
@@ -478,7 +604,7 @@ fn scatter_sequential_observed<B: Backend + ?Sized>(
 ) -> ScatterReplies {
     crate::obs_hooks::scatter_batch().record(targets.len() as u64);
     let tracing = crate::obs_hooks::tracing();
-    let mut replies: ScatterReplies = Vec::with_capacity(targets.len());
+    let mut replies = ScatterReplies::new();
     for &t in targets {
         let span = if tracing {
             blockrep_obs::trace::start_phase(crate::obs_hooks::phase_exchange(), t.index() as u32)
@@ -523,7 +649,7 @@ pub(crate) fn dead_local_leg(s: SiteId) -> DeviceError {
 
 /// Every site except `from`, in ascending order — the address list of a
 /// broadcast.
-pub fn others(cfg: &DeviceConfig, from: SiteId) -> Vec<SiteId> {
+pub fn others(cfg: &DeviceConfig, from: SiteId) -> SiteVec<SiteId> {
     cfg.site_ids().filter(|&s| s != from).collect()
 }
 
@@ -560,7 +686,7 @@ mod tests {
             .build()
             .unwrap();
         let o = others(&cfg, SiteId::new(2));
-        assert_eq!(o, vec![SiteId::new(0), SiteId::new(1), SiteId::new(3)]);
+        assert_eq!(*o, [SiteId::new(0), SiteId::new(1), SiteId::new(3)]);
     }
 
     #[test]
@@ -572,5 +698,17 @@ mod tests {
         // weights are 3,2,2,2
         assert_eq!(weight_of(&cfg, &[SiteId::new(0), SiteId::new(3)]), 5);
         assert_eq!(weight_of(&cfg, &[]), 0);
+    }
+
+    #[test]
+    fn a_site_vec_spills_past_its_inline_sites_in_order() {
+        for n in [0, 1, INLINE_SITES, INLINE_SITES + 1, 2 * INLINE_SITES + 3] {
+            let want: Vec<u32> = (0..n as u32).collect();
+            let mut list: SiteVec<u32> = want.iter().copied().collect();
+            assert_eq!(*list, want[..], "{n} entries");
+            list.iter_mut().for_each(|x| *x += 1);
+            let back: Vec<u32> = list.clone().into_iter().collect();
+            assert_eq!(back, want.iter().map(|x| x + 1).collect::<Vec<_>>());
+        }
     }
 }

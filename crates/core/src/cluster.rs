@@ -3,6 +3,7 @@
 use crate::backend::{Backend, Coordinator, WriteBatch};
 use crate::{protocol, replica::Replica};
 use blockrep_net::{DeliveryMode, TrafficCounter, TrafficSnapshot};
+use blockrep_storage::SealedBlock;
 use blockrep_types::{
     BlockData, BlockIndex, DeviceConfig, DeviceResult, SiteId, SiteState, VersionNumber,
     VersionVector,
@@ -303,18 +304,11 @@ impl Backend for Cluster {
         Some(self.exchange(from, to)?.versioned(k))
     }
 
-    fn apply_write(
-        &self,
-        from: SiteId,
-        to: SiteId,
-        k: BlockIndex,
-        data: &BlockData,
-        v: VersionNumber,
-    ) -> bool {
+    fn apply_write(&self, from: SiteId, to: SiteId, k: BlockIndex, block: &SealedBlock) -> bool {
         let Some(mut replica) = self.exchange(from, to) else {
             return false;
         };
-        replica.install(k, data.clone(), v);
+        replica.install_sealed(k, block.clone());
         true
     }
 
@@ -358,11 +352,15 @@ impl Backend for Cluster {
         Some(self.exchange(from, to)?.was_available().clone())
     }
 
-    fn set_was_available(&self, from: SiteId, to: SiteId, w: &BTreeSet<SiteId>) -> bool {
+    fn set_was_available(&self, from: SiteId, to: SiteId, w: &[SiteId]) -> bool {
         let Some(mut replica) = self.exchange(from, to) else {
             return false;
         };
-        replica.set_was_available(w.clone());
+        // A write group is usually the one already recorded: keep that set
+        // rather than build an equal one.
+        if !replica.was_available().iter().eq(w) {
+            replica.set_was_available(w.iter().copied().collect());
+        }
         true
     }
 
@@ -398,7 +396,6 @@ impl Backend for Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use blockrep_storage::SealedBlock;
     use blockrep_types::Scheme;
 
     fn cluster(scheme: Scheme, n: usize) -> Cluster {
@@ -571,7 +568,8 @@ mod tests {
             // A writer coordinated at s0 holds k's shard and has installed at
             // s1, not yet at s0 — the source a recovery of s2 copies from.
             let writer = c.block_locks().write_guard(k);
-            c.apply_write(sid(0), sid(1), k, &block(9), v);
+            let sealed = SealedBlock::new(v, block(9));
+            c.apply_write(sid(0), sid(1), k, &sealed);
             std::thread::scope(|scope| {
                 let repair = scope.spawn(|| c.repair_site(sid(2)));
                 std::thread::sleep(std::time::Duration::from_millis(50));
@@ -580,7 +578,7 @@ mod tests {
                     SiteState::Available,
                     "{scheme}: s2 promoted past a write in flight"
                 );
-                c.apply_write(sid(0), sid(0), k, &block(9), v);
+                c.apply_write(sid(0), sid(0), k, &sealed);
                 drop(writer);
                 repair.join().unwrap();
             });

@@ -25,7 +25,7 @@
 use crate::backend::{Backend, Coordinator, RepairBlocks, RepairPayload, WriteBatch};
 use crate::obs_hooks;
 use blockrep_obs::event;
-use blockrep_storage::StorageFault;
+use blockrep_storage::{SealedBlock, StorageFault};
 use blockrep_types::{
     BlockData, BlockIndex, DeviceResult, SiteId, SiteState, VersionNumber, VersionVector,
 };
@@ -192,8 +192,7 @@ enum Deferred {
         from: SiteId,
         to: SiteId,
         k: BlockIndex,
-        data: BlockData,
-        v: VersionNumber,
+        block: SealedBlock,
     },
     ApplyWriteMany {
         from: SiteId,
@@ -203,7 +202,7 @@ enum Deferred {
     SetW {
         from: SiteId,
         to: SiteId,
-        w: BTreeSet<SiteId>,
+        w: Vec<SiteId>,
     },
     AddW {
         from: SiteId,
@@ -303,15 +302,9 @@ impl<R: Deref<Target: Backend>> FaultyBackend<R> {
         };
         for msg in deferred {
             match msg {
-                Deferred::ApplyWrite {
-                    from,
-                    to,
-                    k,
-                    data,
-                    v,
-                } => {
+                Deferred::ApplyWrite { from, to, k, block } => {
                     if !crashed.contains(&to) {
-                        self.inner.apply_write(from, to, k, &data, v);
+                        self.inner.apply_write(from, to, k, &block);
                     }
                 }
                 Deferred::ApplyWriteMany { from, to, writes } => {
@@ -524,24 +517,18 @@ impl<R: Deref<Target: Backend> + Send + Sync> Backend for FaultyBackend<R> {
         }
     }
 
-    fn apply_write(
-        &self,
-        from: SiteId,
-        to: SiteId,
-        k: BlockIndex,
-        data: &BlockData,
-        v: VersionNumber,
-    ) -> bool {
+    fn apply_write(&self, from: SiteId, to: SiteId, k: BlockIndex, block: &SealedBlock) -> bool {
         if from == to {
-            return self.inner.apply_write(from, to, k, data, v);
+            return self.inner.apply_write(from, to, k, block);
         }
+        let (data, v) = (block.data(), block.version());
         match self.pre(from, to) {
             Decision::Deliver | Decision::DeliverThenDead | Decision::StaleLease => {
-                self.inner.apply_write(from, to, k, data, v)
+                self.inner.apply_write(from, to, k, block)
             }
             Decision::Duplicate => {
-                let _ = self.inner.apply_write(from, to, k, data, v);
-                self.inner.apply_write(from, to, k, data, v)
+                let _ = self.inner.apply_write(from, to, k, block);
+                self.inner.apply_write(from, to, k, block)
             }
             Decision::Suppress => false,
             Decision::Delay => {
@@ -549,8 +536,7 @@ impl<R: Deref<Target: Backend> + Send + Sync> Backend for FaultyBackend<R> {
                     from,
                     to,
                     k,
-                    data: data.clone(),
-                    v,
+                    block: block.clone(),
                 });
                 false
             }
@@ -680,7 +666,7 @@ impl<R: Deref<Target: Backend> + Send + Sync> Backend for FaultyBackend<R> {
         self.rpc(from, to, || self.inner.was_available(from, to))
     }
 
-    fn set_was_available(&self, from: SiteId, to: SiteId, w: &BTreeSet<SiteId>) -> bool {
+    fn set_was_available(&self, from: SiteId, to: SiteId, w: &[SiteId]) -> bool {
         if from == to {
             return self.inner.set_was_available(from, to, w);
         }
@@ -691,7 +677,7 @@ impl<R: Deref<Target: Backend> + Send + Sync> Backend for FaultyBackend<R> {
             || Deferred::SetW {
                 from,
                 to,
-                w: w.clone(),
+                w: w.to_vec(),
             },
         )
     }

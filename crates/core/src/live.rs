@@ -36,7 +36,7 @@
 //! the same way — which the integration tests exploit: a workload replayed
 //! on both runtimes must produce identical message counts.
 
-use crate::backend::{Coordinator, ScatterReplies};
+use crate::backend::{Coordinator, ScatterReplies, SiteVec};
 use crate::replica::Replica;
 use crate::service::serve;
 use crate::transport::{Links, Scatter, ServerCluster, Transport, WINDOW};
@@ -279,7 +279,7 @@ impl Transport for LiveTransport {
             crate::obs_hooks::scatter_batch().record(targets.len() as u64);
         }
         let tracing = obs_on && crate::obs_hooks::tracing();
-        let pending: Vec<(SiteId, Option<Receiver<WireResponse>>)> = targets
+        let pending: SiteVec<(SiteId, Option<Receiver<WireResponse>>)> = targets
             .iter()
             .map(|&t| {
                 if !(cx.eligible)(t) {
@@ -309,7 +309,7 @@ impl Transport for LiveTransport {
                 (t, sent.then_some(rx))
             })
             .collect();
-        let mut replies: ScatterReplies = Vec::with_capacity(targets.len());
+        let mut replies = ScatterReplies::new();
         for (t, rx) in pending {
             let reply = rx.and_then(|rx| {
                 let _gather = if tracing {
@@ -528,7 +528,8 @@ mod tests {
         let casts = WINDOW as u64 - 1;
         for v in 1..=casts {
             let data = BlockData::from(vec![v as u8; 8]);
-            assert!(c.apply_write(sid(0), sid(2), k, &data, VersionNumber::new(v)));
+            let block = blockrep_storage::SealedBlock::new(VersionNumber::new(v), data);
+            assert!(c.apply_write(sid(0), sid(2), k, &block));
         }
         std::thread::sleep(Duration::from_millis(20));
         assert_eq!(

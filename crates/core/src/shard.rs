@@ -990,8 +990,7 @@ mod tests {
             _: SiteId,
             _: SiteId,
             _: BlockIndex,
-            _: &BlockData,
-            _: VersionNumber,
+            _: &blockrep_storage::SealedBlock,
         ) -> bool {
             unreachable!()
         }
@@ -1012,7 +1011,7 @@ mod tests {
         fn was_available(&self, _: SiteId, _: SiteId) -> Option<BTreeSet<SiteId>> {
             unreachable!()
         }
-        fn set_was_available(&self, _: SiteId, _: SiteId, _: &BTreeSet<SiteId>) -> bool {
+        fn set_was_available(&self, _: SiteId, _: SiteId, _: &[SiteId]) -> bool {
             unreachable!()
         }
         fn add_was_available(&self, _: SiteId, _: SiteId, _: SiteId) -> bool {

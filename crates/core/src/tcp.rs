@@ -23,7 +23,7 @@
 //! server keeps its socket and its disk, exactly like a halted machine
 //! keeps both.
 
-use crate::backend::{Coordinator, ScatterReplies};
+use crate::backend::{Coordinator, ScatterReplies, SiteVec};
 use crate::replica::Replica;
 use crate::service::serve;
 use crate::transport::{Links, Scatter, ServerCluster, Transport, WINDOW};
@@ -437,7 +437,7 @@ impl TcpTransport {
         let tracing = obs_on && crate::obs_hooks::tracing();
         let (mut frame, enveloped) = self.trace_frame(request);
         type InFlight<'a> = Option<MutexGuard<'a, SiteConn>>;
-        let mut in_flight: Vec<(SiteId, InFlight<'_>)> = Vec::with_capacity(targets.len());
+        let mut in_flight: SiteVec<(SiteId, InFlight<'_>)> = SiteVec::new();
         for &t in targets {
             debug_assert!(
                 in_flight.last().is_none_or(|&(prev, _)| prev < t),
@@ -468,7 +468,7 @@ impl TcpTransport {
             };
             in_flight.push((t, conn));
         }
-        let mut replies: ScatterReplies = Vec::with_capacity(targets.len());
+        let mut replies = ScatterReplies::new();
         for (t, conn) in in_flight {
             let reply = conn.and_then(|mut conn| {
                 let gather_span = tracing
@@ -500,7 +500,7 @@ impl TcpTransport {
         }
         let mut frame = mux_frame(request);
         type Slot = Option<(Arc<MuxConn>, Receiver<Option<WireResponse>>)>;
-        let mut in_flight: Vec<(SiteId, Slot)> = Vec::with_capacity(targets.len());
+        let mut in_flight: SiteVec<(SiteId, Slot)> = SiteVec::new();
         for &t in targets {
             debug_assert!(
                 in_flight.last().is_none_or(|(prev, _)| *prev < t),
@@ -516,7 +516,7 @@ impl TcpTransport {
             };
             in_flight.push((t, slot));
         }
-        let mut replies: ScatterReplies = Vec::with_capacity(targets.len());
+        let mut replies = ScatterReplies::new();
         for (t, slot) in in_flight {
             let reply = slot.and_then(|(conn, rx)| {
                 let response = rx.recv().ok().flatten();

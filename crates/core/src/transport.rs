@@ -22,7 +22,7 @@ use crate::backend::{
 use crate::protocol;
 use crate::wire::{WireRequest, WireResponse};
 use blockrep_net::{Topology, TrafficCounter};
-use blockrep_storage::StorageFault;
+use blockrep_storage::{SealedBlock, StorageFault};
 use blockrep_types::{
     BlockData, BlockIndex, DeviceConfig, DeviceResult, SiteId, SiteState, VersionNumber,
     VersionVector,
@@ -130,6 +130,14 @@ pub(crate) struct Scatter<'a> {
     /// A target's reply as the protocol reads it; `None` for a reply of
     /// the wrong shape, which counts as no reply.
     pub(crate) parse: &'a dyn Fn(WireResponse) -> Option<ScatterReply>,
+}
+
+/// The site request that installs `block`. The request carries the version
+/// and the data but not the seal's sum — its shape, and a TCP frame's
+/// bytes, are those of an unsealed install — so the site that serves it
+/// hashes the block itself.
+fn install_request(k: BlockIndex, block: &SealedBlock) -> WireRequest {
+    WireRequest::ApplyWrite(k, block.version(), block.data().clone())
 }
 
 /// Requests a site's server may hold unserved, per sender-side queue: the
@@ -376,16 +384,8 @@ impl<T: Transport> Backend for ServerCluster<T> {
         }
     }
 
-    fn apply_write(
-        &self,
-        from: SiteId,
-        to: SiteId,
-        k: BlockIndex,
-        data: &BlockData,
-        v: VersionNumber,
-    ) -> bool {
-        let request = WireRequest::ApplyWrite(k, v, data.clone());
-        self.cast(from, to, request)
+    fn apply_write(&self, from: SiteId, to: SiteId, k: BlockIndex, block: &SealedBlock) -> bool {
+        self.cast(from, to, install_request(k, block))
     }
 
     fn apply_write_many(&self, from: SiteId, to: SiteId, writes: &WriteBatch) -> bool {
@@ -457,8 +457,8 @@ impl<T: Transport> Backend for ServerCluster<T> {
         }
     }
 
-    fn set_was_available(&self, from: SiteId, to: SiteId, w: &BTreeSet<SiteId>) -> bool {
-        self.cast(from, to, WireRequest::SetW(w.clone()))
+    fn set_was_available(&self, from: SiteId, to: SiteId, w: &[SiteId]) -> bool {
+        self.cast(from, to, WireRequest::SetW(w.iter().copied().collect()))
     }
 
     fn add_was_available(&self, from: SiteId, to: SiteId, member: SiteId) -> bool {
@@ -504,12 +504,8 @@ impl<T: Transport> Backend for ServerCluster<T> {
             // A state probe is a coordination-layer read on every
             // transport; the sequential body is already instantaneous.
             ScatterRequest::ProbeState => return sequential(),
-            ScatterRequest::Install { k, v, data } => {
-                (WireRequest::ApplyWrite(*k, *v, data.clone()), false)
-            }
-            ScatterRequest::InstallIfAvailable { k, v, data } => {
-                (WireRequest::ApplyWrite(*k, *v, data.clone()), true)
-            }
+            ScatterRequest::Install { k, block } => (install_request(*k, block), false),
+            ScatterRequest::InstallIfAvailable { k, block } => (install_request(*k, block), true),
             ScatterRequest::InstallMany(writes) => {
                 (WireRequest::ApplyWriteMany((*writes).clone()), false)
             }
@@ -685,15 +681,20 @@ mod tests {
     }
 
     #[test]
-    fn every_replica_of_a_batched_write_stores_the_sum_of_what_it_holds() {
+    fn every_replica_of_a_write_stores_the_sum_of_what_it_holds() {
         let check = |c: &dyn Backend, name: &str| {
             let ks: Vec<BlockIndex> = (0..4).map(BlockIndex::new).collect();
+            // Half the blocks are written as one batch, half one at a time.
+            let (batched, single) = ks.split_at(2);
             for round in 0..6u8 {
-                let writes: Vec<(BlockIndex, BlockData)> = ks
-                    .iter()
-                    .map(|&k| (k, BlockData::from(vec![round ^ k.as_u64() as u8; 8])))
-                    .collect();
-                protocol::write_many(c, sid(u32::from(round) % 3), &writes).unwrap();
+                let fill = |k: &BlockIndex| BlockData::from(vec![round ^ k.as_u64() as u8; 8]);
+                let origin = sid(u32::from(round) % 3);
+                let writes: Vec<(BlockIndex, BlockData)> =
+                    batched.iter().map(|k| (*k, fill(k))).collect();
+                protocol::write_many(c, origin, &writes).unwrap();
+                for k in single {
+                    protocol::write(c, origin, *k, &fill(k)).unwrap();
+                }
             }
             for s in (0..3).map(sid) {
                 // Sealed where the coordinator chose the version, re-sealed

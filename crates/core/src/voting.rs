@@ -12,10 +12,13 @@
 //!   block from the highest-versioned voter and installs it — recovering
 //!   "only those blocks which have been modified", on access.
 
-use crate::backend::{self, Backend, ScatterReply, ScatterRequest, ScatterSpec, WriteBatch};
+use crate::backend::{
+    self, Backend, ScatterReply, ScatterRequest, ScatterSpec, SiteVec, WriteBatch,
+};
 use crate::obs_hooks;
 use blockrep_net::{MsgKind, OpClass};
 use blockrep_obs::{event, span};
+use blockrep_storage::SealedBlock;
 use blockrep_types::{BlockData, BlockIndex, DeviceError, DeviceResult, SiteId, VersionNumber};
 
 /// One round of vote collection for block `k`, coordinated by `origin`.
@@ -28,7 +31,7 @@ fn collect_votes<B: Backend + ?Sized>(
     op: OpClass,
     origin: SiteId,
     k: BlockIndex,
-) -> DeviceResult<Vec<(SiteId, VersionNumber)>> {
+) -> DeviceResult<SiteVec<(SiteId, VersionNumber)>> {
     let cfg = b.config();
     let others = backend::others(cfg, origin);
     backend::charge_fanout(b, op, MsgKind::VoteRequest, others.len());
@@ -44,7 +47,8 @@ fn collect_votes<B: Backend + ?Sized>(
         b.vote(origin, origin, k)
             .ok_or_else(|| backend::dead_local_leg(origin))?
     };
-    let mut votes = vec![(origin, own)];
+    let mut votes = SiteVec::new();
+    votes.push((origin, own));
     let spec = ScatterSpec {
         op,
         reply_charge: Some(MsgKind::VoteReply),
@@ -74,7 +78,7 @@ fn collect_votes_many<B: Backend + ?Sized>(
     op: OpClass,
     origin: SiteId,
     ks: &[BlockIndex],
-) -> DeviceResult<Vec<(SiteId, Vec<VersionNumber>)>> {
+) -> DeviceResult<SiteVec<(SiteId, Vec<VersionNumber>)>> {
     let cfg = b.config();
     let others = backend::others(cfg, origin);
     for _ in ks {
@@ -92,7 +96,8 @@ fn collect_votes_many<B: Backend + ?Sized>(
         b.vote_many(origin, origin, ks)
             .ok_or_else(|| backend::dead_local_leg(origin))?
     };
-    let mut votes = vec![(origin, own)];
+    let mut votes = SiteVec::new();
+    votes.push((origin, own));
     let spec = ScatterSpec {
         op,
         reply_charge: Some(MsgKind::VoteReply),
@@ -150,7 +155,7 @@ pub(crate) fn read<B: Backend + ?Sized>(
     let cfg = b.config();
     let epoch = b.leases().current_epoch();
     let votes = collect_votes(b, OpClass::Read, origin, k)?;
-    let voters: Vec<SiteId> = votes.iter().map(|&(s, _)| s).collect();
+    let voters: SiteVec<SiteId> = votes.iter().map(|&(s, _)| s).collect();
     let gathered = backend::weight_of(cfg, &voters);
     if gathered < cfg.read_quorum() {
         return Err(DeviceError::unavailable(
@@ -183,7 +188,7 @@ pub(crate) fn read<B: Backend + ?Sized>(
             version = v.as_u64(),
         );
         // Keep the local copy up to date, as the paper's algorithm does.
-        b.apply_write(origin, origin, k, &data, v);
+        b.apply_write(origin, origin, k, &SealedBlock::new(v, data));
     }
     // The quorum certified v_max: every voter holding it (and the origin,
     // freshly refreshed) is a known-current replica the next read may be
@@ -270,7 +275,7 @@ fn lease_read<B: Backend + ?Sized>(b: &B, origin: SiteId, k: BlockIndex) -> Opti
             holder = h.as_u32(),
             local = false
         );
-        b.apply_write(origin, origin, k, &data, v);
+        b.apply_write(origin, origin, k, &SealedBlock::new(v, data.clone()));
         return Some(data);
     }
     None
@@ -304,7 +309,7 @@ pub(crate) fn write<B: Backend + ?Sized>(
     }
     let epoch = b.leases().current_epoch();
     let votes = collect_votes(b, OpClass::Write, origin, k)?;
-    let voters: Vec<SiteId> = votes.iter().map(|&(s, _)| s).collect();
+    let voters: SiteVec<SiteId> = votes.iter().map(|&(s, _)| s).collect();
     let gathered = backend::weight_of(cfg, &voters);
     if gathered < cfg.write_quorum() {
         return Err(DeviceError::unavailable(
@@ -321,7 +326,9 @@ pub(crate) fn write<B: Backend + ?Sized>(
         .max()
         .expect("votes always include the origin")
         .next();
-    let remote_voters: Vec<SiteId> = voters.iter().copied().filter(|&s| s != origin).collect();
+    // Sealed once, here, for every replica that installs it.
+    let block = SealedBlock::new(v_new, data.clone());
+    let remote_voters: SiteVec<SiteId> = voters.iter().copied().filter(|&s| s != origin).collect();
     // Revoke the block's lease before any replica changes: the write
     // fan-out is about to make every outstanding grant stale.
     b.leases().invalidate(k);
@@ -337,11 +344,7 @@ pub(crate) fn write<B: Backend + ?Sized>(
         spec,
         origin,
         &remote_voters,
-        &ScatterRequest::Install {
-            k,
-            v: v_new,
-            data: data.clone(),
-        },
+        &ScatterRequest::Install { k, block: &block },
     );
     // Fail-stop: a coordinator that crashed during the fan-out sent nothing
     // after it crashed, and completes nothing now — least of all a copy at
@@ -349,7 +352,7 @@ pub(crate) fn write<B: Backend + ?Sized>(
     ensure_coordinator(b, origin)?;
     {
         let _leg = obs_hooks::phase_span(obs_hooks::phase_local_leg, origin.as_u32());
-        b.apply_write(origin, origin, k, data, v_new);
+        b.apply_write(origin, origin, k, &block);
     }
     // Every voter the install landed on now holds v_new: re-grant the
     // lease to the delivered set (plus the origin itself).
@@ -402,7 +405,7 @@ pub(crate) fn read_many<B: Backend + ?Sized>(
     let cfg = b.config();
     let epoch = b.leases().current_epoch();
     let votes = collect_votes_many(b, OpClass::Read, origin, ks)?;
-    let voters: Vec<SiteId> = votes.iter().map(|&(s, _)| s).collect();
+    let voters: SiteVec<SiteId> = votes.iter().map(|&(s, _)| s).collect();
     let gathered = backend::weight_of(cfg, &voters);
     if gathered < cfg.read_quorum() {
         return Err(DeviceError::unavailable(
@@ -434,7 +437,7 @@ pub(crate) fn read_many<B: Backend + ?Sized>(
                 holder = holder.as_u32(),
                 version = v.as_u64(),
             );
-            b.apply_write(origin, origin, k, &data, v);
+            b.apply_write(origin, origin, k, &SealedBlock::new(v, data));
         }
         grant_from_votes(
             b,
@@ -487,7 +490,7 @@ pub(crate) fn write_many<B: Backend + ?Sized>(
     let ks: Vec<BlockIndex> = writes.iter().map(|&(k, _)| k).collect();
     let epoch = b.leases().current_epoch();
     let votes = collect_votes_many(b, OpClass::Write, origin, &ks)?;
-    let voters: Vec<SiteId> = votes.iter().map(|&(s, _)| s).collect();
+    let voters: SiteVec<SiteId> = votes.iter().map(|&(s, _)| s).collect();
     let gathered = backend::weight_of(cfg, &voters);
     if gathered < cfg.write_quorum() {
         return Err(DeviceError::unavailable(
@@ -511,7 +514,7 @@ pub(crate) fn write_many<B: Backend + ?Sized>(
             (*k, v_new, data.clone())
         })
         .collect();
-    let remote_voters: Vec<SiteId> = voters.iter().copied().filter(|&s| s != origin).collect();
+    let remote_voters: SiteVec<SiteId> = voters.iter().copied().filter(|&s| s != origin).collect();
     // Revoke every touched block's lease before the batched fan-out.
     for &k in &ks {
         b.leases().invalidate(k);

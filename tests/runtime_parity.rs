@@ -2,14 +2,29 @@
 //! channel-threaded [`LiveCluster`], and the socket-backed [`TcpCluster`]
 //! run the *same* protocol code, so an identical workload must produce
 //! identical results **and identical §5 traffic counts** on all of them.
+//!
+//! The cases run at four sites and, as one more input, at cluster sizes
+//! past [`INLINE_SITES`], where every per-site list of a protocol round
+//! (address lists, votes, voters, scatter replies) has spilled to the heap.
 
-use blockrep::core::{Cluster, ClusterOptions, LiveCluster, TcpCluster};
-use blockrep::net::{DeliveryMode, TrafficSnapshot};
-use blockrep::types::{BlockData, BlockIndex, DeviceConfig, Scheme, SiteId};
+use blockrep::core::backend::{Backend, INLINE_SITES};
+use blockrep::core::{
+    Cluster, ClusterOptions, LiveCluster, ScatterRequest, ScatterSpec, TcpCluster,
+};
+use blockrep::net::{DeliveryMode, MsgKind, OpClass, TrafficSnapshot};
+use blockrep::storage::SealedBlock;
+use blockrep::types::{
+    BlockData, BlockIndex, DeviceConfig, Scheme, SiteId, SiteState, VersionNumber,
+};
 
-fn cfg(scheme: Scheme) -> DeviceConfig {
+/// The cluster sizes the parity cases run at: the suite's four sites, and
+/// two past the inline capacity of a round's per-site lists.
+const SITES: [usize; 3] = [4, 9, 13];
+const _: () = assert!(SITES[1] > INLINE_SITES);
+
+fn cfg(scheme: Scheme, sites: usize) -> DeviceConfig {
     DeviceConfig::builder(scheme)
-        .sites(4)
+        .sites(sites)
         .num_blocks(8)
         .block_size(32)
         .build()
@@ -52,10 +67,10 @@ fn drive(
     (reads, traffic())
 }
 
-fn parity_for(scheme: Scheme, mode: DeliveryMode) {
+fn parity_for(scheme: Scheme, mode: DeliveryMode, sites: usize) {
     // The same protocol code over three transports: direct state access,
     // channels between threads, and framed loopback TCP.
-    let det = Cluster::new(cfg(scheme), ClusterOptions { mode });
+    let det = Cluster::new(cfg(scheme, sites), ClusterOptions { mode });
     let (det_reads, det_traffic) = drive(
         &|o, k| det.read(o, k).ok(),
         &|o, k, d| det.write(o, k, d).is_ok(),
@@ -64,7 +79,7 @@ fn parity_for(scheme: Scheme, mode: DeliveryMode) {
         &|| det.traffic(),
     );
 
-    let live = LiveCluster::spawn(cfg(scheme), mode);
+    let live = LiveCluster::spawn(cfg(scheme, sites), mode);
     let (live_reads, live_traffic) = drive(
         &|o, k| live.read(o, k).ok(),
         &|o, k, d| live.write(o, k, d).is_ok(),
@@ -73,7 +88,7 @@ fn parity_for(scheme: Scheme, mode: DeliveryMode) {
         &|| live.counter().snapshot(),
     );
 
-    let tcp = TcpCluster::spawn(cfg(scheme), mode).unwrap();
+    let tcp = TcpCluster::spawn(cfg(scheme, sites), mode).unwrap();
     let (tcp_reads, tcp_traffic) = drive(
         &|o, k| tcp.read(o, k).ok(),
         &|o, k, d| tcp.write(o, k, d).is_ok(),
@@ -82,64 +97,116 @@ fn parity_for(scheme: Scheme, mode: DeliveryMode) {
         &|| tcp.counter().snapshot(),
     );
 
-    assert_eq!(
-        det_reads, live_reads,
-        "{scheme}/{mode}: channel runtime diverged"
-    );
-    assert_eq!(
-        det_reads, tcp_reads,
-        "{scheme}/{mode}: tcp runtime diverged"
-    );
+    let case = format!("{scheme}/{mode}/{sites} sites");
+    assert_eq!(det_reads, live_reads, "{case}: channel runtime diverged");
+    assert_eq!(det_reads, tcp_reads, "{case}: tcp runtime diverged");
     assert_eq!(
         det_traffic, live_traffic,
-        "{scheme}/{mode}: channel §5 accounting must match"
+        "{case}: channel §5 accounting must match"
     );
     assert_eq!(
         det_traffic, tcp_traffic,
-        "{scheme}/{mode}: tcp §5 accounting must match"
+        "{case}: tcp §5 accounting must match"
     );
 }
 
 #[test]
 fn voting_runtimes_agree_multicast() {
-    parity_for(Scheme::Voting, DeliveryMode::Multicast);
+    parity_for(Scheme::Voting, DeliveryMode::Multicast, 4);
 }
 
 #[test]
 fn voting_runtimes_agree_unicast() {
-    parity_for(Scheme::Voting, DeliveryMode::Unicast);
+    parity_for(Scheme::Voting, DeliveryMode::Unicast, 4);
 }
 
 #[test]
 fn available_copy_runtimes_agree_multicast() {
-    parity_for(Scheme::AvailableCopy, DeliveryMode::Multicast);
+    parity_for(Scheme::AvailableCopy, DeliveryMode::Multicast, 4);
 }
 
 #[test]
 fn available_copy_runtimes_agree_unicast() {
-    parity_for(Scheme::AvailableCopy, DeliveryMode::Unicast);
+    parity_for(Scheme::AvailableCopy, DeliveryMode::Unicast, 4);
 }
 
 #[test]
 fn naive_runtimes_agree_multicast() {
-    parity_for(Scheme::NaiveAvailableCopy, DeliveryMode::Multicast);
+    parity_for(Scheme::NaiveAvailableCopy, DeliveryMode::Multicast, 4);
 }
 
 #[test]
 fn naive_runtimes_agree_unicast() {
-    parity_for(Scheme::NaiveAvailableCopy, DeliveryMode::Unicast);
+    parity_for(Scheme::NaiveAvailableCopy, DeliveryMode::Unicast, 4);
 }
 
 /// Concurrency must change latency, never §5 message counts: the
 /// deterministic cluster performs every fan-out as a sequential loop, the
 /// live and TCP runtimes put every request in flight before awaiting any
 /// reply, and their traffic snapshots must be byte-identical to its for
-/// every scheme × delivery mode.
+/// every scheme × delivery mode × cluster size.
 #[test]
 fn parallel_fanout_traffic_is_byte_identical_to_sequential() {
-    for scheme in Scheme::ALL {
-        for mode in DeliveryMode::ALL {
-            parity_for(scheme, mode);
+    for sites in SITES {
+        for scheme in Scheme::ALL {
+            for mode in DeliveryMode::ALL {
+                parity_for(scheme, mode, sites);
+            }
+        }
+    }
+}
+
+/// A scatter's replies come back one per target and in target order on
+/// every runtime and at every cluster size: a target that cannot answer
+/// keeps its place with `None`, and the replies and their §5 charges are
+/// the deterministic cluster's sequential loop's.
+#[test]
+fn scatter_replies_keep_target_order_at_every_cluster_size() {
+    let spec = |op, reply_charge| ScatterSpec {
+        op,
+        reply_charge,
+        reply_units: 1,
+    };
+    let block = SealedBlock::new(VersionNumber::new(1), BlockData::from(vec![7; 32]));
+    let install = ScatterRequest::Install {
+        k: blk(0),
+        block: &block,
+    };
+    let vote = ScatterRequest::Vote(blk(0));
+    for sites in SITES {
+        let mode = DeliveryMode::Multicast;
+        let det = Cluster::new(cfg(Scheme::Voting, sites), ClusterOptions { mode });
+        let live = LiveCluster::spawn(cfg(Scheme::Voting, sites), mode);
+        let tcp = TcpCluster::spawn(cfg(Scheme::Voting, sites), mode).unwrap();
+        let runtimes: [(&str, &dyn Backend); 3] =
+            [("deterministic", &det), ("live", &live), ("tcp", &tcp)];
+        let targets: Vec<SiteId> = (1..sites as u32).map(s).collect();
+        let silent = |t: SiteId| t.as_u32() % 3 == 0;
+        let mut runs = Vec::new();
+        for (name, rt) in runtimes {
+            for &t in targets.iter().filter(|&&t| silent(t)) {
+                rt.set_local_state(t, SiteState::Failed);
+            }
+            let installs = rt.scatter(spec(OpClass::Write, None), s(0), &targets, &install);
+            let read = spec(OpClass::Read, Some(MsgKind::VoteReply));
+            let votes = rt.scatter(read, s(0), &targets, &vote);
+            for replies in [&installs, &votes] {
+                let order: Vec<SiteId> = replies.iter().map(|&(t, _)| t).collect();
+                assert_eq!(order, targets, "{name}, {sites} sites");
+                for (t, reply) in replies.iter() {
+                    assert_eq!(reply.is_none(), silent(*t), "{name}, {sites} sites: {t}");
+                }
+            }
+            let traffic = rt.counter().snapshot();
+            runs.push((name, installs.to_vec(), votes.to_vec(), traffic));
+        }
+        let (_, installs, votes, traffic) = &runs[0];
+        for (name, i, v, t) in &runs[1..] {
+            assert_eq!(
+                (i, v, t),
+                (installs, votes, traffic),
+                "{name} diverged at {sites} sites"
+            );
         }
     }
 }
@@ -184,11 +251,12 @@ type VectoredRun = (Vec<Option<Vec<Vec<u8>>>>, TrafficSnapshot);
 fn vectored_on_every_runtime(
     scheme: Scheme,
     mode: DeliveryMode,
+    sites: usize,
 ) -> [(&'static str, VectoredRun); 3] {
     fn bytes(blocks: Vec<BlockData>) -> Vec<Vec<u8>> {
         blocks.iter().map(|d| d.as_slice().to_vec()).collect()
     }
-    let det = Cluster::new(cfg(scheme), ClusterOptions { mode });
+    let det = Cluster::new(cfg(scheme, sites), ClusterOptions { mode });
     let det_run = drive_vectored(
         &|o, ws| det.write_many(o, ws).is_ok(),
         &|o, ks| det.read_many(o, ks).ok().map(bytes),
@@ -196,7 +264,7 @@ fn vectored_on_every_runtime(
         &|x| det.repair_site(x),
         &|| det.traffic(),
     );
-    let live = LiveCluster::spawn(cfg(scheme), mode);
+    let live = LiveCluster::spawn(cfg(scheme, sites), mode);
     let live_run = drive_vectored(
         &|o, ws| live.write_many(o, ws).is_ok(),
         &|o, ks| live.read_many(o, ks).ok().map(bytes),
@@ -204,7 +272,7 @@ fn vectored_on_every_runtime(
         &|x| live.repair_site(x),
         &|| live.counter().snapshot(),
     );
-    let tcp = TcpCluster::spawn(cfg(scheme), mode).unwrap();
+    let tcp = TcpCluster::spawn(cfg(scheme, sites), mode).unwrap();
     let tcp_run = drive_vectored(
         &|o, ws| tcp.write_many(o, ws).is_ok(),
         &|o, ks| tcp.read_many(o, ks).ok().map(bytes),
@@ -220,34 +288,37 @@ fn vectored_on_every_runtime(
 }
 
 /// Batched reads/writes must be byte-identical AND §5-traffic-identical to
-/// the equivalent per-block loop, on every scheme × delivery mode — and the
-/// vectored path must agree across all three runtimes.
+/// the equivalent per-block loop, on every scheme × delivery mode × cluster
+/// size — and the vectored path must agree across all three runtimes.
 #[test]
 fn vectored_ops_match_per_block_loop_on_all_runtimes() {
-    for scheme in Scheme::ALL {
-        for mode in DeliveryMode::ALL {
-            // Per-block baseline: the same workload with the batch unrolled
-            // into single-block operations, in batch order.
-            let unrolled = Cluster::new(cfg(scheme), ClusterOptions { mode });
-            let baseline = drive_vectored(
-                &|o, ws| {
-                    ws.iter()
-                        .all(|(k, d)| unrolled.write(o, *k, d.clone()).is_ok())
-                },
-                &|o, ks| {
-                    ks.iter()
-                        .map(|&k| unrolled.read(o, k).ok().map(|d| d.as_slice().to_vec()))
-                        .collect()
-                },
-                &|x| unrolled.fail_site(x),
-                &|x| unrolled.repair_site(x),
-                &|| unrolled.traffic(),
-            );
-            for (runtime, got) in vectored_on_every_runtime(scheme, mode) {
-                assert_eq!(
-                    baseline, got,
-                    "{scheme}/{mode}: {runtime} batched ops diverged from the per-block loop"
+    for sites in SITES {
+        for scheme in Scheme::ALL {
+            for mode in DeliveryMode::ALL {
+                // Per-block baseline: the same workload with the batch
+                // unrolled into single-block operations, in batch order.
+                let unrolled = Cluster::new(cfg(scheme, sites), ClusterOptions { mode });
+                let baseline = drive_vectored(
+                    &|o, ws| {
+                        ws.iter()
+                            .all(|(k, d)| unrolled.write(o, *k, d.clone()).is_ok())
+                    },
+                    &|o, ks| {
+                        ks.iter()
+                            .map(|&k| unrolled.read(o, k).ok().map(|d| d.as_slice().to_vec()))
+                            .collect()
+                    },
+                    &|x| unrolled.fail_site(x),
+                    &|x| unrolled.repair_site(x),
+                    &|| unrolled.traffic(),
                 );
+                for (runtime, got) in vectored_on_every_runtime(scheme, mode, sites) {
+                    assert_eq!(
+                        baseline, got,
+                        "{scheme}/{mode}/{sites} sites: {runtime} batched ops diverged from \
+                         the per-block loop"
+                    );
+                }
             }
         }
     }
@@ -257,10 +328,13 @@ fn vectored_ops_match_per_block_loop_on_all_runtimes() {
 /// traffic exactly as the deterministic cluster's sequential loop has them.
 #[test]
 fn vectored_ops_are_fanout_and_quorum_invariant() {
-    for mode in DeliveryMode::ALL {
-        let [(_, baseline), concurrent @ ..] = vectored_on_every_runtime(Scheme::Voting, mode);
-        for (runtime, got) in concurrent {
-            assert_eq!(baseline, got, "{mode}/{runtime}");
+    for sites in SITES {
+        for mode in DeliveryMode::ALL {
+            let [(_, baseline), concurrent @ ..] =
+                vectored_on_every_runtime(Scheme::Voting, mode, sites);
+            for (runtime, got) in concurrent {
+                assert_eq!(baseline, got, "{mode}/{runtime}/{sites} sites");
+            }
         }
     }
 }
@@ -269,8 +343,8 @@ fn vectored_ops_are_fanout_and_quorum_invariant() {
 fn live_cluster_total_failure_recovery_matches_deterministic() {
     for scheme in [Scheme::AvailableCopy, Scheme::NaiveAvailableCopy] {
         let run = |fail_order: &[u32], repair_order: &[u32]| {
-            let det = Cluster::new(cfg(scheme), ClusterOptions::default());
-            let live = LiveCluster::spawn(cfg(scheme), DeliveryMode::Multicast);
+            let det = Cluster::new(cfg(scheme, 4), ClusterOptions::default());
+            let live = LiveCluster::spawn(cfg(scheme, 4), DeliveryMode::Multicast);
             det.write(s(0), blk(0), BlockData::from(vec![9; 32]))
                 .unwrap();
             live.write(s(0), blk(0), BlockData::from(vec![9; 32]))
