@@ -435,8 +435,9 @@ fn run_mkfs(parsed: &Parsed) -> Result<(), UsageError> {
         let shards = parsed.flag_usize("shards", 2)?;
         let group_size = parsed.flag_u64("group-size", 64)?;
         let pool: Vec<blockrep_types::SiteId> = blockrep_types::SiteId::all(shards * 3).collect();
-        let manifest = blockrep_core::PlacementManifest::build(1, group_size, &pool, shards)
-            .map_err(|e| UsageError(format!("mkfs: {e}")))?;
+        let manifest =
+            blockrep_core::PlacementManifest::build(1, group_size, blocks, &pool, shards)
+                .map_err(|e| UsageError(format!("mkfs: {e}")))?;
         for s in 0..shards {
             let shard_path = format!("{path}.shard{s}");
             let dev = blockrep_storage::FileStore::create(&shard_path, blocks, block_size)

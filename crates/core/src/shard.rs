@@ -62,7 +62,8 @@ fn splitmix64(seed: u64) -> u64 {
 /// consequence is minimal disruption — growing the manifest from `S` to
 /// `S + 1` shards moves only the groups whose top score now lands on the
 /// new shard (about `1/(S+1)` of them) and leaves every other assignment
-/// untouched.
+/// untouched. The hash runs once per group when the manifest is built;
+/// [`shard_of`](Self::shard_of) is then a table lookup.
 ///
 /// # Examples
 ///
@@ -71,7 +72,7 @@ fn splitmix64(seed: u64) -> u64 {
 /// use blockrep_types::{BlockIndex, SiteId};
 ///
 /// let pool: Vec<SiteId> = SiteId::all(6).collect();
-/// let m = PlacementManifest::build(1, 64, &pool, 2).unwrap();
+/// let m = PlacementManifest::build(1, 64, 1024, &pool, 2).unwrap();
 /// assert_eq!(m.shard_count(), 2);
 /// assert_eq!(m.sites_of(1), &[SiteId::new(3), SiteId::new(4), SiteId::new(5)]);
 /// // Blocks of one 64-block group land on one shard.
@@ -82,11 +83,14 @@ pub struct PlacementManifest {
     version: u64,
     group_size: u64,
     shard_sites: Vec<Vec<SiteId>>,
+    /// The shard of each group of the device, indexed by group.
+    group_shard: Vec<usize>,
 }
 
 impl PlacementManifest {
     /// Builds a manifest placing `shards` equal replica groups over
-    /// `pool`, with blocks bundled into `group_size`-block groups.
+    /// `pool`, with the blocks of a `num_blocks`-block device bundled into
+    /// `group_size`-block groups, each placed here once.
     ///
     /// # Errors
     ///
@@ -96,6 +100,7 @@ impl PlacementManifest {
     pub fn build(
         version: u64,
         group_size: u64,
+        num_blocks: u64,
         pool: &[SiteId],
         shards: usize,
     ) -> DeviceResult<PlacementManifest> {
@@ -114,10 +119,14 @@ impl PlacementManifest {
         }
         let per_shard = pool.len() / shards;
         let shard_sites = pool.chunks(per_shard).map(<[SiteId]>::to_vec).collect();
+        let group_shard = (0..num_blocks.div_ceil(group_size))
+            .map(|group| Self::place(group, shards))
+            .collect();
         Ok(PlacementManifest {
             version,
             group_size,
             shard_sites,
+            group_shard,
         })
     }
 
@@ -158,12 +167,21 @@ impl PlacementManifest {
         )
     }
 
-    /// The shard holding block `k`.
+    /// The shard holding block `k`: the table's entry for its group, or,
+    /// past the device's end, the same rendezvous hash the table holds.
     pub fn shard_of(&self, k: BlockIndex) -> usize {
         let group = self.group_of(k);
+        usize::try_from(group)
+            .ok()
+            .and_then(|g| self.group_shard.get(g).copied())
+            .unwrap_or_else(|| Self::place(group, self.shard_count()))
+    }
+
+    /// Rendezvous placement of `group` over `shards` shards.
+    fn place(group: u64, shards: usize) -> usize {
         let mut best = 0usize;
         let mut best_score = Self::score(group, 0);
-        for shard in 1..self.shard_count() {
+        for shard in 1..shards {
             let score = Self::score(group, shard);
             if score > best_score {
                 best = shard;
@@ -235,7 +253,7 @@ impl ShardSpec {
     /// [`DeviceError::InvalidConfig`] for a degenerate geometry.
     pub fn manifest(&self) -> DeviceResult<PlacementManifest> {
         let pool: Vec<SiteId> = SiteId::all(self.shards * self.sites_per_shard).collect();
-        PlacementManifest::build(1, self.group_size, &pool, self.shards)
+        PlacementManifest::build(1, self.group_size, self.num_blocks, &pool, self.shards)
     }
 
     /// The per-shard device configuration. Every shard replicates the
@@ -740,16 +758,16 @@ mod tests {
     #[test]
     fn manifest_rejects_degenerate_geometry() {
         let pool: Vec<SiteId> = SiteId::all(6).collect();
-        assert!(PlacementManifest::build(1, 4, &pool, 0).is_err());
-        assert!(PlacementManifest::build(1, 0, &pool, 2).is_err());
-        assert!(PlacementManifest::build(1, 4, &pool, 4).is_err());
-        assert!(PlacementManifest::build(1, 4, &[], 1).is_err());
+        assert!(PlacementManifest::build(1, 4, 64, &pool, 0).is_err());
+        assert!(PlacementManifest::build(1, 0, 64, &pool, 2).is_err());
+        assert!(PlacementManifest::build(1, 4, 64, &pool, 4).is_err());
+        assert!(PlacementManifest::build(1, 4, 64, &[], 1).is_err());
     }
 
     #[test]
     fn placement_is_group_aligned_and_covers_all_shards() {
         let pool: Vec<SiteId> = SiteId::all(12).collect();
-        let m = PlacementManifest::build(1, 64, &pool, 4).unwrap();
+        let m = PlacementManifest::build(1, 64, 256 * 64, &pool, 4).unwrap();
         let mut seen = [0u64; 4];
         for g in 0..256u64 {
             let shard = m.shard_of(BlockIndex::new(g * 64));
@@ -770,8 +788,8 @@ mod tests {
     fn growing_the_shard_count_only_moves_groups_to_the_new_shard() {
         let small: Vec<SiteId> = SiteId::all(9).collect();
         let large: Vec<SiteId> = SiteId::all(12).collect();
-        let before = PlacementManifest::build(1, 64, &small, 3).unwrap();
-        let after = PlacementManifest::build(2, 64, &large, 4).unwrap();
+        let before = PlacementManifest::build(1, 64, 512 * 64, &small, 3).unwrap();
+        let after = PlacementManifest::build(2, 64, 512 * 64, &large, 4).unwrap();
         let mut moved = 0u64;
         for g in 0..512u64 {
             let k = BlockIndex::new(g * 64);
@@ -790,6 +808,21 @@ mod tests {
     }
 
     #[test]
+    fn the_placement_table_is_the_rendezvous_hash_inside_and_past_the_device() {
+        let pool: Vec<SiteId> = SiteId::all(12).collect();
+        // 1 000 blocks: 15 whole groups and a partial 16th, then past the end.
+        let m = PlacementManifest::build(1, 64, 1000, &pool, 4).unwrap();
+        for g in 0..64u64 {
+            for k in [g * 64, g * 64 + 63] {
+                let placed = PlacementManifest::place(g, 4);
+                assert_eq!(m.shard_of(BlockIndex::new(k)), placed, "block {k}");
+            }
+        }
+        let last = BlockIndex::new(u64::MAX);
+        assert_eq!(m.shard_of(last), PlacementManifest::place(u64::MAX / 64, 4));
+    }
+
+    #[test]
     fn cross_shard_batches_round_trip_in_caller_order() {
         for scheme in Scheme::ALL {
             let dev =
@@ -805,6 +838,49 @@ mod tests {
             for (k, data) in ks.iter().zip(&back) {
                 assert_eq!(data.as_slice(), &[k.as_u64() as u8; 8], "block {k}");
             }
+        }
+    }
+
+    #[test]
+    fn a_split_follows_the_manifest_however_the_groups_interleave() {
+        let dev = ShardedDevice::deterministic(
+            &spec(Scheme::NaiveAvailableCopy, 4),
+            ClusterOptions::default(),
+        )
+        .unwrap();
+        let m = dev.manifest().clone();
+        let gs = m.group_size();
+        let shard_of_group = |g: u64| m.shard_of(BlockIndex::new(g * gs));
+        let g1 = (1..16)
+            .find(|&g| shard_of_group(g) != shard_of_group(0))
+            .unwrap();
+        // g0, g1, g0, g1, …: no block shares a group with its neighbour.
+        let alternating: Vec<u64> = (0..gs).flat_map(|i| [i, g1 * gs + i]).collect();
+        // Whole groups, out of order, each run walked backwards.
+        let out_of_order: Vec<u64> = [9u64, 2, 15, 0, 7]
+            .iter()
+            .flat_map(|&g| (g * gs..(g + 1) * gs).rev())
+            .collect();
+        for (round, batch) in [alternating, out_of_order].into_iter().enumerate() {
+            let ks: Vec<BlockIndex> = batch.into_iter().map(BlockIndex::new).collect();
+            let split = dev.split_by_shard(ks.iter().copied());
+            let mut seen = vec![false; ks.len()];
+            let mut prev_shard = None;
+            for (s, idxs) in &split {
+                assert!(prev_shard < Some(*s), "shards out of order");
+                prev_shard = Some(*s);
+                assert!(idxs.windows(2).all(|w| w[0] < w[1]), "caller order lost");
+                for &i in idxs {
+                    assert_eq!(*s, m.shard_of(ks[i]), "block {} misplaced", ks[i]);
+                    seen[i] = true;
+                }
+            }
+            assert!(seen.iter().all(|&s| s), "a block was dropped");
+            let fill = |k: BlockIndex| BlockData::from(vec![k.as_u64() as u8 ^ round as u8; 8]);
+            let writes: Vec<(BlockIndex, BlockData)> = ks.iter().map(|&k| (k, fill(k))).collect();
+            dev.write_blocks(&writes).unwrap();
+            let back = dev.read_blocks(&ks).unwrap();
+            assert_eq!(back, ks.iter().map(|&k| fill(k)).collect::<Vec<_>>());
         }
     }
 

@@ -98,6 +98,12 @@ impl SealedBlock {
 /// The store is single-owner (each server process owns its disk) and
 /// therefore needs no interior locking.
 ///
+/// Every zero slot — freshly formatted, or reset by [`scrub`](Self::scrub)
+/// — shares the store's one zero block and holds no reference of its own,
+/// so formatting, cloning and dropping a store touch no reference count
+/// for those slots. A zero slot reads, sums and diffs exactly as a slot
+/// holding its own zeroed block would.
+///
 /// # Examples
 ///
 /// ```
@@ -111,7 +117,9 @@ impl SealedBlock {
 /// ```
 #[derive(Debug, Clone)]
 pub struct VersionedStore {
-    blocks: Vec<BlockData>,
+    /// Block `k`'s data, or `None` while it is the shared zero block.
+    blocks: Vec<Option<BlockData>>,
+    zero: BlockData,
     versions: VersionVector,
     checksums: Vec<u64>,
     block_size: usize,
@@ -130,7 +138,8 @@ impl VersionedStore {
         let zero = BlockData::zeroed(block_size);
         let zero_sum = checksum(&[VersionNumber::ZERO.as_u64()], zero.as_slice());
         VersionedStore {
-            blocks: vec![zero; num_blocks as usize],
+            blocks: vec![None; num_blocks as usize],
+            zero,
             versions: VersionVector::new(num_blocks),
             checksums: vec![zero_sum; num_blocks as usize],
             block_size,
@@ -145,6 +154,11 @@ impl VersionedStore {
     /// Size of each block in bytes.
     pub fn block_size(&self) -> usize {
         self.block_size
+    }
+
+    /// Block `k`'s bytes: its own, or the shared zero block.
+    fn slot(&self, k: BlockIndex) -> &BlockData {
+        self.blocks[k.index()].as_ref().unwrap_or(&self.zero)
     }
 
     /// The version number of block `k`.
@@ -162,7 +176,7 @@ impl VersionedStore {
     ///
     /// Panics if `k` is out of range.
     pub fn data(&self, k: BlockIndex) -> BlockData {
-        self.blocks[k.index()].clone()
+        self.slot(k).clone()
     }
 
     /// Both the version and the data of block `k`, as shipped during lazy
@@ -172,7 +186,7 @@ impl VersionedStore {
     ///
     /// Panics if `k` is out of range.
     pub fn versioned(&self, k: BlockIndex) -> (VersionNumber, BlockData) {
-        (self.versions.get(k), self.blocks[k.index()].clone())
+        (self.versions.get(k), self.slot(k).clone())
     }
 
     /// Installs `data` at version `v`, but only if `v` is newer than the
@@ -208,7 +222,7 @@ impl VersionedStore {
         );
         if block.version > self.versions.get(k) {
             self.checksums[k.index()] = block.sum;
-            self.blocks[k.index()] = block.data;
+            self.blocks[k.index()] = Some(block.data);
             self.versions.set(k, block.version);
             true
         } else {
@@ -243,13 +257,13 @@ impl VersionedStore {
                 self.checksums[k.index()] = checksum(&[v.as_u64()], data.as_slice());
                 self.versions.set(k, v);
                 let keep = keep.min(self.block_size);
-                let mut torn = self.blocks[k.index()].as_slice().to_vec();
+                let mut torn = self.slot(k).as_slice().to_vec();
                 torn[..keep].copy_from_slice(&data.as_slice()[..keep]);
-                self.blocks[k.index()] = BlockData::from(torn);
+                self.blocks[k.index()] = Some(BlockData::from(torn));
             }
             StorageFault::StaleVersion => {
                 // Data committed; version and checksum still the old ones.
-                self.blocks[k.index()] = data;
+                self.blocks[k.index()] = Some(data);
             }
             StorageFault::WalTorn { .. } => {
                 // The crash preceded the block write: the store keeps its
@@ -263,7 +277,7 @@ impl VersionedStore {
     /// Whether block `k`'s checksum matches its `(version, data)` pair —
     /// `false` exactly when a faulty install left the block broken.
     pub fn checksum_ok(&self, k: BlockIndex) -> bool {
-        let (v, data) = (self.versions.get(k), &self.blocks[k.index()]);
+        let (v, data) = (self.versions.get(k), self.slot(k));
         self.checksums[k.index()] == checksum(&[v.as_u64()], data.as_slice())
     }
 
@@ -276,12 +290,10 @@ impl VersionedStore {
         let mut reset = Vec::new();
         for k in BlockIndex::all(self.num_blocks()) {
             if !self.checksum_ok(k) {
-                self.blocks[k.index()] = BlockData::zeroed(self.block_size);
+                self.blocks[k.index()] = None;
                 self.versions.set(k, VersionNumber::ZERO);
-                self.checksums[k.index()] = checksum(
-                    &[VersionNumber::ZERO.as_u64()],
-                    self.blocks[k.index()].as_slice(),
-                );
+                self.checksums[k.index()] =
+                    checksum(&[VersionNumber::ZERO.as_u64()], self.zero.as_slice());
                 reset.push(k);
             }
         }
@@ -328,7 +340,7 @@ impl VersionedStore {
         for (k, v, data) in blocks {
             assert_eq!(data.len(), self.block_size, "payload must match block size");
             self.checksums[k.index()] = checksum(&[v.as_u64()], data.as_slice());
-            self.blocks[k.index()] = data;
+            self.blocks[k.index()] = Some(data);
             self.versions.set(k, v);
             replaced += 1;
         }
@@ -347,6 +359,51 @@ mod tests {
             assert_eq!(s.version(k), VersionNumber::ZERO);
             assert!(s.data(k).is_zeroed());
         }
+    }
+
+    #[test]
+    fn zero_slots_read_sum_diff_and_clone_as_their_own_zero_blocks() {
+        let (n, bs) = (4, 16);
+        let zero = BlockData::zeroed(bs);
+        let mut s = VersionedStore::new(n, bs);
+        let (a, b) = (BlockIndex::new(1), BlockIndex::new(2));
+        // Block 1 torn and scrubbed: a reset slot, next to fresh ones.
+        s.install(a, BlockData::from(vec![1; bs]), VersionNumber::new(1));
+        s.install_faulty(
+            a,
+            BlockData::from(vec![2; bs]),
+            VersionNumber::new(2),
+            StorageFault::Torn { keep: 3 },
+        );
+        assert_eq!(s.scrub(), vec![a]);
+        for k in BlockIndex::all(n) {
+            assert_eq!(s.versioned(k), (VersionNumber::ZERO, zero.clone()), "{k}");
+            assert!(s.checksum_ok(k), "{k}");
+        }
+        assert_eq!(s.checksums, VersionedStore::new(n, bs).checksums);
+
+        // A clone shares nothing a later install can reach.
+        let twin = s.clone();
+        s.install(b, BlockData::from(vec![7; bs]), VersionNumber::new(3));
+        assert_eq!(twin.data(b), zero);
+        assert!(twin.checksum_ok(b));
+
+        // Zero slots diff and repair like any other block, both ways.
+        let mut stale = twin.clone();
+        let payload = s.diff_against(&stale.version_vector());
+        assert_eq!(
+            payload,
+            vec![(b, VersionNumber::new(3), BlockData::from(vec![7; bs]))]
+        );
+        assert_eq!(stale.apply_repair(payload), 1);
+        assert_eq!(stale.versioned(b), s.versioned(b));
+        let mut ahead = s.clone();
+        let rollback = twin.diff_against(&ahead.version_vector());
+        assert_eq!(rollback, vec![(b, VersionNumber::ZERO, zero.clone())]);
+        assert_eq!(ahead.apply_repair(rollback), 1);
+        assert_eq!(ahead.versioned(b), (VersionNumber::ZERO, zero));
+        assert!(ahead.checksum_ok(b));
+        assert_eq!(ahead.checksums, twin.checksums);
     }
 
     #[test]
@@ -528,10 +585,10 @@ mod tests {
         for bit in 0..data.len() * 8 {
             let mut flipped = data.clone();
             flipped[bit / 8] ^= 1 << (bit % 8);
-            s.blocks[0] = BlockData::from(flipped);
+            s.blocks[0] = Some(BlockData::from(flipped));
             assert!(!s.checksum_ok(k), "flip of bit {bit} went unseen");
         }
-        s.blocks[0] = BlockData::from(data);
+        s.blocks[0] = Some(BlockData::from(data));
         assert!(s.checksum_ok(k));
         s.versions.set(k, VersionNumber::new(8));
         assert!(!s.checksum_ok(k), "v + 1 under the same data went unseen");

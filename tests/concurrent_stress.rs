@@ -17,10 +17,10 @@ use std::sync::Arc;
 
 const BLOCK_SIZE: usize = 64;
 
-fn device_cfg(scheme: Scheme) -> DeviceConfig {
+fn device_cfg(scheme: Scheme, num_blocks: u64) -> DeviceConfig {
     DeviceConfig::builder(scheme)
         .sites(3)
-        .num_blocks(8)
+        .num_blocks(num_blocks)
         .block_size(BLOCK_SIZE)
         .build()
         .unwrap()
@@ -45,7 +45,7 @@ fn check_block(data: &BlockData, max_written: u32) {
 #[test]
 fn deterministic_cluster_handles_concurrent_clients_and_failures() {
     let cluster = Arc::new(Cluster::new(
-        device_cfg(Scheme::AvailableCopy),
+        device_cfg(Scheme::AvailableCopy, 8),
         ClusterOptions::default(),
     ));
     let k = BlockIndex::new(0);
@@ -103,7 +103,7 @@ fn deterministic_cluster_handles_concurrent_clients_and_failures() {
 #[test]
 fn live_cluster_handles_concurrent_clients_and_failures() {
     let cluster = Arc::new(LiveCluster::spawn(
-        device_cfg(Scheme::NaiveAvailableCopy),
+        device_cfg(Scheme::NaiveAvailableCopy, 8),
         DeliveryMode::Multicast,
     ));
     let k = BlockIndex::new(1);
@@ -147,8 +147,9 @@ fn live_cluster_handles_concurrent_clients_and_failures() {
 
 #[test]
 fn failover_commits_concurrent_writers_while_preferred_coordinator_crashes_mid_fanout() {
+    // Two lock stripes of 64 blocks, one per writer.
     let cluster = Arc::new(LiveCluster::spawn(
-        device_cfg(Scheme::Voting),
+        device_cfg(Scheme::Voting, 128),
         DeliveryMode::Multicast,
     ));
     // A nonzero link delay keeps fan-outs in flight long enough that the
@@ -174,11 +175,12 @@ fn failover_commits_concurrent_writers_while_preferred_coordinator_crashes_mid_f
                 }
             });
         }
-        // Two writers on distinct blocks, both preferring the cycling
-        // coordinator. Distinct blocks means the sharded lock table lets
-        // them run concurrently — neither serializes behind the other.
+        // Two writers on blocks in distinct lock stripes, both preferring
+        // the cycling coordinator. Distinct stripes means the sharded lock
+        // table lets them run concurrently — neither serializes behind the
+        // other.
         let mut writers = Vec::new();
-        for (blk, salt) in [(2u64, 0u32), (3, SALT)] {
+        for (blk, salt) in [(2u64, 0u32), (66, SALT)] {
             let cluster = Arc::clone(&cluster);
             writers.push(scope.spawn(move || {
                 let dev = ReliableDevice::new(cluster, preferred);
@@ -217,9 +219,9 @@ fn failover_commits_concurrent_writers_while_preferred_coordinator_crashes_mid_f
             "block 2 not exact at site {site}"
         );
         assert_eq!(
-            cluster.read(origin, BlockIndex::new(3)).unwrap(),
+            cluster.read(origin, BlockIndex::new(66)).unwrap(),
             fill_of(SALT + ROUNDS),
-            "block 3 not exact at site {site}"
+            "block 66 not exact at site {site}"
         );
     }
 }
