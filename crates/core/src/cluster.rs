@@ -261,16 +261,6 @@ impl Cluster {
         self.replicas[s.index()].lock().was_available().clone()
     }
 
-    /// Crate-internal: runs `f` with a snapshot view of site `s`'s replica.
-    pub(crate) fn with_replica<T>(&self, s: SiteId, f: impl FnOnce(&Replica) -> T) -> T {
-        f(&self.replicas[s.index()].lock())
-    }
-
-    /// Crate-internal: swaps in a replacement replica (disk-image import).
-    pub(crate) fn replace_replica(&self, s: SiteId, replica: Replica) {
-        *self.replicas[s.index()].lock() = replica;
-    }
-
     /// Site `to`'s replica as an exchange from `from` finds it: `None`
     /// when `to` is unreachable from `from`.
     fn exchange(&self, from: SiteId, to: SiteId) -> Option<parking_lot::MutexGuard<'_, Replica>> {

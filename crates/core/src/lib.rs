@@ -80,7 +80,6 @@ pub mod fault;
 mod live;
 pub mod locks;
 mod obs_hooks;
-mod persist;
 mod protocol;
 mod replica;
 pub mod scenario;

@@ -28,9 +28,10 @@
 //! **Lock-ordering discipline.** Multi-block operations acquire their
 //! shards in strictly ascending shard-index order, asserted at every
 //! acquisition, so two batched writers can never deadlock however their
-//! block sets overlap. This is the same discipline
-//! [`TcpCluster`](crate::TcpCluster)'s connection pipelining follows for
-//! conn locks, and `blockrep-lint`'s lock-order pass machine-verifies both.
+//! block sets overlap. `blockrep-lint`'s lock-order pass machine-verifies
+//! it, and the ascending target order of
+//! [`TcpCluster`](crate::TcpCluster)'s scatter loops, which take a
+//! connection-pool lock per target but hold none across a round trip.
 //! Replica locks are only ever acquired *after* block-shard locks (and one
 //! at a time), so the global order is `block shard (ascending) → replica`.
 //! The available-copy recovery sweep takes every shard

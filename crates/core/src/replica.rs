@@ -214,12 +214,6 @@ impl Replica {
         self.store.apply_repair(blocks)
     }
 
-    /// Replaces the replica's entire disk (used when importing a
-    /// persistent image).
-    pub(crate) fn replace_store(&mut self, store: VersionedStore) {
-        self.store = store;
-    }
-
     /// The was-available set `W_s`.
     pub fn was_available(&self) -> &BTreeSet<SiteId> {
         &self.was_available

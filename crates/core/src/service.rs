@@ -48,9 +48,7 @@ fn fits(replica: &Replica, request: &WireRequest) -> bool {
         | WireRequest::GetW
         | WireRequest::SetW(_)
         | WireRequest::AddW(_)
-        | WireRequest::Traced { .. }
-        | WireRequest::Mux { .. }
-        | WireRequest::Shutdown => true,
+        | WireRequest::Traced { .. } => true,
     }
 }
 
@@ -59,11 +57,8 @@ fn fits(replica: &Replica, request: &WireRequest) -> bool {
 /// A [`WireRequest::Traced`] envelope is opened here, for every transport:
 /// the carried request is served inside a `phase.remote_apply` span
 /// parented under the sender's, which is how a site's work lands in the
-/// coordinator's causal tree. `None` is "not a site request" —
-/// [`WireRequest::Mux`] and [`WireRequest::Shutdown`] are about the
-/// connection the request came in on, and stay the transport's business —
-/// or a request that does not [fit](fits) this site's disk, which the
-/// transport treats the same way: the exchange fails, the site stays up.
+/// coordinator's causal tree. `None` is a request that does not
+/// [fit](fits) this site's disk: the exchange fails, the site stays up.
 pub(crate) fn serve(
     replica: &mut Replica,
     site: u32,
@@ -132,7 +127,6 @@ pub(crate) fn serve(
             );
             return serve(replica, site, *inner);
         }
-        WireRequest::Mux { .. } | WireRequest::Shutdown => return None,
     })
 }
 
@@ -244,23 +238,6 @@ mod tests {
                 Some(bare),
                 "the envelope changes nothing about the reply to {request:?}"
             );
-        }
-    }
-
-    #[test]
-    fn connection_business_is_not_served() {
-        let mux = WireRequest::Mux {
-            id: 3,
-            inner: Box::new(WireRequest::Probe),
-        };
-        for request in [WireRequest::Shutdown, mux] {
-            let traced = WireRequest::Traced {
-                trace_id: 7,
-                parent_span: 9,
-                inner: Box::new(request.clone()),
-            };
-            assert_eq!(serve(&mut replica(), 1, request), None);
-            assert_eq!(serve(&mut replica(), 1, traced), None);
         }
     }
 

@@ -710,12 +710,11 @@ impl ShardedDevice<crate::LiveCluster> {
 }
 
 impl ShardedDevice<crate::TcpCluster> {
-    /// Spawns the framed-TCP runtime per shard, with the windowed
-    /// connection multiplexer on, so that concurrent clients of one shard
-    /// share each of its per-site sockets instead of serializing behind
-    /// its connection mutex. (The sub-batches of one cross-shard batch
-    /// never meet there: each shard is its own `TcpCluster`, with its own
-    /// connections.)
+    /// Spawns the framed-TCP runtime per shard. Concurrent clients of one
+    /// shard each take a connection of their own from its per-site pools,
+    /// so none queues behind another's round trip. (The sub-batches of one
+    /// cross-shard batch never meet there: each shard is its own
+    /// `TcpCluster`, with its own connections.)
     ///
     /// # Errors
     ///
@@ -727,7 +726,6 @@ impl ShardedDevice<crate::TcpCluster> {
             .map(|_| {
                 let cluster = crate::TcpCluster::spawn(spec.shard_config()?, mode)
                     .map_err(DeviceError::Io)?;
-                cluster.set_multiplexing(true).map_err(DeviceError::Io)?;
                 Ok(Arc::new(cluster))
             })
             .collect::<DeviceResult<Vec<_>>>()?;

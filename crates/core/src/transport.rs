@@ -140,10 +140,9 @@ fn install_request(k: BlockIndex, block: &SealedBlock) -> WireRequest {
     WireRequest::ApplyWrite(k, block.version(), block.data().clone())
 }
 
-/// Requests a site's server may hold unserved, per sender-side queue: the
-/// live cluster's inbox and a multiplexed TCP connection's in-flight window.
-/// Past it the sender blocks, so a coordinator cannot outrun the sites it
-/// writes to by more than this.
+/// Requests a live site's inbox may hold unserved. Past it the sender
+/// blocks, so a coordinator cannot outrun the sites it writes to by more
+/// than this. (A TCP connection holds one exchange at a time.)
 pub(crate) const WINDOW: usize = 32;
 
 /// How requests reach the sites' servers and replies come back. Whether a

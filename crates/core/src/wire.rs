@@ -47,8 +47,6 @@ pub enum WireRequest {
     SetW(BTreeSet<SiteId>),
     /// Add one member to the was-available set.
     AddW(SiteId),
-    /// Stop serving and exit.
-    Shutdown,
     /// Fault injection: install a block but leave it in the broken on-disk
     /// state the fault describes (crash mid-install).
     ApplyWriteFaulty(BlockIndex, VersionNumber, BlockData, StorageFault),
@@ -80,17 +78,6 @@ pub enum WireRequest {
     /// chaos suite can fault lease validation without touching quorum
     /// reads.
     FetchLease(BlockIndex),
-    /// A multiplexing envelope: the inner request plus a per-connection
-    /// request id. The server echoes the id on the matching
-    /// [`WireResponse::Mux`] reply, which is what lets a coordinator keep a
-    /// window of requests in flight on one connection and demultiplex the
-    /// replies by id instead of by arrival order.
-    Mux {
-        /// Per-connection request id, echoed on the reply.
-        id: u64,
-        /// The request being carried (never itself `Mux` or `Traced`).
-        inner: Box<WireRequest>,
-    },
 }
 
 /// A site's answer.
@@ -116,14 +103,6 @@ pub enum WireResponse {
     Versions(Vec<VersionNumber>),
     /// Raw data for a batch of blocks, in request order.
     DataMany(Vec<BlockData>),
-    /// A multiplexed reply: the inner response tagged with the id of the
-    /// [`WireRequest::Mux`] envelope it answers.
-    Mux {
-        /// The request id this reply answers.
-        id: u64,
-        /// The response being carried (never itself `Mux`).
-        inner: Box<WireResponse>,
-    },
 }
 
 /// A malformed frame.
@@ -326,7 +305,6 @@ impl WireRequest {
                 buf.put_u8(10);
                 buf.put_u32_le(s.as_u32());
             }
-            WireRequest::Shutdown => buf.put_u8(11),
             WireRequest::ApplyWriteFaulty(k, v, data, fault) => {
                 buf.put_u8(12);
                 buf.put_u64_le(k.as_u64());
@@ -371,11 +349,6 @@ impl WireRequest {
                 buf.put_u8(18);
                 buf.put_u64_le(k.as_u64());
             }
-            WireRequest::Mux { id, inner } => {
-                buf.put_u8(19);
-                buf.put_u64_le(*id);
-                inner.encode_into(buf);
-            }
         }
     }
 
@@ -413,7 +386,6 @@ impl WireRequest {
                 need(raw, 4, "site id")?;
                 WireRequest::AddW(SiteId::new(raw.get_u32_le()))
             }
-            11 => WireRequest::Shutdown,
             12 => {
                 need(raw, 16, "write header")?;
                 let k = BlockIndex::new(raw.get_u64_le());
@@ -464,20 +436,6 @@ impl WireRequest {
             18 => {
                 need(raw, 8, "block index")?;
                 WireRequest::FetchLease(BlockIndex::new(raw.get_u64_le()))
-            }
-            19 => {
-                need(raw, 8, "mux envelope")?;
-                let id = raw.get_u64_le();
-                // The inner decode consumes the remainder and performs its
-                // own trailing-bytes check, so return directly.
-                let inner = WireRequest::decode(raw)?;
-                if matches!(inner, WireRequest::Mux { .. } | WireRequest::Traced { .. }) {
-                    return Err(bad("nested mux envelope"));
-                }
-                return Ok(WireRequest::Mux {
-                    id,
-                    inner: Box::new(inner),
-                });
             }
             other => return Err(bad(&format!("unknown request tag {other}"))),
         };
@@ -555,11 +513,6 @@ impl WireResponse {
                     put_data(buf, d);
                 }
             }
-            WireResponse::Mux { id, inner } => {
-                buf.put_u8(10);
-                buf.put_u64_le(*id);
-                inner.encode_into(buf);
-            }
         }
     }
 
@@ -603,20 +556,6 @@ impl WireResponse {
                 }
                 WireResponse::DataMany(out)
             }
-            10 => {
-                need(raw, 8, "mux envelope")?;
-                let id = raw.get_u64_le();
-                // The inner decode consumes the remainder and performs its
-                // own trailing-bytes check, so return directly.
-                let inner = WireResponse::decode(raw)?;
-                if matches!(inner, WireResponse::Mux { .. }) {
-                    return Err(bad("nested mux envelope"));
-                }
-                return Ok(WireResponse::Mux {
-                    id,
-                    inner: Box::new(inner),
-                });
-            }
             other => return Err(bad(&format!("unknown response tag {other}"))),
         };
         if raw.has_remaining() {
@@ -656,8 +595,8 @@ fn start_frame(frame: &mut Vec<u8>, payload_len: usize) {
 }
 
 /// Rewrites in place the ids of the envelope heading a framed request — a
-/// [`WireRequest::Mux`]'s id, or a [`WireRequest::Traced`]'s trace id and
-/// parent span — so one encoded frame serves every target of a scatter.
+/// [`WireRequest::Traced`]'s trace id and parent span — so one encoded
+/// frame serves every target of a scatter.
 pub(crate) fn set_envelope_ids(frame: &mut [u8], ids: &[u64]) {
     for (slot, id) in frame[PREFIX + 1..].chunks_exact_mut(8).zip(ids) {
         slot.copy_from_slice(&id.to_le_bytes());
@@ -684,7 +623,7 @@ pub fn write_frame(w: &mut impl Write, frame: &[u8]) -> io::Result<()> {
 /// The read half of a connection: the stream plus the one buffer every
 /// frame on it arrives through. A read takes whatever the stream has, so a
 /// small frame costs one `read`, and what came in behind it waits here.
-/// The buffer lives and dies with the stream — a poisoned connection drops
+/// The buffer lives and dies with the stream — a torn connection drops
 /// both, so nothing stale survives a reconnect.
 #[derive(Debug)]
 pub struct FrameReader<R> {
@@ -806,7 +745,6 @@ mod tests {
             Just(WireRequest::GetW),
             arb_sites().prop_map(WireRequest::SetW),
             (0u32..32).prop_map(|s| WireRequest::AddW(SiteId::new(s))),
-            Just(WireRequest::Shutdown),
             (any::<u16>(), any::<u32>(), arb_data(), arb_fault()).prop_map(|(k, v, d, f)| {
                 WireRequest::ApplyWriteFaulty(
                     BlockIndex::new(k as u64),
@@ -837,10 +775,6 @@ mod tests {
                     inner: Box::new(inner),
                 }
             ),
-            1 => (any::<u64>(), arb_plain_request()).prop_map(|(id, inner)| WireRequest::Mux {
-                id,
-                inner: Box::new(inner),
-            }),
         ]
     }
 
@@ -852,7 +786,7 @@ mod tests {
         ]
     }
 
-    fn arb_plain_response() -> impl Strategy<Value = WireResponse> {
+    fn arb_response() -> impl Strategy<Value = WireResponse> {
         prop_oneof![
             Just(WireResponse::Ack),
             any::<u32>().prop_map(|v| WireResponse::Version(VersionNumber::new(v as u64))),
@@ -869,16 +803,6 @@ mod tests {
                     .collect()
             )),
             prop::collection::vec(arb_data(), 0..8).prop_map(WireResponse::DataMany),
-        ]
-    }
-
-    fn arb_response() -> impl Strategy<Value = WireResponse> {
-        prop_oneof![
-            3 => arb_plain_response(),
-            1 => (any::<u64>(), arb_plain_response()).prop_map(|(id, inner)| WireResponse::Mux {
-                id,
-                inner: Box::new(inner),
-            }),
         ]
     }
 
@@ -1090,14 +1014,10 @@ mod tests {
         #[test]
         fn envelope_ids_are_rewritten_in_place(
             inner in arb_plain_request(),
-            ids in (any::<u64>(), any::<u64>(), any::<u64>()),
+            ids in (any::<u64>(), any::<u64>()),
         ) {
-            let (id, trace_id, parent_span) = ids;
+            let (trace_id, parent_span) = ids;
             let boxed = || Box::new(inner.clone());
-            let mut frame = WireRequest::Mux { id: 0, inner: boxed() }.to_frame();
-            set_envelope_ids(&mut frame, &[id]);
-            prop_assert_eq!(&frame, &WireRequest::Mux { id, inner: boxed() }.to_frame());
-
             let mut frame = WireRequest::Traced { trace_id: 0, parent_span: 0, inner: boxed() }
                 .to_frame();
             set_envelope_ids(&mut frame, &[trace_id, parent_span]);
@@ -1164,40 +1084,6 @@ mod tests {
         assert!(WireRequest::decode(&trailing).is_err());
     }
 
-    #[test]
-    fn mux_envelope_roundtrips_and_rejects_nesting() {
-        let inner = WireRequest::FetchLease(BlockIndex::new(3));
-        let mux = WireRequest::Mux {
-            id: 99,
-            inner: Box::new(inner.clone()),
-        };
-        let encoded = mux.encode();
-        assert_eq!(WireRequest::decode(&encoded).unwrap(), mux);
-        // Tag byte + 8-byte id + the inner frame, nothing more.
-        assert_eq!(encoded.len(), 9 + inner.encode().len());
-        assert_eq!(encoded[0], 19);
-
-        let nested = WireRequest::Mux {
-            id: 1,
-            inner: Box::new(mux),
-        };
-        assert!(WireRequest::decode(&nested.encode()).is_err());
-
-        let reply = WireResponse::Mux {
-            id: 99,
-            inner: Box::new(WireResponse::Block(
-                VersionNumber::new(4),
-                BlockData::from(vec![1, 2]),
-            )),
-        };
-        assert_eq!(WireResponse::decode(&reply.encode()).unwrap(), reply);
-        let nested_reply = WireResponse::Mux {
-            id: 1,
-            inner: Box::new(reply),
-        };
-        assert!(WireResponse::decode(&nested_reply.encode()).is_err());
-    }
-
     fn hex(bytes: &[u8]) -> String {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
     }
@@ -1241,16 +1127,9 @@ mod tests {
                 WireRequest::Traced {
                     trace_id: 0x1122_3344_5566_7788,
                     parent_span: 42,
-                    inner: Box::new(WireRequest::ApplyWriteMany(blocks.clone())),
-                },
-                format!("1188776655443322112a00000000000000{write_many}"),
-            ),
-            (
-                WireRequest::Mux {
-                    id: 0x0A0B,
                     inner: Box::new(WireRequest::ApplyWriteMany(blocks)),
                 },
-                format!("130b0a000000000000{write_many}"),
+                format!("1188776655443322112a00000000000000{write_many}"),
             ),
         ];
         for (request, golden) in requests {

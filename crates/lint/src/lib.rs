@@ -2,10 +2,11 @@
 //! workspace's concurrency and wire-format invariants.
 //!
 //! The paper's one-copy guarantees lean on conventions the compiler cannot
-//! see: ascending-site-order connection locks in `TcpTransport::pipelined`,
-//! the fence pairing of the flight recorder's seqlock, hoisted
-//! `enabled()` checks on the protocol hot path, and a bijective wire-tag
-//! space. This crate machine-checks them. It hand-rolls a small Rust
+//! see: ascending target order in `TcpTransport::pipelined`'s send and
+//! gather loops (which take a per-site connection-pool lock per target and
+//! hold none across a round trip), the fence pairing of the flight
+//! recorder's seqlock, hoisted `enabled()` checks on the protocol hot
+//! path, and a bijective wire-tag space. This crate machine-checks them. It hand-rolls a small Rust
 //! lexer and a brace-matched item scanner (no `syn`, no proc-macros — the
 //! registry is vendored stubs, same spirit as the hand-rolled JSON reader
 //! under `blockrep_obs::trace::validate_chrome_trace`), builds a per-function token model with an
