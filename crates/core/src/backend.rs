@@ -1,15 +1,13 @@
 //! The cluster backend abstraction.
 //!
 //! The three consistency protocols are written once, against [`Backend`],
-//! and run unchanged over two very different substrates:
-//!
-//! * [`Cluster`](crate::Cluster) — a deterministic in-process cluster where
-//!   "messages" are direct state access, used by tests, property tests and
-//!   the simulation harnesses;
-//! * [`ServerCluster`](crate::ServerCluster) — one server thread per site
-//!   exchanging real messages, the shape the paper deploys on a network:
-//!   over channels ([`LiveCluster`](crate::LiveCluster)) or loopback
-//!   sockets ([`TcpCluster`](crate::TcpCluster)).
+//! and its one implementation, [`ServerCluster`](crate::ServerCluster),
+//! turns each protocol step into a request to the one site service and its
+//! reply back into an answer. What differs between runtimes is only the
+//! transport under it: the deterministic [`Cluster`](crate::Cluster) serves
+//! every request on the caller's thread, [`LiveCluster`](crate::LiveCluster)
+//! sends it to a site thread's inbox and [`TcpCluster`](crate::TcpCluster)
+//! over a loopback socket.
 //!
 //! Methods with a `from` site model a remote exchange and return `None`
 //! when the target is failed or unreachable (fail-stop sites simply do not
@@ -22,7 +20,7 @@
 use crate::locks::{BlockLockTable, LeaseTable};
 use crate::transport::Links;
 use blockrep_net::{DeliveryMode, MsgKind, OpClass, TrafficCounter};
-use blockrep_storage::{SealedBlock, StorageFault};
+use blockrep_storage::SealedBlock;
 use blockrep_types::{
     BlockData, BlockIndex, DeviceConfig, DeviceError, DeviceResult, SiteId, SiteState,
     VersionNumber, VersionVector,
@@ -272,8 +270,8 @@ pub enum ScatterReply {
 /// did not answer (failed/unreachable).
 pub type ScatterReplies = SiteVec<(SiteId, Option<ScatterReply>)>;
 
-/// Accounting context of one scatter — plumbing shared by the runtime
-/// overrides.
+/// Accounting context of one scatter, shared by the sequential body and
+/// the concurrent transports.
 #[derive(Debug, Clone, Copy)]
 pub struct ScatterSpec {
     /// The operation this fan-out belongs to.
@@ -337,8 +335,11 @@ impl Coordinator {
 
 /// Access to a cluster of replicas, as seen by a protocol coordinator.
 ///
-/// Implementations must be internally synchronized (`&self` methods), since
-/// a device handle and a failure injector may act concurrently.
+/// Its one implementation is [`ServerCluster`](crate::ServerCluster), over
+/// whichever transport: each method is one [`Request`](crate::wire::Request)
+/// to the one site service and its reply. Implementations must be
+/// internally synchronized (`&self` methods), since a device handle and a
+/// failure injector may act concurrently.
 pub trait Backend: Send + Sync {
     /// The coordinator state behind this backend; the eight methods below
     /// are read off it.
@@ -371,14 +372,10 @@ pub trait Backend: Send + Sync {
 
     /// Observes `to`'s state from `from`: `None` if `to` is failed or
     /// unreachable — a failed site answers nobody, itself included —
-    /// otherwise its (operational) state. A coordination-layer read on
-    /// every runtime; only the fault-injection layer, which decides this
-    /// exchange's fate like any other's, overrides it.
-    fn probe_state(&self, from: SiteId, to: SiteId) -> Option<SiteState> {
-        let links = &self.coordinator().links;
-        let state = links.state(to);
-        (state.is_operational() && links.reachable(from, to)).then_some(state)
-    }
+    /// otherwise its (operational) state. A coordination-layer read: no
+    /// message is sent, but a probe of another site is an exchange whose
+    /// fate a fault layer decides like any other's.
+    fn probe_state(&self, from: SiteId, to: SiteId) -> Option<SiteState>;
 
     /// Requests `to`'s vote — its version number for block `k`. With
     /// `from == to` this is the local version lookup.
@@ -386,6 +383,17 @@ pub trait Backend: Send + Sync {
 
     /// Fetches the current copy of block `k` from `to`.
     fn fetch_block(
+        &self,
+        from: SiteId,
+        to: SiteId,
+        k: BlockIndex,
+    ) -> Option<(VersionNumber, BlockData)>;
+
+    /// Fetches the current copy of block `k` from `to` to validate and
+    /// serve a read lease: [`fetch_block`](Self::fetch_block) under a wire
+    /// request of its own, so a fault layer can target lease validation
+    /// specifically (the `StaleLease` fault).
+    fn fetch_lease(
         &self,
         from: SiteId,
         to: SiteId,
@@ -403,8 +411,8 @@ pub trait Backend: Send + Sync {
     /// # Errors
     ///
     /// [`DeviceError::Io`] when `s`'s replica does not answer its own
-    /// coordinator: never on the shipped runtimes, where the local leg is
-    /// served on the coordinator's thread; a backend standing in for a
+    /// coordinator: never on the shipped transports, where the local leg is
+    /// served on the coordinator's thread; a transport standing in for a
     /// broken disk may.
     fn read_local(&self, s: SiteId, k: BlockIndex) -> DeviceResult<BlockData>;
 
@@ -426,8 +434,8 @@ pub trait Backend: Send + Sync {
         -> Option<RepairPayload>;
 
     /// Installs a repair payload on `s`'s local store; returns the number of
-    /// blocks replaced — `0`, on every runtime, when `s`'s server does not
-    /// take the payload (its local leg died): nothing was installed.
+    /// blocks replaced — `0` when `s`'s server does not take the payload
+    /// (its local leg died): nothing was installed.
     fn apply_repair_local(&self, s: SiteId, blocks: RepairBlocks) -> usize;
 
     /// Requests `to`'s was-available set `W`.
@@ -441,41 +449,23 @@ pub trait Backend: Send + Sync {
     /// Tells `to` that `member` has repaired from it: `W_to ← W_to ∪ {member}`.
     fn add_was_available(&self, from: SiteId, to: SiteId, member: SiteId) -> bool;
 
-    /// Delivers a write update to `to` like [`apply_write`](Self::apply_write)
-    /// but leaves the block in the broken on-disk state `fault` describes —
-    /// the disk image of `to` crashing in the middle of the install. Only the
-    /// fault-injection layer calls this; protocols never do.
-    fn apply_write_faulty(
-        &self,
-        from: SiteId,
-        to: SiteId,
-        k: BlockIndex,
-        data: &BlockData,
-        v: VersionNumber,
-        fault: StorageFault,
-    ) -> bool;
-
     /// Runs the restart-time integrity scrub on `s`'s local disk, resetting
     /// checksum-broken blocks to the freshly formatted state. Returns the
-    /// number of blocks reset — `0`, on every runtime, when `s`'s server
-    /// does not answer (its local leg died): nothing was scrubbed.
+    /// number of blocks reset — `0` when `s`'s server does not answer (its
+    /// local leg died): nothing was scrubbed.
     fn scrub_local(&self, s: SiteId) -> usize;
 
     /// Requests `to`'s votes for a whole run of blocks in **one** exchange.
     /// Replies come back in the order of `ks`; `None` means the target did
     /// not answer (failed/unreachable), exactly as per-block
-    /// [`vote`](Self::vote) would have for every block.
-    ///
-    /// Every runtime answers it as one exchange: one reachability check and
-    /// one replica lock at `to` for the whole run. The fault-injection
-    /// layer counts one call to this method as one `(op, exchange)` slot.
+    /// [`vote`](Self::vote) would have for every block: one reachability
+    /// check, one replica lock at `to` and one fault slot for the run.
     fn vote_many(&self, from: SiteId, to: SiteId, ks: &[BlockIndex]) -> Option<Vec<VersionNumber>>;
 
     /// Delivers a batch of write updates to `to` in **one** exchange (or
     /// applies them locally when `from == to`). Delivery is all-or-nothing:
     /// the batch either reaches `to` (every block installed if newer) or
-    /// does not. The fault-injection layer counts one call as one
-    /// `(op, exchange)` slot.
+    /// does not.
     fn apply_write_many(&self, from: SiteId, to: SiteId, writes: &WriteBatch) -> bool;
 
     /// The coordinator-side sharded block-lock table. The protocol entry
@@ -492,49 +482,20 @@ pub trait Backend: Send + Sync {
         &self.coordinator().leases
     }
 
-    /// Fetches the current copy of block `k` from `to` to validate and
-    /// serve a read lease. Semantically identical to
-    /// [`fetch_block`](Self::fetch_block) — the default delegates — but
-    /// carried as its own wire request so the fault-injection layer can
-    /// target lease validation specifically (the `StaleLease` fault).
-    fn fetch_lease(
-        &self,
-        from: SiteId,
-        to: SiteId,
-        k: BlockIndex,
-    ) -> Option<(VersionNumber, BlockData)> {
-        self.fetch_block(from, to, k)
-    }
-
     /// Scatter-gather: delivers `req` to every target (ascending site
-    /// order) and gathers their replies.
-    ///
-    /// The default implementation is strictly sequential and performs, per
-    /// target, exactly the primitive exchanges the historical per-target
-    /// loops did. That pins down two contracts the concurrent overrides in
-    /// [`LiveCluster`](crate::LiveCluster) and [`TcpCluster`](crate::TcpCluster)
-    /// must preserve:
-    ///
-    /// * **§5 accounting** — one `spec.reply_charge` transmission per
-    ///   gathered reply, regardless of fan-out concurrency;
-    /// * **chaos addressing** — [`FaultyBackend`](crate::fault::FaultyBackend)
-    ///   deliberately does *not* override this method, so under fault
-    ///   injection every runtime falls back to this sequential body and the
-    ///   `(op, exchange-index)` coordinates of a [`FaultPlan`](crate::fault::FaultPlan)
-    ///   are pinned in target order at scatter time.
+    /// order) and gathers their replies, with the results and the §5
+    /// counts of [`scatter_sequential`] — one `spec.reply_charge`
+    /// transmission per gathered reply, whatever the fan-out concurrency.
     fn scatter(
         &self,
         spec: ScatterSpec,
         origin: SiteId,
         targets: &[SiteId],
         req: &ScatterRequest<'_>,
-    ) -> ScatterReplies {
-        scatter_sequential(self, spec, origin, targets, req)
-    }
+    ) -> ScatterReplies;
 }
 
-/// One remote exchange of a scatter, exactly as the historical sequential
-/// loops performed it.
+/// One remote exchange of a scatter, as a per-target loop performs it.
 fn exchange_once<B: Backend + ?Sized>(
     b: &B,
     origin: SiteId,
@@ -563,8 +524,9 @@ fn exchange_once<B: Backend + ?Sized>(
     }
 }
 
-/// The default sequential scatter body: every exchange is performed, in
-/// target order, and every gathered reply charged.
+/// The sequential scatter body: every exchange is performed, one after
+/// another in target order, and every gathered reply charged. A fault
+/// layer numbers a scatter's exchanges in this order.
 pub fn scatter_sequential<B: Backend + ?Sized>(
     b: &B,
     spec: ScatterSpec,
@@ -636,11 +598,10 @@ pub(crate) fn check_block<B: Backend + ?Sized>(b: &B, k: BlockIndex) -> DeviceRe
 }
 
 /// What a coordinator reports when its own site's replica does not answer
-/// it. No shipped runtime's local leg can fail — it is served on the
-/// coordinator's own thread, in process on [`Cluster`](crate::Cluster) and
-/// through [`Transport::local`](crate::transport::Transport::local) on the
-/// message-passing ones — so this is for backends whose can: a wrapper or a
-/// test double standing in for a broken disk.
+/// it. No shipped transport's local leg can fail — it is served on the
+/// coordinator's own thread, through
+/// [`Transport::local`](crate::transport::Transport::local) — so this is for
+/// transports whose can: a test double standing in for a broken disk.
 pub(crate) fn dead_local_leg(s: SiteId) -> DeviceError {
     DeviceError::Io(std::io::Error::other(format!(
         "{s} did not answer its own coordinator"

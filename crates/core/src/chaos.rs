@@ -35,8 +35,9 @@
 //! the lease path must always catch (benign by construction).
 
 use crate::backend::Backend;
-use crate::fault::{FaultKind, FaultPlan, FaultSpec, FaultyBackend, OpReport};
+use crate::fault::{FaultKind, Faulty, OpReport};
 use crate::scenario::Action;
+use crate::shard::{ShardSpec, ShardedDevice};
 use crate::transport::{ServerCluster, Transport};
 use crate::{protocol, Cluster, ClusterOptions, LiveCluster, TcpCluster};
 use blockrep_net::{DeliveryMode, TrafficSnapshot};
@@ -45,6 +46,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
 use std::panic::catch_unwind;
+use std::sync::Arc;
 
 /// One chaos step: a workload action plus the faults scheduled on its
 /// remote exchanges, as `(exchange index, kind)` pairs.
@@ -67,26 +69,6 @@ pub struct ChaosScript {
     pub cfg: DeviceConfig,
     /// The steps, replayed in order.
     pub steps: Vec<ChaosStep>,
-}
-
-/// A runtime the chaos runner can drive: a [`Backend`] with a name. Every
-/// runtime derives reachability from the one link model, so making a
-/// mid-operation crash real is `protocol::fail` and nothing else.
-pub trait ChaosRuntime: Backend {
-    /// The runtime's name in parity reports.
-    fn runtime_name(&self) -> &'static str;
-}
-
-impl ChaosRuntime for Cluster {
-    fn runtime_name(&self) -> &'static str {
-        "deterministic"
-    }
-}
-
-impl<T: Transport> ChaosRuntime for ServerCluster<T> {
-    fn runtime_name(&self) -> &'static str {
-        T::NAME
-    }
 }
 
 /// What one runtime produced while replaying a script: a per-step log
@@ -150,7 +132,7 @@ impl std::fmt::Display for ChaosFailure {
 impl std::error::Error for ChaosFailure {}
 
 /// Renders a schedule as one line per step, for failure reports.
-pub fn format_schedule(steps: &[ChaosStep]) -> String {
+fn format_schedule(steps: &[ChaosStep]) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
     for (i, step) in steps.iter().enumerate() {
@@ -364,7 +346,7 @@ impl Oracle {
     /// If every site agrees on every block (same version, same uniform
     /// data), the replicas are indistinguishable from a fresh device plus
     /// clean writes: re-certify everything `Exact` and re-arm the chain.
-    fn try_narrow<R: ChaosRuntime>(&mut self, rt: &R) {
+    fn try_narrow(&mut self, rt: &impl Backend) {
         if !self.any_tainted() {
             return;
         }
@@ -416,8 +398,8 @@ impl Oracle {
 ///   weakened `voting.rs` check introduces);
 /// * available copy schemes — every available site must hold the value
 ///   ("write to all available copies" admits no exceptions).
-fn certify_clean_write<R: ChaosRuntime>(
-    rt: &R,
+fn certify_clean_write(
+    rt: &impl Backend,
     op: usize,
     k: BlockIndex,
     fill: u8,
@@ -466,7 +448,7 @@ fn certify_clean_write<R: ChaosRuntime>(
 
 /// Certifies a clean successful voting read: the operational sites must
 /// carry a read quorum, or the read should have been refused.
-fn certify_clean_read<R: ChaosRuntime>(rt: &R, op: usize, k: BlockIndex) -> Result<(), String> {
+fn certify_clean_read(rt: &impl Backend, op: usize, k: BlockIndex) -> Result<(), String> {
     let cfg = rt.config();
     if cfg.scheme() != Scheme::Voting {
         return Ok(());
@@ -487,8 +469,9 @@ fn certify_clean_read<R: ChaosRuntime>(rt: &R, op: usize, k: BlockIndex) -> Resu
 
 /// Makes the mid-operation crashes of `report` real: fail-stops each
 /// crashed site through the scheme's own failure handling, in the same
-/// order the runtime's `fail_site` uses.
-fn finalize_crashes<R: ChaosRuntime>(rt: &R, report: &OpReport) {
+/// order the runtime's `fail_site` uses. Every runtime derives
+/// reachability from the one link model, so that is all it takes.
+fn finalize_crashes(rt: &impl Backend, report: &OpReport) {
     for &s in &report.crashed {
         if rt.local_state(s).is_operational() {
             protocol::fail(rt, s);
@@ -508,7 +491,7 @@ fn fired_suffix(report: &OpReport) -> String {
     out
 }
 
-fn states_suffix<R: ChaosRuntime>(rt: &R) -> String {
+fn states_suffix(rt: &impl Backend) -> String {
     rt.config()
         .site_ids()
         .map(|s| match rt.local_state(s) {
@@ -519,28 +502,21 @@ fn states_suffix<R: ChaosRuntime>(rt: &R) -> String {
         .collect()
 }
 
-/// Replays `steps` on one runtime, maintaining the oracle. Returns the
-/// run's outcome for parity comparison, or the first oracle violation.
-pub fn run_on<R: ChaosRuntime>(rt: &R, steps: &[ChaosStep]) -> Result<RunOutcome, String> {
+/// Replays `steps` on one runtime, under its fault layer, maintaining the
+/// oracle. Returns the run's outcome for parity comparison, or the first
+/// oracle violation.
+#[allow(private_bounds)]
+pub fn run_on<T: Transport>(
+    rt: &ServerCluster<Faulty<T>>,
+    steps: &[ChaosStep],
+) -> Result<RunOutcome, String> {
     let cfg = rt.config().clone();
-    let plan: FaultPlan = steps
-        .iter()
-        .enumerate()
-        .flat_map(|(op, step)| {
-            step.faults.iter().map(move |&(x, kind)| FaultSpec {
-                op: op as u64,
-                exchange: x,
-                kind,
-            })
-        })
-        .collect();
-    let fb = FaultyBackend::new(rt, plan);
     let mut oracle = Oracle::new(cfg.scheme(), cfg.num_blocks() as usize, cfg.journaled());
     let mut log = Vec::with_capacity(steps.len());
     let mut faults_fired = 0u64;
     let mut reads_checked = 0u64;
     for (op, step) in steps.iter().enumerate() {
-        fb.begin_op(op as u64);
+        rt.begin_op(op as u64, &step.faults);
         let mut line = match step.action {
             Action::Write {
                 origin,
@@ -548,8 +524,8 @@ pub fn run_on<R: ChaosRuntime>(rt: &R, steps: &[ChaosStep]) -> Result<RunOutcome
                 fill,
             } => {
                 let data = BlockData::from(vec![fill; cfg.block_size()]);
-                let res = protocol::write(&fb, origin, block, &data);
-                let report = fb.end_op();
+                let res = protocol::write(rt, origin, block, &data);
+                let report = rt.end_op();
                 finalize_crashes(rt, &report);
                 oracle.record_write(block.index(), fill, res.is_ok(), &report);
                 if res.is_ok() && report.fired.iter().all(|f| f.kind.is_benign()) {
@@ -566,8 +542,8 @@ pub fn run_on<R: ChaosRuntime>(rt: &R, steps: &[ChaosStep]) -> Result<RunOutcome
                 )
             }
             Action::Read { origin, block } => {
-                let res = protocol::read(&fb, origin, block);
-                let report = fb.end_op();
+                let res = protocol::read(rt, origin, block);
+                let report = rt.end_op();
                 finalize_crashes(rt, &report);
                 let outcome = match &res {
                     Ok(data) => {
@@ -592,7 +568,7 @@ pub fn run_on<R: ChaosRuntime>(rt: &R, steps: &[ChaosStep]) -> Result<RunOutcome
                 )
             }
             Action::Fail(s) => {
-                let _ = fb.end_op();
+                let _ = rt.end_op();
                 let did = if rt.local_state(s).is_operational() {
                     protocol::fail(rt, s);
                     "failed"
@@ -605,16 +581,16 @@ pub fn run_on<R: ChaosRuntime>(rt: &R, steps: &[ChaosStep]) -> Result<RunOutcome
                 let outcome = match rt.local_state(s) {
                     SiteState::Failed => {
                         let scrubbed = rt.scrub_local(s);
-                        protocol::repair(&fb, s);
+                        protocol::repair(rt, s);
                         format!("restarted scrubbed={scrubbed}")
                     }
                     SiteState::Comatose => {
-                        protocol::sweep(&fb);
+                        protocol::sweep(rt);
                         "swept".to_string()
                     }
                     SiteState::Available => "already-up".to_string(),
                 };
-                let report = fb.end_op();
+                let report = rt.end_op();
                 finalize_crashes(rt, &report);
                 faults_fired += report.fired.len() as u64;
                 format!("#{op} repair {s} -> {outcome}{}", fired_suffix(&report))
@@ -692,19 +668,19 @@ pub fn check_with(
                 mode: DeliveryMode::Multicast,
             },
         );
-        rt.leases().set_enabled(leases);
-        run_on(&rt, steps)
+        rt.set_leases(leases);
+        run_on(&rt.with_faults(), steps)
     })?;
     let live = run_caught("live", || {
         let rt = LiveCluster::spawn(cfg.clone(), DeliveryMode::Multicast);
-        rt.leases().set_enabled(leases);
-        run_on(&rt, steps)
+        rt.set_leases(leases);
+        run_on(&rt.with_faults(), steps)
     })?;
     let tcp = run_caught("tcp", || {
         let rt = TcpCluster::spawn(cfg.clone(), DeliveryMode::Multicast)
             .map_err(|e| format!("tcp spawn failed: {e}"))?;
-        rt.leases().set_enabled(leases);
-        run_on(&rt, steps)
+        rt.set_leases(leases);
+        run_on(&rt.with_faults(), steps)
     })?;
     for (name, other) in [("live", &live), ("tcp", &tcp)] {
         if let Some(divergence) = diverges(&det, other) {
@@ -746,15 +722,11 @@ fn diverges(a: &RunOutcome, b: &RunOutcome) -> Option<String> {
 
 /// Shrinks a failing schedule: delta-debugging over chunks of steps, then
 /// removal of individual faults, until locally minimal. Every candidate is
-/// re-checked on all three runtimes ([`check`] reports runtime panics as
-/// failures, so panicking schedules shrink too).
-pub fn shrink(cfg: &DeviceConfig, steps: Vec<ChaosStep>) -> Vec<ChaosStep> {
-    shrink_with(cfg, steps, false)
-}
-
-/// Like [`shrink`], re-checking every candidate with read leases enabled —
-/// a schedule that only fails leased must shrink under the leased replay.
-pub fn shrink_with(cfg: &DeviceConfig, mut steps: Vec<ChaosStep>, leases: bool) -> Vec<ChaosStep> {
+/// re-checked on all three runtimes, with read leases as `leases` says — a
+/// schedule that only fails leased must shrink under the leased replay
+/// ([`check_with`] reports runtime panics as failures, so panicking
+/// schedules shrink too).
+fn shrink(cfg: &DeviceConfig, mut steps: Vec<ChaosStep>, leases: bool) -> Vec<ChaosStep> {
     let fails = |candidate: &[ChaosStep]| {
         !candidate.is_empty() && check_with(cfg, candidate, leases).is_err()
     };
@@ -844,7 +816,7 @@ pub fn run_seed_opts(
         Ok(report) => return Ok(report),
         Err(detail) => detail,
     };
-    let steps = shrink_with(&script.cfg, script.steps, leases);
+    let steps = shrink(&script.cfg, script.steps, leases);
     let detail = check_with(&script.cfg, &steps, leases)
         .err()
         .unwrap_or(detail);
@@ -873,15 +845,10 @@ pub fn trace_failure(failure: &ChaosFailure) -> String {
 }
 
 /// Replays `steps` on the deterministic runtime with the flight recorder
-/// armed and dumps the resulting causal trace as Chrome trace-event JSON.
-/// Previous recorder contents are cleared first; the global tracing flags
-/// are restored to their prior values afterwards.
-pub fn trace_schedule(cfg: &DeviceConfig, steps: &[ChaosStep]) -> String {
-    trace_schedule_with(cfg, steps, false)
-}
-
-/// Like [`trace_schedule`], optionally replaying with read leases enabled —
-/// required to reproduce a failure that only manifests leased.
+/// armed, and read leases enabled if `leases` (a failure that only
+/// manifests leased needs them), and dumps the resulting causal trace as
+/// Chrome trace-event JSON. Previous recorder contents are cleared first;
+/// the global tracing flags are restored to their prior values afterwards.
 pub fn trace_schedule_with(cfg: &DeviceConfig, steps: &[ChaosStep], leases: bool) -> String {
     use blockrep_obs::trace;
     let was_obs = blockrep_obs::enabled();
@@ -897,8 +864,8 @@ pub fn trace_schedule_with(cfg: &DeviceConfig, steps: &[ChaosStep], leases: bool
                 mode: DeliveryMode::Multicast,
             },
         );
-        rt.leases().set_enabled(leases);
-        run_on(&rt, &steps)
+        rt.set_leases(leases);
+        run_on(&rt.with_faults(), &steps)
     });
     let records = trace::snapshot();
     if !was_tracing {
@@ -939,14 +906,30 @@ pub struct ShardChaosReport {
 /// The fixed geometry the shard scenarios run on: 3-site shards, eight
 /// 8-byte blocks per shard in 2-block placement groups, so every batch
 /// over the full address space is a genuine cross-shard batch.
-fn shard_scenario_spec(scheme: Scheme, shards: usize, journaled: bool) -> crate::shard::ShardSpec {
-    crate::shard::ShardSpec {
+fn shard_scenario_spec(scheme: Scheme, shards: usize, journaled: bool) -> ShardSpec {
+    ShardSpec {
         sites_per_shard: 3,
         block_size: 8,
         group_size: 2,
         journaled,
-        ..crate::shard::ShardSpec::new(scheme, shards, 8 * shards as u64)
+        ..ShardSpec::new(scheme, shards, 8 * shards as u64)
     }
+}
+
+/// A device of `spec`'s geometry whose every shard is a cluster `spawn`
+/// builds from the shard configuration, under a fault layer of its own.
+fn faulty_shards<T: Transport + 'static>(
+    spec: &ShardSpec,
+    spawn: impl Fn(DeviceConfig) -> Result<ServerCluster<T>, String>,
+) -> Result<ShardedDevice<ServerCluster<Faulty<T>>>, String> {
+    let shards = (0..spec.shards)
+        .map(|_| {
+            let cfg = spec.shard_config().map_err(|e| e.to_string())?;
+            Ok(Arc::new(spawn(cfg)?.with_faults()))
+        })
+        .collect::<Result<_, String>>()?;
+    let manifest = spec.manifest().map_err(|e| e.to_string())?;
+    Ok(ShardedDevice::new(shards, manifest, SiteId::new(0)))
 }
 
 /// Replays the two shard-targeted fault scenarios of the chaos suite on
@@ -966,15 +949,15 @@ fn shard_scenario_spec(scheme: Scheme, shards: usize, journaled: bool) -> crate:
 ///
 /// The per-shard oracle is the same [`Oracle`] the seeded runs use, one
 /// instance per shard over the shard's owned blocks. All protocol traffic
-/// flows through a per-shard [`FaultyBackend`] (sequential scatter, pinned
+/// flows through each shard's fault layer (sequential scatter, pinned
 /// exchange coordinates), so the log — including per-shard §5 traffic — is
 /// byte-identical across runtimes.
-pub fn run_shard_scenarios_on<R: ChaosRuntime + 'static>(
-    dev: &crate::shard::ShardedDevice<R>,
+#[allow(private_bounds)]
+pub fn run_shard_scenarios_on<T: Transport + 'static>(
+    dev: &ShardedDevice<ServerCluster<Faulty<T>>>,
 ) -> Result<ShardRunOutcome, String> {
     use blockrep_storage::BlockDevice as _;
     use std::fmt::Write as _;
-    use std::sync::Arc;
 
     let manifest = dev.manifest().clone();
     let raw = dev.shard_backends();
@@ -1006,25 +989,7 @@ pub fn run_shard_scenarios_on<R: ChaosRuntime + 'static>(
         Scheme::Voting => cfg.num_sites() as u64 - 1,
         Scheme::AvailableCopy | Scheme::NaiveAvailableCopy => 0,
     };
-    let fbs: Vec<Arc<FaultyBackend<Arc<R>>>> = raw
-        .iter()
-        .enumerate()
-        .map(|(i, b)| {
-            let plan = if i == victim {
-                [FaultSpec {
-                    op: torn_op,
-                    exchange: torn_x,
-                    kind: FaultKind::TornWrite { keep: 3 },
-                }]
-                .into_iter()
-                .collect()
-            } else {
-                FaultPlan::default()
-            };
-            Arc::new(FaultyBackend::new(Arc::clone(b), plan))
-        })
-        .collect();
-    let fdev = crate::shard::ShardedDevice::new(fbs, manifest.clone(), dev.preferred());
+    let torn = [(torn_x, FaultKind::TornWrite { keep: 3 })];
 
     let mut oracles: Vec<Oracle> = (0..manifest.shard_count())
         .map(|_| Oracle::new(cfg.scheme(), blocks as usize, cfg.journaled()))
@@ -1033,12 +998,16 @@ pub fn run_shard_scenarios_on<R: ChaosRuntime + 'static>(
     let mut reads_checked = 0u64;
 
     let begin = |op: u64| {
-        for fb in fdev.shard_backends() {
-            fb.begin_op(op);
+        for (i, b) in raw.iter().enumerate() {
+            let faults: &[_] = if (i, op) == (victim, torn_op) {
+                &torn
+            } else {
+                &[]
+            };
+            b.begin_op(op, faults);
         }
     };
-    let end_all =
-        || -> Vec<OpReport> { fdev.shard_backends().iter().map(|fb| fb.end_op()).collect() };
+    let end_all = || -> Vec<OpReport> { raw.iter().map(|b| b.end_op()).collect() };
     let states = || -> String {
         let mut out = String::new();
         for (i, b) in raw.iter().enumerate() {
@@ -1066,7 +1035,7 @@ pub fn run_shard_scenarios_on<R: ChaosRuntime + 'static>(
                      oracles: &mut Vec<Oracle>|
      -> Result<(), String> {
         begin(op);
-        let res = fdev.write_blocks(&batch(fill, &all));
+        let res = dev.write_blocks(&batch(fill, &all));
         let reports = end_all();
         for (i, report) in reports.iter().enumerate() {
             finalize_crashes(&*raw[i], report);
@@ -1126,7 +1095,7 @@ pub fn run_shard_scenarios_on<R: ChaosRuntime + 'static>(
                      reads_checked: &mut u64|
      -> Result<(), String> {
         begin(op);
-        let res = fdev.read_blocks(ks);
+        let res = dev.read_blocks(ks);
         let _ = end_all();
         let outcome = match &res {
             Ok(data) => {
@@ -1203,7 +1172,7 @@ pub fn run_shard_scenarios_on<R: ChaosRuntime + 'static>(
         if raw[victim].local_state(s) == SiteState::Failed {
             let _ = raw[victim].scrub_local(s);
             begin(5);
-            protocol::repair(&*fdev.shard_backends()[victim], s);
+            protocol::repair(&*raw[victim], s);
             let _ = end_all();
         }
     }
@@ -1215,7 +1184,7 @@ pub fn run_shard_scenarios_on<R: ChaosRuntime + 'static>(
         && sweeps < cfg.num_sites()
     {
         begin(5);
-        protocol::sweep(&*fdev.shard_backends()[victim]);
+        protocol::sweep(&*raw[victim]);
         let _ = end_all();
         sweeps += 1;
     }
@@ -1256,7 +1225,7 @@ pub fn run_shard_scenarios_on<R: ChaosRuntime + 'static>(
         if raw[victim].local_state(s) == SiteState::Failed {
             let _ = raw[victim].scrub_local(s);
             begin(9);
-            protocol::repair(&*fdev.shard_backends()[victim], s);
+            protocol::repair(&*raw[victim], s);
             let _ = end_all();
         }
     }
@@ -1268,7 +1237,7 @@ pub fn run_shard_scenarios_on<R: ChaosRuntime + 'static>(
         && sweeps < cfg.num_sites()
     {
         begin(9);
-        protocol::sweep(&*fdev.shard_backends()[victim]);
+        protocol::sweep(&*raw[victim]);
         let _ = end_all();
         sweeps += 1;
     }
@@ -1348,35 +1317,26 @@ pub fn check_shards(
         return Err("the shard scenarios need at least 2 shards".to_string());
     }
     let spec = shard_scenario_spec(scheme, shards, journaled);
-    let det = {
-        let spec = spec.clone();
-        run_caught("deterministic", move || {
-            let dev = crate::shard::ShardedDevice::deterministic(
-                &spec,
-                ClusterOptions {
-                    mode: DeliveryMode::Multicast,
-                },
-            )
-            .map_err(|e| format!("spawn failed: {e}"))?;
-            run_shard_scenarios_on(&dev)
-        })?
-    };
-    let live = {
-        let spec = spec.clone();
-        run_caught("live", move || {
-            let dev = crate::shard::ShardedDevice::live(&spec, DeliveryMode::Multicast)
-                .map_err(|e| format!("spawn failed: {e}"))?;
-            run_shard_scenarios_on(&dev)
-        })?
-    };
-    let tcp = {
-        let spec = spec.clone();
-        run_caught("tcp", move || {
-            let dev = crate::shard::ShardedDevice::tcp(&spec, DeliveryMode::Multicast)
-                .map_err(|e| format!("spawn failed: {e}"))?;
-            run_shard_scenarios_on(&dev)
-        })?
-    };
+    let mode = DeliveryMode::Multicast;
+    let spawn_failed = |e: String| format!("spawn failed: {e}");
+    let det = run_caught("deterministic", || {
+        let options = ClusterOptions { mode };
+        let dev =
+            faulty_shards(&spec, |cfg| Ok(Cluster::new(cfg, options))).map_err(spawn_failed)?;
+        run_shard_scenarios_on(&dev)
+    })?;
+    let live = run_caught("live", || {
+        let dev =
+            faulty_shards(&spec, |cfg| Ok(LiveCluster::spawn(cfg, mode))).map_err(spawn_failed)?;
+        run_shard_scenarios_on(&dev)
+    })?;
+    let tcp = run_caught("tcp", || {
+        let dev = faulty_shards(&spec, |cfg| {
+            TcpCluster::spawn(cfg, mode).map_err(|e| e.to_string())
+        })
+        .map_err(spawn_failed)?;
+        run_shard_scenarios_on(&dev)
+    })?;
     for (name, other) in [("live", &live), ("tcp", &tcp)] {
         if let Some(divergence) = shard_diverges(&det, other) {
             return Err(format!(

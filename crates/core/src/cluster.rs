@@ -1,15 +1,14 @@
-//! The deterministic in-process cluster.
+//! The deterministic in-process cluster: the one [`ServerCluster`] over a
+//! transport that crosses nothing.
 
-use crate::backend::{Backend, Coordinator, WriteBatch};
-use crate::{protocol, replica::Replica};
-use blockrep_net::{DeliveryMode, TrafficCounter, TrafficSnapshot};
-use blockrep_storage::SealedBlock;
-use blockrep_types::{
-    BlockData, BlockIndex, DeviceConfig, DeviceResult, SiteId, SiteState, VersionNumber,
-    VersionVector,
-};
+use crate::backend::Coordinator;
+use crate::replica::Replica;
+use crate::service::serve;
+use crate::transport::{Links, ServerCluster, Transport};
+use crate::wire::{Request, WireResponse};
+use blockrep_net::DeliveryMode;
+use blockrep_types::{DeviceConfig, SiteId};
 use parking_lot::Mutex;
-use std::collections::BTreeSet;
 
 /// Runtime options for a cluster.
 #[derive(Debug, Clone, Copy, Default)]
@@ -19,15 +18,54 @@ pub struct ClusterOptions {
     pub mode: DeliveryMode,
 }
 
+/// The in-process transport: every site's request, remote or local, is
+/// served by the one site service on the caller's thread, under that
+/// site's replica mutex. The coordinator's links decide first whether a
+/// remote request is sent at all, as on every transport; what it borrows
+/// is never copied, so a round allocates nothing and a written block is
+/// sealed once for every replica.
+pub struct Inline {
+    /// One lock per site: an exchange with site `s` touches only `s`'s
+    /// replica, so exchanges with distinct sites never serialize. Ops on
+    /// the *same block* are serialized above this layer by the
+    /// coordinator's block locks — the per-replica mutexes only make
+    /// individual exchanges atomic.
+    replicas: Vec<Mutex<Replica>>,
+    links: Links,
+}
+
+impl Transport for Inline {
+    const NAME: &'static str = "deterministic";
+
+    #[inline(always)]
+    fn call(&self, to: SiteId, request: Request<'_>) -> Option<WireResponse> {
+        // A remote round trip pays the emulated link delay, as it does on
+        // every runtime; a cast, like a live one, does not.
+        self.links.delay();
+        self.local(to, request)
+    }
+
+    #[inline(always)]
+    fn cast(&self, to: SiteId, request: Request<'_>) -> bool {
+        self.local(to, request).is_some()
+    }
+
+    #[inline(always)]
+    fn local(&self, s: SiteId, request: Request<'_>) -> Option<WireResponse> {
+        serve(&mut self.replicas[s.index()].lock(), request)
+    }
+}
+
 /// A reliable device's worth of replicas, run deterministically inside one
-/// process: message exchanges are synchronous state accesses, charged to the
-/// traffic counter exactly as §5 counts them.
+/// process: message exchanges are synchronous calls of the site service,
+/// charged to the traffic counter exactly as §5 counts them.
 ///
 /// This is the reference runtime — every protocol test, property test and
 /// simulation harness drives it — and it is also a perfectly serviceable
 /// embedded runtime when the "sites" are fault domains inside one process.
-/// For actual server processes exchanging messages, see
-/// [`LiveCluster`](crate::LiveCluster), which runs the *same* protocol code.
+/// It runs the protocol code and the site service of
+/// [`LiveCluster`](crate::LiveCluster) and [`TcpCluster`](crate::TcpCluster);
+/// only the [`Inline`] transport differs.
 ///
 /// All methods take `&self`; internal state is locked, so a device handle
 /// and a failure injector can act concurrently.
@@ -55,29 +93,20 @@ pub struct ClusterOptions {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug)]
-pub struct Cluster {
-    coord: Coordinator,
-    /// One lock per site: an exchange with site `s` touches only `s`'s
-    /// replica, so exchanges with distinct sites never serialize. Ops on
-    /// the *same block* are serialized above this layer by the
-    /// coordinator's block locks — the per-replica mutexes only make
-    /// individual exchanges atomic.
-    replicas: Vec<Mutex<Replica>>,
-}
+pub type Cluster = ServerCluster<Inline>;
 
-impl Cluster {
+impl ServerCluster<Inline> {
     /// Creates a freshly formatted cluster: every site available, every
     /// block zeroed at version zero.
     pub fn new(cfg: DeviceConfig, options: ClusterOptions) -> Self {
-        let replicas = cfg
+        let coord = Coordinator::new(cfg, options.mode);
+        let replicas = coord
+            .cfg
             .site_ids()
-            .map(|s| Mutex::new(Replica::new(s, &cfg)))
+            .map(|s| Mutex::new(Replica::new(s, &coord.cfg)))
             .collect();
-        Cluster {
-            coord: Coordinator::new(cfg, options.mode),
-            replicas,
-        }
+        let links = coord.links.clone();
+        ServerCluster::over(coord, Inline { replicas, links })
     }
 
     /// Deep-copies the cluster into an independent one: same replica
@@ -86,307 +115,25 @@ impl Cluster {
     /// model-checking tests use this to explore every interleaving of
     /// failures, repairs and writes from a common prefix.
     pub fn fork(&self) -> Cluster {
-        Cluster {
-            coord: self.coord.fork(),
-            replicas: self
-                .replicas
-                .iter()
-                .map(|r| Mutex::new(r.lock().clone()))
-                .collect(),
-        }
-    }
-
-    /// Opts reads in (or out) of lease-based read offload (see
-    /// [`crate::locks`]): after each successful quorum operation the
-    /// coordinator remembers which replicas are current, and later reads
-    /// are served from one of them in a single round instead of gathering
-    /// a read quorum. Off by default.
-    pub fn set_leases(&self, on: bool) {
-        self.coord.leases.set_enabled(on);
-    }
-
-    /// The device configuration.
-    pub fn config(&self) -> &DeviceConfig {
-        &self.coord.cfg
-    }
-
-    /// Number of sites.
-    pub fn num_sites(&self) -> usize {
-        self.coord.cfg.num_sites()
-    }
-
-    /// Reads block `k`, coordinated by site `origin`.
-    ///
-    /// # Errors
-    ///
-    /// See the scheme algorithms: [`DeviceError::Unavailable`] without a
-    /// read quorum (voting), [`DeviceError::SiteNotServing`] when `origin`
-    /// cannot coordinate, and the usual validation errors.
-    ///
-    /// [`DeviceError::Unavailable`]: blockrep_types::DeviceError::Unavailable
-    /// [`DeviceError::SiteNotServing`]: blockrep_types::DeviceError::SiteNotServing
-    pub fn read(&self, origin: SiteId, k: BlockIndex) -> DeviceResult<BlockData> {
-        protocol::read(self, origin, k)
-    }
-
-    /// Writes block `k`, coordinated by site `origin`.
-    ///
-    /// # Errors
-    ///
-    /// As for [`read`](Self::read), against the write quorum.
-    pub fn write(&self, origin: SiteId, k: BlockIndex, data: BlockData) -> DeviceResult<()> {
-        protocol::write(self, origin, k, &data)
-    }
-
-    /// Reads a run of distinct blocks in one batched protocol round.
-    /// Byte- and traffic-identical to per-block [`read`](Self::read)s.
-    ///
-    /// # Errors
-    ///
-    /// As for [`read`](Self::read); the quorum check covers the batch.
-    pub fn read_many(&self, origin: SiteId, ks: &[BlockIndex]) -> DeviceResult<Vec<BlockData>> {
-        protocol::read_many(self, origin, ks)
-    }
-
-    /// Writes a run of distinct blocks in one batched protocol round.
-    /// State- and traffic-identical to per-block [`write`](Self::write)s.
-    ///
-    /// # Errors
-    ///
-    /// As for [`write`](Self::write); the quorum check covers the batch.
-    pub fn write_many(
-        &self,
-        origin: SiteId,
-        writes: &[(BlockIndex, BlockData)],
-    ) -> DeviceResult<()> {
-        protocol::write_many(self, origin, writes)
-    }
-
-    /// Fail-stops site `s`: its server halts (keeping its disk), and under
-    /// available copy with on-failure tracking the survivors refresh their
-    /// was-available sets.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` is not a site of this device.
-    pub fn fail_site(&self, s: SiteId) {
-        assert!(self.coord.cfg.contains_site(s), "unknown site {s}");
-        protocol::fail(self, s);
-    }
-
-    /// Restarts site `s` after a failure and runs the scheme's recovery:
-    /// free and immediate for voting; comatose-then-recover for the
-    /// available copy schemes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` is not a site of this device or is not currently
-    /// failed.
-    pub fn repair_site(&self, s: SiteId) {
-        assert!(self.coord.cfg.contains_site(s), "unknown site {s}");
-        assert_eq!(
-            self.site_state(s),
-            SiteState::Failed,
-            "repairing a site that is not failed"
-        );
-        protocol::repair(self, s);
-    }
-
-    /// Splits the network into partitions (see
-    /// [`Topology::partition`](blockrep_net::Topology::partition)). The
-    /// available copy schemes assume this never happens; the hook exists so
-    /// tests can demonstrate why.
-    pub fn partition(&self, groups: &[Vec<SiteId>]) {
-        protocol::partition(self, groups);
-    }
-
-    /// Heals all partitions and re-runs the recovery sweep (recoveries that
-    /// were blocked on unreachable closure members can now complete).
-    pub fn heal(&self) {
-        protocol::heal(self);
-    }
-
-    /// The state of site `s`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` is not a site of this device.
-    pub fn site_state(&self, s: SiteId) -> SiteState {
-        self.local_state(s)
-    }
-
-    /// Whether the replicated block is available under the scheme's own
-    /// criterion: a live quorum (voting) or an available copy (the others).
-    pub fn is_available(&self) -> bool {
-        protocol::is_available(self)
-    }
-
-    /// A site currently able to coordinate reads and writes, if any —
-    /// lowest id first, for determinism.
-    pub fn any_serving_site(&self) -> Option<SiteId> {
-        let voting = self.coord.cfg.scheme() == blockrep_types::Scheme::Voting;
-        self.coord.cfg.site_ids().find(|&s| {
-            let state = self.local_state(s);
-            if voting {
-                state.is_operational()
-            } else {
-                state.can_serve()
-            }
-        })
-    }
-
-    /// The shared high-level transmission counter.
-    pub fn counter(&self) -> &TrafficCounter {
-        &self.coord.counter
-    }
-
-    /// Convenience: a point-in-time snapshot of the traffic counters.
-    pub fn traffic(&self) -> TrafficSnapshot {
-        self.coord.counter.snapshot()
-    }
-
-    /// Inspection: the version site `s` holds for block `k` (test support).
-    pub fn version_of(&self, s: SiteId, k: BlockIndex) -> VersionNumber {
-        self.replicas[s.index()].lock().version(k)
-    }
-
-    /// Inspection: the raw data site `s` holds for block `k` (test
-    /// support — this bypasses the consistency protocol).
-    pub fn data_of(&self, s: SiteId, k: BlockIndex) -> BlockData {
-        self.replicas[s.index()].lock().data(k)
-    }
-
-    /// Inspection: site `s`'s was-available set.
-    pub fn was_available_of(&self, s: SiteId) -> BTreeSet<SiteId> {
-        self.replicas[s.index()].lock().was_available().clone()
-    }
-
-    /// Site `to`'s replica as an exchange from `from` finds it: `None`
-    /// when `to` is unreachable from `from`.
-    fn exchange(&self, from: SiteId, to: SiteId) -> Option<parking_lot::MutexGuard<'_, Replica>> {
-        self.coord
-            .links
-            .reachable(from, to)
-            .then(|| self.replicas[to.index()].lock())
-    }
-}
-
-impl Backend for Cluster {
-    fn coordinator(&self) -> &Coordinator {
-        &self.coord
-    }
-
-    fn vote(&self, from: SiteId, to: SiteId, k: BlockIndex) -> Option<VersionNumber> {
-        Some(self.exchange(from, to)?.version(k))
-    }
-
-    fn vote_many(&self, from: SiteId, to: SiteId, ks: &[BlockIndex]) -> Option<Vec<VersionNumber>> {
-        let replica = self.exchange(from, to)?;
-        Some(ks.iter().map(|&k| replica.version(k)).collect())
-    }
-
-    fn fetch_block(
-        &self,
-        from: SiteId,
-        to: SiteId,
-        k: BlockIndex,
-    ) -> Option<(VersionNumber, BlockData)> {
-        Some(self.exchange(from, to)?.versioned(k))
-    }
-
-    fn apply_write(&self, from: SiteId, to: SiteId, k: BlockIndex, block: &SealedBlock) -> bool {
-        let Some(mut replica) = self.exchange(from, to) else {
-            return false;
-        };
-        replica.install_sealed(k, block.clone());
-        true
-    }
-
-    fn apply_write_many(&self, from: SiteId, to: SiteId, writes: &WriteBatch) -> bool {
-        let Some(mut replica) = self.exchange(from, to) else {
-            return false;
-        };
-        for (k, block) in writes.iter() {
-            replica.install_sealed(*k, block.clone());
-        }
-        true
-    }
-
-    fn read_local(&self, s: SiteId, k: BlockIndex) -> DeviceResult<BlockData> {
-        Ok(self.replicas[s.index()].lock().data(k))
-    }
-
-    fn read_local_many(&self, s: SiteId, ks: &[BlockIndex]) -> DeviceResult<Vec<BlockData>> {
-        let replica = self.replicas[s.index()].lock();
-        Ok(ks.iter().map(|&k| replica.data(k)).collect())
-    }
-
-    fn version_vector(&self, from: SiteId, to: SiteId) -> Option<VersionVector> {
-        Some(self.exchange(from, to)?.version_vector())
-    }
-
-    fn repair_payload(
-        &self,
-        from: SiteId,
-        to: SiteId,
-        vv: &VersionVector,
-    ) -> Option<crate::backend::RepairPayload> {
-        Some(self.exchange(from, to)?.repair_payload(vv))
-    }
-
-    fn apply_repair_local(&self, s: SiteId, blocks: crate::backend::RepairBlocks) -> usize {
-        self.replicas[s.index()].lock().apply_repair(blocks)
-    }
-
-    fn was_available(&self, from: SiteId, to: SiteId) -> Option<BTreeSet<SiteId>> {
-        Some(self.exchange(from, to)?.was_available().clone())
-    }
-
-    fn set_was_available(&self, from: SiteId, to: SiteId, w: &[SiteId]) -> bool {
-        let Some(mut replica) = self.exchange(from, to) else {
-            return false;
-        };
-        // A write group is usually the one already recorded: keep that set
-        // rather than build an equal one.
-        if !replica.was_available().iter().eq(w) {
-            replica.set_was_available(w.iter().copied().collect());
-        }
-        true
-    }
-
-    fn add_was_available(&self, from: SiteId, to: SiteId, member: SiteId) -> bool {
-        let Some(mut replica) = self.exchange(from, to) else {
-            return false;
-        };
-        replica.add_was_available(member);
-        true
-    }
-
-    fn apply_write_faulty(
-        &self,
-        from: SiteId,
-        to: SiteId,
-        k: BlockIndex,
-        data: &BlockData,
-        v: VersionNumber,
-        fault: blockrep_storage::StorageFault,
-    ) -> bool {
-        let Some(mut replica) = self.exchange(from, to) else {
-            return false;
-        };
-        replica.install_faulty(k, data.clone(), v, fault);
-        true
-    }
-
-    fn scrub_local(&self, s: SiteId) -> usize {
-        self.replicas[s.index()].lock().scrub().len()
+        use crate::backend::Backend as _;
+        let coord = self.coordinator().fork();
+        let replicas = self
+            .transport
+            .replicas
+            .iter()
+            .map(|r| Mutex::new(r.lock().clone()))
+            .collect();
+        let links = coord.links.clone();
+        ServerCluster::over(coord, Inline { replicas, links })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use blockrep_types::Scheme;
+    use crate::backend::{Backend, WriteBatch};
+    use blockrep_storage::SealedBlock;
+    use blockrep_types::{BlockData, BlockIndex, Scheme, SiteState, VersionNumber};
 
     fn cluster(scheme: Scheme, n: usize) -> Cluster {
         let cfg = DeviceConfig::builder(scheme)

@@ -1,37 +1,42 @@
-//! Deterministic fault injection threaded through the [`Backend`] seam.
+//! Deterministic fault injection under the transport.
 //!
-//! A [`FaultPlan`] is a schedule of [`FaultSpec`]s addressed by *(operation
-//! number, remote-exchange number within the operation)*. Because the three
-//! runtimes run byte-for-byte the same protocol code against [`Backend`],
-//! the sequence of remote exchanges an operation performs is identical on
-//! all of them — so one schedule reproduces the same fault at the same
-//! protocol step on the deterministic cluster, the channel-threaded cluster
-//! and the TCP cluster. [`FaultyBackend`] wraps any backend, counts its
-//! remote exchanges and fires the scheduled faults; local actions
-//! (`from == to`) are never counted or intercepted, so the wrapper adds no
-//! behavioural difference when the plan is empty.
+//! A fault is addressed by *(operation number, remote-exchange number
+//! within the operation)*. Because the three runtimes run byte-for-byte the
+//! same protocol code and the same [`ServerCluster`], the sequence of
+//! remote exchanges an operation performs is identical on all of them — so
+//! one schedule reproduces the same fault at the same protocol step on the
+//! deterministic cluster, the channel-threaded cluster and the TCP cluster.
+//! [`Faulty`] wraps any runtime's transport
+//! ([`with_faults`](ServerCluster::with_faults)), counts its remote
+//! exchanges and decides the fate of each; local actions (`from == to`)
+//! are never counted or intercepted, so the layer changes nothing while no
+//! fault is scheduled.
+//!
+//! **What counts as an exchange.** Every remote attempt counts one, before
+//! the links are consulted: an unreachable target still uses up an index.
+//! So does a remote state probe, although it sends no message. A storage
+//! fault rewrites an install into [`WireRequest::ApplyWriteFaulty`] of its
+//! first block; a stale-lease fault rewinds the version of a lease read's
+//! reply; a crash puts a site in a set the runner makes real once the
+//! operation ends ([`end_op`](ServerCluster::end_op)).
 //!
 //! **Concurrency and exchange pinning.** The live runtimes fan protocol
-//! scatters out concurrently ([`Backend::scatter`]), which would make
-//! completion order — and hence any completion-time numbering —
-//! nondeterministic. Exchange indices are therefore pinned at *scatter
-//! time*: `FaultyBackend` deliberately does **not** override `scatter`, so
-//! every fan-out routed through it falls back to the default sequential
-//! body, which performs the per-target exchanges in ascending target order.
-//! Under fault injection, `(op, exchange)` coordinates mean the same
-//! protocol step on all three runtimes, concurrency notwithstanding (see
+//! scatters out concurrently, which would make completion order — and
+//! hence any completion-time numbering — nondeterministic. `Faulty` is not
+//! a concurrent transport, so every fan-out over it runs one exchange after
+//! another in ascending target order: `(op, exchange)` coordinates mean the
+//! same protocol step on all three runtimes (see
 //! `scatter_keeps_exchange_indices_pinned_on_all_runtimes` below).
 
-use crate::backend::{Backend, Coordinator, RepairBlocks, RepairPayload, WriteBatch};
+use crate::backend::Backend;
 use crate::obs_hooks;
+use crate::transport::{Links, ServerCluster, Transport};
+use crate::wire::{Request, WireRequest, WireResponse};
 use blockrep_obs::event;
-use blockrep_storage::{SealedBlock, StorageFault};
-use blockrep_types::{
-    BlockData, BlockIndex, DeviceResult, SiteId, SiteState, VersionNumber, VersionVector,
-};
+use blockrep_storage::StorageFault;
+use blockrep_types::{SiteId, SiteState, VersionNumber};
 use parking_lot::Mutex;
 use std::collections::BTreeSet;
-use std::ops::Deref;
 
 /// The kinds of fault the injection layer can fire on a remote exchange.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -137,89 +142,6 @@ impl std::fmt::Display for FaultSpec {
     }
 }
 
-/// A deterministic fault schedule.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FaultPlan {
-    faults: Vec<FaultSpec>,
-}
-
-impl FaultPlan {
-    /// An empty schedule (the wrapper becomes a transparent pass-through).
-    pub fn new() -> Self {
-        FaultPlan::default()
-    }
-
-    /// Adds a fault to the schedule.
-    pub fn push(&mut self, fault: FaultSpec) {
-        self.faults.push(fault);
-    }
-
-    /// Number of scheduled faults.
-    pub fn len(&self) -> usize {
-        self.faults.len()
-    }
-
-    /// Whether the schedule is empty.
-    pub fn is_empty(&self) -> bool {
-        self.faults.is_empty()
-    }
-
-    /// The scheduled faults.
-    pub fn faults(&self) -> &[FaultSpec] {
-        &self.faults
-    }
-
-    fn fault_at(&self, op: u64, exchange: u64) -> Option<FaultKind> {
-        self.faults
-            .iter()
-            .find(|f| f.op == op && f.exchange == exchange)
-            .map(|f| f.kind)
-    }
-}
-
-impl FromIterator<FaultSpec> for FaultPlan {
-    fn from_iter<T: IntoIterator<Item = FaultSpec>>(iter: T) -> Self {
-        FaultPlan {
-            faults: iter.into_iter().collect(),
-        }
-    }
-}
-
-/// A one-way message held back by a [`FaultKind::DelayMessage`] fault,
-/// delivered when the operation ends.
-enum Deferred {
-    ApplyWrite {
-        from: SiteId,
-        to: SiteId,
-        k: BlockIndex,
-        block: SealedBlock,
-    },
-    ApplyWriteMany {
-        from: SiteId,
-        to: SiteId,
-        writes: WriteBatch,
-    },
-    SetW {
-        from: SiteId,
-        to: SiteId,
-        w: Vec<SiteId>,
-    },
-    AddW {
-        from: SiteId,
-        to: SiteId,
-        member: SiteId,
-    },
-}
-
-#[derive(Default)]
-struct InjectState {
-    op: u64,
-    exchange: u64,
-    crashed: BTreeSet<SiteId>,
-    deferred: Vec<Deferred>,
-    fired: Vec<FaultSpec>,
-}
-
 /// What the injection layer did during one operation: the sites that
 /// crashed mid-operation (the runner turns these into real fail-stops once
 /// the operation returns) and the faults that actually fired.
@@ -231,123 +153,113 @@ pub struct OpReport {
     pub fired: Vec<FaultSpec>,
 }
 
-/// What the wrapper does with one remote exchange.
-enum Decision {
+/// The fault layer's state for the operation under way.
+#[derive(Default)]
+struct InjectState {
+    op: u64,
+    exchange: u64,
+    /// The operation's faults, as `(exchange, kind)`.
+    faults: Vec<(u64, FaultKind)>,
+    crashed: BTreeSet<SiteId>,
+    /// One-way requests held back until the operation ends.
+    deferred: Vec<(SiteId, SiteId, WireRequest)>,
+    fired: Vec<FaultSpec>,
+}
+
+/// What happens to one remote exchange.
+enum Fate {
     Deliver,
     Suppress,
     Duplicate,
     Delay,
-    /// Deliver, answer, then the target is dead for the rest of the op.
-    DeliverThenDead,
-    Torn(usize),
-    Stale,
-    /// The target's journal append tears mid-record; no ack, target dead.
-    WalTorn(usize),
+    /// An install leaves its first block broken on the target's disk, and
+    /// no acknowledgement comes back.
+    Storage(StorageFault),
     /// A lease read is answered from before the write the lease postdates.
     StaleLease,
 }
 
-/// A [`Backend`] wrapper that fires a [`FaultPlan`] on the remote exchanges
+/// A transport wrapper that fires scheduled faults on the remote exchanges
 /// flowing through it.
 ///
 /// A site that crashes mid-operation (via the crash or storage faults) is
 /// tracked in an internal set: every later exchange involving it is
 /// suppressed, which is exactly what fail-stop looks like to the protocol.
 /// The *real* state transition (and the scheme's failure detection) is
-/// deferred to the runner via [`end_op`](Self::end_op), so the protocol's
-/// in-flight operation observes only silence — never a reentrant recovery.
-///
-/// The wrapper reaches its backend through any pointer `R` to it: a
-/// borrow, or an `Arc` when the wrapper must own its share (a shard of a
-/// [`ShardedDevice`](crate::ShardedDevice), whose workers outlive any
-/// borrow).
-pub struct FaultyBackend<R> {
-    inner: R,
-    plan: FaultPlan,
+/// left to the runner, after [`end_op`](ServerCluster::end_op), so the
+/// protocol's in-flight operation observes only silence — never a
+/// reentrant recovery. Between operations the layer is inert.
+pub struct Faulty<T> {
+    inner: T,
     state: Mutex<InjectState>,
 }
 
-impl<R: Deref<Target: Backend>> FaultyBackend<R> {
-    /// Wraps `inner` under `plan`.
-    pub fn new(inner: R, plan: FaultPlan) -> Self {
-        FaultyBackend {
-            inner,
-            plan,
-            state: Mutex::new(InjectState::default()),
-        }
+impl<T> ServerCluster<T> {
+    /// This cluster with a fault layer between its coordinator and its
+    /// transport. Nothing fires until an operation
+    /// [begins](ServerCluster::begin_op) with faults scheduled.
+    pub fn with_faults(self) -> ServerCluster<Faulty<T>> {
+        let (coord, inner) = self.into_parts();
+        let state = Mutex::new(InjectState::default());
+        ServerCluster::over(coord, Faulty { inner, state })
     }
+}
 
-    /// Starts operation `op`: resets the exchange counter and the set of
-    /// sites crashed mid-operation.
-    pub fn begin_op(&self, op: u64) {
-        let mut st = self.state.lock();
-        st.op = op;
-        st.exchange = 0;
-        st.crashed.clear();
-        st.fired.clear();
-        st.deferred.clear();
-    }
-
-    /// Ends the current operation: delivers delayed one-way messages (to
-    /// sites that did not crash meanwhile) and reports what happened so the
-    /// runner can finalize mid-operation crashes.
-    pub fn end_op(&self) -> OpReport {
-        let (deferred, crashed, fired) = {
-            let mut st = self.state.lock();
-            (
-                std::mem::take(&mut st.deferred),
-                st.crashed.iter().copied().collect::<Vec<_>>(),
-                std::mem::take(&mut st.fired),
-            )
+// `Transport` is the crate's own seam: nothing outside it can name a `T`
+// other than the exported ones.
+#[allow(private_bounds)]
+impl<T: Transport> ServerCluster<Faulty<T>> {
+    /// Starts operation `op`, whose remote exchanges are numbered from zero
+    /// and meet `faults`, given as `(exchange, kind)` pairs.
+    pub fn begin_op(&self, op: u64, faults: &[(u64, FaultKind)]) {
+        *self.transport.state.lock() = InjectState {
+            op,
+            faults: faults.to_vec(),
+            ..InjectState::default()
         };
-        for msg in deferred {
-            match msg {
-                Deferred::ApplyWrite { from, to, k, block } => {
-                    if !crashed.contains(&to) {
-                        self.inner.apply_write(from, to, k, &block);
-                    }
-                }
-                Deferred::ApplyWriteMany { from, to, writes } => {
-                    if !crashed.contains(&to) {
-                        self.inner.apply_write_many(from, to, &writes);
-                    }
-                }
-                Deferred::SetW { from, to, w } => {
-                    if !crashed.contains(&to) {
-                        self.inner.set_was_available(from, to, &w);
-                    }
-                }
-                Deferred::AddW { from, to, member } => {
-                    if !crashed.contains(&to) {
-                        self.inner.add_was_available(from, to, member);
-                    }
-                }
+    }
+
+    /// Ends the current operation: delivers its delayed one-way requests
+    /// (to sites that did not crash meanwhile) and reports what happened,
+    /// so the runner can make the mid-operation crashes real. The layer is
+    /// inert until the next [`begin_op`](Self::begin_op).
+    pub fn end_op(&self) -> OpReport {
+        let st = std::mem::take(&mut *self.transport.state.lock());
+        let links = &self.coordinator().links;
+        for (from, to, request) in &st.deferred {
+            if !st.crashed.contains(to) {
+                let request = request.as_request();
+                self.transport
+                    .inner
+                    .exchange(links, *from, *to, request, true);
             }
         }
-        OpReport { crashed, fired }
+        OpReport {
+            crashed: st.crashed.into_iter().collect(),
+            fired: st.fired,
+        }
     }
+}
 
+#[allow(private_bounds)]
+impl<T: Transport> Faulty<T> {
     /// Counts one remote exchange and decides its fate.
-    fn pre(&self, from: SiteId, to: SiteId) -> Decision {
+    fn decide(&self, from: SiteId, to: SiteId) -> Fate {
         let mut st = self.state.lock();
-        let ex = st.exchange;
+        let exchange = st.exchange;
         st.exchange += 1;
         if st.crashed.contains(&from) || st.crashed.contains(&to) {
-            return Decision::Suppress;
+            return Fate::Suppress;
         }
-        let Some(kind) = self.plan.fault_at(st.op, ex) else {
-            return Decision::Deliver;
+        let Some(&(_, kind)) = st.faults.iter().find(|&&(x, _)| x == exchange) else {
+            return Fate::Deliver;
         };
-        let spec = FaultSpec {
-            op: st.op,
-            exchange: ex,
-            kind,
-        };
-        st.fired.push(spec);
+        let op = st.op;
+        st.fired.push(FaultSpec { op, exchange, kind });
         event!(
             "chaos.fault",
-            op = st.op,
-            exchange = ex,
+            op = op,
+            exchange = exchange,
             kind = kind.label(),
             from = from.as_u32(),
             to = to.as_u32(),
@@ -359,398 +271,167 @@ impl<R: Deref<Target: Backend>> FaultyBackend<R> {
             blockrep_obs::trace::instant(obs_hooks::phase_chaos_fault(), to.as_u32());
         }
         match kind {
-            FaultKind::DropMessage => Decision::Suppress,
-            FaultKind::DuplicateMessage => Decision::Duplicate,
-            FaultKind::DelayMessage => Decision::Delay,
+            FaultKind::DropMessage => Fate::Suppress,
+            FaultKind::DuplicateMessage => Fate::Duplicate,
+            FaultKind::DelayMessage => Fate::Delay,
             FaultKind::CrashCoordinator => {
                 st.crashed.insert(from);
-                Decision::Suppress
+                Fate::Suppress
             }
+            // The target processes this message, answers, then crashes.
             FaultKind::CrashTarget => {
                 st.crashed.insert(to);
-                Decision::DeliverThenDead
+                Fate::Deliver
             }
             FaultKind::TornWrite { keep } => {
                 st.crashed.insert(to);
-                Decision::Torn(keep)
+                Fate::Storage(StorageFault::Torn { keep })
             }
             FaultKind::StaleVersion => {
                 st.crashed.insert(to);
-                Decision::Stale
+                Fate::Storage(StorageFault::StaleVersion)
             }
             FaultKind::WalTorn { keep } => {
                 st.crashed.insert(to);
-                Decision::WalTorn(keep)
+                Fate::Storage(StorageFault::WalTorn { keep })
             }
-            FaultKind::StaleLease => Decision::StaleLease,
-        }
-    }
-
-    /// Request/response exchange: the caller needs an answer.
-    fn rpc<T>(&self, from: SiteId, to: SiteId, call: impl Fn() -> Option<T>) -> Option<T> {
-        match self.pre(from, to) {
-            // A storage fault landing on a non-install exchange degrades to
-            // "processed, answered, then crashed"; a stale-lease fault
-            // landing on a non-lease exchange degrades to plain delivery.
-            Decision::Deliver
-            | Decision::DeliverThenDead
-            | Decision::Torn(_)
-            | Decision::Stale
-            | Decision::WalTorn(_)
-            | Decision::StaleLease => call(),
-            Decision::Duplicate => {
-                let _ = call();
-                call()
-            }
-            Decision::Suppress => None,
-            // The request is processed but the reply arrives too late.
-            Decision::Delay => {
-                let _ = call();
-                None
-            }
-        }
-    }
-
-    /// One-way exchange: fire-and-forget with a delivery indication.
-    fn one_way(
-        &self,
-        from: SiteId,
-        to: SiteId,
-        deliver: impl Fn() -> bool,
-        defer: impl FnOnce() -> Deferred,
-    ) -> bool {
-        match self.pre(from, to) {
-            Decision::Deliver
-            | Decision::DeliverThenDead
-            | Decision::Torn(_)
-            | Decision::Stale
-            | Decision::WalTorn(_)
-            | Decision::StaleLease => deliver(),
-            Decision::Duplicate => {
-                let _ = deliver();
-                deliver()
-            }
-            Decision::Suppress => false,
-            Decision::Delay => {
-                self.state.lock().deferred.push(defer());
-                false
-            }
+            FaultKind::StaleLease => Fate::StaleLease,
         }
     }
 }
 
-impl<R: Deref<Target: Backend> + Send + Sync> Backend for FaultyBackend<R> {
-    fn coordinator(&self) -> &Coordinator {
-        // Configuration, states, accounting, locks and leases are the inner
-        // runtime's: the wrapper only decides message fates, so same-block
-        // exclusion and lease epochs must come from one coordinator.
-        self.inner.coordinator()
+impl<T: Transport> Transport for Faulty<T> {
+    const NAME: &'static str = T::NAME;
+
+    fn call(&self, to: SiteId, request: Request<'_>) -> Option<WireResponse> {
+        self.inner.call(to, request)
     }
 
-    fn probe_state(&self, from: SiteId, to: SiteId) -> Option<SiteState> {
-        if from == to {
-            return self.inner.probe_state(from, to);
-        }
-        self.rpc(from, to, || self.inner.probe_state(from, to))
+    fn cast(&self, to: SiteId, request: Request<'_>) -> bool {
+        self.inner.cast(to, request)
     }
 
-    fn vote(&self, from: SiteId, to: SiteId, k: BlockIndex) -> Option<VersionNumber> {
-        if from == to {
-            return self.inner.vote(from, to, k);
-        }
-        self.rpc(from, to, || self.inner.vote(from, to, k))
+    fn local(&self, s: SiteId, request: Request<'_>) -> Option<WireResponse> {
+        self.inner.local(s, request)
     }
 
-    fn vote_many(&self, from: SiteId, to: SiteId, ks: &[BlockIndex]) -> Option<Vec<VersionNumber>> {
-        if from == to {
-            return self.inner.vote_many(from, to, ks);
-        }
-        // One batched request frame = one remote exchange, whatever its
-        // block count — so (op, exchange) coordinates stay pinned.
-        self.rpc(from, to, || self.inner.vote_many(from, to, ks))
-    }
-
-    fn fetch_block(
+    fn exchange(
         &self,
+        links: &Links,
         from: SiteId,
         to: SiteId,
-        k: BlockIndex,
-    ) -> Option<(VersionNumber, BlockData)> {
-        if from == to {
-            return self.inner.fetch_block(from, to, k);
-        }
-        self.rpc(from, to, || self.inner.fetch_block(from, to, k))
-    }
-
-    fn fetch_lease(
-        &self,
-        from: SiteId,
-        to: SiteId,
-        k: BlockIndex,
-    ) -> Option<(VersionNumber, BlockData)> {
-        if from == to {
-            return self.inner.fetch_lease(from, to, k);
-        }
-        match self.pre(from, to) {
-            Decision::Deliver
-            | Decision::DeliverThenDead
-            | Decision::Torn(_)
-            | Decision::Stale
-            | Decision::WalTorn(_) => self.inner.fetch_lease(from, to, k),
-            // The holder answers from before the write the lease postdates:
-            // rewinding the reported version guarantees a mismatch with the
-            // coordinator's lease (even at v=0, where it wraps), forcing the
-            // invalidate-and-fall-back path.
-            Decision::StaleLease => self
-                .inner
-                .fetch_lease(from, to, k)
-                .map(|(v, data)| (VersionNumber::new(v.as_u64().wrapping_sub(1)), data)),
-            Decision::Duplicate => {
-                let _ = self.inner.fetch_lease(from, to, k);
-                self.inner.fetch_lease(from, to, k)
+        request: Request<'_>,
+        one_way: bool,
+    ) -> Option<WireResponse> {
+        let send = |request| self.inner.exchange(links, from, to, request, one_way);
+        match self.decide(from, to) {
+            Fate::Deliver => send(request),
+            Fate::Suppress => None,
+            Fate::Duplicate => {
+                let _ = send(request);
+                send(request)
             }
-            Decision::Suppress => None,
-            Decision::Delay => {
-                let _ = self.inner.fetch_lease(from, to, k);
+            // A one-way request lands after the operation; a request's
+            // reply arrives too late.
+            Fate::Delay if one_way => {
+                let held = (from, to, WireRequest::from(request));
+                self.state.lock().deferred.push(held);
                 None
             }
-        }
-    }
-
-    fn apply_write(&self, from: SiteId, to: SiteId, k: BlockIndex, block: &SealedBlock) -> bool {
-        if from == to {
-            return self.inner.apply_write(from, to, k, block);
-        }
-        let (data, v) = (block.data(), block.version());
-        match self.pre(from, to) {
-            Decision::Deliver | Decision::DeliverThenDead | Decision::StaleLease => {
-                self.inner.apply_write(from, to, k, block)
+            Fate::Delay => {
+                let _ = send(request);
+                None
             }
-            Decision::Duplicate => {
-                let _ = self.inner.apply_write(from, to, k, block);
-                self.inner.apply_write(from, to, k, block)
-            }
-            Decision::Suppress => false,
-            Decision::Delay => {
-                self.state.lock().deferred.push(Deferred::ApplyWrite {
-                    from,
-                    to,
-                    k,
-                    block: block.clone(),
-                });
-                false
-            }
-            // The install starts, the target's disk tears, and the ack is
-            // never sent: the coordinator sees a dead site.
-            Decision::Torn(keep) => {
-                self.inner
-                    .apply_write_faulty(from, to, k, data, v, StorageFault::Torn { keep });
-                false
-            }
-            Decision::Stale => {
-                self.inner
-                    .apply_write_faulty(from, to, k, data, v, StorageFault::StaleVersion);
-                false
-            }
-            // The install's journal append tears mid-record; the block
-            // write never starts and the ack is never sent.
-            Decision::WalTorn(keep) => {
-                self.inner
-                    .apply_write_faulty(from, to, k, data, v, StorageFault::WalTorn { keep });
-                false
-            }
-        }
-    }
-
-    fn apply_write_many(&self, from: SiteId, to: SiteId, writes: &WriteBatch) -> bool {
-        if from == to {
-            return self.inner.apply_write_many(from, to, writes);
-        }
-        match self.pre(from, to) {
-            Decision::Deliver | Decision::DeliverThenDead | Decision::StaleLease => {
-                self.inner.apply_write_many(from, to, writes)
-            }
-            Decision::Duplicate => {
-                let _ = self.inner.apply_write_many(from, to, writes);
-                self.inner.apply_write_many(from, to, writes)
-            }
-            Decision::Suppress => false,
-            Decision::Delay => {
-                self.state.lock().deferred.push(Deferred::ApplyWriteMany {
-                    from,
-                    to,
-                    writes: writes.clone(),
-                });
-                false
-            }
-            // The disk dies while persisting the first block of the batch:
-            // it lands torn/stale, the rest of the batch never reaches the
-            // platter, and no ack is sent.
-            Decision::Torn(keep) => {
-                if let Some((k, block)) = writes.first() {
-                    self.inner.apply_write_faulty(
-                        from,
-                        to,
-                        *k,
-                        block.data(),
-                        block.version(),
-                        StorageFault::Torn { keep },
-                    );
+            // The install starts, the target's disk dies under its first
+            // block, and the ack is never sent: the coordinator sees a dead
+            // site. On a request that installs nothing the fault degrades
+            // to "processed, answered, then crashed".
+            Fate::Storage(fault) => {
+                let first = match request {
+                    Request::Install(k, block) => Some((k, block.version(), block.data())),
+                    Request::ApplyWrite(k, v, data) => Some((k, v, data)),
+                    Request::ApplyWriteMany(blocks) => blocks
+                        .first()
+                        .map(|(k, block)| (*k, block.version(), block.data())),
+                    _ => return send(request),
+                };
+                if let Some((k, v, data)) = first {
+                    let broken = Request::ApplyWriteFaulty(k, v, data, fault);
+                    self.inner.exchange(links, from, to, broken, true);
                 }
-                false
+                None
             }
-            Decision::Stale => {
-                if let Some((k, block)) = writes.first() {
-                    self.inner.apply_write_faulty(
-                        from,
-                        to,
-                        *k,
-                        block.data(),
-                        block.version(),
-                        StorageFault::StaleVersion,
-                    );
+            // Rewinding the reported version guarantees a mismatch with the
+            // coordinator's lease (even at v=0, where it wraps), forcing the
+            // invalidate-and-fall-back path. On any other exchange the
+            // fault is plain delivery.
+            Fate::StaleLease => {
+                let lease = matches!(request, Request::FetchLease(_));
+                match send(request) {
+                    Some(WireResponse::Block(v, data)) if lease => Some(WireResponse::Block(
+                        VersionNumber::new(v.as_u64().wrapping_sub(1)),
+                        data,
+                    )),
+                    reply => reply,
                 }
-                false
-            }
-            Decision::WalTorn(keep) => {
-                if let Some((k, block)) = writes.first() {
-                    self.inner.apply_write_faulty(
-                        from,
-                        to,
-                        *k,
-                        block.data(),
-                        block.version(),
-                        StorageFault::WalTorn { keep },
-                    );
-                }
-                false
             }
         }
     }
 
-    fn read_local(&self, s: SiteId, k: BlockIndex) -> DeviceResult<BlockData> {
-        self.inner.read_local(s, k)
-    }
-
-    fn read_local_many(&self, s: SiteId, ks: &[BlockIndex]) -> DeviceResult<Vec<BlockData>> {
-        self.inner.read_local_many(s, ks)
-    }
-
-    fn version_vector(&self, from: SiteId, to: SiteId) -> Option<VersionVector> {
-        if from == to {
-            return self.inner.version_vector(from, to);
+    fn probe(&self, links: &Links, from: SiteId, to: SiteId) -> Option<SiteState> {
+        match self.decide(from, to) {
+            Fate::Suppress | Fate::Delay => None,
+            _ => self.inner.probe(links, from, to),
         }
-        self.rpc(from, to, || self.inner.version_vector(from, to))
-    }
-
-    fn repair_payload(
-        &self,
-        from: SiteId,
-        to: SiteId,
-        vv: &VersionVector,
-    ) -> Option<RepairPayload> {
-        if from == to {
-            return self.inner.repair_payload(from, to, vv);
-        }
-        self.rpc(from, to, || self.inner.repair_payload(from, to, vv))
-    }
-
-    fn apply_repair_local(&self, s: SiteId, blocks: RepairBlocks) -> usize {
-        self.inner.apply_repair_local(s, blocks)
-    }
-
-    fn was_available(&self, from: SiteId, to: SiteId) -> Option<BTreeSet<SiteId>> {
-        if from == to {
-            return self.inner.was_available(from, to);
-        }
-        self.rpc(from, to, || self.inner.was_available(from, to))
-    }
-
-    fn set_was_available(&self, from: SiteId, to: SiteId, w: &[SiteId]) -> bool {
-        if from == to {
-            return self.inner.set_was_available(from, to, w);
-        }
-        self.one_way(
-            from,
-            to,
-            || self.inner.set_was_available(from, to, w),
-            || Deferred::SetW {
-                from,
-                to,
-                w: w.to_vec(),
-            },
-        )
-    }
-
-    fn add_was_available(&self, from: SiteId, to: SiteId, member: SiteId) -> bool {
-        if from == to {
-            return self.inner.add_was_available(from, to, member);
-        }
-        self.one_way(
-            from,
-            to,
-            || self.inner.add_was_available(from, to, member),
-            || Deferred::AddW { from, to, member },
-        )
-    }
-
-    fn apply_write_faulty(
-        &self,
-        from: SiteId,
-        to: SiteId,
-        k: BlockIndex,
-        data: &BlockData,
-        v: VersionNumber,
-        fault: StorageFault,
-    ) -> bool {
-        // Injection primitive: pass through uncounted.
-        self.inner.apply_write_faulty(from, to, k, data, v, fault)
-    }
-
-    fn scrub_local(&self, s: SiteId) -> usize {
-        self.inner.scrub_local(s)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Cluster, ClusterOptions};
-    use blockrep_net::DeliveryMode;
-    use blockrep_types::{DeviceConfig, Scheme};
+    use crate::{Cluster, ClusterOptions, LiveCluster, TcpCluster};
+    use blockrep_net::{DeliveryMode, TrafficSnapshot};
+    use blockrep_types::{BlockData, BlockIndex, DeviceConfig, DeviceResult, Scheme};
 
-    fn cluster(scheme: Scheme) -> Cluster {
+    fn cluster(scheme: Scheme) -> ServerCluster<Faulty<crate::Inline>> {
         let cfg = DeviceConfig::builder(scheme)
             .sites(3)
             .num_blocks(2)
             .block_size(4)
             .build()
             .unwrap();
-        Cluster::new(cfg, ClusterOptions::default())
+        Cluster::new(cfg, ClusterOptions::default()).with_faults()
     }
 
     fn sid(i: u32) -> SiteId {
         SiteId::new(i)
     }
 
+    fn blk(i: u64) -> BlockIndex {
+        BlockIndex::new(i)
+    }
+
+    /// Op 0: a write of `fill` from site 0, meeting `faults`; what the
+    /// write returned and what the op left behind.
+    fn write_op<T: Transport>(
+        c: &ServerCluster<Faulty<T>>,
+        fill: u8,
+        faults: &[(u64, FaultKind)],
+    ) -> (DeviceResult<()>, OpReport) {
+        c.begin_op(0, faults);
+        let wrote = crate::protocol::write(c, sid(0), blk(0), &BlockData::from(vec![fill; 4]));
+        (wrote, c.end_op())
+    }
+
     #[test]
     fn empty_plan_is_transparent() {
         let c = cluster(Scheme::Voting);
-        let plan = FaultPlan::new();
-        let fb = FaultyBackend::new(&c, plan);
-        fb.begin_op(0);
-        crate::protocol::write(
-            &fb,
-            sid(0),
-            BlockIndex::new(0),
-            &BlockData::from(vec![7; 4]),
-        )
-        .unwrap();
-        let report = fb.end_op();
+        let (wrote, report) = write_op(&c, 7, &[]);
+        wrote.unwrap();
         assert!(report.crashed.is_empty());
         assert!(report.fired.is_empty());
         for s in 0..3 {
-            assert_eq!(c.data_of(sid(s), BlockIndex::new(0)).as_slice(), &[7; 4]);
+            assert_eq!(c.data_of(sid(s), blk(0)).as_slice(), &[7; 4]);
         }
     }
 
@@ -759,27 +440,46 @@ mod tests {
         let c = cluster(Scheme::AvailableCopy);
         // AC write exchanges: probe(s1), apply(s1), probe(s2), apply(s2),
         // then the was-available fan-out. Drop exchange 1 = apply to s1.
-        let plan: FaultPlan = [FaultSpec {
-            op: 0,
-            exchange: 1,
-            kind: FaultKind::DropMessage,
-        }]
-        .into_iter()
-        .collect();
-        let fb = FaultyBackend::new(&c, plan);
-        fb.begin_op(0);
-        crate::protocol::write(
-            &fb,
-            sid(0),
-            BlockIndex::new(0),
-            &BlockData::from(vec![9; 4]),
-        )
-        .unwrap();
-        let report = fb.end_op();
+        let (wrote, report) = write_op(&c, 9, &[(1, FaultKind::DropMessage)]);
+        wrote.unwrap();
         assert_eq!(report.fired.len(), 1);
         assert!(report.crashed.is_empty());
-        assert!(c.data_of(sid(1), BlockIndex::new(0)).is_zeroed());
-        assert_eq!(c.data_of(sid(2), BlockIndex::new(0)).as_slice(), &[9; 4]);
+        assert!(c.data_of(sid(1), blk(0)).is_zeroed());
+        assert_eq!(c.data_of(sid(2), blk(0)).as_slice(), &[9; 4]);
+    }
+
+    #[test]
+    fn a_probe_is_an_exchange_although_no_message_is_sent() {
+        let c = cluster(Scheme::AvailableCopy);
+        // Exchange 0 is s1's availability probe: dropped, s1 looks
+        // unavailable and is sent nothing, so exchange 1 is s2's probe.
+        let (wrote, report) = write_op(&c, 5, &[(0, FaultKind::DropMessage)]);
+        wrote.unwrap();
+        assert_eq!(report.fired[0].exchange, 0);
+        assert!(c.data_of(sid(1), blk(0)).is_zeroed());
+        assert_eq!(c.data_of(sid(2), blk(0)).as_slice(), &[5; 4]);
+        assert_eq!(c.was_available_of(sid(2)), [sid(0), sid(2)].into());
+    }
+
+    #[test]
+    fn an_unreachable_target_still_uses_up_its_exchange() {
+        let cfg = DeviceConfig::builder(Scheme::Voting)
+            .sites(4)
+            .num_blocks(2)
+            .block_size(4)
+            .build()
+            .unwrap();
+        let c = Cluster::new(cfg, ClusterOptions::default()).with_faults();
+        c.fail_site(sid(1));
+        // Votes to s1/s2/s3 are exchanges 0/1/2 although s1 is down, so the
+        // drop on exchange 1 costs s2 the write; s0 and s3 still carry it.
+        let (wrote, report) = write_op(&c, 6, &[(1, FaultKind::DropMessage)]);
+        wrote.unwrap();
+        assert_eq!(report.fired.len(), 1);
+        let versions: Vec<u64> = (0..4)
+            .map(|s| c.version_of(sid(s), blk(0)).as_u64())
+            .collect();
+        assert_eq!(versions, [1, 0, 0, 1]);
     }
 
     #[test]
@@ -788,107 +488,77 @@ mod tests {
         // Crash the coordinator before its first fan-out message: nobody
         // else hears of the write; the origin's local install still lands
         // on its own disk (it crashed after the disk write).
-        let plan: FaultPlan = [FaultSpec {
-            op: 0,
-            exchange: 0,
-            kind: FaultKind::CrashCoordinator,
-        }]
-        .into_iter()
-        .collect();
-        let fb = FaultyBackend::new(&c, plan);
-        fb.begin_op(0);
-        let _ = crate::protocol::write(
-            &fb,
-            sid(0),
-            BlockIndex::new(0),
-            &BlockData::from(vec![5; 4]),
-        );
-        let report = fb.end_op();
+        let (_, report) = write_op(&c, 5, &[(0, FaultKind::CrashCoordinator)]);
         assert_eq!(report.crashed, vec![sid(0)]);
-        assert!(c.data_of(sid(1), BlockIndex::new(0)).is_zeroed());
-        assert!(c.data_of(sid(2), BlockIndex::new(0)).is_zeroed());
+        assert!(c.data_of(sid(1), blk(0)).is_zeroed());
+        assert!(c.data_of(sid(2), blk(0)).is_zeroed());
     }
 
     #[test]
     fn delayed_update_lands_after_the_op() {
         let c = cluster(Scheme::NaiveAvailableCopy);
         // Naive AC write exchanges: probe(s1), apply(s1), probe(s2), apply(s2).
-        let plan: FaultPlan = [FaultSpec {
-            op: 0,
-            exchange: 1,
-            kind: FaultKind::DelayMessage,
-        }]
-        .into_iter()
-        .collect();
-        let fb = FaultyBackend::new(&c, plan);
-        fb.begin_op(0);
-        crate::protocol::write(
-            &fb,
-            sid(0),
-            BlockIndex::new(0),
-            &BlockData::from(vec![3; 4]),
-        )
-        .unwrap();
+        c.begin_op(0, &[(1, FaultKind::DelayMessage)]);
+        let data = BlockData::from(vec![3; 4]);
+        crate::protocol::write(&c, sid(0), blk(0), &data).unwrap();
         // Held back until end_op…
-        assert!(c.data_of(sid(1), BlockIndex::new(0)).is_zeroed());
-        fb.end_op();
+        assert!(c.data_of(sid(1), blk(0)).is_zeroed());
+        c.end_op();
         // …then delivered.
-        assert_eq!(c.data_of(sid(1), BlockIndex::new(0)).as_slice(), &[3; 4]);
+        assert_eq!(c.data_of(sid(1), blk(0)).as_slice(), &[3; 4]);
+    }
+
+    /// What a faulted write left behind: every site's version of each of
+    /// `blocks` blocks, the traffic, and the faults that fired.
+    type Aftermath = (Vec<Vec<u64>>, TrafficSnapshot, Vec<FaultSpec>);
+
+    fn aftermath<T: Transport>(
+        c: &ServerCluster<Faulty<T>>,
+        blocks: u64,
+        report: OpReport,
+    ) -> Aftermath {
+        let versions = (0..4)
+            .map(|s| {
+                (0..blocks)
+                    .map(|k| c.version_of(sid(s), blk(k)).as_u64())
+                    .collect()
+            })
+            .collect();
+        (versions, c.traffic(), report.fired)
     }
 
     /// MCV write at 4 sites with a drop on exchange 1 (s2's vote): votes to
     /// s1/s2/s3 are exchanges 0/1/2, so s2 never joins the voter set and is
     /// skipped by the install fan-out.
-    fn run_write_with_dropped_vote<B: Backend>(
-        inner: &B,
-    ) -> (Vec<u64>, blockrep_net::TrafficSnapshot, Vec<FaultSpec>) {
-        let plan: FaultPlan = [FaultSpec {
-            op: 0,
-            exchange: 1,
-            kind: FaultKind::DropMessage,
-        }]
-        .into_iter()
-        .collect();
-        let fb = FaultyBackend::new(inner, plan);
-        fb.begin_op(0);
-        crate::protocol::write(
-            &fb,
-            sid(0),
-            BlockIndex::new(0),
-            &BlockData::from(vec![6; 4]),
-        )
-        .unwrap();
-        let report = fb.end_op();
-        let versions = (0..4)
-            .map(|i| {
-                inner
-                    .vote(sid(i), sid(i), BlockIndex::new(0))
-                    .expect("local version lookup")
-                    .as_u64()
-            })
-            .collect();
-        (versions, inner.counter().snapshot(), report.fired)
+    fn run_write_with_dropped_vote<T: Transport>(c: &ServerCluster<Faulty<T>>) -> Aftermath {
+        let (wrote, report) = write_op(c, 6, &[(1, FaultKind::DropMessage)]);
+        wrote.unwrap();
+        aftermath(c, 1, report)
     }
 
-    #[test]
-    fn scatter_keeps_exchange_indices_pinned_on_all_runtimes() {
-        // The concurrent runtimes override Backend::scatter, but
-        // FaultyBackend inherits the sequential default — so the same
-        // (op, exchange) coordinate hits the same protocol step whether the
-        // inner runtime is deterministic, channel-threaded or TCP.
-        let cfg = DeviceConfig::builder(Scheme::Voting)
+    fn voting_cfg() -> DeviceConfig {
+        DeviceConfig::builder(Scheme::Voting)
             .sites(4)
             .num_blocks(2)
             .block_size(4)
             .build()
-            .unwrap();
-        let det = Cluster::new(cfg.clone(), ClusterOptions::default());
-        let live = crate::LiveCluster::spawn(cfg.clone(), DeliveryMode::Multicast);
-        let tcp = crate::TcpCluster::spawn(cfg, DeliveryMode::Multicast).unwrap();
+            .unwrap()
+    }
+
+    #[test]
+    fn scatter_keeps_exchange_indices_pinned_on_all_runtimes() {
+        // The live and TCP transports scatter concurrently, but the fault
+        // layer does not — so the same (op, exchange) coordinate hits the
+        // same protocol step whether the transport under it is in-process,
+        // channel-threaded or TCP.
+        let mode = DeliveryMode::Multicast;
+        let det = Cluster::new(voting_cfg(), ClusterOptions { mode }).with_faults();
+        let live = LiveCluster::spawn(voting_cfg(), mode).with_faults();
+        let tcp = TcpCluster::spawn(voting_cfg(), mode).unwrap().with_faults();
         let d = run_write_with_dropped_vote(&det);
         assert_eq!(
             d.0,
-            vec![1, 1, 0, 1],
+            vec![vec![1], vec![1], vec![0], vec![1]],
             "the dropped vote must exclude exactly s2 from the install set"
         );
         assert_eq!(d, run_write_with_dropped_vote(&live), "live diverged");
@@ -900,49 +570,24 @@ mod tests {
     /// coordinates are vote(s1)=0, vote(s2)=1, vote(s3)=2, then one
     /// InstallMany per voter — regardless of how many blocks the batch
     /// carries.
-    fn run_batched_write_with_dropped_vote<B: Backend>(
-        inner: &B,
-    ) -> (Vec<Vec<u64>>, blockrep_net::TrafficSnapshot, Vec<FaultSpec>) {
-        let plan: FaultPlan = [FaultSpec {
-            op: 0,
-            exchange: 1,
-            kind: FaultKind::DropMessage,
-        }]
-        .into_iter()
-        .collect();
-        let fb = FaultyBackend::new(inner, plan);
-        fb.begin_op(0);
+    fn run_batched_write_with_dropped_vote<T: Transport>(
+        c: &ServerCluster<Faulty<T>>,
+    ) -> Aftermath {
+        c.begin_op(0, &[(1, FaultKind::DropMessage)]);
         let writes: Vec<(BlockIndex, BlockData)> = (0..2)
-            .map(|k| (BlockIndex::new(k), BlockData::from(vec![6 + k as u8; 4])))
+            .map(|k| (blk(k), BlockData::from(vec![6 + k as u8; 4])))
             .collect();
-        crate::protocol::write_many(&fb, sid(0), &writes).unwrap();
-        let report = fb.end_op();
-        let versions = (0..4)
-            .map(|i| {
-                (0..2)
-                    .map(|k| {
-                        inner
-                            .vote(sid(i), sid(i), BlockIndex::new(k))
-                            .expect("local version lookup")
-                            .as_u64()
-                    })
-                    .collect()
-            })
-            .collect();
-        (versions, inner.counter().snapshot(), report.fired)
+        crate::protocol::write_many(c, sid(0), &writes).unwrap();
+        let report = c.end_op();
+        aftermath(c, 2, report)
     }
 
     #[test]
     fn batched_scatter_occupies_one_exchange_slot_on_all_runtimes() {
-        let cfg = DeviceConfig::builder(Scheme::Voting)
-            .sites(4)
-            .num_blocks(2)
-            .block_size(4)
-            .build()
-            .unwrap();
-        let det = Cluster::new(cfg.clone(), ClusterOptions::default());
-        let live = crate::LiveCluster::spawn(cfg.clone(), DeliveryMode::Multicast);
-        let tcp = crate::TcpCluster::spawn(cfg, DeliveryMode::Multicast).unwrap();
+        let mode = DeliveryMode::Multicast;
+        let det = Cluster::new(voting_cfg(), ClusterOptions { mode }).with_faults();
+        let live = LiveCluster::spawn(voting_cfg(), mode).with_faults();
+        let tcp = TcpCluster::spawn(voting_cfg(), mode).unwrap().with_faults();
         let d = run_batched_write_with_dropped_vote(&det);
         assert_eq!(
             d.0,
@@ -960,31 +605,13 @@ mod tests {
     #[test]
     fn torn_write_crashes_target_with_broken_block() {
         let c = cluster(Scheme::AvailableCopy);
-        let plan: FaultPlan = [FaultSpec {
-            op: 0,
-            exchange: 1,
-            kind: FaultKind::TornWrite { keep: 2 },
-        }]
-        .into_iter()
-        .collect();
-        let fb = FaultyBackend::new(&c, plan);
-        fb.begin_op(0);
-        crate::protocol::write(
-            &fb,
-            sid(0),
-            BlockIndex::new(0),
-            &BlockData::from(vec![8; 4]),
-        )
-        .unwrap();
-        let report = fb.end_op();
+        let (wrote, report) = write_op(&c, 8, &[(1, FaultKind::TornWrite { keep: 2 })]);
+        wrote.unwrap();
         assert_eq!(report.crashed, vec![sid(1)]);
         // Half-new, half-old data; the scrub finds and resets it.
-        assert_eq!(
-            c.data_of(sid(1), BlockIndex::new(0)).as_slice(),
-            &[8, 8, 0, 0]
-        );
+        assert_eq!(c.data_of(sid(1), blk(0)).as_slice(), &[8, 8, 0, 0]);
         assert_eq!(c.scrub_local(sid(1)), 1);
-        assert!(c.data_of(sid(1), BlockIndex::new(0)).is_zeroed());
+        assert!(c.data_of(sid(1), blk(0)).is_zeroed());
     }
 
     #[test]
@@ -993,30 +620,15 @@ mod tests {
         // block is untouched, checksum-clean, and the scrub finds nothing
         // to reset. The write survives only on the sites that acked.
         let c = cluster(Scheme::AvailableCopy);
-        let plan: FaultPlan = [FaultSpec {
-            op: 0,
-            exchange: 1,
-            kind: FaultKind::WalTorn { keep: 7 },
-        }]
-        .into_iter()
-        .collect();
-        let fb = FaultyBackend::new(&c, plan);
-        fb.begin_op(0);
-        crate::protocol::write(
-            &fb,
-            sid(0),
-            BlockIndex::new(0),
-            &BlockData::from(vec![8; 4]),
-        )
-        .unwrap();
-        let report = fb.end_op();
+        let (wrote, report) = write_op(&c, 8, &[(1, FaultKind::WalTorn { keep: 7 })]);
+        wrote.unwrap();
         assert_eq!(report.crashed, vec![sid(1)]);
-        assert!(c.data_of(sid(1), BlockIndex::new(0)).is_zeroed());
+        assert!(c.data_of(sid(1), blk(0)).is_zeroed());
         assert_eq!(
             c.scrub_local(sid(1)),
             0,
             "block is intact, nothing to scrub"
         );
-        assert_eq!(c.data_of(sid(0), BlockIndex::new(0)).as_slice(), &[8; 4]);
+        assert_eq!(c.data_of(sid(0), blk(0)).as_slice(), &[8; 4]);
     }
 }

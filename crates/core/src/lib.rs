@@ -11,20 +11,21 @@
 //!  ReliableDevice / DriverStub                  (device.rs — Figures 1–2)
 //!          │  coordinated protocol operations
 //!          ▼
-//!  Cluster (deterministic) or ServerCluster<T> (LiveCluster: threads +
-//!  channels; TcpCluster: threads + sockets) — each one Coordinator:
-//!  config, §5 counter, block locks, leases, and the link model (site
-//!  states + topology) that decides which exchanges below may happen
+//!  ServerCluster<T> — one Coordinator: config, §5 counter, block locks,
+//!  leases, and the link model (site states + topology) that decides
+//!  which exchanges below may happen — over a transport T: Inline (the
+//!  deterministic Cluster), LiveTransport (threads + inboxes) or
+//!  TcpTransport (threads + sockets), optionally under Faulty<T>
 //!          │  votes, write updates, version vectors, repairs
-//!          ▼  (ServerCluster: as WireRequests, to the one site service)
+//!          ▼  (as WireRequests, to the one site service)
 //!  Replica per site: VersionedStore + was-available set (+ journal)
 //! ```
 //!
 //! The three consistency schemes of §3 are implemented against a common
 //! [`backend::Backend`] abstraction, so **the same protocol code** runs over
 //! the deterministic in-process cluster (used by tests, property tests and
-//! the simulation harnesses) and over the live threaded cluster (server
-//! processes exchanging messages over channels):
+//! the simulation harnesses) and over the threaded and socket clusters
+//! (server processes exchanging messages):
 //!
 //! * [`Scheme::Voting`](blockrep_types::Scheme::Voting) — weighted majority
 //!   consensus voting with per-block version numbers. Block-level
@@ -97,7 +98,7 @@ pub use backend::{
     Coordinator, RepairBlocks, RepairPayload, ScatterReplies, ScatterReply, ScatterRequest,
     ScatterSpec, WriteBatch,
 };
-pub use cluster::{Cluster, ClusterOptions};
+pub use cluster::{Cluster, ClusterOptions, Inline};
 pub use device::{DriverStub, ReliableDevice};
 pub use live::{LiveCluster, LiveTransport};
 pub use locks::{BlockLockTable, LeaseTable};

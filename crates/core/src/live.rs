@@ -38,14 +38,14 @@
 
 use crate::backend::{Coordinator, ScatterReplies, SiteVec};
 use crate::replica::Replica;
-use crate::service::serve;
-use crate::transport::{Links, Scatter, ServerCluster, Transport, WINDOW};
-use crate::wire::{WireRequest, WireResponse};
+use crate::service::{serve, serve_owned};
+use crate::transport::{Fanout, Links, Scatter, ServerCluster, Transport, WINDOW};
+use crate::wire::{Request, WireRequest, WireResponse};
 use blockrep_net::DeliveryMode;
 use blockrep_types::{DeviceConfig, SiteId};
-use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Condvar, PoisonError};
 use std::thread::JoinHandle;
 
@@ -54,13 +54,14 @@ use std::thread::JoinHandle;
 /// a round trip" is not a list of request kinds to keep in step.
 struct Envelope {
     request: WireRequest,
-    reply: Option<Sender<WireResponse>>,
+    reply: Option<SyncSender<WireResponse>>,
 }
 
 /// `request` inside a trace envelope when tracing is on and a span context
 /// is live, so the server thread (which does not share this thread's
 /// context) can stitch its apply span into the tree.
-fn traced(request: WireRequest) -> WireRequest {
+fn traced(request: Request<'_>) -> WireRequest {
+    let request = WireRequest::from(request);
     if blockrep_obs::enabled() && crate::obs_hooks::tracing() {
         if let Some(ctx) = blockrep_obs::trace::current() {
             return WireRequest::Traced {
@@ -150,7 +151,7 @@ impl Site {
             if reply.is_some() {
                 self.links.delay();
             }
-            let response = serve(replica, self.id.as_u32(), request);
+            let response = serve_owned(replica, self.id.as_u32(), request);
             if let (Some(reply), Some(response)) = (reply, response) {
                 let _ = reply.send(response);
             }
@@ -240,10 +241,11 @@ impl LiveTransport {
 
 impl Transport for LiveTransport {
     const NAME: &'static str = "live";
-    const CAST_BLOCKS: bool = false;
+    /// A cast is one-way: nothing blocks on it.
+    const FANOUT: Fanout = Fanout::Reads;
 
-    fn call(&self, to: SiteId, request: WireRequest) -> Option<WireResponse> {
-        let (tx, rx) = bounded(1);
+    fn call(&self, to: SiteId, request: Request<'_>) -> Option<WireResponse> {
+        let (tx, rx) = sync_channel(1);
         let envelope = Envelope {
             request: traced(request),
             reply: Some(tx),
@@ -254,7 +256,7 @@ impl Transport for LiveTransport {
         rx.recv().ok()
     }
 
-    fn cast(&self, to: SiteId, request: WireRequest) -> bool {
+    fn cast(&self, to: SiteId, request: Request<'_>) -> bool {
         let envelope = Envelope {
             request: traced(request),
             reply: None,
@@ -262,16 +264,18 @@ impl Transport for LiveTransport {
         self.post(to, envelope)
     }
 
-    fn local(&self, s: SiteId, request: WireRequest) -> Option<WireResponse> {
+    fn local(&self, s: SiteId, request: Request<'_>) -> Option<WireResponse> {
         let site = &self.sites[s.index()];
         let mut replica = site.replica.lock();
         site.drain(&mut replica);
         // Bare: the caller's span context is already live on this thread.
-        serve(&mut replica, s.as_u32(), request)
+        serve(&mut replica, request)
     }
 
-    fn scatter(&self, cx: Scatter<'_>, request: WireRequest) -> ScatterReplies {
+    fn scatter(&self, cx: Scatter<'_>, request: Request<'_>) -> ScatterReplies {
         let Scatter { spec, targets, .. } = cx;
+        // Every envelope crosses to another thread.
+        let request = WireRequest::from(request);
         // Satellite hoist: one `enabled()` load decides whether any obs
         // work happens in this batch; the disabled path records nothing.
         let obs_on = blockrep_obs::enabled();
@@ -293,7 +297,7 @@ impl Transport for LiveTransport {
                 } else {
                     None
                 };
-                let (tx, rx) = bounded(1);
+                let (tx, rx) = sync_channel(1);
                 let mut request = request.clone();
                 // The send span is the envelope parent, so the server's
                 // remote_apply span lands under this site's send leg.
@@ -472,7 +476,7 @@ mod tests {
         c.fail_site(sid(1));
         // Drop joins every site thread, so it returns only once the thread
         // behind the downed link has exited too.
-        let (done_tx, done_rx) = bounded(1);
+        let (done_tx, done_rx) = sync_channel(1);
         let dropper = std::thread::spawn(move || {
             drop(c);
             let _ = done_tx.send(());
@@ -491,13 +495,13 @@ mod tests {
         // With site 2's replica held, its thread can serve nothing.
         let replica = site.replica.lock();
         for _ in 0..WINDOW {
-            assert!(c.transport.cast(sid(2), WireRequest::Probe));
+            assert!(c.transport.cast(sid(2), Request::Probe));
         }
         assert_eq!(site.inbox.lock().queue.len(), WINDOW);
-        let (done_tx, done_rx) = bounded(1);
+        let (done_tx, done_rx) = sync_channel(1);
         std::thread::scope(|scope| {
             scope.spawn(|| {
-                let taken = c.transport.cast(sid(2), WireRequest::Probe);
+                let taken = c.transport.cast(sid(2), Request::Probe);
                 let _ = done_tx.send(taken);
             });
             assert!(
@@ -509,7 +513,7 @@ mod tests {
         });
         // A round trip is behind all of them, and finds the site in order.
         assert_eq!(
-            c.transport.call(sid(2), WireRequest::Probe),
+            c.transport.call(sid(2), Request::Probe),
             Some(WireResponse::Ack)
         );
         assert!(site.inbox.lock().queue.is_empty());
@@ -573,7 +577,7 @@ mod tests {
         let c = live(Scheme::Voting, 3);
         let site = Arc::clone(&c.transport.sites[2]);
         let replica = site.replica.lock();
-        let (reply_tx, reply_rx) = bounded(1);
+        let (reply_tx, reply_rx) = sync_channel(1);
         for reply in [None, None, Some(reply_tx)] {
             let request = WireRequest::Probe;
             assert!(site.post(Envelope { request, reply }));
@@ -581,7 +585,7 @@ mod tests {
         // Site 2's thread is parked on the replica lock with three
         // envelopes queued. Drop closes the inbox first, so once the lock
         // is free the thread finds nothing to serve and leaves.
-        let (done_tx, done_rx) = bounded(1);
+        let (done_tx, done_rx) = sync_channel(1);
         let dropper = std::thread::spawn(move || {
             drop(c);
             let _ = done_tx.send(());

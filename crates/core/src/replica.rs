@@ -45,6 +45,8 @@ const JOURNAL_CAPACITY: usize = 64 * 1024;
 #[derive(Debug, Clone)]
 pub struct Replica {
     id: SiteId,
+    /// How many sites the device has: `W_s` never names one past them.
+    sites: usize,
     store: VersionedStore,
     was_available: BTreeSet<SiteId>,
     /// The site's write-ahead journal (`Some` when the device is
@@ -62,6 +64,7 @@ impl Replica {
     pub fn new(id: SiteId, cfg: &DeviceConfig) -> Self {
         Replica {
             id,
+            sites: cfg.num_sites(),
             store: VersionedStore::new(cfg.num_blocks(), cfg.block_size()),
             was_available: cfg.site_ids().collect(),
             journal: cfg.journaled().then(Vec::new),
@@ -76,6 +79,11 @@ impl Replica {
     /// The disk's geometry: number of blocks and block size in bytes.
     pub(crate) fn geometry(&self) -> (u64, usize) {
         (self.store.num_blocks(), self.store.block_size())
+    }
+
+    /// Whether `s` is a site of this replica's device.
+    pub(crate) fn knows(&self, s: SiteId) -> bool {
+        s.index() < self.sites
     }
 
     /// The version number this site holds for block `k` — its vote.
@@ -186,12 +194,6 @@ impl Replica {
         reset
     }
 
-    /// Bytes currently in the write-ahead journal (`None` when the device
-    /// is not journaled).
-    pub fn journal_len(&self) -> Option<usize> {
-        self.journal.as_ref().map(Vec::len)
-    }
-
     /// A copy of the full version vector.
     pub fn version_vector(&self) -> VersionVector {
         self.store.version_vector()
@@ -210,7 +212,7 @@ impl Replica {
     }
 
     /// Applies a repair payload; returns the number of blocks replaced.
-    pub fn apply_repair(&mut self, blocks: Vec<(BlockIndex, VersionNumber, BlockData)>) -> usize {
+    pub fn apply_repair(&mut self, blocks: &[(BlockIndex, VersionNumber, BlockData)]) -> usize {
         self.store.apply_repair(blocks)
     }
 
@@ -234,6 +236,12 @@ impl Replica {
 mod tests {
     use super::*;
     use blockrep_types::Scheme;
+
+    /// Bytes currently in the write-ahead journal (`None` when the device
+    /// is not journaled).
+    fn journal_len(r: &Replica) -> Option<usize> {
+        r.journal.as_ref().map(Vec::len)
+    }
 
     fn cfg() -> DeviceConfig {
         DeviceConfig::builder(Scheme::AvailableCopy)
@@ -262,7 +270,7 @@ mod tests {
         );
         let (vv, blocks) = current.repair_payload(&stale.version_vector());
         assert_eq!(blocks.len(), 1);
-        assert_eq!(stale.apply_repair(blocks), 1);
+        assert_eq!(stale.apply_repair(&blocks), 1);
         assert_eq!(stale.version_vector(), vv);
     }
 
@@ -297,7 +305,7 @@ mod tests {
         // ...but the journal held the full record, so the write survives.
         assert_eq!(r.version(k), VersionNumber::new(2));
         assert_eq!(r.data(k).as_slice(), &[2; 8]);
-        assert_eq!(r.journal_len(), Some(0), "journal cleared after replay");
+        assert_eq!(journal_len(&r), Some(0), "journal cleared after replay");
     }
 
     #[test]
@@ -344,7 +352,7 @@ mod tests {
     #[test]
     fn unjournaled_replica_keeps_seed_behavior() {
         let mut r = Replica::new(SiteId::new(0), &cfg());
-        assert_eq!(r.journal_len(), None);
+        assert_eq!(journal_len(&r), None);
         let k = BlockIndex::new(1);
         r.install_faulty(
             k,
@@ -363,11 +371,11 @@ mod tests {
         let mut r = Replica::new(SiteId::new(0), &journaled_cfg());
         let k = BlockIndex::new(2);
         r.install(k, BlockData::from(vec![5; 8]), VersionNumber::new(4));
-        let len = r.journal_len().unwrap();
+        let len = journal_len(&r).unwrap();
         assert!(len > 0);
         // Replaying an old write is a no-op on disk and in the journal.
         r.install(k, BlockData::from(vec![9; 8]), VersionNumber::new(3));
-        assert_eq!(r.journal_len(), Some(len));
+        assert_eq!(journal_len(&r), Some(len));
     }
 
     #[test]
@@ -380,7 +388,7 @@ mod tests {
         let last = 4_000u64;
         for v in 1..=last {
             r.install(k, BlockData::from(vec![v as u8; 8]), VersionNumber::new(v));
-            assert!(r.journal_len().unwrap() <= JOURNAL_CAPACITY);
+            assert!(journal_len(&r).unwrap() <= JOURNAL_CAPACITY);
         }
         assert_eq!(r.version(k), VersionNumber::new(last));
         // A restart scrub over the truncated journal stays a no-op for the

@@ -74,7 +74,7 @@ fn splitmix64(seed: u64) -> u64 {
 /// let pool: Vec<SiteId> = SiteId::all(6).collect();
 /// let m = PlacementManifest::build(1, 64, 1024, &pool, 2).unwrap();
 /// assert_eq!(m.shard_count(), 2);
-/// assert_eq!(m.sites_of(1), &[SiteId::new(3), SiteId::new(4), SiteId::new(5)]);
+/// assert!(m.render().contains("shard 1: sites [s3, s4, s5]"));
 /// // Blocks of one 64-block group land on one shard.
 /// assert_eq!(m.shard_of(BlockIndex::new(0)), m.shard_of(BlockIndex::new(63)));
 /// ```
@@ -150,12 +150,12 @@ impl PlacementManifest {
     /// # Panics
     ///
     /// Panics if `shard` is out of range.
-    pub fn sites_of(&self, shard: usize) -> &[SiteId] {
+    fn sites_of(&self, shard: usize) -> &[SiteId] {
         &self.shard_sites[shard]
     }
 
     /// The placement group of block `k`.
-    pub fn group_of(&self, k: BlockIndex) -> u64 {
+    fn group_of(&self, k: BlockIndex) -> u64 {
         k.as_u64() / self.group_size
     }
 
@@ -737,9 +737,9 @@ impl ShardedDevice<crate::TcpCluster> {
 mod tests {
     use super::*;
     use crate::backend::Coordinator;
+    use crate::transport::{ServerCluster, Transport};
+    use crate::wire::{Request, WireResponse};
     use crate::ClusterOptions;
-    use blockrep_types::{VersionNumber, VersionVector};
-    use std::collections::BTreeSet;
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::thread::ThreadId;
     use std::time::Duration;
@@ -905,7 +905,7 @@ mod tests {
             );
             shards
                 .iter()
-                .map(|&s| disks[s].readers.lock().pop().unwrap())
+                .map(|&s| disks[s].transport.readers.lock().pop().unwrap())
                 .collect()
         };
         assert!(ran_on(&[]).is_empty());
@@ -1005,105 +1005,50 @@ mod tests {
         assert_eq!(dev.read_block(k).unwrap().as_slice(), &[7; 8]);
     }
 
-    /// A naive-available-copy shard whose local disk reads zeros, noting the
+    /// The disk of a naive-available-copy shard: it reads zeros, noting the
     /// thread of every read, or panics while its switch is on. Only the
-    /// methods a vectored NAC read reaches are live.
+    /// local reads of a vectored NAC read reach it.
     struct DiskDouble {
-        coord: Coordinator,
+        block_size: usize,
         panics: AtomicBool,
         readers: Mutex<Vec<ThreadId>>,
     }
 
     impl DiskDouble {
-        fn new(spec: &ShardSpec, panics: bool) -> Arc<DiskDouble> {
-            Arc::new(DiskDouble {
-                coord: Coordinator::new(spec.shard_config().unwrap(), DeliveryMode::default()),
+        fn new(spec: &ShardSpec, panics: bool) -> Arc<ServerCluster<DiskDouble>> {
+            let cfg = spec.shard_config().unwrap();
+            let disk = DiskDouble {
+                block_size: cfg.block_size(),
                 panics: AtomicBool::new(panics),
                 readers: Mutex::new(Vec::new()),
-            })
+            };
+            let coord = Coordinator::new(cfg, DeliveryMode::default());
+            Arc::new(ServerCluster::over(coord, disk))
         }
     }
 
-    impl Backend for DiskDouble {
-        fn coordinator(&self) -> &Coordinator {
-            &self.coord
+    impl Transport for DiskDouble {
+        const NAME: &'static str = "disk double";
+
+        fn call(&self, _: SiteId, request: Request<'_>) -> Option<WireResponse> {
+            unreachable!("{request:?}")
         }
-        fn read_local_many(&self, _: SiteId, ks: &[BlockIndex]) -> DeviceResult<Vec<BlockData>> {
+
+        fn cast(&self, _: SiteId, request: Request<'_>) -> bool {
+            unreachable!("{request:?}")
+        }
+
+        fn local(&self, _: SiteId, request: Request<'_>) -> Option<WireResponse> {
+            let Request::ReadLocalMany(ks) = request else {
+                unreachable!("{request:?}")
+            };
             assert!(
                 !self.panics.load(Ordering::SeqCst),
                 "disk double: sub-batch read panics"
             );
             self.readers.lock().push(std::thread::current().id());
-            Ok(vec![
-                BlockData::zeroed(self.coord.cfg.block_size());
-                ks.len()
-            ])
-        }
-        fn read_local(&self, _: SiteId, _: BlockIndex) -> DeviceResult<BlockData> {
-            unreachable!()
-        }
-        fn vote(&self, _: SiteId, _: SiteId, _: BlockIndex) -> Option<VersionNumber> {
-            unreachable!()
-        }
-        fn vote_many(&self, _: SiteId, _: SiteId, _: &[BlockIndex]) -> Option<Vec<VersionNumber>> {
-            unreachable!()
-        }
-        fn apply_write_many(&self, _: SiteId, _: SiteId, _: &crate::backend::WriteBatch) -> bool {
-            unreachable!()
-        }
-        fn fetch_block(
-            &self,
-            _: SiteId,
-            _: SiteId,
-            _: BlockIndex,
-        ) -> Option<(VersionNumber, BlockData)> {
-            unreachable!()
-        }
-        fn apply_write(
-            &self,
-            _: SiteId,
-            _: SiteId,
-            _: BlockIndex,
-            _: &blockrep_storage::SealedBlock,
-        ) -> bool {
-            unreachable!()
-        }
-        fn version_vector(&self, _: SiteId, _: SiteId) -> Option<VersionVector> {
-            unreachable!()
-        }
-        fn repair_payload(
-            &self,
-            _: SiteId,
-            _: SiteId,
-            _: &VersionVector,
-        ) -> Option<crate::backend::RepairPayload> {
-            unreachable!()
-        }
-        fn apply_repair_local(&self, _: SiteId, _: crate::backend::RepairBlocks) -> usize {
-            unreachable!()
-        }
-        fn was_available(&self, _: SiteId, _: SiteId) -> Option<BTreeSet<SiteId>> {
-            unreachable!()
-        }
-        fn set_was_available(&self, _: SiteId, _: SiteId, _: &[SiteId]) -> bool {
-            unreachable!()
-        }
-        fn add_was_available(&self, _: SiteId, _: SiteId, _: SiteId) -> bool {
-            unreachable!()
-        }
-        fn apply_write_faulty(
-            &self,
-            _: SiteId,
-            _: SiteId,
-            _: BlockIndex,
-            _: &BlockData,
-            _: VersionNumber,
-            _: blockrep_storage::StorageFault,
-        ) -> bool {
-            unreachable!()
-        }
-        fn scrub_local(&self, _: SiteId) -> usize {
-            unreachable!()
+            let zeros = BlockData::zeroed(self.block_size);
+            Some(WireResponse::DataMany(vec![zeros; ks.len()]))
         }
     }
 
@@ -1127,14 +1072,14 @@ mod tests {
         assert_eq!(dev.read_blocks(&healthy).unwrap().len(), healthy.len());
         // The panic did not take the worker down: with the disk mended, the
         // panicking shard answers the next batch.
-        disks[0].panics.store(false, Ordering::SeqCst);
+        disks[0].transport.panics.store(false, Ordering::SeqCst);
         assert_eq!(dev.read_blocks(&ks).unwrap().len(), ks.len());
         // A panic on the shard the caller runs fails the batch the same
         // way, after the worker's sub-batch has come back.
-        disks[1].panics.store(true, Ordering::SeqCst);
+        disks[1].transport.panics.store(true, Ordering::SeqCst);
         let err = dev.read_blocks(&ks).unwrap_err();
         assert!(matches!(err, DeviceError::Io(_)), "{err}");
-        disks[1].panics.store(false, Ordering::SeqCst);
+        disks[1].transport.panics.store(false, Ordering::SeqCst);
         assert_eq!(dev.read_blocks(&ks).unwrap().len(), ks.len());
         // And dropping the device stops and joins its worker.
         let (done_tx, done_rx) = std::sync::mpsc::channel();

@@ -28,9 +28,9 @@
 
 use crate::backend::{Coordinator, ScatterReplies, SiteVec};
 use crate::replica::Replica;
-use crate::service::serve;
-use crate::transport::{Links, Scatter, ServerCluster, Transport};
-use crate::wire::{self, WireRequest, WireResponse};
+use crate::service::{serve, serve_owned};
+use crate::transport::{Fanout, Links, Scatter, ServerCluster, Transport};
+use crate::wire::{self, Request, WireRequest, WireResponse};
 use blockrep_net::DeliveryMode;
 use blockrep_obs::event;
 use blockrep_obs::trace::start_phase;
@@ -94,7 +94,7 @@ fn serve_conn(replica: &Mutex<Replica>, conn: TcpStream, links: &Links, site: u3
         // peer that disagrees about its geometry. The replica is locked per
         // request: the site's other connections, and a coordinator at this
         // site serving its local legs, go in between.
-        let Some(response) = serve(&mut replica.lock(), site, request) else {
+        let Some(response) = serve_owned(&mut replica.lock(), site, request) else {
             break;
         };
         response.frame_into(&mut reply);
@@ -302,22 +302,22 @@ impl Transport for TcpTransport {
     const NAME: &'static str = "tcp";
     /// A cast is an exchange that expects `Ack`, so an install fan-out is
     /// worth pipelining.
-    const CAST_BLOCKS: bool = true;
+    const FANOUT: Fanout = Fanout::All;
 
-    fn call(&self, to: SiteId, request: WireRequest) -> Option<WireResponse> {
-        self.rpc(to, request)
+    fn call(&self, to: SiteId, request: Request<'_>) -> Option<WireResponse> {
+        self.rpc(to, request.into())
     }
 
-    fn cast(&self, to: SiteId, request: WireRequest) -> bool {
-        matches!(self.rpc(to, request), Some(WireResponse::Ack))
+    fn cast(&self, to: SiteId, request: Request<'_>) -> bool {
+        matches!(self.rpc(to, request.into()), Some(WireResponse::Ack))
     }
 
-    fn local(&self, s: SiteId, request: WireRequest) -> Option<WireResponse> {
-        serve(&mut self.replicas[s.index()].lock(), s.as_u32(), request)
+    fn local(&self, s: SiteId, request: Request<'_>) -> Option<WireResponse> {
+        serve(&mut self.replicas[s.index()].lock(), request)
     }
 
-    fn scatter(&self, cx: Scatter<'_>, request: WireRequest) -> ScatterReplies {
-        self.pipelined(cx, request)
+    fn scatter(&self, cx: Scatter<'_>, request: Request<'_>) -> ScatterReplies {
+        self.pipelined(cx, request.into())
     }
 }
 

@@ -1,17 +1,22 @@
 //! The transport seam, and the one cluster written over it.
 //!
-//! A message-passing runtime differs from another only in how a
-//! [`WireRequest`] reaches the thread that [`serve`](crate::service::serve)s
-//! it and how the [`WireResponse`] comes back: as values over an inbox
+//! A runtime differs from another only in how a [`Request`] reaches the
+//! [`serve`](crate::service::serve) of its target site and how the
+//! [`WireResponse`] comes back: borrowed, on the caller's own thread
+//! ([`Inline`](crate::cluster::Inline), the deterministic cluster), as
+//! [`WireRequest`](crate::wire::WireRequest) values over an inbox
 //! ([`LiveTransport`](crate::LiveTransport)) or as frames over a socket
 //! ([`TcpTransport`](crate::TcpTransport)). That difference is the
-//! [`Transport`] trait — `call`, `cast`, and a concurrent `scatter` for what
-//! crosses a link, and `local` for what does not: a coordinator *is* its
-//! site's server process (§2), so what it asks of its own replica is served
-//! on its own thread and never becomes a message.
+//! [`Transport`] trait — `call`, `cast`, and a concurrent `scatter` for
+//! what crosses a link, and `local` for what does not: a coordinator *is*
+//! its site's server process (§2), so what it asks of its own replica is
+//! served on its own thread and never becomes a message.
 //! Whether a message may be sent at all is [`Links`]: site states and the
-//! topology, the one link model of all three runtimes. Everything else a
-//! message-passing coordinator is — the [`Coordinator`] every runtime
+//! topology, the one link model of all three runtimes, consulted through
+//! the transport's [`exchange`](Transport::exchange) and
+//! [`probe`](Transport::probe) hooks — which is where a fault layer
+//! ([`Faulty`](crate::fault::Faulty)) decides each exchange's fate.
+//! Everything else a coordinator is — the [`Coordinator`] every runtime
 //! holds, and the [`Backend`] methods that turn a protocol step into a
 //! request and a reply back into its answer — is [`ServerCluster`], once.
 
@@ -20,11 +25,11 @@ use crate::backend::{
     ScatterRequest, ScatterSpec, WriteBatch,
 };
 use crate::protocol;
-use crate::wire::{WireRequest, WireResponse};
-use blockrep_net::{Topology, TrafficCounter};
-use blockrep_storage::{SealedBlock, StorageFault};
+use crate::wire::{Request, WireResponse};
+use blockrep_net::{Topology, TrafficCounter, TrafficSnapshot};
+use blockrep_storage::SealedBlock;
 use blockrep_types::{
-    BlockData, BlockIndex, DeviceConfig, DeviceResult, SiteId, SiteState, VersionNumber,
+    BlockData, BlockIndex, DeviceConfig, DeviceResult, Scheme, SiteId, SiteState, VersionNumber,
     VersionVector,
 };
 use parking_lot::RwLock;
@@ -74,6 +79,7 @@ impl Links {
         }
     }
 
+    #[inline]
     pub(crate) fn state(&self, s: SiteId) -> SiteState {
         self.net.read().states[s.index()]
     }
@@ -85,6 +91,7 @@ impl Links {
     /// Whether a message from `from` reaches `to`: a site always reaches
     /// itself (local actions, even while failed); otherwise both ends must
     /// be operational and in the same partition.
+    #[inline(always)]
     pub(crate) fn reachable(&self, from: SiteId, to: SiteId) -> bool {
         if from == to {
             return true;
@@ -93,6 +100,14 @@ impl Links {
         net.states[from.index()].is_operational()
             && net.states[to.index()].is_operational()
             && net.topology.reachable(from, to)
+    }
+
+    /// `to`'s state as `from` observes it: `None` if `to` is failed — a
+    /// failed site answers nobody, itself included — or unreachable.
+    #[inline]
+    pub(crate) fn probe(&self, from: SiteId, to: SiteId) -> Option<SiteState> {
+        let state = self.state(to);
+        (state.is_operational() && self.reachable(from, to)).then_some(state)
     }
 
     /// Splits the network into `groups` (see [`Topology::partition`]).
@@ -109,6 +124,7 @@ impl Links {
     /// does before it serves a *remote* round trip (see
     /// [`ServerCluster::set_link_latency`]). A local action crosses no link
     /// and never comes here.
+    #[inline]
     pub(crate) fn delay(&self) {
         let ns = self.latency_ns.load(Ordering::Relaxed);
         if ns > 0 {
@@ -132,57 +148,90 @@ pub(crate) struct Scatter<'a> {
     pub(crate) parse: &'a dyn Fn(WireResponse) -> Option<ScatterReply>,
 }
 
-/// The site request that installs `block`. The request carries the version
-/// and the data but not the seal's sum — its shape, and a TCP frame's
-/// bytes, are those of an unsealed install — so the site that serves it
-/// hashes the block itself.
-fn install_request(k: BlockIndex, block: &SealedBlock) -> WireRequest {
-    WireRequest::ApplyWrite(k, block.version(), block.data().clone())
-}
-
 /// Requests a live site's inbox may hold unserved. Past it the sender
 /// blocks, so a coordinator cannot outrun the sites it writes to by more
 /// than this. (A TCP connection holds one exchange at a time.)
 pub(crate) const WINDOW: usize = 32;
 
-/// How requests reach the sites' servers and replies come back. Whether a
-/// request may be sent at all is not the transport's to decide:
-/// [`ServerCluster`] asks [`Links::reachable`] first — and routes a site's
-/// request to itself to [`local`](Self::local), so `call`, `cast` and
-/// `scatter` only ever see `to != from`.
+/// Which fan-outs a transport's [`scatter`](Transport::scatter) runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Fanout {
+    /// None: every fan-out runs one exchange after another in target
+    /// order, which is also the order a fault layer numbers them in.
+    Sequential,
+    /// Every fan-out but an install's, whose one-way casts do not block
+    /// and so gain nothing from a scatter.
+    Reads,
+    /// Every fan-out.
+    All,
+}
+
+/// How requests reach the sites' servers and replies come back.
+/// [`ServerCluster`] routes a site's request to itself to
+/// [`local`](Self::local) and every other one through
+/// [`exchange`](Self::exchange), so `call`, `cast` and `scatter` only ever
+/// see `to != from`.
 pub(crate) trait Transport: Send + Sync {
     /// The runtime's name in parity reports.
     const NAME: &'static str;
-    /// Whether [`cast`](Self::cast) blocks for an acknowledgement. Where it
-    /// does not, an install fan-out is already non-blocking one target at a
-    /// time and never goes through [`scatter`](Self::scatter).
-    const CAST_BLOCKS: bool;
+    /// Which fan-outs go through [`scatter`](Self::scatter).
+    const FANOUT: Fanout = Fanout::Sequential;
 
     /// One round trip with `to`'s server. `None` when the exchange died.
-    fn call(&self, to: SiteId, request: WireRequest) -> Option<WireResponse>;
+    fn call(&self, to: SiteId, request: Request<'_>) -> Option<WireResponse>;
 
     /// One delivery to `to`'s server nobody waits on the effect of; returns
     /// whether the request was delivered.
-    fn cast(&self, to: SiteId, request: WireRequest) -> bool;
+    fn cast(&self, to: SiteId, request: Request<'_>) -> bool;
 
     /// Serves `request` on site `s`'s replica, on the calling thread,
     /// through the same [`serve`](crate::service::serve) as `s`'s server and
     /// behind everything already delivered to `s`. No link is crossed: no
     /// envelope, no emulated delay. `None` for what `serve` does not serve.
-    fn local(&self, s: SiteId, request: WireRequest) -> Option<WireResponse>;
+    fn local(&self, s: SiteId, request: Request<'_>) -> Option<WireResponse>;
 
     /// Sends `request` to every eligible target before waiting on any, then
     /// gathers — and charges — the replies in target order: results and §5
     /// counts of the sequential loop, blocking time of the slowest target.
-    fn scatter(&self, scatter: Scatter<'_>, request: WireRequest) -> ScatterReplies;
+    /// Only asked for the fan-outs [`FANOUT`](Self::FANOUT) names.
+    fn scatter(&self, _scatter: Scatter<'_>, _request: Request<'_>) -> ScatterReplies {
+        unreachable!("{} scatters one exchange at a time", Self::NAME)
+    }
+
+    /// One exchange from `from` with another site `to`:
+    /// [`call`](Self::call), or [`cast`](Self::cast) when `one_way` (a
+    /// delivered cast answers `Ack`), if `links` let it through.
+    #[inline(always)]
+    fn exchange(
+        &self,
+        links: &Links,
+        from: SiteId,
+        to: SiteId,
+        request: Request<'_>,
+        one_way: bool,
+    ) -> Option<WireResponse> {
+        if !links.reachable(from, to) {
+            None
+        } else if one_way {
+            self.cast(to, request).then_some(WireResponse::Ack)
+        } else {
+            self.call(to, request)
+        }
+    }
+
+    /// `to`'s state as another site `from` observes it. No message is
+    /// sent: the links know.
+    fn probe(&self, links: &Links, from: SiteId, to: SiteId) -> Option<SiteState> {
+        links.probe(from, to)
+    }
 }
 
 /// A cluster of site server processes behind a transport `T`, one per
 /// site, each serving its replica through the one site service. Use it
-/// through its two instantiations, [`LiveCluster`](crate::LiveCluster)
-/// (threads and inboxes) and [`TcpCluster`](crate::TcpCluster) (loopback
-/// sockets); both are interchangeable with [`Cluster`](crate::Cluster)
-/// wherever a [`Backend`] is accepted.
+/// through its three instantiations: the deterministic
+/// [`Cluster`](crate::Cluster) (every request served on the caller's
+/// thread), [`LiveCluster`](crate::LiveCluster) (threads and inboxes) and
+/// [`TcpCluster`](crate::TcpCluster) (loopback sockets).
 pub struct ServerCluster<T> {
     coord: Coordinator,
     pub(crate) transport: T,
@@ -194,17 +243,27 @@ impl<T> ServerCluster<T> {
     pub(crate) fn over(coord: Coordinator, transport: T) -> Self {
         ServerCluster { coord, transport }
     }
+
+    /// The coordinator and the transport, taken apart.
+    pub(crate) fn into_parts(self) -> (Coordinator, T) {
+        (self.coord, self.transport)
+    }
 }
 
 // `Transport` is the crate's own seam: nothing outside it can name a `T`
-// other than the two exported ones.
+// other than the exported ones.
 #[allow(private_bounds)]
 impl<T: Transport> ServerCluster<T> {
     /// Reads block `k`, coordinated by site `origin`.
     ///
     /// # Errors
     ///
-    /// As for [`Cluster::read`](crate::Cluster::read).
+    /// See the scheme algorithms: [`DeviceError::Unavailable`] without a
+    /// read quorum (voting), [`DeviceError::SiteNotServing`] when `origin`
+    /// cannot coordinate, and the usual validation errors.
+    ///
+    /// [`DeviceError::Unavailable`]: blockrep_types::DeviceError::Unavailable
+    /// [`DeviceError::SiteNotServing`]: blockrep_types::DeviceError::SiteNotServing
     pub fn read(&self, origin: SiteId, k: BlockIndex) -> DeviceResult<BlockData> {
         protocol::read(self, origin, k)
     }
@@ -213,27 +272,29 @@ impl<T: Transport> ServerCluster<T> {
     ///
     /// # Errors
     ///
-    /// As for [`Cluster::write`](crate::Cluster::write).
+    /// As for [`read`](Self::read), against the write quorum.
     pub fn write(&self, origin: SiteId, k: BlockIndex, data: BlockData) -> DeviceResult<()> {
         protocol::write(self, origin, k, &data)
     }
 
     /// Reads a batch of distinct blocks in one vectored protocol round —
-    /// one request per site for the whole run.
+    /// one request per site for the whole run. Byte- and traffic-identical
+    /// to per-block [`read`](Self::read)s.
     ///
     /// # Errors
     ///
-    /// As for [`Cluster::read_many`](crate::Cluster::read_many).
+    /// As for [`read`](Self::read); the quorum check covers the batch.
     pub fn read_many(&self, origin: SiteId, ks: &[BlockIndex]) -> DeviceResult<Vec<BlockData>> {
         protocol::read_many(self, origin, ks)
     }
 
     /// Writes a batch of distinct blocks in one vectored protocol round —
-    /// one request per site for the whole run.
+    /// one request per site for the whole run. State- and traffic-identical
+    /// to per-block [`write`](Self::write)s.
     ///
     /// # Errors
     ///
-    /// As for [`Cluster::write_many`](crate::Cluster::write_many).
+    /// As for [`write`](Self::write); the quorum check covers the batch.
     pub fn write_many(
         &self,
         origin: SiteId,
@@ -242,18 +303,26 @@ impl<T: Transport> ServerCluster<T> {
         protocol::write_many(self, origin, writes)
     }
 
-    /// Fail-stops site `s`: it stops being contacted and stops answering.
-    /// Its server and disk survive, like a halted machine's.
+    /// Fail-stops site `s`: it stops being contacted and stops answering,
+    /// and under available copy with on-failure tracking the survivors
+    /// refresh their was-available sets. Its server and disk survive, like
+    /// a halted machine's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s` is not a site of this device.
     pub fn fail_site(&self, s: SiteId) {
         assert!(self.coord.cfg.contains_site(s), "unknown site {s}");
         protocol::fail(self, s);
     }
 
-    /// Restarts site `s` and runs the scheme's recovery.
+    /// Restarts site `s` and runs the scheme's recovery: free and immediate
+    /// for voting, comatose-then-recover for the available copy schemes.
     ///
     /// # Panics
     ///
-    /// Panics if `s` is not currently failed.
+    /// Panics if `s` is not a site of this device or is not currently
+    /// failed.
     pub fn repair_site(&self, s: SiteId) {
         assert!(self.coord.cfg.contains_site(s), "unknown site {s}");
         assert_eq!(
@@ -271,7 +340,8 @@ impl<T: Transport> ServerCluster<T> {
         protocol::partition(self, groups);
     }
 
-    /// Heals all partitions and re-runs the recovery sweep.
+    /// Heals all partitions and re-runs the recovery sweep (recoveries that
+    /// were blocked on unreachable closure members can now complete).
     pub fn heal(&self) {
         protocol::heal(self);
     }
@@ -281,14 +351,34 @@ impl<T: Transport> ServerCluster<T> {
         self.local_state(s)
     }
 
-    /// Whether the device is available under the scheme's criterion.
+    /// Whether the device is available under the scheme's criterion: a
+    /// live quorum (voting) or an available copy (the others).
     pub fn is_available(&self) -> bool {
         protocol::is_available(self)
+    }
+
+    /// A site currently able to coordinate reads and writes, if any —
+    /// lowest id first, for determinism.
+    pub fn any_serving_site(&self) -> Option<SiteId> {
+        let voting = self.coord.cfg.scheme() == Scheme::Voting;
+        self.coord.cfg.site_ids().find(|&s| {
+            let state = self.local_state(s);
+            if voting {
+                state.is_operational()
+            } else {
+                state.can_serve()
+            }
+        })
     }
 
     /// The device configuration.
     pub fn config(&self) -> &DeviceConfig {
         &self.coord.cfg
+    }
+
+    /// Number of sites.
+    pub fn num_sites(&self) -> usize {
+        self.coord.cfg.num_sites()
     }
 
     /// The §5 high-level transmission counter, charged by the protocol
@@ -297,18 +387,49 @@ impl<T: Transport> ServerCluster<T> {
         &self.coord.counter
     }
 
-    /// Turns lease-based read offload on or off (see [`crate::locks`]).
+    /// A point-in-time snapshot of the traffic counters.
+    pub fn traffic(&self) -> TrafficSnapshot {
+        self.coord.counter.snapshot()
+    }
+
+    /// Inspection: the version site `s` holds for block `k`, off its own
+    /// disk (test support).
+    pub fn version_of(&self, s: SiteId, k: BlockIndex) -> VersionNumber {
+        self.fetch_block(s, s, k)
+            .expect("a site reads its own disk")
+            .0
+    }
+
+    /// Inspection: the raw data site `s` holds for block `k` (test
+    /// support — this bypasses the consistency protocol).
+    pub fn data_of(&self, s: SiteId, k: BlockIndex) -> BlockData {
+        self.fetch_block(s, s, k)
+            .expect("a site reads its own disk")
+            .1
+    }
+
+    /// Inspection: site `s`'s was-available set.
+    pub fn was_available_of(&self, s: SiteId) -> BTreeSet<SiteId> {
+        self.was_available(s, s)
+            .expect("a site reads its own was-available set")
+    }
+
+    /// Turns lease-based read offload on or off (see [`crate::locks`]):
+    /// after each successful quorum operation the coordinator remembers
+    /// which replicas are current, and later reads are served from one of
+    /// them in a single round instead of gathering a read quorum. Off by
+    /// default.
     pub fn set_leases(&self, on: bool) {
         self.coord.leases.set_enabled(on);
     }
 
     /// Emulates a network link delay: every server sleeps `delay` before
     /// serving a *remote* round trip (what a coordinator asks of its own
-    /// site crosses no link and pays nothing; shutdown, and the live
-    /// cluster's one-way casts — whose transit occupies no server on a real
-    /// network — are exempt too; on the TCP cluster a cast is a round trip).
-    /// Zero, the default, disables the emulation. Message *counts* are
-    /// unaffected.
+    /// site crosses no link and pays nothing; shutdown, and the one-way
+    /// casts of the deterministic and live clusters — whose transit
+    /// occupies no server on a real network — are exempt too; on the TCP
+    /// cluster a cast is a round trip). Zero, the default, disables the
+    /// emulation. Message *counts* are unaffected.
     pub fn set_link_latency(&self, delay: Duration) {
         self.coord.links.latency_ns.store(
             delay.as_nanos().min(u64::MAX as u128) as u64,
@@ -318,24 +439,29 @@ impl<T: Transport> ServerCluster<T> {
 
     /// One round trip from `from` to `to`'s server; `None` when `to` is
     /// unreachable from `from` or the exchange died. A site's request to
-    /// itself is a local action, not an exchange.
-    fn call(&self, from: SiteId, to: SiteId, request: WireRequest) -> Option<WireResponse> {
+    /// itself is a local action, not an exchange. Always inlined, like
+    /// [`cast`](Self::cast): each `Backend` method builds its request right
+    /// above, so on the deterministic cluster, whose transport serves it
+    /// inline, the site service's dispatch folds down to the one arm taken.
+    #[inline(always)]
+    fn call(&self, from: SiteId, to: SiteId, request: Request<'_>) -> Option<WireResponse> {
         if from == to {
             return self.transport.local(to, request);
         }
-        if !self.coord.links.reachable(from, to) {
-            return None;
-        }
-        self.transport.call(to, request)
+        self.transport
+            .exchange(&self.coord.links, from, to, request, false)
     }
 
     /// One delivery from `from` to `to`'s server; whether it was delivered.
     /// A site's delivery to itself is done by the time this returns.
-    fn cast(&self, from: SiteId, to: SiteId, request: WireRequest) -> bool {
+    #[inline(always)]
+    fn cast(&self, from: SiteId, to: SiteId, request: Request<'_>) -> bool {
         if from == to {
             return self.transport.local(to, request).is_some();
         }
-        self.coord.links.reachable(from, to) && self.transport.cast(to, request)
+        self.transport
+            .exchange(&self.coord.links, from, to, request, true)
+            .is_some()
     }
 }
 
@@ -344,16 +470,22 @@ impl<T: Transport> Backend for ServerCluster<T> {
         &self.coord
     }
 
+    fn probe_state(&self, from: SiteId, to: SiteId) -> Option<SiteState> {
+        if from == to {
+            return self.coord.links.probe(from, to);
+        }
+        self.transport.probe(&self.coord.links, from, to)
+    }
+
     fn vote(&self, from: SiteId, to: SiteId, k: BlockIndex) -> Option<VersionNumber> {
-        match self.call(from, to, WireRequest::Vote(k))? {
+        match self.call(from, to, Request::Vote(k))? {
             WireResponse::Version(v) => Some(v),
             _ => None,
         }
     }
 
     fn vote_many(&self, from: SiteId, to: SiteId, ks: &[BlockIndex]) -> Option<Vec<VersionNumber>> {
-        let request = WireRequest::VoteMany(ks.to_vec());
-        match self.call(from, to, request)? {
+        match self.call(from, to, Request::VoteMany(ks))? {
             WireResponse::Versions(vs) if vs.len() == ks.len() => Some(vs),
             _ => None,
         }
@@ -365,7 +497,7 @@ impl<T: Transport> Backend for ServerCluster<T> {
         to: SiteId,
         k: BlockIndex,
     ) -> Option<(VersionNumber, BlockData)> {
-        match self.call(from, to, WireRequest::Fetch(k))? {
+        match self.call(from, to, Request::Fetch(k))? {
             WireResponse::Block(v, data) => Some((v, data)),
             _ => None,
         }
@@ -377,51 +509,36 @@ impl<T: Transport> Backend for ServerCluster<T> {
         to: SiteId,
         k: BlockIndex,
     ) -> Option<(VersionNumber, BlockData)> {
-        match self.call(from, to, WireRequest::FetchLease(k))? {
+        match self.call(from, to, Request::FetchLease(k))? {
             WireResponse::Block(v, data) => Some((v, data)),
             _ => None,
         }
     }
 
     fn apply_write(&self, from: SiteId, to: SiteId, k: BlockIndex, block: &SealedBlock) -> bool {
-        self.cast(from, to, install_request(k, block))
+        self.cast(from, to, Request::Install(k, block))
     }
 
     fn apply_write_many(&self, from: SiteId, to: SiteId, writes: &WriteBatch) -> bool {
-        let request = WireRequest::ApplyWriteMany(writes.clone());
-        self.cast(from, to, request)
-    }
-
-    fn apply_write_faulty(
-        &self,
-        from: SiteId,
-        to: SiteId,
-        k: BlockIndex,
-        data: &BlockData,
-        v: VersionNumber,
-        fault: StorageFault,
-    ) -> bool {
-        let request = WireRequest::ApplyWriteFaulty(k, v, data.clone(), fault);
-        self.cast(from, to, request)
+        self.cast(from, to, Request::ApplyWriteMany(writes))
     }
 
     fn read_local(&self, s: SiteId, k: BlockIndex) -> DeviceResult<BlockData> {
-        match self.call(s, s, WireRequest::ReadLocal(k)) {
+        match self.call(s, s, Request::ReadLocal(k)) {
             Some(WireResponse::Data(data)) => Ok(data),
             _ => Err(backend::dead_local_leg(s)),
         }
     }
 
     fn read_local_many(&self, s: SiteId, ks: &[BlockIndex]) -> DeviceResult<Vec<BlockData>> {
-        let request = WireRequest::ReadLocalMany(ks.to_vec());
-        match self.call(s, s, request) {
+        match self.call(s, s, Request::ReadLocalMany(ks)) {
             Some(WireResponse::DataMany(ds)) if ds.len() == ks.len() => Ok(ds),
             _ => Err(backend::dead_local_leg(s)),
         }
     }
 
     fn version_vector(&self, from: SiteId, to: SiteId) -> Option<VersionVector> {
-        match self.call(from, to, WireRequest::VersionVector)? {
+        match self.call(from, to, Request::VersionVector)? {
             WireResponse::Vector(vv) => Some(vv),
             _ => None,
         }
@@ -433,39 +550,36 @@ impl<T: Transport> Backend for ServerCluster<T> {
         to: SiteId,
         vv: &VersionVector,
     ) -> Option<RepairPayload> {
-        let request = WireRequest::RepairPayload(vv.clone());
-        match self.call(from, to, request)? {
+        match self.call(from, to, Request::RepairPayload(vv))? {
             WireResponse::Payload(vv, blocks) => Some((vv, blocks)),
             _ => None,
         }
     }
 
     fn apply_repair_local(&self, s: SiteId, blocks: RepairBlocks) -> usize {
-        let n = blocks.len();
-        if self.cast(s, s, WireRequest::ApplyRepair(blocks)) {
-            n
-        } else {
-            0
+        match self.call(s, s, Request::ApplyRepair(&blocks)) {
+            Some(WireResponse::Count(n)) => n as usize,
+            _ => 0,
         }
     }
 
     fn was_available(&self, from: SiteId, to: SiteId) -> Option<BTreeSet<SiteId>> {
-        match self.call(from, to, WireRequest::GetW)? {
+        match self.call(from, to, Request::GetW)? {
             WireResponse::W(w) => Some(w),
             _ => None,
         }
     }
 
     fn set_was_available(&self, from: SiteId, to: SiteId, w: &[SiteId]) -> bool {
-        self.cast(from, to, WireRequest::SetW(w.iter().copied().collect()))
+        self.cast(from, to, Request::SetW(w))
     }
 
     fn add_was_available(&self, from: SiteId, to: SiteId, member: SiteId) -> bool {
-        self.cast(from, to, WireRequest::AddW(member))
+        self.cast(from, to, Request::AddW(member))
     }
 
     fn scrub_local(&self, s: SiteId) -> usize {
-        match self.call(s, s, WireRequest::Scrub) {
+        match self.call(s, s, Request::Scrub) {
             Some(WireResponse::Count(n)) => n as usize,
             _ => 0,
         }
@@ -490,26 +604,24 @@ impl<T: Transport> Backend for ServerCluster<T> {
                 | ScatterRequest::InstallIfAvailableMany(_)
         );
         let sequential = || backend::scatter_sequential(self, spec, origin, targets, req);
-        // A one-way cast does not block, so an install fan-out made of
-        // them gains nothing from the transport's scatter.
-        if install && !T::CAST_BLOCKS {
-            return sequential();
+        match T::FANOUT {
+            Fanout::Sequential => return sequential(),
+            Fanout::Reads if install => return sequential(),
+            Fanout::Reads | Fanout::All => {}
         }
         // Every target is sent the same request, so it is built once.
         let (request, if_available) = match req {
-            ScatterRequest::Vote(k) => (WireRequest::Vote(*k), false),
-            ScatterRequest::VoteMany(ks) => (WireRequest::VoteMany(ks.clone()), false),
-            ScatterRequest::VersionVector => (WireRequest::VersionVector, false),
+            ScatterRequest::Vote(k) => (Request::Vote(*k), false),
+            ScatterRequest::VoteMany(ks) => (Request::VoteMany(ks), false),
+            ScatterRequest::VersionVector => (Request::VersionVector, false),
             // A state probe is a coordination-layer read on every
             // transport; the sequential body is already instantaneous.
             ScatterRequest::ProbeState => return sequential(),
-            ScatterRequest::Install { k, block } => (install_request(*k, block), false),
-            ScatterRequest::InstallIfAvailable { k, block } => (install_request(*k, block), true),
-            ScatterRequest::InstallMany(writes) => {
-                (WireRequest::ApplyWriteMany((*writes).clone()), false)
-            }
+            ScatterRequest::Install { k, block } => (Request::Install(*k, block), false),
+            ScatterRequest::InstallIfAvailable { k, block } => (Request::Install(*k, block), true),
+            ScatterRequest::InstallMany(writes) => (Request::ApplyWriteMany(writes), false),
             ScatterRequest::InstallIfAvailableMany(writes) => {
-                (WireRequest::ApplyWriteMany((*writes).clone()), true)
+                (Request::ApplyWriteMany(writes), true)
             }
         };
         let links = &self.coord.links;
@@ -641,17 +753,19 @@ mod tests {
             .unwrap()
     }
 
-    /// `check` on a live and on a TCP cluster of `sites` sites, per scheme.
-    fn on_both_runtimes(sites: usize, check: impl Fn(&dyn Runtime)) {
+    /// `check` on a cluster of `sites` sites over each of the three
+    /// transports, per scheme.
+    fn on_every_runtime(sites: usize, check: impl Fn(&dyn Runtime)) {
         for scheme in Scheme::ALL {
             let mode = DeliveryMode::Multicast;
+            check(&Cluster::new(cfg(scheme, sites), ClusterOptions { mode }));
             check(&LiveCluster::spawn(cfg(scheme, sites), mode));
             check(&TcpCluster::spawn(cfg(scheme, sites), mode).unwrap());
         }
     }
 
-    /// What the seam tests drive: a message-passing cluster, whichever
-    /// (its `Debug` names the transport and the scheme).
+    /// What the seam tests drive: a cluster over whichever transport (its
+    /// `Debug` names the transport and the scheme).
     trait Runtime: Backend + std::fmt::Debug {
         fn set_link_latency(&self, delay: Duration);
     }
@@ -664,7 +778,7 @@ mod tests {
 
     #[test]
     fn a_read_at_any_site_is_behind_every_install_already_sent_there() {
-        on_both_runtimes(3, |c| {
+        on_every_runtime(3, |c| {
             let k = BlockIndex::new(1);
             // The available copy schemes wait for no acknowledgement, so on
             // the live cluster only "serve the inbox first" makes this true.
@@ -706,11 +820,7 @@ mod tests {
                 }
             }
         };
-        for scheme in Scheme::ALL {
-            let det = Cluster::new(cfg(scheme, 3), ClusterOptions::default());
-            check(&det, &format!("{det:?}"));
-        }
-        on_both_runtimes(3, |c| check(c, &format!("{c:?}")));
+        on_every_runtime(3, |c| check(c, &format!("{c:?}")));
     }
 
     /// Client `i`'s script: at origin `i`, write a tagged block and read a
@@ -738,7 +848,7 @@ mod tests {
 
     #[test]
     fn coordinators_at_every_site_share_the_replicas_with_the_site_threads() {
-        on_both_runtimes(CLIENTS as usize, |c| {
+        on_every_runtime(CLIENTS as usize, |c| {
             std::thread::scope(|scope| {
                 for i in 0..CLIENTS {
                     scope.spawn(move || client_script(c, i));
@@ -763,7 +873,7 @@ mod tests {
     #[test]
     fn a_local_action_pays_no_link_delay() {
         let delay = Duration::from_millis(20);
-        on_both_runtimes(3, |c| {
+        on_every_runtime(3, |c| {
             let k = BlockIndex::new(0);
             let data = BlockData::from(vec![7; 8]);
             protocol::write(c, sid(0), k, &data).unwrap();

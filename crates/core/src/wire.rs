@@ -10,6 +10,12 @@
 //! device runs as real server processes. No serialization framework: the
 //! messages are nine shapes of integers, byte blocks and site sets, and a
 //! fuzzed round-trip property pins the format down.
+//!
+//! What a sender holds is a [`Request`]: the same vocabulary, borrowed and
+//! `Copy`. The site service serves that view, so a request served in
+//! process — by the deterministic cluster, or by a coordinator on its own
+//! site — copies nothing, and a sealed block keeps its seal. A request is
+//! made a `WireRequest` only where it crosses a thread or a socket.
 
 use crate::backend::{RepairBlocks, WriteBatch};
 use blockrep_storage::{SealedBlock, StorageFault};
@@ -43,8 +49,8 @@ pub enum WireRequest {
     ApplyRepair(RepairBlocks),
     /// Request the was-available set.
     GetW,
-    /// Replace the was-available set.
-    SetW(BTreeSet<SiteId>),
+    /// Replace the was-available set with these sites, in ascending order.
+    SetW(Vec<SiteId>),
     /// Add one member to the was-available set.
     AddW(SiteId),
     /// Fault injection: install a block but leave it in the broken on-disk
@@ -78,6 +84,96 @@ pub enum WireRequest {
     /// chaos suite can fault lease validation without touching quorum
     /// reads.
     FetchLease(BlockIndex),
+}
+
+/// A request as its sender holds it: the [`WireRequest`] vocabulary with
+/// every payload borrowed, so it is `Copy` and serving it copies nothing.
+/// A scalar install in process is [`Install`](Self::Install), which keeps
+/// the seal its write computed; made a `WireRequest` it is the plain
+/// `ApplyWrite`, since no frame carries a sum.
+/// A trace envelope is not among them: a site opens one it took whole
+/// before it borrows the request inside.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Request<'a> {
+    Probe,
+    Vote(BlockIndex),
+    Fetch(BlockIndex),
+    FetchLease(BlockIndex),
+    ReadLocal(BlockIndex),
+    ReadLocalMany(&'a [BlockIndex]),
+    VoteMany(&'a [BlockIndex]),
+    VersionVector,
+    RepairPayload(&'a VersionVector),
+    /// Install a block sealed where its write chose the version: the
+    /// replica stores the seal's sum.
+    Install(BlockIndex, &'a SealedBlock),
+    ApplyWrite(BlockIndex, VersionNumber, &'a BlockData),
+    ApplyWriteMany(&'a [(BlockIndex, SealedBlock)]),
+    ApplyWriteFaulty(BlockIndex, VersionNumber, &'a BlockData, StorageFault),
+    ApplyRepair(&'a [(BlockIndex, VersionNumber, BlockData)]),
+    Scrub,
+    GetW,
+    SetW(&'a [SiteId]),
+    AddW(SiteId),
+}
+
+impl WireRequest {
+    /// The request, borrowed; an envelope as the request it carries.
+    pub(crate) fn as_request(&self) -> Request<'_> {
+        match self {
+            WireRequest::Probe => Request::Probe,
+            WireRequest::Vote(k) => Request::Vote(*k),
+            WireRequest::Fetch(k) => Request::Fetch(*k),
+            WireRequest::FetchLease(k) => Request::FetchLease(*k),
+            WireRequest::ReadLocal(k) => Request::ReadLocal(*k),
+            WireRequest::ReadLocalMany(ks) => Request::ReadLocalMany(ks),
+            WireRequest::VoteMany(ks) => Request::VoteMany(ks),
+            WireRequest::VersionVector => Request::VersionVector,
+            WireRequest::RepairPayload(vv) => Request::RepairPayload(vv),
+            WireRequest::ApplyWrite(k, v, data) => Request::ApplyWrite(*k, *v, data),
+            WireRequest::ApplyWriteMany(blocks) => Request::ApplyWriteMany(blocks),
+            WireRequest::ApplyWriteFaulty(k, v, data, fault) => {
+                Request::ApplyWriteFaulty(*k, *v, data, *fault)
+            }
+            WireRequest::ApplyRepair(blocks) => Request::ApplyRepair(blocks),
+            WireRequest::Scrub => Request::Scrub,
+            WireRequest::GetW => Request::GetW,
+            WireRequest::SetW(w) => Request::SetW(w),
+            WireRequest::AddW(s) => Request::AddW(*s),
+            WireRequest::Traced { inner, .. } => inner.as_request(),
+        }
+    }
+}
+
+impl From<Request<'_>> for WireRequest {
+    /// The request as it crosses a thread or a socket: every payload
+    /// copied, a sealed install made the plain one.
+    fn from(request: Request<'_>) -> Self {
+        match request {
+            Request::Probe => WireRequest::Probe,
+            Request::Vote(k) => WireRequest::Vote(k),
+            Request::Fetch(k) => WireRequest::Fetch(k),
+            Request::FetchLease(k) => WireRequest::FetchLease(k),
+            Request::ReadLocal(k) => WireRequest::ReadLocal(k),
+            Request::ReadLocalMany(ks) => WireRequest::ReadLocalMany(ks.to_vec()),
+            Request::VoteMany(ks) => WireRequest::VoteMany(ks.to_vec()),
+            Request::VersionVector => WireRequest::VersionVector,
+            Request::RepairPayload(vv) => WireRequest::RepairPayload(vv.clone()),
+            Request::Install(k, block) => {
+                WireRequest::ApplyWrite(k, block.version(), block.data().clone())
+            }
+            Request::ApplyWrite(k, v, data) => WireRequest::ApplyWrite(k, v, data.clone()),
+            Request::ApplyWriteMany(blocks) => WireRequest::ApplyWriteMany(blocks.to_vec().into()),
+            Request::ApplyWriteFaulty(k, v, data, fault) => {
+                WireRequest::ApplyWriteFaulty(k, v, data.clone(), fault)
+            }
+            Request::ApplyRepair(blocks) => WireRequest::ApplyRepair(blocks.to_vec()),
+            Request::Scrub => WireRequest::Scrub,
+            Request::GetW => WireRequest::GetW,
+            Request::SetW(w) => WireRequest::SetW(w.to_vec()),
+            Request::AddW(s) => WireRequest::AddW(s),
+        }
+    }
 }
 
 /// A site's answer.
@@ -222,7 +318,7 @@ fn get_u64s<T>(raw: &mut &[u8], make: impl Fn(u64) -> T) -> Result<Vec<T>, Decod
     Ok((0..count).map(|_| make(raw.get_u64_le())).collect())
 }
 
-fn put_sites(buf: &mut impl BufMut, sites: &BTreeSet<SiteId>) {
+fn put_sites<'s>(buf: &mut impl BufMut, sites: impl ExactSizeIterator<Item = &'s SiteId>) {
     buf.put_u32_le(sites.len() as u32);
     for s in sites {
         buf.put_u32_le(s.as_u32());
@@ -299,7 +395,7 @@ impl WireRequest {
             WireRequest::GetW => buf.put_u8(8),
             WireRequest::SetW(w) => {
                 buf.put_u8(9);
-                put_sites(buf, w);
+                put_sites(buf, w.iter());
             }
             WireRequest::AddW(s) => {
                 buf.put_u8(10);
@@ -381,7 +477,7 @@ impl WireRequest {
             6 => WireRequest::RepairPayload(get_vv(&mut raw)?),
             7 => WireRequest::ApplyRepair(get_repair(&mut raw)?),
             8 => WireRequest::GetW,
-            9 => WireRequest::SetW(get_sites(&mut raw)?),
+            9 => WireRequest::SetW(get_sites(&mut raw)?.into_iter().collect()),
             10 => {
                 need(raw, 4, "site id")?;
                 WireRequest::AddW(SiteId::new(raw.get_u32_le()))
@@ -496,7 +592,7 @@ impl WireResponse {
             }
             WireResponse::W(w) => {
                 buf.put_u8(6);
-                put_sites(buf, w);
+                put_sites(buf, w.iter());
             }
             WireResponse::Count(n) => {
                 buf.put_u8(7);
@@ -743,7 +839,7 @@ mod tests {
             arb_vv().prop_map(WireRequest::RepairPayload),
             arb_blocks().prop_map(WireRequest::ApplyRepair),
             Just(WireRequest::GetW),
-            arb_sites().prop_map(WireRequest::SetW),
+            arb_sites().prop_map(|w| WireRequest::SetW(w.into_iter().collect())),
             (0u32..32).prop_map(|s| WireRequest::AddW(SiteId::new(s))),
             (any::<u16>(), any::<u32>(), arb_data(), arb_fault()).prop_map(|(k, v, d, f)| {
                 WireRequest::ApplyWriteFaulty(
@@ -807,6 +903,17 @@ mod tests {
     }
 
     proptest! {
+        /// A request's borrowed view stands for it: copied back, it is the
+        /// request again (an envelope, the request it carries).
+        #[test]
+        fn a_borrowed_request_copies_back_to_itself(req in arb_request()) {
+            let bare = match &req {
+                WireRequest::Traced { inner, .. } => (**inner).clone(),
+                _ => req.clone(),
+            };
+            prop_assert_eq!(WireRequest::from(req.as_request()), bare);
+        }
+
         #[test]
         fn request_roundtrip(req in arb_request()) {
             let encoded = req.encode();
@@ -1155,5 +1262,21 @@ mod tests {
         for (response, golden) in responses {
             assert_eq!(hex(&response.encode()), golden, "{response:?}");
         }
+    }
+
+    /// A sealed install in process crosses a thread or a socket as the
+    /// plain install it stands for: same frame, no sum on the wire.
+    #[test]
+    fn a_sealed_install_crosses_as_the_plain_one() {
+        let (k, v, data) = (
+            BlockIndex::new(7),
+            VersionNumber::new(3),
+            BlockData::from(vec![9; 5]),
+        );
+        let sealed = SealedBlock::new(v, data.clone());
+        let plain = WireRequest::ApplyWrite(k, v, data);
+        let crossed = WireRequest::from(Request::Install(k, &sealed));
+        assert_eq!(crossed, plain);
+        assert_eq!(crossed.to_frame(), plain.to_frame());
     }
 }

@@ -334,13 +334,14 @@ impl VersionedStore {
     /// on an authoritative site. Unlike [`install`](Self::install) this
     /// overwrites unconditionally — the source decides, even when that
     /// means regressing a block the recovering site wrote orphaned just
-    /// before crashing. Returns the number of blocks replaced.
-    pub fn apply_repair(&mut self, blocks: Vec<(BlockIndex, VersionNumber, BlockData)>) -> usize {
+    /// before crashing. Each block is stored by sharing its bytes, not
+    /// copying them. Returns the number of blocks replaced.
+    pub fn apply_repair(&mut self, blocks: &[(BlockIndex, VersionNumber, BlockData)]) -> usize {
         let mut replaced = 0;
-        for (k, v, data) in blocks {
+        for &(k, v, ref data) in blocks {
             assert_eq!(data.len(), self.block_size, "payload must match block size");
             self.checksums[k.index()] = checksum(&[v.as_u64()], data.as_slice());
-            self.blocks[k.index()] = Some(data);
+            self.blocks[k.index()] = Some(data.clone());
             self.versions.set(k, v);
             replaced += 1;
         }
@@ -395,12 +396,12 @@ mod tests {
             payload,
             vec![(b, VersionNumber::new(3), BlockData::from(vec![7; bs]))]
         );
-        assert_eq!(stale.apply_repair(payload), 1);
+        assert_eq!(stale.apply_repair(&payload), 1);
         assert_eq!(stale.versioned(b), s.versioned(b));
         let mut ahead = s.clone();
         let rollback = twin.diff_against(&ahead.version_vector());
         assert_eq!(rollback, vec![(b, VersionNumber::ZERO, zero.clone())]);
-        assert_eq!(ahead.apply_repair(rollback), 1);
+        assert_eq!(ahead.apply_repair(&rollback), 1);
         assert_eq!(ahead.versioned(b), (VersionNumber::ZERO, zero));
         assert!(ahead.checksum_ok(b));
         assert_eq!(ahead.checksums, twin.checksums);
@@ -445,7 +446,7 @@ mod tests {
 
         let payload = current.diff_against(&stale.version_vector());
         assert_eq!(payload.len(), 3);
-        let repaired = stale.apply_repair(payload);
+        let repaired = stale.apply_repair(&payload);
         assert_eq!(repaired, 3);
         assert_eq!(stale.version(BlockIndex::new(1)), VersionNumber::new(5));
         assert_eq!(stale.data(BlockIndex::new(3)).as_slice(), &[3; 4]);
@@ -527,11 +528,7 @@ mod tests {
             VersionNumber::new(5),
             StorageFault::Torn { keep: 64 },
         );
-        s.apply_repair(vec![(
-            c,
-            VersionNumber::new(9),
-            BlockData::from(vec![4; 64]),
-        )]);
+        s.apply_repair(&[(c, VersionNumber::new(9), BlockData::from(vec![4; 64]))]);
         assert_eq!(
             s.checksums,
             vec![sum(3, 1), sum(5, 2), sum(9, 4), sum(0, 0)]

@@ -1,7 +1,8 @@
-//! Parity between the three runtimes: the deterministic [`Cluster`], the
+//! Parity between the three transports: the deterministic [`Cluster`], the
 //! channel-threaded [`LiveCluster`], and the socket-backed [`TcpCluster`]
-//! run the *same* protocol code, so an identical workload must produce
-//! identical results **and identical §5 traffic counts** on all of them.
+//! are one cluster body over three ways of carrying a request to the one
+//! site service, so an identical workload must produce identical results
+//! **and identical §5 traffic counts** on all of them.
 //!
 //! The cases run at four sites and, as one more input, at cluster sizes
 //! past [`INLINE_SITES`], where every per-site list of a protocol round
