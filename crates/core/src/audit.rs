@@ -6,7 +6,7 @@
 //! protocol bug surfaces at the exact step that introduced it rather than at
 //! the read that later observes it.
 
-use crate::backend::Backend;
+use crate::transport::{ServerCluster, Transport};
 use blockrep_types::{BlockIndex, FailureTracking, Scheme, SiteId, SiteState, VersionVector};
 use core::fmt;
 
@@ -25,11 +25,11 @@ impl fmt::Display for Violation {
     }
 }
 
-fn version_vectors<B: Backend + ?Sized>(b: &B) -> Vec<(SiteId, SiteState, VersionVector)> {
+fn version_vectors<T: Transport>(b: &ServerCluster<T>) -> Vec<(SiteId, SiteState, VersionVector)> {
     b.config()
         .site_ids()
         .map(|s| {
-            let state = b.local_state(s);
+            let state = b.site_state(s);
             let vv = b
                 .version_vector(s, s)
                 .expect("a site can always read its own version vector");
@@ -40,7 +40,8 @@ fn version_vectors<B: Backend + ?Sized>(b: &B) -> Vec<(SiteId, SiteState, Versio
 
 /// Audits every protocol invariant appropriate to the cluster's scheme.
 /// Returns all violations found (empty = healthy).
-pub fn check_invariants<B: Backend + ?Sized>(b: &B) -> Vec<Violation> {
+#[allow(private_bounds)]
+pub fn check_invariants<T: Transport>(b: &ServerCluster<T>) -> Vec<Violation> {
     let mut violations = Vec::new();
     let sites = version_vectors(b);
     let scheme = b.config().scheme();
@@ -53,13 +54,13 @@ pub fn check_invariants<B: Backend + ?Sized>(b: &B) -> Vec<Violation> {
                 if vv_a.get(k) != vv_b.get(k) {
                     continue;
                 }
-                let detail = match (b.read_local(*s_a, k), b.read_local(*s_b, k)) {
-                    (Ok(a), Ok(b)) if a == b => continue,
-                    (Ok(_), Ok(_)) => format!(
+                let detail = match (b.fetch_block(*s_a, *s_a, k), b.fetch_block(*s_b, *s_b, k)) {
+                    (Some(a), Some(b)) if a.1 == b.1 => continue,
+                    (Some(_), Some(_)) => format!(
                         "{s_a} and {s_b} both hold {} of {k} with different bytes",
                         vv_a.get(k)
                     ),
-                    (Err(e), _) | (_, Err(e)) => format!("{k} could not be compared: {e}"),
+                    _ => format!("{k} could not be compared: a site did not answer itself"),
                 };
                 violations.push(Violation {
                     rule: "version-determines-data",
@@ -77,8 +78,8 @@ pub fn check_invariants<B: Backend + ?Sized>(b: &B) -> Vec<Violation> {
     violations
 }
 
-fn audit_voting<B: Backend + ?Sized>(
-    b: &B,
+fn audit_voting<T: Transport>(
+    b: &ServerCluster<T>,
     sites: &[(SiteId, SiteState, VersionVector)],
     violations: &mut Vec<Violation>,
 ) {
@@ -123,8 +124,8 @@ fn audit_voting<B: Backend + ?Sized>(
     }
 }
 
-fn audit_available_copy<B: Backend + ?Sized>(
-    b: &B,
+fn audit_available_copy<T: Transport>(
+    b: &ServerCluster<T>,
     sites: &[(SiteId, SiteState, VersionVector)],
     violations: &mut Vec<Violation>,
 ) {
@@ -216,7 +217,8 @@ fn audit_available_family(
 /// # Panics
 ///
 /// Panics if [`check_invariants`] reports anything.
-pub fn assert_invariants<B: Backend + ?Sized>(b: &B) {
+#[allow(private_bounds)]
+pub fn assert_invariants<T: Transport>(b: &ServerCluster<T>) {
     let violations = check_invariants(b);
     assert!(
         violations.is_empty(),
@@ -300,14 +302,13 @@ mod tests {
             .build()
             .unwrap();
         let c = Cluster::new(cfg, ClusterOptions::default());
-        // Bypass the protocol: install a version on one site only, via the
-        // backend trait.
-        use crate::backend::Backend as _;
-        let block = blockrep_storage::SealedBlock::new(
-            blockrep_types::VersionNumber::new(5),
-            BlockData::from(vec![9; 8]),
-        );
-        c.apply_write(s(0), s(0), BlockIndex::new(0), &block);
+        // Bypass the protocol: install a version on one site only.
+        let v = blockrep_types::VersionNumber::new(5);
+        let block: crate::backend::WriteBatch =
+            [(BlockIndex::new(0), v, BlockData::from(vec![9; 8]))]
+                .into_iter()
+                .collect();
+        c.apply_write_many(s(0), s(0), &block);
         let violations = check_invariants(&c);
         assert!(
             violations

@@ -25,12 +25,12 @@
 //! between the two schemes takes `naive`; the others serve both unchanged.
 
 use crate::backend::{
-    self, Backend, ScatterReplies, ScatterReply, ScatterRequest, ScatterSpec, SiteVec, WriteBatch,
+    self, BlockVec, ScatterReplies, ScatterReply, ScatterRequest, ScatterSpec, SiteVec, WriteBatch,
 };
 use crate::obs_hooks;
+use crate::transport::{ServerCluster, Transport};
 use blockrep_net::{MsgKind, OpClass};
 use blockrep_obs::event;
-use blockrep_storage::SealedBlock;
 use blockrep_types::{
     BlockData, BlockIndex, DeviceError, DeviceResult, FailureTracking, SiteId, SiteState,
 };
@@ -50,11 +50,11 @@ fn write_group(origin: SiteId, installs: ScatterReplies) -> SiteVec<SiteId> {
     group
 }
 
-fn ensure_serving<B: Backend + ?Sized>(b: &B, origin: SiteId) -> DeviceResult<()> {
-    if !b.config().contains_site(origin) {
+fn ensure_serving<T: Transport>(c: &ServerCluster<T>, origin: SiteId) -> DeviceResult<()> {
+    if !c.config().contains_site(origin) {
         return Err(DeviceError::UnknownSite(origin));
     }
-    match b.local_state(origin) {
+    match c.site_state(origin) {
         SiteState::Available => Ok(()),
         SiteState::Comatose => Err(DeviceError::SiteNotServing {
             site: origin,
@@ -67,201 +67,102 @@ fn ensure_serving<B: Backend + ?Sized>(b: &B, origin: SiteId) -> DeviceResult<()
     }
 }
 
-/// Read under the available copy schemes: "if there is a copy of the data
-/// block on the local site, then the read operation can be done locally,
-/// avoiding any network traffic." Every available site has a current copy
-/// of every block, so this is a zero-message local read.
+/// Read under the available copy schemes, for a run of blocks: "if there
+/// is a copy of the data block on the local site, then the read operation
+/// can be done locally, avoiding any network traffic." Every available
+/// site has a current copy of every block, so this is a zero-message local
+/// read.
 ///
 /// # Errors
 ///
 /// [`DeviceError::SiteNotServing`] if `origin` is not available;
 /// [`DeviceError::BlockOutOfRange`] for a bad index.
-pub(crate) fn read<B: Backend + ?Sized>(
-    b: &B,
+pub(crate) fn read_many<T: Transport>(
+    c: &ServerCluster<T>,
     origin: SiteId,
-    k: BlockIndex,
-) -> DeviceResult<BlockData> {
-    ensure_serving(b, origin)?;
-    backend::check_block(b, k)?;
-    event!("read.local", site = origin.as_u32(), block = k.as_u64());
-    b.read_local(origin, k)
+    ks: &[BlockIndex],
+) -> DeviceResult<BlockVec<BlockData>> {
+    ensure_serving(c, origin)?;
+    for &k in ks {
+        backend::check_block(c.config(), k)?;
+    }
+    event!("read.local", site = origin.as_u32(), blocks = ks.len());
+    c.read_local_many(origin, ks)
 }
 
 /// Write under available copy ("write to all available copies") or, with
-/// `naive = true`, under naive available copy.
+/// `naive = true`, under naive available copy, for a run of distinct
+/// blocks `writes` with keys `ks`: one install fan-out.
 ///
 /// The update is *addressed* to every other site — one multicast, or `n−1`
-/// unique-addressed transmissions — and lands on the available ones.
-/// Conventional available copy additionally collects an acknowledgement
-/// from each available recipient and refreshes every recipient's
+/// unique-addressed transmissions, charged per block — and lands on the
+/// available ones. Each block keeps its own version line (`own version +
+/// 1`, the origin being current). Conventional available copy additionally
+/// collects an acknowledgement from each available recipient — one frame,
+/// charged as `writes.len()` `WriteAck`s — and refreshes every recipient's
 /// was-available set to the new write group; the naive variant skips both,
-/// which is exactly its §5 traffic advantage.
+/// which is exactly its §5 traffic advantage. Site availability cannot
+/// change mid-run (the run is one frame per site), so every block lands on
+/// the same group, as a per-block loop against an unchanging cluster.
 ///
 /// # Errors
 ///
 /// [`DeviceError::SiteNotServing`] if `origin` is not available, plus block
 /// validation errors.
-pub(crate) fn write<B: Backend + ?Sized>(
-    b: &B,
+pub(crate) fn write_many<T: Transport>(
+    c: &ServerCluster<T>,
     origin: SiteId,
-    k: BlockIndex,
-    data: &BlockData,
+    writes: &[(BlockIndex, BlockData)],
+    ks: &[BlockIndex],
     naive: bool,
 ) -> DeviceResult<()> {
-    ensure_serving(b, origin)?;
-    backend::check_block(b, k)?;
-    let cfg = b.config();
-    if data.len() != cfg.block_size() {
-        return Err(DeviceError::WrongBlockSize {
-            got: data.len(),
-            expected: cfg.block_size(),
-        });
+    ensure_serving(c, origin)?;
+    backend::check_writes(c.config(), writes)?;
+    if writes.is_empty() {
+        return Ok(());
     }
-    // The origin is available, hence current: its version is the latest.
-    let v_new = {
+    // The origin is available, hence current: its versions are the latest.
+    let own = {
         let _leg = obs_hooks::phase_span(obs_hooks::phase_local_leg, origin.as_u32());
-        b.vote(origin, origin, k)
+        c.vote_many(origin, origin, ks)
             .ok_or_else(|| backend::dead_local_leg(origin))?
-            .next()
     };
     // Sealed once, here, for every replica that installs it.
-    let block = SealedBlock::new(v_new, data.clone());
-    let others = backend::others(cfg, origin);
-    backend::charge_fanout(b, OpClass::Write, MsgKind::WriteUpdate, others.len());
+    let batch: WriteBatch = writes
+        .iter()
+        .zip(own.iter())
+        .map(|((k, data), v)| (*k, v.next(), data.clone()))
+        .collect();
+    let others = backend::others(c.config(), origin);
+    let (op, blocks) = (OpClass::Write, ks.len());
+    backend::charge_fanout(c, op, MsgKind::WriteUpdate, others.len(), blocks);
     // Conventional available copy collects an acknowledgement from every
     // available recipient; the naive variant skips them (its §5 advantage).
     let spec = ScatterSpec {
-        op: OpClass::Write,
+        op,
         reply_charge: (!naive).then_some(MsgKind::WriteAck),
-        reply_units: 1,
+        reply_units: blocks as u64,
     };
-    let update = ScatterRequest::InstallIfAvailable { k, block: &block };
-    let recipients = write_group(origin, b.scatter(spec, origin, &others, &update));
+    let update = ScatterRequest::InstallIfAvailableMany(&batch);
+    let recipients = write_group(origin, c.scatter(spec, origin, &others, &update));
     {
         let _leg = obs_hooks::phase_span(obs_hooks::phase_local_leg, origin.as_u32());
-        b.apply_write(origin, origin, k, &block);
+        c.apply_write_many(origin, origin, &batch);
     }
     event!(
         "acwrite.fanout",
         origin = origin.as_u32(),
-        block = k.as_u64(),
-        version = v_new.as_u64(),
+        blocks = blocks,
         recipients = recipients.len(),
         naive = naive,
     );
     if !naive {
-        // Definition 3.1: everyone who received this write records the write
-        // group as its new was-available set (piggybacked on update + acks).
-        for &t in &recipients {
+        // Definition 3.1, once per run: everyone who received this write
+        // records the write group as its new was-available set
+        // (piggybacked on update + acks).
+        for &t in recipients.iter() {
             let _x = obs_hooks::phase_span(obs_hooks::phase_exchange, t.as_u32());
-            b.set_was_available(origin, t, &recipients);
-        }
-        event!("was_available.update", group = recipients.len());
-    }
-    Ok(())
-}
-
-/// Vectored read under the available copy schemes: every block of the run
-/// is served off the local disk, so the batch is exactly as free as the
-/// per-block loop — zero messages either way.
-///
-/// # Errors
-///
-/// As for [`read`].
-pub(crate) fn read_many<B: Backend + ?Sized>(
-    b: &B,
-    origin: SiteId,
-    ks: &[BlockIndex],
-) -> DeviceResult<Vec<BlockData>> {
-    ensure_serving(b, origin)?;
-    for &k in ks {
-        backend::check_block(b, k)?;
-    }
-    event!(
-        "read.local.batch",
-        site = origin.as_u32(),
-        blocks = ks.len()
-    );
-    b.read_local_many(origin, ks)
-}
-
-/// Vectored write under available copy (or, with `naive = true`, naive
-/// available copy): one batched install fan-out for a run of distinct
-/// blocks.
-///
-/// Each block keeps its own version line (`own version + 1`, the origin
-/// being current), and §5 traffic stays per block: one `WriteUpdate`
-/// fan-out charged per block, and — for the conventional scheme — each
-/// available recipient's single physical acknowledgement charged as
-/// `writes.len()` `WriteAck` transmissions. Site availability cannot change
-/// mid-batch (the batch is one frame per site), so every block of the run
-/// lands on the same recipient group, exactly as a per-block loop against
-/// an unchanging cluster; the final was-available sets coincide.
-///
-/// # Errors
-///
-/// As for [`write`].
-pub(crate) fn write_many<B: Backend + ?Sized>(
-    b: &B,
-    origin: SiteId,
-    writes: &[(BlockIndex, BlockData)],
-    naive: bool,
-) -> DeviceResult<()> {
-    ensure_serving(b, origin)?;
-    let cfg = b.config();
-    for (k, data) in writes {
-        backend::check_block(b, *k)?;
-        if data.len() != cfg.block_size() {
-            return Err(DeviceError::WrongBlockSize {
-                got: data.len(),
-                expected: cfg.block_size(),
-            });
-        }
-    }
-    if writes.is_empty() {
-        return Ok(());
-    }
-    let ks: Vec<BlockIndex> = writes.iter().map(|&(k, _)| k).collect();
-    // The origin is available, hence current: its versions are the latest.
-    let own = {
-        let _leg = obs_hooks::phase_span(obs_hooks::phase_local_leg, origin.as_u32());
-        b.vote_many(origin, origin, &ks)
-            .ok_or_else(|| backend::dead_local_leg(origin))?
-    };
-    let batch: WriteBatch = writes
-        .iter()
-        .zip(&own)
-        .map(|((k, data), v)| (*k, v.next(), data.clone()))
-        .collect();
-    let others = backend::others(cfg, origin);
-    for _ in writes {
-        backend::charge_fanout(b, OpClass::Write, MsgKind::WriteUpdate, others.len());
-    }
-    let spec = ScatterSpec {
-        op: OpClass::Write,
-        reply_charge: (!naive).then_some(MsgKind::WriteAck),
-        reply_units: writes.len() as u64,
-    };
-    let update = ScatterRequest::InstallIfAvailableMany(&batch);
-    let recipients = write_group(origin, b.scatter(spec, origin, &others, &update));
-    {
-        let _leg = obs_hooks::phase_span(obs_hooks::phase_local_leg, origin.as_u32());
-        b.apply_write_many(origin, origin, &batch);
-    }
-    event!(
-        "acwrite.fanout.batch",
-        origin = origin.as_u32(),
-        blocks = writes.len(),
-        recipients = recipients.len(),
-        naive = naive,
-    );
-    if !naive {
-        // Definition 3.1, once per batch: the write group is identical for
-        // every block of the run, so one refresh reaches the same final
-        // state as a per-block loop.
-        for &t in &recipients {
-            let _x = obs_hooks::phase_span(obs_hooks::phase_exchange, t.as_u32());
-            b.set_was_available(origin, t, &recipients);
+            c.set_was_available(origin, t, &recipients);
         }
         event!("was_available.update", group = recipients.len());
     }
@@ -274,7 +175,7 @@ pub(crate) fn write_many<B: Backend + ?Sized>(
 /// site to fail exactly (the behaviour the Figure 7 availability model
 /// assumes). Detection traffic is charged to the
 /// [`Control`](OpClass::Control) class, outside the paper's §5 cost model.
-pub(crate) fn fail<B: Backend + ?Sized>(b: &B, s: SiteId, naive: bool) {
+pub(crate) fn fail<T: Transport>(b: &ServerCluster<T>, s: SiteId, naive: bool) {
     b.set_local_state(s, SiteState::Failed);
     event!("site.fail", site = s.as_u32());
     if naive || b.config().failure_tracking() != FailureTracking::OnFailure {
@@ -283,7 +184,7 @@ pub(crate) fn fail<B: Backend + ?Sized>(b: &B, s: SiteId, naive: bool) {
     let survivors: Vec<SiteId> = b
         .config()
         .site_ids()
-        .filter(|&t| b.local_state(t) == SiteState::Available)
+        .filter(|&t| b.site_state(t) == SiteState::Available)
         .collect();
     if survivors.is_empty() {
         return;
@@ -291,18 +192,30 @@ pub(crate) fn fail<B: Backend + ?Sized>(b: &B, s: SiteId, naive: bool) {
     for &t in &survivors {
         b.set_was_available(t, t, &survivors);
     }
-    backend::charge_fanout(b, OpClass::Control, MsgKind::FailureNotice, survivors.len());
+    backend::charge_fanout(
+        b,
+        OpClass::Control,
+        MsgKind::FailureNotice,
+        survivors.len(),
+        1,
+    );
 }
 
 /// A site restarts after a failure: it becomes comatose and broadcasts a
 /// recovery query; every operational site answers (with its state,
 /// was-available set and version summary). Whether it can then *complete*
 /// recovery is decided by [`try_complete_recovery`] in the recovery sweep.
-pub(crate) fn begin_recovery<B: Backend + ?Sized>(b: &B, s: SiteId) {
+pub(crate) fn begin_recovery<T: Transport>(b: &ServerCluster<T>, s: SiteId) {
     b.set_local_state(s, SiteState::Comatose);
     event!("recovery.begin", site = s.as_u32());
     let others = backend::others(b.config(), s);
-    backend::charge_fanout(b, OpClass::Recovery, MsgKind::RecoveryQuery, others.len());
+    backend::charge_fanout(
+        b,
+        OpClass::Recovery,
+        MsgKind::RecoveryQuery,
+        others.len(),
+        1,
+    );
     let spec = ScatterSpec {
         op: OpClass::Recovery,
         reply_charge: Some(MsgKind::RecoveryReply),
@@ -319,7 +232,10 @@ pub(crate) fn begin_recovery<B: Backend + ?Sized>(b: &B, s: SiteId) {
 /// still failed (or unreachable), the closure cannot be certified and `c`
 /// must keep waiting — conservative, and exactly Figure 5's "when all sites
 /// in `C*(W_s)` have recovered".
-pub(crate) fn recovered_closure<B: Backend + ?Sized>(b: &B, c: SiteId) -> Option<BTreeSet<SiteId>> {
+pub(crate) fn recovered_closure<T: Transport>(
+    b: &ServerCluster<T>,
+    c: SiteId,
+) -> Option<BTreeSet<SiteId>> {
     let mut closure: BTreeSet<SiteId> = b.was_available(c, c)?.into_iter().collect();
     closure.insert(c);
     loop {
@@ -351,8 +267,8 @@ pub(crate) fn recovered_closure<B: Backend + ?Sized>(b: &B, c: SiteId) -> Option
 /// writes to different blocks leave incomparable vectors — so recency by
 /// total is a heuristic there, not a theorem, and is deliberately *not*
 /// asserted: the fault-injection suite exercises exactly those states.
-pub(crate) fn most_current<B: Backend + ?Sized>(
-    b: &B,
+pub(crate) fn most_current<T: Transport>(
+    b: &ServerCluster<T>,
     observer: SiteId,
     candidates: &BTreeSet<SiteId>,
 ) -> Option<SiteId> {
@@ -396,9 +312,20 @@ pub(crate) fn most_current<B: Backend + ?Sized>(
 /// A completed repair costs the two §5 transmissions: the version vector to
 /// the source and the response carrying the missing blocks. (When `c` itself
 /// turns out to hold the most current copy, no transfer is needed.)
-pub(crate) fn try_complete_recovery<B: Backend + ?Sized>(b: &B, c: SiteId, naive: bool) -> bool {
-    debug_assert_eq!(b.local_state(c), SiteState::Comatose);
-    let source = if let Some(&u) = backend::available_reachable(b, c).first() {
+pub(crate) fn try_complete_recovery<T: Transport>(
+    b: &ServerCluster<T>,
+    c: SiteId,
+    naive: bool,
+) -> bool {
+    debug_assert_eq!(b.site_state(c), SiteState::Comatose);
+    // Every site is probed, the first serving one chosen: a probe is an
+    // exchange a fault layer numbers.
+    let serving: SiteVec<SiteId> = b
+        .config()
+        .site_ids()
+        .filter(|&u| b.probe_state(c, u).is_some_and(|st| st.can_serve()))
+        .collect();
+    let source = if let Some(&u) = serving.first() {
         Some(u)
     } else if naive {
         // Naive: wait for every site, then take the globally most current.
@@ -452,8 +379,8 @@ pub(crate) fn try_complete_recovery<B: Backend + ?Sized>(b: &B, c: SiteId, naive
 
 /// Whether an available-copy-managed block is available: some site is in
 /// the available state.
-pub(crate) fn is_available<B: Backend + ?Sized>(b: &B) -> bool {
+pub(crate) fn is_available<T: Transport>(b: &ServerCluster<T>) -> bool {
     b.config()
         .site_ids()
-        .any(|s| b.local_state(s) == SiteState::Available)
+        .any(|s| b.site_state(s) == SiteState::Available)
 }

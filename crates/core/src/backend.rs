@@ -1,31 +1,31 @@
-//! The cluster backend abstraction.
+//! What a protocol coordinator works with: its [`Coordinator`] state, the
+//! inline lists of one protocol round, the fan-out vocabulary, and the
+//! sequential scatter body.
 //!
-//! The three consistency protocols are written once, against [`Backend`],
-//! and its one implementation, [`ServerCluster`](crate::ServerCluster),
-//! turns each protocol step into a request to the one site service and its
-//! reply back into an answer. What differs between runtimes is only the
-//! transport under it: the deterministic [`Cluster`](crate::Cluster) serves
-//! every request on the caller's thread, [`LiveCluster`](crate::LiveCluster)
-//! sends it to a site thread's inbox and [`TcpCluster`](crate::TcpCluster)
-//! over a loopback socket.
+//! The three consistency protocols are written once, against
+//! [`ServerCluster<T>`](crate::ServerCluster), which turns each protocol
+//! step into a request to the one site service and its reply back into an
+//! answer. What differs between runtimes is only the transport `T` under
+//! it: the deterministic [`Cluster`](crate::Cluster) serves every request
+//! on the caller's thread, [`LiveCluster`](crate::LiveCluster) sends it to
+//! a site thread's inbox and [`TcpCluster`](crate::TcpCluster) over a
+//! loopback socket.
 //!
-//! Methods with a `from` site model a remote exchange and return `None`
+//! A step with a `from` site models a remote exchange and answers `None`
 //! when the target is failed or unreachable (fail-stop sites simply do not
-//! answer). Methods without `from` are local actions on a site's own state
-//! and never touch the network. **Traffic is charged by the protocol code**,
-//! not per call — the §5 cost unit is the high-level transmission, whose
-//! fan-out accounting (multicast vs. unique addressing) only the protocol
-//! layer knows.
+//! answer). **Traffic is charged by the protocol code**, not per exchange —
+//! the §5 cost unit is the high-level transmission, whose fan-out
+//! accounting (multicast vs. unique addressing) only the protocol layer
+//! knows.
 
 use crate::locks::{BlockLockTable, LeaseTable};
-use crate::transport::Links;
+use crate::transport::{Links, ServerCluster, Transport};
 use blockrep_net::{DeliveryMode, MsgKind, OpClass, TrafficCounter};
 use blockrep_storage::SealedBlock;
 use blockrep_types::{
     BlockData, BlockIndex, DeviceConfig, DeviceError, DeviceResult, SiteId, SiteState,
     VersionNumber, VersionVector,
 };
-use std::collections::BTreeSet;
 use std::ops::{Deref, DerefMut};
 
 /// Entries a [`SiteVec`] holds without allocating: a round on a cluster of
@@ -33,81 +33,136 @@ use std::ops::{Deref, DerefMut};
 /// the benchmark's three — keeps its per-site lists inline.
 pub const INLINE_SITES: usize = 8;
 
-/// A per-site list of one protocol round: the sites a request is addressed
-/// to, the votes gathered, a scatter's replies. Up to [`INLINE_SITES`]
-/// entries live inline, so a round on a small cluster allocates nothing;
-/// the first entry past that moves the list to the heap, so no site count
-/// is refused. It reads as a slice.
+/// A list of one protocol round that holds up to `N` entries inline, so a
+/// round that fits allocates nothing; the first entry past `N` moves the
+/// list to the heap, so no length is refused. It reads as a slice.
+///
+/// Two capacities are in use: [`SiteVec`], a per-site list (the sites a
+/// request is addressed to, the votes gathered, a scatter's replies), and
+/// [`BlockVec`], a per-block list (a run's keys, votes, reads, write batch
+/// and block-lock guards), which keeps a batch of one — a single-block
+/// operation — off the heap.
 #[derive(Clone)]
-pub struct SiteVec<T>(SiteStore<T>);
+pub struct InlineVec<T, const N: usize>(Store<T, N>);
+
+/// A per-site list: up to [`INLINE_SITES`] entries inline.
+pub type SiteVec<T> = InlineVec<T, INLINE_SITES>;
+
+/// A per-block list: one entry inline, the batch of one.
+pub type BlockVec<T> = InlineVec<T, 1>;
 
 #[derive(Clone)]
-enum SiteStore<T> {
+enum Store<T, const N: usize> {
+    /// The entry of a one-entry list with room for one (`N = 1`): a run of
+    /// one needs no array built around it.
+    One(T),
     /// The first `len` entries are the list; the rest are `T::default()`.
-    Inline {
-        len: usize,
-        items: [T; INLINE_SITES],
-    },
+    Inline { len: usize, items: [T; N] },
+    /// Past `N` entries; or, with room for one, empty and unallocated.
     Heap(Vec<T>),
 }
 
-impl<T: Default> SiteVec<T> {
-    /// An empty list, inline.
+impl<T, const N: usize> InlineVec<T, N> {
+    /// The list as a `Vec`: free once it has spilled, one allocation while
+    /// it is inline.
+    pub fn into_vec(self) -> Vec<T> {
+        match self.0 {
+            Store::One(item) => vec![item],
+            Store::Inline { len, items } => items.into_iter().take(len).collect(),
+            Store::Heap(heap) => heap,
+        }
+    }
+}
+
+// `[T; N]: Default` holds for every `N` in use (it does up to 32), and
+// builds the inline slots without a closure call per slot.
+impl<T: Default, const N: usize> InlineVec<T, N>
+where
+    [T; N]: Default,
+{
+    /// An empty list; it allocates nothing.
+    #[inline(always)]
     pub fn new() -> Self {
-        SiteVec(SiteStore::Inline {
-            len: 0,
-            items: std::array::from_fn(|_| T::default()),
+        InlineVec(if N == 1 {
+            Store::Heap(Vec::new())
+        } else {
+            Store::Inline {
+                len: 0,
+                items: Default::default(),
+            }
         })
     }
 
-    /// Appends `item`, moving the list to the heap when it outgrows
-    /// [`INLINE_SITES`].
+    /// Appends `item`; the entry past `N` moves the list to the heap.
+    #[inline(always)]
     pub fn push(&mut self, item: T) {
         match &mut self.0 {
-            SiteStore::Inline { len, items } if *len < INLINE_SITES => {
+            Store::Inline { len, items } if *len < N => {
                 items[*len] = item;
                 *len += 1;
             }
-            SiteStore::Inline { items, .. } => {
-                let mut heap = Vec::with_capacity(2 * INLINE_SITES);
-                heap.extend(items.iter_mut().map(std::mem::take));
+            Store::Heap(heap) if N > 1 || heap.capacity() > 0 => heap.push(item),
+            Store::Heap(_) => self.0 = Store::One(item),
+            Store::One(_) | Store::Inline { .. } => {
+                let mut heap = Vec::with_capacity(2 * N);
+                match std::mem::replace(&mut self.0, Store::Heap(Vec::new())) {
+                    Store::One(first) => heap.push(first),
+                    Store::Inline { items, .. } => heap.extend(items),
+                    Store::Heap(_) => {}
+                }
                 heap.push(item);
-                self.0 = SiteStore::Heap(heap);
+                self.0 = Store::Heap(heap);
             }
-            SiteStore::Heap(heap) => heap.push(item),
         }
     }
 }
 
-impl<T: Default> Default for SiteVec<T> {
+impl<T: Default, const N: usize> Default for InlineVec<T, N>
+where
+    [T; N]: Default,
+{
     fn default() -> Self {
-        SiteVec::new()
+        InlineVec::new()
     }
 }
 
-impl<T> Deref for SiteVec<T> {
+impl<T, const N: usize> Deref for InlineVec<T, N> {
     type Target = [T];
 
+    #[inline(always)]
     fn deref(&self) -> &[T] {
         match &self.0 {
-            SiteStore::Inline { len, items } => &items[..*len],
-            SiteStore::Heap(heap) => heap,
+            Store::One(item) => std::slice::from_ref(item),
+            Store::Inline { len, items } => &items[..*len],
+            Store::Heap(heap) => heap,
         }
     }
 }
 
-impl<T> DerefMut for SiteVec<T> {
+impl<T, const N: usize> DerefMut for InlineVec<T, N> {
+    #[inline(always)]
     fn deref_mut(&mut self) -> &mut [T] {
         match &mut self.0 {
-            SiteStore::Inline { len, items } => &mut items[..*len],
-            SiteStore::Heap(heap) => heap,
+            Store::One(item) => std::slice::from_mut(item),
+            Store::Inline { len, items } => &mut items[..*len],
+            Store::Heap(heap) => heap,
         }
     }
 }
 
-impl<T: Default> FromIterator<T> for SiteVec<T> {
+impl<T: Default, const N: usize> FromIterator<T> for InlineVec<T, N>
+where
+    [T; N]: Default,
+{
+    /// Collects inline, or — when the iterator says it holds more than `N`
+    /// — as a `Vec` does: into one allocation of the size it says.
+    #[inline(always)]
     fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
-        let mut list = SiteVec::new();
+        let iter = iter.into_iter();
+        if iter.size_hint().0 > N {
+            return InlineVec(Store::Heap(iter.collect()));
+        }
+        let mut list = InlineVec::new();
         for item in iter {
             list.push(item);
         }
@@ -115,47 +170,58 @@ impl<T: Default> FromIterator<T> for SiteVec<T> {
     }
 }
 
-/// The owning iterator of a [`SiteVec`], in list order.
-pub struct SiteVecIntoIter<T>(SiteIter<T>);
+impl<T, const N: usize> From<Vec<T>> for InlineVec<T, N> {
+    /// Takes the `Vec` as it is: no copy, no allocation.
+    fn from(heap: Vec<T>) -> Self {
+        InlineVec(Store::Heap(heap))
+    }
+}
 
-enum SiteIter<T> {
-    Inline(std::iter::Take<std::array::IntoIter<T, INLINE_SITES>>),
+/// The owning iterator of an [`InlineVec`], in list order.
+pub struct InlineVecIntoIter<T, const N: usize>(IntoIterStore<T, N>);
+
+enum IntoIterStore<T, const N: usize> {
+    One(std::option::IntoIter<T>),
+    Inline(std::iter::Take<std::array::IntoIter<T, N>>),
     Heap(std::vec::IntoIter<T>),
 }
 
-impl<T> Iterator for SiteVecIntoIter<T> {
+impl<T, const N: usize> Iterator for InlineVecIntoIter<T, N> {
     type Item = T;
 
+    #[inline(always)]
     fn next(&mut self) -> Option<T> {
         match &mut self.0 {
-            SiteIter::Inline(items) => items.next(),
-            SiteIter::Heap(items) => items.next(),
+            IntoIterStore::One(item) => item.next(),
+            IntoIterStore::Inline(items) => items.next(),
+            IntoIterStore::Heap(items) => items.next(),
         }
     }
 }
 
-impl<T> IntoIterator for SiteVec<T> {
+impl<T, const N: usize> IntoIterator for InlineVec<T, N> {
     type Item = T;
-    type IntoIter = SiteVecIntoIter<T>;
+    type IntoIter = InlineVecIntoIter<T, N>;
 
-    fn into_iter(self) -> SiteVecIntoIter<T> {
-        SiteVecIntoIter(match self.0 {
-            SiteStore::Inline { len, items } => SiteIter::Inline(items.into_iter().take(len)),
-            SiteStore::Heap(heap) => SiteIter::Heap(heap.into_iter()),
+    #[inline(always)]
+    fn into_iter(self) -> InlineVecIntoIter<T, N> {
+        InlineVecIntoIter(match self.0 {
+            Store::One(item) => IntoIterStore::One(Some(item).into_iter()),
+            Store::Inline { len, items } => IntoIterStore::Inline(items.into_iter().take(len)),
+            Store::Heap(heap) => IntoIterStore::Heap(heap.into_iter()),
         })
     }
 }
 
-impl<'a, T> IntoIterator for &'a SiteVec<T> {
-    type Item = &'a T;
-    type IntoIter = std::slice::Iter<'a, T>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.iter()
+impl<T: PartialEq, const N: usize> PartialEq for InlineVec<T, N> {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
     }
 }
 
-impl<T: std::fmt::Debug> std::fmt::Debug for SiteVec<T> {
+impl<T: Eq, const N: usize> Eq for InlineVec<T, N> {}
+
+impl<T: std::fmt::Debug, const N: usize> std::fmt::Debug for InlineVec<T, N> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_list().entries(self.iter()).finish()
     }
@@ -165,19 +231,27 @@ impl<T: std::fmt::Debug> std::fmt::Debug for SiteVec<T> {
 /// the recovering site is missing.
 pub type RepairBlocks = Vec<(BlockIndex, VersionNumber, BlockData)>;
 
-/// A vectored install: every distinct block of one batched write round,
+/// A vectored install: every distinct block of one write round,
 /// [sealed](SealedBlock) at the fresh version the write chose for it, so
-/// each replica that installs the block stores the sum computed here.
+/// each replica that installs the block stores the sum computed here. A
+/// batch of one — a single-block write — is held inline.
 ///
 /// It is collected from `(block, version, data)` triples, sealing each as
 /// it goes, and it shares the wire shape of [`RepairBlocks`]: a frame
 /// carries no sum, and a site that decodes one seals what it received.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WriteBatch(Vec<(BlockIndex, SealedBlock)>);
+pub struct WriteBatch(BlockVec<(BlockIndex, SealedBlock)>);
 
 impl From<Vec<(BlockIndex, SealedBlock)>> for WriteBatch {
     fn from(blocks: Vec<(BlockIndex, SealedBlock)>) -> Self {
-        WriteBatch(blocks)
+        WriteBatch(blocks.into())
+    }
+}
+
+impl From<&[(BlockIndex, SealedBlock)]> for WriteBatch {
+    /// A copy of the batch: its blocks' payloads are shared, not copied.
+    fn from(blocks: &[(BlockIndex, SealedBlock)]) -> Self {
+        WriteBatch(blocks.iter().cloned().collect())
     }
 }
 
@@ -191,7 +265,7 @@ impl FromIterator<(BlockIndex, VersionNumber, BlockData)> for WriteBatch {
     }
 }
 
-impl std::ops::Deref for WriteBatch {
+impl Deref for WriteBatch {
     type Target = [(BlockIndex, SealedBlock)];
 
     fn deref(&self) -> &Self::Target {
@@ -199,71 +273,43 @@ impl std::ops::Deref for WriteBatch {
     }
 }
 
-impl IntoIterator for WriteBatch {
-    type Item = (BlockIndex, SealedBlock);
-    type IntoIter = std::vec::IntoIter<(BlockIndex, SealedBlock)>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.0.into_iter()
-    }
-}
-
-/// One batched fan-out request: the question every target of a
-/// [`Backend::scatter`] is asked. A block or a batch is borrowed from the
-/// write that sealed it, which installs the same seal on its own site
+/// One fan-out request: the question every target of a
+/// [`ServerCluster::scatter`] is asked, for a run of blocks in one
+/// exchange. The keys and the batch are borrowed from the operation that
+/// holds them; a batch's seals are installed on the coordinator's own site
 /// afterwards.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScatterRequest<'a> {
-    /// Request each target's vote — its version number for the block (MCV
-    /// vote collection).
-    Vote(BlockIndex),
     /// Probe each target's state (recovery queries). Only operational
     /// targets reply.
     ProbeState,
-    /// Install a block unconditionally (MCV write installation).
-    Install {
-        /// The block being written.
-        k: BlockIndex,
-        /// The new contents, sealed at the new version.
-        block: &'a SealedBlock,
-    },
-    /// Probe each target and install only on the available ones (the AC/NAC
-    /// write fan-out: two exchanges per available target, one per
-    /// unavailable target).
-    InstallIfAvailable {
-        /// The block being written.
-        k: BlockIndex,
-        /// The new contents, sealed at the new version.
-        block: &'a SealedBlock,
-    },
     /// Request each target's version vector (recovery source selection).
     VersionVector,
-    /// Request each target's votes for a whole run of blocks in one
-    /// exchange (vectored MCV vote collection). The §5 accounting stays
-    /// per block — see [`ScatterSpec::reply_units`].
-    VoteMany(Vec<BlockIndex>),
-    /// Install a batch of blocks unconditionally in one exchange (vectored
-    /// MCV write installation). Delivery is all-or-nothing per target: one
-    /// frame either lands or does not.
+    /// Request each target's votes — its version numbers — for a run of
+    /// blocks (MCV vote collection). The §5 accounting stays per block —
+    /// see [`ScatterSpec::reply_units`].
+    VoteMany(&'a [BlockIndex]),
+    /// Install a batch of blocks unconditionally (MCV write installation).
+    /// Delivery is all-or-nothing per target: one frame either lands or
+    /// does not.
     InstallMany(&'a WriteBatch),
-    /// Probe each target and install the whole batch only on the available
-    /// ones (the vectored AC/NAC write fan-out).
+    /// Probe each target and install the batch only on the available ones
+    /// (the AC/NAC write fan-out: two exchanges per available target, one
+    /// per unavailable target).
     InstallIfAvailableMany(&'a WriteBatch),
 }
 
 /// One target's answer to a [`ScatterRequest`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ScatterReply {
-    /// A vote.
-    Version(VersionNumber),
     /// An operational state.
     State(SiteState),
     /// The install was delivered.
     Delivered,
     /// A version vector.
     Vector(VersionVector),
-    /// Votes for a batch of blocks, in request order.
-    Versions(Vec<VersionNumber>),
+    /// Votes for a run of blocks, in request order.
+    Versions(BlockVec<VersionNumber>),
 }
 
 /// Replies from one scatter, in target order. `None` marks a target that
@@ -279,10 +325,9 @@ pub struct ScatterSpec {
     /// Message kind charged per gathered reply (`None` for one-way
     /// installs, whose acknowledgements the paper does not count).
     pub reply_charge: Option<MsgKind>,
-    /// §5 transmissions charged per gathered reply. `1` for single-block
-    /// exchanges; a batched exchange sets this to the batch length so one
-    /// physical reply frame is charged as the per-block replies it stands
-    /// for, keeping vectored traffic byte-identical to the per-block loop.
+    /// §5 transmissions charged per gathered reply: the run's length, so
+    /// one physical reply frame is charged as the per-block replies it
+    /// stands for; `1` for the recovery exchanges, which carry no run.
     pub reply_units: u64,
 }
 
@@ -292,8 +337,8 @@ pub type RepairPayload = (VersionVector, RepairBlocks);
 
 /// What a protocol coordinator is, whichever runtime it runs on: the
 /// device configuration, the network environment and its §5 counter, the
-/// link model, and the block-lock and lease tables. Every [`Backend`] holds
-/// (or wraps a backend that holds) exactly one.
+/// link model, and the block-lock and lease tables. Every
+/// [`ServerCluster`] holds exactly one.
 #[derive(Debug)]
 pub struct Coordinator {
     pub(crate) cfg: DeviceConfig,
@@ -333,193 +378,23 @@ impl Coordinator {
     }
 }
 
-/// Access to a cluster of replicas, as seen by a protocol coordinator.
-///
-/// Its one implementation is [`ServerCluster`](crate::ServerCluster), over
-/// whichever transport: each method is one [`Request`](crate::wire::Request)
-/// to the one site service and its reply. Implementations must be
-/// internally synchronized (`&self` methods), since a device handle and a
-/// failure injector may act concurrently.
-pub trait Backend: Send + Sync {
-    /// The coordinator state behind this backend; the eight methods below
-    /// are read off it.
-    fn coordinator(&self) -> &Coordinator;
-
-    /// The device configuration (scheme, weights, quorums, geometry).
-    fn config(&self) -> &DeviceConfig {
-        &self.coordinator().cfg
-    }
-
-    /// The network environment, for fan-out accounting.
-    fn delivery_mode(&self) -> DeliveryMode {
-        self.coordinator().mode
-    }
-
-    /// The shared high-level transmission counter.
-    fn counter(&self) -> &TrafficCounter {
-        &self.coordinator().counter
-    }
-
-    /// A site's own knowledge of its state (no network involved).
-    fn local_state(&self, s: SiteId) -> SiteState {
-        self.coordinator().links.state(s)
-    }
-
-    /// Sets a site's state (local action: crash, restart, promotion).
-    fn set_local_state(&self, s: SiteId, state: SiteState) {
-        self.coordinator().links.set_state(s, state);
-    }
-
-    /// Observes `to`'s state from `from`: `None` if `to` is failed or
-    /// unreachable — a failed site answers nobody, itself included —
-    /// otherwise its (operational) state. A coordination-layer read: no
-    /// message is sent, but a probe of another site is an exchange whose
-    /// fate a fault layer decides like any other's.
-    fn probe_state(&self, from: SiteId, to: SiteId) -> Option<SiteState>;
-
-    /// Requests `to`'s vote — its version number for block `k`. With
-    /// `from == to` this is the local version lookup.
-    fn vote(&self, from: SiteId, to: SiteId, k: BlockIndex) -> Option<VersionNumber>;
-
-    /// Fetches the current copy of block `k` from `to`.
-    fn fetch_block(
-        &self,
-        from: SiteId,
-        to: SiteId,
-        k: BlockIndex,
-    ) -> Option<(VersionNumber, BlockData)>;
-
-    /// Fetches the current copy of block `k` from `to` to validate and
-    /// serve a read lease: [`fetch_block`](Self::fetch_block) under a wire
-    /// request of its own, so a fault layer can target lease validation
-    /// specifically (the `StaleLease` fault).
-    fn fetch_lease(
-        &self,
-        from: SiteId,
-        to: SiteId,
-        k: BlockIndex,
-    ) -> Option<(VersionNumber, BlockData)>;
-
-    /// Delivers a write update to `to` (or applies locally when
-    /// `from == to`); the replica installs `block` if its version is newer,
-    /// storing the sum it was sealed with. Returns whether the update was
-    /// delivered.
-    fn apply_write(&self, from: SiteId, to: SiteId, k: BlockIndex, block: &SealedBlock) -> bool;
-
-    /// Reads block `k` straight off `s`'s local disk.
-    ///
-    /// # Errors
-    ///
-    /// [`DeviceError::Io`] when `s`'s replica does not answer its own
-    /// coordinator: never on the shipped transports, where the local leg is
-    /// served on the coordinator's thread; a transport standing in for a
-    /// broken disk may.
-    fn read_local(&self, s: SiteId, k: BlockIndex) -> DeviceResult<BlockData>;
-
-    /// Reads a run of blocks straight off `s`'s local disk in **one**
-    /// exchange, in the order of `ks`: the local replica is locked once for
-    /// the batch, not once per block.
-    ///
-    /// # Errors
-    ///
-    /// As for [`read_local`](Self::read_local).
-    fn read_local_many(&self, s: SiteId, ks: &[BlockIndex]) -> DeviceResult<Vec<BlockData>>;
-
-    /// Requests `to`'s version vector.
-    fn version_vector(&self, from: SiteId, to: SiteId) -> Option<VersionVector>;
-
-    /// Sends `from`'s version vector `vv` to `to`; `to` answers with its own
-    /// vector and the blocks `from` is missing (Figure 5's exchange).
-    fn repair_payload(&self, from: SiteId, to: SiteId, vv: &VersionVector)
-        -> Option<RepairPayload>;
-
-    /// Installs a repair payload on `s`'s local store; returns the number of
-    /// blocks replaced — `0` when `s`'s server does not take the payload
-    /// (its local leg died): nothing was installed.
-    fn apply_repair_local(&self, s: SiteId, blocks: RepairBlocks) -> usize;
-
-    /// Requests `to`'s was-available set `W`.
-    fn was_available(&self, from: SiteId, to: SiteId) -> Option<BTreeSet<SiteId>>;
-
-    /// Replaces `to`'s was-available set with the sites of `w`, in
-    /// ascending order (piggybacked on writes/repairs). Returns whether
-    /// `to` received it.
-    fn set_was_available(&self, from: SiteId, to: SiteId, w: &[SiteId]) -> bool;
-
-    /// Tells `to` that `member` has repaired from it: `W_to ← W_to ∪ {member}`.
-    fn add_was_available(&self, from: SiteId, to: SiteId, member: SiteId) -> bool;
-
-    /// Runs the restart-time integrity scrub on `s`'s local disk, resetting
-    /// checksum-broken blocks to the freshly formatted state. Returns the
-    /// number of blocks reset — `0` when `s`'s server does not answer (its
-    /// local leg died): nothing was scrubbed.
-    fn scrub_local(&self, s: SiteId) -> usize;
-
-    /// Requests `to`'s votes for a whole run of blocks in **one** exchange.
-    /// Replies come back in the order of `ks`; `None` means the target did
-    /// not answer (failed/unreachable), exactly as per-block
-    /// [`vote`](Self::vote) would have for every block: one reachability
-    /// check, one replica lock at `to` and one fault slot for the run.
-    fn vote_many(&self, from: SiteId, to: SiteId, ks: &[BlockIndex]) -> Option<Vec<VersionNumber>>;
-
-    /// Delivers a batch of write updates to `to` in **one** exchange (or
-    /// applies them locally when `from == to`). Delivery is all-or-nothing:
-    /// the batch either reaches `to` (every block installed if newer) or
-    /// does not.
-    fn apply_write_many(&self, from: SiteId, to: SiteId, writes: &WriteBatch) -> bool;
-
-    /// The coordinator-side sharded block-lock table. The protocol entry
-    /// points hold the touched blocks' shards for the duration of each
-    /// operation, so clients of the same runtime handle serialize per
-    /// block, not per cluster (see [`crate::locks`]).
-    fn block_locks(&self) -> &BlockLockTable {
-        &self.coordinator().locks
-    }
-
-    /// The coordinator-side read-lease registry behind Harmonia-style read
-    /// offload (see [`crate::locks`]). Disabled by default.
-    fn leases(&self) -> &LeaseTable {
-        &self.coordinator().leases
-    }
-
-    /// Scatter-gather: delivers `req` to every target (ascending site
-    /// order) and gathers their replies, with the results and the §5
-    /// counts of [`scatter_sequential`] — one `spec.reply_charge`
-    /// transmission per gathered reply, whatever the fan-out concurrency.
-    fn scatter(
-        &self,
-        spec: ScatterSpec,
-        origin: SiteId,
-        targets: &[SiteId],
-        req: &ScatterRequest<'_>,
-    ) -> ScatterReplies;
-}
-
 /// One remote exchange of a scatter, as a per-target loop performs it.
-fn exchange_once<B: Backend + ?Sized>(
-    b: &B,
+fn exchange_once<T: Transport>(
+    c: &ServerCluster<T>,
     origin: SiteId,
     t: SiteId,
     req: &ScatterRequest<'_>,
 ) -> Option<ScatterReply> {
-    match req {
-        ScatterRequest::Vote(k) => b.vote(origin, t, *k).map(ScatterReply::Version),
-        ScatterRequest::ProbeState => b.probe_state(origin, t).map(ScatterReply::State),
-        ScatterRequest::Install { k, block } => b
-            .apply_write(origin, t, *k, block)
-            .then_some(ScatterReply::Delivered),
-        ScatterRequest::InstallIfAvailable { k, block } => (b.probe_state(origin, t)
-            == Some(SiteState::Available)
-            && b.apply_write(origin, t, *k, block))
-        .then_some(ScatterReply::Delivered),
-        ScatterRequest::VersionVector => b.version_vector(origin, t).map(ScatterReply::Vector),
-        ScatterRequest::VoteMany(ks) => b.vote_many(origin, t, ks).map(ScatterReply::Versions),
-        ScatterRequest::InstallMany(writes) => b
+    match *req {
+        ScatterRequest::ProbeState => c.probe_state(origin, t).map(ScatterReply::State),
+        ScatterRequest::VersionVector => c.version_vector(origin, t).map(ScatterReply::Vector),
+        ScatterRequest::VoteMany(ks) => c.vote_many(origin, t, ks).map(ScatterReply::Versions),
+        ScatterRequest::InstallMany(writes) => c
             .apply_write_many(origin, t, writes)
             .then_some(ScatterReply::Delivered),
-        ScatterRequest::InstallIfAvailableMany(writes) => (b.probe_state(origin, t)
+        ScatterRequest::InstallIfAvailableMany(writes) => (c.probe_state(origin, t)
             == Some(SiteState::Available)
-            && b.apply_write_many(origin, t, writes))
+            && c.apply_write_many(origin, t, writes))
         .then_some(ScatterReply::Delivered),
     }
 }
@@ -527,8 +402,8 @@ fn exchange_once<B: Backend + ?Sized>(
 /// The sequential scatter body: every exchange is performed, one after
 /// another in target order, and every gathered reply charged. A fault
 /// layer numbers a scatter's exchanges in this order.
-pub fn scatter_sequential<B: Backend + ?Sized>(
-    b: &B,
+pub(crate) fn scatter_sequential<T: Transport>(
+    c: &ServerCluster<T>,
     spec: ScatterSpec,
     origin: SiteId,
     targets: &[SiteId],
@@ -538,27 +413,33 @@ pub fn scatter_sequential<B: Backend + ?Sized>(
     // the cache hit path got): with observability off, the whole scatter
     // pays exactly one relaxed atomic load before running the plain loop.
     if blockrep_obs::enabled() {
-        return scatter_sequential_observed(b, spec, origin, targets, req);
+        return scatter_sequential_observed(c, spec, origin, targets, req);
     }
     let mut replies = ScatterReplies::new();
     for &t in targets {
-        let reply = exchange_once(b, origin, t, req);
-        if reply.is_some() {
-            if let Some(kind) = spec.reply_charge {
-                b.counter().add(spec.op, kind, spec.reply_units);
-            }
-        }
+        let reply = exchange_once(c, origin, t, req);
         replies.push((t, reply));
     }
+    charge_replies(c, spec, &replies);
     replies
+}
+
+/// Charges a gathered scatter's replies: `spec.reply_units` transmissions
+/// of `spec.reply_charge` per target that answered, in one add.
+fn charge_replies<T: Transport>(c: &ServerCluster<T>, spec: ScatterSpec, replies: &ScatterReplies) {
+    if let Some(kind) = spec.reply_charge {
+        let gathered = replies.iter().filter(|(_, r)| r.is_some()).count() as u64;
+        c.counter()
+            .add_many(spec.op, kind, spec.reply_units, gathered);
+    }
 }
 
 /// The observed twin of [`scatter_sequential`]: records the batch-size
 /// metric and (under tracing) a `phase.exchange` span per target. Kept
 /// `#[cold]` and out of line so the disabled path's loop stays tight.
 #[cold]
-fn scatter_sequential_observed<B: Backend + ?Sized>(
-    b: &B,
+fn scatter_sequential_observed<T: Transport>(
+    c: &ServerCluster<T>,
     spec: ScatterSpec,
     origin: SiteId,
     targets: &[SiteId],
@@ -573,28 +454,42 @@ fn scatter_sequential_observed<B: Backend + ?Sized>(
         } else {
             None
         };
-        let reply = exchange_once(b, origin, t, req);
+        let reply = exchange_once(c, origin, t, req);
         drop(span);
-        if reply.is_some() {
-            if let Some(kind) = spec.reply_charge {
-                b.counter().add(spec.op, kind, spec.reply_units);
-            }
-        }
         replies.push((t, reply));
     }
+    charge_replies(c, spec, &replies);
     replies
 }
 
 /// Rejects a block index beyond the device.
-pub(crate) fn check_block<B: Backend + ?Sized>(b: &B, k: BlockIndex) -> DeviceResult<()> {
-    if k.as_u64() < b.config().num_blocks() {
+pub(crate) fn check_block(cfg: &DeviceConfig, k: BlockIndex) -> DeviceResult<()> {
+    if k.as_u64() < cfg.num_blocks() {
         Ok(())
     } else {
         Err(DeviceError::BlockOutOfRange {
             block: k,
-            num_blocks: b.config().num_blocks(),
+            num_blocks: cfg.num_blocks(),
         })
     }
+}
+
+/// Rejects a write run naming a block beyond the device, or carrying a
+/// payload that is not one block long.
+pub(crate) fn check_writes(
+    cfg: &DeviceConfig,
+    writes: &[(BlockIndex, BlockData)],
+) -> DeviceResult<()> {
+    for (k, data) in writes {
+        check_block(cfg, *k)?;
+        if data.len() != cfg.block_size() {
+            return Err(DeviceError::WrongBlockSize {
+                got: data.len(),
+                expected: cfg.block_size(),
+            });
+        }
+    }
+    Ok(())
 }
 
 /// What a coordinator reports when its own site's replica does not answer
@@ -614,25 +509,23 @@ pub fn others(cfg: &DeviceConfig, from: SiteId) -> SiteVec<SiteId> {
     cfg.site_ids().filter(|&s| s != from).collect()
 }
 
-/// Available (serving) sites reachable from `from`, including `from` itself
-/// when available.
-pub fn available_reachable<B: Backend + ?Sized>(b: &B, from: SiteId) -> Vec<SiteId> {
-    b.config()
-        .site_ids()
-        .filter(|&s| b.probe_state(from, s).is_some_and(|st| st.can_serve()))
-        .collect()
-}
-
 /// Total voting weight of a set of sites.
 pub fn weight_of(cfg: &DeviceConfig, sites: &[SiteId]) -> u64 {
     sites.iter().map(|&s| cfg.weight(s).as_u64()).sum()
 }
 
 /// Charges the delivery-mode fan-out cost of one logical message addressed
-/// to `targets` sites.
-pub fn charge_fanout<B: Backend + ?Sized>(b: &B, op: OpClass, kind: MsgKind, targets: usize) {
-    b.counter()
-        .add(op, kind, b.delivery_mode().fanout_cost(targets as u64));
+/// to `targets` sites, once per block of a run of `blocks`.
+pub(crate) fn charge_fanout<T: Transport>(
+    c: &ServerCluster<T>,
+    op: OpClass,
+    kind: MsgKind,
+    targets: usize,
+    blocks: usize,
+) {
+    let coord = &c.coord;
+    let per_block = coord.mode.fanout_cost(targets as u64);
+    coord.counter.add(op, kind, per_block * blocks as u64);
 }
 
 #[cfg(test)]
@@ -661,15 +554,35 @@ mod tests {
         assert_eq!(weight_of(&cfg, &[]), 0);
     }
 
-    #[test]
-    fn a_site_vec_spills_past_its_inline_sites_in_order() {
-        for n in [0, 1, INLINE_SITES, INLINE_SITES + 1, 2 * INLINE_SITES + 3] {
+    /// Lists of `n` entries for every interesting `n` around capacity `N`,
+    /// collected at once, pushed one by one, and collected through an
+    /// iterator that does not say how long it is.
+    fn spills_in_order<const N: usize>()
+    where
+        [u32; N]: Default,
+    {
+        for n in [0, 1, 2, N, N + 1, 2 * N + 3] {
             let want: Vec<u32> = (0..n as u32).collect();
-            let mut list: SiteVec<u32> = want.iter().copied().collect();
-            assert_eq!(*list, want[..], "{n} entries");
-            list.iter_mut().for_each(|x| *x += 1);
-            let back: Vec<u32> = list.clone().into_iter().collect();
-            assert_eq!(back, want.iter().map(|x| x + 1).collect::<Vec<_>>());
+            let mut pushed = InlineVec::<u32, N>::new();
+            want.iter().for_each(|&x| pushed.push(x));
+            let unsized_iter = want.iter().copied().filter(|_| true);
+            for mut list in [
+                want.iter().copied().collect::<InlineVec<u32, N>>(),
+                pushed.clone(),
+                unsized_iter.collect(),
+            ] {
+                assert_eq!(*list, want[..], "{n} entries in {N}");
+                list.iter_mut().for_each(|x| *x += 1);
+                let back: Vec<u32> = list.clone().into_iter().collect();
+                assert_eq!(back, want.iter().map(|x| x + 1).collect::<Vec<_>>());
+                assert_eq!(list.into_vec(), back);
+            }
         }
+    }
+
+    #[test]
+    fn site_and_block_lists_spill_past_their_capacity_in_order() {
+        spills_in_order::<INLINE_SITES>();
+        spills_in_order::<1>();
     }
 }

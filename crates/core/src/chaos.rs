@@ -34,7 +34,6 @@
 //! offloaded read from before the last write — which the version check in
 //! the lease path must always catch (benign by construction).
 
-use crate::backend::Backend;
 use crate::fault::{FaultKind, Faulty, OpReport};
 use crate::scenario::Action;
 use crate::shard::{ShardSpec, ShardedDevice};
@@ -346,7 +345,7 @@ impl Oracle {
     /// If every site agrees on every block (same version, same uniform
     /// data), the replicas are indistinguishable from a fresh device plus
     /// clean writes: re-certify everything `Exact` and re-arm the chain.
-    fn try_narrow(&mut self, rt: &impl Backend) {
+    fn try_narrow<T: Transport>(&mut self, rt: &ServerCluster<T>) {
         if !self.any_tainted() {
             return;
         }
@@ -398,8 +397,8 @@ impl Oracle {
 ///   weakened `voting.rs` check introduces);
 /// * available copy schemes — every available site must hold the value
 ///   ("write to all available copies" admits no exceptions).
-fn certify_clean_write(
-    rt: &impl Backend,
+fn certify_clean_write<T: Transport>(
+    rt: &ServerCluster<T>,
     op: usize,
     k: BlockIndex,
     fill: u8,
@@ -422,7 +421,7 @@ fn certify_clean_write(
             }
             let live: Vec<SiteId> = cfg
                 .site_ids()
-                .filter(|&s| rt.local_state(s).is_operational())
+                .filter(|&s| rt.site_state(s).is_operational())
                 .collect();
             let live_weight = crate::backend::weight_of(cfg, &live);
             if live_weight < cfg.write_quorum() {
@@ -434,7 +433,7 @@ fn certify_clean_write(
         }
         Scheme::AvailableCopy | Scheme::NaiveAvailableCopy => {
             for s in cfg.site_ids() {
-                if rt.local_state(s) == SiteState::Available && !holds(s) {
+                if rt.site_state(s) == SiteState::Available && !holds(s) {
                     return Err(format!(
                         "op {op}: available site {s} missed the write of block {k} \
                          (fill {fill:#04x})"
@@ -448,14 +447,18 @@ fn certify_clean_write(
 
 /// Certifies a clean successful voting read: the operational sites must
 /// carry a read quorum, or the read should have been refused.
-fn certify_clean_read(rt: &impl Backend, op: usize, k: BlockIndex) -> Result<(), String> {
+fn certify_clean_read<T: Transport>(
+    rt: &ServerCluster<T>,
+    op: usize,
+    k: BlockIndex,
+) -> Result<(), String> {
     let cfg = rt.config();
     if cfg.scheme() != Scheme::Voting {
         return Ok(());
     }
     let live: Vec<SiteId> = cfg
         .site_ids()
-        .filter(|&s| rt.local_state(s).is_operational())
+        .filter(|&s| rt.site_state(s).is_operational())
         .collect();
     let live_weight = crate::backend::weight_of(cfg, &live);
     if live_weight < cfg.read_quorum() {
@@ -471,9 +474,9 @@ fn certify_clean_read(rt: &impl Backend, op: usize, k: BlockIndex) -> Result<(),
 /// crashed site through the scheme's own failure handling, in the same
 /// order the runtime's `fail_site` uses. Every runtime derives
 /// reachability from the one link model, so that is all it takes.
-fn finalize_crashes(rt: &impl Backend, report: &OpReport) {
+fn finalize_crashes<T: Transport>(rt: &ServerCluster<T>, report: &OpReport) {
     for &s in &report.crashed {
-        if rt.local_state(s).is_operational() {
+        if rt.site_state(s).is_operational() {
             protocol::fail(rt, s);
         }
     }
@@ -491,10 +494,10 @@ fn fired_suffix(report: &OpReport) -> String {
     out
 }
 
-fn states_suffix(rt: &impl Backend) -> String {
+fn states_suffix<T: Transport>(rt: &ServerCluster<T>) -> String {
     rt.config()
         .site_ids()
-        .map(|s| match rt.local_state(s) {
+        .map(|s| match rt.site_state(s) {
             SiteState::Available => 'A',
             SiteState::Comatose => 'C',
             SiteState::Failed => 'F',
@@ -524,7 +527,7 @@ pub fn run_on<T: Transport>(
                 fill,
             } => {
                 let data = BlockData::from(vec![fill; cfg.block_size()]);
-                let res = protocol::write(rt, origin, block, &data);
+                let res = rt.write(origin, block, data);
                 let report = rt.end_op();
                 finalize_crashes(rt, &report);
                 oracle.record_write(block.index(), fill, res.is_ok(), &report);
@@ -542,7 +545,7 @@ pub fn run_on<T: Transport>(
                 )
             }
             Action::Read { origin, block } => {
-                let res = protocol::read(rt, origin, block);
+                let res = rt.read(origin, block);
                 let report = rt.end_op();
                 finalize_crashes(rt, &report);
                 let outcome = match &res {
@@ -569,7 +572,7 @@ pub fn run_on<T: Transport>(
             }
             Action::Fail(s) => {
                 let _ = rt.end_op();
-                let did = if rt.local_state(s).is_operational() {
+                let did = if rt.site_state(s).is_operational() {
                     protocol::fail(rt, s);
                     "failed"
                 } else {
@@ -578,7 +581,7 @@ pub fn run_on<T: Transport>(
                 format!("#{op} fail {s} -> {did}")
             }
             Action::Repair(s) => {
-                let outcome = match rt.local_state(s) {
+                let outcome = match rt.site_state(s) {
                     SiteState::Failed => {
                         let scrubbed = rt.scrub_local(s);
                         protocol::repair(rt, s);
@@ -608,7 +611,7 @@ pub fn run_on<T: Transport>(
             .expect("a site always reports its own was-available set");
         let mut line = format!(
             "site {s}: {:?} W={:?}",
-            rt.local_state(s),
+            rt.site_state(s),
             w.iter().map(|x| x.as_u32()).collect::<Vec<_>>()
         );
         for b in 0..cfg.num_blocks() {
@@ -1169,7 +1172,7 @@ pub fn run_shard_scenarios_on<T: Transport + 'static>(
     // #5: repair the victim shard; the available copy schemes may need a
     // sweep per site before the closure admits the shard back.
     for s in raw[victim].config().site_ids() {
-        if raw[victim].local_state(s) == SiteState::Failed {
+        if raw[victim].site_state(s) == SiteState::Failed {
             let _ = raw[victim].scrub_local(s);
             begin(5);
             protocol::repair(&*raw[victim], s);
@@ -1180,7 +1183,7 @@ pub fn run_shard_scenarios_on<T: Transport + 'static>(
     while raw[victim]
         .config()
         .site_ids()
-        .any(|s| raw[victim].local_state(s) == SiteState::Comatose)
+        .any(|s| raw[victim].site_state(s) == SiteState::Comatose)
         && sweeps < cfg.num_sites()
     {
         begin(5);
@@ -1222,7 +1225,7 @@ pub fn run_shard_scenarios_on<T: Transport + 'static>(
 
     // #9: repair whatever the torn install crashed.
     for s in raw[victim].config().site_ids() {
-        if raw[victim].local_state(s) == SiteState::Failed {
+        if raw[victim].site_state(s) == SiteState::Failed {
             let _ = raw[victim].scrub_local(s);
             begin(9);
             protocol::repair(&*raw[victim], s);
@@ -1233,7 +1236,7 @@ pub fn run_shard_scenarios_on<T: Transport + 'static>(
     while raw[victim]
         .config()
         .site_ids()
-        .any(|s| raw[victim].local_state(s) == SiteState::Comatose)
+        .any(|s| raw[victim].site_state(s) == SiteState::Comatose)
         && sweeps < cfg.num_sites()
     {
         begin(9);
@@ -1270,7 +1273,7 @@ pub fn run_shard_scenarios_on<T: Transport + 'static>(
                 .expect("a site always reports its own was-available set");
             let mut line = format!(
                 "shard {i} site {s}: {:?} W={:?}",
-                b.local_state(s),
+                b.site_state(s),
                 w.iter().map(|x| x.as_u32()).collect::<Vec<_>>()
             );
             for &k in all.iter().filter(|&&k| manifest.shard_of(k) == i) {

@@ -115,8 +115,7 @@ impl ServerCluster<Inline> {
     /// model-checking tests use this to explore every interleaving of
     /// failures, repairs and writes from a common prefix.
     pub fn fork(&self) -> Cluster {
-        use crate::backend::Backend as _;
-        let coord = self.coordinator().fork();
+        let coord = self.coord.fork();
         let replicas = self
             .transport
             .replicas
@@ -131,7 +130,7 @@ impl ServerCluster<Inline> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{Backend, WriteBatch};
+    use crate::backend::WriteBatch;
     use blockrep_storage::SealedBlock;
     use blockrep_types::{BlockData, BlockIndex, Scheme, SiteState, VersionNumber};
 
@@ -277,10 +276,16 @@ mod tests {
         for s in [sid(1), sid(2)] {
             assert!(c.apply_write_many(sid(0), s, &batch(1)));
             assert!(batch(1).iter().all(|write| holds(s, write)));
-            let votes: Option<Vec<_>> = ks.iter().map(|&k| c.vote(sid(0), s, k)).collect();
-            assert_eq!(c.vote_many(sid(0), s, &ks), votes);
-            let reads: Vec<_> = ks.iter().map(|&k| c.read_local(s, k).unwrap()).collect();
-            assert_eq!(c.read_local_many(s, &ks).unwrap(), reads);
+            let votes: Option<Vec<_>> = ks
+                .iter()
+                .map(|&k| Some(c.vote_many(sid(0), s, &[k])?[0]))
+                .collect();
+            assert_eq!(c.vote_many(sid(0), s, &ks).map(|vs| vs.into_vec()), votes);
+            let reads: Vec<_> = ks
+                .iter()
+                .map(|&k| c.read_local_many(s, &[k]).unwrap()[0].clone())
+                .collect();
+            assert_eq!(*c.read_local_many(s, &ks).unwrap(), reads);
         }
         // A failed and a partitioned-away target: no votes, and not one
         // block of the batch installed.
@@ -293,7 +298,7 @@ mod tests {
         }
         // A site's own disk answers it even while the site is failed.
         let own: Vec<BlockData> = batch(1).iter().map(|(_, b)| b.data().clone()).collect();
-        assert_eq!(c.read_local_many(sid(2), &ks).unwrap(), own);
+        assert_eq!(*c.read_local_many(sid(2), &ks).unwrap(), own);
     }
 
     #[test]
@@ -304,9 +309,9 @@ mod tests {
             c.fail_site(sid(2));
             // A writer coordinated at s0 holds k's shard and has installed at
             // s1, not yet at s0 — the source a recovery of s2 copies from.
-            let writer = c.block_locks().write_guard(k);
-            let sealed = SealedBlock::new(v, block(9));
-            c.apply_write(sid(0), sid(1), k, &sealed);
+            let writer = c.coord.locks.write_guard(k);
+            let sealed: WriteBatch = [(k, v, block(9))].into_iter().collect();
+            c.apply_write_many(sid(0), sid(1), &sealed);
             std::thread::scope(|scope| {
                 let repair = scope.spawn(|| c.repair_site(sid(2)));
                 std::thread::sleep(std::time::Duration::from_millis(50));
@@ -315,7 +320,7 @@ mod tests {
                     SiteState::Available,
                     "{scheme}: s2 promoted past a write in flight"
                 );
-                c.apply_write(sid(0), sid(0), k, &sealed);
+                c.apply_write_many(sid(0), sid(0), &sealed);
                 drop(writer);
                 repair.join().unwrap();
             });

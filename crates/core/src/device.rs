@@ -3,13 +3,11 @@
 //! In the paper's UNIX deployment, a kernel device-driver *stub* forwards
 //! block requests to a user-state server; in the MACH deployment the file
 //! system talks to the server over IPC. Either way, what the file system
-//! sees is an ordinary block device. [`DriverStub`] models the pinned,
-//! single-server stub exactly; [`ReliableDevice`] adds the failover a
-//! diskless-workstation client would want (try the preferred server, fall
-//! back to any serving site).
+//! sees is an ordinary block device. [`ReliableDevice`] is that device,
+//! with the failover a diskless-workstation client would want (try the
+//! preferred server, fall back to any serving site).
 
-use crate::backend::Backend;
-use crate::protocol;
+use crate::transport::{ServerCluster, Transport};
 use blockrep_storage::BlockDevice;
 use blockrep_types::{BlockData, BlockIndex, DeviceConfig, DeviceError, DeviceResult, SiteId};
 use std::sync::Arc;
@@ -31,86 +29,6 @@ pub(crate) fn with_failover<T>(
         outcome = op(origin);
     }
     outcome
-}
-
-/// A block device served by one pinned site, like the kernel stub of
-/// Figure 1: every request is forwarded to the same server, and if that
-/// server is down the request fails.
-///
-/// # Examples
-///
-/// ```
-/// use blockrep_core::{Cluster, ClusterOptions, DriverStub};
-/// use blockrep_storage::BlockDevice;
-/// use blockrep_types::{BlockData, BlockIndex, DeviceConfig, Scheme, SiteId};
-/// use std::sync::Arc;
-///
-/// # fn main() -> Result<(), blockrep_types::DeviceError> {
-/// let cfg = DeviceConfig::builder(Scheme::NaiveAvailableCopy).sites(3).build()?;
-/// let cluster = Arc::new(Cluster::new(cfg, ClusterOptions::default()));
-/// let stub = DriverStub::new(Arc::clone(&cluster), SiteId::new(0));
-/// stub.write_block(BlockIndex::new(0), BlockData::zeroed(512))?;
-/// cluster.fail_site(SiteId::new(0));
-/// assert!(stub.read_block(BlockIndex::new(0)).is_err()); // pinned server down
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug)]
-pub struct DriverStub<C> {
-    cluster: Arc<C>,
-    site: SiteId,
-}
-
-impl<C> Clone for DriverStub<C> {
-    fn clone(&self) -> Self {
-        DriverStub {
-            cluster: Arc::clone(&self.cluster),
-            site: self.site,
-        }
-    }
-}
-
-impl<C: Backend> DriverStub<C> {
-    /// Creates a stub forwarding to the server process on `site`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `site` is not a site of the device.
-    pub fn new(cluster: Arc<C>, site: SiteId) -> Self {
-        assert!(cluster.config().contains_site(site), "unknown site {site}");
-        DriverStub { cluster, site }
-    }
-
-    /// The site this stub forwards to.
-    pub fn site(&self) -> SiteId {
-        self.site
-    }
-}
-
-impl<C: Backend> BlockDevice for DriverStub<C> {
-    fn num_blocks(&self) -> u64 {
-        self.cluster.config().num_blocks()
-    }
-
-    fn block_size(&self) -> usize {
-        self.cluster.config().block_size()
-    }
-
-    fn read_block(&self, k: BlockIndex) -> DeviceResult<BlockData> {
-        protocol::read(&*self.cluster, self.site, k)
-    }
-
-    fn write_block(&self, k: BlockIndex, data: BlockData) -> DeviceResult<()> {
-        protocol::write(&*self.cluster, self.site, k, &data)
-    }
-
-    fn read_blocks(&self, ks: &[BlockIndex]) -> DeviceResult<Vec<BlockData>> {
-        protocol::read_many(&*self.cluster, self.site, ks)
-    }
-
-    fn write_blocks(&self, writes: &[(BlockIndex, BlockData)]) -> DeviceResult<()> {
-        protocol::write_many(&*self.cluster, self.site, writes)
-    }
 }
 
 /// The reliable device as a client library: an ordinary [`BlockDevice`]
@@ -154,14 +72,17 @@ impl<C> Clone for ReliableDevice<C> {
     }
 }
 
-impl<C: Backend> ReliableDevice<C> {
+// `Transport` is the crate's own seam: nothing outside it can name a `T`
+// other than the exported ones.
+#[allow(private_bounds)]
+impl<T: Transport> ReliableDevice<ServerCluster<T>> {
     /// Creates a device handle that coordinates through `preferred` when
     /// possible.
     ///
     /// # Panics
     ///
     /// Panics if `preferred` is not a site of the device.
-    pub fn new(cluster: Arc<C>, preferred: SiteId) -> Self {
+    pub fn new(cluster: Arc<ServerCluster<T>>, preferred: SiteId) -> Self {
         assert!(
             cluster.config().contains_site(preferred),
             "unknown site {preferred}"
@@ -175,17 +96,17 @@ impl<C: Backend> ReliableDevice<C> {
     }
 
     /// The underlying cluster handle.
-    pub fn cluster(&self) -> &Arc<C> {
+    pub fn cluster(&self) -> &Arc<ServerCluster<T>> {
         &self.cluster
     }
 
     /// Runs `op` under the failover rule, over this device's sites.
-    fn failover<T>(&self, op: impl FnMut(SiteId) -> DeviceResult<T>) -> DeviceResult<T> {
+    fn failover<R>(&self, op: impl FnMut(SiteId) -> DeviceResult<R>) -> DeviceResult<R> {
         with_failover(self.cluster.config(), self.preferred, op)
     }
 }
 
-impl<C: Backend> BlockDevice for ReliableDevice<C> {
+impl<T: Transport> BlockDevice for ReliableDevice<ServerCluster<T>> {
     fn num_blocks(&self) -> u64 {
         self.cluster.config().num_blocks()
     }
@@ -195,21 +116,22 @@ impl<C: Backend> BlockDevice for ReliableDevice<C> {
     }
 
     fn read_block(&self, k: BlockIndex) -> DeviceResult<BlockData> {
-        self.failover(|origin| protocol::read(&*self.cluster, origin, k))
+        self.failover(|origin| self.cluster.read(origin, k))
     }
 
     fn write_block(&self, k: BlockIndex, data: BlockData) -> DeviceResult<()> {
         // The payload is borrowed by every attempt: failover retries reuse
         // it, and the common single-origin success path never clones.
-        self.failover(|origin| protocol::write(&*self.cluster, origin, k, &data))
+        let write = [(k, data)];
+        self.failover(|origin| self.cluster.write_many(origin, &write))
     }
 
     fn read_blocks(&self, ks: &[BlockIndex]) -> DeviceResult<Vec<BlockData>> {
-        self.failover(|origin| protocol::read_many(&*self.cluster, origin, ks))
+        self.failover(|origin| self.cluster.read_many(origin, ks))
     }
 
     fn write_blocks(&self, writes: &[(BlockIndex, BlockData)]) -> DeviceResult<()> {
-        self.failover(|origin| protocol::write_many(&*self.cluster, origin, writes))
+        self.failover(|origin| self.cluster.write_many(origin, writes))
     }
 }
 
@@ -278,25 +200,5 @@ mod tests {
         // Exactly one coordination attempt: one vote broadcast, no replies.
         let delta = c.traffic() - before;
         assert_eq!(delta.total(), 1);
-    }
-
-    #[test]
-    fn driver_stub_is_pinned() {
-        let c = cluster(Scheme::AvailableCopy);
-        let stub = DriverStub::new(Arc::clone(&c), SiteId::new(1));
-        assert_eq!(stub.site(), SiteId::new(1));
-        stub.write_block(BlockIndex::new(2), BlockData::from(vec![3; 8]))
-            .unwrap();
-        c.fail_site(SiteId::new(1));
-        assert!(stub.read_block(BlockIndex::new(2)).is_err());
-        // Unpinned handle still works.
-        let dev = ReliableDevice::new(Arc::clone(&c), SiteId::new(1));
-        assert!(dev.read_block(BlockIndex::new(2)).is_ok());
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown site")]
-    fn stub_rejects_unknown_site() {
-        let _ = DriverStub::new(cluster(Scheme::Voting), SiteId::new(7));
     }
 }

@@ -28,7 +28,6 @@
 //! same protocol step on all three runtimes (see
 //! `scatter_keeps_exchange_indices_pinned_on_all_runtimes` below).
 
-use crate::backend::Backend;
 use crate::obs_hooks;
 use crate::transport::{Links, ServerCluster, Transport};
 use crate::wire::{Request, WireRequest, WireResponse};
@@ -225,7 +224,7 @@ impl<T: Transport> ServerCluster<Faulty<T>> {
     /// inert until the next [`begin_op`](Self::begin_op).
     pub fn end_op(&self) -> OpReport {
         let st = std::mem::take(&mut *self.transport.state.lock());
-        let links = &self.coordinator().links;
+        let links = &self.coord.links;
         for (from, to, request) in &st.deferred {
             if !st.crashed.contains(to) {
                 let request = request.as_request();
@@ -348,7 +347,6 @@ impl<T: Transport> Transport for Faulty<T> {
             // to "processed, answered, then crashed".
             Fate::Storage(fault) => {
                 let first = match request {
-                    Request::Install(k, block) => Some((k, block.version(), block.data())),
                     Request::ApplyWrite(k, v, data) => Some((k, v, data)),
                     Request::ApplyWriteMany(blocks) => blocks
                         .first()
@@ -419,7 +417,7 @@ mod tests {
         faults: &[(u64, FaultKind)],
     ) -> (DeviceResult<()>, OpReport) {
         c.begin_op(0, faults);
-        let wrote = crate::protocol::write(c, sid(0), blk(0), &BlockData::from(vec![fill; 4]));
+        let wrote = c.write(sid(0), blk(0), BlockData::from(vec![fill; 4]));
         (wrote, c.end_op())
     }
 
@@ -500,7 +498,7 @@ mod tests {
         // Naive AC write exchanges: probe(s1), apply(s1), probe(s2), apply(s2).
         c.begin_op(0, &[(1, FaultKind::DelayMessage)]);
         let data = BlockData::from(vec![3; 4]);
-        crate::protocol::write(&c, sid(0), blk(0), &data).unwrap();
+        c.write(sid(0), blk(0), data).unwrap();
         // Held back until end_op…
         assert!(c.data_of(sid(1), blk(0)).is_zeroed());
         c.end_op();
@@ -577,7 +575,7 @@ mod tests {
         let writes: Vec<(BlockIndex, BlockData)> = (0..2)
             .map(|k| (blk(k), BlockData::from(vec![6 + k as u8; 4])))
             .collect();
-        crate::protocol::write_many(c, sid(0), &writes).unwrap();
+        c.write_many(sid(0), &writes).unwrap();
         let report = c.end_op();
         aftermath(c, 2, report)
     }

@@ -6,10 +6,10 @@
 //!
 //! ```text
 //!  unmodified file system (blockrep-fs)
-//!          │  read_block / write_block          (BlockDevice trait)
+//!          │  read_block(s) / write_block(s)    (BlockDevice trait)
 //!          ▼
-//!  ReliableDevice / DriverStub                  (device.rs — Figures 1–2)
-//!          │  coordinated protocol operations
+//!  ReliableDevice                               (device.rs — Figures 1–2)
+//!          │  coordinated protocol operations: runs of blocks (one or more)
 //!          ▼
 //!  ServerCluster<T> — one Coordinator: config, §5 counter, block locks,
 //!  leases, and the link model (site states + topology) that decides
@@ -21,8 +21,9 @@
 //!  Replica per site: VersionedStore + was-available set (+ journal)
 //! ```
 //!
-//! The three consistency schemes of §3 are implemented against a common
-//! [`backend::Backend`] abstraction, so **the same protocol code** runs over
+//! The three consistency schemes of §3 are implemented once, against
+//! [`ServerCluster<T>`], one read and one write body each — a single block
+//! is a run of one — so **the same protocol code** runs over
 //! the deterministic in-process cluster (used by tests, property tests and
 //! the simulation harnesses) and over the threaded and socket clusters
 //! (server processes exchanging messages):
@@ -99,7 +100,7 @@ pub use backend::{
     ScatterSpec, WriteBatch,
 };
 pub use cluster::{Cluster, ClusterOptions, Inline};
-pub use device::{DriverStub, ReliableDevice};
+pub use device::ReliableDevice;
 pub use live::{LiveCluster, LiveTransport};
 pub use locks::{BlockLockTable, LeaseTable};
 pub use replica::Replica;

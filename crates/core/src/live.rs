@@ -521,7 +521,6 @@ mod tests {
 
     #[test]
     fn a_cast_wakes_no_thread_and_the_next_round_trip_is_behind_it() {
-        use crate::backend::Backend;
         use blockrep_types::VersionNumber;
         let c = live(Scheme::AvailableCopy, 3);
         let site = Arc::clone(&c.transport.sites[2]);
@@ -532,8 +531,8 @@ mod tests {
         let casts = WINDOW as u64 - 1;
         for v in 1..=casts {
             let data = BlockData::from(vec![v as u8; 8]);
-            let block = blockrep_storage::SealedBlock::new(VersionNumber::new(v), data);
-            assert!(c.apply_write(sid(0), sid(2), k, &block));
+            let block = [(k, VersionNumber::new(v), data)].into_iter().collect();
+            assert!(c.apply_write_many(sid(0), sid(2), &block));
         }
         std::thread::sleep(Duration::from_millis(20));
         assert_eq!(
@@ -541,13 +540,15 @@ mod tests {
             casts as usize,
             "a cast below the window woke site 2's thread"
         );
-        assert_eq!(c.vote(sid(0), sid(2), k), Some(VersionNumber::new(casts)));
+        assert_eq!(
+            c.vote_many(sid(0), sid(2), &[k]).map(|vs| vs[0]),
+            Some(VersionNumber::new(casts))
+        );
         assert!(site.inbox.lock().queue.is_empty());
     }
 
     #[test]
     fn installs_queued_at_a_site_that_fails_are_served_before_it_recovers() {
-        use crate::backend::Backend;
         for scheme in [Scheme::AvailableCopy, Scheme::NaiveAvailableCopy] {
             let c = live(scheme, 3);
             // Fewer installs than the window, so they sit in site 2's inbox
@@ -608,12 +609,11 @@ mod tests {
 
     #[test]
     fn a_coordinator_that_crashes_between_votes_and_installs_commits_nothing() {
-        use crate::backend::Backend;
         use blockrep_types::DeviceError;
         let c = live(Scheme::Voting, 3);
         let k = BlockIndex::new(0);
         c.write(sid(0), k, BlockData::from(vec![1; 8])).unwrap();
-        let before = c.vote(sid(0), sid(0), k);
+        let before = c.vote_many(sid(0), sid(0), &[k]).map(|vs| vs[0]);
         let site_1 = Arc::clone(&c.transport.sites[1]);
         std::thread::scope(|scope| {
             // Hold the vote round open: site 1 cannot answer.
@@ -634,7 +634,7 @@ mod tests {
             );
         });
         assert_eq!(
-            c.vote(sid(0), sid(0), k),
+            c.vote_many(sid(0), sid(0), &[k]).map(|vs| vs[0]),
             before,
             "installed on a dead site"
         );

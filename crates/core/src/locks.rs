@@ -55,6 +55,7 @@
 //! fault) degrades to a quorum read instead of breaking one-copy
 //! semantics.
 
+use crate::backend::BlockVec;
 use blockrep_types::{BlockIndex, SiteId, VersionNumber};
 use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::collections::HashMap;
@@ -81,9 +82,11 @@ pub struct BlockLockTable {
     shards: Vec<RwLock<()>>,
 }
 
-/// A held shard guard, tagged with its shard index so multi-shard
-/// acquisitions can assert the ascending-order discipline.
-pub type ShardWriteGuard<'a> = (usize, RwLockWriteGuard<'a, ()>);
+/// The held shard guards of one run, each tagged with its shard index so
+/// multi-shard acquisitions can assert the ascending-order discipline. A
+/// run takes one shard or two (see the module docs); one is held inline, so a
+/// single-block operation allocates nothing for its locks.
+pub type ShardGuards<G> = BlockVec<(usize, Option<G>)>;
 
 impl BlockLockTable {
     /// Creates a table with the default shard count.
@@ -108,25 +111,30 @@ impl BlockLockTable {
         self.shards[Self::shard_of(k)].write()
     }
 
-    /// The shards of `ks` as a bitmask, bit `s` for shard `s`. Walking it
-    /// from bit 0 up yields them ascending and deduplicated, the only
-    /// order multi-shard acquisitions are permitted to use.
-    fn shard_mask(ks: &[BlockIndex]) -> u64 {
-        ks.iter().fold(0, |mask, &k| mask | 1 << Self::shard_of(k))
+    /// The shards of `ks`, ascending and deduplicated — the only order
+    /// multi-shard acquisitions are permitted to use: the set bits of a
+    /// mask with bit `s` for shard `s`, lowest first.
+    fn shards_of(ks: &[BlockIndex]) -> impl Iterator<Item = usize> {
+        let mut mask = ks
+            .iter()
+            .fold(0u64, |mask, &k| mask | 1 << Self::shard_of(k));
+        std::iter::from_fn(move || {
+            let s = mask.trailing_zeros() as usize;
+            mask &= mask.wrapping_sub(1);
+            (s < SHARDS).then_some(s)
+        })
     }
 
     /// Acquires the shards of every block in `ks` for shared access, in
     /// ascending shard order.
-    pub fn read_guard_many(&self, ks: &[BlockIndex]) -> Vec<(usize, RwLockReadGuard<'_, ()>)> {
-        let mask = Self::shard_mask(ks);
-        let mut guards: Vec<(usize, RwLockReadGuard<'_, ()>)> =
-            Vec::with_capacity(mask.count_ones() as usize);
-        for s in (0..SHARDS).filter(|&s| mask >> s & 1 == 1) {
+    pub fn read_guard_many(&self, ks: &[BlockIndex]) -> ShardGuards<RwLockReadGuard<'_, ()>> {
+        let mut guards = ShardGuards::new();
+        for s in Self::shards_of(ks) {
             debug_assert!(
                 guards.last().is_none_or(|&(prev, _)| prev < s),
                 "block-lock shards must be acquired in ascending order"
             );
-            guards.push((s, self.shards[s].read()));
+            guards.push((s, Some(self.shards[s].read())));
         }
         guards
     }
@@ -134,15 +142,14 @@ impl BlockLockTable {
     /// Acquires the shards of every block in `ks` for exclusive access, in
     /// ascending shard order (the deadlock-freedom discipline the module
     /// docs describe; `blockrep-lint` verifies the assertion is in place).
-    pub fn write_guard_many(&self, ks: &[BlockIndex]) -> Vec<ShardWriteGuard<'_>> {
-        let mask = Self::shard_mask(ks);
-        let mut guards: Vec<ShardWriteGuard<'_>> = Vec::with_capacity(mask.count_ones() as usize);
-        for s in (0..SHARDS).filter(|&s| mask >> s & 1 == 1) {
+    pub fn write_guard_many(&self, ks: &[BlockIndex]) -> ShardGuards<RwLockWriteGuard<'_, ()>> {
+        let mut guards = ShardGuards::new();
+        for s in Self::shards_of(ks) {
             debug_assert!(
                 guards.last().is_none_or(|&(prev, _)| prev < s),
                 "block-lock shards must be acquired in ascending order"
             );
-            guards.push((s, self.shards[s].write()));
+            guards.push((s, Some(self.shards[s].write())));
         }
         guards
     }
@@ -202,6 +209,7 @@ impl LeaseTable {
     }
 
     /// Whether read offload is enabled.
+    #[inline]
     pub fn enabled(&self) -> bool {
         self.enabled.load(Ordering::Relaxed)
     }
@@ -209,6 +217,7 @@ impl LeaseTable {
     /// The current epoch. Capture it *before* assembling a quorum and pass
     /// it to [`grant`](Self::grant): if a failure intervenes, the bumped
     /// epoch makes the late grant dead on arrival instead of stale.
+    #[inline]
     pub fn current_epoch(&self) -> u64 {
         self.epoch.load(Ordering::SeqCst)
     }
@@ -237,6 +246,7 @@ impl LeaseTable {
     }
 
     /// Revokes block `k`'s lease (the start of every write fan-out).
+    #[inline]
     pub fn invalidate(&self, k: BlockIndex) {
         if !self.enabled() {
             return;
@@ -246,6 +256,7 @@ impl LeaseTable {
 
     /// The current-epoch lease for block `k`, if any: the certified version
     /// and the known-current holders.
+    #[inline]
     pub fn lookup(&self, k: BlockIndex) -> Option<(VersionNumber, Vec<SiteId>)> {
         if !self.enabled() {
             return None;

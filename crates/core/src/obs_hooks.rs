@@ -52,8 +52,6 @@ macro_rules! cached_phase {
 
 cached_phase!(op_read, "op.read");
 cached_phase!(op_write, "op.write");
-cached_phase!(op_read_many, "op.read_many");
-cached_phase!(op_write_many, "op.write_many");
 cached_phase!(op_repair, "op.repair");
 cached_phase!(phase_local_leg, "phase.local_leg");
 cached_phase!(phase_exchange, "phase.exchange");
@@ -71,6 +69,7 @@ pub(crate) fn tracing() -> bool {
 }
 
 /// Opens an operation span (and installs its context) when tracing is on.
+#[inline]
 pub(crate) fn op_span(phase: fn() -> u32, site: u32) -> Option<Span> {
     if blockrep_obs::enabled() && trace::enabled() {
         Some(trace::start_op(phase(), site))
@@ -81,6 +80,7 @@ pub(crate) fn op_span(phase: fn() -> u32, site: u32) -> Option<Span> {
 
 /// Opens a phase span under the current op span when tracing is on (and an
 /// op is actually open).
+#[inline]
 pub(crate) fn phase_span(phase: fn() -> u32, site: u32) -> Option<Span> {
     if blockrep_obs::enabled() && trace::enabled() {
         trace::start_phase(phase(), site)
@@ -91,6 +91,7 @@ pub(crate) fn phase_span(phase: fn() -> u32, site: u32) -> Option<Span> {
 
 /// Starts a latency timer for `metric` when observability is enabled; the
 /// `None` guard on the disabled path is free.
+#[inline]
 pub(crate) fn timer(metric: fn() -> &'static Histogram) -> Option<HistogramTimer<'static>> {
     if blockrep_obs::enabled() {
         Some(metric().timer())
@@ -100,6 +101,7 @@ pub(crate) fn timer(metric: fn() -> &'static Histogram) -> Option<HistogramTimer
 }
 
 /// Records `value` into `metric` when observability is enabled.
+#[inline]
 pub(crate) fn record(metric: fn() -> &'static Histogram, value: u64) {
     if blockrep_obs::enabled() {
         metric().record(value);
@@ -107,6 +109,7 @@ pub(crate) fn record(metric: fn() -> &'static Histogram, value: u64) {
 }
 
 /// Adds `n` to `metric` when observability is enabled.
+#[inline]
 pub(crate) fn count(metric: fn() -> &'static Counter, n: u64) {
     if blockrep_obs::enabled() {
         metric().add(n);

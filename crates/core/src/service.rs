@@ -10,8 +10,8 @@
 //! cluster or a coordinator asks a site on its own thread — so a request is
 //! handled the same way whatever path it arrived by.
 //!
-//! Reply shapes: a read answers with what it read (`Version`, `Versions`,
-//! `Block`, `Data`, `DataMany`, `Vector`, `Payload`, `W`); `Scrub` and
+//! Reply shapes: a read answers with what it read (`Versions`, `Block`,
+//! `DataMany`, `Vector`, `Payload`, `W`); `Scrub` and
 //! `ApplyRepair` with the `Count` of blocks reset or replaced; every other
 //! write with `Ack`. A traced envelope is answered as its inner request.
 
@@ -32,13 +32,10 @@ fn fits(replica: &Replica, request: Request<'_>) -> bool {
     let block = |k: &BlockIndex| k.as_u64() < num_blocks;
     let install = |k: &BlockIndex, data: &BlockData| block(k) && data.len() == block_size;
     match request {
-        Request::Vote(k) | Request::Fetch(k) | Request::FetchLease(k) | Request::ReadLocal(k) => {
-            block(&k)
-        }
+        Request::Fetch(k) | Request::FetchLease(k) => block(&k),
         Request::ApplyWrite(k, _, data) | Request::ApplyWriteFaulty(k, _, data, _) => {
             install(&k, data)
         }
-        Request::Install(k, sealed) => install(&k, sealed.data()),
         Request::ApplyWriteMany(blocks) => blocks.iter().all(|(k, block)| install(k, block.data())),
         Request::ApplyRepair(blocks) => blocks.iter().all(|(k, _, data)| install(k, data)),
         Request::ReadLocalMany(ks) | Request::VoteMany(ks) => ks.iter().all(block),
@@ -63,17 +60,12 @@ pub(crate) fn serve(replica: &mut Replica, request: Request<'_>) -> Option<WireR
     }
     Some(match request {
         Request::Probe => WireResponse::Ack,
-        Request::Vote(k) => WireResponse::Version(replica.version(k)),
         Request::Fetch(k) | Request::FetchLease(k) => {
             let (v, data) = replica.versioned(k);
             WireResponse::Block(v, data)
         }
         Request::ApplyWrite(k, v, data) => {
             replica.install(k, data.clone(), v);
-            WireResponse::Ack
-        }
-        Request::Install(k, block) => {
-            replica.install_sealed(k, block.clone());
             WireResponse::Ack
         }
         Request::ApplyWriteFaulty(k, v, data, fault) => {
@@ -86,7 +78,6 @@ pub(crate) fn serve(replica: &mut Replica, request: Request<'_>) -> Option<WireR
             }
             WireResponse::Ack
         }
-        Request::ReadLocal(k) => WireResponse::Data(replica.data(k)),
         Request::ReadLocalMany(ks) => {
             WireResponse::DataMany(ks.iter().map(|&k| replica.data(k)).collect())
         }
@@ -118,7 +109,8 @@ pub(crate) fn serve(replica: &mut Replica, request: Request<'_>) -> Option<WireR
 
 /// Serves a request a site took whole, off its socket or out of its inbox,
 /// through [`serve`]: a run of votes is answered in the run's own buffer,
-/// as the versions fit where the block indices were.
+/// as the versions fit where the block indices were (a `Vec` collected in
+/// place).
 ///
 /// A [`WireRequest::Traced`] envelope is opened here, for every transport
 /// that carries one: the request inside is served within a
@@ -130,9 +122,10 @@ pub(crate) fn serve_owned(
     request: WireRequest,
 ) -> Option<WireResponse> {
     match request {
-        WireRequest::VoteMany(ks) if fits(replica, Request::VoteMany(&ks)) => Some(
-            WireResponse::Versions(ks.into_iter().map(|k| replica.version(k)).collect()),
-        ),
+        WireRequest::VoteMany(ks) if fits(replica, Request::VoteMany(&ks)) => {
+            let vs: Vec<_> = ks.into_iter().map(|k| replica.version(k)).collect();
+            Some(WireResponse::Versions(vs.into()))
+        }
         WireRequest::Traced {
             trace_id,
             parent_span,
@@ -211,17 +204,11 @@ mod tests {
         let w = vec![SiteId::new(0), SiteId::new(1)];
         vec![
             (WireRequest::Probe, ack),
-            (WireRequest::Vote(blk(1)), |r| {
-                matches!(r, WireResponse::Version(_))
-            }),
             (WireRequest::Fetch(blk(1)), |r| {
                 matches!(r, WireResponse::Block(..))
             }),
             (WireRequest::FetchLease(blk(1)), |r| {
                 matches!(r, WireResponse::Block(..))
-            }),
-            (WireRequest::ReadLocal(blk(1)), |r| {
-                matches!(r, WireResponse::Data(_))
             }),
             (
                 WireRequest::VoteMany(ks.clone()),
@@ -281,10 +268,8 @@ mod tests {
         let short = BlockData::from(vec![1; 7]);
         let fault = StorageFault::Torn { keep: 3 };
         for request in [
-            WireRequest::Vote(out),
             WireRequest::Fetch(out),
             WireRequest::FetchLease(out),
-            WireRequest::ReadLocal(out),
             WireRequest::ReadLocalMany(vec![blk(0), out]),
             WireRequest::VoteMany(vec![out]),
             WireRequest::ApplyWrite(out, ver(1), fill(1)),
@@ -331,12 +316,12 @@ mod tests {
             block
         );
         assert_eq!(
-            serve_owned(&mut r, 1, WireRequest::ReadLocal(blk(2))),
-            Some(WireResponse::Data(fill(9)))
+            serve_owned(&mut r, 1, WireRequest::ReadLocalMany(vec![blk(2)])),
+            Some(WireResponse::DataMany(vec![fill(9)].into()))
         );
         assert_eq!(
-            serve_owned(&mut r, 1, WireRequest::Vote(blk(2))),
-            Some(WireResponse::Version(ver(5)))
+            serve_owned(&mut r, 1, WireRequest::VoteMany(vec![blk(2)])),
+            Some(WireResponse::Versions(vec![ver(5)].into()))
         );
         // A batch lands whole, and an older version does not overwrite.
         let batch = [(blk(0), ver(1), fill(1)), (blk(2), ver(4), fill(0))];
@@ -348,15 +333,15 @@ mod tests {
         let ks = [blk(0), blk(2)];
         assert_eq!(
             serve_owned(&mut r, 1, WireRequest::ReadLocalMany(ks.to_vec())),
-            Some(WireResponse::DataMany(vec![fill(1), fill(9)]))
+            Some(WireResponse::DataMany(vec![fill(1), fill(9)].into()))
         );
         assert_eq!(
             serve_owned(&mut r, 1, WireRequest::VoteMany(ks.to_vec())),
-            Some(WireResponse::Versions(vec![ver(1), ver(5)]))
+            Some(WireResponse::Versions(vec![ver(1), ver(5)].into()))
         );
         // A block sealed in process lands with the seal's sum.
-        let sealed = SealedBlock::new(ver(6), fill(5));
-        let install = Request::Install(blk(3), &sealed);
+        let sealed = [(blk(3), SealedBlock::new(ver(6), fill(5)))];
+        let install = Request::ApplyWriteMany(&sealed);
         assert_eq!(serve(&mut r, install), Some(WireResponse::Ack));
         assert_eq!(
             serve_owned(&mut r, 1, WireRequest::Fetch(blk(3))),

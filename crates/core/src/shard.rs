@@ -31,9 +31,8 @@
 //! independent disks offers — and the per-shard one-copy invariant is
 //! never weakened (the chaos shard scenarios check it per shard).
 
-use crate::backend::Backend;
 use crate::device::with_failover;
-use crate::protocol;
+use crate::transport::{ServerCluster, Transport};
 use blockrep_net::DeliveryMode;
 use blockrep_storage::BlockDevice;
 use blockrep_types::{
@@ -275,8 +274,8 @@ impl ShardSpec {
 
 /// A virtual block device striped over independent replica groups.
 ///
-/// Each shard is a complete cluster of its own — any [`Backend`] runtime
-/// works — and the device routes every block to its manifest-assigned
+/// Each shard is a complete cluster of its own — a [`ServerCluster`] over
+/// any runtime's transport — and the device routes every block to its manifest-assigned
 /// shard. Vectored operations fan out to all touched shards in one
 /// parallel round and stitch replies back in caller order. Every shard but
 /// the highest has one worker thread for that round, started by the first
@@ -346,13 +345,11 @@ impl Job {
     /// A panic in the shard's protocol code fails the sub-batch, whichever
     /// thread runs it: it neither takes a worker down nor unwinds through a
     /// caller whose other sub-batches are still out on workers.
-    fn run<C: Backend>(&self, shard: &C, preferred: SiteId) -> Answer {
+    fn run<T: Transport>(&self, shard: &ServerCluster<T>, preferred: SiteId) -> Answer {
         let run = || {
             with_failover(shard.config(), preferred, |origin| match self {
-                Job::Read(ks) => protocol::read_many(shard, origin, ks),
-                Job::Write(writes) => {
-                    protocol::write_many(shard, origin, writes).map(|()| Vec::new())
-                }
+                Job::Read(ks) => shard.read_many(origin, ks),
+                Job::Write(writes) => shard.write_many(origin, writes).map(|()| Vec::new()),
             })
         };
         catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|_| {
@@ -416,7 +413,7 @@ impl Mailbox {
 
     /// A worker's thread: take a job, run it on `shard`, post the answer;
     /// until the mailbox closes.
-    fn serve<C: Backend>(&self, shard: &C, preferred: SiteId) {
+    fn serve<T: Transport>(&self, shard: &ServerCluster<T>, preferred: SiteId) {
         // However this thread ends, nobody may wait on an answer it will
         // not send.
         struct CloseOnExit<'a>(&'a Mailbox);
@@ -452,7 +449,7 @@ struct Worker {
 }
 
 impl Worker {
-    fn spawn<C: Backend + 'static>(shard: Arc<C>, preferred: SiteId) -> Worker {
+    fn spawn<T: Transport + 'static>(shard: Arc<ServerCluster<T>>, preferred: SiteId) -> Worker {
         let mailbox = Arc::new(Mailbox::default());
         let inbox = Arc::clone(&mailbox);
         let thread = std::thread::spawn(move || inbox.serve(&*shard, preferred));
@@ -469,7 +466,10 @@ impl<C> Drop for ShardedDevice<C> {
     }
 }
 
-impl<C: Backend + 'static> ShardedDevice<C> {
+// `Transport` is the crate's own seam: nothing outside it can name a `T`
+// other than the exported ones.
+#[allow(private_bounds)]
+impl<T: Transport + 'static> ShardedDevice<ServerCluster<T>> {
     /// Assembles a device from per-shard clusters and their manifest.
     ///
     /// # Panics
@@ -477,7 +477,11 @@ impl<C: Backend + 'static> ShardedDevice<C> {
     /// Panics if the shard list is empty or disagrees with the manifest,
     /// if the shards' geometries differ, or if `preferred` is not a
     /// shard-local site id valid in every shard.
-    pub fn new(shards: Vec<Arc<C>>, manifest: PlacementManifest, preferred: SiteId) -> Self {
+    pub fn new(
+        shards: Vec<Arc<ServerCluster<T>>>,
+        manifest: PlacementManifest,
+        preferred: SiteId,
+    ) -> Self {
         assert!(!shards.is_empty(), "a sharded device needs shards");
         assert_eq!(
             shards.len(),
@@ -519,7 +523,7 @@ impl<C: Backend + 'static> ShardedDevice<C> {
     }
 
     /// The per-shard cluster handles, in shard order.
-    pub fn shard_backends(&self) -> &[Arc<C>] {
+    pub fn shard_backends(&self) -> &[Arc<ServerCluster<T>>] {
         &self.shards
     }
 
@@ -604,7 +608,7 @@ fn short_read() -> DeviceError {
     ))
 }
 
-impl<C: Backend + 'static> BlockDevice for ShardedDevice<C> {
+impl<T: Transport + 'static> BlockDevice for ShardedDevice<ServerCluster<T>> {
     fn num_blocks(&self) -> u64 {
         self.num_blocks
     }
@@ -737,7 +741,6 @@ impl ShardedDevice<crate::TcpCluster> {
 mod tests {
     use super::*;
     use crate::backend::Coordinator;
-    use crate::transport::{ServerCluster, Transport};
     use crate::wire::{Request, WireResponse};
     use crate::ClusterOptions;
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -959,8 +962,8 @@ mod tests {
         dev.write_blocks(&writes).unwrap();
         // Kill shard 0's quorum (2 of 3 voting sites).
         let victim = &dev.shard_backends()[0];
-        protocol::fail(&**victim, SiteId::new(0));
-        protocol::fail(&**victim, SiteId::new(1));
+        victim.fail_site(SiteId::new(0));
+        victim.fail_site(SiteId::new(1));
         let second: Vec<(BlockIndex, BlockData)> = ks
             .iter()
             .map(|&k| (k, BlockData::from(vec![2; 8])))
@@ -972,7 +975,7 @@ mod tests {
             let expect = if dev.shard_of(k) == 0 { 1u8 } else { 2u8 };
             let holder = &dev.shard_backends()[dev.shard_of(k)];
             assert_eq!(
-                holder.read_local(SiteId::new(2), k).unwrap().as_slice(),
+                holder.data_of(SiteId::new(2), k).as_slice(),
                 &[expect; 8],
                 "block {k}"
             );
@@ -1001,7 +1004,7 @@ mod tests {
         dev.write_block(k, BlockData::from(vec![7; 8])).unwrap();
         // Fail the preferred origin (shard-local s0) in the owning shard.
         let owner = &dev.shard_backends()[dev.shard_of(k)];
-        protocol::fail(&**owner, SiteId::new(0));
+        owner.fail_site(SiteId::new(0));
         assert_eq!(dev.read_block(k).unwrap().as_slice(), &[7; 8]);
     }
 
@@ -1048,7 +1051,7 @@ mod tests {
             );
             self.readers.lock().push(std::thread::current().id());
             let zeros = BlockData::zeroed(self.block_size);
-            Some(WireResponse::DataMany(vec![zeros; ks.len()]))
+            Some(WireResponse::DataMany(vec![zeros; ks.len()].into()))
         }
     }
 

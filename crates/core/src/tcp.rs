@@ -391,7 +391,6 @@ impl ServerCluster<TcpTransport> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::Backend;
     use blockrep_types::{BlockData, BlockIndex, Scheme, SiteState, VersionNumber};
     use std::time::Duration;
 
@@ -407,6 +406,11 @@ mod tests {
             .build()
             .unwrap();
         TcpCluster::spawn(cfg, DeliveryMode::Multicast).unwrap()
+    }
+
+    /// `to`'s vote for block `k`, asked by `from`: a run of one.
+    fn vote_of(c: &TcpCluster, from: SiteId, to: SiteId, k: BlockIndex) -> Option<VersionNumber> {
+        c.vote_many(from, to, &[k]).map(|vs| vs[0])
     }
 
     /// Connections in site `s`'s idle pool.
@@ -516,13 +520,13 @@ mod tests {
         // frame and hangs up, so the next exchange on this stream tears.
         inject(&c, 1, &[1, 0, 0, 0, 0xFF]);
         assert_eq!(
-            c.vote(sid(0), sid(1), k),
+            vote_of(&c, sid(0), sid(1), k),
             None,
             "the torn exchange must fail fast, not desync"
         );
         assert_eq!(idle(&c, 1), 0, "the torn connection is dropped");
         // The next exchange dials a new connection and succeeds.
-        assert_eq!(c.vote(sid(0), sid(1), k), Some(VersionNumber::new(1)));
+        assert_eq!(vote_of(&c, sid(0), sid(1), k), Some(VersionNumber::new(1)));
         assert_eq!(idle(&c, 1), 1);
         // End-to-end traffic over the new connection still works.
         c.write(sid(2), k, BlockData::from(vec![4; 32])).unwrap();
@@ -536,20 +540,24 @@ mod tests {
         *c.transport.idle[1].lock() = vec![wire::FrameReader::new(dial)];
         let peer = std::thread::spawn(move || {
             let (mut peer, _) = impostor.accept().unwrap();
-            let mut request = [0u8; 4 + 9];
+            let mut request = [0u8; 4 + 13];
             io::Read::read_exact(&mut peer, &mut request).unwrap();
             let mut reply = Vec::new();
-            WireResponse::Version(VersionNumber::new(77)).frame_into(&mut reply);
+            WireResponse::Versions(vec![VersionNumber::new(77)].into()).frame_into(&mut reply);
             reply.extend_from_slice(&[9, 0, 0, 0, 1, 0xEE, 0xEE, 0xEE]);
             wire::write_frame(&mut peer, &reply).unwrap();
         });
-        assert_eq!(c.vote(sid(0), sid(1), k), Some(VersionNumber::new(77)));
+        assert_eq!(vote_of(&c, sid(0), sid(1), k), Some(VersionNumber::new(77)));
         peer.join().unwrap();
-        assert_eq!(c.vote(sid(0), sid(1), k), None, "half a reply, then EOF");
+        assert_eq!(
+            vote_of(&c, sid(0), sid(1), k),
+            None,
+            "half a reply, then EOF"
+        );
         assert_eq!(idle(&c, 1), 0);
         // The half reply died with the connection it arrived on: the new
         // connection starts in step with the real site 1.
-        assert_eq!(c.vote(sid(0), sid(1), k), Some(VersionNumber::new(2)));
+        assert_eq!(vote_of(&c, sid(0), sid(1), k), Some(VersionNumber::new(2)));
     }
 
     #[test]
@@ -569,10 +577,10 @@ mod tests {
             assert_eq!(idle(&c, 0), 1, "{scheme}: untouched");
             // The first exchange from another site to site 0 tears once and
             // counts as no reply; the next dials.
-            assert_eq!(c.vote(sid(1), sid(0), k), None, "{scheme}");
+            assert_eq!(vote_of(&c, sid(1), sid(0), k), None, "{scheme}");
             assert_eq!(idle(&c, 0), 0, "{scheme}");
-            let version = c.vote(sid(0), sid(0), k);
-            assert_eq!(c.vote(sid(1), sid(0), k), version, "{scheme}");
+            let version = vote_of(&c, sid(0), sid(0), k);
+            assert_eq!(vote_of(&c, sid(1), sid(0), k), version, "{scheme}");
             assert_eq!(idle(&c, 0), 1, "{scheme}");
         }
     }
@@ -587,20 +595,23 @@ mod tests {
             // past its end, and a payload one byte short of a block.
             let short = BlockData::from(vec![5; 31]);
             for misfit in [
-                WireRequest::Vote(BlockIndex::new(4)),
+                WireRequest::VoteMany(vec![BlockIndex::new(4)]),
                 WireRequest::ApplyWrite(k, VersionNumber::new(9), short),
             ] {
                 inject(&c, 1, &misfit.to_frame());
                 // The site hangs up on it, so the exchange behind it fails
                 // once; the next one dials a site that is still serving.
-                assert_eq!(c.vote(sid(0), sid(1), k), None, "{scheme}: {misfit:?}");
-                assert!(c.vote(sid(0), sid(1), k).is_some(), "{scheme}: {misfit:?}");
+                assert_eq!(vote_of(&c, sid(0), sid(1), k), None, "{scheme}: {misfit:?}");
+                assert!(
+                    vote_of(&c, sid(0), sid(1), k).is_some(),
+                    "{scheme}: {misfit:?}"
+                );
             }
             c.write(sid(1), k, BlockData::from(vec![4; 32])).unwrap();
             assert_eq!(c.read(sid(1), k).unwrap().as_slice(), &[4; 32], "{scheme}");
             assert_eq!(
-                c.vote(sid(0), sid(1), k),
-                c.vote(sid(1), sid(1), k),
+                vote_of(&c, sid(0), sid(1), k),
+                vote_of(&c, sid(1), sid(1), k),
                 "{scheme}"
             );
         }
@@ -629,10 +640,14 @@ mod tests {
             .set_read_timeout(Some(Duration::from_secs(2)))
             .unwrap();
         let mut foreign = wire::FrameReader::new(foreign);
-        wire::write_frame(foreign.get_mut(), &WireRequest::Vote(k).to_frame()).unwrap();
+        wire::write_frame(
+            foreign.get_mut(),
+            &WireRequest::VoteMany(vec![k]).to_frame(),
+        )
+        .unwrap();
         assert_eq!(
             foreign.read_frame(WireResponse::decode).unwrap(),
-            WireResponse::Version(VersionNumber::new(1))
+            WireResponse::Versions(vec![VersionNumber::new(1)].into())
         );
         // Dropping the cluster hangs up on the foreign connection too.
         assert!(dropped_within(c, Duration::from_secs(1)));

@@ -17,17 +17,16 @@
 //! [`probe`](Transport::probe) hooks — which is where a fault layer
 //! ([`Faulty`](crate::fault::Faulty)) decides each exchange's fate.
 //! Everything else a coordinator is — the [`Coordinator`] every runtime
-//! holds, and the [`Backend`] methods that turn a protocol step into a
-//! request and a reply back into its answer — is [`ServerCluster`], once.
+//! holds, and the protocol steps that turn into a request and a reply back
+//! into an answer — is [`ServerCluster`], once.
 
 use crate::backend::{
-    self, Backend, Coordinator, RepairBlocks, RepairPayload, ScatterReplies, ScatterReply,
+    self, BlockVec, Coordinator, RepairBlocks, RepairPayload, ScatterReplies, ScatterReply,
     ScatterRequest, ScatterSpec, WriteBatch,
 };
 use crate::protocol;
 use crate::wire::{Request, WireResponse};
 use blockrep_net::{Topology, TrafficCounter, TrafficSnapshot};
-use blockrep_storage::SealedBlock;
 use blockrep_types::{
     BlockData, BlockIndex, DeviceConfig, DeviceResult, Scheme, SiteId, SiteState, VersionNumber,
     VersionVector,
@@ -233,7 +232,7 @@ pub(crate) trait Transport: Send + Sync {
 /// thread), [`LiveCluster`](crate::LiveCluster) (threads and inboxes) and
 /// [`TcpCluster`](crate::TcpCluster) (loopback sockets).
 pub struct ServerCluster<T> {
-    coord: Coordinator,
+    pub(crate) coord: Coordinator,
     pub(crate) transport: T,
 }
 
@@ -254,7 +253,7 @@ impl<T> ServerCluster<T> {
 // other than the exported ones.
 #[allow(private_bounds)]
 impl<T: Transport> ServerCluster<T> {
-    /// Reads block `k`, coordinated by site `origin`.
+    /// Reads block `k`, coordinated by site `origin`: a batch of one.
     ///
     /// # Errors
     ///
@@ -265,32 +264,36 @@ impl<T: Transport> ServerCluster<T> {
     /// [`DeviceError::Unavailable`]: blockrep_types::DeviceError::Unavailable
     /// [`DeviceError::SiteNotServing`]: blockrep_types::DeviceError::SiteNotServing
     pub fn read(&self, origin: SiteId, k: BlockIndex) -> DeviceResult<BlockData> {
-        protocol::read(self, origin, k)
+        let blocks = protocol::read_many(self, origin, std::slice::from_ref(&k))?;
+        blocks
+            .into_iter()
+            .next()
+            .ok_or_else(|| backend::dead_local_leg(origin))
     }
 
-    /// Writes block `k`, coordinated by site `origin`.
+    /// Writes block `k`, coordinated by site `origin`: a batch of one.
     ///
     /// # Errors
     ///
     /// As for [`read`](Self::read), against the write quorum.
     pub fn write(&self, origin: SiteId, k: BlockIndex, data: BlockData) -> DeviceResult<()> {
-        protocol::write(self, origin, k, &data)
+        protocol::write_many(self, origin, &[(k, data)])
     }
 
-    /// Reads a batch of distinct blocks in one vectored protocol round —
-    /// one request per site for the whole run. Byte- and traffic-identical
-    /// to per-block [`read`](Self::read)s.
+    /// Reads a batch of distinct blocks in one protocol round — one request
+    /// per site for the whole run. Byte- and traffic-identical to per-block
+    /// [`read`](Self::read)s.
     ///
     /// # Errors
     ///
     /// As for [`read`](Self::read); the quorum check covers the batch.
     pub fn read_many(&self, origin: SiteId, ks: &[BlockIndex]) -> DeviceResult<Vec<BlockData>> {
-        protocol::read_many(self, origin, ks)
+        protocol::read_many(self, origin, ks).map(BlockVec::into_vec)
     }
 
-    /// Writes a batch of distinct blocks in one vectored protocol round —
-    /// one request per site for the whole run. State- and traffic-identical
-    /// to per-block [`write`](Self::write)s.
+    /// Writes a batch of distinct blocks in one protocol round — one
+    /// request per site for the whole run. State- and traffic-identical to
+    /// per-block [`write`](Self::write)s.
     ///
     /// # Errors
     ///
@@ -346,9 +349,14 @@ impl<T: Transport> ServerCluster<T> {
         protocol::heal(self);
     }
 
-    /// The state of site `s`.
+    /// The state of site `s`: a site's own knowledge, no network involved.
     pub fn site_state(&self, s: SiteId) -> SiteState {
-        self.local_state(s)
+        self.coord.links.state(s)
+    }
+
+    /// Sets a site's state (local action: crash, restart, promotion).
+    pub fn set_local_state(&self, s: SiteId, state: SiteState) {
+        self.coord.links.set_state(s, state);
     }
 
     /// Whether the device is available under the scheme's criterion: a
@@ -362,7 +370,7 @@ impl<T: Transport> ServerCluster<T> {
     pub fn any_serving_site(&self) -> Option<SiteId> {
         let voting = self.coord.cfg.scheme() == Scheme::Voting;
         self.coord.cfg.site_ids().find(|&s| {
-            let state = self.local_state(s);
+            let state = self.site_state(s);
             if voting {
                 state.is_operational()
             } else {
@@ -440,9 +448,10 @@ impl<T: Transport> ServerCluster<T> {
     /// One round trip from `from` to `to`'s server; `None` when `to` is
     /// unreachable from `from` or the exchange died. A site's request to
     /// itself is a local action, not an exchange. Always inlined, like
-    /// [`cast`](Self::cast): each `Backend` method builds its request right
-    /// above, so on the deterministic cluster, whose transport serves it
-    /// inline, the site service's dispatch folds down to the one arm taken.
+    /// [`cast`](Self::cast): each protocol step below builds its request
+    /// right above, so on the deterministic cluster, whose transport serves
+    /// it inline, the site service's dispatch folds down to the one arm
+    /// taken.
     #[inline(always)]
     fn call(&self, from: SiteId, to: SiteId, request: Request<'_>) -> Option<WireResponse> {
         if from == to {
@@ -463,35 +472,39 @@ impl<T: Transport> ServerCluster<T> {
             .exchange(&self.coord.links, from, to, request, true)
             .is_some()
     }
-}
 
-impl<T: Transport> Backend for ServerCluster<T> {
-    fn coordinator(&self) -> &Coordinator {
-        &self.coord
-    }
+    // The protocol steps. Each is one request to the site service and its
+    // reply; one with a `from` site answers `None` (or `false`) when the
+    // target did not: failed, unreachable, or the exchange died.
 
-    fn probe_state(&self, from: SiteId, to: SiteId) -> Option<SiteState> {
+    /// Observes `to`'s state from `from`: `None` if `to` is failed — a
+    /// failed site answers nobody, itself included — or unreachable. No
+    /// message is sent, but a probe of another site is an exchange whose
+    /// fate a fault layer decides like any other's.
+    pub fn probe_state(&self, from: SiteId, to: SiteId) -> Option<SiteState> {
         if from == to {
             return self.coord.links.probe(from, to);
         }
         self.transport.probe(&self.coord.links, from, to)
     }
 
-    fn vote(&self, from: SiteId, to: SiteId, k: BlockIndex) -> Option<VersionNumber> {
-        match self.call(from, to, Request::Vote(k))? {
-            WireResponse::Version(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    fn vote_many(&self, from: SiteId, to: SiteId, ks: &[BlockIndex]) -> Option<Vec<VersionNumber>> {
+    /// Requests `to`'s votes — its version numbers — for a run of blocks
+    /// in **one** exchange, in the order of `ks`. With `from == to` this
+    /// is the local version lookup.
+    pub fn vote_many(
+        &self,
+        from: SiteId,
+        to: SiteId,
+        ks: &[BlockIndex],
+    ) -> Option<BlockVec<VersionNumber>> {
         match self.call(from, to, Request::VoteMany(ks))? {
             WireResponse::Versions(vs) if vs.len() == ks.len() => Some(vs),
             _ => None,
         }
     }
 
-    fn fetch_block(
+    /// Fetches the current copy of block `k` from `to`.
+    pub fn fetch_block(
         &self,
         from: SiteId,
         to: SiteId,
@@ -503,7 +516,10 @@ impl<T: Transport> Backend for ServerCluster<T> {
         }
     }
 
-    fn fetch_lease(
+    /// [`fetch_block`](Self::fetch_block) to validate and serve a read
+    /// lease, under a request of its own so a fault layer can target lease
+    /// validation specifically (the `StaleLease` fault).
+    pub fn fetch_lease(
         &self,
         from: SiteId,
         to: SiteId,
@@ -515,36 +531,44 @@ impl<T: Transport> Backend for ServerCluster<T> {
         }
     }
 
-    fn apply_write(&self, from: SiteId, to: SiteId, k: BlockIndex, block: &SealedBlock) -> bool {
-        self.cast(from, to, Request::Install(k, block))
-    }
-
-    fn apply_write_many(&self, from: SiteId, to: SiteId, writes: &WriteBatch) -> bool {
+    /// Delivers a batch of write updates to `to` in **one** exchange (or
+    /// applies them locally when `from == to`): each block is installed if
+    /// newer, with the sum it was sealed with. Delivery is all-or-nothing.
+    pub fn apply_write_many(&self, from: SiteId, to: SiteId, writes: &WriteBatch) -> bool {
         self.cast(from, to, Request::ApplyWriteMany(writes))
     }
 
-    fn read_local(&self, s: SiteId, k: BlockIndex) -> DeviceResult<BlockData> {
-        match self.call(s, s, Request::ReadLocal(k)) {
-            Some(WireResponse::Data(data)) => Ok(data),
-            _ => Err(backend::dead_local_leg(s)),
-        }
-    }
-
-    fn read_local_many(&self, s: SiteId, ks: &[BlockIndex]) -> DeviceResult<Vec<BlockData>> {
+    /// Reads a run of blocks straight off `s`'s local disk in **one**
+    /// exchange, in the order of `ks`.
+    ///
+    /// # Errors
+    ///
+    /// [`DeviceError::Io`](blockrep_types::DeviceError::Io) when `s`'s
+    /// replica does not answer its own coordinator: never on the shipped
+    /// transports, where the local leg is served on the coordinator's
+    /// thread; a transport standing in for a broken disk may.
+    pub fn read_local_many(
+        &self,
+        s: SiteId,
+        ks: &[BlockIndex],
+    ) -> DeviceResult<BlockVec<BlockData>> {
         match self.call(s, s, Request::ReadLocalMany(ks)) {
             Some(WireResponse::DataMany(ds)) if ds.len() == ks.len() => Ok(ds),
             _ => Err(backend::dead_local_leg(s)),
         }
     }
 
-    fn version_vector(&self, from: SiteId, to: SiteId) -> Option<VersionVector> {
+    /// Requests `to`'s version vector.
+    pub fn version_vector(&self, from: SiteId, to: SiteId) -> Option<VersionVector> {
         match self.call(from, to, Request::VersionVector)? {
             WireResponse::Vector(vv) => Some(vv),
             _ => None,
         }
     }
 
-    fn repair_payload(
+    /// Sends `from`'s version vector `vv` to `to`; `to` answers with its own
+    /// vector and the blocks `from` is missing (Figure 5's exchange).
+    pub fn repair_payload(
         &self,
         from: SiteId,
         to: SiteId,
@@ -556,36 +580,51 @@ impl<T: Transport> Backend for ServerCluster<T> {
         }
     }
 
-    fn apply_repair_local(&self, s: SiteId, blocks: RepairBlocks) -> usize {
+    /// Installs a repair payload on `s`'s local store; returns the number of
+    /// blocks replaced — `0` when `s`'s server does not take the payload
+    /// (its local leg died): nothing was installed.
+    pub fn apply_repair_local(&self, s: SiteId, blocks: RepairBlocks) -> usize {
         match self.call(s, s, Request::ApplyRepair(&blocks)) {
             Some(WireResponse::Count(n)) => n as usize,
             _ => 0,
         }
     }
 
-    fn was_available(&self, from: SiteId, to: SiteId) -> Option<BTreeSet<SiteId>> {
+    /// Requests `to`'s was-available set `W`.
+    pub fn was_available(&self, from: SiteId, to: SiteId) -> Option<BTreeSet<SiteId>> {
         match self.call(from, to, Request::GetW)? {
             WireResponse::W(w) => Some(w),
             _ => None,
         }
     }
 
-    fn set_was_available(&self, from: SiteId, to: SiteId, w: &[SiteId]) -> bool {
+    /// Replaces `to`'s was-available set with the sites of `w`, in
+    /// ascending order (piggybacked on writes/repairs).
+    pub fn set_was_available(&self, from: SiteId, to: SiteId, w: &[SiteId]) -> bool {
         self.cast(from, to, Request::SetW(w))
     }
 
-    fn add_was_available(&self, from: SiteId, to: SiteId, member: SiteId) -> bool {
+    /// Tells `to` that `member` has repaired from it: `W_to ← W_to ∪ {member}`.
+    pub fn add_was_available(&self, from: SiteId, to: SiteId, member: SiteId) -> bool {
         self.cast(from, to, Request::AddW(member))
     }
 
-    fn scrub_local(&self, s: SiteId) -> usize {
+    /// Runs the restart-time integrity scrub on `s`'s local disk, resetting
+    /// checksum-broken blocks to the freshly formatted state. Returns the
+    /// number of blocks reset — `0` when `s`'s server does not answer (its
+    /// local leg died): nothing was scrubbed.
+    pub fn scrub_local(&self, s: SiteId) -> usize {
         match self.call(s, s, Request::Scrub) {
             Some(WireResponse::Count(n)) => n as usize,
             _ => 0,
         }
     }
 
-    fn scatter(
+    /// Scatter-gather: delivers `req` to every target (ascending site
+    /// order, never `origin`) and gathers their replies, with the results
+    /// and the §5 counts of the sequential loop — one `spec.reply_charge`
+    /// transmission per gathered reply, whatever the fan-out concurrency.
+    pub fn scatter(
         &self,
         spec: ScatterSpec,
         origin: SiteId,
@@ -598,10 +637,7 @@ impl<T: Transport> Backend for ServerCluster<T> {
         );
         let install = matches!(
             req,
-            ScatterRequest::Install { .. }
-                | ScatterRequest::InstallMany(_)
-                | ScatterRequest::InstallIfAvailable { .. }
-                | ScatterRequest::InstallIfAvailableMany(_)
+            ScatterRequest::InstallMany(_) | ScatterRequest::InstallIfAvailableMany(_)
         );
         let sequential = || backend::scatter_sequential(self, spec, origin, targets, req);
         match T::FANOUT {
@@ -610,15 +646,12 @@ impl<T: Transport> Backend for ServerCluster<T> {
             Fanout::Reads | Fanout::All => {}
         }
         // Every target is sent the same request, so it is built once.
-        let (request, if_available) = match req {
-            ScatterRequest::Vote(k) => (Request::Vote(*k), false),
+        let (request, if_available) = match *req {
             ScatterRequest::VoteMany(ks) => (Request::VoteMany(ks), false),
             ScatterRequest::VersionVector => (Request::VersionVector, false),
             // A state probe is a coordination-layer read on every
             // transport; the sequential body is already instantaneous.
             ScatterRequest::ProbeState => return sequential(),
-            ScatterRequest::Install { k, block } => (Request::Install(*k, block), false),
-            ScatterRequest::InstallIfAvailable { k, block } => (Request::Install(*k, block), true),
             ScatterRequest::InstallMany(writes) => (Request::ApplyWriteMany(writes), false),
             ScatterRequest::InstallIfAvailableMany(writes) => {
                 (Request::ApplyWriteMany(writes), true)
@@ -639,9 +672,6 @@ impl<T: Transport> Backend for ServerCluster<T> {
                 }
             },
             parse: &|response| match (req, response) {
-                (ScatterRequest::Vote(_), WireResponse::Version(v)) => {
-                    Some(ScatterReply::Version(v))
-                }
                 (ScatterRequest::VoteMany(ks), WireResponse::Versions(vs))
                     if vs.len() == ks.len() =>
                 {
@@ -709,6 +739,29 @@ mod tests {
         assert!(links.reachable(a, c) && !fork.reachable(a, c));
     }
 
+    /// The probes a failed, a comatose and a partitioned site answer.
+    fn probes_of<T: Transport>(rt: &ServerCluster<T>) {
+        protocol::fail(rt, sid(1));
+        assert_eq!(rt.probe_state(sid(1), sid(1)), None, "{rt:?}: own probe");
+        assert_eq!(rt.probe_state(sid(0), sid(1)), None, "{rt:?}: remote probe");
+        assert_eq!(rt.site_state(sid(1)), SiteState::Failed, "{rt:?}");
+        let up = Some(SiteState::Available);
+        assert_eq!(rt.probe_state(sid(0), sid(0)), up, "{rt:?}: own probe, up");
+        assert_eq!(rt.probe_state(sid(0), sid(2)), up, "{rt:?}: remote, up");
+        // Restarted but not yet recovered: comatose sites do answer.
+        rt.set_local_state(sid(1), SiteState::Comatose);
+        let comatose = Some(SiteState::Comatose);
+        assert_eq!(rt.probe_state(sid(1), sid(1)), comatose, "{rt:?}");
+        assert_eq!(rt.probe_state(sid(2), sid(1)), comatose, "{rt:?}");
+        protocol::partition(rt, &[vec![sid(0)], vec![sid(1), sid(2)]]);
+        assert_eq!(rt.probe_state(sid(0), sid(2)), None, "{rt:?}: partitioned");
+        assert_eq!(
+            rt.probe_state(sid(2), sid(1)),
+            comatose,
+            "{rt:?}: same side"
+        );
+    }
+
     #[test]
     fn a_failed_site_answers_no_probe_not_even_its_own_on_every_runtime() {
         let cfg = DeviceConfig::builder(Scheme::AvailableCopy)
@@ -717,31 +770,9 @@ mod tests {
             .block_size(8)
             .build()
             .unwrap();
-        let det = Cluster::new(cfg.clone(), ClusterOptions::default());
-        let live = LiveCluster::spawn(cfg.clone(), DeliveryMode::Multicast);
-        let tcp = TcpCluster::spawn(cfg, DeliveryMode::Multicast).unwrap();
-        let runtimes: [(&str, &dyn Backend); 3] = [("det", &det), ("live", &live), ("tcp", &tcp)];
-        for (name, rt) in runtimes {
-            protocol::fail(rt, sid(1));
-            assert_eq!(rt.probe_state(sid(1), sid(1)), None, "{name}: own probe");
-            assert_eq!(rt.probe_state(sid(0), sid(1)), None, "{name}: remote probe");
-            assert_eq!(rt.local_state(sid(1)), SiteState::Failed, "{name}");
-            let up = Some(SiteState::Available);
-            assert_eq!(rt.probe_state(sid(0), sid(0)), up, "{name}: own probe, up");
-            assert_eq!(rt.probe_state(sid(0), sid(2)), up, "{name}: remote, up");
-            // Restarted but not yet recovered: comatose sites do answer.
-            rt.set_local_state(sid(1), SiteState::Comatose);
-            let comatose = Some(SiteState::Comatose);
-            assert_eq!(rt.probe_state(sid(1), sid(1)), comatose, "{name}");
-            assert_eq!(rt.probe_state(sid(2), sid(1)), comatose, "{name}");
-            protocol::partition(rt, &[vec![sid(0)], vec![sid(1), sid(2)]]);
-            assert_eq!(rt.probe_state(sid(0), sid(2)), None, "{name}: partitioned");
-            assert_eq!(
-                rt.probe_state(sid(2), sid(1)),
-                comatose,
-                "{name}: same side"
-            );
-        }
+        probes_of(&Cluster::new(cfg.clone(), ClusterOptions::default()));
+        probes_of(&LiveCluster::spawn(cfg.clone(), DeliveryMode::Multicast));
+        probes_of(&TcpCluster::spawn(cfg, DeliveryMode::Multicast).unwrap());
     }
 
     fn cfg(scheme: Scheme, sites: usize) -> DeviceConfig {
@@ -753,49 +784,41 @@ mod tests {
             .unwrap()
     }
 
-    /// `check` on a cluster of `sites` sites over each of the three
-    /// transports, per scheme.
-    fn on_every_runtime(sites: usize, check: impl Fn(&dyn Runtime)) {
-        for scheme in Scheme::ALL {
-            let mode = DeliveryMode::Multicast;
-            check(&Cluster::new(cfg(scheme, sites), ClusterOptions { mode }));
-            check(&LiveCluster::spawn(cfg(scheme, sites), mode));
-            check(&TcpCluster::spawn(cfg(scheme, sites), mode).unwrap());
-        }
-    }
-
-    /// What the seam tests drive: a cluster over whichever transport (its
-    /// `Debug` names the transport and the scheme).
-    trait Runtime: Backend + std::fmt::Debug {
-        fn set_link_latency(&self, delay: Duration);
-    }
-
-    impl<T: Transport> Runtime for ServerCluster<T> {
-        fn set_link_latency(&self, delay: Duration) {
-            ServerCluster::set_link_latency(self, delay);
-        }
+    /// Runs `$check`, a function generic over the transport, on a cluster
+    /// of `$sites` sites over each of the three transports, per scheme. (A
+    /// cluster's `Debug` names its transport and scheme.)
+    macro_rules! on_every_runtime {
+        ($sites:expr, $check:expr) => {
+            for scheme in Scheme::ALL {
+                let mode = DeliveryMode::Multicast;
+                $check(&Cluster::new(cfg(scheme, $sites), ClusterOptions { mode }));
+                $check(&LiveCluster::spawn(cfg(scheme, $sites), mode));
+                $check(&TcpCluster::spawn(cfg(scheme, $sites), mode).unwrap());
+            }
+        };
     }
 
     #[test]
     fn a_read_at_any_site_is_behind_every_install_already_sent_there() {
-        on_every_runtime(3, |c| {
+        fn check<T: Transport>(c: &ServerCluster<T>) {
             let k = BlockIndex::new(1);
             // The available copy schemes wait for no acknowledgement, so on
             // the live cluster only "serve the inbox first" makes this true.
             for round in 0..1_000u64 {
                 let data = BlockData::from(round.to_le_bytes().to_vec());
-                protocol::write(c, sid(0), k, &data).unwrap();
+                c.write(sid(0), k, data.clone()).unwrap();
                 for origin in [sid(1), sid(2)] {
-                    let got = protocol::read(c, origin, k).unwrap();
+                    let got = c.read(origin, k).unwrap();
                     assert_eq!(got, data, "{c:?}: {origin}, {round}");
                 }
             }
-        });
+        }
+        on_every_runtime!(3, check);
     }
 
     #[test]
     fn every_replica_of_a_write_stores_the_sum_of_what_it_holds() {
-        let check = |c: &dyn Backend, name: &str| {
+        fn check<T: Transport>(c: &ServerCluster<T>) {
             let ks: Vec<BlockIndex> = (0..4).map(BlockIndex::new).collect();
             // Half the blocks are written as one batch, half one at a time.
             let (batched, single) = ks.split_at(2);
@@ -804,23 +827,23 @@ mod tests {
                 let origin = sid(u32::from(round) % 3);
                 let writes: Vec<(BlockIndex, BlockData)> =
                     batched.iter().map(|k| (*k, fill(k))).collect();
-                protocol::write_many(c, origin, &writes).unwrap();
+                c.write_many(origin, &writes).unwrap();
                 for k in single {
-                    protocol::write(c, origin, *k, &fill(k)).unwrap();
+                    c.write(origin, *k, fill(k)).unwrap();
                 }
             }
             for s in (0..3).map(sid) {
                 // Sealed where the coordinator chose the version, re-sealed
                 // where a TCP site decoded the frame: either way the stored
                 // sum is the one checksum of the stored version and data.
-                assert_eq!(c.scrub_local(s), 0, "{name}: {s}");
+                assert_eq!(c.scrub_local(s), 0, "{c:?}: {s}");
                 for &k in &ks {
                     let held = c.fetch_block(s, s, k);
-                    assert_eq!(held, c.fetch_block(sid(0), sid(0), k), "{name}: {s} {k}");
+                    assert_eq!(held, c.fetch_block(sid(0), sid(0), k), "{c:?}: {s} {k}");
                 }
             }
-        };
-        on_every_runtime(3, |c| check(c, &format!("{c:?}")));
+        }
+        on_every_runtime!(3, check);
     }
 
     /// Client `i`'s script: at origin `i`, write a tagged block and read a
@@ -828,14 +851,14 @@ mod tests {
     const CLIENTS: u32 = 4;
     const ROUNDS: u32 = 50;
 
-    fn client_script<B: Backend + ?Sized>(b: &B, i: u32) {
+    fn client_script<T: Transport>(b: &ServerCluster<T>, i: u32) {
         let block_of = |i: u32, round: u32| BlockIndex::new(u64::from((i + round) % 4));
         for round in 0..ROUNDS {
             let tag = (1 + i * ROUNDS + round) as u8;
             let data = BlockData::from(vec![tag; 8]);
-            protocol::write(b, sid(i), block_of(i, round), &data).unwrap();
+            b.write(sid(i), block_of(i, round), data).unwrap();
             let k = block_of(i, round + 1);
-            let got = protocol::read(b, sid(i), k).unwrap();
+            let got = b.read(sid(i), k).unwrap();
             let tag = u32::from(got.as_slice()[0]);
             assert!(got.as_slice().iter().all(|&b| u32::from(b) == tag), "torn");
             if tag != 0 {
@@ -848,7 +871,7 @@ mod tests {
 
     #[test]
     fn coordinators_at_every_site_share_the_replicas_with_the_site_threads() {
-        on_every_runtime(CLIENTS as usize, |c| {
+        fn check<T: Transport>(c: &ServerCluster<T>) {
             std::thread::scope(|scope| {
                 for i in 0..CLIENTS {
                     scope.spawn(move || client_script(c, i));
@@ -867,35 +890,37 @@ mod tests {
             let det = Cluster::new(c.config().clone(), ClusterOptions::default());
             (0..CLIENTS).for_each(|i| client_script(&det, i));
             assert_eq!(c.counter().snapshot(), det.traffic(), "{c:?}");
-        });
+        }
+        on_every_runtime!(CLIENTS as usize, check);
     }
 
     #[test]
     fn a_local_action_pays_no_link_delay() {
-        let delay = Duration::from_millis(20);
-        on_every_runtime(3, |c| {
+        const DELAY: Duration = Duration::from_millis(20);
+        fn check<T: Transport>(c: &ServerCluster<T>) {
             let k = BlockIndex::new(0);
             let data = BlockData::from(vec![7; 8]);
-            protocol::write(c, sid(0), k, &data).unwrap();
-            c.set_link_latency(delay);
+            c.write(sid(0), k, data.clone()).unwrap();
+            c.set_link_latency(DELAY);
             // The fastest of a few reads: a descheduled test thread can make
             // one slow, but not make a delayed one fast.
             let fastest = (0..5)
                 .map(|_| {
                     let start = std::time::Instant::now();
-                    assert_eq!(protocol::read(c, sid(0), k).unwrap(), data);
+                    assert_eq!(c.read(sid(0), k).unwrap(), data);
                     start.elapsed()
                 })
                 .min()
                 .unwrap();
             if c.config().scheme() == Scheme::Voting {
                 // A quorum is a round trip to somebody else.
-                assert!(fastest >= delay, "{c:?}: {fastest:?}");
+                assert!(fastest >= DELAY, "{c:?}: {fastest:?}");
             } else {
                 // §3.2: a local copy is read "avoiding any network traffic".
                 let bound = Duration::from_millis(5);
                 assert!(fastest < bound, "{c:?}: {fastest:?}");
             }
-        });
+        }
+        on_every_runtime!(3, check);
     }
 }

@@ -13,113 +13,127 @@
 //!   "only those blocks which have been modified", on access.
 
 use crate::backend::{
-    self, Backend, ScatterReply, ScatterRequest, ScatterSpec, SiteVec, WriteBatch,
+    self, BlockVec, ScatterReplies, ScatterReply, ScatterRequest, ScatterSpec, SiteVec, WriteBatch,
 };
 use crate::obs_hooks;
+use crate::transport::{ServerCluster, Transport};
 use blockrep_net::{MsgKind, OpClass};
 use blockrep_obs::{event, span};
-use blockrep_storage::SealedBlock;
 use blockrep_types::{BlockData, BlockIndex, DeviceError, DeviceResult, SiteId, VersionNumber};
 
-/// One round of vote collection for block `k`, coordinated by `origin`.
-///
-/// Charges one broadcast (`VoteRequest`, fanned out per the delivery mode)
-/// plus one `VoteReply` per responding remote site; the origin's own vote is
-/// local and free. Returns the voters (origin first) with their versions.
-fn collect_votes<B: Backend + ?Sized>(
-    b: &B,
-    op: OpClass,
+/// The votes of one round: the origin's own, and the scatter's replies as
+/// they came back.
+struct Votes {
     origin: SiteId,
-    k: BlockIndex,
-) -> DeviceResult<SiteVec<(SiteId, VersionNumber)>> {
-    let cfg = b.config();
-    let others = backend::others(cfg, origin);
-    backend::charge_fanout(b, op, MsgKind::VoteRequest, others.len());
-    event!(
-        "quorum.request",
-        op = op.label(),
-        origin = origin.as_u32(),
-        block = k.as_u64(),
-        fanout = others.len(),
-    );
-    let own = {
-        let _leg = obs_hooks::phase_span(obs_hooks::phase_local_leg, origin.as_u32());
-        b.vote(origin, origin, k)
-            .ok_or_else(|| backend::dead_local_leg(origin))?
-    };
-    let mut votes = SiteVec::new();
-    votes.push((origin, own));
-    let spec = ScatterSpec {
-        op,
-        reply_charge: Some(MsgKind::VoteReply),
-        reply_units: 1,
-    };
-    for (t, reply) in b.scatter(spec, origin, &others, &ScatterRequest::Vote(k)) {
-        if let Some(ScatterReply::Version(v)) = reply {
-            event!("quorum.ack", site = t.as_u32(), version = v.as_u64());
-            votes.push((t, v));
-        }
-    }
-    obs_hooks::record(obs_hooks::quorum_size, votes.len() as u64);
-    Ok(votes)
+    own: BlockVec<VersionNumber>,
+    replies: ScatterReplies,
 }
 
-/// One **batched** round of vote collection for the run of distinct blocks
-/// `ks`: a single scatter-gather exchange per site, carrying every block's
-/// vote request.
+impl Votes {
+    /// Calls `f` with every voter, origin first, and its versions of the
+    /// run's blocks in run order.
+    #[inline(always)]
+    fn for_each(&self, mut f: impl FnMut(SiteId, &[VersionNumber])) {
+        f(self.origin, &self.own);
+        for (t, reply) in self.replies.iter() {
+            if let Some(ScatterReply::Versions(vs)) = reply {
+                f(*t, vs);
+            }
+        }
+    }
+
+    /// The most current voter for the run's `i`-th block, with its
+    /// version: the highest version, ties to the lowest site id (for
+    /// determinism).
+    fn most_current(&self, i: usize) -> (SiteId, VersionNumber) {
+        let (mut holder, mut v_max) = (self.origin, self.own[i]);
+        self.for_each(|s, vs| {
+            if vs[i] > v_max || (vs[i] == v_max && s < holder) {
+                (holder, v_max) = (s, vs[i]);
+            }
+        });
+        (holder, v_max)
+    }
+}
+
+/// One round of vote collection for the run of distinct blocks `ks`,
+/// coordinated by `origin`: a single scatter-gather exchange per site,
+/// carrying every block's vote request. The origin's own votes are local
+/// and free.
 ///
 /// §5 accounting stays per block — one `VoteRequest` broadcast charged per
 /// block, and each responding site's one physical reply charged as
-/// `ks.len()` `VoteReply` transmissions — so the counters are
-/// byte-identical to running [`collect_votes`] once per block against an
-/// unchanging cluster.
-fn collect_votes_many<B: Backend + ?Sized>(
-    b: &B,
+/// `ks.len()` `VoteReply` transmissions — so the counters are those of one
+/// round per block against an unchanging cluster.
+#[inline(always)]
+fn collect_votes<T: Transport>(
+    c: &ServerCluster<T>,
     op: OpClass,
     origin: SiteId,
     ks: &[BlockIndex],
-) -> DeviceResult<SiteVec<(SiteId, Vec<VersionNumber>)>> {
-    let cfg = b.config();
-    let others = backend::others(cfg, origin);
-    for _ in ks {
-        backend::charge_fanout(b, op, MsgKind::VoteRequest, others.len());
-    }
+) -> DeviceResult<Votes> {
+    let others = backend::others(c.config(), origin);
+    backend::charge_fanout(c, op, MsgKind::VoteRequest, others.len(), ks.len());
     event!(
-        "quorum.request.batch",
+        "quorum.request",
         op = op.label(),
         origin = origin.as_u32(),
         blocks = ks.len(),
         fanout = others.len(),
     );
-    let own: Vec<VersionNumber> = {
+    let own = {
         let _leg = obs_hooks::phase_span(obs_hooks::phase_local_leg, origin.as_u32());
-        b.vote_many(origin, origin, ks)
+        c.vote_many(origin, origin, ks)
             .ok_or_else(|| backend::dead_local_leg(origin))?
     };
-    let mut votes = SiteVec::new();
-    votes.push((origin, own));
     let spec = ScatterSpec {
         op,
         reply_charge: Some(MsgKind::VoteReply),
         reply_units: ks.len() as u64,
     };
-    let req = ScatterRequest::VoteMany(ks.to_vec());
-    for (t, reply) in b.scatter(spec, origin, &others, &req) {
-        if let Some(ScatterReply::Versions(vs)) = reply {
-            debug_assert_eq!(vs.len(), ks.len(), "batched vote reply length");
-            event!("quorum.ack.batch", site = t.as_u32(), blocks = vs.len());
-            votes.push((t, vs));
-        }
+    let replies = c.scatter(spec, origin, &others, &ScatterRequest::VoteMany(ks));
+    let votes = Votes {
+        origin,
+        own,
+        replies,
+    };
+    if blockrep_obs::enabled() {
+        let mut voters = 0;
+        votes.for_each(|t, vs| {
+            if t != origin {
+                event!("quorum.ack", site = t.as_u32(), blocks = vs.len());
+            }
+            voters += 1;
+        });
+        obs_hooks::record(obs_hooks::quorum_size, voters);
     }
-    obs_hooks::record(obs_hooks::quorum_size, votes.len() as u64);
     Ok(votes)
 }
 
-fn ensure_coordinator<B: Backend + ?Sized>(b: &B, origin: SiteId) -> DeviceResult<()> {
-    if !b.config().contains_site(origin) {
+/// Fails unless the voters' weight reaches `quorum`.
+fn ensure_quorum<T: Transport>(
+    c: &ServerCluster<T>,
+    votes: &Votes,
+    op: &'static str,
+    quorum: u64,
+) -> DeviceResult<()> {
+    let cfg = c.config();
+    let mut gathered = 0;
+    votes.for_each(|s, _| gathered += cfg.weight(s).as_u64());
+    if gathered < quorum {
+        return Err(DeviceError::unavailable(
+            op,
+            format!("gathered weight {gathered} of {op} quorum {quorum}"),
+        ));
+    }
+    Ok(())
+}
+
+fn ensure_coordinator<T: Transport>(c: &ServerCluster<T>, origin: SiteId) -> DeviceResult<()> {
+    if !c.config().contains_site(origin) {
         return Err(DeviceError::UnknownSite(origin));
     }
-    let state = b.local_state(origin);
+    let state = c.site_state(origin);
     if state.is_operational() {
         Ok(())
     } else {
@@ -130,102 +144,107 @@ fn ensure_coordinator<B: Backend + ?Sized>(b: &B, origin: SiteId) -> DeviceResul
     }
 }
 
-/// The weighted-voting read algorithm of Figure 3.
+/// The weighted-voting read algorithm of Figure 3, for a run of distinct
+/// blocks: one vote round, then per-block quorum decisions, lazy refreshes
+/// and local reads.
 ///
 /// Collects votes from all reachable sites; if their weight reaches the
-/// read quorum, refreshes the local copy from the highest-versioned voter
-/// when stale (one extra block transfer — the paper's "`U_V^n + 1`" case)
-/// and serves the block locally.
+/// read quorum, refreshes each block's local copy from its
+/// highest-versioned voter when stale (one extra block transfer — the
+/// paper's "`U_V^n + 1`" case; it can fire for some blocks of a run and not
+/// others) and serves the run locally. A run of one first tries its read
+/// lease, when leases are on.
 ///
 /// # Errors
 ///
 /// [`DeviceError::Unavailable`] when no read quorum can be gathered;
 /// [`DeviceError::SiteNotServing`] when `origin` is down;
 /// [`DeviceError::BlockOutOfRange`] for a bad index.
-pub(crate) fn read<B: Backend + ?Sized>(
-    b: &B,
+pub(crate) fn read_many<T: Transport>(
+    c: &ServerCluster<T>,
     origin: SiteId,
-    k: BlockIndex,
-) -> DeviceResult<BlockData> {
-    ensure_coordinator(b, origin)?;
-    backend::check_block(b, k)?;
-    if let Some(data) = lease_read(b, origin, k) {
-        return Ok(data);
+    ks: &[BlockIndex],
+) -> DeviceResult<BlockVec<BlockData>> {
+    ensure_coordinator(c, origin)?;
+    for &k in ks {
+        backend::check_block(c.config(), k)?;
     }
-    let cfg = b.config();
-    let epoch = b.leases().current_epoch();
-    let votes = collect_votes(b, OpClass::Read, origin, k)?;
-    let voters: SiteVec<SiteId> = votes.iter().map(|&(s, _)| s).collect();
-    let gathered = backend::weight_of(cfg, &voters);
-    if gathered < cfg.read_quorum() {
-        return Err(DeviceError::unavailable(
-            "read",
-            format!(
-                "gathered weight {gathered} of read quorum {}",
-                cfg.read_quorum()
-            ),
-        ));
+    if let [k] = *ks {
+        if let Some(data) = lease_read(c, origin, k) {
+            return Ok([data].into_iter().collect());
+        }
     }
-    // Find the most current voter; ties broken by site id for determinism.
-    let (holder, v_max) = votes
-        .iter()
-        .copied()
-        .max_by_key(|&(s, v)| (v, std::cmp::Reverse(s)))
-        .expect("votes always include the origin");
-    let own = votes[0].1;
-    if v_max > own {
-        let (v, data) = b.fetch_block(origin, holder, k).ok_or_else(|| {
-            DeviceError::unavailable(
-                "read",
-                format!("current copy holder {holder} vanished mid-read"),
-            )
-        })?;
-        b.counter().add(OpClass::Read, MsgKind::BlockTransfer, 1);
-        event!(
-            "read.refresh",
-            block = k.as_u64(),
-            holder = holder.as_u32(),
-            version = v.as_u64(),
-        );
-        // Keep the local copy up to date, as the paper's algorithm does.
-        b.apply_write(origin, origin, k, &SealedBlock::new(v, data));
+    if ks.is_empty() {
+        return Ok(BlockVec::new());
     }
-    // The quorum certified v_max: every voter holding it (and the origin,
-    // freshly refreshed) is a known-current replica the next read may be
-    // offloaded to.
-    grant_from_votes(
-        b,
-        k,
-        v_max,
-        votes.iter().map(|&(s, v)| (s, v)),
-        origin,
-        epoch,
-    );
+    let epoch = c.coord.leases.current_epoch();
+    let votes = collect_votes(c, OpClass::Read, origin, ks)?;
+    ensure_quorum(c, &votes, "read", c.config().read_quorum())?;
+    for (i, &k) in ks.iter().enumerate() {
+        let (holder, v_max) = votes.most_current(i);
+        if v_max > votes.own[i] {
+            let (v, data) = c.fetch_block(origin, holder, k).ok_or_else(|| {
+                DeviceError::unavailable(
+                    "read",
+                    format!("current copy holder {holder} vanished mid-read"),
+                )
+            })?;
+            c.counter().add(OpClass::Read, MsgKind::BlockTransfer, 1);
+            event!(
+                "read.refresh",
+                block = k.as_u64(),
+                holder = holder.as_u32(),
+                version = v.as_u64(),
+            );
+            // Keep the local copy up to date, as the paper's algorithm does.
+            install_own(c, origin, k, v, data);
+        }
+        // The quorum certified v_max: every voter holding it (and the
+        // origin, freshly refreshed) is a known-current replica the next
+        // read may be offloaded to.
+        if c.coord.leases.enabled() {
+            let mut current = Vec::new();
+            votes.for_each(|s, vs| {
+                if vs[i] == v_max {
+                    current.push(s);
+                }
+            });
+            grant(c, k, v_max, current, origin, epoch);
+        }
+    }
     let _leg = obs_hooks::phase_span(obs_hooks::phase_local_leg, origin.as_u32());
-    b.read_local(origin, k)
+    c.read_local_many(origin, ks)
 }
 
-/// Records a read lease from a successful vote round: the holders are the
-/// voters whose version matched `v_max`, plus the origin (which has just
-/// been brought current). Holders are kept in ascending site order so the
-/// routing in [`lease_read`] is deterministic across runtimes.
-fn grant_from_votes<B: Backend + ?Sized>(
-    b: &B,
+/// Installs block `k` at version `v` on `origin`'s own replica.
+fn install_own<T: Transport>(
+    c: &ServerCluster<T>,
+    origin: SiteId,
     k: BlockIndex,
-    v_max: VersionNumber,
-    votes: impl Iterator<Item = (SiteId, VersionNumber)>,
+    v: VersionNumber,
+    data: BlockData,
+) {
+    let block: WriteBatch = [(k, v, data)].into_iter().collect();
+    c.apply_write_many(origin, origin, &block);
+}
+
+/// Records a read lease on block `k` at `version`: the holders are
+/// `holders`, the replicas known to hold it, plus the origin (which is
+/// current too). Holders are kept in ascending site order so the routing
+/// in [`lease_read`] is deterministic across runtimes.
+fn grant<T: Transport>(
+    c: &ServerCluster<T>,
+    k: BlockIndex,
+    version: VersionNumber,
+    mut holders: Vec<SiteId>,
     origin: SiteId,
     epoch: u64,
 ) {
-    if !b.leases().enabled() {
-        return;
-    }
-    let mut holders: Vec<SiteId> = votes.filter(|&(_, v)| v == v_max).map(|(s, _)| s).collect();
     if !holders.contains(&origin) {
         holders.push(origin);
     }
     holders.sort_unstable();
-    b.leases().grant(k, v_max, &holders, epoch);
+    c.coord.leases.grant(k, version, &holders, epoch);
 }
 
 /// The Harmonia-style read offload: serves block `k` from one
@@ -234,8 +253,13 @@ fn grant_from_votes<B: Backend + ?Sized>(
 /// path: no lease, no reachable holder, or a holder whose answer failed
 /// version validation (in which case the lease is revoked first, so a
 /// stale holder can never be consulted twice).
-fn lease_read<B: Backend + ?Sized>(b: &B, origin: SiteId, k: BlockIndex) -> Option<BlockData> {
-    let (v_lease, holders) = b.leases().lookup(k)?;
+fn lease_read<T: Transport>(
+    c: &ServerCluster<T>,
+    origin: SiteId,
+    k: BlockIndex,
+) -> Option<BlockData> {
+    let leases = &c.coord.leases;
+    let (v_lease, holders) = leases.lookup(k)?;
     // Version-aware routing: spread reads deterministically over the
     // holders by (origin, block) instead of hammering the lowest id.
     let n = holders.len();
@@ -244,9 +268,9 @@ fn lease_read<B: Backend + ?Sized>(b: &B, origin: SiteId, k: BlockIndex) -> Opti
         let h = holders[(start + i) % n];
         if h == origin {
             // The grant names our own replica: serve locally, zero messages.
-            let (v, _) = b.fetch_block(origin, origin, k)?;
+            let (v, data) = c.fetch_block(origin, origin, k)?;
             if v != v_lease {
-                b.leases().invalidate(k);
+                leases.invalidate(k);
                 return None;
             }
             event!(
@@ -255,18 +279,18 @@ fn lease_read<B: Backend + ?Sized>(b: &B, origin: SiteId, k: BlockIndex) -> Opti
                 holder = h.as_u32(),
                 local = true
             );
-            return b.read_local(origin, k).ok();
+            return Some(data);
         }
         // One request to one replica instead of a quorum round.
-        b.counter().add(OpClass::Read, MsgKind::BlockRequest, 1);
-        let Some((v, data)) = b.fetch_lease(origin, h, k) else {
+        c.counter().add(OpClass::Read, MsgKind::BlockRequest, 1);
+        let Some((v, data)) = c.fetch_lease(origin, h, k) else {
             continue; // holder unreachable — try the next one
         };
-        b.counter().add(OpClass::Read, MsgKind::BlockTransfer, 1);
+        c.counter().add(OpClass::Read, MsgKind::BlockTransfer, 1);
         if v != v_lease {
             // A stale holder (partitioned across a write, or the chaos
             // suite's StaleLease fault): revoke and re-run the quorum read.
-            b.leases().invalidate(k);
+            leases.invalidate(k);
             return None;
         }
         event!(
@@ -275,289 +299,93 @@ fn lease_read<B: Backend + ?Sized>(b: &B, origin: SiteId, k: BlockIndex) -> Opti
             holder = h.as_u32(),
             local = false
         );
-        b.apply_write(origin, origin, k, &SealedBlock::new(v, data.clone()));
+        install_own(c, origin, k, v, data.clone());
         return Some(data);
     }
     None
 }
 
-/// The weighted-voting write algorithm of Figure 4.
+/// The weighted-voting write algorithm of Figure 4, for a run of distinct
+/// blocks `writes` with keys `ks`: one vote round, one install fan-out.
 ///
-/// Collects votes; if their weight reaches the write quorum, installs the
-/// block at `max(versions) + 1` on every voter — "this repairs all
-/// out-of-date copies that are operational".
+/// Collects votes; if their weight reaches the write quorum, installs each
+/// block at `max(its versions) + 1` on every voter — "this repairs all
+/// out-of-date copies that are operational". Each block keeps its own
+/// version line, and §5 traffic is charged per block (see
+/// [`collect_votes`]).
 ///
 /// # Errors
 ///
 /// [`DeviceError::Unavailable`] when no write quorum can be gathered, plus
-/// the same validation errors as [`read`].
-pub(crate) fn write<B: Backend + ?Sized>(
-    b: &B,
+/// the same validation errors as [`read_many`].
+pub(crate) fn write_many<T: Transport>(
+    c: &ServerCluster<T>,
     origin: SiteId,
-    k: BlockIndex,
-    data: &BlockData,
+    writes: &[(BlockIndex, BlockData)],
+    ks: &[BlockIndex],
 ) -> DeviceResult<()> {
-    ensure_coordinator(b, origin)?;
-    backend::check_block(b, k)?;
-    let _span = span!("mcv.write", origin = origin.as_u32(), block = k.as_u64());
-    let cfg = b.config();
-    if data.len() != cfg.block_size() {
-        return Err(DeviceError::WrongBlockSize {
-            got: data.len(),
-            expected: cfg.block_size(),
-        });
+    ensure_coordinator(c, origin)?;
+    backend::check_writes(c.config(), writes)?;
+    if writes.is_empty() {
+        return Ok(());
     }
-    let epoch = b.leases().current_epoch();
-    let votes = collect_votes(b, OpClass::Write, origin, k)?;
-    let voters: SiteVec<SiteId> = votes.iter().map(|&(s, _)| s).collect();
-    let gathered = backend::weight_of(cfg, &voters);
-    if gathered < cfg.write_quorum() {
-        return Err(DeviceError::unavailable(
-            "write",
-            format!(
-                "gathered weight {gathered} of write quorum {}",
-                cfg.write_quorum()
-            ),
-        ));
-    }
-    let v_new = votes
-        .iter()
-        .map(|&(_, v)| v)
-        .max()
-        .expect("votes always include the origin")
-        .next();
+    let _span = span!("mcv.write", origin = origin.as_u32(), blocks = ks.len());
+    let epoch = c.coord.leases.current_epoch();
+    let votes = collect_votes(c, OpClass::Write, origin, ks)?;
+    ensure_quorum(c, &votes, "write", c.config().write_quorum())?;
     // Sealed once, here, for every replica that installs it.
-    let block = SealedBlock::new(v_new, data.clone());
-    let remote_voters: SiteVec<SiteId> = voters.iter().copied().filter(|&s| s != origin).collect();
-    // Revoke the block's lease before any replica changes: the write
-    // fan-out is about to make every outstanding grant stale.
-    b.leases().invalidate(k);
-    backend::charge_fanout(b, OpClass::Write, MsgKind::WriteUpdate, remote_voters.len());
-    let replicas = remote_voters.len() + 1;
+    let batch: WriteBatch = writes
+        .iter()
+        .enumerate()
+        .map(|(i, (k, data))| (*k, votes.most_current(i).1.next(), data.clone()))
+        .collect();
+    let mut remote_voters = SiteVec::new();
+    votes.for_each(|s, _| {
+        if s != origin {
+            remote_voters.push(s);
+        }
+    });
+    // Revoke every touched block's lease before any replica changes: the
+    // write fan-out is about to make every outstanding grant stale.
+    for &k in ks {
+        c.coord.leases.invalidate(k);
+    }
+    backend::charge_fanout(
+        c,
+        OpClass::Write,
+        MsgKind::WriteUpdate,
+        remote_voters.len(),
+        ks.len(),
+    );
     // Install acknowledgements are not §5 transmissions: no reply charge.
     let spec = ScatterSpec {
         op: OpClass::Write,
         reply_charge: None,
         reply_units: 1,
     };
-    let installs = b.scatter(
-        spec,
-        origin,
-        &remote_voters,
-        &ScatterRequest::Install { k, block: &block },
-    );
+    let update = ScatterRequest::InstallMany(&batch);
+    let installs = c.scatter(spec, origin, &remote_voters, &update);
     // Fail-stop: a coordinator that crashed during the fan-out sent nothing
     // after it crashed, and completes nothing now — least of all a copy at
     // v_new that only its own disk holds.
-    ensure_coordinator(b, origin)?;
+    ensure_coordinator(c, origin)?;
     {
         let _leg = obs_hooks::phase_span(obs_hooks::phase_local_leg, origin.as_u32());
-        b.apply_write(origin, origin, k, &block);
+        c.apply_write_many(origin, origin, &batch);
     }
-    // Every voter the install landed on now holds v_new: re-grant the
-    // lease to the delivered set (plus the origin itself).
-    grant_from_votes(
-        b,
-        k,
-        v_new,
-        installs
-            .iter()
-            .filter(|(_, r)| r.is_some())
-            .map(|&(s, _)| (s, v_new)),
-        origin,
-        epoch,
-    );
+    // Delivery is all-or-nothing per target, so every voter the install
+    // landed on now holds every block at its new version: re-grant each
+    // block's lease to the delivered set (plus the origin itself).
+    if c.coord.leases.enabled() {
+        let delivered = installs.iter().filter(|(_, r)| r.is_some());
+        let delivered: Vec<SiteId> = delivered.map(|(s, _)| *s).collect();
+        for (k, block) in batch.iter() {
+            grant(c, *k, block.version(), delivered.clone(), origin, epoch);
+        }
+    }
     event!(
         "write.commit",
-        block = k.as_u64(),
-        version = v_new.as_u64(),
-        replicas = replicas,
-    );
-    Ok(())
-}
-
-/// Vectored Figure 3: one batched vote round for a run of distinct blocks,
-/// then per-block quorum decisions, lazy refreshes and local reads.
-///
-/// Per-block semantics are unchanged — each block gets its own `v_max`
-/// comparison and, when the local copy is stale, its own block transfer
-/// (the lazy repair can fire for some blocks of a batch and not others).
-/// Only the vote round is amortized: one exchange per site instead of one
-/// per site per block.
-///
-/// # Errors
-///
-/// As for [`read`]; the quorum check covers the whole batch (voters are
-/// block-independent).
-pub(crate) fn read_many<B: Backend + ?Sized>(
-    b: &B,
-    origin: SiteId,
-    ks: &[BlockIndex],
-) -> DeviceResult<Vec<BlockData>> {
-    ensure_coordinator(b, origin)?;
-    for &k in ks {
-        backend::check_block(b, k)?;
-    }
-    if ks.is_empty() {
-        return Ok(Vec::new());
-    }
-    let _span = span!("mcv.read_many", origin = origin.as_u32(), blocks = ks.len());
-    let cfg = b.config();
-    let epoch = b.leases().current_epoch();
-    let votes = collect_votes_many(b, OpClass::Read, origin, ks)?;
-    let voters: SiteVec<SiteId> = votes.iter().map(|&(s, _)| s).collect();
-    let gathered = backend::weight_of(cfg, &voters);
-    if gathered < cfg.read_quorum() {
-        return Err(DeviceError::unavailable(
-            "read",
-            format!(
-                "gathered weight {gathered} of read quorum {}",
-                cfg.read_quorum()
-            ),
-        ));
-    }
-    for (i, &k) in ks.iter().enumerate() {
-        let (holder, v_max) = votes
-            .iter()
-            .map(|(s, vs)| (*s, vs[i]))
-            .max_by_key(|&(s, v)| (v, std::cmp::Reverse(s)))
-            .expect("votes always include the origin");
-        let own = votes[0].1[i];
-        if v_max > own {
-            let (v, data) = b.fetch_block(origin, holder, k).ok_or_else(|| {
-                DeviceError::unavailable(
-                    "read",
-                    format!("current copy holder {holder} vanished mid-read"),
-                )
-            })?;
-            b.counter().add(OpClass::Read, MsgKind::BlockTransfer, 1);
-            event!(
-                "read.refresh",
-                block = k.as_u64(),
-                holder = holder.as_u32(),
-                version = v.as_u64(),
-            );
-            b.apply_write(origin, origin, k, &SealedBlock::new(v, data));
-        }
-        grant_from_votes(
-            b,
-            k,
-            v_max,
-            votes.iter().map(|(s, vs)| (*s, vs[i])),
-            origin,
-            epoch,
-        );
-    }
-    let _leg = obs_hooks::phase_span(obs_hooks::phase_local_leg, origin.as_u32());
-    b.read_local_many(origin, ks)
-}
-
-/// Vectored Figure 4: one batched vote round for a run of distinct blocks,
-/// one batched install fan-out, per-block version numbers.
-///
-/// Each block still takes `max(its votes) + 1` as its new version, so the
-/// version lines are indistinguishable from `writes.len()` single-block
-/// writes; §5 traffic is likewise charged per block (see
-/// [`collect_votes_many`]).
-///
-/// # Errors
-///
-/// As for [`write`]; the quorum check covers the whole batch.
-pub(crate) fn write_many<B: Backend + ?Sized>(
-    b: &B,
-    origin: SiteId,
-    writes: &[(BlockIndex, BlockData)],
-) -> DeviceResult<()> {
-    ensure_coordinator(b, origin)?;
-    let cfg = b.config();
-    for (k, data) in writes {
-        backend::check_block(b, *k)?;
-        if data.len() != cfg.block_size() {
-            return Err(DeviceError::WrongBlockSize {
-                got: data.len(),
-                expected: cfg.block_size(),
-            });
-        }
-    }
-    if writes.is_empty() {
-        return Ok(());
-    }
-    let _span = span!(
-        "mcv.write_many",
-        origin = origin.as_u32(),
-        blocks = writes.len()
-    );
-    let ks: Vec<BlockIndex> = writes.iter().map(|&(k, _)| k).collect();
-    let epoch = b.leases().current_epoch();
-    let votes = collect_votes_many(b, OpClass::Write, origin, &ks)?;
-    let voters: SiteVec<SiteId> = votes.iter().map(|&(s, _)| s).collect();
-    let gathered = backend::weight_of(cfg, &voters);
-    if gathered < cfg.write_quorum() {
-        return Err(DeviceError::unavailable(
-            "write",
-            format!(
-                "gathered weight {gathered} of write quorum {}",
-                cfg.write_quorum()
-            ),
-        ));
-    }
-    let batch: WriteBatch = writes
-        .iter()
-        .enumerate()
-        .map(|(i, (k, data))| {
-            let v_new = votes
-                .iter()
-                .map(|(_, vs)| vs[i])
-                .max()
-                .expect("votes always include the origin")
-                .next();
-            (*k, v_new, data.clone())
-        })
-        .collect();
-    let remote_voters: SiteVec<SiteId> = voters.iter().copied().filter(|&s| s != origin).collect();
-    // Revoke every touched block's lease before the batched fan-out.
-    for &k in &ks {
-        b.leases().invalidate(k);
-    }
-    for _ in writes {
-        backend::charge_fanout(b, OpClass::Write, MsgKind::WriteUpdate, remote_voters.len());
-    }
-    let spec = ScatterSpec {
-        op: OpClass::Write,
-        reply_charge: None,
-        reply_units: 1,
-    };
-    let installs = b.scatter(
-        spec,
-        origin,
-        &remote_voters,
-        &ScatterRequest::InstallMany(&batch),
-    );
-    // Fail-stop, as in [`write`]: a crashed coordinator completes nothing.
-    ensure_coordinator(b, origin)?;
-    {
-        let _leg = obs_hooks::phase_span(obs_hooks::phase_local_leg, origin.as_u32());
-        b.apply_write_many(origin, origin, &batch);
-    }
-    // Batch delivery is all-or-nothing per target, so one delivered set
-    // covers every block: re-grant each block's lease at its new version.
-    for (k, block) in batch.iter() {
-        let v_new = block.version();
-        grant_from_votes(
-            b,
-            *k,
-            v_new,
-            installs
-                .iter()
-                .filter(|(_, r)| r.is_some())
-                .map(|&(s, _)| (s, v_new)),
-            origin,
-            epoch,
-        );
-    }
-    event!(
-        "write.commit.batch",
-        blocks = writes.len(),
+        blocks = ks.len(),
         replicas = remote_voters.len() + 1,
     );
     Ok(())
@@ -565,18 +393,18 @@ pub(crate) fn write_many<B: Backend + ?Sized>(
 
 /// Site repair under voting: free. The repaired site rejoins immediately;
 /// its stale blocks are repaired lazily, on access.
-pub(crate) fn repair<B: Backend + ?Sized>(b: &B, s: SiteId) {
-    b.set_local_state(s, blockrep_types::SiteState::Available);
+pub(crate) fn repair<T: Transport>(c: &ServerCluster<T>, s: SiteId) {
+    c.set_local_state(s, blockrep_types::SiteState::Available);
 }
 
 /// Whether a voting-managed block is currently available: the operational
 /// sites must hold both a read and a write quorum (with the paper's default
 /// majority quorums these coincide).
-pub(crate) fn is_available<B: Backend + ?Sized>(b: &B) -> bool {
-    let cfg = b.config();
+pub(crate) fn is_available<T: Transport>(c: &ServerCluster<T>) -> bool {
+    let cfg = c.config();
     let operational: Vec<SiteId> = cfg
         .site_ids()
-        .filter(|&s| b.local_state(s).is_operational())
+        .filter(|&s| c.site_state(s).is_operational())
         .collect();
     let w = backend::weight_of(cfg, &operational);
     w >= cfg.read_quorum() && w >= cfg.write_quorum()

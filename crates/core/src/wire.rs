@@ -17,7 +17,7 @@
 //! site — copies nothing, and a sealed block keeps its seal. A request is
 //! made a `WireRequest` only where it crosses a thread or a socket.
 
-use crate::backend::{RepairBlocks, WriteBatch};
+use crate::backend::{BlockVec, RepairBlocks, WriteBatch};
 use blockrep_storage::{SealedBlock, StorageFault};
 use blockrep_types::{BlockData, BlockIndex, SiteId, VersionNumber, VersionVector};
 use bytes::{Buf, BufMut};
@@ -32,14 +32,13 @@ pub const MAX_FRAME: u32 = 64 * 1024 * 1024;
 pub enum WireRequest {
     /// Liveness probe.
     Probe,
-    /// Request the site's vote (version number) for a block.
-    Vote(BlockIndex),
     /// Fetch a block with its version.
     Fetch(BlockIndex),
     /// Install a block at a version (if newer).
+    // Kept only because `benchmark/src/ladder.rs` builds it to time the
+    // codec: no coordinator sends it (a single-block write is a batch of
+    // one). It goes when the ladder moves to the batch tag.
     ApplyWrite(BlockIndex, VersionNumber, BlockData),
-    /// Read a block off the local disk.
-    ReadLocal(BlockIndex),
     /// Request the full version vector.
     VersionVector,
     /// Figure 5's exchange: here is my vector; send yours plus my missing
@@ -88,26 +87,22 @@ pub enum WireRequest {
 
 /// A request as its sender holds it: the [`WireRequest`] vocabulary with
 /// every payload borrowed, so it is `Copy` and serving it copies nothing.
-/// A scalar install in process is [`Install`](Self::Install), which keeps
-/// the seal its write computed; made a `WireRequest` it is the plain
-/// `ApplyWrite`, since no frame carries a sum.
+/// An install in process keeps the seals its write computed; made a
+/// `WireRequest` it crosses without them, since no frame carries a sum.
 /// A trace envelope is not among them: a site opens one it took whole
 /// before it borrows the request inside.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Request<'a> {
     Probe,
-    Vote(BlockIndex),
     Fetch(BlockIndex),
     FetchLease(BlockIndex),
-    ReadLocal(BlockIndex),
     ReadLocalMany(&'a [BlockIndex]),
     VoteMany(&'a [BlockIndex]),
     VersionVector,
     RepairPayload(&'a VersionVector),
-    /// Install a block sealed where its write chose the version: the
-    /// replica stores the seal's sum.
-    Install(BlockIndex, &'a SealedBlock),
     ApplyWrite(BlockIndex, VersionNumber, &'a BlockData),
+    /// Install blocks sealed where their write chose the versions: the
+    /// replica stores each seal's sum.
     ApplyWriteMany(&'a [(BlockIndex, SealedBlock)]),
     ApplyWriteFaulty(BlockIndex, VersionNumber, &'a BlockData, StorageFault),
     ApplyRepair(&'a [(BlockIndex, VersionNumber, BlockData)]),
@@ -122,10 +117,8 @@ impl WireRequest {
     pub(crate) fn as_request(&self) -> Request<'_> {
         match self {
             WireRequest::Probe => Request::Probe,
-            WireRequest::Vote(k) => Request::Vote(*k),
             WireRequest::Fetch(k) => Request::Fetch(*k),
             WireRequest::FetchLease(k) => Request::FetchLease(*k),
-            WireRequest::ReadLocal(k) => Request::ReadLocal(*k),
             WireRequest::ReadLocalMany(ks) => Request::ReadLocalMany(ks),
             WireRequest::VoteMany(ks) => Request::VoteMany(ks),
             WireRequest::VersionVector => Request::VersionVector,
@@ -147,23 +140,18 @@ impl WireRequest {
 
 impl From<Request<'_>> for WireRequest {
     /// The request as it crosses a thread or a socket: every payload
-    /// copied, a sealed install made the plain one.
+    /// copied (a block's payload shared, not copied).
     fn from(request: Request<'_>) -> Self {
         match request {
             Request::Probe => WireRequest::Probe,
-            Request::Vote(k) => WireRequest::Vote(k),
             Request::Fetch(k) => WireRequest::Fetch(k),
             Request::FetchLease(k) => WireRequest::FetchLease(k),
-            Request::ReadLocal(k) => WireRequest::ReadLocal(k),
             Request::ReadLocalMany(ks) => WireRequest::ReadLocalMany(ks.to_vec()),
             Request::VoteMany(ks) => WireRequest::VoteMany(ks.to_vec()),
             Request::VersionVector => WireRequest::VersionVector,
             Request::RepairPayload(vv) => WireRequest::RepairPayload(vv.clone()),
-            Request::Install(k, block) => {
-                WireRequest::ApplyWrite(k, block.version(), block.data().clone())
-            }
             Request::ApplyWrite(k, v, data) => WireRequest::ApplyWrite(k, v, data.clone()),
-            Request::ApplyWriteMany(blocks) => WireRequest::ApplyWriteMany(blocks.to_vec().into()),
+            Request::ApplyWriteMany(blocks) => WireRequest::ApplyWriteMany(blocks.into()),
             Request::ApplyWriteFaulty(k, v, data, fault) => {
                 WireRequest::ApplyWriteFaulty(k, v, data.clone(), fault)
             }
@@ -181,11 +169,12 @@ impl From<Request<'_>> for WireRequest {
 pub enum WireResponse {
     /// Acknowledgement with no payload.
     Ack,
-    /// A version number.
-    Version(VersionNumber),
     /// A block with its version.
     Block(VersionNumber, BlockData),
     /// Raw block data.
+    // Kept only because `benchmark/src/ladder.rs` builds it to time the
+    // codec: no site answers with it (a single-block read is a batch of
+    // one). It goes when the ladder moves to the batch tag.
     Data(BlockData),
     /// A version vector.
     Vector(VersionVector),
@@ -196,9 +185,9 @@ pub enum WireResponse {
     /// A plain count (e.g. blocks reset by a scrub).
     Count(u64),
     /// Votes for a batch of blocks, in request order.
-    Versions(Vec<VersionNumber>),
+    Versions(BlockVec<VersionNumber>),
     /// Raw data for a batch of blocks, in request order.
-    DataMany(Vec<BlockData>),
+    DataMany(BlockVec<BlockData>),
 }
 
 /// A malformed frame.
@@ -365,10 +354,6 @@ impl WireRequest {
     pub fn encode_into(&self, buf: &mut impl BufMut) {
         match self {
             WireRequest::Probe => buf.put_u8(0),
-            WireRequest::Vote(k) => {
-                buf.put_u8(1);
-                buf.put_u64_le(k.as_u64());
-            }
             WireRequest::Fetch(k) => {
                 buf.put_u8(2);
                 buf.put_u64_le(k.as_u64());
@@ -378,10 +363,6 @@ impl WireRequest {
                 buf.put_u64_le(k.as_u64());
                 buf.put_u64_le(v.as_u64());
                 put_data(buf, data);
-            }
-            WireRequest::ReadLocal(k) => {
-                buf.put_u8(4);
-                buf.put_u64_le(k.as_u64());
             }
             WireRequest::VersionVector => buf.put_u8(5),
             WireRequest::RepairPayload(vv) => {
@@ -458,14 +439,9 @@ impl WireRequest {
         let tag = raw.get_u8();
         let request = match tag {
             0 => WireRequest::Probe,
-            1 | 2 | 4 => {
+            2 => {
                 need(raw, 8, "block index")?;
-                let k = BlockIndex::new(raw.get_u64_le());
-                match tag {
-                    1 => WireRequest::Vote(k),
-                    2 => WireRequest::Fetch(k),
-                    _ => WireRequest::ReadLocal(k),
-                }
+                WireRequest::Fetch(BlockIndex::new(raw.get_u64_le()))
             }
             3 => {
                 need(raw, 16, "write header")?;
@@ -568,10 +544,6 @@ impl WireResponse {
     pub fn encode_into(&self, buf: &mut impl BufMut) {
         match self {
             WireResponse::Ack => buf.put_u8(0),
-            WireResponse::Version(v) => {
-                buf.put_u8(1);
-                buf.put_u64_le(v.as_u64());
-            }
             WireResponse::Block(v, data) => {
                 buf.put_u8(2);
                 buf.put_u64_le(v.as_u64());
@@ -605,7 +577,7 @@ impl WireResponse {
             WireResponse::DataMany(ds) => {
                 buf.put_u8(9);
                 buf.put_u32_le(ds.len() as u32);
-                for d in ds {
+                for d in ds.iter() {
                     put_data(buf, d);
                 }
             }
@@ -622,10 +594,6 @@ impl WireResponse {
         let tag = raw.get_u8();
         let response = match tag {
             0 => WireResponse::Ack,
-            1 => {
-                need(raw, 8, "version")?;
-                WireResponse::Version(VersionNumber::new(raw.get_u64_le()))
-            }
             2 => {
                 need(raw, 8, "version")?;
                 let v = VersionNumber::new(raw.get_u64_le());
@@ -642,7 +610,7 @@ impl WireResponse {
                 need(raw, 8, "count")?;
                 WireResponse::Count(raw.get_u64_le())
             }
-            8 => WireResponse::Versions(get_u64s(&mut raw, VersionNumber::new)?),
+            8 => WireResponse::Versions(get_u64s(&mut raw, VersionNumber::new)?.into()),
             9 => {
                 need(raw, 4, "data count")?;
                 let count = raw.get_u32_le() as usize;
@@ -650,7 +618,7 @@ impl WireResponse {
                 for _ in 0..count {
                     out.push(get_data(&mut raw)?);
                 }
-                WireResponse::DataMany(out)
+                WireResponse::DataMany(out.into())
             }
             other => return Err(bad(&format!("unknown response tag {other}"))),
         };
@@ -827,14 +795,12 @@ mod tests {
     fn arb_plain_request() -> impl Strategy<Value = WireRequest> {
         prop_oneof![
             Just(WireRequest::Probe),
-            any::<u16>().prop_map(|k| WireRequest::Vote(BlockIndex::new(k as u64))),
             any::<u16>().prop_map(|k| WireRequest::Fetch(BlockIndex::new(k as u64))),
             (any::<u16>(), any::<u32>(), arb_data()).prop_map(|(k, v, d)| WireRequest::ApplyWrite(
                 BlockIndex::new(k as u64),
                 VersionNumber::new(v as u64),
                 d
             )),
-            any::<u16>().prop_map(|k| WireRequest::ReadLocal(BlockIndex::new(k as u64))),
             Just(WireRequest::VersionVector),
             arb_vv().prop_map(WireRequest::RepairPayload),
             arb_blocks().prop_map(WireRequest::ApplyRepair),
@@ -885,7 +851,6 @@ mod tests {
     fn arb_response() -> impl Strategy<Value = WireResponse> {
         prop_oneof![
             Just(WireResponse::Ack),
-            any::<u32>().prop_map(|v| WireResponse::Version(VersionNumber::new(v as u64))),
             (any::<u32>(), arb_data())
                 .prop_map(|(v, d)| WireResponse::Block(VersionNumber::new(v as u64), d)),
             arb_data().prop_map(WireResponse::Data),
@@ -898,7 +863,8 @@ mod tests {
                     .map(|v| VersionNumber::new(v as u64))
                     .collect()
             )),
-            prop::collection::vec(arb_data(), 0..8).prop_map(WireResponse::DataMany),
+            prop::collection::vec(arb_data(), 0..8)
+                .prop_map(|ds| WireResponse::DataMany(ds.into())),
         ]
     }
 
@@ -1163,7 +1129,7 @@ mod tests {
 
     #[test]
     fn traced_envelope_roundtrips_and_rejects_nesting() {
-        let inner = WireRequest::Vote(BlockIndex::new(7));
+        let inner = WireRequest::Fetch(BlockIndex::new(7));
         let traced = WireRequest::Traced {
             trace_id: u64::MAX,
             parent_span: 42,
@@ -1244,18 +1210,20 @@ mod tests {
         }
         let responses = [
             (
-                WireResponse::Versions(vec![
-                    VersionNumber::new(7),
-                    VersionNumber::new(0x1_0000_0000),
-                ]),
+                WireResponse::Versions(
+                    vec![VersionNumber::new(7), VersionNumber::new(0x1_0000_0000)].into(),
+                ),
                 "080200000007000000000000000000000001000000",
             ),
             (
-                WireResponse::DataMany(vec![
-                    BlockData::from(vec![1, 2]),
-                    BlockData::from(vec![]),
-                    BlockData::from(vec![0xFF]),
-                ]),
+                WireResponse::DataMany(
+                    vec![
+                        BlockData::from(vec![1, 2]),
+                        BlockData::from(vec![]),
+                        BlockData::from(vec![0xFF]),
+                    ]
+                    .into(),
+                ),
                 "09030000000200000001020000000001000000ff",
             ),
         ];
@@ -1273,9 +1241,9 @@ mod tests {
             VersionNumber::new(3),
             BlockData::from(vec![9; 5]),
         );
-        let sealed = SealedBlock::new(v, data.clone());
-        let plain = WireRequest::ApplyWrite(k, v, data);
-        let crossed = WireRequest::from(Request::Install(k, &sealed));
+        let sealed = [(k, SealedBlock::new(v, data.clone()))];
+        let plain = WireRequest::ApplyWriteMany([(k, v, data)].into_iter().collect());
+        let crossed = WireRequest::from(Request::ApplyWriteMany(&sealed));
         assert_eq!(crossed, plain);
         assert_eq!(crossed.to_frame(), plain.to_frame());
     }

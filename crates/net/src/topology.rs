@@ -86,18 +86,6 @@ impl Topology {
     pub fn heal(&mut self) {
         self.group.iter_mut().for_each(|g| *g = 0);
     }
-
-    /// Whether the network is currently partition-free.
-    pub fn is_healed(&self) -> bool {
-        self.group.windows(2).all(|w| w[0] == w[1])
-    }
-
-    /// All sites reachable from `from` (including itself).
-    pub fn reachable_from(&self, from: SiteId) -> Vec<SiteId> {
-        SiteId::all(self.group.len())
-            .filter(|&to| self.reachable(from, to))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -112,7 +100,6 @@ mod tests {
                 assert!(t.reachable(a, b));
             }
         }
-        assert!(t.is_healed());
     }
 
     #[test]
@@ -123,7 +110,6 @@ mod tests {
         assert!(!t.reachable(SiteId::new(0), SiteId::new(1)));
         // Unlisted sites 3 and 4 are isolated — even from each other.
         assert!(!t.reachable(SiteId::new(3), SiteId::new(4)));
-        assert!(!t.is_healed());
     }
 
     #[test]
@@ -136,7 +122,6 @@ mod tests {
         ]);
         for s in SiteId::all(3) {
             assert!(t.reachable(s, s));
-            assert_eq!(t.reachable_from(s), vec![s]);
         }
     }
 
@@ -153,15 +138,5 @@ mod tests {
     fn duplicate_membership_panics() {
         let mut t = Topology::fully_connected(2);
         t.partition(&[vec![SiteId::new(0)], vec![SiteId::new(0)]]);
-    }
-
-    #[test]
-    fn reachable_from_lists_partition_members() {
-        let mut t = Topology::fully_connected(4);
-        t.partition(&[vec![SiteId::new(1), SiteId::new(3)]]);
-        assert_eq!(
-            t.reachable_from(SiteId::new(1)),
-            vec![SiteId::new(1), SiteId::new(3)]
-        );
     }
 }

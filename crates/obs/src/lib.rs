@@ -19,7 +19,7 @@
 //!   wire trace envelope) across sites. Spans land in a bounded lock-free
 //!   flight-recorder ring and export as Chrome trace-event JSON with a
 //!   per-phase attribution table; the same module validates such dumps.
-//! * **Metrics** ([`metrics::Registry`]) are atomic counters, gauges and
+//! * **Metrics** ([`metrics::Registry`]) are atomic counters and
 //!   fixed-bucket latency histograms (power-of-two buckets, p50/p95/p99
 //!   summaries). Updates are lock-free; registration hands out `Arc`
 //!   handles that call sites cache in statics. A [`metrics::Snapshot`]

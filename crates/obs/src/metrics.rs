@@ -1,4 +1,4 @@
-//! Lock-free metrics: counters, gauges and fixed-bucket latency histograms,
+//! Lock-free metrics: counters and fixed-bucket latency histograms,
 //! grouped in a [`Registry`] that snapshots to a text table or JSON.
 //!
 //! Updates never take a lock — every metric is a handful of atomics.
@@ -8,7 +8,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -42,34 +42,6 @@ impl Counter {
 
     /// Current value.
     pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
-    }
-}
-
-/// A signed instantaneous value (queue depths, open connections, ...).
-#[derive(Debug, Default)]
-pub struct Gauge {
-    value: AtomicI64,
-}
-
-impl Gauge {
-    /// A gauge at zero.
-    pub fn new() -> Self {
-        Gauge::default()
-    }
-
-    /// Overwrites the value.
-    pub fn set(&self, v: i64) {
-        self.value.store(v, Ordering::Relaxed);
-    }
-
-    /// Adjusts the value by `delta` (may be negative).
-    pub fn add(&self, delta: i64) {
-        self.value.fetch_add(delta, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> i64 {
         self.value.load(Ordering::Relaxed)
     }
 }
@@ -139,7 +111,7 @@ impl Histogram {
     }
 
     /// Records a wall-clock duration in nanoseconds.
-    pub fn record_duration(&self, duration: std::time::Duration) {
+    fn record_duration(&self, duration: std::time::Duration) {
         self.record(duration.as_nanos().min(u64::MAX as u128) as u64);
     }
 
@@ -274,7 +246,6 @@ impl HistogramSummary {
 #[derive(Clone)]
 enum Metric {
     Counter(Arc<Counter>),
-    Gauge(Arc<Gauge>),
     Histogram(Arc<Histogram>),
 }
 
@@ -282,7 +253,6 @@ impl Metric {
     fn kind(&self) -> MetricKind {
         match self {
             Metric::Counter(_) => MetricKind::Counter,
-            Metric::Gauge(_) => MetricKind::Gauge,
             Metric::Histogram(_) => MetricKind::Histogram,
         }
     }
@@ -293,8 +263,6 @@ impl Metric {
 pub enum MetricKind {
     /// A [`Counter`].
     Counter,
-    /// A [`Gauge`].
-    Gauge,
     /// A [`Histogram`].
     Histogram,
 }
@@ -303,7 +271,6 @@ impl std::fmt::Display for MetricKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
             MetricKind::Counter => "counter",
-            MetricKind::Gauge => "gauge",
             MetricKind::Histogram => "histogram",
         })
     }
@@ -335,7 +302,7 @@ impl std::error::Error for KindMismatch {}
 
 /// A named collection of metrics.
 ///
-/// `counter`/`gauge`/`histogram` are get-or-create and return shared
+/// `counter`/`histogram` are get-or-create and return shared
 /// handles; all subsequent updates through a handle are lock-free. The
 /// process-wide instance is [`global()`]; tests and exporters may build
 /// private registries.
@@ -362,7 +329,7 @@ impl Registry {
     ///
     /// [`KindMismatch`] if `name` is already registered as a different
     /// metric kind; the registered metric is left untouched.
-    pub fn try_counter(&self, name: &str) -> Result<Arc<Counter>, KindMismatch> {
+    fn try_counter(&self, name: &str) -> Result<Arc<Counter>, KindMismatch> {
         let mut metrics = self.lock();
         let metric = metrics
             .entry(name.to_string())
@@ -377,34 +344,13 @@ impl Registry {
         }
     }
 
-    /// The gauge named `name`, creating it on first use.
-    ///
-    /// # Errors
-    ///
-    /// [`KindMismatch`] if `name` is already registered as a different
-    /// metric kind; the registered metric is left untouched.
-    pub fn try_gauge(&self, name: &str) -> Result<Arc<Gauge>, KindMismatch> {
-        let mut metrics = self.lock();
-        let metric = metrics
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Gauge(Arc::new(Gauge::new())));
-        match metric {
-            Metric::Gauge(g) => Ok(Arc::clone(g)),
-            other => Err(KindMismatch {
-                name: name.to_string(),
-                requested: MetricKind::Gauge,
-                registered: other.kind(),
-            }),
-        }
-    }
-
     /// The histogram named `name`, creating it on first use.
     ///
     /// # Errors
     ///
     /// [`KindMismatch`] if `name` is already registered as a different
     /// metric kind; the registered metric is left untouched.
-    pub fn try_histogram(&self, name: &str) -> Result<Arc<Histogram>, KindMismatch> {
+    fn try_histogram(&self, name: &str) -> Result<Arc<Histogram>, KindMismatch> {
         let mut metrics = self.lock();
         let metric = metrics
             .entry(name.to_string())
@@ -424,18 +370,9 @@ impl Registry {
     /// On a kind mismatch this returns a *detached* counter — a live handle
     /// that is not part of the registry and never shows up in snapshots —
     /// so instrumentation can never take the instrumented process down.
-    /// Callers that want to surface the conflict use
-    /// [`try_counter`](Self::try_counter).
     pub fn counter(&self, name: &str) -> Arc<Counter> {
         self.try_counter(name)
             .unwrap_or_else(|_| Arc::new(Counter::new()))
-    }
-
-    /// The gauge named `name`, creating it on first use; on a kind mismatch
-    /// returns a detached gauge (see [`counter`](Self::counter)).
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        self.try_gauge(name)
-            .unwrap_or_else(|_| Arc::new(Gauge::new()))
     }
 
     /// The histogram named `name`, creating it on first use; on a kind
@@ -459,7 +396,6 @@ impl Registry {
         for (name, metric) in metrics.iter() {
             match metric {
                 Metric::Counter(c) => snapshot.counters.push((name.clone(), c.get())),
-                Metric::Gauge(g) => snapshot.gauges.push((name.clone(), g.get())),
                 Metric::Histogram(h) => snapshot.histograms.push((name.clone(), h.summary())),
             }
         }
@@ -478,8 +414,6 @@ pub fn global() -> &'static Registry {
 pub struct Snapshot {
     /// Counter values.
     pub counters: Vec<(String, u64)>,
-    /// Gauge values.
-    pub gauges: Vec<(String, i64)>,
     /// Histogram summaries.
     pub histograms: Vec<(String, HistogramSummary)>,
 }
@@ -517,11 +451,6 @@ impl Snapshot {
             .map(|&(_, v)| v)
     }
 
-    /// The value of gauge `name`, if present.
-    pub fn gauge(&self, name: &str) -> Option<i64> {
-        self.gauges.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
-    }
-
     /// The summary of histogram `name`, if present.
     pub fn histogram(&self, name: &str) -> Option<&HistogramSummary> {
         self.histograms
@@ -532,7 +461,7 @@ impl Snapshot {
 
     /// Whether nothing was captured.
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
+        self.counters.is_empty() && self.histograms.is_empty()
     }
 
     /// Serializes the snapshot as a self-contained JSON object:
@@ -540,7 +469,6 @@ impl Snapshot {
     /// ```json
     /// {
     ///   "counters": {"net.msgs.read": 12},
-    ///   "gauges": {},
     ///   "histograms": {"op.read.latency": {"count": 4, "p50": 810.0, ...}}
     /// }
     /// ```
@@ -551,14 +479,6 @@ impl Snapshot {
             let _ = write!(out, "{sep}\n    \"{}\": {value}", json_escape(name));
         }
         if !self.counters.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("},\n  \"gauges\": {");
-        for (i, (name, value)) in self.gauges.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            let _ = write!(out, "{sep}\n    \"{}\": {value}", json_escape(name));
-        }
-        if !self.gauges.is_empty() {
             out.push_str("\n  ");
         }
         out.push_str("},\n  \"histograms\": {");
@@ -593,12 +513,9 @@ impl Snapshot {
     /// reports use.
     pub fn to_table(&self) -> String {
         let mut out = String::new();
-        if !self.counters.is_empty() || !self.gauges.is_empty() {
+        if !self.counters.is_empty() {
             out.push_str("| metric | value |\n|---|---:|\n");
             for (name, value) in &self.counters {
-                let _ = writeln!(out, "| {name} | {value} |");
-            }
-            for (name, value) in &self.gauges {
                 let _ = writeln!(out, "| {name} | {value} |");
             }
         }
@@ -629,7 +546,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_and_gauges_accumulate() {
+    fn counters_accumulate() {
         let registry = Registry::new();
         let c = registry.counter("c");
         c.inc();
@@ -637,10 +554,6 @@ mod tests {
         assert_eq!(registry.counter("c").get(), 5);
         c.set(2);
         assert_eq!(c.get(), 2);
-        let g = registry.gauge("g");
-        g.set(7);
-        g.add(-9);
-        assert_eq!(g.get(), -2);
     }
 
     #[test]
@@ -660,8 +573,6 @@ mod tests {
             err.to_string(),
             "metric \"x\" requested as a counter but already registered as a histogram"
         );
-        let err = registry.try_gauge("x").unwrap_err();
-        assert_eq!(err.requested, MetricKind::Gauge);
         // The registered histogram survives the failed lookups untouched.
         registry.histogram("x").record(3);
         assert_eq!(registry.try_histogram("x").unwrap().count(), 1);
@@ -673,11 +584,9 @@ mod tests {
         registry.counter("x").set(5);
         // Wrong-kind lookups must neither abort nor disturb the original.
         registry.histogram("x").record(9);
-        registry.gauge("x").set(-1);
         let snap = registry.snapshot();
         assert_eq!(snap.counter("x"), Some(5));
         assert!(snap.histogram("x").is_none());
-        assert!(snap.gauge("x").is_none());
     }
 
     #[test]
@@ -771,11 +680,9 @@ mod tests {
     fn snapshot_roundtrips_names_and_values() {
         let registry = Registry::new();
         registry.counter("net.msgs.read").set(12);
-        registry.gauge("depth").set(-3);
         registry.histogram("lat").record(5);
         let snap = registry.snapshot();
         assert_eq!(snap.counter("net.msgs.read"), Some(12));
-        assert_eq!(snap.gauge("depth"), Some(-3));
         assert_eq!(snap.histogram("lat").unwrap().count, 1);
         assert_eq!(snap.counter("absent"), None);
     }

@@ -6,7 +6,7 @@
 //! protocol and runtime layers open child **phase spans** around each leg
 //! — the coordinator's local install, each per-site scatter send, each
 //! gather wait, the remote apply on the serving site, cache flushes.
-//! Contexts cross the `Backend` seam through a
+//! Contexts cross the coordinator's `ServerCluster<T>` seam through a
 //! thread-local and cross the wire through an optional trace envelope, so
 //! the spans recorded on every site stitch into one causal tree per
 //! operation.

@@ -90,6 +90,13 @@ impl SealedBlock {
     }
 }
 
+impl Default for SealedBlock {
+    /// The empty block at version zero, sealed like any other.
+    fn default() -> Self {
+        SealedBlock::new(VersionNumber::default(), BlockData::default())
+    }
+}
+
 /// A site's disk as the consistency protocols see it: every block carries a
 /// version number alongside its data.
 ///

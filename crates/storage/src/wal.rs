@@ -113,7 +113,7 @@ fn read_u64(bytes: &[u8], at: usize) -> u64 {
 /// the number of bytes it occupied — or `None` on a short read, a framing
 /// violation, or a checksum mismatch (all three mean "torn tail" to a
 /// recovery scan).
-pub fn decode_record(epoch: u64, bytes: &[u8]) -> Option<(WalRecord, usize)> {
+fn decode_record(epoch: u64, bytes: &[u8]) -> Option<(WalRecord, usize)> {
     if bytes.len() < RECORD_HEADER {
         return None;
     }
@@ -417,19 +417,13 @@ impl<J: BlockDevice> Wal<J> {
 
     /// Whether appending `extra` more record bytes would overflow the data
     /// region (the caller should checkpoint and truncate first).
-    pub fn would_overflow(&self, extra: usize) -> bool {
+    fn would_overflow(&self, extra: usize) -> bool {
         self.state.lock().buf.len() + extra > self.capacity
     }
 
     /// Current journal epoch.
     pub fn epoch(&self) -> u64 {
         self.state.lock().epoch
-    }
-
-    /// The group-commit window: appends auto-commit every this many
-    /// records.
-    pub fn batch_window(&self) -> usize {
-        self.batch_window
     }
 
     /// Current counters.

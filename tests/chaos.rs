@@ -7,7 +7,6 @@
 //! byte-identical outcome parity across the runtimes. A failure prints the
 //! seed and the shrunk minimal schedule.
 
-use blockrep::core::backend::Backend;
 use blockrep::core::chaos::{self, ChaosStep};
 use blockrep::core::fault::FaultKind;
 use blockrep::core::scenario::Action;

@@ -2,9 +2,7 @@
 //! reliable device keeps normal semantics across site failures, total
 //! failures, and recoveries.
 
-use blockrep::core::{
-    Cluster, ClusterOptions, DriverStub, LiveCluster, ReliableDevice, TcpCluster,
-};
+use blockrep::core::{Cluster, ClusterOptions, LiveCluster, ReliableDevice, TcpCluster};
 use blockrep::fs::{FileSystem, FsError};
 use blockrep::net::DeliveryMode;
 use blockrep::storage::{BlockDevice, Journaled, MemStore};
@@ -162,10 +160,39 @@ fn fs_state_survives_total_failure_and_remount() {
     assert_eq!(fs.read_file("/persist/x").unwrap(), b"before total failure");
 }
 
+/// The paper's kernel stub (Figure 1): every request goes to the server
+/// of one pinned site, and fails while that server is down.
+struct PinnedStub {
+    cluster: Arc<Cluster>,
+    site: SiteId,
+}
+
+impl BlockDevice for PinnedStub {
+    fn num_blocks(&self) -> u64 {
+        self.cluster.config().num_blocks()
+    }
+
+    fn block_size(&self) -> usize {
+        self.cluster.config().block_size()
+    }
+
+    fn read_block(&self, k: BlockIndex) -> DeviceResult<BlockData> {
+        self.cluster.read(self.site, k)
+    }
+
+    fn write_block(&self, k: BlockIndex, data: BlockData) -> DeviceResult<()> {
+        self.cluster.write(self.site, k, data)
+    }
+}
+
 #[test]
 fn driver_stub_serves_fs_from_its_pinned_site() {
     let c = cluster(Scheme::AvailableCopy);
-    let fs = FileSystem::format(DriverStub::new(Arc::clone(&c), s(1))).unwrap();
+    let stub = PinnedStub {
+        cluster: Arc::clone(&c),
+        site: s(1),
+    };
+    let fs = FileSystem::format(stub).unwrap();
     fs.write_file("/pinned", b"via s1").unwrap();
     // Crash a different site: the pinned stub keeps working.
     c.fail_site(s(2));
@@ -253,10 +280,11 @@ fn image_is_fsck_clean_after_crash_recovery_schedules() {
             b"written on the last copy"
         );
         // And every replica holds the identical (consistent) image.
-        let report1 = FileSystem::mount(DriverStub::new(Arc::clone(&c), s(1)))
-            .unwrap()
-            .check()
-            .unwrap();
+        let via_s1 = PinnedStub {
+            cluster: Arc::clone(&c),
+            site: s(1),
+        };
+        let report1 = FileSystem::mount(via_s1).unwrap().check().unwrap();
         assert!(
             report1.is_clean(),
             "{scheme} via s1: {:?}",

@@ -51,14 +51,14 @@ fn mcv_write_emits_quorum_then_commit_span() {
             "quorum.request", // vote broadcast to the other two sites
             "quorum.ack",     // both answer
             "quorum.ack",
-            "write.commit", // update installed at max(version) + 1
+            "write.commit", // the run installed at max(version) + 1
             "mcv.write",    // span closes
         ],
         "unexpected trace: {records:#?}"
     );
 
     assert_eq!(records[0].kind, RecordKind::SpanStart);
-    assert_eq!(records[0].field("block"), Some(obs::Value::U64(1)));
+    assert_eq!(records[0].field("blocks"), Some(obs::Value::U64(1)));
     assert_eq!(records[1].field("fanout"), Some(obs::Value::U64(2)));
     let ack_sites: Vec<_> = records[2..4].iter().map(|r| r.field("site")).collect();
     assert_eq!(
@@ -66,7 +66,7 @@ fn mcv_write_emits_quorum_then_commit_span() {
         [Some(obs::Value::U64(1)), Some(obs::Value::U64(2))]
     );
     assert_eq!(records[4].field("replicas"), Some(obs::Value::U64(3)));
-    assert_eq!(records[4].field("version"), Some(obs::Value::U64(1)));
+    assert_eq!(records[4].field("blocks"), Some(obs::Value::U64(1)));
     assert_eq!(records[5].kind, RecordKind::SpanEnd);
     assert!(records[5].nanos.is_some(), "span end carries a duration");
 }

@@ -2,7 +2,6 @@
 //! behaviour, lazy voting recovery, was-available sets and closures, naive
 //! recovery, and partition behaviour.
 
-use blockrep::core::backend::Backend;
 use blockrep::core::{Cluster, ClusterOptions};
 use blockrep::net::{DeliveryMode, MsgKind, OpClass};
 use blockrep::types::{
@@ -239,8 +238,8 @@ fn recovered_site_catches_up_only_modified_blocks() {
     // its disk, and the source answers with exactly the blocks that vector
     // lacks — here the two written while site 2 was down, not the device.
     // (Asked of the source locally: a failed site reaches no one yet.)
-    let stale = Backend::version_vector(&c, s(2), s(2)).unwrap();
-    let (_, payload) = Backend::repair_payload(&c, s(0), s(0), &stale).unwrap();
+    let stale = c.version_vector(s(2), s(2)).unwrap();
+    let (_, payload) = c.repair_payload(s(0), s(0), &stale).unwrap();
     let repaired: Vec<_> = payload
         .iter()
         .map(|(k, v, d)| (*k, v.as_u64(), d.clone()))

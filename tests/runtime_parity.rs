@@ -8,12 +8,11 @@
 //! past [`INLINE_SITES`], where every per-site list of a protocol round
 //! (address lists, votes, voters, scatter replies) has spilled to the heap.
 
-use blockrep::core::backend::{Backend, INLINE_SITES};
+use blockrep::core::backend::INLINE_SITES;
 use blockrep::core::{
-    Cluster, ClusterOptions, LiveCluster, ScatterRequest, ScatterSpec, TcpCluster,
+    Cluster, ClusterOptions, LiveCluster, ScatterRequest, ScatterSpec, TcpCluster, WriteBatch,
 };
 use blockrep::net::{DeliveryMode, MsgKind, OpClass, TrafficSnapshot};
-use blockrep::storage::SealedBlock;
 use blockrep::types::{
     BlockData, BlockIndex, DeviceConfig, Scheme, SiteId, SiteState, VersionNumber,
 };
@@ -168,39 +167,45 @@ fn scatter_replies_keep_target_order_at_every_cluster_size() {
         reply_charge,
         reply_units: 1,
     };
-    let block = SealedBlock::new(VersionNumber::new(1), BlockData::from(vec![7; 32]));
-    let install = ScatterRequest::Install {
-        k: blk(0),
-        block: &block,
-    };
-    let vote = ScatterRequest::Vote(blk(0));
+    let batch: WriteBatch = [(blk(0), VersionNumber::new(1), BlockData::from(vec![7; 32]))]
+        .into_iter()
+        .collect();
+    let install = ScatterRequest::InstallMany(&batch);
+    let keys = [blk(0)];
+    let vote = ScatterRequest::VoteMany(&keys);
     for sites in SITES {
         let mode = DeliveryMode::Multicast;
         let det = Cluster::new(cfg(Scheme::Voting, sites), ClusterOptions { mode });
         let live = LiveCluster::spawn(cfg(Scheme::Voting, sites), mode);
         let tcp = TcpCluster::spawn(cfg(Scheme::Voting, sites), mode).unwrap();
-        let runtimes: [(&str, &dyn Backend); 3] =
-            [("deterministic", &det), ("live", &live), ("tcp", &tcp)];
         let targets: Vec<SiteId> = (1..sites as u32).map(s).collect();
         let silent = |t: SiteId| t.as_u32() % 3 == 0;
-        let mut runs = Vec::new();
-        for (name, rt) in runtimes {
-            for &t in targets.iter().filter(|&&t| silent(t)) {
-                rt.set_local_state(t, SiteState::Failed);
-            }
-            let installs = rt.scatter(spec(OpClass::Write, None), s(0), &targets, &install);
-            let read = spec(OpClass::Read, Some(MsgKind::VoteReply));
-            let votes = rt.scatter(read, s(0), &targets, &vote);
-            for replies in [&installs, &votes] {
-                let order: Vec<SiteId> = replies.iter().map(|&(t, _)| t).collect();
-                assert_eq!(order, targets, "{name}, {sites} sites");
-                for (t, reply) in replies.iter() {
-                    assert_eq!(reply.is_none(), silent(*t), "{name}, {sites} sites: {t}");
+        // One runtime's install and vote scatters, checked for order.
+        macro_rules! scatters_on {
+            ($name:expr, $rt:expr) => {{
+                let (name, rt) = ($name, $rt);
+                for &t in targets.iter().filter(|&&t| silent(t)) {
+                    rt.set_local_state(t, SiteState::Failed);
                 }
-            }
-            let traffic = rt.counter().snapshot();
-            runs.push((name, installs.to_vec(), votes.to_vec(), traffic));
+                let installs = rt.scatter(spec(OpClass::Write, None), s(0), &targets, &install);
+                let read = spec(OpClass::Read, Some(MsgKind::VoteReply));
+                let votes = rt.scatter(read, s(0), &targets, &vote);
+                for replies in [&installs, &votes] {
+                    let order: Vec<SiteId> = replies.iter().map(|&(t, _)| t).collect();
+                    assert_eq!(order, targets, "{name}, {sites} sites");
+                    for (t, reply) in replies.iter() {
+                        assert_eq!(reply.is_none(), silent(*t), "{name}, {sites} sites: {t}");
+                    }
+                }
+                let traffic = rt.counter().snapshot();
+                (name, installs.to_vec(), votes.to_vec(), traffic)
+            }};
         }
+        let runs = [
+            scatters_on!("deterministic", &det),
+            scatters_on!("live", &live),
+            scatters_on!("tcp", &tcp),
+        ];
         let (_, installs, votes, traffic) = &runs[0];
         for (name, i, v, t) in &runs[1..] {
             assert_eq!(

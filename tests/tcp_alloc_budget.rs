@@ -46,7 +46,11 @@
 //! read or write, or an available-copy write, allocates nothing. Every
 //! per-site list of the round lives inline and the written block is sealed
 //! once and shared by every replica; before, a voting read allocated 5
-//! times and a write 7, one `Vec` per list.
+//! times and a write 7, one `Vec` per list. A single block is a batch of
+//! one, and every per-block list holds one entry inline, so the same
+//! operations as `read_blocks`/`write_blocks` of one block allocate only a
+//! read's result `Vec`; while batches had their own path, a voting batch
+//! of one allocated for its key list, its votes and its reads.
 //!
 //! **The file system**, at `live-fs-ac`'s geometry (8 192 × 1 KiB blocks,
 //! 8 directories) over a bare `MemStore`: once the device was cheap, most
@@ -346,30 +350,43 @@ fn a_single_block_round_on_the_deterministic_cluster_allocates_nothing() {
         let cluster = Cluster::new(batch_config(scheme, 3), ClusterOptions::default());
         let dev = ReliableDevice::new(Arc::new(cluster), SiteId::new(0));
         let mut i = 0;
-        let mut op = |write: bool| {
+        // One operation on the next block: a write or a read, through the
+        // single-block entry point or as a batch of one.
+        let mut op = |write: bool, batch: bool| {
             i += 1;
             let k = BlockIndex::new(i % BLOCKS);
-            if write {
-                dev.write_block(k, blocks[(i % 4) as usize].clone())
-                    .unwrap();
-            } else {
-                dev.read_block(k).unwrap();
+            let data = || blocks[(i % 4) as usize].clone();
+            match (write, batch) {
+                (true, false) => dev.write_block(k, data()).unwrap(),
+                (true, true) => dev.write_blocks(&[(k, data())]).unwrap(),
+                (false, false) => drop(dev.read_block(k).unwrap()),
+                (false, true) => drop(dev.read_blocks(&[k]).unwrap()),
             }
         };
         // Warm up: every block has been written and read once.
         for _ in 0..BLOCKS {
-            op(true);
-            op(false);
+            op(true, false);
+            op(false, false);
         }
-        let reads = fewest_allocs(|| (0..ROUND_OPS).for_each(|_| op(false)));
-        let writes = fewest_allocs(|| (0..ROUND_OPS).for_each(|_| op(true)));
+        let mut round =
+            |write, batch| fewest_allocs(|| (0..ROUND_OPS).for_each(|_| op(write, batch)));
+        let (reads, writes) = (round(false, false), round(true, false));
+        let (batch_reads, batch_writes) = (round(false, true), round(true, true));
         println!(
-            "{scheme}: {reads} allocations per {ROUND_OPS} reads, {writes} per {ROUND_OPS} writes"
+            "{scheme}: {reads} allocations per {ROUND_OPS} reads, {writes} per {ROUND_OPS} writes; \
+             as batches of one, {batch_reads} and {batch_writes}"
         );
         assert_eq!(
             (reads, writes),
             (0, 0),
             "{scheme}: (reads, writes) allocated on the deterministic single-block path"
+        );
+        // A batch of one is the same path: only a read's result `Vec`,
+        // which `read_blocks` returns, is allocated.
+        assert_eq!(
+            (batch_reads, batch_writes),
+            (ROUND_OPS, 0),
+            "{scheme}: (reads, writes) allocated by batches of one on the deterministic cluster"
         );
     }
 }
