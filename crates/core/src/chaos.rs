@@ -36,9 +36,9 @@
 
 use crate::fault::{FaultKind, Faulty, OpReport};
 use crate::scenario::Action;
-use crate::shard::{ShardSpec, ShardedDevice};
+use crate::shard::ShardSpec;
 use crate::transport::{ServerCluster, Transport};
-use crate::{protocol, Cluster, ClusterOptions, LiveCluster, TcpCluster};
+use crate::{protocol, Cluster, ClusterOptions, LiveCluster, ReliableDevice, TcpCluster};
 use blockrep_net::{DeliveryMode, TrafficSnapshot};
 use blockrep_types::{BlockData, BlockIndex, DeviceConfig, Scheme, SiteId, SiteState};
 use rand::rngs::StdRng;
@@ -924,7 +924,7 @@ fn shard_scenario_spec(scheme: Scheme, shards: usize, journaled: bool) -> ShardS
 fn faulty_shards<T: Transport + 'static>(
     spec: &ShardSpec,
     spawn: impl Fn(DeviceConfig) -> Result<ServerCluster<T>, String>,
-) -> Result<ShardedDevice<ServerCluster<Faulty<T>>>, String> {
+) -> Result<ReliableDevice<ServerCluster<Faulty<T>>>, String> {
     let shards = (0..spec.shards)
         .map(|_| {
             let cfg = spec.shard_config().map_err(|e| e.to_string())?;
@@ -932,7 +932,7 @@ fn faulty_shards<T: Transport + 'static>(
         })
         .collect::<Result<_, String>>()?;
     let manifest = spec.manifest().map_err(|e| e.to_string())?;
-    Ok(ShardedDevice::new(shards, manifest, SiteId::new(0)))
+    Ok(ReliableDevice::sharded(shards, manifest, SiteId::new(0)))
 }
 
 /// Replays the two shard-targeted fault scenarios of the chaos suite on
@@ -957,7 +957,7 @@ fn faulty_shards<T: Transport + 'static>(
 /// byte-identical across runtimes.
 #[allow(private_bounds)]
 pub fn run_shard_scenarios_on<T: Transport + 'static>(
-    dev: &ShardedDevice<ServerCluster<Faulty<T>>>,
+    dev: &ReliableDevice<ServerCluster<Faulty<T>>>,
 ) -> Result<ShardRunOutcome, String> {
     use blockrep_storage::BlockDevice as _;
     use std::fmt::Write as _;

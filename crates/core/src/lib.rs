@@ -9,11 +9,13 @@
 //!          │  read_block(s) / write_block(s)    (BlockDevice trait)
 //!          ▼
 //!  ReliableDevice                               (device.rs — Figures 1–2)
+//!          │  failover; over several shards, PlacementManifest (shard.rs)
+//!          │  routes each block and a cross-shard batch fans out
 //!          │  coordinated protocol operations: runs of blocks (one or more)
 //!          ▼
-//!  ServerCluster<T> — one Coordinator: config, §5 counter, block locks,
-//!  leases, and the link model (site states + topology) that decides
-//!  which exchanges below may happen — over a transport T: Inline (the
+//!  ServerCluster<T>, one per shard — a Coordinator: config, §5 counter,
+//!  block locks, leases, and the link model (site states + topology) that
+//!  decides which exchanges below may happen — over a transport T: Inline (the
 //!  deterministic Cluster), LiveTransport (threads + inboxes) or
 //!  TcpTransport (threads + sockets), optionally under Faulty<T>
 //!          │  votes, write updates, version vectors, repairs
@@ -104,6 +106,8 @@ pub use device::ReliableDevice;
 pub use live::{LiveCluster, LiveTransport};
 pub use locks::{BlockLockTable, LeaseTable};
 pub use replica::Replica;
-pub use shard::{PlacementManifest, ShardSpec, ShardedDevice};
+// Kept only because `benchmark/src/workloads.rs` names the device so.
+pub use device::ReliableDevice as ShardedDevice;
+pub use shard::{PlacementManifest, ShardSpec};
 pub use tcp::{TcpCluster, TcpTransport};
 pub use transport::ServerCluster;

@@ -4,7 +4,7 @@
 //! deterministic [`Cluster`](crate::Cluster), the two
 //! [`ServerCluster`](crate::ServerCluster) aliases
 //! ([`LiveCluster`](crate::LiveCluster), [`TcpCluster`](crate::TcpCluster))
-//! and, per shard, [`ShardedDevice`](crate::shard::ShardedDevice); they
+//! and, per shard, [`ReliableDevice`](crate::ReliableDevice); they
 //! route each operation to the protocol selected by the device
 //! configuration.
 

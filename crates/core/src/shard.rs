@@ -1,47 +1,19 @@
-//! The sharded virtual device: consistent-hash placement of block groups
-//! over independent replica groups.
+//! Placement for a device over several replica groups: consistent-hash
+//! placement of block groups over independent shards.
 //!
-//! A single [`ReliableDevice`](crate::ReliableDevice) is one replica group
-//! holding full copies, so its capacity and write bandwidth are capped by
-//! one quorum no matter how many sites exist. [`ShardedDevice`] lifts that
-//! ceiling: a larger site pool is partitioned into `S` equal replica
-//! groups (*shards*), each running its own independent quorum — its own
-//! per-block lock table, its own lease table, its own WAL when journaled —
-//! over the **unchanged** `protocol` layer, and block *groups* are mapped
-//! to shards by rendezvous (highest-random-weight) hashing recorded in a
-//! versioned [`PlacementManifest`].
-//!
-//! Vectored requests fan out to every touched shard in one parallel
-//! round: the batch is split by shard, per-shard `read_many`/`write_many`
-//! sub-batches are issued concurrently (acquiring the per-shard admission
-//! gates in **ascending shard index**, the same lock-order discipline the
-//! workspace lint verifies on `TcpTransport::pipelined`), and the replies
-//! are stitched back in caller order. The caller runs the last touched
-//! shard's sub-batch itself and hands each other one to that shard's
-//! long-lived worker thread, so a batch spawns no thread.
-//!
-//! # Partial-batch failure semantics
-//!
-//! Shards are independent failure domains. A cross-shard `write_blocks`
-//! whose batch touches a shard with no quorum fails *that shard's*
-//! sub-batch only: every other touched shard commits normally, no shard
-//! blocks on another, and the first error in ascending shard order is
-//! returned to the caller. The caller learns the batch was not applied
-//! atomically across shards — exactly the contract a striped volume over
-//! independent disks offers — and the per-shard one-copy invariant is
-//! never weakened (the chaos shard scenarios check it per shard).
+//! A [`ReliableDevice`] over one replica group holds full copies, so its
+//! capacity and write bandwidth are capped by one quorum no matter how many
+//! sites exist. Over several, a larger site pool is partitioned into `S`
+//! equal replica groups (*shards*), each running its own independent quorum
+//! — its own per-block lock table, its own lease table, its own WAL when
+//! journaled — over the **unchanged** `protocol` layer, and block *groups*
+//! are mapped to shards by rendezvous (highest-random-weight) hashing
+//! recorded in a versioned [`PlacementManifest`]. How a batch is routed,
+//! fanned out and failed partially is the device's business (`device.rs`).
 
-use crate::device::with_failover;
-use crate::transport::{ServerCluster, Transport};
-use blockrep_net::DeliveryMode;
-use blockrep_storage::BlockDevice;
-use blockrep_types::{
-    BlockData, BlockIndex, DeviceConfig, DeviceError, DeviceResult, Scheme, SiteId,
-};
-use parking_lot::Mutex;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, OnceLock, PoisonError};
-use std::thread::JoinHandle;
+use crate::ReliableDevice;
+use blockrep_types::{BlockIndex, DeviceConfig, DeviceError, DeviceResult, Scheme, SiteId};
+use std::sync::Arc;
 
 /// SplitMix64: the placement hash. Deterministic across runs and
 /// platforms, well-mixed enough that rendezvous scores spread block
@@ -129,6 +101,17 @@ impl PlacementManifest {
         })
     }
 
+    /// The manifest of a device over one replica group: `cfg`'s sites form
+    /// its one shard, which holds every block as one group.
+    pub(crate) fn single(cfg: &DeviceConfig) -> PlacementManifest {
+        PlacementManifest {
+            version: 1,
+            group_size: cfg.num_blocks(),
+            shard_sites: vec![cfg.site_ids().collect()],
+            group_shard: vec![0],
+        }
+    }
+
     /// The manifest version (bumped when placement is regenerated).
     pub fn version(&self) -> u64 {
         self.version
@@ -149,7 +132,7 @@ impl PlacementManifest {
     /// # Panics
     ///
     /// Panics if `shard` is out of range.
-    fn sites_of(&self, shard: usize) -> &[SiteId] {
+    pub(crate) fn sites_of(&self, shard: usize) -> &[SiteId] {
         &self.shard_sites[shard]
     }
 
@@ -168,7 +151,12 @@ impl PlacementManifest {
 
     /// The shard holding block `k`: the table's entry for its group, or,
     /// past the device's end, the same rendezvous hash the table holds.
+    // Inlined into the device's generic code, which asks once per key.
+    #[inline]
     pub fn shard_of(&self, k: BlockIndex) -> usize {
+        if self.shard_count() == 1 {
+            return 0;
+        }
         let group = self.group_of(k);
         usize::try_from(group)
             .ok()
@@ -272,413 +260,33 @@ impl ShardSpec {
     }
 }
 
-/// A virtual block device striped over independent replica groups.
-///
-/// Each shard is a complete cluster of its own — a [`ServerCluster`] over
-/// any runtime's transport — and the device routes every block to its manifest-assigned
-/// shard. Vectored operations fan out to all touched shards in one
-/// parallel round and stitch replies back in caller order. Every shard but
-/// the highest has one worker thread for that round, started by the first
-/// batch that needs it and joined when the device is dropped; the highest
-/// is always the last shard a batch touches, which the caller serves
-/// itself.
-///
-/// # Examples
-///
-/// ```
-/// use blockrep_core::shard::{ShardSpec, ShardedDevice};
-/// use blockrep_core::ClusterOptions;
-/// use blockrep_storage::BlockDevice;
-/// use blockrep_types::{BlockData, BlockIndex, Scheme};
-///
-/// # fn main() -> Result<(), blockrep_types::DeviceError> {
-/// let spec = ShardSpec {
-///     block_size: 16,
-///     ..ShardSpec::new(Scheme::Voting, 2, 256)
-/// };
-/// let dev = ShardedDevice::deterministic(&spec, ClusterOptions::default())?;
-/// // A 128-block extent spans both 64-block groups ⇒ usually both shards.
-/// let writes: Vec<_> = (0..128)
-///     .map(|i| (BlockIndex::new(i), BlockData::from(vec![i as u8; 16])))
-///     .collect();
-/// dev.write_blocks(&writes)?;
-/// let ks: Vec<_> = (0..128).map(BlockIndex::new).collect();
-/// assert_eq!(dev.read_blocks(&ks)?[100].as_slice(), &[100; 16]);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug)]
-pub struct ShardedDevice<C> {
-    shards: Vec<Arc<C>>,
-    manifest: PlacementManifest,
-    preferred: SiteId,
-    /// Per-shard admission gates: a cross-shard batch holds the gate of
-    /// every shard it touches for the duration of its round, so two
-    /// concurrent batches meet each shard in a fixed order. Gates are
-    /// always taken in ascending shard index — the `fan_out` loop asserts
-    /// it — which is what makes holding several at once deadlock-free.
-    /// A gate also makes its shard's worker mailbox exclusive.
-    gates: Vec<Mutex<()>>,
-    /// One per shard but the highest, in shard order, each started by the
-    /// first batch that hands its shard a sub-batch.
-    workers: Vec<OnceLock<Worker>>,
-    num_blocks: u64,
-    block_size: usize,
-}
-
-/// One shard's sub-batch, owned so that the shard's worker can take it.
-#[derive(Debug)]
-enum Job {
-    Read(Vec<BlockIndex>),
-    Write(Vec<(BlockIndex, BlockData)>),
-}
-
-/// What a sub-batch returns: the blocks read, in sub-batch order (none for
-/// a write).
-type Answer = DeviceResult<Vec<BlockData>>;
-
-impl Job {
-    /// Runs the sub-batch against `shard` under
-    /// [`ReliableDevice`](crate::ReliableDevice)'s failover rule, over the
-    /// shard-local sites.
+impl ReliableDevice<crate::Cluster> {
+    /// A device over `spec`'s shards, each a deterministic [`Cluster`](crate::Cluster).
     ///
-    /// A panic in the shard's protocol code fails the sub-batch, whichever
-    /// thread runs it: it neither takes a worker down nor unwinds through a
-    /// caller whose other sub-batches are still out on workers.
-    fn run<T: Transport>(&self, shard: &ServerCluster<T>, preferred: SiteId) -> Answer {
-        let run = || {
-            with_failover(shard.config(), preferred, |origin| match self {
-                Job::Read(ks) => shard.read_many(origin, ks),
-                Job::Write(writes) => shard.write_many(origin, writes).map(|()| Vec::new()),
-            })
-        };
-        catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|_| {
-            let panicked = std::io::Error::other("shard sub-batch panicked");
-            Err(DeviceError::Io(panicked))
-        })
-    }
-}
-
-/// A shard worker's mailbox: one job in, one answer out. It never holds
-/// more than one job because only a batch holding the shard's gate posts
-/// to it, and that batch takes the answer before it lets the gate go — so
-/// at most one thread waits on the bell at a time: the worker for a job,
-/// or the poster for its answer.
-#[derive(Debug, Default)]
-struct Mailbox {
-    slot: Mutex<Slot>,
-    bell: Condvar,
-}
-
-#[derive(Debug, Default)]
-struct Slot {
-    job: Option<Job>,
-    answer: Option<Answer>,
-    /// The device is going down, or the worker's thread is gone: no job
-    /// will be answered any more.
-    closed: bool,
-}
-
-impl Mailbox {
-    /// Hands `job` to the worker; the caller holds the shard's gate.
-    fn post(&self, job: Job) {
-        let mut slot = self.slot.lock();
-        debug_assert!(
-            slot.job.is_none() && slot.answer.is_none(),
-            "a shard's mailbox is posted to only under its gate"
-        );
-        if !slot.closed {
-            slot.job = Some(job);
-            drop(slot);
-            self.bell.notify_one();
-        }
-    }
-
-    /// Waits for the answer to the posted job.
-    fn answer(&self) -> Answer {
-        let mut slot = self.slot.lock();
-        while slot.answer.is_none() && !slot.closed {
-            slot = self.bell.wait(slot).unwrap_or_else(PoisonError::into_inner);
-        }
-        slot.answer.take().unwrap_or_else(|| {
-            let gone = std::io::Error::other("shard worker is gone");
-            Err(DeviceError::Io(gone))
-        })
-    }
-
-    fn close(&self) {
-        self.slot.lock().closed = true;
-        self.bell.notify_all();
-    }
-
-    /// A worker's thread: take a job, run it on `shard`, post the answer;
-    /// until the mailbox closes.
-    fn serve<T: Transport>(&self, shard: &ServerCluster<T>, preferred: SiteId) {
-        // However this thread ends, nobody may wait on an answer it will
-        // not send.
-        struct CloseOnExit<'a>(&'a Mailbox);
-        impl Drop for CloseOnExit<'_> {
-            fn drop(&mut self) {
-                self.0.close();
-            }
-        }
-        let _close = CloseOnExit(self);
-        loop {
-            let job = {
-                let mut slot = self.slot.lock();
-                while slot.job.is_none() && !slot.closed {
-                    slot = self.bell.wait(slot).unwrap_or_else(PoisonError::into_inner);
-                }
-                match slot.job.take() {
-                    Some(job) => job,
-                    None => return,
-                }
-            };
-            let answer = job.run(shard, preferred);
-            self.slot.lock().answer = Some(answer);
-            self.bell.notify_one();
-        }
-    }
-}
-
-/// A shard's long-lived fan-out thread.
-#[derive(Debug)]
-struct Worker {
-    mailbox: Arc<Mailbox>,
-    thread: JoinHandle<()>,
-}
-
-impl Worker {
-    fn spawn<T: Transport + 'static>(shard: Arc<ServerCluster<T>>, preferred: SiteId) -> Worker {
-        let mailbox = Arc::new(Mailbox::default());
-        let inbox = Arc::clone(&mailbox);
-        let thread = std::thread::spawn(move || inbox.serve(&*shard, preferred));
-        Worker { mailbox, thread }
-    }
-}
-
-impl<C> Drop for ShardedDevice<C> {
-    fn drop(&mut self) {
-        for worker in self.workers.drain(..).filter_map(OnceLock::into_inner) {
-            worker.mailbox.close();
-            let _ = worker.thread.join();
-        }
-    }
-}
-
-// `Transport` is the crate's own seam: nothing outside it can name a `T`
-// other than the exported ones.
-#[allow(private_bounds)]
-impl<T: Transport + 'static> ShardedDevice<ServerCluster<T>> {
-    /// Assembles a device from per-shard clusters and their manifest.
+    /// # Examples
     ///
-    /// # Panics
+    /// ```
+    /// use blockrep_core::shard::ShardSpec;
+    /// use blockrep_core::{ClusterOptions, ReliableDevice};
+    /// use blockrep_storage::BlockDevice;
+    /// use blockrep_types::{BlockData, BlockIndex, Scheme};
     ///
-    /// Panics if the shard list is empty or disagrees with the manifest,
-    /// if the shards' geometries differ, or if `preferred` is not a
-    /// shard-local site id valid in every shard.
-    pub fn new(
-        shards: Vec<Arc<ServerCluster<T>>>,
-        manifest: PlacementManifest,
-        preferred: SiteId,
-    ) -> Self {
-        assert!(!shards.is_empty(), "a sharded device needs shards");
-        assert_eq!(
-            shards.len(),
-            manifest.shard_count(),
-            "shard list disagrees with the manifest"
-        );
-        let num_blocks = shards[0].config().num_blocks();
-        let block_size = shards[0].config().block_size();
-        for (i, shard) in shards.iter().enumerate() {
-            let cfg = shard.config();
-            assert_eq!(cfg.num_blocks(), num_blocks, "shard {i}: geometry differs");
-            assert_eq!(cfg.block_size(), block_size, "shard {i}: geometry differs");
-            assert_eq!(
-                cfg.num_sites(),
-                manifest.sites_of(i).len(),
-                "shard {i}: site count disagrees with the manifest"
-            );
-            assert!(
-                cfg.contains_site(preferred),
-                "shard {i}: preferred origin {preferred} is not a local site"
-            );
-        }
-        let gates = (0..shards.len()).map(|_| Mutex::new(())).collect();
-        let workers = (1..shards.len()).map(|_| OnceLock::new()).collect();
-        ShardedDevice {
-            shards,
-            manifest,
-            preferred,
-            gates,
-            workers,
-            num_blocks,
-            block_size,
-        }
-    }
-
-    /// The placement manifest.
-    pub fn manifest(&self) -> &PlacementManifest {
-        &self.manifest
-    }
-
-    /// The per-shard cluster handles, in shard order.
-    pub fn shard_backends(&self) -> &[Arc<ServerCluster<T>>] {
-        &self.shards
-    }
-
-    /// The shard holding block `k`.
-    pub fn shard_of(&self, k: BlockIndex) -> usize {
-        self.manifest.shard_of(k)
-    }
-
-    /// The preferred shard-local coordinator site.
-    pub fn preferred(&self) -> SiteId {
-        self.preferred
-    }
-
-    /// Splits caller-order positions by owning shard, ascending shard
-    /// index, touched shards only.
-    fn split_by_shard(&self, ks: impl Iterator<Item = BlockIndex>) -> Vec<(usize, Vec<usize>)> {
-        let mut by_shard: Vec<(usize, Vec<usize>)> =
-            (0..self.shards.len()).map(|s| (s, Vec::new())).collect();
-        for (i, k) in ks.enumerate() {
-            by_shard[self.manifest.shard_of(k)].1.push(i);
-        }
-        by_shard.retain(|(_, idxs)| !idxs.is_empty());
-        by_shard
-    }
-
-    /// Shard `s`'s worker mailbox, starting the worker on first use: a
-    /// device that only ever sees single-shard batches starts no thread.
-    fn mailbox(&self, s: usize) -> &Mailbox {
-        let worker = self.workers[s]
-            .get_or_init(|| Worker::spawn(Arc::clone(&self.shards[s]), self.preferred));
-        &worker.mailbox
-    }
-
-    /// The one parallel round: runs the `job` of every `(shard, positions)`
-    /// pair and collects the answers in ascending shard order. The last
-    /// pair runs on the calling thread and the others on their shards'
-    /// workers, so a batch that touches one shard hands nothing off.
-    ///
-    /// Every touched shard's admission gate is taken before any
-    /// sub-operation starts and held until all of them have finished, so
-    /// concurrent cross-shard batches serialize per shard while still
-    /// overlapping across shards. Because a batch holds several gates at
-    /// once, acquisition order is a deadlock invariant: `split_by_shard`
-    /// hands us shards ascending and the assert pins that discipline.
-    fn fan_out(
-        &self,
-        mut split: Vec<(usize, Vec<usize>)>,
-        job: impl Fn(&[usize]) -> Job,
-    ) -> Vec<(Vec<usize>, Answer)> {
-        let mut held = Vec::with_capacity(split.len());
-        for &(s, _) in &split {
-            debug_assert!(
-                held.last().is_none_or(|&(prev, _)| prev < s),
-                "shard gates must be acquired in ascending shard order"
-            );
-            let gate = self.gates[s].lock();
-            held.push((s, gate));
-        }
-        let Some((last, last_idxs)) = split.pop() else {
-            return Vec::new();
-        };
-        for (s, idxs) in &split {
-            self.mailbox(*s).post(job(idxs));
-        }
-        let answer = job(&last_idxs).run(&*self.shards[last], self.preferred);
-        let mut outcomes = Vec::with_capacity(split.len() + 1);
-        outcomes.extend(
-            split
-                .into_iter()
-                .map(|(s, idxs)| (idxs, self.mailbox(s).answer())),
-        );
-        outcomes.push((last_idxs, answer));
-        drop(held);
-        outcomes
-    }
-}
-
-/// A shard answered a read with fewer blocks than it was asked for.
-fn short_read() -> DeviceError {
-    DeviceError::Io(std::io::Error::other(
-        "shard returned fewer blocks than requested",
-    ))
-}
-
-impl<T: Transport + 'static> BlockDevice for ShardedDevice<ServerCluster<T>> {
-    fn num_blocks(&self) -> u64 {
-        self.num_blocks
-    }
-
-    fn block_size(&self) -> usize {
-        self.block_size
-    }
-
-    fn read_block(&self, k: BlockIndex) -> DeviceResult<BlockData> {
-        let blocks = self.read_blocks(std::slice::from_ref(&k))?;
-        blocks.into_iter().next().ok_or_else(short_read)
-    }
-
-    fn write_block(&self, k: BlockIndex, data: BlockData) -> DeviceResult<()> {
-        self.write_blocks(&[(k, data)])
-    }
-
-    fn read_blocks(&self, ks: &[BlockIndex]) -> DeviceResult<Vec<BlockData>> {
-        if ks.is_empty() {
-            return Ok(Vec::new());
-        }
-        let split = self.split_by_shard(ks.iter().copied());
-        let outcomes = self.fan_out(split, |idxs| {
-            Job::Read(idxs.iter().map(|&i| ks[i]).collect())
-        });
-        let mut stitched: Vec<Option<BlockData>> = vec![None; ks.len()];
-        let mut first_err = None;
-        for (idxs, outcome) in outcomes {
-            match outcome {
-                Ok(blocks) => {
-                    for (slot, data) in idxs.into_iter().zip(blocks) {
-                        stitched[slot] = Some(data);
-                    }
-                }
-                Err(e) => {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                }
-            }
-        }
-        if let Some(e) = first_err {
-            return Err(e);
-        }
-        stitched
-            .into_iter()
-            .collect::<Option<Vec<BlockData>>>()
-            .ok_or_else(short_read)
-    }
-
-    fn write_blocks(&self, writes: &[(BlockIndex, BlockData)]) -> DeviceResult<()> {
-        if writes.is_empty() {
-            return Ok(());
-        }
-        let split = self.split_by_shard(writes.iter().map(|&(k, _)| k));
-        // Block payloads are refcounted; the sub-batch clone is cheap.
-        let outcomes = self.fan_out(split, |idxs| {
-            Job::Write(idxs.iter().map(|&i| writes[i].clone()).collect())
-        });
-        // Healthy shards have already committed; report the first failed
-        // sub-batch (ascending shard order) without undoing the others.
-        for (_, outcome) in outcomes {
-            outcome?;
-        }
-        Ok(())
-    }
-}
-
-impl ShardedDevice<crate::Cluster> {
-    /// Spawns the deterministic runtime per shard.
+    /// # fn main() -> Result<(), blockrep_types::DeviceError> {
+    /// let spec = ShardSpec {
+    ///     block_size: 16,
+    ///     ..ShardSpec::new(Scheme::Voting, 2, 256)
+    /// };
+    /// let dev = ReliableDevice::deterministic(&spec, ClusterOptions::default())?;
+    /// // A 128-block extent spans both 64-block groups ⇒ usually both shards.
+    /// let writes: Vec<_> = (0..128)
+    ///     .map(|i| (BlockIndex::new(i), BlockData::from(vec![i as u8; 16])))
+    ///     .collect();
+    /// dev.write_blocks(&writes)?;
+    /// let ks: Vec<_> = (0..128).map(BlockIndex::new).collect();
+    /// assert_eq!(dev.read_blocks(&ks)?[100].as_slice(), &[100; 16]);
+    /// # Ok(())
+    /// # }
+    /// ```
     ///
     /// # Errors
     ///
@@ -688,64 +296,16 @@ impl ShardedDevice<crate::Cluster> {
         let shards = (0..spec.shards)
             .map(|_| Ok(Arc::new(crate::Cluster::new(spec.shard_config()?, options))))
             .collect::<DeviceResult<Vec<_>>>()?;
-        Ok(ShardedDevice::new(shards, manifest, SiteId::new(0)))
-    }
-}
-
-impl ShardedDevice<crate::LiveCluster> {
-    /// Spawns the threaded runtime per shard: each shard group gets its
-    /// own server threads and channels.
-    ///
-    /// # Errors
-    ///
-    /// [`DeviceError::InvalidConfig`] for a degenerate spec.
-    pub fn live(spec: &ShardSpec, mode: DeliveryMode) -> DeviceResult<Self> {
-        let manifest = spec.manifest()?;
-        let shards = (0..spec.shards)
-            .map(|_| {
-                Ok(Arc::new(crate::LiveCluster::spawn(
-                    spec.shard_config()?,
-                    mode,
-                )))
-            })
-            .collect::<DeviceResult<Vec<_>>>()?;
-        Ok(ShardedDevice::new(shards, manifest, SiteId::new(0)))
-    }
-}
-
-impl ShardedDevice<crate::TcpCluster> {
-    /// Spawns the framed-TCP runtime per shard. Concurrent clients of one
-    /// shard each take a connection of their own from its per-site pools,
-    /// so none queues behind another's round trip. (The sub-batches of one
-    /// cross-shard batch never meet there: each shard is its own
-    /// `TcpCluster`, with its own connections.)
-    ///
-    /// # Errors
-    ///
-    /// [`DeviceError::InvalidConfig`] for a degenerate spec, or
-    /// [`DeviceError::Io`] if a shard's listeners or connections fail.
-    pub fn tcp(spec: &ShardSpec, mode: DeliveryMode) -> DeviceResult<Self> {
-        let manifest = spec.manifest()?;
-        let shards = (0..spec.shards)
-            .map(|_| {
-                let cluster = crate::TcpCluster::spawn(spec.shard_config()?, mode)
-                    .map_err(DeviceError::Io)?;
-                Ok(Arc::new(cluster))
-            })
-            .collect::<DeviceResult<Vec<_>>>()?;
-        Ok(ShardedDevice::new(shards, manifest, SiteId::new(0)))
+        Ok(ReliableDevice::sharded(shards, manifest, SiteId::new(0)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::Coordinator;
-    use crate::wire::{Request, WireResponse};
     use crate::ClusterOptions;
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::thread::ThreadId;
-    use std::time::Duration;
+    use blockrep_storage::BlockDevice;
+    use blockrep_types::BlockData;
 
     fn spec(scheme: Scheme, shards: usize) -> ShardSpec {
         ShardSpec {
@@ -827,7 +387,7 @@ mod tests {
     fn cross_shard_batches_round_trip_in_caller_order() {
         for scheme in Scheme::ALL {
             let dev =
-                ShardedDevice::deterministic(&spec(scheme, 4), ClusterOptions::default()).unwrap();
+                ReliableDevice::deterministic(&spec(scheme, 4), ClusterOptions::default()).unwrap();
             // A deliberately shuffled, cross-shard batch.
             let ks: Vec<BlockIndex> = (0..64).rev().map(BlockIndex::new).collect();
             let writes: Vec<(BlockIndex, BlockData)> = ks
@@ -843,104 +403,10 @@ mod tests {
     }
 
     #[test]
-    fn a_split_follows_the_manifest_however_the_groups_interleave() {
-        let dev = ShardedDevice::deterministic(
-            &spec(Scheme::NaiveAvailableCopy, 4),
-            ClusterOptions::default(),
-        )
-        .unwrap();
-        let m = dev.manifest().clone();
-        let gs = m.group_size();
-        let shard_of_group = |g: u64| m.shard_of(BlockIndex::new(g * gs));
-        let g1 = (1..16)
-            .find(|&g| shard_of_group(g) != shard_of_group(0))
-            .unwrap();
-        // g0, g1, g0, g1, …: no block shares a group with its neighbour.
-        let alternating: Vec<u64> = (0..gs).flat_map(|i| [i, g1 * gs + i]).collect();
-        // Whole groups, out of order, each run walked backwards.
-        let out_of_order: Vec<u64> = [9u64, 2, 15, 0, 7]
-            .iter()
-            .flat_map(|&g| (g * gs..(g + 1) * gs).rev())
-            .collect();
-        for (round, batch) in [alternating, out_of_order].into_iter().enumerate() {
-            let ks: Vec<BlockIndex> = batch.into_iter().map(BlockIndex::new).collect();
-            let split = dev.split_by_shard(ks.iter().copied());
-            let mut seen = vec![false; ks.len()];
-            let mut prev_shard = None;
-            for (s, idxs) in &split {
-                assert!(prev_shard < Some(*s), "shards out of order");
-                prev_shard = Some(*s);
-                assert!(idxs.windows(2).all(|w| w[0] < w[1]), "caller order lost");
-                for &i in idxs {
-                    assert_eq!(*s, m.shard_of(ks[i]), "block {} misplaced", ks[i]);
-                    seen[i] = true;
-                }
-            }
-            assert!(seen.iter().all(|&s| s), "a block was dropped");
-            let fill = |k: BlockIndex| BlockData::from(vec![k.as_u64() as u8 ^ round as u8; 8]);
-            let writes: Vec<(BlockIndex, BlockData)> = ks.iter().map(|&k| (k, fill(k))).collect();
-            dev.write_blocks(&writes).unwrap();
-            let back = dev.read_blocks(&ks).unwrap();
-            assert_eq!(back, ks.iter().map(|&k| fill(k)).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn fan_out_runs_the_last_shard_on_the_calling_thread() {
-        let spec = spec(Scheme::NaiveAvailableCopy, 4);
-        let disks: Vec<_> = (0..4).map(|_| DiskDouble::new(&spec, false)).collect();
-        let dev = ShardedDevice::new(disks.clone(), spec.manifest().unwrap(), SiteId::new(0));
-        let here = std::thread::current().id();
-        // The thread each touched shard's sub-batch ran on, in shard order.
-        let ran_on = |shards: &[usize]| -> Vec<ThreadId> {
-            let split = shards.iter().map(|&s| (s, vec![s])).collect();
-            let outcomes = dev.fan_out(split, |_| Job::Read(vec![BlockIndex::new(0)]));
-            let positions: Vec<Vec<usize>> = outcomes
-                .into_iter()
-                .map(|(idxs, answer)| {
-                    assert_eq!(answer.unwrap().len(), 1);
-                    idxs
-                })
-                .collect();
-            assert_eq!(
-                positions,
-                shards.iter().map(|&s| vec![s]).collect::<Vec<_>>()
-            );
-            shards
-                .iter()
-                .map(|&s| disks[s].transport.readers.lock().pop().unwrap())
-                .collect()
-        };
-        assert!(ran_on(&[]).is_empty());
-        // One touched shard: the caller serves it.
-        assert_eq!(ran_on(&[2]), [here]);
-        assert_eq!(ran_on(&[3]), [here]);
-        // Several: the last is the caller's, and every other one runs on its
-        // shard's own worker — the same thread, batch after batch.
-        let mut worker_of: [Option<ThreadId>; 3] = [None; 3];
-        let sets: [&[usize]; 4] = [&[0, 1, 3], &[0, 2], &[1, 2, 3], &[0, 1, 2, 3]];
-        for batch in 0..100 {
-            let shards = sets[batch % sets.len()];
-            let threads = ran_on(shards);
-            let (&last, others) = threads.split_last().unwrap();
-            assert_eq!(last, here, "batch {batch}");
-            for (&s, &t) in shards.iter().zip(others) {
-                assert_ne!(t, here, "batch {batch}: shard {s} ran on the caller");
-                assert_eq!(
-                    *worker_of[s].get_or_insert(t),
-                    t,
-                    "batch {batch}: shard {s}"
-                );
-            }
-        }
-        let workers: std::collections::HashSet<_> = worker_of.iter().flatten().collect();
-        assert_eq!(workers.len(), 3, "one worker per shard, none shared");
-    }
-
-    #[test]
     fn single_block_ops_route_to_the_owning_shard_only() {
-        let dev = ShardedDevice::deterministic(&spec(Scheme::Voting, 2), ClusterOptions::default())
-            .unwrap();
+        let dev =
+            ReliableDevice::deterministic(&spec(Scheme::Voting, 2), ClusterOptions::default())
+                .unwrap();
         let k = BlockIndex::new(9);
         let owner = dev.shard_of(k);
         dev.write_block(k, BlockData::from(vec![5; 8])).unwrap();
@@ -952,8 +418,9 @@ mod tests {
 
     #[test]
     fn losing_one_shard_quorum_fails_only_that_sub_batch() {
-        let dev = ShardedDevice::deterministic(&spec(Scheme::Voting, 2), ClusterOptions::default())
-            .unwrap();
+        let dev =
+            ReliableDevice::deterministic(&spec(Scheme::Voting, 2), ClusterOptions::default())
+                .unwrap();
         let ks: Vec<BlockIndex> = (0..64).map(BlockIndex::new).collect();
         let writes: Vec<(BlockIndex, BlockData)> = ks
             .iter()
@@ -984,7 +451,7 @@ mod tests {
 
     #[test]
     fn empty_batches_are_no_ops() {
-        let dev = ShardedDevice::deterministic(
+        let dev = ReliableDevice::deterministic(
             &spec(Scheme::AvailableCopy, 2),
             ClusterOptions::default(),
         )
@@ -995,7 +462,7 @@ mod tests {
 
     #[test]
     fn preferred_origin_failure_fails_over_within_the_shard() {
-        let dev = ShardedDevice::deterministic(
+        let dev = ReliableDevice::deterministic(
             &spec(Scheme::AvailableCopy, 2),
             ClusterOptions::default(),
         )
@@ -1006,94 +473,5 @@ mod tests {
         let owner = &dev.shard_backends()[dev.shard_of(k)];
         owner.fail_site(SiteId::new(0));
         assert_eq!(dev.read_block(k).unwrap().as_slice(), &[7; 8]);
-    }
-
-    /// The disk of a naive-available-copy shard: it reads zeros, noting the
-    /// thread of every read, or panics while its switch is on. Only the
-    /// local reads of a vectored NAC read reach it.
-    struct DiskDouble {
-        block_size: usize,
-        panics: AtomicBool,
-        readers: Mutex<Vec<ThreadId>>,
-    }
-
-    impl DiskDouble {
-        fn new(spec: &ShardSpec, panics: bool) -> Arc<ServerCluster<DiskDouble>> {
-            let cfg = spec.shard_config().unwrap();
-            let disk = DiskDouble {
-                block_size: cfg.block_size(),
-                panics: AtomicBool::new(panics),
-                readers: Mutex::new(Vec::new()),
-            };
-            let coord = Coordinator::new(cfg, DeliveryMode::default());
-            Arc::new(ServerCluster::over(coord, disk))
-        }
-    }
-
-    impl Transport for DiskDouble {
-        const NAME: &'static str = "disk double";
-
-        fn call(&self, _: SiteId, request: Request<'_>) -> Option<WireResponse> {
-            unreachable!("{request:?}")
-        }
-
-        fn cast(&self, _: SiteId, request: Request<'_>) -> bool {
-            unreachable!("{request:?}")
-        }
-
-        fn local(&self, _: SiteId, request: Request<'_>) -> Option<WireResponse> {
-            let Request::ReadLocalMany(ks) = request else {
-                unreachable!("{request:?}")
-            };
-            assert!(
-                !self.panics.load(Ordering::SeqCst),
-                "disk double: sub-batch read panics"
-            );
-            self.readers.lock().push(std::thread::current().id());
-            let zeros = BlockData::zeroed(self.block_size);
-            Some(WireResponse::DataMany(vec![zeros; ks.len()].into()))
-        }
-    }
-
-    #[test]
-    fn a_panicking_shard_worker_fails_the_batch_with_a_typed_error() {
-        let spec = spec(Scheme::NaiveAvailableCopy, 2);
-        // Shard 0 is a fan-out worker (the last shard runs on the caller).
-        let disks = vec![DiskDouble::new(&spec, true), DiskDouble::new(&spec, false)];
-        let dev = ShardedDevice::new(disks.clone(), spec.manifest().unwrap(), SiteId::new(0));
-        let ks: Vec<BlockIndex> = (0..64).map(BlockIndex::new).collect();
-        assert!(ks.iter().any(|&k| dev.shard_of(k) == 0));
-        assert!(ks.iter().any(|&k| dev.shard_of(k) == 1));
-        let err = dev.read_blocks(&ks).unwrap_err();
-        assert!(matches!(err, DeviceError::Io(_)), "{err}");
-        // The healthy shard alone still answers.
-        let healthy: Vec<BlockIndex> = ks
-            .iter()
-            .copied()
-            .filter(|&k| dev.shard_of(k) == 1)
-            .collect();
-        assert_eq!(dev.read_blocks(&healthy).unwrap().len(), healthy.len());
-        // The panic did not take the worker down: with the disk mended, the
-        // panicking shard answers the next batch.
-        disks[0].transport.panics.store(false, Ordering::SeqCst);
-        assert_eq!(dev.read_blocks(&ks).unwrap().len(), ks.len());
-        // A panic on the shard the caller runs fails the batch the same
-        // way, after the worker's sub-batch has come back.
-        disks[1].transport.panics.store(true, Ordering::SeqCst);
-        let err = dev.read_blocks(&ks).unwrap_err();
-        assert!(matches!(err, DeviceError::Io(_)), "{err}");
-        disks[1].transport.panics.store(false, Ordering::SeqCst);
-        assert_eq!(dev.read_blocks(&ks).unwrap().len(), ks.len());
-        // And dropping the device stops and joins its worker.
-        let (done_tx, done_rx) = std::sync::mpsc::channel();
-        let dropper = std::thread::spawn(move || {
-            drop(dev);
-            let _ = done_tx.send(());
-        });
-        assert!(
-            done_rx.recv_timeout(Duration::from_secs(5)).is_ok(),
-            "dropping the device hung"
-        );
-        dropper.join().unwrap();
     }
 }

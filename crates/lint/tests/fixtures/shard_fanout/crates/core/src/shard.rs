@@ -4,9 +4,9 @@
 //! walks the split back to front and asserts the *wrong* (descending)
 //! order — two batches covering overlapping shard sets from opposite
 //! ends deadlock. It must be flagged; `fan_out` below follows the real
-//! `ShardedDevice` shape and must be positively verified instead.
+//! `ReliableDevice` shape and must be positively verified instead.
 
-impl ShardedDevice {
+impl ReliableDevice {
     fn fan_out_descending(&self, split: Vec<(usize, Vec<usize>)>) {
         let mut posted = Vec::new();
         for (s, idxs) in split.into_iter().rev() {

@@ -199,7 +199,7 @@ fn descending_shard_fanout_is_caught() {
         "{}",
         f.message
     );
-    // The ascending twin mirrors the real `ShardedDevice::fan_out` and is
+    // The ascending twin mirrors the real `ReliableDevice::fan_out` and is
     // positively verified.
     assert!(
         report

@@ -53,13 +53,13 @@ fn key_invariants_are_positively_verified() {
             report.verified
         );
     }
-    // And the cross-shard fan-out of the sharded virtual device: the
-    // per-shard admission gates are taken in ascending shard index.
+    // And the cross-shard fan-out of the reliable device: the per-shard
+    // admission gates are taken in ascending shard index.
     assert!(
         report
             .verified
             .iter()
-            .any(|v| v.contains("shard.rs") && v.contains("`fan_out`") && v.contains("ascending")),
+            .any(|v| v.contains("device.rs") && v.contains("`fan_out`") && v.contains("ascending")),
         "cross-shard fan-out ascending-order discipline not verified:\n{:#?}",
         report.verified
     );

@@ -10,7 +10,7 @@
 use blockrep::core::chaos::{self, ChaosStep};
 use blockrep::core::fault::FaultKind;
 use blockrep::core::scenario::Action;
-use blockrep::core::{Cluster, ClusterOptions, ShardSpec, ShardedDevice};
+use blockrep::core::{Cluster, ClusterOptions, ReliableDevice, ShardSpec};
 use blockrep::types::{BlockData, BlockIndex, Scheme, SiteId, SiteState};
 use std::sync::Arc;
 
@@ -564,7 +564,7 @@ fn shard_scenarios_digest() -> u64 {
                     Arc::new(Cluster::new(cfg, ClusterOptions::default()).with_faults())
                 })
                 .collect();
-            let dev = ShardedDevice::new(shards, spec.manifest().unwrap(), sid(0));
+            let dev = ReliableDevice::sharded(shards, spec.manifest().unwrap(), sid(0));
             let outcome = chaos::run_shard_scenarios_on(&dev)
                 .unwrap_or_else(|e| panic!("{scheme} journaled={journaled}: {e}"));
             for line in &outcome.log {

@@ -142,9 +142,8 @@ fn an_op_whose_commit_is_refused_leaves_the_pre_op_image() {
 #[test]
 fn fs_state_survives_total_failure_and_remount() {
     let c = cluster(Scheme::AvailableCopy);
-    let dev = ReliableDevice::new(Arc::clone(&c), s(0));
     {
-        let fs = FileSystem::format(dev.clone()).unwrap();
+        let fs = FileSystem::format(ReliableDevice::new(Arc::clone(&c), s(0))).unwrap();
         fs.mkdir("/persist").unwrap();
         fs.write_file("/persist/x", b"before total failure")
             .unwrap();
@@ -156,7 +155,7 @@ fn fs_state_survives_total_failure_and_remount() {
         c.repair_site(s(i));
     }
     // Remount from the recovered replicas (disks survive fail-stop).
-    let fs = FileSystem::mount(dev).unwrap();
+    let fs = FileSystem::mount(ReliableDevice::new(c, s(0))).unwrap();
     assert_eq!(fs.read_file("/persist/x").unwrap(), b"before total failure");
 }
 

@@ -10,7 +10,7 @@
 
 #![cfg(target_os = "linux")]
 
-use blockrep::core::{ClusterOptions, ShardSpec, ShardedDevice};
+use blockrep::core::{ClusterOptions, ReliableDevice, ShardSpec};
 use blockrep::storage::BlockDevice;
 use blockrep::types::{BlockData, BlockIndex, Scheme};
 use std::collections::BTreeSet;
@@ -31,7 +31,7 @@ fn a_sharded_device_owns_its_fan_out_threads() {
         ..ShardSpec::new(Scheme::NaiveAvailableCopy, shards, 1024)
     };
     let threads_before = thread_count();
-    let dev = ShardedDevice::deterministic(&spec, ClusterOptions::default()).unwrap();
+    let dev = ReliableDevice::deterministic(&spec, ClusterOptions::default()).unwrap();
     let batch = |ks: &[BlockIndex], fill: u8| {
         let writes: Vec<_> = ks
             .iter()

@@ -50,7 +50,10 @@
 //! one, and every per-block list holds one entry inline, so the same
 //! operations as `read_blocks`/`write_blocks` of one block allocate only a
 //! read's result `Vec`; while batches had their own path, a voting batch
-//! of one allocated for its key list, its votes and its reads.
+//! of one allocated for its key list, its votes and its reads. The same
+//! holds on a device of four shards, since a batch that stays on one shard
+//! is neither split nor handed to a worker; while a sharded device split
+//! every batch, it allocated 112 times per 16 reads and 80 per 16 writes.
 //!
 //! **The file system**, at `live-fs-ac`'s geometry (8 192 × 1 KiB blocks,
 //! 8 directories) over a bare `MemStore`: once the device was cheap, most
@@ -62,7 +65,7 @@
 //! file at least 166 times.
 
 use blockrep::core::wire::{FrameReader, MAX_FRAME};
-use blockrep::core::{Cluster, ClusterOptions, LiveCluster, ReliableDevice, TcpCluster};
+use blockrep::core::{Cluster, ClusterOptions, LiveCluster, ReliableDevice, ShardSpec, TcpCluster};
 use blockrep::fs::FileSystem;
 use blockrep::net::DeliveryMode;
 use blockrep::storage::{BlockDevice, MemStore};
@@ -346,9 +349,22 @@ fn a_single_block_round_on_the_deterministic_cluster_allocates_nothing() {
     let blocks: Vec<BlockData> = (1..=4u8)
         .map(|fill| BlockData::from(vec![fill; BLOCK_SIZE]))
         .collect();
-    for scheme in [Scheme::Voting, Scheme::AvailableCopy] {
-        let cluster = Cluster::new(batch_config(scheme, 3), ClusterOptions::default());
-        let dev = ReliableDevice::new(Arc::new(cluster), SiteId::new(0));
+    for (scheme, shards) in [Scheme::Voting, Scheme::AvailableCopy]
+        .into_iter()
+        .flat_map(|scheme| [(scheme, 1), (scheme, 4)])
+    {
+        let dev = if shards == 1 {
+            let cluster = Cluster::new(batch_config(scheme, 3), ClusterOptions::default());
+            ReliableDevice::new(Arc::new(cluster), SiteId::new(0))
+        } else {
+            let spec = ShardSpec {
+                block_size: BLOCK_SIZE,
+                group_size: 4,
+                ..ShardSpec::new(scheme, shards, BLOCKS)
+            };
+            ReliableDevice::deterministic(&spec, ClusterOptions::default()).unwrap()
+        };
+        let scheme = format!("{scheme} over {shards} shard(s)");
         let mut i = 0;
         // One operation on the next block: a write or a read, through the
         // single-block entry point or as a batch of one.
