@@ -921,7 +921,7 @@ fn shard_scenario_spec(scheme: Scheme, shards: usize, journaled: bool) -> ShardS
 
 /// A device of `spec`'s geometry whose every shard is a cluster `spawn`
 /// builds from the shard configuration, under a fault layer of its own.
-fn faulty_shards<T: Transport + 'static>(
+fn faulty_shards<T: Transport>(
     spec: &ShardSpec,
     spawn: impl Fn(DeviceConfig) -> Result<ServerCluster<T>, String>,
 ) -> Result<ReliableDevice<ServerCluster<Faulty<T>>>, String> {
@@ -956,7 +956,7 @@ fn faulty_shards<T: Transport + 'static>(
 /// exchange coordinates), so the log — including per-shard §5 traffic — is
 /// byte-identical across runtimes.
 #[allow(private_bounds)]
-pub fn run_shard_scenarios_on<T: Transport + 'static>(
+pub fn run_shard_scenarios_on<T: Transport>(
     dev: &ReliableDevice<ServerCluster<Faulty<T>>>,
 ) -> Result<ShardRunOutcome, String> {
     use blockrep_storage::BlockDevice as _;

@@ -11,13 +11,12 @@
 //! independent ones (*shards*), a [`PlacementManifest`] mapping each block
 //! to its shard (see [`shard`](crate::shard)). A batch whose blocks all
 //! live on one shard runs on the caller, exactly as on a one-shard device.
-//! A batch that spans shards fans out in one parallel round: it is split
-//! by shard, the admission gate of every touched shard is taken in
-//! **ascending shard index** (the same lock-order discipline the workspace
-//! lint verifies on `TcpTransport::pipelined`), the caller runs the last
-//! touched shard's sub-batch and each other one goes to that shard's
-//! long-lived worker thread, and the replies are stitched back in caller
-//! order. A batch spawns no thread.
+//! A batch that spans shards is split by shard, the admission gate of
+//! every touched shard is taken in **ascending shard index** (the same
+//! lock-order discipline the workspace lint verifies on
+//! `TcpTransport::pipelined`), the caller runs every sub-batch in turn in
+//! that order, and the replies are stitched back in caller order. The
+//! device starts no thread.
 //!
 //! # Partial-batch failure semantics
 //!
@@ -36,8 +35,7 @@ use blockrep_storage::BlockDevice;
 use blockrep_types::{BlockData, BlockIndex, DeviceError, DeviceResult, SiteId};
 use parking_lot::{Mutex, MutexGuard};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, PoisonError};
-use std::thread::JoinHandle;
+use std::sync::Arc;
 
 /// The failover rule: run `op` through the `preferred` origin, then through
 /// the shard's other sites in id order — but only while the coordinator
@@ -66,11 +64,8 @@ fn failover<T: Transport, R>(
 /// quorums, recovery and placement stay entirely below this interface.
 /// [`new`](Self::new) stands it in front of one replica group;
 /// [`sharded`](Self::sharded) in front of several, each a complete
-/// [`ServerCluster`] of its own over any runtime's transport. Every shard
-/// but the highest then has one worker thread for cross-shard batches,
-/// started by the first batch that hands it a sub-batch and joined when
-/// the device is dropped; the highest is always the last shard a batch
-/// touches, which the caller serves itself.
+/// [`ServerCluster`] of its own over any runtime's transport. Every batch
+/// runs on the calling thread, a cross-shard one shard after shard.
 ///
 /// # Examples
 ///
@@ -102,153 +97,14 @@ pub struct ReliableDevice<C> {
     /// never see a cross-shard write applied on one and not yet on the
     /// other. Gates are always taken in ascending shard index — the
     /// `fan_out` loop asserts it — which is what makes holding several at
-    /// once deadlock-free. Each gate owns its shard's worker, so only a
-    /// batch holding the gate can post to it.
-    gates: Vec<Mutex<Option<Worker>>>,
-}
-
-/// One shard's sub-batch, owned so that the shard's worker can take it.
-#[derive(Debug)]
-enum Job {
-    Read(Vec<BlockIndex>),
-    Write(Vec<(BlockIndex, BlockData)>),
-}
-
-/// What a sub-batch returns: the blocks read, in sub-batch order (none for
-/// a write).
-type Answer = DeviceResult<Vec<BlockData>>;
-
-impl Job {
-    /// Runs the sub-batch against `shard` under the failover rule.
-    ///
-    /// A panic in the shard's protocol code fails the sub-batch, whichever
-    /// thread runs it: it neither takes a worker down nor unwinds through a
-    /// caller whose other sub-batches are still out on workers.
-    fn run<T: Transport>(&self, shard: &ServerCluster<T>, preferred: SiteId) -> Answer {
-        let run = || {
-            failover(shard, preferred, |origin| match self {
-                Job::Read(ks) => shard.read_many(origin, ks),
-                Job::Write(writes) => shard.write_many(origin, writes).map(|()| Vec::new()),
-            })
-        };
-        catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|_| {
-            let panicked = std::io::Error::other("shard sub-batch panicked");
-            Err(DeviceError::Io(panicked))
-        })
-    }
-}
-
-/// A shard worker's mailbox: one job in, one answer out. It never holds
-/// more than one job because the worker is reachable only through its
-/// shard's gate, and the batch holding the gate takes the answer before it
-/// lets the gate go — so at most one thread waits on the bell at a time:
-/// the worker for a job, or the poster for its answer.
-#[derive(Debug, Default)]
-struct Mailbox {
-    slot: Mutex<Slot>,
-    bell: Condvar,
-}
-
-#[derive(Debug, Default)]
-struct Slot {
-    job: Option<Job>,
-    answer: Option<Answer>,
-    /// The device is going down, or the worker's thread is gone: no job
-    /// will be answered any more.
-    closed: bool,
-}
-
-impl Mailbox {
-    /// Hands `job` to the worker.
-    fn post(&self, job: Job) {
-        let mut slot = self.slot.lock();
-        if !slot.closed {
-            slot.job = Some(job);
-            drop(slot);
-            self.bell.notify_one();
-        }
-    }
-
-    /// Waits for the answer to the posted job.
-    fn answer(&self) -> Answer {
-        let mut slot = self.slot.lock();
-        while slot.answer.is_none() && !slot.closed {
-            slot = self.bell.wait(slot).unwrap_or_else(PoisonError::into_inner);
-        }
-        slot.answer.take().unwrap_or_else(|| {
-            let gone = std::io::Error::other("shard worker is gone");
-            Err(DeviceError::Io(gone))
-        })
-    }
-
-    fn close(&self) {
-        self.slot.lock().closed = true;
-        self.bell.notify_all();
-    }
-
-    /// A worker's thread: take a job, run it on `shard`, post the answer;
-    /// until the mailbox closes.
-    fn serve<T: Transport>(&self, shard: &ServerCluster<T>, preferred: SiteId) {
-        // However this thread ends, nobody may wait on an answer it will
-        // not send.
-        struct CloseOnExit<'a>(&'a Mailbox);
-        impl Drop for CloseOnExit<'_> {
-            fn drop(&mut self) {
-                self.0.close();
-            }
-        }
-        let _close = CloseOnExit(self);
-        loop {
-            let job = {
-                let mut slot = self.slot.lock();
-                while slot.job.is_none() && !slot.closed {
-                    slot = self.bell.wait(slot).unwrap_or_else(PoisonError::into_inner);
-                }
-                match slot.job.take() {
-                    Some(job) => job,
-                    None => return,
-                }
-            };
-            let answer = job.run(shard, preferred);
-            self.slot.lock().answer = Some(answer);
-            self.bell.notify_one();
-        }
-    }
-}
-
-/// A shard's long-lived fan-out thread.
-#[derive(Debug)]
-struct Worker {
-    mailbox: Arc<Mailbox>,
-    thread: JoinHandle<()>,
-}
-
-impl Worker {
-    fn spawn<T: Transport + 'static>(shard: Arc<ServerCluster<T>>, preferred: SiteId) -> Worker {
-        let mailbox = Arc::new(Mailbox::default());
-        let inbox = Arc::clone(&mailbox);
-        let thread = std::thread::spawn(move || inbox.serve(&*shard, preferred));
-        Worker { mailbox, thread }
-    }
-}
-
-impl<C> Drop for ReliableDevice<C> {
-    fn drop(&mut self) {
-        for worker in self
-            .gates
-            .iter_mut()
-            .filter_map(|gate| gate.get_mut().take())
-        {
-            worker.mailbox.close();
-            let _ = worker.thread.join();
-        }
-    }
+    /// once deadlock-free.
+    gates: Vec<Mutex<()>>,
 }
 
 // `Transport` is the crate's own seam: nothing outside it can name a `T`
 // other than the exported ones.
 #[allow(private_bounds)]
-impl<T: Transport + 'static> ReliableDevice<ServerCluster<T>> {
+impl<T: Transport> ReliableDevice<ServerCluster<T>> {
     /// Creates a device over one replica group that coordinates through
     /// `preferred` when possible.
     ///
@@ -297,7 +153,7 @@ impl<T: Transport + 'static> ReliableDevice<ServerCluster<T>> {
         }
         let gates = match shards.len() {
             1 => Vec::new(),
-            n => (0..n).map(|_| Mutex::new(None)).collect(),
+            n => (0..n).map(|_| Mutex::new(())).collect(),
         };
         ReliableDevice {
             shards,
@@ -363,30 +219,27 @@ impl<T: Transport + 'static> ReliableDevice<ServerCluster<T>> {
         Err(by_shard)
     }
 
-    /// Shard `s`'s worker, started on first use: a device that only ever
-    /// sees single-shard batches starts no thread.
-    fn worker<'g>(&self, gate: &'g mut Option<Worker>, s: usize) -> &'g Worker {
-        gate.get_or_insert_with(|| Worker::spawn(Arc::clone(&self.shards[s]), self.preferred))
-    }
-
-    /// The one parallel round: runs the `job` of every `(shard, positions)`
-    /// pair and collects the answers in ascending shard order. The last
-    /// pair runs on the calling thread and the others on their shards'
-    /// workers.
+    /// Runs `op` on every `(shard, positions)` pair of `split` from the
+    /// calling thread, one shard after another in ascending order, each
+    /// under the failover rule, and returns the first failure.
     ///
-    /// Every touched shard's admission gate is taken before any
-    /// sub-operation starts and held until all of them have finished, so
-    /// concurrent cross-shard batches serialize per shard while still
-    /// overlapping across shards. Because a batch holds several gates at
-    /// once, acquisition order is a deadlock invariant: `split_by_shard`
-    /// hands us shards ascending and the assert pins that discipline.
+    /// Every touched shard's admission gate is taken before any sub-batch
+    /// starts and held until the last has finished, so concurrent
+    /// cross-shard batches serialize per shard. Because a batch holds
+    /// several gates at once, acquisition order is a deadlock invariant:
+    /// `split_by_shard` hands us shards ascending and the assert pins that
+    /// discipline.
+    ///
+    /// A sub-batch that fails, or panics in the shard's protocol code,
+    /// fails alone: every later shard still runs and commits, and the panic
+    /// becomes [`DeviceError::Io`] instead of unwinding past sub-batches
+    /// that have already committed.
     fn fan_out(
         &self,
-        mut split: Vec<(usize, Vec<usize>)>,
-        job: impl Fn(&[usize]) -> Job,
-    ) -> Vec<(Vec<usize>, Answer)> {
-        let mut held: Vec<(usize, MutexGuard<'_, Option<Worker>>)> =
-            Vec::with_capacity(split.len());
+        split: Vec<(usize, Vec<usize>)>,
+        mut op: impl FnMut(&ServerCluster<T>, SiteId, &[usize]) -> DeviceResult<()>,
+    ) -> DeviceResult<()> {
+        let mut held: Vec<(usize, MutexGuard<'_, ()>)> = Vec::with_capacity(split.len());
         for &(s, _) in &split {
             debug_assert!(
                 held.last().is_none_or(|&(prev, _)| prev < s),
@@ -395,19 +248,17 @@ impl<T: Transport + 'static> ReliableDevice<ServerCluster<T>> {
             let gate = self.gates[s].lock();
             held.push((s, gate));
         }
-        let Some((last, last_idxs)) = split.pop() else {
-            return Vec::new();
-        };
-        for ((s, idxs), (_, gate)) in split.iter().zip(&mut held) {
-            self.worker(gate, *s).mailbox.post(job(idxs));
+        let mut first_failure = Ok(());
+        for (s, idxs) in &split {
+            let shard = &*self.shards[*s];
+            let run = || failover(shard, self.preferred, |origin| op(shard, origin, idxs));
+            let outcome = catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|_| {
+                let panicked = std::io::Error::other("shard sub-batch panicked");
+                Err(DeviceError::Io(panicked))
+            });
+            first_failure = first_failure.and(outcome);
         }
-        let answer = job(&last_idxs).run(&self.shards[last], self.preferred);
-        split
-            .into_iter()
-            .zip(&mut held)
-            .map(|((s, idxs), (_, gate))| (idxs, self.worker(gate, s).mailbox.answer()))
-            .chain([(last_idxs, answer)])
-            .collect()
+        first_failure
     }
 }
 
@@ -418,7 +269,7 @@ fn short_read() -> DeviceError {
     ))
 }
 
-impl<T: Transport + 'static> BlockDevice for ReliableDevice<ServerCluster<T>> {
+impl<T: Transport> BlockDevice for ReliableDevice<ServerCluster<T>> {
     fn num_blocks(&self) -> u64 {
         self.shards[0].config().num_blocks()
     }
@@ -443,15 +294,14 @@ impl<T: Transport + 'static> BlockDevice for ReliableDevice<ServerCluster<T>> {
             Ok(s) => return self.on_shard(s, |shard, origin| shard.read_many(origin, ks)),
             Err(split) => split,
         };
-        let outcomes = self.fan_out(split, |idxs| {
-            Job::Read(idxs.iter().map(|&i| ks[i]).collect())
-        });
         let mut stitched: Vec<Option<BlockData>> = vec![None; ks.len()];
-        for (idxs, outcome) in outcomes {
-            for (slot, data) in idxs.into_iter().zip(outcome?) {
+        self.fan_out(split, |shard, origin, idxs| {
+            let sub: Vec<BlockIndex> = idxs.iter().map(|&i| ks[i]).collect();
+            for (&slot, data) in idxs.iter().zip(shard.read_many(origin, &sub)?) {
                 stitched[slot] = Some(data);
             }
-        }
+            Ok(())
+        })?;
         stitched
             .into_iter()
             .collect::<Option<_>>()
@@ -464,25 +314,22 @@ impl<T: Transport + 'static> BlockDevice for ReliableDevice<ServerCluster<T>> {
             Err(split) => split,
         };
         // Block payloads are refcounted; the sub-batch clone is cheap.
-        let outcomes = self.fan_out(split, |idxs| {
-            Job::Write(idxs.iter().map(|&i| writes[i].clone()).collect())
-        });
-        // Healthy shards have already committed; report the first failed
-        // sub-batch (ascending shard order) without undoing the others.
-        outcomes
-            .into_iter()
-            .try_for_each(|(_, outcome)| outcome.map(drop))
+        // Healthy shards commit even after a lower one failed: the first
+        // failed sub-batch is reported without undoing the others.
+        self.fan_out(split, |shard, origin, idxs| {
+            let sub: Vec<_> = idxs.iter().map(|&i| writes[i].clone()).collect();
+            shard.write_many(origin, &sub)
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::Coordinator;
+    use crate::cluster::Inline;
     use crate::shard::ShardSpec;
     use crate::wire::{Request, WireResponse};
     use crate::{Cluster, ClusterOptions};
-    use blockrep_net::DeliveryMode;
     use blockrep_types::{DeviceConfig, Scheme};
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::thread::ThreadId;
@@ -606,110 +453,99 @@ mod tests {
         }
     }
 
-    #[test]
-    fn fan_out_runs_the_last_shard_on_the_calling_thread() {
-        let spec = spec(Scheme::NaiveAvailableCopy, 4);
-        let disks: Vec<_> = (0..4).map(|_| DiskDouble::new(&spec, false)).collect();
-        let dev = ReliableDevice::sharded(disks.clone(), spec.manifest().unwrap(), SiteId::new(0));
-        let here = std::thread::current().id();
-        // The thread each touched shard's sub-batch ran on, in shard order.
-        let ran_on = |shards: &[usize]| -> Vec<ThreadId> {
-            let split = shards.iter().map(|&s| (s, vec![s])).collect();
-            let outcomes = dev.fan_out(split, |_| Job::Read(vec![BlockIndex::new(0)]));
-            let positions: Vec<Vec<usize>> = outcomes
-                .into_iter()
-                .map(|(idxs, answer)| {
-                    assert_eq!(answer.unwrap().len(), 1);
-                    idxs
-                })
-                .collect();
-            assert_eq!(
-                positions,
-                shards.iter().map(|&s| vec![s]).collect::<Vec<_>>()
-            );
-            shards
-                .iter()
-                .map(|&s| disks[s].transport.readers.lock().pop().unwrap())
-                .collect()
-        };
-        assert!(ran_on(&[]).is_empty());
-        // One touched shard: the caller serves it.
-        assert_eq!(ran_on(&[2]), [here]);
-        assert_eq!(ran_on(&[3]), [here]);
-        // Several: the last is the caller's, and every other one runs on its
-        // shard's own worker — the same thread, batch after batch.
-        let mut worker_of: [Option<ThreadId>; 3] = [None; 3];
-        let sets: [&[usize]; 4] = [&[0, 1, 3], &[0, 2], &[1, 2, 3], &[0, 1, 2, 3]];
-        for batch in 0..100 {
-            let shards = sets[batch % sets.len()];
-            let threads = ran_on(shards);
-            let (&last, others) = threads.split_last().unwrap();
-            assert_eq!(last, here, "batch {batch}");
-            for (&s, &t) in shards.iter().zip(others) {
-                assert_ne!(t, here, "batch {batch}: shard {s} ran on the caller");
-                assert_eq!(
-                    *worker_of[s].get_or_insert(t),
-                    t,
-                    "batch {batch}: shard {s}"
-                );
-            }
-        }
-        let workers: std::collections::HashSet<_> = worker_of.iter().flatten().collect();
-        assert_eq!(workers.len(), 3, "one worker per shard, none shared");
+    /// A naive-available-copy shard served by the deterministic runtime's
+    /// replicas, with two hooks: it notes every local read as `(shard,
+    /// thread)` in a log its sibling shards share (a vectored NAC read
+    /// makes one, on its coordinator), and it panics on every request while
+    /// its switch is on.
+    struct DiskDouble {
+        shard: usize,
+        inner: Inline,
+        panics: AtomicBool,
+        reads: ReadLog,
     }
 
-    /// The disk of a naive-available-copy shard: it reads zeros, noting the
-    /// thread of every read, or panics while its switch is on. Only the
-    /// local reads of a vectored NAC read reach it.
-    struct DiskDouble {
-        block_size: usize,
-        panics: AtomicBool,
-        readers: Mutex<Vec<ThreadId>>,
-    }
+    type ReadLog = Arc<Mutex<Vec<(usize, ThreadId)>>>;
 
     impl DiskDouble {
-        fn new(spec: &ShardSpec, panics: bool) -> Arc<ServerCluster<DiskDouble>> {
-            let cfg = spec.shard_config().unwrap();
-            let disk = DiskDouble {
-                block_size: cfg.block_size(),
-                panics: AtomicBool::new(panics),
-                readers: Mutex::new(Vec::new()),
-            };
-            let coord = Coordinator::new(cfg, DeliveryMode::default());
-            Arc::new(ServerCluster::over(coord, disk))
+        /// `spec`'s shards, each over a double, and their shared read log.
+        fn shards(spec: &ShardSpec) -> (Vec<Arc<ServerCluster<DiskDouble>>>, ReadLog) {
+            let reads = ReadLog::default();
+            let disks = (0..spec.shards)
+                .map(|shard| {
+                    let cfg = spec.shard_config().unwrap();
+                    let (coord, inner) = Cluster::new(cfg, ClusterOptions::default()).into_parts();
+                    let disk = DiskDouble {
+                        shard,
+                        inner,
+                        panics: AtomicBool::new(false),
+                        reads: Arc::clone(&reads),
+                    };
+                    Arc::new(ServerCluster::over(coord, disk))
+                })
+                .collect();
+            (disks, reads)
+        }
+
+        fn admit(&self, request: &Request<'_>) {
+            assert!(
+                !self.panics.load(Ordering::SeqCst),
+                "disk double: {request:?} panics"
+            );
         }
     }
 
     impl Transport for DiskDouble {
         const NAME: &'static str = "disk double";
 
-        fn call(&self, _: SiteId, request: Request<'_>) -> Option<WireResponse> {
-            unreachable!("{request:?}")
+        fn call(&self, to: SiteId, request: Request<'_>) -> Option<WireResponse> {
+            self.admit(&request);
+            self.inner.call(to, request)
         }
 
-        fn cast(&self, _: SiteId, request: Request<'_>) -> bool {
-            unreachable!("{request:?}")
+        fn cast(&self, to: SiteId, request: Request<'_>) -> bool {
+            self.admit(&request);
+            self.inner.cast(to, request)
         }
 
-        fn local(&self, _: SiteId, request: Request<'_>) -> Option<WireResponse> {
-            let Request::ReadLocalMany(ks) = request else {
-                unreachable!("{request:?}")
-            };
-            assert!(
-                !self.panics.load(Ordering::SeqCst),
-                "disk double: sub-batch read panics"
-            );
-            self.readers.lock().push(std::thread::current().id());
-            let zeros = BlockData::zeroed(self.block_size);
-            Some(WireResponse::DataMany(vec![zeros; ks.len()].into()))
+        fn local(&self, s: SiteId, request: Request<'_>) -> Option<WireResponse> {
+            self.admit(&request);
+            if let Request::ReadLocalMany(_) = request {
+                let here = std::thread::current().id();
+                self.reads.lock().push((self.shard, here));
+            }
+            self.inner.local(s, request)
         }
     }
 
     #[test]
-    fn a_panicking_shard_worker_fails_the_batch_with_a_typed_error() {
+    fn a_cross_shard_batch_runs_its_sub_batches_on_the_caller_in_shard_order() {
+        let spec = spec(Scheme::NaiveAvailableCopy, 4);
+        let (disks, reads) = DiskDouble::shards(&spec);
+        let dev = ReliableDevice::sharded(disks, spec.manifest().unwrap(), SiteId::new(0));
+        let here = std::thread::current().id();
+        let block_on = |s: usize| {
+            (0..64)
+                .map(BlockIndex::new)
+                .find(|&k| dev.shard_of(k) == s)
+                .unwrap()
+        };
+        let sets: [&[usize]; 6] = [&[2], &[3], &[0, 1, 3], &[0, 2], &[1, 2, 3], &[0, 1, 2, 3]];
+        for shards in sets {
+            // The caller lists the shards' blocks highest shard first.
+            let ks: Vec<BlockIndex> = shards.iter().rev().map(|&s| block_on(s)).collect();
+            assert_eq!(dev.read_blocks(&ks).unwrap().len(), ks.len());
+            let ran = std::mem::take(&mut *reads.lock());
+            let ascending_here: Vec<_> = shards.iter().map(|&s| (s, here)).collect();
+            assert_eq!(ran, ascending_here, "shards {shards:?}");
+        }
+    }
+
+    #[test]
+    fn a_panicking_sub_batch_fails_alone_with_a_typed_error() {
         let spec = spec(Scheme::NaiveAvailableCopy, 2);
-        // Shard 0 is a fan-out worker (the last shard runs on the caller).
-        let disks = vec![DiskDouble::new(&spec, true), DiskDouble::new(&spec, false)];
+        let (disks, _) = DiskDouble::shards(&spec);
+        disks[0].transport.panics.store(true, Ordering::SeqCst);
         let dev = ReliableDevice::sharded(disks.clone(), spec.manifest().unwrap(), SiteId::new(0));
         let ks: Vec<BlockIndex> = (0..64).map(BlockIndex::new).collect();
         let on = |shard: usize| -> Vec<BlockIndex> {
@@ -725,24 +561,40 @@ mod tests {
         assert!(matches!(err, DeviceError::Io(_)), "{err}");
         // The healthy shard alone still answers.
         assert_eq!(dev.read_blocks(&healthy).unwrap().len(), healthy.len());
-        // A batch that stays on the panicking shard runs on the caller, as a
-        // one-shard device runs it: the panic unwinds to the caller, and the
-        // device serves the next batch.
+        // A batch that stays on the panicking shard runs as a one-shard
+        // device runs it: the panic unwinds to the caller, and the device
+        // serves the next batch.
         let unwound = catch_unwind(AssertUnwindSafe(|| dev.read_blocks(&sick)));
         assert!(unwound.is_err(), "a single-shard batch's panic was caught");
         assert_eq!(dev.read_blocks(&healthy).unwrap().len(), healthy.len());
-        // The panic did not take the worker down: with the disk mended, the
-        // panicking shard answers the next batch.
+        // A panic in the lower shard's sub-batch of a write fails the batch,
+        // and the higher shard's sub-batch still runs and commits.
+        let fill = |v: u8| -> Vec<(BlockIndex, BlockData)> {
+            ks.iter()
+                .map(|&k| (k, BlockData::from(vec![v; 8])))
+                .collect()
+        };
+        let err = dev.write_blocks(&fill(7)).unwrap_err();
+        assert!(matches!(err, DeviceError::Io(_)), "{err}");
+        // With the disk mended, the panicking shard answers the next batch,
+        // and its failed sub-batch left no trace.
         disks[0].transport.panics.store(false, Ordering::SeqCst);
-        assert_eq!(dev.read_blocks(&ks).unwrap().len(), ks.len());
-        // A panic on the shard the caller runs fails the batch the same
-        // way, after the worker's sub-batch has come back.
+        let holds = |sick_fill: u8, healthy_fill: u8| {
+            let back = dev.read_blocks(&ks).unwrap();
+            for (&k, data) in ks.iter().zip(back) {
+                let v = [sick_fill, healthy_fill][dev.shard_of(k)];
+                assert_eq!(data.as_slice(), [v; 8], "block {k}");
+            }
+        };
+        holds(0, 7);
+        // A panic on the highest shard, which runs last, fails the batch the
+        // same way, after the lower shard's sub-batch has committed.
         disks[1].transport.panics.store(true, Ordering::SeqCst);
-        let err = dev.read_blocks(&ks).unwrap_err();
+        let err = dev.write_blocks(&fill(9)).unwrap_err();
         assert!(matches!(err, DeviceError::Io(_)), "{err}");
         disks[1].transport.panics.store(false, Ordering::SeqCst);
-        assert_eq!(dev.read_blocks(&ks).unwrap().len(), ks.len());
-        // And dropping the device stops and joins its worker.
+        holds(9, 7);
+        // And dropping the device does not hang.
         let (done_tx, done_rx) = std::sync::mpsc::channel();
         let dropper = std::thread::spawn(move || {
             drop(dev);

@@ -10,7 +10,7 @@
 //!          ▼
 //!  ReliableDevice                               (device.rs — Figures 1–2)
 //!          │  failover; over several shards, PlacementManifest (shard.rs)
-//!          │  routes each block and a cross-shard batch fans out
+//!          │  routes each block; a cross-shard batch runs shard by shard
 //!          │  coordinated protocol operations: runs of blocks (one or more)
 //!          ▼
 //!  ServerCluster<T>, one per shard — a Coordinator: config, §5 counter,

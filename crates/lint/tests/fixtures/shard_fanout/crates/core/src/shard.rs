@@ -8,29 +8,28 @@
 
 impl ReliableDevice {
     fn fan_out_descending(&self, split: Vec<(usize, Vec<usize>)>) {
-        let mut posted = Vec::new();
-        for (s, idxs) in split.into_iter().rev() {
-            debug_assert!(posted.last().is_none_or(|&(prev, _)| prev > s));
+        let mut held = Vec::new();
+        for &(s, _) in split.iter().rev() {
+            debug_assert!(held.last().is_none_or(|&(prev, _)| prev > s));
             let gate = self.gates[s].lock();
-            self.workers[s].mailbox.post(idxs);
-            posted.push((s, gate));
+            held.push((s, gate));
         }
-        drop(posted);
+        for (s, idxs) in split.iter().rev() {
+            self.run_here(*s, idxs);
+        }
+        drop(held);
     }
 
-    fn fan_out(&self, mut split: Vec<(usize, Vec<usize>)>) {
+    fn fan_out(&self, split: Vec<(usize, Vec<usize>)>) {
         let mut held = Vec::new();
         for &(s, _) in &split {
             debug_assert!(held.last().is_none_or(|&(prev, _)| prev < s));
             let gate = self.gates[s].lock();
             held.push((s, gate));
         }
-        let last = split.pop();
         for (s, idxs) in &split {
-            self.workers[*s].mailbox.post(idxs);
+            self.run_here(*s, idxs);
         }
-        self.run_here(last);
-        self.collect_answers(split);
         drop(held);
     }
 }

@@ -52,7 +52,7 @@
 //! read's result `Vec`; while batches had their own path, a voting batch
 //! of one allocated for its key list, its votes and its reads. The same
 //! holds on a device of four shards, since a batch that stays on one shard
-//! is neither split nor handed to a worker; while a sharded device split
+//! is not split and runs on the caller; while a sharded device split
 //! every batch, it allocated 112 times per 16 reads and 80 per 16 writes.
 //!
 //! **The file system**, at `live-fs-ac`'s geometry (8 192 × 1 KiB blocks,
