@@ -24,31 +24,16 @@
 //! realistic failure-to-repair ratios. Every function here that differs
 //! between the two schemes takes `naive`; the others serve both unchanged.
 
-use crate::backend::{
-    self, BlockVec, ScatterReplies, ScatterReply, ScatterRequest, ScatterSpec, SiteVec, WriteBatch,
-};
+use crate::backend::{self, BlockVec, ScatterRequest, ScatterSpec, SiteVec, WriteBatch};
 use crate::obs_hooks;
 use crate::transport::{ServerCluster, Transport};
+use crate::wire::WireResponse;
 use blockrep_net::{MsgKind, OpClass};
 use blockrep_obs::event;
 use blockrep_types::{
     BlockData, BlockIndex, DeviceError, DeviceResult, FailureTracking, SiteId, SiteState,
 };
 use std::collections::BTreeSet;
-
-/// A write's group: `origin` and every target its install fan-out was
-/// delivered to, in ascending site order — the set Definition 3.1 has each
-/// of them record as its new was-available set.
-fn write_group(origin: SiteId, installs: ScatterReplies) -> SiteVec<SiteId> {
-    let mut group: SiteVec<SiteId> = installs
-        .into_iter()
-        .filter(|(_, reply)| *reply == Some(ScatterReply::Delivered))
-        .map(|(t, _)| t)
-        .chain([origin])
-        .collect();
-    group.sort_unstable();
-    group
-}
 
 fn ensure_serving<T: Transport>(c: &ServerCluster<T>, origin: SiteId) -> DeviceResult<()> {
     if !c.config().contains_site(origin) {
@@ -143,8 +128,18 @@ pub(crate) fn write_many<T: Transport>(
         reply_charge: (!naive).then_some(MsgKind::WriteAck),
         reply_units: blocks as u64,
     };
+    // The write's group: `origin` and every target the install was
+    // delivered to, in ascending site order — the set Definition 3.1 has
+    // each of them record as its new was-available set.
+    let mut recipients = SiteVec::new();
     let update = ScatterRequest::InstallIfAvailableMany(&batch);
-    let recipients = write_group(origin, c.scatter(spec, origin, &others, &update));
+    c.scatter(spec, origin, &others, &update, |t, reply: Option<_>| {
+        if reply.is_some() {
+            recipients.push(t);
+        }
+    });
+    recipients.push(origin);
+    recipients.sort_unstable();
     {
         let _leg = obs_hooks::phase_span(obs_hooks::phase_local_leg, origin.as_u32());
         c.apply_write_many(origin, origin, &batch);
@@ -221,7 +216,7 @@ pub(crate) fn begin_recovery<T: Transport>(b: &ServerCluster<T>, s: SiteId) {
         reply_charge: Some(MsgKind::RecoveryReply),
         reply_units: 1,
     };
-    b.scatter(spec, s, &others, &ScatterRequest::ProbeState);
+    b.scatter(spec, s, &others, &ScatterRequest::ProbeState, |_, _| {});
 }
 
 /// Computes whether the closure `C*(W_c)` has fully recovered, and if so
@@ -284,22 +279,26 @@ pub(crate) fn most_current<T: Transport>(
         reply_charge: None,
         reply_units: 1,
     };
-    let fetched = b.scatter(spec, observer, &remote, &ScatterRequest::VersionVector);
+    // Each candidate is folded to its vector's total as its reply arrives:
+    // ties go to the smaller site id, for determinism.
     let mut best: Option<(u64, SiteId)> = None;
-    for &u in candidates {
-        let vv = if u == observer {
-            b.version_vector(observer, observer)
-        } else {
-            match fetched.iter().find(|&&(t, _)| t == u) {
-                Some((_, Some(ScatterReply::Vector(vv)))) => Some(vv.clone()),
-                _ => None,
-            }
-        }?;
-        let total = vv.total();
-        // Ties broken toward the smaller site id for determinism.
+    let mut fold = |u: SiteId, total: u64| {
         if best.is_none_or(|(bt, bs)| total > bt || (total == bt && u < bs)) {
             best = Some((total, u));
         }
+    };
+    let mut answered = true;
+    let request = ScatterRequest::VersionVector;
+    b.scatter(spec, observer, &remote, &request, |u, reply| match reply {
+        Some(WireResponse::Vector(vv)) => fold(u, vv.total()),
+        _ => answered = false,
+    });
+    // Every candidate must answer: a silent one may hold the last write.
+    if !answered {
+        return None;
+    }
+    if candidates.contains(&observer) {
+        fold(observer, b.version_vector(observer, observer)?.total());
     }
     best.map(|(_, winner)| winner)
 }

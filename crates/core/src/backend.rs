@@ -20,6 +20,7 @@
 
 use crate::locks::{BlockLockTable, LeaseTable};
 use crate::transport::{Links, ServerCluster, Transport};
+use crate::wire::{Request, WireResponse};
 use blockrep_net::{DeliveryMode, MsgKind, OpClass, TrafficCounter};
 use blockrep_storage::SealedBlock;
 use blockrep_types::{
@@ -37,8 +38,8 @@ pub const INLINE_SITES: usize = 8;
 /// round that fits allocates nothing; the first entry past `N` moves the
 /// list to the heap, so no length is refused. It reads as a slice.
 ///
-/// Two capacities are in use: [`SiteVec`], a per-site list (the sites a
-/// request is addressed to, the votes gathered, a scatter's replies), and
+/// Two capacities are in use: [`SiteVec`], a per-site list (a request's
+/// addressees, the voters that answered, an install's recipients), and
 /// [`BlockVec`], a per-block list (a run's keys, votes, reads, write batch
 /// and block-lock guards), which keeps a batch of one — a single-block
 /// operation — off the heap.
@@ -299,25 +300,54 @@ pub enum ScatterRequest<'a> {
     InstallIfAvailableMany(&'a WriteBatch),
 }
 
-/// One target's answer to a [`ScatterRequest`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ScatterReply {
-    /// An operational state.
-    State(SiteState),
-    /// The install was delivered.
-    Delivered,
-    /// A version vector.
-    Vector(VersionVector),
-    /// Votes for a run of blocks, in request order.
-    Versions(BlockVec<VersionNumber>),
+impl<'a> ScatterRequest<'a> {
+    /// What every target is sent, and whether it is a one-way install;
+    /// `None` for a state probe, which the links answer without a message.
+    #[inline(always)]
+    pub(crate) fn request(self) -> Option<(Request<'a>, bool)> {
+        match self {
+            ScatterRequest::ProbeState => None,
+            ScatterRequest::VersionVector => Some((Request::VersionVector, false)),
+            ScatterRequest::VoteMany(ks) => Some((Request::VoteMany(ks), false)),
+            ScatterRequest::InstallMany(writes)
+            | ScatterRequest::InstallIfAvailableMany(writes) => {
+                Some((Request::ApplyWriteMany(writes), true))
+            }
+        }
+    }
+
+    /// Whether `response` answers the request: `Versions` of the run's
+    /// length for a vote, `Vector` for a version-vector request, `Ack` for
+    /// a probe and an install. Any other reply counts as no reply.
+    #[inline(always)]
+    pub(crate) fn answered_by(self, response: &WireResponse) -> bool {
+        match (self, response) {
+            (ScatterRequest::VoteMany(ks), WireResponse::Versions(vs)) => vs.len() == ks.len(),
+            (ScatterRequest::VersionVector, WireResponse::Vector(_)) => true,
+            (ScatterRequest::VoteMany(_) | ScatterRequest::VersionVector, _) => false,
+            (_, response) => matches!(response, WireResponse::Ack),
+        }
+    }
 }
 
-/// Replies from one scatter, in target order. `None` marks a target that
-/// did not answer (failed/unreachable).
-pub type ScatterReplies = SiteVec<(SiteId, Option<ScatterReply>)>;
+/// What a [`ServerCluster::scatter`] hands each target's reply to, in
+/// target order: any `FnMut(SiteId, Option<WireResponse>)`, or a round's
+/// own state with an always-inlined method where a closure's call would be
+/// left out of line (the vote round's was).
+pub trait Fold {
+    /// Takes target `t`'s reply.
+    fn reply(&mut self, t: SiteId, reply: Option<WireResponse>);
+}
 
-/// Accounting context of one scatter, shared by the sequential body and
-/// the concurrent transports.
+impl<F: FnMut(SiteId, Option<WireResponse>)> Fold for F {
+    #[inline(always)]
+    fn reply(&mut self, t: SiteId, reply: Option<WireResponse>) {
+        self(t, reply)
+    }
+}
+
+/// Accounting context of one scatter: what
+/// [`ServerCluster::scatter`] charges once the replies are gathered.
 #[derive(Debug, Clone, Copy)]
 pub struct ScatterSpec {
     /// The operation this fan-out belongs to.
@@ -378,88 +408,45 @@ impl Coordinator {
     }
 }
 
-/// One remote exchange of a scatter, as a per-target loop performs it.
-fn exchange_once<T: Transport>(
+/// The sequential scatter body: every exchange is performed, one after
+/// another in target order, and its reply handed to `gather` before the
+/// next one starts. A fault layer numbers a scatter's exchanges in this
+/// order.
+#[inline(always)]
+pub(crate) fn scatter_sequential<T: Transport>(
+    c: &ServerCluster<T>,
+    origin: SiteId,
+    targets: &[SiteId],
+    req: ScatterRequest<'_>,
+    gather: &mut impl Fold,
+) {
+    for &t in targets {
+        let span = crate::obs_hooks::phase_span(crate::obs_hooks::phase_exchange, t.as_u32());
+        let reply = leg(c, origin, t, req);
+        drop(span);
+        gather.reply(t, reply);
+    }
+}
+
+/// One target's leg of a sequential scatter, its response unchecked. A
+/// state probe sends nothing and answers `Ack` for an operational target;
+/// a conditional install probes first and goes only to an available one.
+#[inline(always)]
+fn leg<T: Transport>(
     c: &ServerCluster<T>,
     origin: SiteId,
     t: SiteId,
-    req: &ScatterRequest<'_>,
-) -> Option<ScatterReply> {
-    match *req {
-        ScatterRequest::ProbeState => c.probe_state(origin, t).map(ScatterReply::State),
-        ScatterRequest::VersionVector => c.version_vector(origin, t).map(ScatterReply::Vector),
-        ScatterRequest::VoteMany(ks) => c.vote_many(origin, t, ks).map(ScatterReply::Versions),
-        ScatterRequest::InstallMany(writes) => c
-            .apply_write_many(origin, t, writes)
-            .then_some(ScatterReply::Delivered),
-        ScatterRequest::InstallIfAvailableMany(writes) => (c.probe_state(origin, t)
-            == Some(SiteState::Available)
-            && c.apply_write_many(origin, t, writes))
-        .then_some(ScatterReply::Delivered),
+    req: ScatterRequest<'_>,
+) -> Option<WireResponse> {
+    let Some((request, one_way)) = req.request() else {
+        return c.probe_state(origin, t).map(|_| WireResponse::Ack);
+    };
+    let conditional = matches!(req, ScatterRequest::InstallIfAvailableMany(_));
+    if conditional && c.probe_state(origin, t) != Some(SiteState::Available) {
+        return None;
     }
-}
-
-/// The sequential scatter body: every exchange is performed, one after
-/// another in target order, and every gathered reply charged. A fault
-/// layer numbers a scatter's exchanges in this order.
-pub(crate) fn scatter_sequential<T: Transport>(
-    c: &ServerCluster<T>,
-    spec: ScatterSpec,
-    origin: SiteId,
-    targets: &[SiteId],
-    req: &ScatterRequest<'_>,
-) -> ScatterReplies {
-    // The enabled-check is hoisted out of the per-target loop (the same fix
-    // the cache hit path got): with observability off, the whole scatter
-    // pays exactly one relaxed atomic load before running the plain loop.
-    if blockrep_obs::enabled() {
-        return scatter_sequential_observed(c, spec, origin, targets, req);
-    }
-    let mut replies = ScatterReplies::new();
-    for &t in targets {
-        let reply = exchange_once(c, origin, t, req);
-        replies.push((t, reply));
-    }
-    charge_replies(c, spec, &replies);
-    replies
-}
-
-/// Charges a gathered scatter's replies: `spec.reply_units` transmissions
-/// of `spec.reply_charge` per target that answered, in one add.
-fn charge_replies<T: Transport>(c: &ServerCluster<T>, spec: ScatterSpec, replies: &ScatterReplies) {
-    if let Some(kind) = spec.reply_charge {
-        let gathered = replies.iter().filter(|(_, r)| r.is_some()).count() as u64;
-        c.counter()
-            .add_many(spec.op, kind, spec.reply_units, gathered);
-    }
-}
-
-/// The observed twin of [`scatter_sequential`]: records the batch-size
-/// metric and (under tracing) a `phase.exchange` span per target. Kept
-/// `#[cold]` and out of line so the disabled path's loop stays tight.
-#[cold]
-fn scatter_sequential_observed<T: Transport>(
-    c: &ServerCluster<T>,
-    spec: ScatterSpec,
-    origin: SiteId,
-    targets: &[SiteId],
-    req: &ScatterRequest<'_>,
-) -> ScatterReplies {
-    crate::obs_hooks::scatter_batch().record(targets.len() as u64);
-    let tracing = crate::obs_hooks::tracing();
-    let mut replies = ScatterReplies::new();
-    for &t in targets {
-        let span = if tracing {
-            blockrep_obs::trace::start_phase(crate::obs_hooks::phase_exchange(), t.index() as u32)
-        } else {
-            None
-        };
-        let reply = exchange_once(c, origin, t, req);
-        drop(span);
-        replies.push((t, reply));
-    }
-    charge_replies(c, spec, &replies);
-    replies
+    c.transport
+        .exchange(&c.coord.links, origin, t, request, one_way)
 }
 
 /// Rejects a block index beyond the device.

@@ -98,8 +98,7 @@ pub(crate) mod available_copy;
 pub(crate) mod voting;
 
 pub use backend::{
-    Coordinator, RepairBlocks, RepairPayload, ScatterReplies, ScatterReply, ScatterRequest,
-    ScatterSpec, WriteBatch,
+    Coordinator, Fold, RepairBlocks, RepairPayload, ScatterRequest, ScatterSpec, WriteBatch,
 };
 pub use cluster::{Cluster, ClusterOptions, Inline};
 pub use device::ReliableDevice;

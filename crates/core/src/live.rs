@@ -36,10 +36,10 @@
 //! the same way — which the integration tests exploit: a workload replayed
 //! on both runtimes must produce identical message counts.
 
-use crate::backend::{Coordinator, ScatterReplies, SiteVec};
+use crate::backend::{Coordinator, Fold, SiteVec};
 use crate::replica::Replica;
 use crate::service::{serve, serve_owned};
-use crate::transport::{Fanout, Links, Scatter, ServerCluster, Transport, WINDOW};
+use crate::transport::{Fanout, Links, ServerCluster, Transport, WINDOW};
 use crate::wire::{Request, WireRequest, WireResponse};
 use blockrep_net::DeliveryMode;
 use blockrep_types::{DeviceConfig, SiteId};
@@ -272,21 +272,20 @@ impl Transport for LiveTransport {
         serve(&mut replica, request)
     }
 
-    fn scatter(&self, cx: Scatter<'_>, request: Request<'_>) -> ScatterReplies {
-        let Scatter { spec, targets, .. } = cx;
+    fn scatter(
+        &self,
+        targets: &[SiteId],
+        eligible: &dyn Fn(SiteId) -> bool,
+        gather: &mut dyn Fold,
+        request: Request<'_>,
+    ) {
         // Every envelope crosses to another thread.
         let request = WireRequest::from(request);
-        // Satellite hoist: one `enabled()` load decides whether any obs
-        // work happens in this batch; the disabled path records nothing.
-        let obs_on = blockrep_obs::enabled();
-        if obs_on {
-            crate::obs_hooks::scatter_batch().record(targets.len() as u64);
-        }
-        let tracing = obs_on && crate::obs_hooks::tracing();
+        let tracing = blockrep_obs::enabled() && crate::obs_hooks::tracing();
         let pending: SiteVec<(SiteId, Option<Receiver<WireResponse>>)> = targets
             .iter()
             .map(|&t| {
-                if !(cx.eligible)(t) {
+                if !eligible(t) {
                     return (t, None);
                 }
                 let send_span = if tracing {
@@ -313,9 +312,8 @@ impl Transport for LiveTransport {
                 (t, sent.then_some(rx))
             })
             .collect();
-        let mut replies = ScatterReplies::new();
         for (t, rx) in pending {
-            let reply = rx.and_then(|rx| {
+            let response = rx.and_then(|rx| {
                 let _gather = if tracing {
                     blockrep_obs::trace::start_phase(
                         crate::obs_hooks::phase_gather_wait(),
@@ -324,16 +322,10 @@ impl Transport for LiveTransport {
                 } else {
                     None
                 };
-                rx.recv().ok().and_then(cx.parse)
+                rx.recv().ok()
             });
-            if reply.is_some() {
-                if let Some(kind) = spec.reply_charge {
-                    cx.counter.add(spec.op, kind, spec.reply_units);
-                }
-            }
-            replies.push((t, reply));
+            gather.reply(t, response);
         }
-        replies
     }
 }
 

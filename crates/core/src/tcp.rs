@@ -26,10 +26,10 @@
 //! server keeps its socket and its disk, exactly like a halted machine
 //! keeps both.
 
-use crate::backend::{Coordinator, ScatterReplies, SiteVec};
+use crate::backend::{Coordinator, Fold, SiteVec};
 use crate::replica::Replica;
 use crate::service::{serve, serve_owned};
-use crate::transport::{Fanout, Links, Scatter, ServerCluster, Transport};
+use crate::transport::{Fanout, Links, ServerCluster, Transport};
 use crate::wire::{self, Request, WireRequest, WireResponse};
 use blockrep_net::DeliveryMode;
 use blockrep_obs::event;
@@ -228,18 +228,17 @@ impl TcpTransport {
 
     /// Pipelined scatter: encodes `request` once and writes that frame to
     /// every eligible target — all on the wire before any reply is read —
-    /// then gathers the replies in target order. Each target's connection
-    /// is this scatter's own from checkout to checkin, so no lock is held
-    /// across a round trip.
-    fn pipelined(&self, cx: Scatter<'_>, request: WireRequest) -> ScatterReplies {
-        let targets = cx.targets;
-        // Satellite hoist: one `enabled()` load decides whether any obs
-        // work happens in this batch; the disabled path records nothing.
-        let obs_on = blockrep_obs::enabled();
-        if obs_on {
-            crate::obs_hooks::scatter_batch().record(targets.len() as u64);
-        }
-        let tracing = obs_on && crate::obs_hooks::tracing();
+    /// then hands the replies to `gather` in target order. Each target's
+    /// connection is this scatter's own from checkout to checkin, so no
+    /// lock is held across a round trip.
+    fn pipelined(
+        &self,
+        targets: &[SiteId],
+        eligible: &dyn Fn(SiteId) -> bool,
+        gather: &mut dyn Fold,
+        request: WireRequest,
+    ) {
+        let tracing = blockrep_obs::enabled() && crate::obs_hooks::tracing();
         let (mut frame, enveloped) = self.trace_frame(request);
         let mut in_flight: SiteVec<(SiteId, Option<SiteConn>)> = SiteVec::new();
         for &t in targets {
@@ -247,7 +246,7 @@ impl TcpTransport {
                 in_flight.last().is_none_or(|&(prev, _)| prev < t),
                 "scatter targets must ascend"
             );
-            let conn = if (cx.eligible)(t) {
+            let conn = if eligible(t) {
                 let send_span = tracing
                     .then(|| start_phase(crate::obs_hooks::phase_scatter_send(), t.as_u32()))
                     .flatten();
@@ -272,29 +271,21 @@ impl TcpTransport {
             };
             in_flight.push((t, conn));
         }
-        let mut replies = ScatterReplies::new();
+        let mut prev = None;
         for (t, conn) in in_flight {
-            debug_assert!(
-                replies.last().is_none_or(|&(prev, _)| prev < t),
-                "replies are gathered in target order"
-            );
-            let reply = conn.and_then(|mut conn| {
+            debug_assert!(prev < Some(t), "replies are gathered in target order");
+            prev = Some(t);
+            let response = conn.and_then(|mut conn| {
                 let gather_span = tracing
                     .then(|| start_phase(crate::obs_hooks::phase_gather_wait(), t.as_u32()))
                     .flatten();
                 let response = conn.read_frame(WireResponse::decode).ok();
                 drop(gather_span);
                 self.checkin(t, conn, response.is_some());
-                response.and_then(cx.parse)
+                response
             });
-            replies.push((t, reply));
+            gather.reply(t, response);
         }
-        if let Some(kind) = cx.spec.reply_charge {
-            let gathered = replies.iter().filter(|(_, r)| r.is_some()).count() as u64;
-            cx.counter
-                .add_many(cx.spec.op, kind, cx.spec.reply_units, gathered);
-        }
-        replies
     }
 }
 
@@ -316,8 +307,14 @@ impl Transport for TcpTransport {
         serve(&mut self.replicas[s.index()].lock(), request)
     }
 
-    fn scatter(&self, cx: Scatter<'_>, request: Request<'_>) -> ScatterReplies {
-        self.pipelined(cx, request.into())
+    fn scatter(
+        &self,
+        targets: &[SiteId],
+        eligible: &dyn Fn(SiteId) -> bool,
+        gather: &mut dyn Fold,
+        request: Request<'_>,
+    ) {
+        self.pipelined(targets, eligible, gather, request.into())
     }
 }
 

@@ -21,8 +21,8 @@
 //! into an answer — is [`ServerCluster`], once.
 
 use crate::backend::{
-    self, BlockVec, Coordinator, RepairBlocks, RepairPayload, ScatterReplies, ScatterReply,
-    ScatterRequest, ScatterSpec, WriteBatch,
+    self, BlockVec, Coordinator, Fold, RepairBlocks, RepairPayload, ScatterRequest, ScatterSpec,
+    WriteBatch,
 };
 use crate::protocol;
 use crate::wire::{Request, WireResponse};
@@ -132,19 +132,21 @@ impl Links {
     }
 }
 
-/// One fan-out, as a [`Transport`] sees it: the coordinator's accounting
-/// plus the two decisions that are not the transport's to make.
-pub(crate) struct Scatter<'a> {
-    pub(crate) counter: &'a TrafficCounter,
-    pub(crate) spec: ScatterSpec,
-    /// In ascending site order.
-    pub(crate) targets: &'a [SiteId],
-    /// Whether a target is sent the request at all: reachable from the
-    /// origin and, for a conditional install, available.
-    pub(crate) eligible: &'a dyn Fn(SiteId) -> bool,
-    /// A target's reply as the protocol reads it; `None` for a reply of
-    /// the wrong shape, which counts as no reply.
-    pub(crate) parse: &'a dyn Fn(WireResponse) -> Option<ScatterReply>,
+/// A scatter's replies on their way to the protocol's fold: each is
+/// checked for shape and counted for the §5 charge.
+struct Gather<'r, F> {
+    req: ScatterRequest<'r>,
+    gathered: u64,
+    fold: F,
+}
+
+impl<F: Fold> Fold for Gather<'_, F> {
+    #[inline(always)]
+    fn reply(&mut self, t: SiteId, response: Option<WireResponse>) {
+        let reply = response.filter(|r| self.req.answered_by(r));
+        self.gathered += u64::from(reply.is_some());
+        self.fold.reply(t, reply);
+    }
 }
 
 /// Requests a live site's inbox may hold unserved. Past it the sender
@@ -189,11 +191,18 @@ pub(crate) trait Transport: Send + Sync {
     /// envelope, no emulated delay. `None` for what `serve` does not serve.
     fn local(&self, s: SiteId, request: Request<'_>) -> Option<WireResponse>;
 
-    /// Sends `request` to every eligible target before waiting on any, then
-    /// gathers — and charges — the replies in target order: results and §5
-    /// counts of the sequential loop, blocking time of the slowest target.
-    /// Only asked for the fan-outs [`FANOUT`](Self::FANOUT) names.
-    fn scatter(&self, _scatter: Scatter<'_>, _request: Request<'_>) -> ScatterReplies {
+    /// Sends `request` to every `eligible` target (ascending; eligibility is
+    /// not the transport's to decide) before waiting on any, then hands
+    /// each response to `gather` in target order, `None` if not sent or not
+    /// answered: results and §5 counts of the sequential loop, blocking
+    /// time of the slowest target. Asked only as [`FANOUT`](Self::FANOUT) says.
+    fn scatter(
+        &self,
+        _targets: &[SiteId],
+        _eligible: &dyn Fn(SiteId) -> bool,
+        _gather: &mut dyn Fold,
+        _request: Request<'_>,
+    ) {
         unreachable!("{} scatters one exchange at a time", Self::NAME)
     }
 
@@ -621,70 +630,59 @@ impl<T: Transport> ServerCluster<T> {
     }
 
     /// Scatter-gather: delivers `req` to every target (ascending site
-    /// order, never `origin`) and gathers their replies, with the results
-    /// and the §5 counts of the sequential loop — one `spec.reply_charge`
-    /// transmission per gathered reply, whatever the fan-out concurrency.
+    /// order, never `origin`) and hands each target's reply to `fold` as it
+    /// is gathered, in target order — `None` for a target that did not
+    /// answer or answered out of shape — with the results and §5 counts of
+    /// the sequential loop: one `spec.reply_charge` per gathered reply.
+    #[inline(always)]
     pub fn scatter(
         &self,
         spec: ScatterSpec,
         origin: SiteId,
         targets: &[SiteId],
         req: &ScatterRequest<'_>,
-    ) -> ScatterReplies {
+        fold: impl Fold,
+    ) {
         debug_assert!(
             !targets.contains(&origin),
             "a scatter is remote: {origin}'s own leg goes through `local`"
         );
-        let install = matches!(
+        crate::obs_hooks::record(crate::obs_hooks::scatter_batch, targets.len() as u64);
+        let req = *req;
+        let mut gather = Gather {
             req,
-            ScatterRequest::InstallMany(_) | ScatterRequest::InstallIfAvailableMany(_)
-        );
-        let sequential = || backend::scatter_sequential(self, spec, origin, targets, req);
-        match T::FANOUT {
-            Fanout::Sequential => return sequential(),
-            Fanout::Reads if install => return sequential(),
-            Fanout::Reads | Fanout::All => {}
-        }
-        // Every target is sent the same request, so it is built once.
-        let (request, if_available) = match *req {
-            ScatterRequest::VoteMany(ks) => (Request::VoteMany(ks), false),
-            ScatterRequest::VersionVector => (Request::VersionVector, false),
-            // A state probe is a coordination-layer read on every
-            // transport; the sequential body is already instantaneous.
-            ScatterRequest::ProbeState => return sequential(),
-            ScatterRequest::InstallMany(writes) => (Request::ApplyWriteMany(writes), false),
-            ScatterRequest::InstallIfAvailableMany(writes) => {
-                (Request::ApplyWriteMany(writes), true)
+            gathered: 0,
+            fold,
+        };
+        let concurrent = match (T::FANOUT, req.request()) {
+            // A state probe has no request: it is a coordination-layer read
+            // on every transport, and the sequential body is already
+            // instantaneous. A one-way install is scattered only where a
+            // cast blocks.
+            (Fanout::All, Some((request, _))) | (Fanout::Reads, Some((request, false))) => {
+                Some(request)
             }
+            _ => None,
         };
-        let links = &self.coord.links;
-        let scatter = Scatter {
-            counter: &self.coord.counter,
-            spec,
-            targets,
-            // The availability probe is a state read, as in the sequential
-            // body.
-            eligible: &|t| {
-                if if_available {
-                    self.probe_state(origin, t) == Some(SiteState::Available)
-                } else {
-                    links.reachable(origin, t)
-                }
-            },
-            parse: &|response| match (req, response) {
-                (ScatterRequest::VoteMany(ks), WireResponse::Versions(vs))
-                    if vs.len() == ks.len() =>
-                {
-                    Some(ScatterReply::Versions(vs))
-                }
-                (ScatterRequest::VersionVector, WireResponse::Vector(vv)) => {
-                    Some(ScatterReply::Vector(vv))
-                }
-                (_, WireResponse::Ack) if install => Some(ScatterReply::Delivered),
-                _ => None,
-            },
-        };
-        self.transport.scatter(scatter, request)
+        match concurrent {
+            None => backend::scatter_sequential(self, origin, targets, req, &mut gather),
+            Some(request) => {
+                let eligible = |t| match req {
+                    // The availability probe is a state read, as in the
+                    // sequential body.
+                    ScatterRequest::InstallIfAvailableMany(_) => {
+                        self.probe_state(origin, t) == Some(SiteState::Available)
+                    }
+                    _ => self.coord.links.reachable(origin, t),
+                };
+                self.transport
+                    .scatter(targets, &eligible, &mut gather, request);
+            }
+        }
+        if let Some(kind) = spec.reply_charge {
+            let counter = &self.coord.counter;
+            counter.add_many(spec.op, kind, spec.reply_units, gather.gathered);
+        }
     }
 }
 

@@ -12,67 +12,96 @@
 //!   block from the highest-versioned voter and installs it — recovering
 //!   "only those blocks which have been modified", on access.
 
-use crate::backend::{
-    self, BlockVec, ScatterReplies, ScatterReply, ScatterRequest, ScatterSpec, SiteVec, WriteBatch,
-};
+use crate::backend::{self, BlockVec, Fold, ScatterRequest, ScatterSpec, SiteVec, WriteBatch};
 use crate::obs_hooks;
 use crate::transport::{ServerCluster, Transport};
+use crate::wire::WireResponse;
 use blockrep_net::{MsgKind, OpClass};
 use blockrep_obs::{event, span};
-use blockrep_types::{BlockData, BlockIndex, DeviceError, DeviceResult, SiteId, VersionNumber};
+use blockrep_types::{
+    BlockData, BlockIndex, DeviceConfig, DeviceError, DeviceResult, SiteId, VersionNumber,
+};
 
-/// The votes of one round: the origin's own, and the scatter's replies as
-/// they came back.
-struct Votes {
+/// What one vote round decided, folded from the votes as they came back.
+struct Round<'c> {
+    cfg: &'c DeviceConfig,
     origin: SiteId,
+    /// The origin's own versions of the run's blocks.
     own: BlockVec<VersionNumber>,
-    replies: ScatterReplies,
+    /// Once some voter holds a block newer than the origin's copy: per
+    /// block, the most current voter and its version. Empty, and never
+    /// allocated, while the origin's copy of every block is current.
+    newer: BlockVec<(SiteId, VersionNumber)>,
+    /// The voters' total weight, the origin's included.
+    weight: u64,
+    /// The remote voters that answered, in ascending site order.
+    voters: SiteVec<SiteId>,
+    /// For a read's lease grants, each remote voter's versions, kept in a
+    /// list on the read's own stack; `None` with leases off, and for a
+    /// write, whose grants name the sites its install reached.
+    versions: Option<&'c mut Versions>,
 }
 
-impl Votes {
-    /// Calls `f` with every voter, origin first, and its versions of the
-    /// run's blocks in run order.
+impl Round<'_> {
+    /// The most current voter for the run's `i`-th block and its version:
+    /// the highest version, ties to the lowest site id (for determinism).
     #[inline(always)]
-    fn for_each(&self, mut f: impl FnMut(SiteId, &[VersionNumber])) {
-        f(self.origin, &self.own);
-        for (t, reply) in self.replies.iter() {
-            if let Some(ScatterReply::Versions(vs)) = reply {
-                f(*t, vs);
+    fn current(&self, i: usize) -> (SiteId, VersionNumber) {
+        let own = (self.origin, self.own[i]);
+        self.newer.get(i).copied().unwrap_or(own)
+    }
+}
+
+impl Fold for &mut Round<'_> {
+    #[inline(always)]
+    fn reply(&mut self, t: SiteId, reply: Option<WireResponse>) {
+        let Some(WireResponse::Versions(vs)) = reply else {
+            return;
+        };
+        for (i, &v) in vs.iter().enumerate() {
+            // A copy no newer than the origin's can hold no refresh: which
+            // voter ties the origin's version decides nothing.
+            if v <= self.own[i] {
+                continue;
+            }
+            if self.newer.is_empty() {
+                self.newer = (0..vs.len()).map(|i| self.current(i)).collect();
+            }
+            let current = &mut self.newer[i];
+            if v > current.1 || (v == current.1 && t < current.0) {
+                *current = (t, v);
             }
         }
-    }
-
-    /// The most current voter for the run's `i`-th block, with its
-    /// version: the highest version, ties to the lowest site id (for
-    /// determinism).
-    fn most_current(&self, i: usize) -> (SiteId, VersionNumber) {
-        let (mut holder, mut v_max) = (self.origin, self.own[i]);
-        self.for_each(|s, vs| {
-            if vs[i] > v_max || (vs[i] == v_max && s < holder) {
-                (holder, v_max) = (s, vs[i]);
-            }
-        });
-        (holder, v_max)
+        self.weight += self.cfg.weight(t).as_u64();
+        self.voters.push(t);
+        if let Some(versions) = &mut self.versions {
+            versions.push((t, vs));
+        }
     }
 }
+
+/// Each remote voter of a round and its versions of the run's blocks.
+type Versions = SiteVec<(SiteId, BlockVec<VersionNumber>)>;
 
 /// One round of vote collection for the run of distinct blocks `ks`,
 /// coordinated by `origin`: a single scatter-gather exchange per site,
 /// carrying every block's vote request. The origin's own votes are local
-/// and free.
+/// and free. Each voter's versions are kept in `versions`, if given.
 ///
 /// §5 accounting stays per block — one `VoteRequest` broadcast charged per
 /// block, and each responding site's one physical reply charged as
 /// `ks.len()` `VoteReply` transmissions — so the counters are those of one
 /// round per block against an unchanging cluster.
 #[inline(always)]
-fn collect_votes<T: Transport>(
-    c: &ServerCluster<T>,
+fn collect_votes<'c, T: Transport>(
+    c: &'c ServerCluster<T>,
     op: OpClass,
     origin: SiteId,
     ks: &[BlockIndex],
-) -> DeviceResult<Votes> {
-    let others = backend::others(c.config(), origin);
+    versions: Option<&'c mut Versions>,
+) -> DeviceResult<Round<'c>> {
+    let cfg = c.config();
+    let others = backend::others(cfg, origin);
     backend::charge_fanout(c, op, MsgKind::VoteRequest, others.len(), ks.len());
     event!(
         "quorum.request",
@@ -86,45 +115,37 @@ fn collect_votes<T: Transport>(
         c.vote_many(origin, origin, ks)
             .ok_or_else(|| backend::dead_local_leg(origin))?
     };
+    let mut round = Round {
+        cfg,
+        origin,
+        own,
+        newer: BlockVec::new(),
+        weight: cfg.weight(origin).as_u64(),
+        voters: SiteVec::new(),
+        versions,
+    };
     let spec = ScatterSpec {
         op,
         reply_charge: Some(MsgKind::VoteReply),
         reply_units: ks.len() as u64,
     };
-    let replies = c.scatter(spec, origin, &others, &ScatterRequest::VoteMany(ks));
-    let votes = Votes {
-        origin,
-        own,
-        replies,
-    };
+    let vote = ScatterRequest::VoteMany(ks);
+    c.scatter(spec, origin, &others, &vote, &mut round);
     if blockrep_obs::enabled() {
-        let mut voters = 0;
-        votes.for_each(|t, vs| {
-            if t != origin {
-                event!("quorum.ack", site = t.as_u32(), blocks = vs.len());
-            }
-            voters += 1;
-        });
-        obs_hooks::record(obs_hooks::quorum_size, voters);
+        for t in round.voters.iter() {
+            event!("quorum.ack", site = t.as_u32(), blocks = ks.len());
+        }
+        obs_hooks::record(obs_hooks::quorum_size, round.voters.len() as u64 + 1);
     }
-    Ok(votes)
+    Ok(round)
 }
 
 /// Fails unless the voters' weight reaches `quorum`.
-fn ensure_quorum<T: Transport>(
-    c: &ServerCluster<T>,
-    votes: &Votes,
-    op: &'static str,
-    quorum: u64,
-) -> DeviceResult<()> {
-    let cfg = c.config();
-    let mut gathered = 0;
-    votes.for_each(|s, _| gathered += cfg.weight(s).as_u64());
-    if gathered < quorum {
-        return Err(DeviceError::unavailable(
-            op,
-            format!("gathered weight {gathered} of {op} quorum {quorum}"),
-        ));
+#[inline(always)]
+fn ensure_quorum(round: &Round, op: &'static str, quorum: u64) -> DeviceResult<()> {
+    if round.weight < quorum {
+        let detail = format!("gathered weight {} of {op} quorum {quorum}", round.weight);
+        return Err(DeviceError::unavailable(op, detail));
     }
     Ok(())
 }
@@ -178,11 +199,18 @@ pub(crate) fn read_many<T: Transport>(
         return Ok(BlockVec::new());
     }
     let epoch = c.coord.leases.current_epoch();
-    let votes = collect_votes(c, OpClass::Read, origin, ks)?;
-    ensure_quorum(c, &votes, "read", c.config().read_quorum())?;
+    let mut versions;
+    let keep = if c.coord.leases.enabled() {
+        versions = SiteVec::new();
+        Some(&mut versions)
+    } else {
+        None
+    };
+    let round = collect_votes(c, OpClass::Read, origin, ks, keep)?;
+    ensure_quorum(&round, "read", c.config().read_quorum())?;
     for (i, &k) in ks.iter().enumerate() {
-        let (holder, v_max) = votes.most_current(i);
-        if v_max > votes.own[i] {
+        let (holder, v_max) = round.current(i);
+        if v_max > round.own[i] {
             let (v, data) = c.fetch_block(origin, holder, k).ok_or_else(|| {
                 DeviceError::unavailable(
                     "read",
@@ -202,13 +230,9 @@ pub(crate) fn read_many<T: Transport>(
         // The quorum certified v_max: every voter holding it (and the
         // origin, freshly refreshed) is a known-current replica the next
         // read may be offloaded to.
-        if c.coord.leases.enabled() {
-            let mut current = Vec::new();
-            votes.for_each(|s, vs| {
-                if vs[i] == v_max {
-                    current.push(s);
-                }
-            });
+        if let Some(versions) = &round.versions {
+            let current = versions.iter().filter(|(_, vs)| vs[i] == v_max);
+            let current = current.map(|&(s, _)| s).collect();
             grant(c, k, v_max, current, origin, epoch);
         }
     }
@@ -331,30 +355,25 @@ pub(crate) fn write_many<T: Transport>(
     }
     let _span = span!("mcv.write", origin = origin.as_u32(), blocks = ks.len());
     let epoch = c.coord.leases.current_epoch();
-    let votes = collect_votes(c, OpClass::Write, origin, ks)?;
-    ensure_quorum(c, &votes, "write", c.config().write_quorum())?;
+    let round = collect_votes(c, OpClass::Write, origin, ks, None)?;
+    ensure_quorum(&round, "write", c.config().write_quorum())?;
     // Sealed once, here, for every replica that installs it.
     let batch: WriteBatch = writes
         .iter()
         .enumerate()
-        .map(|(i, (k, data))| (*k, votes.most_current(i).1.next(), data.clone()))
+        .map(|(i, (k, data))| (*k, round.current(i).1.next(), data.clone()))
         .collect();
-    let mut remote_voters = SiteVec::new();
-    votes.for_each(|s, _| {
-        if s != origin {
-            remote_voters.push(s);
-        }
-    });
     // Revoke every touched block's lease before any replica changes: the
     // write fan-out is about to make every outstanding grant stale.
     for &k in ks {
         c.coord.leases.invalidate(k);
     }
+    let voters = &round.voters;
     backend::charge_fanout(
         c,
         OpClass::Write,
         MsgKind::WriteUpdate,
-        remote_voters.len(),
+        voters.len(),
         ks.len(),
     );
     // Install acknowledgements are not §5 transmissions: no reply charge.
@@ -364,7 +383,12 @@ pub(crate) fn write_many<T: Transport>(
         reply_units: 1,
     };
     let update = ScatterRequest::InstallMany(&batch);
-    let installs = c.scatter(spec, origin, &remote_voters, &update);
+    let mut delivered = SiteVec::new();
+    c.scatter(spec, origin, voters, &update, |t, reply: Option<_>| {
+        if reply.is_some() {
+            delivered.push(t);
+        }
+    });
     // Fail-stop: a coordinator that crashed during the fan-out sent nothing
     // after it crashed, and completes nothing now — least of all a copy at
     // v_new that only its own disk holds.
@@ -377,16 +401,14 @@ pub(crate) fn write_many<T: Transport>(
     // landed on now holds every block at its new version: re-grant each
     // block's lease to the delivered set (plus the origin itself).
     if c.coord.leases.enabled() {
-        let delivered = installs.iter().filter(|(_, r)| r.is_some());
-        let delivered: Vec<SiteId> = delivered.map(|(s, _)| *s).collect();
         for (k, block) in batch.iter() {
-            grant(c, *k, block.version(), delivered.clone(), origin, epoch);
+            grant(c, *k, block.version(), delivered.to_vec(), origin, epoch);
         }
     }
     event!(
         "write.commit",
         blocks = ks.len(),
-        replicas = remote_voters.len() + 1,
+        replicas = voters.len() + 1
     );
     Ok(())
 }
@@ -408,4 +430,154 @@ pub(crate) fn is_available<T: Transport>(c: &ServerCluster<T>) -> bool {
         .collect();
     let w = backend::weight_of(cfg, &operational);
     w >= cfg.read_quorum() && w >= cfg.write_quorum()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cluster::Inline;
+    use crate::wire::{Request, WireResponse};
+    use crate::{Cluster, ClusterOptions};
+    use blockrep_types::{DeviceConfig, Scheme};
+    use parking_lot::Mutex;
+
+    /// The deterministic runtime's replicas behind two hooks: every remote
+    /// `Fetch` is noted as `(target, block)`, and a site in `silent` takes
+    /// requests but never answers them.
+    struct Recorder {
+        inner: Inline,
+        silent: Mutex<Vec<SiteId>>,
+        fetches: Mutex<Vec<(SiteId, BlockIndex)>>,
+    }
+
+    impl Transport for Recorder {
+        const NAME: &'static str = "recorder";
+
+        fn call(&self, to: SiteId, request: Request<'_>) -> Option<WireResponse> {
+            if let Request::Fetch(k) = request {
+                self.fetches.lock().push((to, k));
+            }
+            let reply = self.inner.call(to, request);
+            reply.filter(|_| !self.silent.lock().contains(&to))
+        }
+
+        fn cast(&self, to: SiteId, request: Request<'_>) -> bool {
+            self.inner.cast(to, request)
+        }
+
+        fn local(&self, s: SiteId, request: Request<'_>) -> Option<WireResponse> {
+            self.inner.local(s, request)
+        }
+    }
+
+    fn sid(i: u32) -> SiteId {
+        SiteId::new(i)
+    }
+
+    fn blk(i: u64) -> BlockIndex {
+        BlockIndex::new(i)
+    }
+
+    /// Four voting sites weighted 3, 2, 2, 2 (majority quorums of 5).
+    fn recorder() -> ServerCluster<Recorder> {
+        let cfg = DeviceConfig::builder(Scheme::Voting)
+            .sites(4)
+            .num_blocks(4)
+            .block_size(4)
+            .build()
+            .unwrap();
+        let (coord, inner) = Cluster::new(cfg, ClusterOptions::default()).into_parts();
+        let recorder = Recorder {
+            inner,
+            silent: Mutex::default(),
+            fetches: Mutex::default(),
+        };
+        ServerCluster::over(coord, recorder)
+    }
+
+    /// Puts block `k` at version `v` straight onto site `s`'s disk, with
+    /// data that names both.
+    fn plant(c: &ServerCluster<Recorder>, s: u32, k: u64, v: u64) {
+        let data = BlockData::from(vec![s as u8, k as u8, v as u8, 0]);
+        let block: WriteBatch = [(blk(k), VersionNumber::new(v), data)]
+            .into_iter()
+            .collect();
+        c.apply_write_many(sid(s), sid(s), &block);
+    }
+
+    fn transfers(c: &ServerCluster<Recorder>) -> u64 {
+        c.traffic().get(OpClass::Read, MsgKind::BlockTransfer)
+    }
+
+    #[test]
+    fn a_stale_block_is_refreshed_from_the_highest_version_ties_to_the_lowest_site() {
+        let c = recorder();
+        // Block 0: sites 1 and 2 tie at the highest version.
+        for (s, v) in [(0, 2), (1, 4), (2, 4), (3, 1)] {
+            plant(&c, s, 0, v);
+        }
+        // Block 1: site 2 alone holds the highest version.
+        for (s, v) in [(0, 3), (1, 3), (2, 5), (3, 1)] {
+            plant(&c, s, 1, v);
+        }
+        // Block 2: the origin ties the highest version with a lower site,
+        // so its own copy is current and nothing is fetched.
+        for (s, v) in [(0, 6), (3, 6)] {
+            plant(&c, s, 2, v);
+        }
+        for k in 0..3 {
+            c.read(sid(3), blk(k)).unwrap();
+        }
+        assert_eq!(
+            *c.transport.fetches.lock(),
+            [(sid(1), blk(0)), (sid(2), blk(1))]
+        );
+        assert_eq!(transfers(&c), 2);
+        // The origin now holds what it fetched.
+        assert_eq!(c.version_of(sid(3), blk(0)), VersionNumber::new(4));
+        assert_eq!(c.data_of(sid(3), blk(1)).as_slice(), &[2, 1, 5, 0]);
+    }
+
+    #[test]
+    fn a_voter_that_does_not_answer_adds_no_weight_and_is_charged_no_reply() {
+        let c = recorder();
+        let replies =
+            |c: &ServerCluster<Recorder>| c.traffic().get(OpClass::Read, MsgKind::VoteReply);
+        // Site 0 (weight 3) is silent: 2 + 2 + 2 still reaches 5.
+        c.transport.silent.lock().push(sid(0));
+        c.read(sid(1), blk(0)).unwrap();
+        assert_eq!(replies(&c), 2);
+        // Site 2 too: the origin and site 3 gather 4 of 5.
+        c.transport.silent.lock().push(sid(2));
+        let err = c.read(sid(1), blk(0)).unwrap_err();
+        assert!(err.is_unavailable(), "{err}");
+        assert!(
+            err.to_string()
+                .contains("gathered weight 4 of read quorum 5"),
+            "{err}"
+        );
+        assert_eq!(replies(&c), 3);
+        // Every vote request was still sent: one multicast per read.
+        assert_eq!(c.traffic().get(OpClass::Read, MsgKind::VoteRequest), 2);
+    }
+
+    #[test]
+    fn each_block_of_a_run_is_refreshed_from_its_own_holder() {
+        let c = recorder();
+        plant(&c, 1, 0, 3);
+        plant(&c, 2, 1, 4);
+        plant(&c, 0, 2, 2);
+        plant(&c, 3, 2, 5);
+        let ks = [blk(0), blk(1), blk(2)];
+        let got = c.read_many(sid(3), &ks).unwrap();
+        assert_eq!(
+            *c.transport.fetches.lock(),
+            [(sid(1), blk(0)), (sid(2), blk(1))]
+        );
+        assert_eq!(transfers(&c), 2);
+        let want: [&[u8]; 3] = [&[1, 0, 3, 0], &[2, 1, 4, 0], &[3, 2, 5, 0]];
+        for (data, want) in got.iter().zip(want) {
+            assert_eq!(data.as_slice(), want);
+        }
+    }
 }

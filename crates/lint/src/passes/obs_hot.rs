@@ -2,8 +2,8 @@
 //!
 //! The protocol dispatch, scatter/gather backend and WAL append paths run
 //! on every operation, so observability work there must hide behind one
-//! hoisted `blockrep_obs::enabled()` load (the `scatter_sequential` /
-//! `scatter_sequential_observed` split is the house pattern). This pass
+//! `blockrep_obs::enabled()` test (`obs_hooks::phase_span`, which makes
+//! one before it opens a span, is the house pattern). This pass
 //! flags `event!` / `span!` macro calls and direct tracer calls
 //! (`start_phase` / `start_op` / `instant`) in those files when they are
 //! not inside an `if` whose condition tests the enabled state — either

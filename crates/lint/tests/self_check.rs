@@ -31,8 +31,8 @@ fn key_invariants_are_positively_verified() {
     // TcpTransport::pipelined's send and gather loops take a site's
     // connection-pool lock per target, only to pop or push a connection, so
     // no lock is held across a round trip; each loop asserts ascending
-    // target order, and that must be machine-verified, not merely "no
-    // finding".
+    // target order, and the send loop's assertion must be machine-verified,
+    // not merely "no finding".
     assert!(
         report
             .verified

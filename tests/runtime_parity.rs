@@ -6,9 +6,10 @@
 //!
 //! The cases run at four sites and, as one more input, at cluster sizes
 //! past [`INLINE_SITES`], where every per-site list of a protocol round
-//! (address lists, votes, voters, scatter replies) has spilled to the heap.
+//! (address lists, voters, delivered sets) has spilled to the heap.
 
 use blockrep::core::backend::INLINE_SITES;
+use blockrep::core::wire::WireResponse;
 use blockrep::core::{
     Cluster, ClusterOptions, LiveCluster, ScatterRequest, ScatterSpec, TcpCluster, WriteBatch,
 };
@@ -156,7 +157,7 @@ fn parallel_fanout_traffic_is_byte_identical_to_sequential() {
     }
 }
 
-/// A scatter's replies come back one per target and in target order on
+/// A scatter hands its fold one reply per target, in target order, on
 /// every runtime and at every cluster size: a target that cannot answer
 /// keeps its place with `None`, and the replies and their §5 charges are
 /// the deterministic cluster's sequential loop's.
@@ -180,16 +181,22 @@ fn scatter_replies_keep_target_order_at_every_cluster_size() {
         let tcp = TcpCluster::spawn(cfg(Scheme::Voting, sites), mode).unwrap();
         let targets: Vec<SiteId> = (1..sites as u32).map(s).collect();
         let silent = |t: SiteId| t.as_u32() % 3 == 0;
-        // One runtime's install and vote scatters, checked for order.
+        // One runtime's install and vote scatters, their fold calls
+        // collected and checked for order.
         macro_rules! scatters_on {
             ($name:expr, $rt:expr) => {{
                 let (name, rt) = ($name, $rt);
                 for &t in targets.iter().filter(|&&t| silent(t)) {
                     rt.set_local_state(t, SiteState::Failed);
                 }
-                let installs = rt.scatter(spec(OpClass::Write, None), s(0), &targets, &install);
+                let mut installs: Vec<(SiteId, Option<WireResponse>)> = Vec::new();
+                let write = spec(OpClass::Write, None);
+                rt.scatter(write, s(0), &targets, &install, |t, r| {
+                    installs.push((t, r))
+                });
+                let mut votes: Vec<(SiteId, Option<WireResponse>)> = Vec::new();
                 let read = spec(OpClass::Read, Some(MsgKind::VoteReply));
-                let votes = rt.scatter(read, s(0), &targets, &vote);
+                rt.scatter(read, s(0), &targets, &vote, |t, r| votes.push((t, r)));
                 for replies in [&installs, &votes] {
                     let order: Vec<SiteId> = replies.iter().map(|&(t, _)| t).collect();
                     assert_eq!(order, targets, "{name}, {sites} sites");
@@ -198,7 +205,7 @@ fn scatter_replies_keep_target_order_at_every_cluster_size() {
                     }
                 }
                 let traffic = rt.counter().snapshot();
-                (name, installs.to_vec(), votes.to_vec(), traffic)
+                (name, installs, votes, traffic)
             }};
         }
         let runs = [
