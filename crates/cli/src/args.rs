@@ -27,7 +27,7 @@ pub struct Parsed {
 
 /// Flags that take no value (their presence means "on"). Everything else
 /// written as `--key` consumes the next argument as its value.
-const BOOLEAN_FLAGS: &[&str] = &["stats", "trace", "journal", "journaled", "deny", "leases"];
+const BOOLEAN_FLAGS: &[&str] = &["stats", "trace", "journal", "journaled", "deny"];
 
 /// A command-line usage error, printed to stderr with exit code 2.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -89,7 +89,8 @@ impl Parsed {
         self.flags.get(key).map(String::as_str)
     }
 
-    /// Flag keys the caller never consumed — used to reject typos.
+    /// Every flag key given: a subcommand checks them against the flags it
+    /// reads, to reject typos.
     pub fn keys(&self) -> impl Iterator<Item = &str> {
         self.flags.keys().map(String::as_str)
     }

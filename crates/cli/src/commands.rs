@@ -29,15 +29,13 @@ usage:
       --seed N --seeds K --steps L         three runtimes; fails with the
       --scheme mcv|ac|nac                  shrunk schedule and its seed, and
       --trace-out PATH --journaled         always prints a metrics snapshot
-      --leases                             at exit; --trace-out writes a
+      --shards N                           at exit; --trace-out writes a
                                            flight-recorder dump (Chrome
                                            trace JSON) of the last schedule
                                            (the shrunk one on failure);
                                            --journaled runs every site on a
                                            write-ahead journal and checks
                                            the stricter durability oracle;
-                                           --leases enables read offload and
-                                           schedules stale-lease faults;
                                            --shards N replays the scripted
                                            shard-fault scenarios (shard
                                            blackout, torn cross-shard
@@ -236,13 +234,28 @@ fn run_simulate(parsed: &Parsed) -> Result<(), UsageError> {
     }
 }
 
+/// The flags `blockrep chaos` reads, `--stats` and `--trace` included.
+const CHAOS_FLAGS: &[&str] = &[
+    "seed",
+    "seeds",
+    "steps",
+    "scheme",
+    "journaled",
+    "shards",
+    "trace-out",
+    "stats",
+    "trace",
+];
+
 fn run_chaos(parsed: &Parsed) -> Result<(), UsageError> {
     use blockrep_core::chaos;
+    if let Some(key) = parsed.keys().find(|key| !CHAOS_FLAGS.contains(key)) {
+        return Err(UsageError(format!("chaos: unknown flag --{key}")));
+    }
     let first_seed = parsed.flag_u64("seed", 0)?;
     let seeds = parsed.flag_u64("seeds", 1)?;
     let steps = parsed.flag_usize("steps", 40)?;
     let journaled = parsed.flag_bool("journaled");
-    let leases = parsed.flag_bool("leases");
     let trace_out = parsed.flag("trace-out").map(str::to_string);
     let schemes: Vec<Scheme> = match parsed.flag("scheme") {
         None => Scheme::ALL.to_vec(),
@@ -277,15 +290,9 @@ fn run_chaos(parsed: &Parsed) -> Result<(), UsageError> {
     let mut outcome = Ok(());
     'all: for scheme in schemes {
         for seed in first_seed..first_seed + seeds {
-            match chaos::run_seed_opts(seed, scheme, steps, journaled, leases) {
+            match chaos::run_seed(seed, scheme, steps, journaled) {
                 Ok(report) => {
-                    let mut tag = String::new();
-                    if journaled {
-                        tag.push_str(" journaled");
-                    }
-                    if leases {
-                        tag.push_str(" leased");
-                    }
+                    let tag = if journaled { " journaled" } else { "" };
                     println!(
                         "seed {seed} {scheme}{tag}: ok ({} steps, {} faults fired, {} reads checked)",
                         report.steps, report.faults_fired, report.reads_checked
@@ -294,7 +301,12 @@ fn run_chaos(parsed: &Parsed) -> Result<(), UsageError> {
                 }
                 Err(failure) => {
                     if let Some(path) = &trace_out {
-                        let dump = chaos::trace_failure(&failure);
+                        let dump = chaos::trace_schedule(
+                            failure.seed,
+                            failure.scheme,
+                            failure.journaled,
+                            &failure.steps,
+                        );
                         std::fs::write(path, dump)
                             .map_err(|e| UsageError(format!("chaos: {path}: {e}")))?;
                         println!("wrote flight-recorder dump {path}");
@@ -309,9 +321,8 @@ fn run_chaos(parsed: &Parsed) -> Result<(), UsageError> {
     }
     if outcome.is_ok() {
         if let (Some(path), Some((seed, scheme))) = (&trace_out, last) {
-            let mut script = chaos::generate_with(seed, scheme, steps, leases);
-            script.cfg.set_journaled(journaled);
-            let dump = chaos::trace_schedule_with(&script.cfg, &script.steps, leases);
+            let script = chaos::generate(seed, scheme, steps);
+            let dump = chaos::trace_schedule(seed, scheme, journaled, &script.steps);
             std::fs::write(path, dump).map_err(|e| UsageError(format!("chaos: {path}: {e}")))?;
             println!("wrote flight-recorder trace {path}");
         }
@@ -589,6 +600,18 @@ mod tests {
         // ...with --deny they are fatal, like fsck's problem count.
         let err = run(&parsed(&["lint", "--root", root, "--deny"])).unwrap_err();
         assert!(err.to_string().contains("finding"), "{err}");
+    }
+
+    #[test]
+    fn chaos_rejects_a_flag_it_does_not_read() {
+        // An unknown flag takes the word after it as its value, here `--seed`.
+        for args in [
+            &["chaos", "--leases", "--seed", "3"][..],
+            &["chaos", "--sheme", "ac"],
+        ] {
+            let err = run(&parsed(args)).unwrap_err().to_string();
+            assert!(err.starts_with("chaos: unknown flag --"), "{args:?}: {err}");
+        }
     }
 
     #[test]

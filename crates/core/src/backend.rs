@@ -18,7 +18,7 @@
 //! accounting (multicast vs. unique addressing) only the protocol layer
 //! knows.
 
-use crate::locks::{BlockLockTable, LeaseTable};
+use crate::locks::BlockLockTable;
 use crate::transport::{Links, ServerCluster, Transport};
 use crate::wire::{Request, WireResponse};
 use blockrep_net::{DeliveryMode, MsgKind, OpClass, TrafficCounter};
@@ -367,7 +367,7 @@ pub type RepairPayload = (VersionVector, RepairBlocks);
 
 /// What a protocol coordinator is, whichever runtime it runs on: the
 /// device configuration, the network environment and its §5 counter, the
-/// link model, and the block-lock and lease tables. Every
+/// link model, and the block-lock table. Every
 /// [`ServerCluster`] holds exactly one.
 #[derive(Debug)]
 pub struct Coordinator {
@@ -378,13 +378,11 @@ pub struct Coordinator {
     pub(crate) links: Links,
     /// Per-block lock shards serializing same-block coordinations.
     pub(crate) locks: BlockLockTable,
-    /// Read-lease registry for the offload fast path.
-    pub(crate) leases: LeaseTable,
 }
 
 impl Coordinator {
     /// The coordinator of a freshly formatted device: every site available,
-    /// the network whole, nothing charged, leases off.
+    /// the network whole, nothing charged.
     pub(crate) fn new(cfg: DeviceConfig, mode: DeliveryMode) -> Self {
         Coordinator {
             links: Links::new(cfg.num_sites()),
@@ -392,19 +390,16 @@ impl Coordinator {
             mode,
             counter: TrafficCounter::new(),
             locks: BlockLockTable::new(),
-            leases: LeaseTable::new(),
         }
     }
 
-    /// An independent coordinator in the same site states and topology and
-    /// with the same lease setting; counter, locks and grants start fresh.
+    /// An independent coordinator in the same site states and topology;
+    /// counter and locks start fresh.
     pub(crate) fn fork(&self) -> Self {
-        let forked = Coordinator {
+        Coordinator {
             links: self.links.fork(),
             ..Coordinator::new(self.cfg.clone(), self.mode)
-        };
-        forked.leases.set_enabled(self.leases.enabled());
-        forked
+        }
     }
 }
 

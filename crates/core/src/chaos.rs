@@ -28,11 +28,7 @@
 //! reliable network (§3.2), and injecting silent message loss there
 //! manufactures states the paper excludes, producing false alarms rather
 //! than bugs. Duplication is benign everywhere (installs are idempotent)
-//! and is scheduled for every scheme. With read leases enabled
-//! ([`generate_with`]), part of the stale-version mass becomes
-//! [`FaultKind::StaleLease`] — a lease holder answering a one-round
-//! offloaded read from before the last write — which the version check in
-//! the lease path must always catch (benign by construction).
+//! and is scheduled for every scheme.
 
 use crate::fault::{FaultKind, Faulty, OpReport};
 use crate::scenario::Action;
@@ -106,8 +102,6 @@ pub struct ChaosFailure {
     pub scheme: Scheme,
     /// Whether the failing run used journaled devices.
     pub journaled: bool,
-    /// Whether the failing run had read leases enabled.
-    pub leases: bool,
     /// The (shrunk) failing schedule.
     pub steps: Vec<ChaosStep>,
     /// What went wrong.
@@ -151,15 +145,6 @@ fn format_schedule(steps: &[ChaosStep]) -> String {
 /// reads and repairs. Fill bytes are always nonzero so a zeroed block is
 /// unambiguously "never written / scrubbed".
 pub fn generate(seed: u64, scheme: Scheme, len: usize) -> ChaosScript {
-    generate_with(seed, scheme, len, false)
-}
-
-/// Like [`generate`], optionally drawing lease-targeted faults. With
-/// `leases == false` the output is byte-identical to [`generate`] — the
-/// flag only re-labels part of the stale-version probability mass as
-/// [`FaultKind::StaleLease`] (same number of RNG draws), so a leased and an
-/// unleased run of the same seed replay the same workload shape.
-pub fn generate_with(seed: u64, scheme: Scheme, len: usize, leases: bool) -> ChaosScript {
     let mut rng = StdRng::seed_from_u64(seed ^ ((scheme as u64 + 1) << 32));
     let sites = rng.random_range(3usize..=5);
     let blocks = rng.random_range(2usize..=4);
@@ -197,7 +182,7 @@ pub fn generate_with(seed: u64, scheme: Scheme, len: usize, leases: bool) -> Cha
             for _ in 0..n {
                 // Exchanges per op are bounded by a few per remote site.
                 let x = rng.random_range(0..3 * sites as u64);
-                let kind = random_kind(&mut rng, scheme, leases);
+                let kind = random_kind(&mut rng, scheme);
                 if !faults.iter().any(|&(fx, _)| fx == x) {
                     faults.push((x, kind));
                 }
@@ -208,7 +193,7 @@ pub fn generate_with(seed: u64, scheme: Scheme, len: usize, leases: bool) -> Cha
     ChaosScript { cfg, steps }
 }
 
-fn random_kind(rng: &mut StdRng, scheme: Scheme, leases: bool) -> FaultKind {
+fn random_kind(rng: &mut StdRng, scheme: Scheme) -> FaultKind {
     let message_faults_ok = scheme == Scheme::Voting;
     loop {
         let kind = match rng.random_range(0u32..100) {
@@ -220,10 +205,6 @@ fn random_kind(rng: &mut StdRng, scheme: Scheme, leases: bool) -> FaultKind {
             80..=89 => FaultKind::TornWrite {
                 keep: rng.random_range(1usize..8),
             },
-            // In leased mode, half the stale-version mass targets lease
-            // validation instead (same draw count either way, so leased and
-            // unleased generation consume the RNG identically).
-            90..=94 if leases => FaultKind::StaleLease,
             _ => FaultKind::StaleVersion,
         };
         let in_model =
@@ -652,18 +633,6 @@ fn run_caught<T>(
 /// cross-runtime parity. Returns the first discrepancy as an error; panics
 /// in any runtime's replay are caught and reported the same way.
 pub fn check(cfg: &DeviceConfig, steps: &[ChaosStep]) -> Result<ChaosReport, String> {
-    check_with(cfg, steps, false)
-}
-
-/// Like [`check`], optionally enabling read leases on all three runtimes
-/// before the replay — leases change *how many* messages a read costs, not
-/// *what* it may return, so the oracle and the cross-runtime parity checks
-/// are exactly the ones of the unleased run.
-pub fn check_with(
-    cfg: &DeviceConfig,
-    steps: &[ChaosStep],
-    leases: bool,
-) -> Result<ChaosReport, String> {
     let det = run_caught("deterministic", || {
         let rt = Cluster::new(
             cfg.clone(),
@@ -671,18 +640,15 @@ pub fn check_with(
                 mode: DeliveryMode::Multicast,
             },
         );
-        rt.set_leases(leases);
         run_on(&rt.with_faults(), steps)
     })?;
     let live = run_caught("live", || {
         let rt = LiveCluster::spawn(cfg.clone(), DeliveryMode::Multicast);
-        rt.set_leases(leases);
         run_on(&rt.with_faults(), steps)
     })?;
     let tcp = run_caught("tcp", || {
         let rt = TcpCluster::spawn(cfg.clone(), DeliveryMode::Multicast)
             .map_err(|e| format!("tcp spawn failed: {e}"))?;
-        rt.set_leases(leases);
         run_on(&rt.with_faults(), steps)
     })?;
     for (name, other) in [("live", &live), ("tcp", &tcp)] {
@@ -699,14 +665,22 @@ pub fn check_with(
     })
 }
 
-fn diverges(a: &RunOutcome, b: &RunOutcome) -> Option<String> {
-    for (i, (la, lb)) in a.log.iter().zip(&b.log).enumerate() {
+/// The first line at which two step logs differ, or their lengths.
+fn log_diverges(a: &[String], b: &[String]) -> Option<String> {
+    for (i, (la, lb)) in a.iter().zip(b).enumerate() {
         if la != lb {
             return Some(format!("log line {i}:\n  a: {la}\n  b: {lb}"));
         }
     }
-    if a.log.len() != b.log.len() {
-        return Some(format!("log length {} vs {}", a.log.len(), b.log.len()));
+    if a.len() != b.len() {
+        return Some(format!("log length {} vs {}", a.len(), b.len()));
+    }
+    None
+}
+
+fn diverges(a: &RunOutcome, b: &RunOutcome) -> Option<String> {
+    if let Some(divergence) = log_diverges(&a.log, &b.log) {
+        return Some(divergence);
     }
     if a.faults_fired != b.faults_fired {
         return Some(format!(
@@ -725,14 +699,10 @@ fn diverges(a: &RunOutcome, b: &RunOutcome) -> Option<String> {
 
 /// Shrinks a failing schedule: delta-debugging over chunks of steps, then
 /// removal of individual faults, until locally minimal. Every candidate is
-/// re-checked on all three runtimes, with read leases as `leases` says — a
-/// schedule that only fails leased must shrink under the leased replay
-/// ([`check_with`] reports runtime panics as failures, so panicking
-/// schedules shrink too).
-fn shrink(cfg: &DeviceConfig, mut steps: Vec<ChaosStep>, leases: bool) -> Vec<ChaosStep> {
-    let fails = |candidate: &[ChaosStep]| {
-        !candidate.is_empty() && check_with(cfg, candidate, leases).is_err()
-    };
+/// re-checked on all three runtimes ([`check`] reports runtime panics as
+/// failures, so panicking schedules shrink too).
+fn shrink(cfg: &DeviceConfig, mut steps: Vec<ChaosStep>) -> Vec<ChaosStep> {
+    let fails = |candidate: &[ChaosStep]| !candidate.is_empty() && check(cfg, candidate).is_err();
     // Pass 1: remove chunks of steps, halving the chunk size.
     let mut chunk = steps.len().div_ceil(2).max(1);
     loop {
@@ -770,17 +740,9 @@ fn shrink(cfg: &DeviceConfig, mut steps: Vec<ChaosStep>, leases: bool) -> Vec<Ch
 /// Generates, replays and cross-checks one seed; on failure, shrinks the
 /// schedule and returns it for replay.
 ///
-/// # Errors
-///
-/// A [`ChaosFailure`] carrying the shrunk schedule and the diagnostic of
-/// the minimal failure.
-pub fn run_seed(seed: u64, scheme: Scheme, len: usize) -> Result<ChaosReport, Box<ChaosFailure>> {
-    run_seed_with(seed, scheme, len, false)
-}
-
-/// Like [`run_seed`], optionally flipping every site to a journaled device
-/// ([`DeviceConfig::journaled`]). The flag is applied *after* generation, so
-/// journaled and unjournaled runs of the same seed replay the identical
+/// With `journaled`, every site runs on a journaled device
+/// ([`DeviceConfig::journaled`]). The flag is applied *after* generation,
+/// so journaled and unjournaled runs of the same seed replay the identical
 /// schedule — only the durability machinery (and the correspondingly
 /// stricter oracle) differs.
 ///
@@ -788,77 +750,49 @@ pub fn run_seed(seed: u64, scheme: Scheme, len: usize) -> Result<ChaosReport, Bo
 ///
 /// A [`ChaosFailure`] carrying the shrunk schedule and the diagnostic of
 /// the minimal failure.
-pub fn run_seed_with(
+pub fn run_seed(
     seed: u64,
     scheme: Scheme,
     len: usize,
     journaled: bool,
 ) -> Result<ChaosReport, Box<ChaosFailure>> {
-    run_seed_opts(seed, scheme, len, journaled, false)
-}
-
-/// The full-option seed runner: journaled devices and/or read leases. The
-/// lease flag drives both generation (lease-targeted faults become
-/// schedulable, see [`generate_with`]) and the replay (leases are switched
-/// on across all three runtimes, see [`check_with`]).
-///
-/// # Errors
-///
-/// A [`ChaosFailure`] carrying the shrunk schedule and the diagnostic of
-/// the minimal failure.
-pub fn run_seed_opts(
-    seed: u64,
-    scheme: Scheme,
-    len: usize,
-    journaled: bool,
-    leases: bool,
-) -> Result<ChaosReport, Box<ChaosFailure>> {
-    let mut script = generate_with(seed, scheme, len, leases);
+    let mut script = generate(seed, scheme, len);
     script.cfg.set_journaled(journaled);
-    let detail = match check_with(&script.cfg, &script.steps, leases) {
+    let detail = match check(&script.cfg, &script.steps) {
         Ok(report) => return Ok(report),
         Err(detail) => detail,
     };
-    let steps = shrink(&script.cfg, script.steps, leases);
-    let detail = check_with(&script.cfg, &steps, leases)
-        .err()
-        .unwrap_or(detail);
+    let steps = shrink(&script.cfg, script.steps);
+    let detail = check(&script.cfg, &steps).err().unwrap_or(detail);
     Err(Box::new(ChaosFailure {
         seed,
         scheme,
         journaled,
-        leases,
         steps,
         detail,
     }))
 }
 
-/// Post-mortem flight-recorder dump for a chaos failure: replays the
-/// (shrunk) minimal schedule on the deterministic runtime with tracing
-/// enabled and returns the causal trace as Chrome trace-event JSON.
+/// The flight-recorder dump of a schedule: replays `steps` on the
+/// deterministic runtime, in the geometry `(seed, scheme)` generates and
+/// journaled if `journaled`, with tracing enabled, and returns the causal
+/// trace as Chrome trace-event JSON. Previous recorder contents are
+/// cleared first; the global tracing flags are restored to their prior
+/// values afterwards.
 ///
-/// The geometry is regenerated from the failure's seed, so the dump replays
-/// exactly the configuration that failed. A replay that panics (as the
-/// original failure may well do) is caught: the dump carries every span the
-/// recorder captured up to the crash, which is the whole point.
-pub fn trace_failure(failure: &ChaosFailure) -> String {
-    let mut script = generate_with(failure.seed, failure.scheme, 0, failure.leases);
-    script.cfg.set_journaled(failure.journaled);
-    trace_schedule_with(&script.cfg, &failure.steps, failure.leases)
-}
-
-/// Replays `steps` on the deterministic runtime with the flight recorder
-/// armed, and read leases enabled if `leases` (a failure that only
-/// manifests leased needs them), and dumps the resulting causal trace as
-/// Chrome trace-event JSON. Previous recorder contents are cleared first;
-/// the global tracing flags are restored to their prior values afterwards.
-pub fn trace_schedule_with(cfg: &DeviceConfig, steps: &[ChaosStep], leases: bool) -> String {
+/// A failure's post-mortem passes its seed, scheme, journal flag and
+/// shrunk schedule, so the dump replays exactly the configuration that
+/// failed. A replay that panics (as the original failure may well do) is
+/// caught: the dump carries every span the recorder captured up to the
+/// crash, which is the whole point.
+pub fn trace_schedule(seed: u64, scheme: Scheme, journaled: bool, steps: &[ChaosStep]) -> String {
     use blockrep_obs::trace;
+    let mut cfg = generate(seed, scheme, 0).cfg;
+    cfg.set_journaled(journaled);
     let was_obs = blockrep_obs::enabled();
     let was_tracing = trace::enabled();
     trace::enable();
     trace::clear();
-    let cfg = cfg.clone();
     let steps = steps.to_vec();
     let _ = run_caught("trace-replay", move || {
         let rt = Cluster::new(
@@ -867,7 +801,6 @@ pub fn trace_schedule_with(cfg: &DeviceConfig, steps: &[ChaosStep], leases: bool
                 mode: DeliveryMode::Multicast,
             },
         );
-        rt.set_leases(leases);
         run_on(&rt.with_faults(), &steps)
     });
     let records = trace::snapshot();
@@ -1120,6 +1053,39 @@ pub fn run_shard_scenarios_on<T: Transport>(
         Ok(())
     };
 
+    // Scrubs and repairs every failed site of the victim shard, then
+    // sweeps until none is comatose: the available copy schemes may need a
+    // sweep per site before the closure admits the shard back.
+    let repair_victim = |op: u64, label: &str, log: &mut Vec<String>, oracles: &mut Vec<Oracle>| {
+        for s in raw[victim].config().site_ids() {
+            if raw[victim].site_state(s) == SiteState::Failed {
+                let _ = raw[victim].scrub_local(s);
+                begin(op);
+                protocol::repair(&*raw[victim], s);
+                let _ = end_all();
+            }
+        }
+        let mut sweeps = 0usize;
+        while raw[victim]
+            .config()
+            .site_ids()
+            .any(|s| raw[victim].site_state(s) == SiteState::Comatose)
+            && sweeps < cfg.num_sites()
+        {
+            begin(op);
+            protocol::sweep(&*raw[victim]);
+            let _ = end_all();
+            sweeps += 1;
+        }
+        log.push(format!(
+            "#{op} {label} {victim} sweeps={sweeps} -> |{}",
+            states()
+        ));
+        for (i, oracle) in oracles.iter_mut().enumerate() {
+            oracle.try_narrow(&*raw[i]);
+        }
+    };
+
     // --- Scenario 1: shard blackout -------------------------------------
     write_all(0, 0x11, true, &mut log, &mut oracles)?;
 
@@ -1169,35 +1135,8 @@ pub fn run_shard_scenarios_on<T: Transport>(
         &mut reads_checked,
     )?;
 
-    // #5: repair the victim shard; the available copy schemes may need a
-    // sweep per site before the closure admits the shard back.
-    for s in raw[victim].config().site_ids() {
-        if raw[victim].site_state(s) == SiteState::Failed {
-            let _ = raw[victim].scrub_local(s);
-            begin(5);
-            protocol::repair(&*raw[victim], s);
-            let _ = end_all();
-        }
-    }
-    let mut sweeps = 0usize;
-    while raw[victim]
-        .config()
-        .site_ids()
-        .any(|s| raw[victim].site_state(s) == SiteState::Comatose)
-        && sweeps < cfg.num_sites()
-    {
-        begin(5);
-        protocol::sweep(&*raw[victim]);
-        let _ = end_all();
-        sweeps += 1;
-    }
-    log.push(format!(
-        "#5 repair-shard {victim} sweeps={sweeps} -> |{}",
-        states()
-    ));
-    for (i, oracle) in oracles.iter_mut().enumerate() {
-        oracle.try_narrow(&*raw[i]);
-    }
+    // #5: repair the victim shard.
+    repair_victim(5, "repair-shard", &mut log, &mut oracles);
 
     // #6: healed — the victim serves its pre-blackout contents, the
     // healthy shards their post-blackout ones.
@@ -1224,33 +1163,7 @@ pub fn run_shard_scenarios_on<T: Transport>(
     )?;
 
     // #9: repair whatever the torn install crashed.
-    for s in raw[victim].config().site_ids() {
-        if raw[victim].site_state(s) == SiteState::Failed {
-            let _ = raw[victim].scrub_local(s);
-            begin(9);
-            protocol::repair(&*raw[victim], s);
-            let _ = end_all();
-        }
-    }
-    let mut sweeps = 0usize;
-    while raw[victim]
-        .config()
-        .site_ids()
-        .any(|s| raw[victim].site_state(s) == SiteState::Comatose)
-        && sweeps < cfg.num_sites()
-    {
-        begin(9);
-        protocol::sweep(&*raw[victim]);
-        let _ = end_all();
-        sweeps += 1;
-    }
-    log.push(format!(
-        "#9 repair-torn shard {victim} sweeps={sweeps} -> |{}",
-        states()
-    ));
-    for (i, oracle) in oracles.iter_mut().enumerate() {
-        oracle.try_narrow(&*raw[i]);
-    }
+    repair_victim(9, "repair-torn shard", &mut log, &mut oracles);
 
     // #10–#11: one clean write re-certifies every shard `Exact`.
     write_all(10, 0x55, true, &mut log, &mut oracles)?;
@@ -1290,13 +1203,8 @@ pub fn run_shard_scenarios_on<T: Transport>(
 }
 
 fn shard_diverges(a: &ShardRunOutcome, b: &ShardRunOutcome) -> Option<String> {
-    for (i, (la, lb)) in a.log.iter().zip(&b.log).enumerate() {
-        if la != lb {
-            return Some(format!("log line {i}:\n  a: {la}\n  b: {lb}"));
-        }
-    }
-    if a.log.len() != b.log.len() {
-        return Some(format!("log length {} vs {}", a.log.len(), b.log.len()));
+    if let Some(divergence) = log_diverges(&a.log, &b.log) {
+        return Some(divergence);
     }
     if a.reads_checked != b.reads_checked {
         return Some(format!(

@@ -111,9 +111,9 @@ impl ServerCluster<Inline> {
 
     /// Deep-copies the cluster into an independent one: same replica
     /// contents, states, was-available sets and topology, with a fresh
-    /// traffic counter (and a fresh, empty lease table). The
-    /// model-checking tests use this to explore every interleaving of
-    /// failures, repairs and writes from a common prefix.
+    /// traffic counter and fresh block locks. The model-checking tests use
+    /// this to explore every interleaving of failures, repairs and writes
+    /// from a common prefix.
     pub fn fork(&self) -> Cluster {
         let coord = self.coord.fork();
         let replicas = self

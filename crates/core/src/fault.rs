@@ -16,8 +16,7 @@
 //! the links are consulted: an unreachable target still uses up an index.
 //! So does a remote state probe, although it sends no message. A storage
 //! fault rewrites an install into [`WireRequest::ApplyWriteFaulty`] of its
-//! first block; a stale-lease fault rewinds the version of a lease read's
-//! reply; a crash puts a site in a set the runner makes real once the
+//! first block; a crash puts a site in a set the runner makes real once the
 //! operation ends ([`end_op`](ServerCluster::end_op)).
 //!
 //! **Concurrency and exchange pinning.** The live runtimes fan protocol
@@ -33,7 +32,7 @@ use crate::transport::{Links, ServerCluster, Transport};
 use crate::wire::{Request, WireRequest, WireResponse};
 use blockrep_obs::event;
 use blockrep_storage::StorageFault;
-use blockrep_types::{SiteId, SiteState, VersionNumber};
+use blockrep_types::{SiteId, SiteState};
 use parking_lot::Mutex;
 use std::collections::BTreeSet;
 
@@ -71,21 +70,13 @@ pub enum FaultKind {
         /// Leading bytes of the encoded journal record that were persisted.
         keep: usize,
     },
-    /// A lease-holder answers a lease read with a version that no longer
-    /// matches the coordinator's lease — the holder was partitioned across
-    /// a write and is serving from before it. Models the stale-lease hazard
-    /// of read offload: the coordinator must detect the mismatch, drop the
-    /// lease and fall back to a quorum read, so the fault is benign by
-    /// construction (it can cost a round trip, never consistency). On
-    /// exchanges that are not lease reads it degrades to normal delivery.
-    StaleLease,
 }
 
 impl FaultKind {
     /// Whether the fault cannot perturb replicated state (installs are
     /// idempotent, so a duplicated message is harmless by design).
     pub fn is_benign(self) -> bool {
-        matches!(self, FaultKind::DuplicateMessage | FaultKind::StaleLease)
+        matches!(self, FaultKind::DuplicateMessage)
     }
 
     /// Whether the fault leaves a checksum-broken block on the target's
@@ -108,7 +99,6 @@ impl FaultKind {
             FaultKind::TornWrite { .. } => "torn-write",
             FaultKind::StaleVersion => "stale-version",
             FaultKind::WalTorn { .. } => "wal-torn",
-            FaultKind::StaleLease => "stale-lease",
         }
     }
 }
@@ -174,8 +164,6 @@ enum Fate {
     /// An install leaves its first block broken on the target's disk, and
     /// no acknowledgement comes back.
     Storage(StorageFault),
-    /// A lease read is answered from before the write the lease postdates.
-    StaleLease,
 }
 
 /// A transport wrapper that fires scheduled faults on the remote exchanges
@@ -294,7 +282,6 @@ impl<T: Transport> Faulty<T> {
                 st.crashed.insert(to);
                 Fate::Storage(StorageFault::WalTorn { keep })
             }
-            FaultKind::StaleLease => Fate::StaleLease,
         }
     }
 }
@@ -358,20 +345,6 @@ impl<T: Transport> Transport for Faulty<T> {
                     self.inner.exchange(links, from, to, broken, true);
                 }
                 None
-            }
-            // Rewinding the reported version guarantees a mismatch with the
-            // coordinator's lease (even at v=0, where it wraps), forcing the
-            // invalidate-and-fall-back path. On any other exchange the
-            // fault is plain delivery.
-            Fate::StaleLease => {
-                let lease = matches!(request, Request::FetchLease(_));
-                match send(request) {
-                    Some(WireResponse::Block(v, data)) if lease => Some(WireResponse::Block(
-                        VersionNumber::new(v.as_u64().wrapping_sub(1)),
-                        data,
-                    )),
-                    reply => reply,
-                }
             }
         }
     }

@@ -14,8 +14,8 @@
 //!          │  coordinated protocol operations: runs of blocks (one or more)
 //!          ▼
 //!  ServerCluster<T>, one per shard — a Coordinator: config, §5 counter,
-//!  block locks, leases, and the link model (site states + topology) that
-//!  decides which exchanges below may happen — over a transport T: Inline (the
+//!  block locks, and the link model (site states + topology) that decides
+//!  which exchanges below may happen — over a transport T: Inline (the
 //!  deterministic Cluster), LiveTransport (threads + inboxes) or
 //!  TcpTransport (threads + sockets), optionally under Faulty<T>
 //!          │  votes, write updates, version vectors, repairs
@@ -103,7 +103,7 @@ pub use backend::{
 pub use cluster::{Cluster, ClusterOptions, Inline};
 pub use device::ReliableDevice;
 pub use live::{LiveCluster, LiveTransport};
-pub use locks::{BlockLockTable, LeaseTable};
+pub use locks::BlockLockTable;
 pub use replica::Replica;
 // Kept only because `benchmark/src/workloads.rs` names the device so.
 pub use device::ReliableDevice as ShardedDevice;

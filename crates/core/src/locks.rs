@@ -1,7 +1,4 @@
-//! Coordinator-side concurrency control: the sharded block-lock table and
-//! the read-lease registry.
-//!
-//! # Block locks
+//! Coordinator-side concurrency control: the sharded block-lock table.
 //!
 //! The paper's protocols (§3) are defined *per block*, yet the runtimes
 //! historically serialized every operation behind one coordinator-wide
@@ -38,28 +35,10 @@
 //! ([`write_guard_all`](BlockLockTable::write_guard_all)): a site's copy
 //! from its source and its promotion to available must not straddle a
 //! write that left the site out.
-//!
-//! # Read leases
-//!
-//! [`LeaseTable`] is the coordinator-granted read-lease registry behind
-//! Harmonia-style read offload (see PAPERS.md): after a successful quorum
-//! operation the coordinator records which replicas are *known current*
-//! for a block and at what version. A later read consults the lease and
-//! fetches from one known-current replica in a single round — or serves
-//! locally for free — instead of assembling a read quorum. Leases are
-//! invalidated at the start of every write fan-out and re-granted after
-//! the installs land; any failure, repair or topology change bumps the
-//! table's epoch, which invalidates every outstanding lease at once.
-//! Served lease reads are version-validated against the grant, so even a
-//! replica answering with a stale copy (the chaos suite's `StaleLease`
-//! fault) degrades to a quorum read instead of breaking one-copy
-//! semantics.
 
 use crate::backend::BlockVec;
-use blockrep_types::{BlockIndex, SiteId, VersionNumber};
-use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use blockrep_types::BlockIndex;
+use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Number of shards in a [`BlockLockTable`]. A power of two comfortably
 /// above any realistic client count, so independent blocks rarely collide.
@@ -169,113 +148,6 @@ impl Default for BlockLockTable {
     }
 }
 
-/// One granted lease: the version every holder was known to hold, the
-/// holders themselves, and the table epoch the grant belongs to.
-#[derive(Debug, Clone)]
-struct LeaseEntry {
-    epoch: u64,
-    version: VersionNumber,
-    holders: Vec<SiteId>,
-}
-
-/// The coordinator-granted read-lease registry (see the [module
-/// docs](self)). Disabled by default; [`set_enabled`](Self::set_enabled)
-/// turns the read-offload path on.
-#[derive(Debug)]
-pub struct LeaseTable {
-    enabled: AtomicBool,
-    epoch: AtomicU64,
-    shards: Vec<Mutex<HashMap<u64, LeaseEntry>>>,
-}
-
-impl LeaseTable {
-    /// Creates an empty, disabled table.
-    pub fn new() -> Self {
-        LeaseTable {
-            enabled: AtomicBool::new(false),
-            epoch: AtomicU64::new(0),
-            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-        }
-    }
-
-    fn shard_of(&self, k: BlockIndex) -> usize {
-        (k.as_u64() % self.shards.len() as u64) as usize
-    }
-
-    /// Turns lease-based read offload on or off. Turning it off drops no
-    /// state; lookups simply stop answering.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether read offload is enabled.
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// The current epoch. Capture it *before* assembling a quorum and pass
-    /// it to [`grant`](Self::grant): if a failure intervenes, the bumped
-    /// epoch makes the late grant dead on arrival instead of stale.
-    #[inline]
-    pub fn current_epoch(&self) -> u64 {
-        self.epoch.load(Ordering::SeqCst)
-    }
-
-    /// Invalidates every outstanding lease at once by advancing the epoch.
-    /// Called on every failure, repair and topology change.
-    pub fn bump_epoch(&self) {
-        self.epoch.fetch_add(1, Ordering::SeqCst);
-    }
-
-    /// Records that every site in `holders` holds block `k` at `version`,
-    /// as certified by a quorum assembled while the table was at `epoch`.
-    /// A no-op when disabled or when the epoch has moved on.
-    pub fn grant(&self, k: BlockIndex, version: VersionNumber, holders: &[SiteId], epoch: u64) {
-        if !self.enabled() || epoch != self.current_epoch() {
-            return;
-        }
-        let entry = LeaseEntry {
-            epoch,
-            version,
-            holders: holders.to_vec(),
-        };
-        self.shards[self.shard_of(k)]
-            .lock()
-            .insert(k.as_u64(), entry);
-    }
-
-    /// Revokes block `k`'s lease (the start of every write fan-out).
-    #[inline]
-    pub fn invalidate(&self, k: BlockIndex) {
-        if !self.enabled() {
-            return;
-        }
-        self.shards[self.shard_of(k)].lock().remove(&k.as_u64());
-    }
-
-    /// The current-epoch lease for block `k`, if any: the certified version
-    /// and the known-current holders.
-    #[inline]
-    pub fn lookup(&self, k: BlockIndex) -> Option<(VersionNumber, Vec<SiteId>)> {
-        if !self.enabled() {
-            return None;
-        }
-        let shard = self.shards[self.shard_of(k)].lock();
-        let entry = shard.get(&k.as_u64())?;
-        if entry.epoch != self.current_epoch() || entry.holders.is_empty() {
-            return None;
-        }
-        Some((entry.version, entry.holders.clone()))
-    }
-}
-
-impl Default for LeaseTable {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -283,10 +155,6 @@ mod tests {
 
     fn k(i: u64) -> BlockIndex {
         BlockIndex::new(i)
-    }
-
-    fn sid(i: u32) -> SiteId {
-        SiteId::new(i)
     }
 
     #[test]
@@ -365,111 +233,5 @@ mod tests {
         assert!(!t.is_finished(), "second writer acquired a held shard");
         drop(g);
         t.join().unwrap();
-    }
-
-    #[test]
-    fn leases_are_off_by_default_and_grant_is_inert() {
-        let t = LeaseTable::new();
-        t.grant(k(0), VersionNumber::new(1), &[sid(0)], t.current_epoch());
-        assert_eq!(t.lookup(k(0)), None);
-    }
-
-    #[test]
-    fn grant_lookup_invalidate_roundtrip() {
-        let t = LeaseTable::new();
-        t.set_enabled(true);
-        let e = t.current_epoch();
-        t.grant(k(2), VersionNumber::new(7), &[sid(0), sid(2)], e);
-        assert_eq!(
-            t.lookup(k(2)),
-            Some((VersionNumber::new(7), vec![sid(0), sid(2)]))
-        );
-        t.invalidate(k(2));
-        assert_eq!(t.lookup(k(2)), None);
-    }
-
-    #[test]
-    fn epoch_bump_invalidates_everything() {
-        let t = LeaseTable::new();
-        t.set_enabled(true);
-        let e = t.current_epoch();
-        t.grant(k(0), VersionNumber::new(1), &[sid(0)], e);
-        t.grant(k(1), VersionNumber::new(2), &[sid(1)], e);
-        t.bump_epoch();
-        assert_eq!(t.lookup(k(0)), None);
-        assert_eq!(t.lookup(k(1)), None);
-    }
-
-    #[test]
-    fn grant_with_a_stale_epoch_is_dead_on_arrival() {
-        let t = LeaseTable::new();
-        t.set_enabled(true);
-        let e = t.current_epoch();
-        t.bump_epoch(); // a failure lands between quorum assembly and grant
-        t.grant(k(0), VersionNumber::new(3), &[sid(0)], e);
-        assert_eq!(t.lookup(k(0)), None);
-    }
-
-    #[test]
-    fn a_heal_time_epoch_bump_beats_an_in_flight_grant() {
-        // A partition heals (epoch bump) while a grant whose quorum was
-        // assembled before the heal is still in flight. The late grant must
-        // be dead on arrival — whatever order it lands in relative to the
-        // bump — and only a grant certified at the new epoch may serve.
-        let t = LeaseTable::new();
-        t.set_enabled(true);
-        let e = t.current_epoch();
-        t.grant(k(3), VersionNumber::new(1), &[sid(0)], e);
-        assert!(t.lookup(k(3)).is_some());
-        t.bump_epoch(); // the heal: every outstanding lease dies at once
-        t.grant(k(3), VersionNumber::new(2), &[sid(1)], e); // late grant
-        assert_eq!(t.lookup(k(3)), None, "a dead lease was resurrected");
-        let healed = t.current_epoch();
-        t.grant(k(3), VersionNumber::new(2), &[sid(1)], healed);
-        assert_eq!(
-            t.lookup(k(3)),
-            Some((VersionNumber::new(2), vec![sid(1)])),
-            "a current-epoch grant must serve after the heal"
-        );
-    }
-
-    #[test]
-    fn a_grant_racing_the_epoch_bump_never_resurrects_a_dead_lease() {
-        // The threaded version of the heal race: the grant and the bump run
-        // concurrently from a barrier, with the grant's epoch captured
-        // before the bump. Whichever interleaving the scheduler picks —
-        // including a bump landing between the grant's epoch check and its
-        // insert — the lookup must never serve the dead lease.
-        use std::sync::Barrier;
-        let table = Arc::new(LeaseTable::new());
-        table.set_enabled(true);
-        for round in 0..200u64 {
-            let e = table.current_epoch();
-            let barrier = Arc::new(Barrier::new(2));
-            let granter = {
-                let table = Arc::clone(&table);
-                let barrier = Arc::clone(&barrier);
-                std::thread::spawn(move || {
-                    barrier.wait();
-                    table.grant(k(5), VersionNumber::new(round + 1), &[sid(0)], e);
-                })
-            };
-            let healer = {
-                let table = Arc::clone(&table);
-                let barrier = Arc::clone(&barrier);
-                std::thread::spawn(move || {
-                    barrier.wait();
-                    table.bump_epoch();
-                })
-            };
-            granter.join().unwrap();
-            healer.join().unwrap();
-            assert_eq!(
-                table.lookup(k(5)),
-                None,
-                "round {round}: a grant racing the heal-time epoch bump \
-                 resurrected a dead lease"
-            );
-        }
     }
 }

@@ -62,11 +62,8 @@ pub(crate) fn write_many<T: Transport>(
     }
 }
 
-/// Fail-stops site `s`. Every outstanding read lease dies with it: the
-/// failed site may have been a lease holder, so the lease epoch is bumped
-/// before the survivors carry on.
+/// Fail-stops site `s`.
 pub(crate) fn fail<T: Transport>(c: &ServerCluster<T>, s: SiteId) {
-    c.coord.leases.bump_epoch();
     match c.config().scheme() {
         Scheme::Voting => c.set_local_state(s, SiteState::Failed),
         Scheme::AvailableCopy => available_copy::fail(c, s, false),
@@ -74,13 +71,10 @@ pub(crate) fn fail<T: Transport>(c: &ServerCluster<T>, s: SiteId) {
     }
 }
 
-/// Restarts site `s` after a failure and runs the recovery sweep. Bumps
-/// the lease epoch: the repaired site holds stale blocks and must not be
-/// named by any pre-repair grant.
+/// Restarts site `s` after a failure and runs the recovery sweep.
 pub(crate) fn repair<T: Transport>(c: &ServerCluster<T>, s: SiteId) {
     let _timer = obs_hooks::timer(obs_hooks::recovery_latency);
     let _op = obs_hooks::op_span(obs_hooks::op_repair, s.index() as u32);
-    c.coord.leases.bump_epoch();
     match c.config().scheme() {
         Scheme::Voting => voting::repair(c, s),
         Scheme::AvailableCopy | Scheme::NaiveAvailableCopy => {
@@ -90,21 +84,10 @@ pub(crate) fn repair<T: Transport>(c: &ServerCluster<T>, s: SiteId) {
     }
 }
 
-/// Splits the network into `groups`. The topology changes first and the
-/// lease epoch is bumped after it, so no grant made against the old
-/// reachability outlives the change: a partitioned holder can no longer be
-/// reached to serve or validate its lease.
-pub(crate) fn partition<T: Transport>(c: &ServerCluster<T>, groups: &[Vec<SiteId>]) {
-    c.coord.links.partition(groups);
-    c.coord.leases.bump_epoch();
-}
-
-/// Heals all partitions — topology, then epoch, as for [`partition`] — and
-/// re-runs the recovery sweep: recoveries that were blocked on unreachable
-/// closure members can now complete.
+/// Heals all partitions and re-runs the recovery sweep: recoveries that
+/// were blocked on unreachable closure members can now complete.
 pub(crate) fn heal<T: Transport>(c: &ServerCluster<T>) {
     c.coord.links.heal();
-    c.coord.leases.bump_epoch();
     sweep(c);
 }
 

@@ -32,7 +32,7 @@ fn fits(replica: &Replica, request: Request<'_>) -> bool {
     let block = |k: &BlockIndex| k.as_u64() < num_blocks;
     let install = |k: &BlockIndex, data: &BlockData| block(k) && data.len() == block_size;
     match request {
-        Request::Fetch(k) | Request::FetchLease(k) => block(&k),
+        Request::Fetch(k) => block(&k),
         Request::ApplyWrite(k, _, data) | Request::ApplyWriteFaulty(k, _, data, _) => {
             install(&k, data)
         }
@@ -60,7 +60,7 @@ pub(crate) fn serve(replica: &mut Replica, request: Request<'_>) -> Option<WireR
     }
     Some(match request {
         Request::Probe => WireResponse::Ack,
-        Request::Fetch(k) | Request::FetchLease(k) => {
+        Request::Fetch(k) => {
             let (v, data) = replica.versioned(k);
             WireResponse::Block(v, data)
         }
@@ -207,9 +207,6 @@ mod tests {
             (WireRequest::Fetch(blk(1)), |r| {
                 matches!(r, WireResponse::Block(..))
             }),
-            (WireRequest::FetchLease(blk(1)), |r| {
-                matches!(r, WireResponse::Block(..))
-            }),
             (
                 WireRequest::VoteMany(ks.clone()),
                 |r| matches!(r, WireResponse::Versions(vs) if vs.len() == 3),
@@ -269,7 +266,6 @@ mod tests {
         let fault = StorageFault::Torn { keep: 3 };
         for request in [
             WireRequest::Fetch(out),
-            WireRequest::FetchLease(out),
             WireRequest::ReadLocalMany(vec![blk(0), out]),
             WireRequest::VoteMany(vec![out]),
             WireRequest::ApplyWrite(out, ver(1), fill(1)),
@@ -311,10 +307,6 @@ mod tests {
         serve_owned(&mut r, 1, WireRequest::ApplyWrite(blk(2), ver(5), fill(9)));
         let block = Some(WireResponse::Block(ver(5), fill(9)));
         assert_eq!(serve_owned(&mut r, 1, WireRequest::Fetch(blk(2))), block);
-        assert_eq!(
-            serve_owned(&mut r, 1, WireRequest::FetchLease(blk(2))),
-            block
-        );
         assert_eq!(
             serve_owned(&mut r, 1, WireRequest::ReadLocalMany(vec![blk(2)])),
             Some(WireResponse::DataMany(vec![fill(9)].into()))

@@ -5,7 +5,7 @@
 //! capacity and write bandwidth are capped by one quorum no matter how many
 //! sites exist. Over several, a larger site pool is partitioned into `S`
 //! equal replica groups (*shards*), each running its own independent quorum
-//! — its own per-block lock table, its own lease table, its own WAL when
+//! — its own per-block lock table, its own WAL when
 //! journaled — over the **unchanged** `protocol` layer, and block *groups*
 //! are mapped to shards by rendezvous (highest-random-weight) hashing
 //! recorded in a versioned [`PlacementManifest`]. How a batch is routed,

@@ -349,7 +349,7 @@ impl<T: Transport> ServerCluster<T> {
     /// refused synchronously. The available copy schemes assume this never
     /// happens; the hook exists to demonstrate why.
     pub fn partition(&self, groups: &[Vec<SiteId>]) {
-        protocol::partition(self, groups);
+        self.coord.links.partition(groups);
     }
 
     /// Heals all partitions and re-runs the recovery sweep (recoveries that
@@ -429,15 +429,6 @@ impl<T: Transport> ServerCluster<T> {
     pub fn was_available_of(&self, s: SiteId) -> BTreeSet<SiteId> {
         self.was_available(s, s)
             .expect("a site reads its own was-available set")
-    }
-
-    /// Turns lease-based read offload on or off (see [`crate::locks`]):
-    /// after each successful quorum operation the coordinator remembers
-    /// which replicas are current, and later reads are served from one of
-    /// them in a single round instead of gathering a read quorum. Off by
-    /// default.
-    pub fn set_leases(&self, on: bool) {
-        self.coord.leases.set_enabled(on);
     }
 
     /// Emulates a network link delay: every server sleeps `delay` before
@@ -520,21 +511,6 @@ impl<T: Transport> ServerCluster<T> {
         k: BlockIndex,
     ) -> Option<(VersionNumber, BlockData)> {
         match self.call(from, to, Request::Fetch(k))? {
-            WireResponse::Block(v, data) => Some((v, data)),
-            _ => None,
-        }
-    }
-
-    /// [`fetch_block`](Self::fetch_block) to validate and serve a read
-    /// lease, under a request of its own so a fault layer can target lease
-    /// validation specifically (the `StaleLease` fault).
-    pub fn fetch_lease(
-        &self,
-        from: SiteId,
-        to: SiteId,
-        k: BlockIndex,
-    ) -> Option<(VersionNumber, BlockData)> {
-        match self.call(from, to, Request::FetchLease(k))? {
             WireResponse::Block(v, data) => Some((v, data)),
             _ => None,
         }
@@ -751,7 +727,7 @@ mod tests {
         let comatose = Some(SiteState::Comatose);
         assert_eq!(rt.probe_state(sid(1), sid(1)), comatose, "{rt:?}");
         assert_eq!(rt.probe_state(sid(2), sid(1)), comatose, "{rt:?}");
-        protocol::partition(rt, &[vec![sid(0)], vec![sid(1), sid(2)]]);
+        rt.partition(&[vec![sid(0)], vec![sid(1), sid(2)]]);
         assert_eq!(rt.probe_state(sid(0), sid(2)), None, "{rt:?}: partitioned");
         assert_eq!(
             rt.probe_state(sid(2), sid(1)),

@@ -36,10 +36,6 @@ struct Round<'c> {
     weight: u64,
     /// The remote voters that answered, in ascending site order.
     voters: SiteVec<SiteId>,
-    /// For a read's lease grants, each remote voter's versions, kept in a
-    /// list on the read's own stack; `None` with leases off, and for a
-    /// write, whose grants name the sites its install reached.
-    versions: Option<&'c mut Versions>,
 }
 
 impl Round<'_> {
@@ -74,19 +70,13 @@ impl Fold for &mut Round<'_> {
         }
         self.weight += self.cfg.weight(t).as_u64();
         self.voters.push(t);
-        if let Some(versions) = &mut self.versions {
-            versions.push((t, vs));
-        }
     }
 }
-
-/// Each remote voter of a round and its versions of the run's blocks.
-type Versions = SiteVec<(SiteId, BlockVec<VersionNumber>)>;
 
 /// One round of vote collection for the run of distinct blocks `ks`,
 /// coordinated by `origin`: a single scatter-gather exchange per site,
 /// carrying every block's vote request. The origin's own votes are local
-/// and free. Each voter's versions are kept in `versions`, if given.
+/// and free.
 ///
 /// §5 accounting stays per block — one `VoteRequest` broadcast charged per
 /// block, and each responding site's one physical reply charged as
@@ -98,7 +88,6 @@ fn collect_votes<'c, T: Transport>(
     op: OpClass,
     origin: SiteId,
     ks: &[BlockIndex],
-    versions: Option<&'c mut Versions>,
 ) -> DeviceResult<Round<'c>> {
     let cfg = c.config();
     let others = backend::others(cfg, origin);
@@ -122,7 +111,6 @@ fn collect_votes<'c, T: Transport>(
         newer: BlockVec::new(),
         weight: cfg.weight(origin).as_u64(),
         voters: SiteVec::new(),
-        versions,
     };
     let spec = ScatterSpec {
         op,
@@ -173,8 +161,7 @@ fn ensure_coordinator<T: Transport>(c: &ServerCluster<T>, origin: SiteId) -> Dev
 /// read quorum, refreshes each block's local copy from its
 /// highest-versioned voter when stale (one extra block transfer — the
 /// paper's "`U_V^n + 1`" case; it can fire for some blocks of a run and not
-/// others) and serves the run locally. A run of one first tries its read
-/// lease, when leases are on.
+/// others) and serves the run locally.
 ///
 /// # Errors
 ///
@@ -190,23 +177,10 @@ pub(crate) fn read_many<T: Transport>(
     for &k in ks {
         backend::check_block(c.config(), k)?;
     }
-    if let [k] = *ks {
-        if let Some(data) = lease_read(c, origin, k) {
-            return Ok([data].into_iter().collect());
-        }
-    }
     if ks.is_empty() {
         return Ok(BlockVec::new());
     }
-    let epoch = c.coord.leases.current_epoch();
-    let mut versions;
-    let keep = if c.coord.leases.enabled() {
-        versions = SiteVec::new();
-        Some(&mut versions)
-    } else {
-        None
-    };
-    let round = collect_votes(c, OpClass::Read, origin, ks, keep)?;
+    let round = collect_votes(c, OpClass::Read, origin, ks)?;
     ensure_quorum(&round, "read", c.config().read_quorum())?;
     for (i, &k) in ks.iter().enumerate() {
         let (holder, v_max) = round.current(i);
@@ -225,108 +199,12 @@ pub(crate) fn read_many<T: Transport>(
                 version = v.as_u64(),
             );
             // Keep the local copy up to date, as the paper's algorithm does.
-            install_own(c, origin, k, v, data);
-        }
-        // The quorum certified v_max: every voter holding it (and the
-        // origin, freshly refreshed) is a known-current replica the next
-        // read may be offloaded to.
-        if let Some(versions) = &round.versions {
-            let current = versions.iter().filter(|(_, vs)| vs[i] == v_max);
-            let current = current.map(|&(s, _)| s).collect();
-            grant(c, k, v_max, current, origin, epoch);
+            let block: WriteBatch = [(k, v, data)].into_iter().collect();
+            c.apply_write_many(origin, origin, &block);
         }
     }
     let _leg = obs_hooks::phase_span(obs_hooks::phase_local_leg, origin.as_u32());
     c.read_local_many(origin, ks)
-}
-
-/// Installs block `k` at version `v` on `origin`'s own replica.
-fn install_own<T: Transport>(
-    c: &ServerCluster<T>,
-    origin: SiteId,
-    k: BlockIndex,
-    v: VersionNumber,
-    data: BlockData,
-) {
-    let block: WriteBatch = [(k, v, data)].into_iter().collect();
-    c.apply_write_many(origin, origin, &block);
-}
-
-/// Records a read lease on block `k` at `version`: the holders are
-/// `holders`, the replicas known to hold it, plus the origin (which is
-/// current too). Holders are kept in ascending site order so the routing
-/// in [`lease_read`] is deterministic across runtimes.
-fn grant<T: Transport>(
-    c: &ServerCluster<T>,
-    k: BlockIndex,
-    version: VersionNumber,
-    mut holders: Vec<SiteId>,
-    origin: SiteId,
-    epoch: u64,
-) {
-    if !holders.contains(&origin) {
-        holders.push(origin);
-    }
-    holders.sort_unstable();
-    c.coord.leases.grant(k, version, &holders, epoch);
-}
-
-/// The Harmonia-style read offload: serves block `k` from one
-/// known-current replica in a single round — or locally for free — when a
-/// current-epoch lease exists. Returns `None` to fall back to the quorum
-/// path: no lease, no reachable holder, or a holder whose answer failed
-/// version validation (in which case the lease is revoked first, so a
-/// stale holder can never be consulted twice).
-fn lease_read<T: Transport>(
-    c: &ServerCluster<T>,
-    origin: SiteId,
-    k: BlockIndex,
-) -> Option<BlockData> {
-    let leases = &c.coord.leases;
-    let (v_lease, holders) = leases.lookup(k)?;
-    // Version-aware routing: spread reads deterministically over the
-    // holders by (origin, block) instead of hammering the lowest id.
-    let n = holders.len();
-    let start = (origin.index() + k.as_u64() as usize) % n;
-    for i in 0..n {
-        let h = holders[(start + i) % n];
-        if h == origin {
-            // The grant names our own replica: serve locally, zero messages.
-            let (v, data) = c.fetch_block(origin, origin, k)?;
-            if v != v_lease {
-                leases.invalidate(k);
-                return None;
-            }
-            event!(
-                "read.lease",
-                block = k.as_u64(),
-                holder = h.as_u32(),
-                local = true
-            );
-            return Some(data);
-        }
-        // One request to one replica instead of a quorum round.
-        c.counter().add(OpClass::Read, MsgKind::BlockRequest, 1);
-        let Some((v, data)) = c.fetch_lease(origin, h, k) else {
-            continue; // holder unreachable — try the next one
-        };
-        c.counter().add(OpClass::Read, MsgKind::BlockTransfer, 1);
-        if v != v_lease {
-            // A stale holder (partitioned across a write, or the chaos
-            // suite's StaleLease fault): revoke and re-run the quorum read.
-            leases.invalidate(k);
-            return None;
-        }
-        event!(
-            "read.lease",
-            block = k.as_u64(),
-            holder = h.as_u32(),
-            local = false
-        );
-        install_own(c, origin, k, v, data.clone());
-        return Some(data);
-    }
-    None
 }
 
 /// The weighted-voting write algorithm of Figure 4, for a run of distinct
@@ -354,8 +232,7 @@ pub(crate) fn write_many<T: Transport>(
         return Ok(());
     }
     let _span = span!("mcv.write", origin = origin.as_u32(), blocks = ks.len());
-    let epoch = c.coord.leases.current_epoch();
-    let round = collect_votes(c, OpClass::Write, origin, ks, None)?;
+    let round = collect_votes(c, OpClass::Write, origin, ks)?;
     ensure_quorum(&round, "write", c.config().write_quorum())?;
     // Sealed once, here, for every replica that installs it.
     let batch: WriteBatch = writes
@@ -363,11 +240,6 @@ pub(crate) fn write_many<T: Transport>(
         .enumerate()
         .map(|(i, (k, data))| (*k, round.current(i).1.next(), data.clone()))
         .collect();
-    // Revoke every touched block's lease before any replica changes: the
-    // write fan-out is about to make every outstanding grant stale.
-    for &k in ks {
-        c.coord.leases.invalidate(k);
-    }
     let voters = &round.voters;
     backend::charge_fanout(
         c,
@@ -383,12 +255,7 @@ pub(crate) fn write_many<T: Transport>(
         reply_units: 1,
     };
     let update = ScatterRequest::InstallMany(&batch);
-    let mut delivered = SiteVec::new();
-    c.scatter(spec, origin, voters, &update, |t, reply: Option<_>| {
-        if reply.is_some() {
-            delivered.push(t);
-        }
-    });
+    c.scatter(spec, origin, voters, &update, |_, _: Option<_>| {});
     // Fail-stop: a coordinator that crashed during the fan-out sent nothing
     // after it crashed, and completes nothing now — least of all a copy at
     // v_new that only its own disk holds.
@@ -396,14 +263,6 @@ pub(crate) fn write_many<T: Transport>(
     {
         let _leg = obs_hooks::phase_span(obs_hooks::phase_local_leg, origin.as_u32());
         c.apply_write_many(origin, origin, &batch);
-    }
-    // Delivery is all-or-nothing per target, so every voter the install
-    // landed on now holds every block at its new version: re-grant each
-    // block's lease to the delivered set (plus the origin itself).
-    if c.coord.leases.enabled() {
-        for (k, block) in batch.iter() {
-            grant(c, *k, block.version(), delivered.to_vec(), origin, epoch);
-        }
     }
     event!(
         "write.commit",

@@ -78,11 +78,6 @@ pub enum WireRequest {
         /// The request being carried (never itself `Traced`).
         inner: Box<WireRequest>,
     },
-    /// Fetch a block with its version to serve a read lease. Same payload
-    /// and reply shape as [`WireRequest::Fetch`], but a distinct tag so the
-    /// chaos suite can fault lease validation without touching quorum
-    /// reads.
-    FetchLease(BlockIndex),
 }
 
 /// A request as its sender holds it: the [`WireRequest`] vocabulary with
@@ -95,7 +90,6 @@ pub enum WireRequest {
 pub(crate) enum Request<'a> {
     Probe,
     Fetch(BlockIndex),
-    FetchLease(BlockIndex),
     ReadLocalMany(&'a [BlockIndex]),
     VoteMany(&'a [BlockIndex]),
     VersionVector,
@@ -118,7 +112,6 @@ impl WireRequest {
         match self {
             WireRequest::Probe => Request::Probe,
             WireRequest::Fetch(k) => Request::Fetch(*k),
-            WireRequest::FetchLease(k) => Request::FetchLease(*k),
             WireRequest::ReadLocalMany(ks) => Request::ReadLocalMany(ks),
             WireRequest::VoteMany(ks) => Request::VoteMany(ks),
             WireRequest::VersionVector => Request::VersionVector,
@@ -145,7 +138,6 @@ impl From<Request<'_>> for WireRequest {
         match request {
             Request::Probe => WireRequest::Probe,
             Request::Fetch(k) => WireRequest::Fetch(k),
-            Request::FetchLease(k) => WireRequest::FetchLease(k),
             Request::ReadLocalMany(ks) => WireRequest::ReadLocalMany(ks.to_vec()),
             Request::VoteMany(ks) => WireRequest::VoteMany(ks.to_vec()),
             Request::VersionVector => WireRequest::VersionVector,
@@ -422,10 +414,6 @@ impl WireRequest {
                 buf.put_u64_le(*parent_span);
                 inner.encode_into(buf);
             }
-            WireRequest::FetchLease(k) => {
-                buf.put_u8(18);
-                buf.put_u64_le(k.as_u64());
-            }
         }
     }
 
@@ -505,10 +493,6 @@ impl WireRequest {
                 });
             }
             16 => WireRequest::ReadLocalMany(get_u64s(&mut raw, BlockIndex::new)?),
-            18 => {
-                need(raw, 8, "block index")?;
-                WireRequest::FetchLease(BlockIndex::new(raw.get_u64_le()))
-            }
             other => return Err(bad(&format!("unknown request tag {other}"))),
         };
         if raw.has_remaining() {
@@ -823,7 +807,6 @@ mod tests {
             prop::collection::vec(any::<u16>(), 0..8).prop_map(|ks| WireRequest::ReadLocalMany(
                 ks.into_iter().map(|k| BlockIndex::new(k as u64)).collect()
             )),
-            any::<u16>().prop_map(|k| WireRequest::FetchLease(BlockIndex::new(k as u64))),
         ]
     }
 
@@ -905,6 +888,18 @@ mod tests {
         fn random_bytes_never_panic(raw in prop::collection::vec(any::<u8>(), 0..128)) {
             let _ = WireRequest::decode(&raw);
             let _ = WireResponse::decode(&raw);
+        }
+    }
+
+    /// Tags no request uses, 18 among them, decode as unknown, whatever
+    /// follows them.
+    #[test]
+    fn unused_request_tags_decode_as_unknown() {
+        for tag in [1u8, 4, 11, 18, 19, 255] {
+            let mut raw = vec![tag];
+            raw.put_u64_le(7);
+            let err = WireRequest::decode(&raw).unwrap_err();
+            assert_eq!(err.0, format!("unknown request tag {tag}"));
         }
     }
 

@@ -28,7 +28,7 @@ const STEPS: usize = 40;
 
 fn run_matrix(scheme: Scheme) {
     for seed in 0..SEEDS {
-        if let Err(failure) = chaos::run_seed(seed, scheme, STEPS) {
+        if let Err(failure) = chaos::run_seed(seed, scheme, STEPS, false) {
             panic!("{failure}");
         }
     }
@@ -57,100 +57,11 @@ fn chaos_naive_seed_matrix() {
 fn chaos_journaled_seed_matrix() {
     for scheme in Scheme::ALL {
         for seed in 0..SEEDS {
-            if let Err(failure) = chaos::run_seed_with(seed, scheme, STEPS, true) {
+            if let Err(failure) = chaos::run_seed(seed, scheme, STEPS, true) {
                 panic!("{failure}");
             }
         }
     }
-}
-
-/// The leased seed matrix — the one-copy oracle with Harmonia-style read
-/// offload switched on across all three runtimes. Leases change how many
-/// messages a read costs, never what it may return, so the identical
-/// oracle must hold; the leased generator additionally schedules
-/// `StaleLease` faults that the lease path's version check must catch.
-#[test]
-fn chaos_leased_seed_matrix() {
-    for scheme in Scheme::ALL {
-        for seed in 0..SEEDS {
-            if let Err(failure) = chaos::run_seed_opts(seed, scheme, STEPS, false, true) {
-                panic!("{failure}");
-            }
-        }
-    }
-}
-
-/// The lease flag must not change the generated workload shape: with
-/// leases off the output is bit-identical to `generate`, and with leases
-/// on only fault *kinds* may differ (same actions, same fault addresses) —
-/// that is what makes a leased/unleased A-B comparison of a seed honest.
-#[test]
-fn chaos_leased_generation_only_relabels_fault_kinds() {
-    for scheme in Scheme::ALL {
-        let plain = chaos::generate(7, scheme, STEPS);
-        let off = chaos::generate_with(7, scheme, STEPS, false);
-        assert_eq!(
-            plain.steps, off.steps,
-            "{scheme}: leases=false must be identity"
-        );
-        let on = chaos::generate_with(7, scheme, STEPS, true);
-        assert_eq!(plain.steps.len(), on.steps.len());
-        for (a, b) in plain.steps.iter().zip(&on.steps) {
-            assert_eq!(a.action, b.action, "{scheme}: workload shape changed");
-            let addrs = |s: &ChaosStep| s.faults.iter().map(|&(x, _)| x).collect::<Vec<_>>();
-            assert_eq!(addrs(a), addrs(b), "{scheme}: fault addresses changed");
-        }
-    }
-}
-
-/// A hand-written stale-lease schedule: a clean voting write grants the
-/// block's lease to every replica; the next read routes its one-round
-/// offload to a remote holder whose answer the `StaleLease` fault rewinds
-/// to the pre-write version. The version check must revoke the lease and
-/// fall back to the quorum path, so the read still returns the current
-/// value — on all three runtimes, leases on.
-#[test]
-fn chaos_stale_lease_holder_is_caught_and_quorum_prevails() {
-    let cfg = blockrep::types::DeviceConfig::builder(Scheme::Voting)
-        .sites(3)
-        .num_blocks(2)
-        .block_size(8)
-        .build()
-        .unwrap();
-    let script = vec![
-        ChaosStep {
-            action: Action::Write {
-                origin: sid(0),
-                block: blk(1),
-                fill: 0x11,
-            },
-            faults: vec![],
-        },
-        ChaosStep {
-            // Holders of block 1's lease are {0, 1, 2}; origin 0 routes the
-            // offloaded read to holder (0 + 1) % 3 = site 1, so exchange 0
-            // is the lease fetch — rewind its reported version.
-            action: Action::Read {
-                origin: sid(0),
-                block: blk(1),
-            },
-            faults: vec![(0, FaultKind::StaleLease)],
-        },
-        ChaosStep {
-            action: Action::Read {
-                origin: sid(2),
-                block: blk(1),
-            },
-            faults: vec![],
-        },
-    ];
-    chaos::check_with(&cfg, &script, true).unwrap();
-    // Pin the endgame on the deterministic runtime: the stale answer was
-    // discarded and the quorum fallback served the current value.
-    let rt = Cluster::new(cfg, ClusterOptions::default()).with_faults();
-    rt.set_leases(true);
-    chaos::run_on(&rt, &script).unwrap();
-    assert_eq!(rt.read(sid(0), blk(1)).unwrap().as_slice(), &[0x11; 8]);
 }
 
 /// The same seed must generate the same script, bit for bit — otherwise a
@@ -508,29 +419,16 @@ impl Fnv {
     }
 }
 
-/// How a seed is replayed: with read leases, with journaled sites, or
-/// neither.
-#[derive(Clone, Copy)]
-enum Replay {
-    Plain,
-    Leased,
-    Journaled,
-}
-
-/// The digest of every deterministic replay of `replay` over seeds
-/// `0..SEEDS` and every scheme: each step log line, the final traffic
-/// counts, the faults fired and the reads checked.
-fn seed_matrix_digest(replay: Replay) -> u64 {
+/// The digest of every deterministic replay over seeds `0..SEEDS` and
+/// every scheme, on journaled sites if `journaled`: each step log line,
+/// the final traffic counts, the faults fired and the reads checked.
+fn seed_matrix_digest(journaled: bool) -> u64 {
     let mut digest = Fnv::new();
     for scheme in Scheme::ALL {
         for seed in 0..SEEDS {
-            let leases = matches!(replay, Replay::Leased);
-            let mut script = chaos::generate_with(seed, scheme, STEPS, leases);
-            script
-                .cfg
-                .set_journaled(matches!(replay, Replay::Journaled));
+            let mut script = chaos::generate(seed, scheme, STEPS);
+            script.cfg.set_journaled(journaled);
             let rt = Cluster::new(script.cfg.clone(), ClusterOptions::default()).with_faults();
-            rt.set_leases(leases);
             let outcome = chaos::run_on(&rt, &script.steps)
                 .unwrap_or_else(|e| panic!("seed {seed} {scheme}: {e}"));
             for line in &outcome.log {
@@ -576,13 +474,12 @@ fn shard_scenarios_digest() -> u64 {
     digest.0
 }
 
-/// `(plain, leased, journaled, 2 shards)` digests of the deterministic
-/// chaos replays, taken before fault injection moved under the transport.
-/// A renumbering of `(op, exchange)` slots moves all three runtimes alike,
+/// `(plain, journaled, 2 shards)` digests of the deterministic chaos
+/// replays, taken before fault injection moved under the transport. A
+/// renumbering of `(op, exchange)` slots moves all three runtimes alike,
 /// so the parity checks cannot see it; these do.
-const CHAOS_DIGESTS: [u64; 4] = [
+const CHAOS_DIGESTS: [u64; 3] = [
     0x7851_86b4_c91b_1cdd,
-    0x1de4_d7c7_d96b_2d2a,
     0x7851_86b4_c91b_1cdd,
     0xd71c_3417_20f0_2059,
 ];
@@ -590,14 +487,13 @@ const CHAOS_DIGESTS: [u64; 4] = [
 #[test]
 fn chaos_step_logs_match_their_recorded_digests() {
     let got = [
-        seed_matrix_digest(Replay::Plain),
-        seed_matrix_digest(Replay::Leased),
-        seed_matrix_digest(Replay::Journaled),
+        seed_matrix_digest(false),
+        seed_matrix_digest(true),
         shard_scenarios_digest(),
     ];
     assert_eq!(
         got, CHAOS_DIGESTS,
-        "a chaos step log moved: (plain, leased, journaled, shards) = {:#018x?}",
+        "a chaos step log moved: (plain, journaled, shards) = {:#018x?}",
         got
     );
 }

@@ -153,10 +153,8 @@ fn failover_commits_concurrent_writers_while_preferred_coordinator_crashes_mid_f
         DeliveryMode::Multicast,
     ));
     // A nonzero link delay keeps fan-outs in flight long enough that the
-    // crash injector regularly catches one mid-scatter; leases are on so
-    // the failover storm also exercises invalidation and epoch bumps.
+    // crash injector regularly catches one mid-scatter.
     cluster.set_link_latency(std::time::Duration::from_micros(50));
-    cluster.set_leases(true);
     let preferred = SiteId::new(0);
     const ROUNDS: u32 = 200;
     const SALT: u32 = 100_000; // distinct fill stream for the second writer

@@ -19,7 +19,7 @@ fn chaos_failure_dump_is_valid_chrome_trace_json() {
     // A real oracle failure would require a protocol bug; synthesize one
     // from a generated script so the dump path (regenerate geometry from
     // the seed, replay the schedule traced, serialize the ring) runs
-    // exactly as it would post-mortem.
+    // exactly as the runner's post-mortem runs it.
     let seed = 11;
     let script = chaos::generate(seed, Scheme::Voting, 24);
     assert!(!script.steps.is_empty());
@@ -28,12 +28,16 @@ fn chaos_failure_dump_is_valid_chrome_trace_json() {
         scheme: Scheme::Voting,
         steps: script.steps,
         journaled: false,
-        leases: false,
         detail: "synthetic oracle violation (seeded regression)".into(),
     };
 
     let was_tracing = trace::enabled();
-    let dump = chaos::trace_failure(&failure);
+    let dump = chaos::trace_schedule(
+        failure.seed,
+        failure.scheme,
+        failure.journaled,
+        &failure.steps,
+    );
     assert_eq!(
         trace::enabled(),
         was_tracing,
