@@ -29,7 +29,8 @@ pub struct Parsed {
 /// written as `--key` consumes the next argument as its value.
 const BOOLEAN_FLAGS: &[&str] = &["stats", "trace", "journal", "journaled", "deny"];
 
-/// A command-line usage error, printed to stderr with exit code 2.
+/// A command-line usage error: printed to stderr with the usage text, and
+/// the process exits 2.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UsageError(pub String);
 
@@ -40,12 +41,6 @@ impl fmt::Display for UsageError {
 }
 
 impl std::error::Error for UsageError {}
-
-impl From<std::io::Error> for UsageError {
-    fn from(e: std::io::Error) -> UsageError {
-        UsageError(format!("i/o error: {e}"))
-    }
-}
 
 impl Parsed {
     /// Parses an iterator of arguments (excluding the program name).

@@ -70,12 +70,145 @@ observability (any subcommand):
 
 schemes: voting (v), available-copy (ac), naive-available-copy (naive, nac)";
 
-/// Runs a parsed command line; returns the process exit code.
+/// Why a command line did not succeed, which decides how the process
+/// exits.
+#[derive(Debug)]
+pub enum Failure {
+    /// The command line is wrong: exit 2, after the usage text.
+    Usage(UsageError),
+    /// The command ran and failed: exit 1, with the error alone.
+    Run(String),
+}
+
+impl Failure {
+    /// The process exit code for this failure.
+    pub fn exit_code(&self) -> i32 {
+        match self {
+            Failure::Usage(_) => 2,
+            Failure::Run(_) => 1,
+        }
+    }
+}
+
+impl std::fmt::Display for Failure {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Failure::Usage(e) => e.fmt(f),
+            Failure::Run(e) => f.write_str(e),
+        }
+    }
+}
+
+impl std::error::Error for Failure {}
+
+impl From<UsageError> for Failure {
+    fn from(e: UsageError) -> Failure {
+        Failure::Usage(e)
+    }
+}
+
+/// A run failure with the given message.
+fn failed(message: impl Into<String>) -> Failure {
+    Failure::Run(message.into())
+}
+
+/// Every subcommand's command line: the words that name it, how many
+/// positionals it takes after them, and the flags it reads besides
+/// `--stats` and `--trace`, which every subcommand reads. Anything else on
+/// a command line is a usage error, not silently ignored.
+const COMMANDS: &[(&[&str], usize, &[&str])] = &[
+    (&["tables"], 0, &[]),
+    (&["fig"], 1, &["horizon", "ops"]),
+    (
+        &["simulate", "availability"],
+        0,
+        &["scheme", "sites", "rho", "horizon", "seed"],
+    ),
+    (
+        &["simulate", "traffic"],
+        0,
+        &["scheme", "sites", "rho", "net", "ops", "ratio", "seed"],
+    ),
+    (
+        &["simulate", "lifetimes"],
+        0,
+        &["scheme", "sites", "rho", "episodes", "seed"],
+    ),
+    (&["shell"], 0, &["scheme", "sites", "blocks", "net"]),
+    (
+        &["chaos"],
+        0,
+        &[
+            "seed",
+            "seeds",
+            "steps",
+            "scheme",
+            "journaled",
+            "shards",
+            "trace-out",
+        ],
+    ),
+    (
+        &["trace"],
+        0,
+        &[
+            "check",
+            "scheme",
+            "runtime",
+            "io",
+            "sites",
+            "blocks",
+            "block-size",
+            "net",
+            "latency-us",
+            "out",
+        ],
+    ),
+    (
+        &["mkfs"],
+        1,
+        &["blocks", "block-size", "shards", "group-size"],
+    ),
+    (&["fsck"], 1, &["block-size", "journal"]),
+    (&["lint"], 0, &["root", "deny", "allow", "out"]),
+];
+
+/// Refuses a flag or a positional that the subcommand `parsed` names does
+/// not read. A subcommand the table does not know is left to [`dispatch`],
+/// which refuses it or, for `help` and the removed `bench`, reads nothing.
+fn check_command_line(parsed: &Parsed) -> Result<(), UsageError> {
+    let words: Vec<&str> = (0..parsed.num_positionals())
+        .filter_map(|i| parsed.positional(i))
+        .collect();
+    let Some((name, positionals, flags)) =
+        COMMANDS.iter().find(|(name, ..)| words.starts_with(name))
+    else {
+        return Ok(());
+    };
+    let command = name.join(" ");
+    let global = ["stats", "trace"];
+    if let Some(key) = parsed
+        .keys()
+        .find(|key| !flags.contains(key) && !global.contains(key))
+    {
+        return Err(UsageError(format!("{command}: unknown flag --{key}")));
+    }
+    if let Some(stray) = words.get(name.len() + positionals) {
+        return Err(UsageError(format!(
+            "{command}: unexpected argument {stray:?}"
+        )));
+    }
+    Ok(())
+}
+
+/// Runs a parsed command line.
 ///
 /// # Errors
 ///
-/// [`UsageError`] for malformed arguments (the caller prints usage).
-pub fn run(parsed: &Parsed) -> Result<(), UsageError> {
+/// [`Failure::Usage`] for a malformed command line (the caller prints
+/// usage and exits 2), [`Failure::Run`] when the command itself fails
+/// (exit 1).
+pub fn run(parsed: &Parsed) -> Result<(), Failure> {
     let stats = parsed.flag_bool("stats");
     let trace = parsed.flag_bool("trace");
     if trace {
@@ -94,7 +227,8 @@ pub fn run(parsed: &Parsed) -> Result<(), UsageError> {
     result
 }
 
-fn dispatch(parsed: &Parsed) -> Result<(), UsageError> {
+fn dispatch(parsed: &Parsed) -> Result<(), Failure> {
+    check_command_line(parsed)?;
     match parsed.positional(0) {
         None | Some("help") | Some("--help") | Some("-h") => {
             println!("{USAGE}");
@@ -113,11 +247,11 @@ fn dispatch(parsed: &Parsed) -> Result<(), UsageError> {
         Some("mkfs") => run_mkfs(parsed),
         Some("fsck") => run_fsck(parsed),
         Some("lint") => run_lint(parsed),
-        Some(other) => Err(UsageError(format!("unknown subcommand {other:?}"))),
+        Some(other) => Err(UsageError(format!("unknown subcommand {other:?}")).into()),
     }
 }
 
-fn run_fig(parsed: &Parsed) -> Result<(), UsageError> {
+fn run_fig(parsed: &Parsed) -> Result<(), Failure> {
     let horizon = positive("horizon", parsed.flag_f64("horizon", 100_000.0)?)?;
     let ops = positive("ops", parsed.flag_u64("ops", 30_000)?)?;
     match parsed.positional(1) {
@@ -126,15 +260,15 @@ fn run_fig(parsed: &Parsed) -> Result<(), UsageError> {
         Some("11") => report::fig11(ops),
         Some("12") => report::fig12(ops),
         other => {
-            return Err(UsageError(format!(
-                "usage: blockrep fig <9|10|11|12> (got {other:?})"
-            )))
+            return Err(
+                UsageError(format!("usage: blockrep fig <9|10|11|12> (got {other:?})")).into(),
+            )
         }
     }
     Ok(())
 }
 
-fn run_simulate(parsed: &Parsed) -> Result<(), UsageError> {
+fn run_simulate(parsed: &Parsed) -> Result<(), Failure> {
     let scheme = parsed.flag_scheme("scheme", Scheme::NaiveAvailableCopy)?;
     // Every experiment below needs a site and a failure process.
     let sites = positive("sites", parsed.flag_usize("sites", 3)?)?;
@@ -230,28 +364,13 @@ fn run_simulate(parsed: &Parsed) -> Result<(), UsageError> {
         }
         other => Err(UsageError(format!(
             "usage: blockrep simulate <availability|traffic|lifetimes> (got {other:?})"
-        ))),
+        ))
+        .into()),
     }
 }
 
-/// The flags `blockrep chaos` reads, `--stats` and `--trace` included.
-const CHAOS_FLAGS: &[&str] = &[
-    "seed",
-    "seeds",
-    "steps",
-    "scheme",
-    "journaled",
-    "shards",
-    "trace-out",
-    "stats",
-    "trace",
-];
-
-fn run_chaos(parsed: &Parsed) -> Result<(), UsageError> {
+fn run_chaos(parsed: &Parsed) -> Result<(), Failure> {
     use blockrep_core::chaos;
-    if let Some(key) = parsed.keys().find(|key| !CHAOS_FLAGS.contains(key)) {
-        return Err(UsageError(format!("chaos: unknown flag --{key}")));
-    }
     let first_seed = parsed.flag_u64("seed", 0)?;
     let seeds = parsed.flag_u64("seeds", 1)?;
     let steps = parsed.flag_usize("steps", 40)?;
@@ -274,7 +393,7 @@ fn run_chaos(parsed: &Parsed) -> Result<(), UsageError> {
                     "shards {shards} {scheme}{tag}: ok ({} log lines, {} reads checked)",
                     report.steps, report.reads_checked
                 ),
-                Err(e) => return Err(UsageError(format!("chaos --shards {shards}: {e}"))),
+                Err(e) => return Err(failed(format!("chaos --shards {shards}: {e}"))),
             }
         }
         return Ok(());
@@ -308,12 +427,12 @@ fn run_chaos(parsed: &Parsed) -> Result<(), UsageError> {
                             &failure.steps,
                         );
                         std::fs::write(path, dump)
-                            .map_err(|e| UsageError(format!("chaos: {path}: {e}")))?;
+                            .map_err(|e| failed(format!("chaos: {path}: {e}")))?;
                         println!("wrote flight-recorder dump {path}");
                     }
                     // The failure carries the seed and the shrunk schedule —
                     // everything needed to replay it.
-                    outcome = Err(UsageError(format!("{failure}")));
+                    outcome = Err(failed(format!("{failure}")));
                     break 'all;
                 }
             }
@@ -323,7 +442,7 @@ fn run_chaos(parsed: &Parsed) -> Result<(), UsageError> {
         if let (Some(path), Some((seed, scheme))) = (&trace_out, last) {
             let script = chaos::generate(seed, scheme, steps);
             let dump = chaos::trace_schedule(seed, scheme, journaled, &script.steps);
-            std::fs::write(path, dump).map_err(|e| UsageError(format!("chaos: {path}: {e}")))?;
+            std::fs::write(path, dump).map_err(|e| failed(format!("chaos: {path}: {e}")))?;
             println!("wrote flight-recorder trace {path}");
         }
     }
@@ -342,21 +461,22 @@ fn run_chaos(parsed: &Parsed) -> Result<(), UsageError> {
 
 /// The suites this subcommand ran are gone; scripts that still call it
 /// are told where the numbers come from now.
-fn run_bench() -> Result<(), UsageError> {
+fn run_bench() -> Result<(), Failure> {
     Err(UsageError(
         "bench: the built-in suites were removed; the repository benchmark is \
          `cargo run --release --manifest-path benchmark/Cargo.toml -- --workload <w>` \
          (BENCHMARK.json names the workloads)"
             .into(),
-    ))
+    )
+    .into())
 }
 
-fn run_trace(parsed: &Parsed) -> Result<(), UsageError> {
+fn run_trace(parsed: &Parsed) -> Result<(), Failure> {
     if let Some(path) = parsed.flag("check") {
         let text =
-            std::fs::read_to_string(path).map_err(|e| UsageError(format!("trace: {path}: {e}")))?;
+            std::fs::read_to_string(path).map_err(|e| failed(format!("trace: {path}: {e}")))?;
         blockrep_obs::trace::validate_chrome_trace(&text)
-            .map_err(|e| UsageError(format!("trace: {path}: invalid trace: {e}")))?;
+            .map_err(|e| failed(format!("trace: {path}: invalid trace: {e}")))?;
         println!("{path}: valid Chrome trace-event JSON");
         return Ok(());
     }
@@ -368,7 +488,8 @@ fn run_trace(parsed: &Parsed) -> Result<(), UsageError> {
         Some(other) => {
             return Err(UsageError(format!(
                 "--runtime: expected deterministic, live or tcp, got {other:?}"
-            )))
+            ))
+            .into())
         }
     };
     let io = match parsed.flag("io") {
@@ -377,7 +498,8 @@ fn run_trace(parsed: &Parsed) -> Result<(), UsageError> {
         Some(other) => {
             return Err(UsageError(format!(
                 "--io: expected batched or per_block, got {other:?}"
-            )))
+            ))
+            .into())
         }
     };
     let default = TraceConfig::default();
@@ -399,7 +521,7 @@ fn run_trace(parsed: &Parsed) -> Result<(), UsageError> {
         cfg.link_latency_us
     );
     let (records, case) = trace_case::capture(&cfg, runtime, scheme, io)
-        .map_err(|e| UsageError(format!("trace: {e}")))?;
+        .map_err(|e| failed(format!("trace: {e}")))?;
     println!(
         "{} op(s), {:.3} ms op time, {} spans, {:.1}% attributed to phases",
         case.ops,
@@ -422,10 +544,10 @@ fn run_trace(parsed: &Parsed) -> Result<(), UsageError> {
     let json = blockrep_obs::trace::chrome_trace_json(&records);
     // Never emit a dump the --check path (or the Chrome viewer) rejects.
     blockrep_obs::trace::validate_chrome_trace(&json)
-        .map_err(|e| UsageError(format!("trace: emitted dump invalid: {e}")))?;
+        .map_err(|e| failed(format!("trace: emitted dump invalid: {e}")))?;
     match parsed.flag("out") {
         Some(path) => {
-            std::fs::write(path, &json).map_err(|e| UsageError(format!("trace: {path}: {e}")))?;
+            std::fs::write(path, &json).map_err(|e| failed(format!("trace: {path}: {e}")))?;
             println!("wrote {path}");
         }
         None => print!("{json}"),
@@ -433,7 +555,7 @@ fn run_trace(parsed: &Parsed) -> Result<(), UsageError> {
     Ok(())
 }
 
-fn run_mkfs(parsed: &Parsed) -> Result<(), UsageError> {
+fn run_mkfs(parsed: &Parsed) -> Result<(), Failure> {
     let path = parsed.positional(1).ok_or_else(|| {
         UsageError("usage: blockrep mkfs <image-file> [--blocks N --block-size B]".into())
     })?;
@@ -448,32 +570,32 @@ fn run_mkfs(parsed: &Parsed) -> Result<(), UsageError> {
         let pool: Vec<blockrep_types::SiteId> = blockrep_types::SiteId::all(shards * 3).collect();
         let manifest =
             blockrep_core::PlacementManifest::build(1, group_size, blocks, &pool, shards)
-                .map_err(|e| UsageError(format!("mkfs: {e}")))?;
+                .map_err(|e| failed(format!("mkfs: {e}")))?;
         for s in 0..shards {
             let shard_path = format!("{path}.shard{s}");
             let dev = blockrep_storage::FileStore::create(&shard_path, blocks, block_size)
-                .map_err(|e| UsageError(format!("mkfs: {shard_path}: {e}")))?;
+                .map_err(|e| failed(format!("mkfs: {shard_path}: {e}")))?;
             blockrep_fs::FileSystem::format(dev)
-                .map_err(|e| UsageError(format!("mkfs: {shard_path}: {e}")))?;
+                .map_err(|e| failed(format!("mkfs: {shard_path}: {e}")))?;
             println!("formatted {shard_path}: {blocks} blocks of {block_size} bytes");
         }
         print!("{}", manifest.render());
         return Ok(());
     }
     let dev = blockrep_storage::FileStore::create(path, blocks, block_size)
-        .map_err(|e| UsageError(format!("mkfs: {e}")))?;
-    blockrep_fs::FileSystem::format(dev).map_err(|e| UsageError(format!("mkfs: {e}")))?;
+        .map_err(|e| failed(format!("mkfs: {e}")))?;
+    blockrep_fs::FileSystem::format(dev).map_err(|e| failed(format!("mkfs: {e}")))?;
     println!("formatted {path}: {blocks} blocks of {block_size} bytes");
     Ok(())
 }
 
-fn run_fsck(parsed: &Parsed) -> Result<(), UsageError> {
+fn run_fsck(parsed: &Parsed) -> Result<(), Failure> {
     let path = parsed
         .positional(1)
         .ok_or_else(|| UsageError("usage: blockrep fsck <image-file> [--block-size B]".into()))?;
     let block_size = parsed.flag_usize("block-size", 512)?;
     let mut dev = blockrep_storage::FileStore::open(path, block_size)
-        .map_err(|e| UsageError(format!("fsck: {e}")))?;
+        .map_err(|e| failed(format!("fsck: {e}")))?;
     if parsed.flag_bool("journal") {
         // Crash recovery before the structural check: replay every
         // committed journal record into the image (discarding any torn
@@ -482,7 +604,7 @@ fn run_fsck(parsed: &Parsed) -> Result<(), UsageError> {
         match blockrep_storage::FileStore::open(&journal_path, block_size) {
             Ok(journal) => {
                 let journaled = blockrep_storage::Journaled::open(dev, journal, 1)
-                    .map_err(|e| UsageError(format!("fsck: {journal_path}: {e}")))?;
+                    .map_err(|e| failed(format!("fsck: {journal_path}: {e}")))?;
                 let stats = journaled.stats();
                 println!(
                     "{journal_path}: replayed {} committed record(s), discarded {} torn byte(s)",
@@ -493,11 +615,11 @@ fn run_fsck(parsed: &Parsed) -> Result<(), UsageError> {
             Err(blockrep_types::DeviceError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {
                 println!("{journal_path}: no journal, skipping replay");
             }
-            Err(e) => return Err(UsageError(format!("fsck: {journal_path}: {e}"))),
+            Err(e) => return Err(failed(format!("fsck: {journal_path}: {e}"))),
         }
     }
-    let fs = blockrep_fs::FileSystem::mount(dev).map_err(|e| UsageError(format!("fsck: {e}")))?;
-    let report = fs.check().map_err(|e| UsageError(format!("fsck: {e}")))?;
+    let fs = blockrep_fs::FileSystem::mount(dev).map_err(|e| failed(format!("fsck: {e}")))?;
+    let report = fs.check().map_err(|e| failed(format!("fsck: {e}")))?;
     println!(
         "{path}: {} files, {} directories, {} data blocks in use",
         report.files, report.directories, report.used_blocks
@@ -509,24 +631,21 @@ fn run_fsck(parsed: &Parsed) -> Result<(), UsageError> {
         for problem in &report.problems {
             println!("PROBLEM {problem}");
         }
-        Err(UsageError(format!(
-            "{} problems found",
-            report.problems.len()
-        )))
+        Err(failed(format!("{} problems found", report.problems.len())))
     }
 }
 
-fn run_lint(parsed: &Parsed) -> Result<(), UsageError> {
+fn run_lint(parsed: &Parsed) -> Result<(), Failure> {
     let root = parsed.flag("root").unwrap_or(".");
     let config = blockrep_lint::Config {
         root: root.into(),
         allow_file: parsed.flag("allow").map(Into::into),
     };
-    let report = blockrep_lint::run(&config).map_err(|e| UsageError(format!("lint: {e}")))?;
+    let report = blockrep_lint::run(&config).map_err(|e| failed(format!("lint: {e}")))?;
     let rendered = report.render();
     print!("{rendered}");
     if let Some(out) = parsed.flag("out") {
-        std::fs::write(out, &rendered).map_err(|e| UsageError(format!("lint: {out}: {e}")))?;
+        std::fs::write(out, &rendered).map_err(|e| failed(format!("lint: {out}: {e}")))?;
     }
     if parsed.flag_bool("deny") && !report.is_clean() {
         let dirty = report
@@ -534,12 +653,12 @@ fn run_lint(parsed: &Parsed) -> Result<(), UsageError> {
             .iter()
             .filter(|f| f.severity > blockrep_lint::Severity::Note)
             .count();
-        return Err(UsageError(format!("lint: {dirty} finding(s) (--deny)")));
+        return Err(failed(format!("lint: {dirty} finding(s) (--deny)")));
     }
     Ok(())
 }
 
-fn run_shell(parsed: &Parsed) -> Result<(), UsageError> {
+fn run_shell(parsed: &Parsed) -> Result<(), Failure> {
     let config = ShellConfig {
         scheme: parsed.flag_scheme("scheme", Scheme::NaiveAvailableCopy)?,
         sites: parsed.flag_usize("sites", 3)?,
@@ -549,7 +668,7 @@ fn run_shell(parsed: &Parsed) -> Result<(), UsageError> {
     let stdin = std::io::stdin();
     let stdout = std::io::stdout();
     shell::run(config, stdin.lock(), stdout.lock())
-        .map_err(|e| UsageError(format!("shell i/o error: {e}")))
+        .map_err(|e| failed(format!("shell i/o error: {e}")))
 }
 
 #[cfg(test)]
@@ -612,6 +731,78 @@ mod tests {
             let err = run(&parsed(args)).unwrap_err().to_string();
             assert!(err.starts_with("chaos: unknown flag --"), "{args:?}: {err}");
         }
+    }
+
+    /// `base` followed by `extra` is refused as a usage error that says
+    /// `what`, before the subcommand runs.
+    fn refused(base: &[&str], extra: &[&str], what: &str) {
+        let args: Vec<&str> = base.iter().chain(extra).copied().collect();
+        match run(&parsed(&args)) {
+            Err(Failure::Usage(e)) => assert!(e.0.contains(what), "{args:?}: {e}"),
+            other => panic!("{args:?} must be a usage error, got {other:?}"),
+        }
+    }
+
+    /// One test per subcommand: a misspelled flag (which takes the word
+    /// after it as its value) and a stray positional are usage errors.
+    macro_rules! rejects_what_it_does_not_read {
+        ($($test:ident: $base:expr, $typo:expr;)*) => {$(
+            #[test]
+            fn $test() {
+                refused(&$base, &[$typo, "1"], &format!("unknown flag {}", $typo));
+                refused(&$base, &["stray"], "unexpected argument \"stray\"");
+            }
+        )*};
+    }
+
+    rejects_what_it_does_not_read! {
+        tables_rejects_what_it_does_not_read: ["tables"], "--bogus";
+        fig_rejects_what_it_does_not_read: ["fig", "9"], "--horizn";
+        simulate_availability_rejects_what_it_does_not_read:
+            ["simulate", "availability"], "--horizn";
+        simulate_traffic_rejects_what_it_does_not_read: ["simulate", "traffic"], "--sitez";
+        simulate_lifetimes_rejects_what_it_does_not_read:
+            ["simulate", "lifetimes"], "--episode";
+        shell_rejects_what_it_does_not_read: ["shell"], "--block";
+        chaos_rejects_what_it_does_not_read: ["chaos", "--seed", "1"], "--sheme";
+        trace_rejects_what_it_does_not_read: ["trace"], "--runtim";
+        mkfs_rejects_what_it_does_not_read: ["mkfs", "x.img"], "--block-sise";
+        fsck_rejects_what_it_does_not_read: ["fsck", "x.img"], "--jornal";
+        lint_rejects_what_it_does_not_read: ["lint"], "--dney";
+    }
+
+    #[test]
+    fn the_reported_silent_typos_are_refused() {
+        refused(
+            &["fig", "9", "--horizn", "10"],
+            &[],
+            "fig: unknown flag --horizn",
+        );
+        refused(&["simulate", "traffic", "--sitez", "9"], &[], "--sitez");
+        refused(
+            &["tables", "--bogus", "1"],
+            &[],
+            "tables: unknown flag --bogus",
+        );
+        refused(
+            &["chaos", "--seed", "1", "3"],
+            &[],
+            "chaos: unexpected argument \"3\"",
+        );
+    }
+
+    #[test]
+    fn a_command_that_runs_and_fails_is_not_a_usage_error() {
+        let root = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../lint/tests/fixtures/lock_cycle"
+        );
+        let failure = run(&parsed(&["lint", "--root", root, "--deny"])).unwrap_err();
+        assert!(matches!(failure, Failure::Run(_)), "{failure:?}");
+        assert_eq!(failure.exit_code(), 1);
+        let failure = run(&parsed(&["fig", "13"])).unwrap_err();
+        assert!(matches!(failure, Failure::Usage(_)), "{failure:?}");
+        assert_eq!(failure.exit_code(), 2);
     }
 
     #[test]
@@ -686,7 +877,7 @@ mod tests {
     }
 
     #[test]
-    fn mkfs_and_fsck_roundtrip() -> Result<(), UsageError> {
+    fn mkfs_and_fsck_roundtrip() -> Result<(), Box<dyn std::error::Error>> {
         let mut path = std::env::temp_dir();
         path.push(format!("blockrep-cli-mkfs-{}.img", std::process::id()));
         let path_str = path
@@ -726,7 +917,7 @@ mod tests {
     }
 
     #[test]
-    fn fsck_journal_replays_committed_records() -> Result<(), UsageError> {
+    fn fsck_journal_replays_committed_records() -> Result<(), Box<dyn std::error::Error>> {
         use blockrep_storage::{BlockDevice, FileStore, Wal, WalRecord};
         use blockrep_types::{BlockData, BlockIndex, VersionNumber};
         let mut path = std::env::temp_dir();
@@ -769,7 +960,8 @@ mod tests {
     }
 
     #[test]
-    fn mkfs_shards_formats_images_and_prints_the_manifest() -> Result<(), UsageError> {
+    fn mkfs_shards_formats_images_and_prints_the_manifest() -> Result<(), Box<dyn std::error::Error>>
+    {
         let mut path = std::env::temp_dir();
         path.push(format!(
             "blockrep-cli-mkfs-shard-{}.img",
@@ -830,7 +1022,8 @@ mod tests {
     }
 
     #[test]
-    fn trace_subcommand_writes_and_checks_a_chrome_dump() -> Result<(), UsageError> {
+    fn trace_subcommand_writes_and_checks_a_chrome_dump() -> Result<(), Box<dyn std::error::Error>>
+    {
         let mut path = std::env::temp_dir();
         path.push(format!("blockrep-cli-trace-{}.json", std::process::id()));
         let path_str = path
@@ -863,7 +1056,7 @@ mod tests {
     }
 
     #[test]
-    fn chaos_trace_out_writes_a_flight_recorder_dump() -> Result<(), UsageError> {
+    fn chaos_trace_out_writes_a_flight_recorder_dump() -> Result<(), Box<dyn std::error::Error>> {
         let mut path = std::env::temp_dir();
         path.push(format!(
             "blockrep-cli-chaos-trace-{}.json",

@@ -9,9 +9,11 @@ fn main() {
             std::process::exit(2);
         }
     };
-    if let Err(e) = blockrep_cli::commands::run(&parsed) {
-        eprintln!("blockrep: {e}");
-        eprintln!("{}", blockrep_cli::commands::USAGE);
-        std::process::exit(2);
+    if let Err(failure) = blockrep_cli::commands::run(&parsed) {
+        eprintln!("blockrep: {failure}");
+        if let blockrep_cli::commands::Failure::Usage(_) = failure {
+            eprintln!("{}", blockrep_cli::commands::USAGE);
+        }
+        std::process::exit(failure.exit_code());
     }
 }

@@ -142,18 +142,8 @@ fn audit_available_copy<T: Transport>(
             .map(|(s, _, _)| *s)
             .collect();
         for &s in &available {
-            let mut closure = b.was_available(s, s).expect("own W is local");
-            closure.insert(s);
-            loop {
-                let mut grown = closure.clone();
-                for &u in &closure {
-                    grown.extend(b.was_available(u, u).expect("own W is local"));
-                }
-                if grown == closure {
-                    break;
-                }
-                closure = grown;
-            }
+            let closure = crate::available_copy::closure(s, |u| b.was_available(u, u));
+            let closure = closure.expect("own W is local");
             if !available.is_subset(&closure) {
                 violations.push(Violation {
                     rule: "closure-covers-available-set",

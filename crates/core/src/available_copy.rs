@@ -118,7 +118,7 @@ pub(crate) fn write_many<T: Transport>(
         .zip(own.iter())
         .map(|((k, data), v)| (*k, v.next(), data.clone()))
         .collect();
-    let others = backend::others(c.config(), origin);
+    let others = &c.coord.others[origin.index()];
     let (op, blocks) = (OpClass::Write, ks.len());
     backend::charge_fanout(c, op, MsgKind::WriteUpdate, others.len(), blocks);
     // Conventional available copy collects an acknowledgement from every
@@ -133,7 +133,7 @@ pub(crate) fn write_many<T: Transport>(
     // each of them record as its new was-available set.
     let mut recipients = SiteVec::new();
     let update = ScatterRequest::InstallIfAvailableMany(&batch);
-    c.scatter(spec, origin, &others, &update, |t, reply: Option<_>| {
+    c.scatter(spec, origin, others, &update, |t, reply: Option<_>| {
         if reply.is_some() {
             recipients.push(t);
         }
@@ -203,7 +203,7 @@ pub(crate) fn fail<T: Transport>(b: &ServerCluster<T>, s: SiteId, naive: bool) {
 pub(crate) fn begin_recovery<T: Transport>(b: &ServerCluster<T>, s: SiteId) {
     b.set_local_state(s, SiteState::Comatose);
     event!("recovery.begin", site = s.as_u32());
-    let others = backend::others(b.config(), s);
+    let others = &b.coord.others[s.index()];
     backend::charge_fanout(
         b,
         OpClass::Recovery,
@@ -216,41 +216,44 @@ pub(crate) fn begin_recovery<T: Transport>(b: &ServerCluster<T>, s: SiteId) {
         reply_charge: Some(MsgKind::RecoveryReply),
         reply_units: 1,
     };
-    b.scatter(spec, s, &others, &ScatterRequest::ProbeState, |_, _| {});
+    b.scatter(spec, s, others, &ScatterRequest::ProbeState, |_, _| {});
 }
 
-/// Computes whether the closure `C*(W_c)` has fully recovered, and if so
-/// returns it.
-///
-/// The closure is grown iteratively: starting from `W_c ∪ {c}`, every
-/// recovered member contributes its own was-available set. If any member is
-/// still failed (or unreachable), the closure cannot be certified and `c`
-/// must keep waiting — conservative, and exactly Figure 5's "when all sites
-/// in `C*(W_s)` have recovered".
-pub(crate) fn recovered_closure<T: Transport>(
-    b: &ServerCluster<T>,
+/// The closure `C*(W_c)` (Definition 3.2), grown iteratively: starting
+/// from `W_c ∪ {c}`, every member contributes its own was-available set,
+/// `w_of(member)`. `None` as soon as a member's set cannot be had.
+pub(crate) fn closure(
     c: SiteId,
+    mut w_of: impl FnMut(SiteId) -> Option<Vec<SiteId>>,
 ) -> Option<BTreeSet<SiteId>> {
-    let mut closure: BTreeSet<SiteId> = b.was_available(c, c)?.into_iter().collect();
+    let mut closure: BTreeSet<SiteId> = w_of(c)?.into_iter().collect();
     closure.insert(c);
     loop {
         let mut grown = closure.clone();
         for &u in &closure {
-            let w = if u == c {
-                b.was_available(c, c)
-            } else {
-                match b.probe_state(c, u) {
-                    Some(_) => b.was_available(c, u),
-                    None => return None, // a closure member is still down
-                }
-            }?;
-            grown.extend(w);
+            grown.extend(w_of(u)?);
         }
         if grown == closure {
             return Some(closure);
         }
         closure = grown;
     }
+}
+
+/// Computes whether the closure `C*(W_c)` has fully recovered, and if so
+/// returns it. If any member is still failed (or unreachable), the closure
+/// cannot be certified and `c` must keep waiting — conservative, and
+/// exactly Figure 5's "when all sites in `C*(W_s)` have recovered".
+pub(crate) fn recovered_closure<T: Transport>(
+    b: &ServerCluster<T>,
+    c: SiteId,
+) -> Option<BTreeSet<SiteId>> {
+    closure(c, |u| {
+        if u != c {
+            b.probe_state(c, u)?; // a closure member that is down answers none
+        }
+        b.was_available(c, u)
+    })
 }
 
 /// Picks the most current member of `candidates` by version-vector recency.
@@ -365,8 +368,9 @@ pub(crate) fn try_complete_recovery<T: Transport>(
         if !naive {
             // W_s ← W_t ∪ {s}; send(t, W_s) — piggybacked on the exchange.
             if let Some(mut w) = b.was_available(c, t) {
-                w.insert(c);
-                let w: Vec<SiteId> = w.into_iter().collect();
+                if let Err(at) = w.binary_search(&c) {
+                    w.insert(at, c);
+                }
                 b.set_was_available(c, c, &w);
                 b.add_was_available(c, t, c);
             }

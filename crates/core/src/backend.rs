@@ -64,6 +64,21 @@ enum Store<T, const N: usize> {
 }
 
 impl<T, const N: usize> InlineVec<T, N> {
+    /// Each entry made a `U` by `f`, in order, where it is: an entry held
+    /// alone stays inline, and a spilled list is collected in place when a
+    /// `U` fits where a `T` was.
+    #[inline(always)]
+    pub fn map<U: Default>(self, f: impl FnMut(T) -> U) -> InlineVec<U, N>
+    where
+        [U; N]: Default,
+    {
+        match self.0 {
+            Store::One(item) => InlineVec(Store::One({ f }(item))),
+            Store::Heap(heap) => InlineVec(Store::Heap(heap.into_iter().map(f).collect())),
+            store => InlineVec(store).into_iter().map(f).collect(),
+        }
+    }
+
     /// The list as a `Vec`: free once it has spilled, one allocation while
     /// it is inline.
     pub fn into_vec(self) -> Vec<T> {
@@ -196,6 +211,15 @@ impl<T, const N: usize> Iterator for InlineVecIntoIter<T, N> {
             IntoIterStore::One(item) => item.next(),
             IntoIterStore::Inline(items) => items.next(),
             IntoIterStore::Heap(items) => items.next(),
+        }
+    }
+
+    #[inline(always)]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match &self.0 {
+            IntoIterStore::One(item) => item.size_hint(),
+            IntoIterStore::Inline(items) => items.size_hint(),
+            IntoIterStore::Heap(items) => items.size_hint(),
         }
     }
 }
@@ -378,6 +402,8 @@ pub struct Coordinator {
     pub(crate) links: Links,
     /// Per-block lock shards serializing same-block coordinations.
     pub(crate) locks: BlockLockTable,
+    /// Per site, the [`others`] it broadcasts to, listed once.
+    pub(crate) others: Vec<SiteVec<SiteId>>,
 }
 
 impl Coordinator {
@@ -386,6 +412,7 @@ impl Coordinator {
     pub(crate) fn new(cfg: DeviceConfig, mode: DeliveryMode) -> Self {
         Coordinator {
             links: Links::new(cfg.num_sites()),
+            others: cfg.site_ids().map(|s| others(&cfg, s)).collect(),
             cfg,
             mode,
             counter: TrafficCounter::new(),
@@ -487,6 +514,7 @@ pub(crate) fn dead_local_leg(s: SiteId) -> DeviceError {
 
 /// Every site except `from`, in ascending order — the address list of a
 /// broadcast.
+#[inline(always)]
 pub fn others(cfg: &DeviceConfig, from: SiteId) -> SiteVec<SiteId> {
     cfg.site_ids().filter(|&s| s != from).collect()
 }
@@ -494,6 +522,13 @@ pub fn others(cfg: &DeviceConfig, from: SiteId) -> SiteVec<SiteId> {
 /// Total voting weight of a set of sites.
 pub fn weight_of(cfg: &DeviceConfig, sites: &[SiteId]) -> u64 {
     sites.iter().map(|&s| cfg.weight(s).as_u64()).sum()
+}
+
+/// Total voting weight of the operational sites.
+pub(crate) fn operational_weight<T: Transport>(c: &ServerCluster<T>) -> u64 {
+    let cfg = c.config();
+    let up = cfg.site_ids().filter(|&s| c.site_state(s).is_operational());
+    up.map(|s| cfg.weight(s).as_u64()).sum()
 }
 
 /// Charges the delivery-mode fan-out cost of one logical message addressed

@@ -330,22 +330,16 @@ impl Oracle {
         if !self.any_tainted() {
             return;
         }
-        let cfg = rt.config();
+        let ks: Vec<BlockIndex> = BlockIndex::all(self.blocks.len() as u64).collect();
+        let mut copies = rt.config().site_ids().map(|s| rt.fetch_many(s, s, &ks));
+        let Some(Some(agreed)) = copies.next() else {
+            return;
+        };
+        if copies.any(|copy| copy.as_ref() != Some(&agreed)) {
+            return; // disagreement: taint stands
+        }
         let mut exact = Vec::with_capacity(self.blocks.len());
-        for b in 0..self.blocks.len() {
-            let k = BlockIndex::new(b as u64);
-            let mut agreed: Option<(blockrep_types::VersionNumber, BlockData)> = None;
-            for s in cfg.site_ids() {
-                let Some(cur) = rt.fetch_block(s, s, k) else {
-                    return;
-                };
-                match &agreed {
-                    None => agreed = Some(cur),
-                    Some(prev) if *prev == cur => {}
-                    Some(_) => return, // disagreement: taint stands
-                }
-            }
-            let (_, data) = agreed.expect("device has at least one site");
+        for (_, data) in agreed.iter() {
             let bytes = data.as_slice();
             let first = bytes.first().copied().unwrap_or(0);
             if !bytes.iter().all(|&x| x == first) {
@@ -400,11 +394,7 @@ fn certify_clean_write<T: Transport>(
                     cfg.write_quorum()
                 ));
             }
-            let live: Vec<SiteId> = cfg
-                .site_ids()
-                .filter(|&s| rt.site_state(s).is_operational())
-                .collect();
-            let live_weight = crate::backend::weight_of(cfg, &live);
+            let live_weight = crate::backend::operational_weight(rt);
             if live_weight < cfg.write_quorum() {
                 return Err(format!(
                     "op {op}: write of block {k} succeeded while only weight \
@@ -437,11 +427,7 @@ fn certify_clean_read<T: Transport>(
     if cfg.scheme() != Scheme::Voting {
         return Ok(());
     }
-    let live: Vec<SiteId> = cfg
-        .site_ids()
-        .filter(|&s| rt.site_state(s).is_operational())
-        .collect();
-    let live_weight = crate::backend::weight_of(cfg, &live);
+    let live_weight = crate::backend::operational_weight(rt);
     if live_weight < cfg.read_quorum() {
         return Err(format!(
             "op {op}: read of block {k} succeeded while only weight {live_weight} \
@@ -451,16 +437,19 @@ fn certify_clean_read<T: Transport>(
     Ok(())
 }
 
-/// Makes the mid-operation crashes of `report` real: fail-stops each
-/// crashed site through the scheme's own failure handling, in the same
-/// order the runtime's `fail_site` uses. Every runtime derives
-/// reachability from the one link model, so that is all it takes.
-fn finalize_crashes<T: Transport>(rt: &ServerCluster<T>, report: &OpReport) {
+/// Ends the operation under way on `rt` and makes its mid-operation
+/// crashes real: fail-stops each crashed site through the scheme's own
+/// failure handling, in the same order the runtime's `fail_site` uses.
+/// Every runtime derives reachability from the one link model, so that is
+/// all it takes.
+fn end_op<T: Transport>(rt: &ServerCluster<Faulty<T>>) -> OpReport {
+    let report = rt.end_op();
     for &s in &report.crashed {
         if rt.site_state(s).is_operational() {
             protocol::fail(rt, s);
         }
     }
+    report
 }
 
 fn fired_suffix(report: &OpReport) -> String {
@@ -486,6 +475,21 @@ fn states_suffix<T: Transport>(rt: &ServerCluster<T>) -> String {
         .collect()
 }
 
+/// Site `s`'s line of a run's final fingerprint: its state, its
+/// was-available set, and its copy of each block of `ks`, read in one
+/// local request.
+fn site_fingerprint<T: Transport>(rt: &ServerCluster<T>, s: SiteId, ks: &[BlockIndex]) -> String {
+    use std::fmt::Write as _;
+    let w = rt.was_available(s, s).expect("a site reads its own W");
+    let w: Vec<u32> = w.iter().map(|x| x.as_u32()).collect();
+    let mut line = format!("site {s}: {:?} W={w:?}", rt.site_state(s));
+    let blocks = rt.fetch_many(s, s, ks).expect("a site reads its own disk");
+    for (k, (v, data)) in ks.iter().zip(blocks.iter()) {
+        let _ = write!(line, " {k}=v{}:{:02x?}", v.as_u64(), data.as_slice());
+    }
+    line
+}
+
 /// Replays `steps` on one runtime, under its fault layer, maintaining the
 /// oracle. Returns the run's outcome for parity comparison, or the first
 /// oracle violation.
@@ -509,8 +513,7 @@ pub fn run_on<T: Transport>(
             } => {
                 let data = BlockData::from(vec![fill; cfg.block_size()]);
                 let res = rt.write(origin, block, data);
-                let report = rt.end_op();
-                finalize_crashes(rt, &report);
+                let report = end_op(rt);
                 oracle.record_write(block.index(), fill, res.is_ok(), &report);
                 if res.is_ok() && report.fired.iter().all(|f| f.kind.is_benign()) {
                     certify_clean_write(rt, op, block, fill)?;
@@ -527,8 +530,7 @@ pub fn run_on<T: Transport>(
             }
             Action::Read { origin, block } => {
                 let res = rt.read(origin, block);
-                let report = rt.end_op();
-                finalize_crashes(rt, &report);
+                let report = end_op(rt);
                 let outcome = match &res {
                     Ok(data) => {
                         // A coordinator that crashed mid-read may have
@@ -574,8 +576,7 @@ pub fn run_on<T: Transport>(
                     }
                     SiteState::Available => "already-up".to_string(),
                 };
-                let report = rt.end_op();
-                finalize_crashes(rt, &report);
+                let report = end_op(rt);
                 faults_fired += report.fired.len() as u64;
                 format!("#{op} repair {s} -> {outcome}{}", fired_suffix(&report))
             }
@@ -585,25 +586,8 @@ pub fn run_on<T: Transport>(
         log.push(line);
         oracle.try_narrow(rt);
     }
-    for s in cfg.site_ids() {
-        use std::fmt::Write as _;
-        let w = rt
-            .was_available(s, s)
-            .expect("a site always reports its own was-available set");
-        let mut line = format!(
-            "site {s}: {:?} W={:?}",
-            rt.site_state(s),
-            w.iter().map(|x| x.as_u32()).collect::<Vec<_>>()
-        );
-        for b in 0..cfg.num_blocks() {
-            let k = BlockIndex::new(b);
-            let (v, data) = rt
-                .fetch_block(s, s, k)
-                .expect("a site can always read its own disk");
-            let _ = write!(line, " b{b}=v{}:{:02x?}", v.as_u64(), data.as_slice());
-        }
-        log.push(line);
-    }
+    let ks: Vec<BlockIndex> = BlockIndex::all(cfg.num_blocks()).collect();
+    log.extend(cfg.site_ids().map(|s| site_fingerprint(rt, s, &ks)));
     Ok(RunOutcome {
         log,
         traffic: rt.counter().snapshot(),
@@ -634,12 +618,7 @@ fn run_caught<T>(
 /// in any runtime's replay are caught and reported the same way.
 pub fn check(cfg: &DeviceConfig, steps: &[ChaosStep]) -> Result<ChaosReport, String> {
     let det = run_caught("deterministic", || {
-        let rt = Cluster::new(
-            cfg.clone(),
-            ClusterOptions {
-                mode: DeliveryMode::Multicast,
-            },
-        );
+        let rt = Cluster::new(cfg.clone(), ClusterOptions::default());
         run_on(&rt.with_faults(), steps)
     })?;
     let live = run_caught("live", || {
@@ -795,12 +774,7 @@ pub fn trace_schedule(seed: u64, scheme: Scheme, journaled: bool, steps: &[Chaos
     trace::clear();
     let steps = steps.to_vec();
     let _ = run_caught("trace-replay", move || {
-        let rt = Cluster::new(
-            cfg,
-            ClusterOptions {
-                mode: DeliveryMode::Multicast,
-            },
-        );
+        let rt = Cluster::new(cfg, ClusterOptions::default());
         run_on(&rt.with_faults(), &steps)
     });
     let records = trace::snapshot();
@@ -901,16 +875,8 @@ pub fn run_shard_scenarios_on<T: Transport>(
     let blocks = cfg.num_blocks();
     let all: Vec<BlockIndex> = (0..blocks).map(BlockIndex::new).collect();
     let victim = manifest.shard_of(BlockIndex::new(0));
-    let victim_blocks: Vec<BlockIndex> = all
-        .iter()
-        .copied()
-        .filter(|&k| manifest.shard_of(k) == victim)
-        .collect();
-    let healthy_blocks: Vec<BlockIndex> = all
-        .iter()
-        .copied()
-        .filter(|&k| manifest.shard_of(k) != victim)
-        .collect();
+    let (victim_blocks, healthy_blocks): (Vec<BlockIndex>, Vec<BlockIndex>) =
+        all.iter().partition(|&&k| manifest.shard_of(k) == victim);
     if healthy_blocks.is_empty() {
         return Err(format!(
             "degenerate placement: shard {victim} owns every block of the scenario geometry"
@@ -930,29 +896,21 @@ pub fn run_shard_scenarios_on<T: Transport>(
     let mut oracles: Vec<Oracle> = (0..manifest.shard_count())
         .map(|_| Oracle::new(cfg.scheme(), blocks as usize, cfg.journaled()))
         .collect();
-    let mut log: Vec<String> = Vec::new();
-    let mut reads_checked = 0u64;
+    let mut out = ShardRunOutcome {
+        log: Vec::new(),
+        reads_checked: 0,
+    };
 
     let begin = |op: u64| {
         for (i, b) in raw.iter().enumerate() {
-            let faults: &[_] = if (i, op) == (victim, torn_op) {
-                &torn
-            } else {
-                &[]
-            };
-            b.begin_op(op, faults);
+            let torn_here = (i, op) == (victim, torn_op);
+            b.begin_op(op, if torn_here { &torn } else { &[] });
         }
     };
-    let end_all = || -> Vec<OpReport> { raw.iter().map(|b| b.end_op()).collect() };
+    let end_all = || -> Vec<OpReport> { raw.iter().map(|b| end_op(b)).collect() };
     let states = || -> String {
-        let mut out = String::new();
-        for (i, b) in raw.iter().enumerate() {
-            if i > 0 {
-                out.push('/');
-            }
-            out.push_str(&states_suffix(&**b));
-        }
-        out
+        let each: Vec<String> = raw.iter().map(|b| states_suffix(&**b)).collect();
+        each.join("/")
     };
     let batch = |fill: u8, ks: &[BlockIndex]| -> Vec<(BlockIndex, BlockData)> {
         ks.iter()
@@ -973,9 +931,6 @@ pub fn run_shard_scenarios_on<T: Transport>(
         begin(op);
         let res = dev.write_blocks(&batch(fill, &all));
         let reports = end_all();
-        for (i, report) in reports.iter().enumerate() {
-            finalize_crashes(&*raw[i], report);
-        }
         let outcome = match &res {
             Ok(()) => "ok".to_string(),
             Err(e) => format!("err({e})"),
@@ -1026,9 +981,8 @@ pub fn run_shard_scenarios_on<T: Transport>(
                      label: &str,
                      ks: &[BlockIndex],
                      expect_ok: bool,
-                     log: &mut Vec<String>,
-                     oracles: &Vec<Oracle>,
-                     reads_checked: &mut u64|
+                     out: &mut ShardRunOutcome,
+                     oracles: &Vec<Oracle>|
      -> Result<(), String> {
         begin(op);
         let res = dev.read_blocks(ks);
@@ -1037,7 +991,7 @@ pub fn run_shard_scenarios_on<T: Transport>(
             Ok(data) => {
                 for (&k, d) in ks.iter().zip(data) {
                     oracles[manifest.shard_of(k)].check_read(op as usize, k.index(), d)?;
-                    *reads_checked += 1;
+                    out.reads_checked += 1;
                 }
                 "ok".to_string()
             }
@@ -1049,7 +1003,8 @@ pub fn run_shard_scenarios_on<T: Transport>(
                 if expect_ok { "succeed" } else { "fail" }
             ));
         }
-        log.push(format!("#{op} read-{label} -> {outcome} |{}", states()));
+        out.log
+            .push(format!("#{op} read-{label} -> {outcome} |{}", states()));
         Ok(())
     };
 
@@ -1087,19 +1042,19 @@ pub fn run_shard_scenarios_on<T: Transport>(
     };
 
     // --- Scenario 1: shard blackout -------------------------------------
-    write_all(0, 0x11, true, &mut log, &mut oracles)?;
+    write_all(0, 0x11, true, &mut out.log, &mut oracles)?;
 
     // #1: fail-stop every site of the victim shard.
     for s in raw[victim].config().site_ids() {
         protocol::fail(&*raw[victim], s);
     }
-    log.push(format!(
+    out.log.push(format!(
         "#1 crash-shard {victim} -> all sites failed |{}",
         states()
     ));
 
     // #2: the cross-shard write must fail the victim's sub-batch only.
-    write_all(2, 0x22, false, &mut log, &mut oracles)?;
+    write_all(2, 0x22, false, &mut out.log, &mut oracles)?;
     // The dead shard's replicas must be untouched by the failed sub-batch.
     for s in raw[victim].config().site_ids() {
         for &k in &victim_blocks {
@@ -1116,90 +1071,42 @@ pub fn run_shard_scenarios_on<T: Transport>(
         }
     }
 
-    read_some(
-        3,
-        "healthy",
-        &healthy_blocks,
-        true,
-        &mut log,
-        &oracles,
-        &mut reads_checked,
-    )?;
-    read_some(
-        4,
-        "all",
-        &all,
-        false,
-        &mut log,
-        &oracles,
-        &mut reads_checked,
-    )?;
+    read_some(3, "healthy", &healthy_blocks, true, &mut out, &oracles)?;
+    read_some(4, "all", &all, false, &mut out, &oracles)?;
 
     // #5: repair the victim shard.
-    repair_victim(5, "repair-shard", &mut log, &mut oracles);
+    repair_victim(5, "repair-shard", &mut out.log, &mut oracles);
 
     // #6: healed — the victim serves its pre-blackout contents, the
     // healthy shards their post-blackout ones.
-    read_some(
-        6,
-        "healed",
-        &all,
-        true,
-        &mut log,
-        &oracles,
-        &mut reads_checked,
-    )?;
+    read_some(6, "healed", &all, true, &mut out, &oracles)?;
 
     // --- Scenario 2: torn write mid cross-shard batch --------------------
-    write_all(torn_op, 0x44, true, &mut log, &mut oracles)?;
-    read_some(
-        8,
-        "post-torn",
-        &all,
-        true,
-        &mut log,
-        &oracles,
-        &mut reads_checked,
-    )?;
+    write_all(torn_op, 0x44, true, &mut out.log, &mut oracles)?;
+    read_some(8, "post-torn", &all, true, &mut out, &oracles)?;
 
     // #9: repair whatever the torn install crashed.
-    repair_victim(9, "repair-torn shard", &mut log, &mut oracles);
+    repair_victim(9, "repair-torn shard", &mut out.log, &mut oracles);
 
     // #10–#11: one clean write re-certifies every shard `Exact`.
-    write_all(10, 0x55, true, &mut log, &mut oracles)?;
-    read_some(
-        11,
-        "final",
-        &all,
-        true,
-        &mut log,
-        &oracles,
-        &mut reads_checked,
-    )?;
+    write_all(10, 0x55, true, &mut out.log, &mut oracles)?;
+    read_some(11, "final", &all, true, &mut out, &oracles)?;
 
     // Final per-shard traffic and replica fingerprints (owned blocks).
     for (i, b) in raw.iter().enumerate() {
+        let log = &mut out.log;
         log.push(format!("shard {i} traffic {}", b.counter().snapshot()));
+        let owned: Vec<BlockIndex> = all
+            .iter()
+            .copied()
+            .filter(|&k| manifest.shard_of(k) == i)
+            .collect();
         for s in b.config().site_ids() {
-            let w = b
-                .was_available(s, s)
-                .expect("a site always reports its own was-available set");
-            let mut line = format!(
-                "shard {i} site {s}: {:?} W={:?}",
-                b.site_state(s),
-                w.iter().map(|x| x.as_u32()).collect::<Vec<_>>()
-            );
-            for &k in all.iter().filter(|&&k| manifest.shard_of(k) == i) {
-                let (v, data) = b
-                    .fetch_block(s, s, k)
-                    .expect("a site can always read its own disk");
-                let _ = write!(line, " {k}=v{}:{:02x?}", v.as_u64(), data.as_slice());
-            }
-            log.push(line);
+            log.push(format!("shard {i} {}", site_fingerprint(b, s, &owned)));
         }
     }
 
-    Ok(ShardRunOutcome { log, reads_checked })
+    Ok(out)
 }
 
 fn shard_diverges(a: &ShardRunOutcome, b: &ShardRunOutcome) -> Option<String> {

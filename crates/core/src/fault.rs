@@ -429,7 +429,7 @@ mod tests {
         assert_eq!(report.fired[0].exchange, 0);
         assert!(c.data_of(sid(1), blk(0)).is_zeroed());
         assert_eq!(c.data_of(sid(2), blk(0)).as_slice(), &[5; 4]);
-        assert_eq!(c.was_available_of(sid(2)), [sid(0), sid(2)].into());
+        assert_eq!(c.was_available_of(sid(2)), [sid(0), sid(2)]);
     }
 
     #[test]

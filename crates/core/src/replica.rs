@@ -97,7 +97,9 @@ impl Replica {
         self.store.data(k)
     }
 
-    /// Version and data together, as shipped to a stale reader.
+    /// Version and data together: a voting read's own vote and the copy it
+    /// serves, or what a stale reader is shipped.
+    #[inline]
     pub fn versioned(&self, k: BlockIndex) -> (VersionNumber, BlockData) {
         self.store.versioned(k)
     }

@@ -10,7 +10,7 @@
 //! cluster or a coordinator asks a site on its own thread — so a request is
 //! handled the same way whatever path it arrived by.
 //!
-//! Reply shapes: a read answers with what it read (`Versions`, `Block`,
+//! Reply shapes: a read answers with what it read (`Versions`, `Blocks`,
 //! `DataMany`, `Vector`, `Payload`, `W`); `Scrub` and
 //! `ApplyRepair` with the `Count` of blocks reset or replaced; every other
 //! write with `Ack`. A traced envelope is answered as its inner request.
@@ -32,13 +32,14 @@ fn fits(replica: &Replica, request: Request<'_>) -> bool {
     let block = |k: &BlockIndex| k.as_u64() < num_blocks;
     let install = |k: &BlockIndex, data: &BlockData| block(k) && data.len() == block_size;
     match request {
-        Request::Fetch(k) => block(&k),
         Request::ApplyWrite(k, _, data) | Request::ApplyWriteFaulty(k, _, data, _) => {
             install(&k, data)
         }
         Request::ApplyWriteMany(blocks) => blocks.iter().all(|(k, block)| install(k, block.data())),
         Request::ApplyRepair(blocks) => blocks.iter().all(|(k, _, data)| install(k, data)),
-        Request::ReadLocalMany(ks) | Request::VoteMany(ks) => ks.iter().all(block),
+        Request::FetchMany(ks) | Request::ReadLocalMany(ks) | Request::VoteMany(ks) => {
+            ks.iter().all(block)
+        }
         Request::RepairPayload(vv) => vv.len() as u64 == num_blocks,
         Request::SetW(w) => w.iter().all(|&s| replica.knows(s)),
         Request::AddW(s) => replica.knows(s),
@@ -60,9 +61,8 @@ pub(crate) fn serve(replica: &mut Replica, request: Request<'_>) -> Option<WireR
     }
     Some(match request {
         Request::Probe => WireResponse::Ack,
-        Request::Fetch(k) => {
-            let (v, data) = replica.versioned(k);
-            WireResponse::Block(v, data)
+        Request::FetchMany(ks) => {
+            WireResponse::Blocks(ks.iter().map(|&k| replica.versioned(k)).collect())
         }
         Request::ApplyWrite(k, v, data) => {
             replica.install(k, data.clone(), v);
@@ -91,7 +91,7 @@ pub(crate) fn serve(replica: &mut Replica, request: Request<'_>) -> Option<WireR
         }
         Request::ApplyRepair(blocks) => WireResponse::Count(replica.apply_repair(blocks) as u64),
         Request::Scrub => WireResponse::Count(replica.scrub().len() as u64),
-        Request::GetW => WireResponse::W(replica.was_available().clone()),
+        Request::GetW => WireResponse::W(replica.was_available().iter().copied().collect()),
         Request::SetW(w) => {
             // A write group is usually the one already recorded: keep that
             // set rather than build an equal one.
@@ -204,9 +204,10 @@ mod tests {
         let w = vec![SiteId::new(0), SiteId::new(1)];
         vec![
             (WireRequest::Probe, ack),
-            (WireRequest::Fetch(blk(1)), |r| {
-                matches!(r, WireResponse::Block(..))
-            }),
+            (
+                WireRequest::FetchMany(ks.clone()),
+                |r| matches!(r, WireResponse::Blocks(bs) if bs.len() == 3),
+            ),
             (
                 WireRequest::VoteMany(ks.clone()),
                 |r| matches!(r, WireResponse::Versions(vs) if vs.len() == 3),
@@ -265,7 +266,7 @@ mod tests {
         let short = BlockData::from(vec![1; 7]);
         let fault = StorageFault::Torn { keep: 3 };
         for request in [
-            WireRequest::Fetch(out),
+            WireRequest::FetchMany(vec![blk(0), out]),
             WireRequest::ReadLocalMany(vec![blk(0), out]),
             WireRequest::VoteMany(vec![out]),
             WireRequest::ApplyWrite(out, ver(1), fill(1)),
@@ -305,8 +306,11 @@ mod tests {
     fn an_install_is_what_the_reads_then_return() {
         let mut r = replica();
         serve_owned(&mut r, 1, WireRequest::ApplyWrite(blk(2), ver(5), fill(9)));
-        let block = Some(WireResponse::Block(ver(5), fill(9)));
-        assert_eq!(serve_owned(&mut r, 1, WireRequest::Fetch(blk(2))), block);
+        let block = Some(WireResponse::Blocks(vec![(ver(5), fill(9))].into()));
+        assert_eq!(
+            serve_owned(&mut r, 1, WireRequest::FetchMany(vec![blk(2)])),
+            block
+        );
         assert_eq!(
             serve_owned(&mut r, 1, WireRequest::ReadLocalMany(vec![blk(2)])),
             Some(WireResponse::DataMany(vec![fill(9)].into()))
@@ -331,13 +335,20 @@ mod tests {
             serve_owned(&mut r, 1, WireRequest::VoteMany(ks.to_vec())),
             Some(WireResponse::Versions(vec![ver(1), ver(5)].into()))
         );
+        // A fetch answers each block's version with its data, in order.
+        assert_eq!(
+            serve_owned(&mut r, 1, WireRequest::FetchMany(ks.to_vec())),
+            Some(WireResponse::Blocks(
+                vec![(ver(1), fill(1)), (ver(5), fill(9))].into()
+            ))
+        );
         // A block sealed in process lands with the seal's sum.
         let sealed = [(blk(3), SealedBlock::new(ver(6), fill(5)))];
         let install = Request::ApplyWriteMany(&sealed);
         assert_eq!(serve(&mut r, install), Some(WireResponse::Ack));
         assert_eq!(
-            serve_owned(&mut r, 1, WireRequest::Fetch(blk(3))),
-            Some(WireResponse::Block(ver(6), fill(5)))
+            serve_owned(&mut r, 1, WireRequest::FetchMany(vec![blk(3)])),
+            Some(WireResponse::Blocks(vec![(ver(6), fill(5))].into()))
         );
         assert!(r.scrub().is_empty());
         // A repair answers with the number of blocks it replaced.

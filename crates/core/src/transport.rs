@@ -32,8 +32,7 @@ use blockrep_types::{
     VersionVector,
 };
 use parking_lot::RwLock;
-use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -48,12 +47,25 @@ struct LinkState {
     topology: Topology,
 }
 
+impl LinkState {
+    /// Whether every site is available and the network whole: then every
+    /// exchange goes through.
+    fn all_up(&self) -> bool {
+        let whole = self.topology == Topology::fully_connected(self.states.len());
+        whole && self.states.iter().all(|&s| s == SiteState::Available)
+    }
+}
+
 /// The one link model of every runtime: site states and the topology under
 /// one lock, and the emulated link delay. A clone is a second handle on the
 /// same links — what a cluster hands its transport's server threads.
 #[derive(Debug, Clone)]
 pub(crate) struct Links {
     net: Arc<RwLock<LinkState>>,
+    /// [`LinkState::all_up`], stored (`Release`) under the write lock at
+    /// every change and loaded (`Acquire`) alone: while it holds, a site's
+    /// state and an exchange's fate are read without the lock.
+    all_up: Arc<AtomicBool>,
     /// Emulated one-way link delay in nanoseconds.
     latency_ns: Arc<AtomicU64>,
 }
@@ -66,25 +78,38 @@ impl Links {
                 states: vec![SiteState::Available; n],
                 topology: Topology::fully_connected(n),
             })),
+            all_up: Arc::new(AtomicBool::new(true)),
             latency_ns: Arc::default(),
         }
     }
 
     /// Independent links in the same states and topology, with no delay.
     pub(crate) fn fork(&self) -> Self {
+        let net = self.net.read().clone();
         Links {
-            net: Arc::new(RwLock::new(self.net.read().clone())),
+            all_up: Arc::new(AtomicBool::new(net.all_up())),
+            net: Arc::new(RwLock::new(net)),
             latency_ns: Arc::default(),
         }
     }
 
-    #[inline]
+    /// Changes the states or the topology, and `all_up` with them.
+    fn change(&self, f: impl FnOnce(&mut LinkState)) {
+        let mut net = self.net.write();
+        f(&mut net);
+        self.all_up.store(net.all_up(), Ordering::Release);
+    }
+
+    #[inline(always)]
     pub(crate) fn state(&self, s: SiteId) -> SiteState {
+        if self.all_up.load(Ordering::Acquire) {
+            return SiteState::Available;
+        }
         self.net.read().states[s.index()]
     }
 
     pub(crate) fn set_state(&self, s: SiteId, state: SiteState) {
-        self.net.write().states[s.index()] = state;
+        self.change(|net| net.states[s.index()] = state);
     }
 
     /// Whether a message from `from` reaches `to`: a site always reaches
@@ -92,7 +117,7 @@ impl Links {
     /// be operational and in the same partition.
     #[inline(always)]
     pub(crate) fn reachable(&self, from: SiteId, to: SiteId) -> bool {
-        if from == to {
+        if from == to || self.all_up.load(Ordering::Acquire) {
             return true;
         }
         let net = self.net.read();
@@ -111,12 +136,12 @@ impl Links {
 
     /// Splits the network into `groups` (see [`Topology::partition`]).
     pub(crate) fn partition(&self, groups: &[Vec<SiteId>]) {
-        self.net.write().topology.partition(groups);
+        self.change(|net| net.topology.partition(groups));
     }
 
     /// Removes all partitions.
     pub(crate) fn heal(&self) {
-        self.net.write().topology.heal();
+        self.change(|net| net.topology.heal());
     }
 
     /// Sleeps for the emulated link delay, if one is set: what a server
@@ -358,8 +383,10 @@ impl<T: Transport> ServerCluster<T> {
         protocol::heal(self);
     }
 
-    /// The state of site `s`: a site's own knowledge, no network involved.
+    /// The state of site `s`, a site of this device: a site's own
+    /// knowledge, no network involved.
     pub fn site_state(&self, s: SiteId) -> SiteState {
+        assert!(self.coord.cfg.contains_site(s), "unknown site {s}");
         self.coord.links.state(s)
     }
 
@@ -425,8 +452,8 @@ impl<T: Transport> ServerCluster<T> {
             .1
     }
 
-    /// Inspection: site `s`'s was-available set.
-    pub fn was_available_of(&self, s: SiteId) -> BTreeSet<SiteId> {
+    /// Inspection: site `s`'s was-available set, in ascending order.
+    pub fn was_available_of(&self, s: SiteId) -> Vec<SiteId> {
         self.was_available(s, s)
             .expect("a site reads its own was-available set")
     }
@@ -491,6 +518,7 @@ impl<T: Transport> ServerCluster<T> {
     /// Requests `to`'s votes — its version numbers — for a run of blocks
     /// in **one** exchange, in the order of `ks`. With `from == to` this
     /// is the local version lookup.
+    #[inline(always)]
     pub fn vote_many(
         &self,
         from: SiteId,
@@ -503,17 +531,31 @@ impl<T: Transport> ServerCluster<T> {
         }
     }
 
-    /// Fetches the current copy of block `k` from `to`.
+    /// Fetches `to`'s copies of a run of blocks — each block's version
+    /// with its data — in **one** exchange, in the order of `ks`. With
+    /// `from == to` this is the local leg a voting read votes and reads
+    /// with.
+    #[inline(always)]
+    pub fn fetch_many(
+        &self,
+        from: SiteId,
+        to: SiteId,
+        ks: &[BlockIndex],
+    ) -> Option<BlockVec<(VersionNumber, BlockData)>> {
+        match self.call(from, to, Request::FetchMany(ks))? {
+            WireResponse::Blocks(blocks) if blocks.len() == ks.len() => Some(blocks),
+            _ => None,
+        }
+    }
+
+    /// Fetches `to`'s copy of block `k`: a run of one.
     pub fn fetch_block(
         &self,
         from: SiteId,
         to: SiteId,
         k: BlockIndex,
     ) -> Option<(VersionNumber, BlockData)> {
-        match self.call(from, to, Request::Fetch(k))? {
-            WireResponse::Block(v, data) => Some((v, data)),
-            _ => None,
-        }
+        self.fetch_many(from, to, &[k])?.into_iter().next()
     }
 
     /// Delivers a batch of write updates to `to` in **one** exchange (or
@@ -575,8 +617,8 @@ impl<T: Transport> ServerCluster<T> {
         }
     }
 
-    /// Requests `to`'s was-available set `W`.
-    pub fn was_available(&self, from: SiteId, to: SiteId) -> Option<BTreeSet<SiteId>> {
+    /// Requests `to`'s was-available set `W`, in ascending order.
+    pub fn was_available(&self, from: SiteId, to: SiteId) -> Option<Vec<SiteId>> {
         match self.call(from, to, Request::GetW)? {
             WireResponse::W(w) => Some(w),
             _ => None,
@@ -711,6 +753,41 @@ mod tests {
         assert_eq!(fork.state(b), SiteState::Comatose);
         fork.set_state(a, SiteState::Failed);
         assert!(links.reachable(a, c) && !fork.reachable(a, c));
+    }
+
+    /// While every site is available and the network whole, a state or a
+    /// reachability read takes no lock; every change under the lock
+    /// rewrites that flag, so the reads answer what the lock holds.
+    #[test]
+    fn the_reads_without_the_lock_answer_what_the_lock_holds() {
+        let check = |links: &Links, all_up: bool| {
+            let net = links.net.read().clone();
+            let up = |s: SiteId| net.states[s.index()].is_operational();
+            for a in SiteId::all(3) {
+                assert_eq!(links.state(a), net.states[a.index()]);
+                for b in SiteId::all(3) {
+                    let want = a == b || (up(a) && up(b) && net.topology.reachable(a, b));
+                    assert_eq!(links.reachable(a, b), want, "{a} -> {b} in {net:?}");
+                }
+            }
+            assert_eq!(links.all_up.load(Ordering::Acquire), all_up, "{net:?}");
+        };
+        let links = Links::new(3);
+        check(&links, true);
+        for state in [SiteState::Failed, SiteState::Comatose] {
+            links.set_state(sid(1), state);
+            check(&links, false);
+        }
+        links.set_state(sid(1), SiteState::Available);
+        check(&links, true);
+        links.partition(&[vec![sid(0), sid(1)], vec![sid(2)]]);
+        check(&links, false);
+        let fork = links.fork();
+        links.heal();
+        check(&links, true);
+        check(&fork, false);
+        fork.heal();
+        check(&fork, true);
     }
 
     /// The probes a failed, a comatose and a partitioned site answer.

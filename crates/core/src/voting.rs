@@ -22,12 +22,31 @@ use blockrep_types::{
     BlockData, BlockIndex, DeviceConfig, DeviceError, DeviceResult, SiteId, VersionNumber,
 };
 
+/// What the origin's own leg reads of a block to vote with: its version (a
+/// write), or its version and the data it serves if current (a read).
+trait Own {
+    fn version(&self) -> VersionNumber;
+}
+
+impl Own for VersionNumber {
+    fn version(&self) -> VersionNumber {
+        *self
+    }
+}
+
+impl Own for (VersionNumber, BlockData) {
+    fn version(&self) -> VersionNumber {
+        self.0
+    }
+}
+
 /// What one vote round decided, folded from the votes as they came back.
-struct Round<'c> {
+struct Round<'c, V> {
     cfg: &'c DeviceConfig,
     origin: SiteId,
-    /// The origin's own versions of the run's blocks.
-    own: BlockVec<VersionNumber>,
+    /// The origin's own copies of the run's blocks, as its one local
+    /// request read them.
+    own: BlockVec<V>,
     /// Once some voter holds a block newer than the origin's copy: per
     /// block, the most current voter and its version. Empty, and never
     /// allocated, while the origin's copy of every block is current.
@@ -38,17 +57,17 @@ struct Round<'c> {
     voters: SiteVec<SiteId>,
 }
 
-impl Round<'_> {
+impl<V: Own> Round<'_, V> {
     /// The most current voter for the run's `i`-th block and its version:
     /// the highest version, ties to the lowest site id (for determinism).
     #[inline(always)]
     fn current(&self, i: usize) -> (SiteId, VersionNumber) {
-        let own = (self.origin, self.own[i]);
+        let own = (self.origin, self.own[i].version());
         self.newer.get(i).copied().unwrap_or(own)
     }
 }
 
-impl Fold for &mut Round<'_> {
+impl<V: Own> Fold for &mut Round<'_, V> {
     #[inline(always)]
     fn reply(&mut self, t: SiteId, reply: Option<WireResponse>) {
         let Some(WireResponse::Versions(vs)) = reply else {
@@ -57,7 +76,7 @@ impl Fold for &mut Round<'_> {
         for (i, &v) in vs.iter().enumerate() {
             // A copy no newer than the origin's can hold no refresh: which
             // voter ties the origin's version decides nothing.
-            if v <= self.own[i] {
+            if v <= self.own[i].version() {
                 continue;
             }
             if self.newer.is_empty() {
@@ -75,22 +94,23 @@ impl Fold for &mut Round<'_> {
 
 /// One round of vote collection for the run of distinct blocks `ks`,
 /// coordinated by `origin`: a single scatter-gather exchange per site,
-/// carrying every block's vote request. The origin's own votes are local
-/// and free.
+/// carrying every block's vote request. The origin's own votes are what
+/// `own_leg`, its one local request, reads: local and free.
 ///
 /// §5 accounting stays per block — one `VoteRequest` broadcast charged per
 /// block, and each responding site's one physical reply charged as
 /// `ks.len()` `VoteReply` transmissions — so the counters are those of one
 /// round per block against an unchanging cluster.
 #[inline(always)]
-fn collect_votes<'c, T: Transport>(
+fn collect_votes<'c, T: Transport, V: Own>(
     c: &'c ServerCluster<T>,
     op: OpClass,
     origin: SiteId,
     ks: &[BlockIndex],
-) -> DeviceResult<Round<'c>> {
+    own_leg: impl FnOnce() -> Option<BlockVec<V>>,
+) -> DeviceResult<Round<'c, V>> {
     let cfg = c.config();
-    let others = backend::others(cfg, origin);
+    let others = &c.coord.others[origin.index()];
     backend::charge_fanout(c, op, MsgKind::VoteRequest, others.len(), ks.len());
     event!(
         "quorum.request",
@@ -101,8 +121,7 @@ fn collect_votes<'c, T: Transport>(
     );
     let own = {
         let _leg = obs_hooks::phase_span(obs_hooks::phase_local_leg, origin.as_u32());
-        c.vote_many(origin, origin, ks)
-            .ok_or_else(|| backend::dead_local_leg(origin))?
+        own_leg().ok_or_else(|| backend::dead_local_leg(origin))?
     };
     let mut round = Round {
         cfg,
@@ -118,7 +137,7 @@ fn collect_votes<'c, T: Transport>(
         reply_units: ks.len() as u64,
     };
     let vote = ScatterRequest::VoteMany(ks);
-    c.scatter(spec, origin, &others, &vote, &mut round);
+    c.scatter(spec, origin, others, &vote, &mut round);
     if blockrep_obs::enabled() {
         for t in round.voters.iter() {
             event!("quorum.ack", site = t.as_u32(), blocks = ks.len());
@@ -130,7 +149,7 @@ fn collect_votes<'c, T: Transport>(
 
 /// Fails unless the voters' weight reaches `quorum`.
 #[inline(always)]
-fn ensure_quorum(round: &Round, op: &'static str, quorum: u64) -> DeviceResult<()> {
+fn ensure_quorum<V>(round: &Round<V>, op: &'static str, quorum: u64) -> DeviceResult<()> {
     if round.weight < quorum {
         let detail = format!("gathered weight {} of {op} quorum {quorum}", round.weight);
         return Err(DeviceError::unavailable(op, detail));
@@ -154,14 +173,15 @@ fn ensure_coordinator<T: Transport>(c: &ServerCluster<T>, origin: SiteId) -> Dev
 }
 
 /// The weighted-voting read algorithm of Figure 3, for a run of distinct
-/// blocks: one vote round, then per-block quorum decisions, lazy refreshes
-/// and local reads.
+/// blocks: one vote round, then per-block quorum decisions and refreshes.
 ///
-/// Collects votes from all reachable sites; if their weight reaches the
-/// read quorum, refreshes each block's local copy from its
-/// highest-versioned voter when stale (one extra block transfer — the
+/// The origin votes with the copies it would serve: its one local request
+/// reads each block's version and data together. Collects votes from all
+/// reachable sites; if their weight reaches the read quorum, serves each
+/// block whose local copy is current from that copy, and refreshes a stale
+/// one from its highest-versioned voter (one extra block transfer — the
 /// paper's "`U_V^n + 1`" case; it can fire for some blocks of a run and not
-/// others) and serves the run locally.
+/// others), installing it locally and serving the bytes fetched.
 ///
 /// # Errors
 ///
@@ -180,11 +200,12 @@ pub(crate) fn read_many<T: Transport>(
     if ks.is_empty() {
         return Ok(BlockVec::new());
     }
-    let round = collect_votes(c, OpClass::Read, origin, ks)?;
+    let fetch = || c.fetch_many(origin, origin, ks);
+    let mut round = collect_votes(c, OpClass::Read, origin, ks, fetch)?;
     ensure_quorum(&round, "read", c.config().read_quorum())?;
     for (i, &k) in ks.iter().enumerate() {
         let (holder, v_max) = round.current(i);
-        if v_max > round.own[i] {
+        if v_max > round.own[i].0 {
             let (v, data) = c.fetch_block(origin, holder, k).ok_or_else(|| {
                 DeviceError::unavailable(
                     "read",
@@ -199,12 +220,12 @@ pub(crate) fn read_many<T: Transport>(
                 version = v.as_u64(),
             );
             // Keep the local copy up to date, as the paper's algorithm does.
-            let block: WriteBatch = [(k, v, data)].into_iter().collect();
+            let block: WriteBatch = [(k, v, data.clone())].into_iter().collect();
             c.apply_write_many(origin, origin, &block);
+            round.own[i] = (v, data);
         }
     }
-    let _leg = obs_hooks::phase_span(obs_hooks::phase_local_leg, origin.as_u32());
-    c.read_local_many(origin, ks)
+    Ok(round.own.map(|(_, data)| data))
 }
 
 /// The weighted-voting write algorithm of Figure 4, for a run of distinct
@@ -232,7 +253,8 @@ pub(crate) fn write_many<T: Transport>(
         return Ok(());
     }
     let _span = span!("mcv.write", origin = origin.as_u32(), blocks = ks.len());
-    let round = collect_votes(c, OpClass::Write, origin, ks)?;
+    let vote = || c.vote_many(origin, origin, ks);
+    let round = collect_votes(c, OpClass::Write, origin, ks, vote)?;
     ensure_quorum(&round, "write", c.config().write_quorum())?;
     // Sealed once, here, for every replica that installs it.
     let batch: WriteBatch = writes
@@ -282,39 +304,35 @@ pub(crate) fn repair<T: Transport>(c: &ServerCluster<T>, s: SiteId) {
 /// sites must hold both a read and a write quorum (with the paper's default
 /// majority quorums these coincide).
 pub(crate) fn is_available<T: Transport>(c: &ServerCluster<T>) -> bool {
-    let cfg = c.config();
-    let operational: Vec<SiteId> = cfg
-        .site_ids()
-        .filter(|&s| c.site_state(s).is_operational())
-        .collect();
-    let w = backend::weight_of(cfg, &operational);
+    let (cfg, w) = (c.config(), backend::operational_weight(c));
     w >= cfg.read_quorum() && w >= cfg.write_quorum()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::Inline;
     use crate::wire::{Request, WireResponse};
-    use crate::{Cluster, ClusterOptions};
+    use crate::{Cluster, ClusterOptions, LiveCluster, TcpCluster};
+    use blockrep_net::DeliveryMode;
     use blockrep_types::{DeviceConfig, Scheme};
     use parking_lot::Mutex;
 
-    /// The deterministic runtime's replicas behind two hooks: every remote
-    /// `Fetch` is noted as `(target, block)`, and a site in `silent` takes
-    /// requests but never answers them.
-    struct Recorder {
-        inner: Inline,
+    /// A runtime's transport behind three hooks: every remote `FetchMany`
+    /// is noted as `(target, run)`, every local request by its kind, and a
+    /// site in `silent` takes requests but never answers them.
+    struct Recorder<T> {
+        inner: T,
         silent: Mutex<Vec<SiteId>>,
-        fetches: Mutex<Vec<(SiteId, BlockIndex)>>,
+        fetches: Mutex<Vec<(SiteId, Vec<BlockIndex>)>>,
+        locals: Mutex<Vec<String>>,
     }
 
-    impl Transport for Recorder {
+    impl<T: Transport> Transport for Recorder<T> {
         const NAME: &'static str = "recorder";
 
         fn call(&self, to: SiteId, request: Request<'_>) -> Option<WireResponse> {
-            if let Request::Fetch(k) = request {
-                self.fetches.lock().push((to, k));
+            if let Request::FetchMany(ks) = request {
+                self.fetches.lock().push((to, ks.to_vec()));
             }
             let reply = self.inner.call(to, request);
             reply.filter(|_| !self.silent.lock().contains(&to))
@@ -325,7 +343,18 @@ mod tests {
         }
 
         fn local(&self, s: SiteId, request: Request<'_>) -> Option<WireResponse> {
+            let kind = format!("{request:?}");
+            let kind = kind.split('(').next().unwrap_or_default();
+            self.locals.lock().push(kind.to_string());
             self.inner.local(s, request)
+        }
+    }
+
+    impl<T> Recorder<T> {
+        /// Forgets everything recorded so far.
+        fn clear(&self) {
+            self.fetches.lock().clear();
+            self.locals.lock().clear();
         }
     }
 
@@ -338,25 +367,46 @@ mod tests {
     }
 
     /// Four voting sites weighted 3, 2, 2, 2 (majority quorums of 5).
-    fn recorder() -> ServerCluster<Recorder> {
-        let cfg = DeviceConfig::builder(Scheme::Voting)
+    fn cfg() -> DeviceConfig {
+        DeviceConfig::builder(Scheme::Voting)
             .sites(4)
             .num_blocks(4)
             .block_size(4)
             .build()
-            .unwrap();
-        let (coord, inner) = Cluster::new(cfg, ClusterOptions::default()).into_parts();
+            .unwrap()
+    }
+
+    fn record<T>((coord, inner): (crate::backend::Coordinator, T)) -> ServerCluster<Recorder<T>> {
         let recorder = Recorder {
             inner,
             silent: Mutex::default(),
             fetches: Mutex::default(),
+            locals: Mutex::default(),
         };
         ServerCluster::over(coord, recorder)
     }
 
+    /// The deterministic runtime, recorded.
+    fn recorder() -> ServerCluster<Recorder<impl Transport>> {
+        record(Cluster::new(cfg(), ClusterOptions::default()).into_parts())
+    }
+
+    /// Runs `$check`, generic over the transport, on each of the three
+    /// runtimes, recorded.
+    macro_rules! on_every_runtime {
+        ($check:expr) => {{
+            let mode = DeliveryMode::Multicast;
+            $check(&recorder());
+            $check(&record(LiveCluster::spawn(cfg(), mode).into_parts()));
+            $check(&record(
+                TcpCluster::spawn(cfg(), mode).unwrap().into_parts(),
+            ));
+        }};
+    }
+
     /// Puts block `k` at version `v` straight onto site `s`'s disk, with
     /// data that names both.
-    fn plant(c: &ServerCluster<Recorder>, s: u32, k: u64, v: u64) {
+    fn plant<T: Transport>(c: &ServerCluster<T>, s: u32, k: u64, v: u64) {
         let data = BlockData::from(vec![s as u8, k as u8, v as u8, 0]);
         let block: WriteBatch = [(blk(k), VersionNumber::new(v), data)]
             .into_iter()
@@ -364,8 +414,15 @@ mod tests {
         c.apply_write_many(sid(s), sid(s), &block);
     }
 
-    fn transfers(c: &ServerCluster<Recorder>) -> u64 {
+    fn transfers<T: Transport>(c: &ServerCluster<T>) -> u64 {
         c.traffic().get(OpClass::Read, MsgKind::BlockTransfer)
+    }
+
+    /// The remote fetches recorded, each a run of one.
+    fn fetched<T>(c: &ServerCluster<Recorder<T>>) -> Vec<(SiteId, BlockIndex)> {
+        let fetches = c.transport.fetches.lock();
+        assert!(fetches.iter().all(|(_, ks)| ks.len() == 1), "{fetches:?}");
+        fetches.iter().map(|(t, ks)| (*t, ks[0])).collect()
     }
 
     #[test]
@@ -387,10 +444,7 @@ mod tests {
         for k in 0..3 {
             c.read(sid(3), blk(k)).unwrap();
         }
-        assert_eq!(
-            *c.transport.fetches.lock(),
-            [(sid(1), blk(0)), (sid(2), blk(1))]
-        );
+        assert_eq!(fetched(&c), [(sid(1), blk(0)), (sid(2), blk(1))]);
         assert_eq!(transfers(&c), 2);
         // The origin now holds what it fetched.
         assert_eq!(c.version_of(sid(3), blk(0)), VersionNumber::new(4));
@@ -401,7 +455,7 @@ mod tests {
     fn a_voter_that_does_not_answer_adds_no_weight_and_is_charged_no_reply() {
         let c = recorder();
         let replies =
-            |c: &ServerCluster<Recorder>| c.traffic().get(OpClass::Read, MsgKind::VoteReply);
+            |c: &ServerCluster<Recorder<_>>| c.traffic().get(OpClass::Read, MsgKind::VoteReply);
         // Site 0 (weight 3) is silent: 2 + 2 + 2 still reaches 5.
         c.transport.silent.lock().push(sid(0));
         c.read(sid(1), blk(0)).unwrap();
@@ -429,14 +483,64 @@ mod tests {
         plant(&c, 3, 2, 5);
         let ks = [blk(0), blk(1), blk(2)];
         let got = c.read_many(sid(3), &ks).unwrap();
-        assert_eq!(
-            *c.transport.fetches.lock(),
-            [(sid(1), blk(0)), (sid(2), blk(1))]
-        );
+        assert_eq!(fetched(&c), [(sid(1), blk(0)), (sid(2), blk(1))]);
         assert_eq!(transfers(&c), 2);
         let want: [&[u8]; 3] = [&[1, 0, 3, 0], &[2, 1, 4, 0], &[3, 2, 5, 0]];
         for (data, want) in got.iter().zip(want) {
             assert_eq!(data.as_slice(), want);
         }
+    }
+
+    #[test]
+    fn a_read_whose_origin_is_current_asks_its_own_site_once() {
+        fn check<T: Transport>(c: &ServerCluster<Recorder<T>>) {
+            let ks = [blk(0), blk(1), blk(2)];
+            let writes: Vec<_> = ks
+                .iter()
+                .map(|&k| (k, BlockData::from(vec![7; 4])))
+                .collect();
+            c.write_many(sid(1), &writes).unwrap();
+            for run in [&ks[..1], &ks[..]] {
+                c.transport.clear();
+                assert_eq!(
+                    c.read_many(sid(1), run).unwrap(),
+                    vec![writes[0].1.clone(); run.len()]
+                );
+                // Its vote and its read are one local request, and
+                // nothing is fetched from anyone else.
+                assert_eq!(*c.transport.locals.lock(), ["FetchMany"], "{c:?}");
+                assert!(c.transport.fetches.lock().is_empty(), "{c:?}");
+            }
+            assert_eq!(transfers(c), 0);
+        }
+        on_every_runtime!(check);
+    }
+
+    #[test]
+    fn a_stale_block_of_a_run_is_served_as_fetched_and_the_rest_from_the_origin() {
+        fn check<T: Transport>(c: &ServerCluster<Recorder<T>>) {
+            // Every site holds blocks 0–2 at version 1, each copy naming
+            // its site; site 2 alone holds block 1 at version 2.
+            for s in 0..4 {
+                (0..3).for_each(|k| plant(c, s, k, 1));
+            }
+            plant(c, 2, 1, 2);
+            c.transport.clear();
+            let got = c.read_many(sid(3), &[blk(0), blk(1), blk(2)]).unwrap();
+            let got: Vec<&[u8]> = got.iter().map(BlockData::as_slice).collect();
+            assert_eq!(got, [&[3, 0, 1, 0], &[2, 1, 2, 0], &[3, 2, 1, 0]], "{c:?}");
+            // One run-of-one exchange with the holder, one transfer, and
+            // the origin's own leg plus the refresh installed locally.
+            assert_eq!(fetched(c), [(sid(2), blk(1))], "{c:?}");
+            assert_eq!(transfers(c), 1, "{c:?}");
+            assert_eq!(
+                *c.transport.locals.lock(),
+                ["FetchMany", "ApplyWriteMany"],
+                "{c:?}"
+            );
+            assert_eq!(c.version_of(sid(3), blk(1)), VersionNumber::new(2));
+            assert_eq!(c.data_of(sid(3), blk(1)).as_slice(), &[2, 1, 2, 0]);
+        }
+        on_every_runtime!(check);
     }
 }

@@ -164,6 +164,7 @@ impl VersionedStore {
     }
 
     /// Block `k`'s bytes: its own, or the shared zero block.
+    #[inline]
     fn slot(&self, k: BlockIndex) -> &BlockData {
         self.blocks[k.index()].as_ref().unwrap_or(&self.zero)
     }
@@ -186,12 +187,13 @@ impl VersionedStore {
         self.slot(k).clone()
     }
 
-    /// Both the version and the data of block `k`, as shipped during lazy
-    /// voting recovery.
+    /// Both the version and the data of block `k`: what a voting read
+    /// votes and serves with, and what lazy voting recovery ships.
     ///
     /// # Panics
     ///
     /// Panics if `k` is out of range.
+    #[inline]
     pub fn versioned(&self, k: BlockIndex) -> (VersionNumber, BlockData) {
         (self.versions.get(k), self.slot(k).clone())
     }

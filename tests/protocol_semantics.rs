@@ -133,11 +133,11 @@ fn gifford_asymmetric_quorums_trade_read_for_write_cost() {
 #[test]
 fn was_available_sets_follow_writes() {
     let c = cluster(Scheme::AvailableCopy, 3);
-    let all: std::collections::BTreeSet<_> = (0..3).map(s).collect();
+    let all: Vec<_> = (0..3).map(s).collect();
     assert_eq!(c.was_available_of(s(0)), all);
     c.fail_site(s(2));
     // On-failure tracking already shrank the survivors' sets.
-    let survivors: std::collections::BTreeSet<_> = [s(0), s(1)].into();
+    let survivors = vec![s(0), s(1)];
     assert_eq!(c.was_available_of(s(0)), survivors);
     assert_eq!(c.was_available_of(s(1)), survivors);
     // The failed site's on-disk set is untouched.
@@ -157,12 +157,12 @@ fn on_write_tracking_defers_w_updates_to_writes() {
         .build()
         .unwrap();
     let c = Cluster::new(cfg, ClusterOptions::default());
-    let all: std::collections::BTreeSet<_> = (0..3).map(s).collect();
+    let all: Vec<_> = (0..3).map(s).collect();
     c.fail_site(s(2));
     // No write yet: survivors still believe W = S.
     assert_eq!(c.was_available_of(s(0)), all);
     c.write(s(0), blk(0), fill(1)).unwrap();
-    let survivors: std::collections::BTreeSet<_> = [s(0), s(1)].into();
+    let survivors = vec![s(0), s(1)];
     assert_eq!(c.was_available_of(s(0)), survivors);
     assert_eq!(c.was_available_of(s(1)), survivors);
 }
@@ -287,7 +287,7 @@ fn naive_total_failure_waits_for_every_site() {
 #[test]
 fn naive_keeps_no_failure_information() {
     let c = cluster(Scheme::NaiveAvailableCopy, 3);
-    let all: std::collections::BTreeSet<_> = (0..3).map(s).collect();
+    let all: Vec<_> = (0..3).map(s).collect();
     c.fail_site(s(1));
     c.write(s(0), blk(0), fill(1)).unwrap();
     // W stays S forever under naive.

@@ -352,6 +352,44 @@ fn vectored_ops_are_fanout_and_quorum_invariant() {
     }
 }
 
+/// A voting read of a 3-block run at a site that missed one block's write,
+/// on `$c`: the run returns every block's written bytes, the stale block's
+/// refresh lands on the origin's disk, and the read charges exactly one
+/// block transfer. Yields the cluster's traffic, for parity.
+macro_rules! stale_run_read {
+    ($c:expr) => {{
+        let c = $c;
+        let fill = |b: u8| BlockData::from(vec![b; 32]);
+        let ks: Vec<BlockIndex> = (0..3).map(blk).collect();
+        let first: Vec<(BlockIndex, BlockData)> = ks.iter().map(|&k| (k, fill(1))).collect();
+        c.write_many(s(0), &first).unwrap();
+        c.fail_site(s(3));
+        c.write(s(0), blk(1), fill(2)).unwrap();
+        c.repair_site(s(3));
+        let transfers = || c.traffic().get(OpClass::Read, MsgKind::BlockTransfer);
+        assert_eq!(transfers(), 0);
+        for _ in 0..2 {
+            // The second read finds the origin's copies current.
+            let got = c.read_many(s(3), &ks).unwrap();
+            assert_eq!(got, [fill(1), fill(2), fill(1)], "{c:?}");
+            assert_eq!(transfers(), 1, "{c:?}");
+        }
+        assert_eq!(c.version_of(s(3), blk(1)), VersionNumber::new(2), "{c:?}");
+        assert_eq!(c.data_of(s(3), blk(1)), fill(2), "{c:?}");
+        c.traffic()
+    }};
+}
+
+#[test]
+fn a_stale_block_of_a_read_run_is_refreshed_once_on_every_runtime() {
+    let (scheme, mode) = (Scheme::Voting, DeliveryMode::Multicast);
+    let det = stale_run_read!(Cluster::new(cfg(scheme, 4), ClusterOptions { mode }));
+    let live = stale_run_read!(LiveCluster::spawn(cfg(scheme, 4), mode));
+    let tcp = stale_run_read!(TcpCluster::spawn(cfg(scheme, 4), mode).unwrap());
+    assert_eq!(det, live, "channel §5 accounting must match");
+    assert_eq!(det, tcp, "tcp §5 accounting must match");
+}
+
 #[test]
 fn live_cluster_total_failure_recovery_matches_deterministic() {
     for scheme in [Scheme::AvailableCopy, Scheme::NaiveAvailableCopy] {
