@@ -2,9 +2,9 @@
 //!
 //! [`check_invariants`] inspects a whole cluster and verifies the structural
 //! invariants each scheme maintains — the properties the §4 analysis quietly
-//! assumes. The property tests call it after *every* scripted action, so a
-//! protocol bug surfaces at the exact step that introduced it rather than at
-//! the read that later observes it.
+//! assumes. The exhaustive explorer calls it after *every* action, so a
+//! protocol bug surfaces at the exact step that introduced it rather than
+//! at the read that later observes it.
 
 use crate::transport::{ServerCluster, Transport};
 use blockrep_types::{BlockIndex, FailureTracking, Scheme, SiteId, SiteState, VersionVector};

@@ -1,11 +1,10 @@
 //! Seeded chaos testing: random fault schedules replayed on all three
 //! runtimes, checked against a one-copy oracle and against each other.
 //!
-//! A [`ChaosScript`] is a seeded sequence of workload steps
-//! ([`Action`](crate::scenario::Action)) with [`FaultKind`]s attached to
-//! individual remote exchanges. [`run_seed`] replays the same script on the
-//! deterministic [`Cluster`], the threaded [`LiveCluster`] and the socket
-//! [`TcpCluster`], asserting
+//! A [`ChaosScript`] is a seeded sequence of workload steps ([`Action`])
+//! with [`FaultKind`]s attached to individual remote exchanges.
+//! [`run_seed`] replays the same script on the deterministic [`Cluster`],
+//! the threaded [`LiveCluster`] and the socket [`TcpCluster`], asserting
 //!
 //! 1. **one-copy admissibility** — every successful read returns a value
 //!    the fault history admits (exactly the last write for blocks with a
@@ -31,7 +30,6 @@
 //! and is scheduled for every scheme.
 
 use crate::fault::{FaultKind, Faulty, OpReport};
-use crate::scenario::Action;
 use crate::shard::ShardSpec;
 use crate::transport::{ServerCluster, Transport};
 use crate::{protocol, Cluster, ClusterOptions, LiveCluster, ReliableDevice, TcpCluster};
@@ -42,6 +40,31 @@ use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
 use std::panic::catch_unwind;
 use std::sync::Arc;
+
+/// One workload step of a chaos script.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Action {
+    /// Write `fill` bytes to `block`, coordinated by `origin`.
+    Write {
+        /// Coordinating site.
+        origin: SiteId,
+        /// Target block.
+        block: BlockIndex,
+        /// Fill byte; the payload is `fill` repeated over the block.
+        fill: u8,
+    },
+    /// Read `block` via `origin` and check it against the oracle.
+    Read {
+        /// Coordinating site.
+        origin: SiteId,
+        /// Target block.
+        block: BlockIndex,
+    },
+    /// Fail-stop a site (nothing if it is already failed).
+    Fail(SiteId),
+    /// Restart a failed site or sweep a comatose one (nothing if available).
+    Repair(SiteId),
+}
 
 /// One chaos step: a workload action plus the faults scheduled on its
 /// remote exchanges, as `(exchange index, kind)` pairs.

@@ -111,9 +111,10 @@ impl ServerCluster<Inline> {
 
     /// Deep-copies the cluster into an independent one: same replica
     /// contents, states, was-available sets and topology, with a fresh
-    /// traffic counter and fresh block locks. The model-checking tests use
-    /// this to explore every interleaving of failures, repairs and writes
-    /// from a common prefix.
+    /// traffic counter and fresh block locks. The exhaustive explorer uses
+    /// this to explore every sequence of failures, repairs, writes, reads
+    /// and crashed writes from a common prefix, and to read every block
+    /// from every site without changing the state it checks.
     pub fn fork(&self) -> Cluster {
         let coord = self.coord.fork();
         let replicas = self

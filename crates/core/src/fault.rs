@@ -192,6 +192,15 @@ impl<T> ServerCluster<T> {
     }
 }
 
+impl<T> ServerCluster<Faulty<T>> {
+    /// This cluster with its fault layer taken out again: the inverse of
+    /// [`with_faults`](ServerCluster::with_faults).
+    pub fn without_faults(self) -> ServerCluster<T> {
+        let (coord, faulty) = self.into_parts();
+        ServerCluster::over(coord, faulty.inner)
+    }
+}
+
 // `Transport` is the crate's own seam: nothing outside it can name a `T`
 // other than the exported ones.
 #[allow(private_bounds)]

@@ -86,7 +86,6 @@ pub mod locks;
 mod obs_hooks;
 mod protocol;
 mod replica;
-pub mod scenario;
 mod service;
 pub mod shard;
 pub mod simulate;

@@ -7,9 +7,8 @@
 //! byte-identical outcome parity across the runtimes. A failure prints the
 //! seed and the shrunk minimal schedule.
 
-use blockrep::core::chaos::{self, ChaosStep};
+use blockrep::core::chaos::{self, Action, ChaosStep};
 use blockrep::core::fault::FaultKind;
-use blockrep::core::scenario::Action;
 use blockrep::core::{Cluster, ClusterOptions, ReliableDevice, ShardSpec};
 use blockrep::types::{BlockData, BlockIndex, Scheme, SiteId, SiteState};
 use std::sync::Arc;

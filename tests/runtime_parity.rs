@@ -17,6 +17,7 @@ use blockrep::net::{DeliveryMode, MsgKind, OpClass, TrafficSnapshot};
 use blockrep::types::{
     BlockData, BlockIndex, DeviceConfig, Scheme, SiteId, SiteState, VersionNumber,
 };
+use proptest::prelude::*;
 
 /// The cluster sizes the parity cases run at: the suite's four sites, and
 /// two past the inline capacity of a round's per-site lists.
@@ -333,6 +334,61 @@ fn vectored_ops_match_per_block_loop_on_all_runtimes() {
                     );
                 }
             }
+        }
+    }
+}
+
+const NUM_BLOCKS: u64 = 4;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Vectored equivalence: a random script of batched writes and reads
+    /// must leave exactly the same bytes AND the same §5 traffic totals as
+    /// the identical script unrolled into per-block operations.
+    #[test]
+    fn vectored_ops_equal_per_block_ops(
+        script in prop::collection::vec(
+            (0..3u32, prop::collection::btree_set(0..NUM_BLOCKS, 1..4), any::<u8>()),
+            1..16,
+        )
+    ) {
+        use blockrep::types::BlockData;
+        for scheme in Scheme::ALL {
+            let cfg = DeviceConfig::builder(scheme)
+                .sites(3)
+                .num_blocks(NUM_BLOCKS)
+                .block_size(16)
+                .build()
+                .unwrap();
+            let batched = Cluster::new(cfg.clone(), ClusterOptions::default());
+            let unrolled = Cluster::new(cfg, ClusterOptions::default());
+            for (origin, blocks, fill) in &script {
+                let o = SiteId::new(*origin);
+                let writes: Vec<(BlockIndex, BlockData)> = blocks
+                    .iter()
+                    .map(|&k| (BlockIndex::new(k), BlockData::from(vec![fill.wrapping_add(k as u8); 16])))
+                    .collect();
+                let a = batched.write_many(o, &writes).is_ok();
+                let b = writes.iter().all(|(k, d)| unrolled.write(o, *k, d.clone()).is_ok());
+                prop_assert_eq!(a, b, "{}: write outcome diverged", scheme);
+                let ks: Vec<BlockIndex> = blocks.iter().map(|&k| BlockIndex::new(k)).collect();
+                let a: Option<Vec<Vec<u8>>> = batched
+                    .read_many(o, &ks)
+                    .ok()
+                    .map(|v| v.iter().map(|d| d.as_slice().to_vec()).collect());
+                let b: Option<Vec<Vec<u8>>> = ks
+                    .iter()
+                    .map(|&k| unrolled.read(o, k).ok().map(|d| d.as_slice().to_vec()))
+                    .collect();
+                prop_assert_eq!(a, b, "{}: read bytes diverged", scheme);
+            }
+            prop_assert_eq!(
+                batched.traffic(),
+                unrolled.traffic(),
+                "{}: batched §5 accounting diverged from the per-block loop",
+                scheme
+            );
         }
     }
 }
