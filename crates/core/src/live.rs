@@ -18,7 +18,10 @@
 //! arrival order**. So a request at site `s`, local or remote, is behind
 //! every install already sent to `s`, although installs are one-way casts
 //! nobody waits for. Envelopes are popped only under the replica lock
-//! (lock order replica → inbox; a poster holds neither).
+//! (lock order replica → inbox; a poster holds neither). A drain takes the
+//! inbox lock only while something is queued: the queue's length is copied,
+//! under that lock, into an atomic (Release) it reads first (Acquire), so a
+//! local leg at a site with an empty inbox takes the replica lock alone.
 //!
 //! **Who wakes a site.** A site's thread is woken only when somebody will
 //! wait on it: a round trip, or a cast that fills the inbox to [`WINDOW`].
@@ -45,6 +48,7 @@ use blockrep_net::DeliveryMode;
 use blockrep_types::{DeviceConfig, SiteId};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Condvar, PoisonError};
 use std::thread::JoinHandle;
@@ -61,17 +65,8 @@ struct Envelope {
 /// is live, so the server thread (which does not share this thread's
 /// context) can stitch its apply span into the tree.
 fn traced(request: Request<'_>) -> WireRequest {
-    let request = WireRequest::from(request);
-    if blockrep_obs::enabled() && crate::obs_hooks::tracing() {
-        if let Some(ctx) = blockrep_obs::trace::current() {
-            return WireRequest::Traced {
-                trace_id: ctx.trace_id,
-                parent_span: ctx.span_id,
-                inner: Box::new(request),
-            };
-        }
-    }
-    request
+    let tracing = blockrep_obs::enabled() && crate::obs_hooks::tracing();
+    WireRequest::from(request).traced(tracing.then(blockrep_obs::trace::current).flatten())
 }
 
 /// What other sites have sent a site and nobody has served yet, oldest
@@ -89,6 +84,8 @@ struct Site {
     id: SiteId,
     replica: Mutex<Replica>,
     inbox: Mutex<Inbox>,
+    /// The inbox's length, as of its last change: read without the lock.
+    queued: AtomicUsize,
     /// What the site's thread sleeps on. Rung only when somebody will wait
     /// on this site (see [`post`](Self::post)), and when the inbox closes.
     bell: Condvar,
@@ -121,6 +118,7 @@ impl Site {
             return false;
         }
         inbox.queue.push_back(envelope);
+        self.queued.store(inbox.queue.len(), Ordering::Release);
         let ring = round_trip || inbox.queue.len() == WINDOW;
         drop(inbox);
         if ring {
@@ -131,12 +129,13 @@ impl Site {
 
     /// Serves everything in the inbox, in arrival order, on `replica` —
     /// which the caller has locked: the guard is what makes the order of
-    /// popping the order of serving.
+    /// popping the order of serving. An empty inbox costs one atomic load.
     fn drain(&self, replica: &mut Replica) {
-        loop {
+        while self.queued.load(Ordering::Acquire) != 0 {
             let envelope = {
                 let mut inbox = self.inbox.lock();
                 let envelope = inbox.queue.pop_front();
+                self.queued.store(inbox.queue.len(), Ordering::Release);
                 // Posters sleep only on an inbox they saw full.
                 if inbox.queue.len() + 1 == WINDOW {
                     self.room.notify_all();
@@ -196,6 +195,7 @@ impl Site {
             let mut inbox = self.inbox.lock();
             inbox.closed = true;
             inbox.queue.clear();
+            self.queued.store(0, Ordering::Release);
         }
         self.bell.notify_one();
         self.room.notify_all();
@@ -222,6 +222,7 @@ impl LiveTransport {
                         queue: VecDeque::with_capacity(WINDOW),
                         closed: false,
                     }),
+                    queued: AtomicUsize::new(0),
                     bell: Condvar::new(),
                     room: Condvar::new(),
                     links: links.clone(),
@@ -297,16 +298,11 @@ impl Transport for LiveTransport {
                     None
                 };
                 let (tx, rx) = sync_channel(1);
-                let mut request = request.clone();
                 // The send span is the envelope parent, so the server's
                 // remote_apply span lands under this site's send leg.
-                if let Some(ctx) = send_span.as_ref().map(|s| s.context()) {
-                    request = WireRequest::Traced {
-                        trace_id: ctx.trace_id,
-                        parent_span: ctx.span_id,
-                        inner: Box::new(request),
-                    };
-                }
+                let request = request
+                    .clone()
+                    .traced(send_span.as_ref().map(|s| s.context()));
                 let reply = Some(tx);
                 let sent = self.post(t, Envelope { request, reply });
                 (t, sent.then_some(rx))
@@ -537,6 +533,51 @@ mod tests {
             Some(VersionNumber::new(casts))
         );
         assert!(site.inbox.lock().queue.is_empty());
+    }
+
+    #[test]
+    fn a_local_leg_serves_the_casts_queued_before_it_without_waking_the_site() {
+        use blockrep_types::VersionNumber;
+        let c = live(Scheme::AvailableCopy, 3);
+        let site = Arc::clone(&c.transport.sites[2]);
+        let k = BlockIndex::new(0);
+        std::thread::sleep(Duration::from_millis(20));
+        let casts = WINDOW as u64 - 1;
+        for v in 1..=casts {
+            let data = BlockData::from(vec![v as u8; 8]);
+            let block = [(k, VersionNumber::new(v), data)].into_iter().collect();
+            assert!(c.apply_write_many(sid(0), sid(2), &block));
+        }
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(
+            site.inbox.lock().queue.len(),
+            casts as usize,
+            "a cast below the window woke site 2's thread"
+        );
+        // An available-copy read at site 2 is a local leg there: it serves
+        // every queued install before it reads.
+        assert_eq!(c.read(sid(2), k).unwrap().as_slice(), &[casts as u8; 8]);
+        assert!(site.inbox.lock().queue.is_empty());
+    }
+
+    #[test]
+    fn a_local_leg_at_an_empty_inbox_does_not_take_the_inbox_lock() {
+        let c = live(Scheme::AvailableCopy, 3);
+        let site = Arc::clone(&c.transport.sites[2]);
+        let k = BlockIndex::new(1);
+        c.write(sid(2), k, BlockData::from(vec![6; 8])).unwrap();
+        let (done_tx, done_rx) = sync_channel(1);
+        std::thread::scope(|scope| {
+            let inbox = site.inbox.lock();
+            assert!(inbox.queue.is_empty());
+            scope.spawn(|| {
+                let _ = done_tx.send(c.read(sid(2), k));
+            });
+            let done = done_rx.recv_timeout(Duration::from_secs(1));
+            drop(inbox);
+            let read = done.expect("a local leg at an empty inbox waited for its lock");
+            assert_eq!(read.unwrap().as_slice(), &[6; 8]);
+        });
     }
 
     #[test]

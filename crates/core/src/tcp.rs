@@ -180,17 +180,8 @@ impl TcpTransport {
         let live = self.wire_tracing.load(Ordering::Relaxed)
             && blockrep_obs::enabled()
             && crate::obs_hooks::tracing();
-        match live.then(blockrep_obs::trace::current).flatten() {
-            Some(ctx) => {
-                let traced = WireRequest::Traced {
-                    trace_id: ctx.trace_id,
-                    parent_span: ctx.span_id,
-                    inner: Box::new(request),
-                };
-                (traced.to_frame(), true)
-            }
-            None => (request.to_frame(), false),
-        }
+        let ctx = live.then(blockrep_obs::trace::current).flatten();
+        (request.traced(ctx).to_frame(), ctx.is_some())
     }
 
     /// An idle connection to `to`, or a new one if none is idle. The pool's

@@ -106,6 +106,18 @@ pub(crate) enum Request<'a> {
 }
 
 impl WireRequest {
+    /// The request inside a trace envelope parented at `ctx`, if any.
+    pub(crate) fn traced(self, ctx: Option<blockrep_obs::trace::TraceContext>) -> WireRequest {
+        match ctx {
+            Some(ctx) => WireRequest::Traced {
+                trace_id: ctx.trace_id,
+                parent_span: ctx.span_id,
+                inner: Box::new(self),
+            },
+            None => self,
+        }
+    }
+
     /// The request, borrowed; an envelope as the request it carries.
     pub(crate) fn as_request(&self) -> Request<'_> {
         match self {

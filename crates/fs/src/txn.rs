@@ -2,7 +2,7 @@
 //! system goes through.
 //!
 //! A [`Txn`] lives for exactly one public [`FileSystem`](crate::FileSystem)
-//! operation, under the file system's lock. Reads go through its map, so a
+//! operation, under the file system's lock. Reads go through its list, so a
 //! block is fetched from the device at most once per operation however many
 //! inodes, bitmap bits or directory entries of it the operation looks at;
 //! writes only edit the in-memory copy, and [`commit`](Txn::commit) sends
@@ -13,12 +13,15 @@
 //! A block's bytes are touched once on their way through. Callers read a
 //! block in place ([`get`](Txn::get) lends the transaction's copy; a
 //! directory lookup compares names in it without copying the directory).
-//! A block installed whole ([`put`](Txn::put)) enters the map as the
-//! [`BlockData`] that `commit` hands the device, so a full-block write
-//! costs one allocation and one copy of the caller's bytes. Every block
-//! the operation zeroes ([`put_zeroed`](Txn::put_zeroed)) shares one zeroed
-//! buffer. Only an edit ([`modify`](Txn::modify)) takes a private copy of
-//! the block, once, on its first edit.
+//! The transaction keeps one list of the blocks it has seen, ordered by
+//! index, and each entry is the [`BlockData`] that `commit` hands the
+//! device. A block installed whole ([`put`](Txn::put)) is the caller's
+//! allocation, so a full-block write costs one allocation and one copy of
+//! the caller's bytes. Every block the operation zeroes
+//! ([`put_zeroed`](Txn::put_zeroed)) shares one zeroed buffer. An edit
+//! ([`modify`](Txn::modify)) is copy-on-write: a block shared with the
+//! device or with the zeroed buffer is copied once, on its first edit,
+//! and a block this operation owns alone is edited in place.
 //!
 //! Nothing is kept across operations: tools and tests write to the device
 //! behind the file system's back, and the (replicated) device — not this
@@ -30,46 +33,27 @@ use crate::layout::FsGeometry;
 use crate::FsResult;
 use blockrep_storage::BlockDevice;
 use blockrep_types::{BlockData, BlockIndex};
-use std::collections::btree_map::{BTreeMap, Entry};
 
-/// A block this operation will write at commit.
-enum Dirty {
-    /// A whole block, not yet edited: handed to the device as it is.
-    Shared(BlockData),
-    /// This transaction's own copy, edited in place.
-    Own(Vec<u8>),
+/// Blocks the list holds before it grows: more than a lookup, a small
+/// read or a small write touches, so those allocate it once.
+const USUAL_BLOCKS: usize = 16;
+
+/// One block this operation has seen.
+#[derive(Clone)]
+struct Slot {
+    k: u64,
+    data: BlockData,
+    /// Edited or installed by this operation: `commit` writes it.
+    dirty: bool,
 }
 
-impl Dirty {
-    fn bytes(&self) -> &[u8] {
-        match self {
-            Dirty::Shared(block) => block.as_slice(),
-            Dirty::Own(own) => own,
-        }
-    }
-
-    /// The bytes to edit, copied out of a shared block on the first edit.
-    fn edit(&mut self) -> &mut [u8] {
-        if let Dirty::Shared(shared) = self {
-            *self = Dirty::Own(shared.as_slice().to_vec());
-        }
-        match self {
-            Dirty::Own(own) => own,
-            Dirty::Shared(_) => unreachable!("copied out above"),
-        }
-    }
-}
-
-/// One operation's view of the device: blocks read so far, and blocks it
-/// will write at commit.
+/// One operation's view of the device: every block it has read, edited or
+/// installed, ascending by index, each once.
 pub(crate) struct Txn<'a, D> {
     dev: &'a D,
     /// The mounted geometry, for the on-disk structures layered on top.
     pub(crate) geo: &'a FsGeometry,
-    /// Blocks as fetched from the device, unmodified.
-    clean: BTreeMap<u64, BlockData>,
-    /// Blocks edited or installed by this operation; these shadow `clean`.
-    dirty: BTreeMap<u64, Dirty>,
+    blocks: Vec<Slot>,
     /// The zeroed block every [`put_zeroed`](Self::put_zeroed) shares.
     zero: Option<BlockData>,
     /// [`Bitmap::alloc`](crate::bitmap::Bitmap::alloc)'s first-fit cursor:
@@ -83,65 +67,103 @@ impl<'a, D: BlockDevice> Txn<'a, D> {
         Txn {
             dev,
             geo,
-            clean: BTreeMap::new(),
-            dirty: BTreeMap::new(),
+            blocks: Vec::with_capacity(USUAL_BLOCKS),
             zero: None,
             alloc_from: 0,
+        }
+    }
+
+    /// Where block `k` is in the list, or where it would go.
+    fn find(&self, k: u64) -> Result<usize, usize> {
+        self.blocks.binary_search_by_key(&k, |slot| slot.k)
+    }
+
+    /// Block `k`'s place in the list, fetching it from the device first if
+    /// this operation has not seen it.
+    fn slot(&mut self, k: u64) -> FsResult<usize> {
+        match self.find(k) {
+            Ok(at) => Ok(at),
+            Err(at) => {
+                let data = self.dev.read_block(BlockIndex::new(k))?;
+                let dirty = false;
+                self.blocks.insert(at, Slot { k, data, dirty });
+                Ok(at)
+            }
         }
     }
 
     /// Block `k` as this operation sees it: its own edit if it made one,
     /// else the device's copy, fetched on first use and kept.
     pub(crate) fn get(&mut self, k: u64) -> FsResult<&[u8]> {
-        if let Some(block) = self.dirty.get(&k) {
-            return Ok(block.bytes());
-        }
-        Ok(match self.clean.entry(k) {
-            Entry::Occupied(hit) => hit.into_mut(),
-            Entry::Vacant(miss) => miss.insert(self.dev.read_block(BlockIndex::new(k))?),
-        }
-        .as_slice())
+        let at = self.slot(k)?;
+        Ok(self.blocks[at].data.as_slice())
     }
 
     /// Makes every block of `ks` resident, fetching the ones this operation
-    /// has not seen yet in one vectored `read_blocks`.
+    /// has not seen yet in one vectored `read_blocks`, and merging them
+    /// into the list in one pass.
     pub(crate) fn get_many(&mut self, ks: impl IntoIterator<Item = u64>) -> FsResult<()> {
         let mut misses: Vec<BlockIndex> = ks
             .into_iter()
-            .filter(|k| !self.dirty.contains_key(k) && !self.clean.contains_key(k))
+            .filter(|&k| self.find(k).is_err())
             .map(BlockIndex::new)
             .collect();
+        if misses.is_empty() {
+            return Ok(());
+        }
         // `read_blocks` wants distinct indices; a cross-linked image may
         // hand us the same block twice.
         misses.sort_unstable();
         misses.dedup();
-        if !misses.is_empty() {
-            let fetched = self.dev.read_blocks(&misses)?;
-            self.clean
-                .extend(misses.iter().map(|k| k.as_u64()).zip(fetched));
+        let fetched = self.dev.read_blocks(&misses)?;
+        debug_assert_eq!(fetched.len(), misses.len());
+        let fetched = misses.iter().zip(fetched).map(|(k, data)| Slot {
+            k: k.as_u64(),
+            data,
+            dirty: false,
+        });
+        let Some(filler) = self.blocks.last().cloned() else {
+            self.blocks.extend(fetched);
+            return Ok(());
+        };
+        // Merge from the back, in place: the list grows by the new blocks
+        // (filled with clones of its last one), and each held block moves
+        // up at most once.
+        let mut held = self.blocks.len();
+        self.blocks.resize(held + misses.len(), filler);
+        let mut at = self.blocks.len();
+        for slot in fetched.rev() {
+            while held > 0 && self.blocks[held - 1].k > slot.k {
+                held -= 1;
+                at -= 1;
+                self.blocks.swap(held, at);
+            }
+            at -= 1;
+            self.blocks[at] = slot;
         }
         Ok(())
     }
 
     /// Edits block `k` in memory (fetching it first if this operation has
-    /// not seen it) and marks it dirty.
+    /// not seen it) and marks it dirty. A block still shared with the
+    /// device or the zeroed buffer is copied once, on its first edit.
     pub(crate) fn modify(&mut self, k: u64, edit: impl FnOnce(&mut [u8])) -> FsResult<()> {
-        let block = match self.dirty.entry(k) {
-            Entry::Occupied(hit) => hit.into_mut(),
-            Entry::Vacant(miss) => miss.insert(Dirty::Shared(match self.clean.remove(&k) {
-                Some(raw) => raw,
-                None => self.dev.read_block(BlockIndex::new(k))?,
-            })),
-        };
-        edit(block.edit());
+        let at = self.slot(k)?;
+        let slot = &mut self.blocks[at];
+        slot.dirty = true;
+        edit(slot.data.make_mut());
         Ok(())
     }
 
     /// Installs a full block without reading the old one; `commit` writes
     /// `block` itself.
-    pub(crate) fn put(&mut self, k: u64, block: BlockData) {
-        debug_assert_eq!(block.len(), self.geo.block_size as usize);
-        self.dirty.insert(k, Dirty::Shared(block));
+    pub(crate) fn put(&mut self, k: u64, data: BlockData) {
+        debug_assert_eq!(data.len(), self.geo.block_size as usize);
+        let dirty = true;
+        match self.find(k) {
+            Ok(at) => self.blocks[at] = Slot { k, data, dirty },
+            Err(at) => self.blocks.insert(at, Slot { k, data, dirty }),
+        }
     }
 
     /// One zeroed block, allocated on first use and shared by every block
@@ -162,24 +184,24 @@ impl<'a, D: BlockDevice> Txn<'a, D> {
     /// Writes every dirty block, each once, in one `write_blocks`: data
     /// blocks first in ascending order, then metadata blocks ascending, so
     /// a device that applies the batch entry by entry never publishes an
-    /// inode or bitmap block before the blocks it points at. A read-only
+    /// inode or bitmap block before the blocks it points at. Each block
+    /// goes to the device as the allocation the list holds. A read-only
     /// operation commits nothing and makes no device call.
-    pub(crate) fn commit(mut self) -> FsResult<()> {
-        if self.dirty.is_empty() {
+    pub(crate) fn commit(self) -> FsResult<()> {
+        let dirty = self.blocks.iter().filter(|slot| slot.dirty).count();
+        if dirty == 0 {
             return Ok(());
         }
-        let data = self.dirty.split_off(&self.geo.data_start);
-        let writes: Vec<(BlockIndex, BlockData)> = data
-            .into_iter()
-            .chain(self.dirty)
-            .map(|(k, block)| {
-                let block = match block {
-                    Dirty::Shared(block) => block,
-                    Dirty::Own(own) => BlockData::from(own),
-                };
-                (BlockIndex::new(k), block)
-            })
-            .collect();
+        let mut blocks = self.blocks;
+        let data_start = blocks.partition_point(|slot| slot.k < self.geo.data_start);
+        blocks.rotate_left(data_start);
+        let mut writes = Vec::with_capacity(dirty);
+        writes.extend(
+            blocks
+                .into_iter()
+                .filter(|slot| slot.dirty)
+                .map(|slot| (BlockIndex::new(slot.k), slot.data)),
+        );
         Ok(self.dev.write_blocks(&writes)?)
     }
 }
@@ -190,6 +212,8 @@ mod tests {
     use blockrep_storage::MemStore;
     use blockrep_types::DeviceResult;
     use parking_lot::Mutex;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     /// Records every device call: `(is_write, block indices)`.
     struct Spy {
@@ -303,6 +327,94 @@ mod tests {
             at(data + 1).as_slice().as_ptr(),
             at(data + 2).as_slice().as_ptr()
         );
+    }
+
+    #[test]
+    fn an_edited_device_block_is_copied_once_and_the_device_keeps_its_own() {
+        let (dev, geo) = setup();
+        let mut txn = Txn::new(&dev, &geo);
+        let before = dev.inner.read_block(BlockIndex::new(3)).unwrap();
+        txn.modify(3, |b| b[0] = 1).unwrap();
+        txn.modify(3, |b| b[1] = 2).unwrap();
+        let edited = txn.get(3).unwrap().as_ptr();
+        let at = || dev.inner.read_block(BlockIndex::new(3)).unwrap();
+        assert!(at().is_zeroed(), "the device saw an edit before commit");
+        assert_eq!(at().as_slice().as_ptr(), before.as_slice().as_ptr());
+        txn.commit().unwrap();
+        assert_eq!(at().as_slice()[..2], [1, 2]);
+        // The list's one copy is what the device now holds.
+        assert_eq!(at().as_slice().as_ptr(), edited);
+        assert_ne!(edited, before.as_slice().as_ptr());
+    }
+
+    #[test]
+    fn an_edited_put_block_commits_the_same_allocation() {
+        let (dev, geo) = setup();
+        let data = geo.data_start;
+        let mut txn = Txn::new(&dev, &geo);
+        let block = BlockData::from(vec![4; 512]);
+        let installed = block.as_slice().as_ptr();
+        txn.put(data, block);
+        txn.modify(data, |b| b[0] = 5).unwrap();
+        txn.commit().unwrap();
+        let at = dev.inner.read_block(BlockIndex::new(data)).unwrap();
+        assert_eq!(at.as_slice()[..2], [5, 4]);
+        assert_eq!(
+            at.as_slice().as_ptr(),
+            installed,
+            "a block the op owned was copied"
+        );
+    }
+
+    #[test]
+    fn the_list_stays_sorted_and_distinct_under_any_mix_of_calls() {
+        let (dev, geo) = setup();
+        let mut txn = Txn::new(&dev, &geo);
+        // Singles, batches that land before, between and past what is
+        // held, repeats, and edits of held and new blocks.
+        txn.get(40).unwrap();
+        txn.get_many([50, 45, 50]).unwrap();
+        txn.modify(10, |b| b[0] = 1).unwrap();
+        txn.get_many([60, 5, 45, 47, 10, 1]).unwrap();
+        txn.put(geo.data_start + 2, vec![2; 512].into());
+        txn.get(7).unwrap();
+        txn.modify(47, |b| b[0] = 3).unwrap();
+        txn.get_many(0..12).unwrap();
+        let held: Vec<u64> = txn.blocks.iter().map(|slot| slot.k).collect();
+        let mut want = vec![40, 50, 45, 10, 60, 5, 47, 1, geo.data_start + 2, 7];
+        want.extend(0..12);
+        want.sort_unstable();
+        want.dedup();
+        assert_eq!(held, want);
+        assert_eq!(txn.get(10).unwrap()[0], 1);
+        assert_eq!(txn.get(47).unwrap()[0], 3);
+        // And seeded random mixes of all four calls.
+        let mut rng = StdRng::seed_from_u64(43);
+        for _ in 0..32 {
+            let mut txn = Txn::new(&dev, &geo);
+            let mut want = std::collections::BTreeSet::new();
+            for _ in 0..24 {
+                let k = rng.random_range(0..128u64);
+                match rng.random_range(0..4u32) {
+                    0 => {
+                        txn.get(k).unwrap();
+                    }
+                    1 => {
+                        let more = rng.random_range(0..8usize);
+                        let ks: Vec<u64> = std::iter::once(k)
+                            .chain((0..more).map(|_| rng.random_range(0..128)))
+                            .collect();
+                        txn.get_many(ks.iter().copied()).unwrap();
+                        want.extend(ks);
+                    }
+                    2 => txn.modify(k, |b| b[0] = k as u8).unwrap(),
+                    _ => txn.put(k, vec![k as u8; 512].into()),
+                }
+                want.insert(k);
+                let held: Vec<u64> = txn.blocks.iter().map(|slot| slot.k).collect();
+                assert_eq!(held, want.iter().copied().collect::<Vec<_>>());
+            }
+        }
     }
 
     #[test]

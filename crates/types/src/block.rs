@@ -28,9 +28,10 @@ pub struct BlockData {
 impl BlockData {
     /// Creates a block filled with zero bytes, the content of a freshly
     /// formatted device.
+    /// One allocation, zeroed in place.
     pub fn zeroed(len: usize) -> Self {
         BlockData {
-            bytes: Bytes::from(vec![0u8; len]),
+            bytes: std::iter::repeat_n(0, len).collect(),
         }
     }
 
@@ -52,6 +53,18 @@ impl BlockData {
     /// Borrows the payload.
     pub fn as_slice(&self) -> &[u8] {
         &self.bytes
+    }
+
+    /// The payload, writable. Edited in place when no clone shares it;
+    /// otherwise first copied, once, into a buffer of its own, so every
+    /// clone keeps the bytes it had.
+    pub fn make_mut(&mut self) -> &mut [u8] {
+        if self.bytes.get_mut().is_none() {
+            self.bytes = Bytes::copy_from_slice(&self.bytes);
+        }
+        self.bytes
+            .get_mut()
+            .expect("a fresh copy has no other owner")
     }
 
     /// Returns the underlying reference-counted buffer.
@@ -127,6 +140,23 @@ mod tests {
         assert_eq!(b, c);
         // Bytes clones share the same backing allocation.
         assert_eq!(b.as_slice().as_ptr(), c.as_slice().as_ptr());
+    }
+
+    #[test]
+    fn make_mut_copies_a_shared_block_once_and_edits_its_own_in_place() {
+        let shared = BlockData::from(vec![1u8; 16]);
+        let mut own = shared.clone();
+        own.make_mut()[0] = 2;
+        assert_eq!(shared.as_slice(), &[1; 16], "a clone saw the edit");
+        let copy = own.as_slice().as_ptr();
+        assert_ne!(copy, shared.as_slice().as_ptr());
+        own.make_mut()[1] = 3;
+        assert_eq!(
+            own.as_slice().as_ptr(),
+            copy,
+            "an unshared block was copied again"
+        );
+        assert_eq!(own.as_slice()[..3], [2, 3, 1]);
     }
 
     #[test]

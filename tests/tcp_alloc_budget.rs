@@ -60,9 +60,10 @@
 //! of what an fs op allocates was the file system's own copying. A lookup
 //! reads a directory's slots in place, so what it allocates does not grow
 //! with the entries it passes; a whole block written is copied once, into
-//! the buffer the device keeps. Before that, a `stat` allocated 23 times
-//! with one entry in its directory and 46 with 24, and rewriting a 40 KiB
-//! file at least 166 times.
+//! the buffer the device keeps, and an edited block is copied once too,
+//! copy-on-write, into the allocation the commit hands the device. Before
+//! that, a `stat` allocated 23 times with one entry in its directory and
+//! 46 with 24, and rewriting a 40 KiB file at least 166 times.
 
 use blockrep::core::wire::{FrameReader, MAX_FRAME};
 use blockrep::core::{Cluster, ClusterOptions, LiveCluster, ReliableDevice, ShardSpec, TcpCluster};
@@ -448,8 +449,15 @@ fn fewest_allocs(mut op: impl FnMut()) -> u64 {
 }
 
 /// Allocations of a 40 KiB rewrite: one copy of each of the 40 blocks, and
-/// a constant for the transaction, the path and the commit.
-const FS_REWRITE_40K: u64 = 80;
+/// a constant for the transaction, the path and the commit. Measured: 56;
+/// 67 while an edited block was copied twice and the transaction kept two
+/// maps.
+const FS_REWRITE_40K: u64 = 60;
+
+/// `(stat, read_file)` allocations of a lookup of `/d7/f0` (2 KiB). The
+/// transaction's block list is sized up front: grown by doubling, a
+/// `read_file` reads 12.
+const FS_LOOKUP: (u64, u64) = (7, 11);
 
 #[test]
 fn a_file_system_lookup_allocates_the_same_whatever_the_directory_holds() {
@@ -465,6 +473,39 @@ fn a_file_system_lookup_allocates_the_same_whatever_the_directory_holds() {
     assert_eq!(
         one, many,
         "(stat, read_file) allocations grow with the directory: a lookup copies its entries again"
+    );
+    assert!(
+        one.0 <= FS_LOOKUP.0 && one.1 <= FS_LOOKUP.1,
+        "(stat, read_file) allocated {one:?}, budget {FS_LOOKUP:?}"
+    );
+}
+
+/// `(allocations, bytes)` of rewriting `/d7/f0` with 2.5 KiB: two whole
+/// blocks and a half one, each allocated and copied once, and the zeroed
+/// block the half one starts from. Measured: 16 and 8 220; 22 and 12 820
+/// while an edited block was copied into a `Vec` and again at commit, and
+/// the transaction kept two maps.
+const FS_WRITE_2K5: (u64, u64) = (18, 9_000);
+
+#[test]
+fn a_small_file_system_write_copies_each_block_once() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let fs = fs_image(1);
+    let contents = [[1; 5 * BLOCK_SIZE / 2], [2; 5 * BLOCK_SIZE / 2]];
+    let mut round = 0;
+    let (allocs, bytes) = (0..5)
+        .map(|_| {
+            round += 1;
+            counted(|| fs.write_file("/d7/f0", &contents[round % 2]).unwrap())
+        })
+        .min()
+        .unwrap();
+    assert_eq!(fs.read_file("/d7/f0").unwrap(), contents[round % 2]);
+    println!("fs 2.5 KiB write_file: {allocs} allocations, {bytes} bytes");
+    assert!(
+        allocs <= FS_WRITE_2K5.0 && bytes <= FS_WRITE_2K5.1,
+        "{allocs} allocations and {bytes} bytes to write a 2.5 KiB file, budget \
+         {FS_WRITE_2K5:?}: a block is copied twice, or a buffer grows, in the file system"
     );
 }
 
