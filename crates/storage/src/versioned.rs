@@ -124,12 +124,44 @@ impl Default for SealedBlock {
 /// ```
 #[derive(Debug, Clone)]
 pub struct VersionedStore {
-    /// Block `k`'s data, or `None` while it is the shared zero block.
-    blocks: Vec<Option<BlockData>>,
+    /// Block `k`'s version, sum and data, side by side: a vote reads the
+    /// version on the line an install then writes whole.
+    slots: Vec<Slot>,
     zero: BlockData,
-    versions: VersionVector,
-    checksums: Vec<u64>,
     block_size: usize,
+}
+
+/// One block of a [`VersionedStore`]: the per-block header (version and
+/// the one checksum of `(version, data)`) next to the data it covers.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Slot {
+    version: VersionNumber,
+    sum: u64,
+    /// The block's own bytes, or `None` while it is the shared zero block.
+    data: Option<BlockData>,
+}
+
+impl Slot {
+    /// The slot of a freshly formatted (or scrub-reset) block: the shared
+    /// zero block at version zero, under `zero_sum`.
+    fn zero(zero_sum: u64) -> Self {
+        Slot {
+            version: VersionNumber::ZERO,
+            sum: zero_sum,
+            data: None,
+        }
+    }
+
+    /// The slot's bytes: its own, or the store's shared `zero` block.
+    #[inline]
+    fn bytes<'a>(&'a self, zero: &'a BlockData) -> &'a BlockData {
+        self.data.as_ref().unwrap_or(zero)
+    }
+
+    /// Whether the stored sum is the checksum of `(version, data)`.
+    fn sum_ok(&self, zero: &BlockData) -> bool {
+        self.sum == checksum(&[self.version.as_u64()], self.bytes(zero).as_slice())
+    }
 }
 
 impl VersionedStore {
@@ -145,17 +177,15 @@ impl VersionedStore {
         let zero = BlockData::zeroed(block_size);
         let zero_sum = checksum(&[VersionNumber::ZERO.as_u64()], zero.as_slice());
         VersionedStore {
-            blocks: vec![None; num_blocks as usize],
+            slots: vec![Slot::zero(zero_sum); num_blocks as usize],
             zero,
-            versions: VersionVector::new(num_blocks),
-            checksums: vec![zero_sum; num_blocks as usize],
             block_size,
         }
     }
 
     /// Number of blocks.
     pub fn num_blocks(&self) -> u64 {
-        self.blocks.len() as u64
+        self.slots.len() as u64
     }
 
     /// Size of each block in bytes.
@@ -163,19 +193,14 @@ impl VersionedStore {
         self.block_size
     }
 
-    /// Block `k`'s bytes: its own, or the shared zero block.
-    #[inline]
-    fn slot(&self, k: BlockIndex) -> &BlockData {
-        self.blocks[k.index()].as_ref().unwrap_or(&self.zero)
-    }
-
     /// The version number of block `k`.
     ///
     /// # Panics
     ///
     /// Panics if `k` is out of range.
+    #[inline]
     pub fn version(&self, k: BlockIndex) -> VersionNumber {
-        self.versions.get(k)
+        self.slots[k.index()].version
     }
 
     /// The data of block `k`.
@@ -184,7 +209,7 @@ impl VersionedStore {
     ///
     /// Panics if `k` is out of range.
     pub fn data(&self, k: BlockIndex) -> BlockData {
-        self.slot(k).clone()
+        self.slots[k.index()].bytes(&self.zero).clone()
     }
 
     /// Both the version and the data of block `k`: what a voting read
@@ -195,7 +220,8 @@ impl VersionedStore {
     /// Panics if `k` is out of range.
     #[inline]
     pub fn versioned(&self, k: BlockIndex) -> (VersionNumber, BlockData) {
-        (self.versions.get(k), self.slot(k).clone())
+        let slot = &self.slots[k.index()];
+        (slot.version, slot.bytes(&self.zero).clone())
     }
 
     /// Installs `data` at version `v`, but only if `v` is newer than the
@@ -212,7 +238,7 @@ impl VersionedStore {
     pub fn install(&mut self, k: BlockIndex, data: BlockData, v: VersionNumber) -> bool {
         assert_eq!(data.len(), self.block_size, "payload must match block size");
         // A stale install hashes nothing.
-        v > self.versions.get(k) && self.install_sealed(k, SealedBlock::new(v, data))
+        v > self.version(k) && self.install_sealed(k, SealedBlock::new(v, data))
     }
 
     /// [`install`](Self::install) of a block sealed elsewhere: the same
@@ -229,10 +255,13 @@ impl VersionedStore {
             self.block_size,
             "payload must match block size"
         );
-        if block.version > self.versions.get(k) {
-            self.checksums[k.index()] = block.sum;
-            self.blocks[k.index()] = Some(block.data);
-            self.versions.set(k, block.version);
+        let slot = &mut self.slots[k.index()];
+        if block.version > slot.version {
+            *slot = Slot {
+                version: block.version,
+                sum: block.sum,
+                data: Some(block.data),
+            };
             true
         } else {
             false
@@ -257,22 +286,25 @@ impl VersionedStore {
         fault: StorageFault,
     ) -> bool {
         assert_eq!(data.len(), self.block_size, "payload must match block size");
-        if v <= self.versions.get(k) {
+        let slot = &mut self.slots[k.index()];
+        if v <= slot.version {
             return false;
         }
         match fault {
             StorageFault::Torn { keep } => {
                 // Metadata of the new write committed; data only partially.
-                self.checksums[k.index()] = checksum(&[v.as_u64()], data.as_slice());
-                self.versions.set(k, v);
                 let keep = keep.min(self.block_size);
-                let mut torn = self.slot(k).as_slice().to_vec();
+                let mut torn = slot.bytes(&self.zero).as_slice().to_vec();
                 torn[..keep].copy_from_slice(&data.as_slice()[..keep]);
-                self.blocks[k.index()] = Some(BlockData::from(torn));
+                *slot = Slot {
+                    version: v,
+                    sum: checksum(&[v.as_u64()], data.as_slice()),
+                    data: Some(BlockData::from(torn)),
+                };
             }
             StorageFault::StaleVersion => {
                 // Data committed; version and checksum still the old ones.
-                self.blocks[k.index()] = Some(data);
+                slot.data = Some(data);
             }
             StorageFault::WalTorn { .. } => {
                 // The crash preceded the block write: the store keeps its
@@ -286,8 +318,7 @@ impl VersionedStore {
     /// Whether block `k`'s checksum matches its `(version, data)` pair —
     /// `false` exactly when a faulty install left the block broken.
     pub fn checksum_ok(&self, k: BlockIndex) -> bool {
-        let (v, data) = (self.versions.get(k), self.slot(k));
-        self.checksums[k.index()] == checksum(&[v.as_u64()], data.as_slice())
+        self.slots[k.index()].sum_ok(&self.zero)
     }
 
     /// Restart-time integrity pass: every block whose checksum does not
@@ -296,22 +327,21 @@ impl VersionedStore {
     /// any peer holding a valid copy is newer and will overwrite it.
     /// Returns the blocks that were reset.
     pub fn scrub(&mut self) -> Vec<BlockIndex> {
+        let zero_sum = checksum(&[VersionNumber::ZERO.as_u64()], self.zero.as_slice());
         let mut reset = Vec::new();
-        for k in BlockIndex::all(self.num_blocks()) {
-            if !self.checksum_ok(k) {
-                self.blocks[k.index()] = None;
-                self.versions.set(k, VersionNumber::ZERO);
-                self.checksums[k.index()] =
-                    checksum(&[VersionNumber::ZERO.as_u64()], self.zero.as_slice());
-                reset.push(k);
+        for (i, slot) in self.slots.iter_mut().enumerate() {
+            if !slot.sum_ok(&self.zero) {
+                *slot = Slot::zero(zero_sum);
+                reset.push(BlockIndex::new(i as u64));
             }
         }
         reset
     }
 
-    /// A copy of the full version vector, as exchanged during recovery.
+    /// A copy of the full version vector, as exchanged during recovery:
+    /// one gather of every slot's version into a vector of exact size.
     pub fn version_vector(&self) -> VersionVector {
-        self.versions.clone()
+        self.slots.iter().map(|slot| slot.version).collect()
     }
 
     /// Blocks (with versions and data) whose version here differs from
@@ -319,8 +349,12 @@ impl VersionedStore {
     /// recovering one. The diff runs in *both* directions: a recovering
     /// site can be ahead on a block it installed just before crashing
     /// without the update ever leaving the machine, and such an orphaned
-    /// write must be rolled back to the source's copy (see
-    /// [`VersionVector::divergent_from`]).
+    /// write was never acknowledged and must be rolled back to the
+    /// source's copy, or the next write at the colliding version would
+    /// leave the replicas permanently divergent.
+    ///
+    /// The slots are compared with `remote` in place, once to size the
+    /// payload and once to fill it, so the payload is the one allocation.
     ///
     /// # Panics
     ///
@@ -329,14 +363,22 @@ impl VersionedStore {
         &self,
         remote: &VersionVector,
     ) -> Vec<(BlockIndex, VersionNumber, BlockData)> {
-        remote
-            .divergent_from(&self.versions)
-            .into_iter()
-            .map(|k| {
-                let (v, d) = self.versioned(k);
-                (k, v, d)
-            })
-            .collect()
+        assert_eq!(
+            remote.len(),
+            self.slots.len(),
+            "version vectors must cover the same device"
+        );
+        let divergent = || {
+            remote
+                .iter()
+                .zip(&self.slots)
+                .filter(|&((_, theirs), slot)| slot.version != theirs)
+        };
+        let mut payload = Vec::with_capacity(divergent().count());
+        payload.extend(
+            divergent().map(|((k, _), slot)| (k, slot.version, slot.bytes(&self.zero).clone())),
+        );
+        payload
     }
 
     /// Applies a repair payload produced by [`diff_against`](Self::diff_against)
@@ -346,21 +388,29 @@ impl VersionedStore {
     /// before crashing. Each block is stored by sharing its bytes, not
     /// copying them. Returns the number of blocks replaced.
     pub fn apply_repair(&mut self, blocks: &[(BlockIndex, VersionNumber, BlockData)]) -> usize {
-        let mut replaced = 0;
         for &(k, v, ref data) in blocks {
             assert_eq!(data.len(), self.block_size, "payload must match block size");
-            self.checksums[k.index()] = checksum(&[v.as_u64()], data.as_slice());
-            self.blocks[k.index()] = Some(data.clone());
-            self.versions.set(k, v);
-            replaced += 1;
+            self.slots[k.index()] = Slot {
+                version: v,
+                sum: checksum(&[v.as_u64()], data.as_slice()),
+                data: Some(data.clone()),
+            };
         }
-        replaced
+        blocks.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    impl VersionedStore {
+        /// Every slot's stored sum, in block order.
+        fn sums(&self) -> Vec<u64> {
+            self.slots.iter().map(|slot| slot.sum).collect()
+        }
+    }
 
     #[test]
     fn fresh_store_is_version_zero() {
@@ -390,7 +440,7 @@ mod tests {
             assert_eq!(s.versioned(k), (VersionNumber::ZERO, zero.clone()), "{k}");
             assert!(s.checksum_ok(k), "{k}");
         }
-        assert_eq!(s.checksums, VersionedStore::new(n, bs).checksums);
+        assert_eq!(s.sums(), VersionedStore::new(n, bs).sums());
 
         // A clone shares nothing a later install can reach.
         let twin = s.clone();
@@ -413,7 +463,7 @@ mod tests {
         assert_eq!(ahead.apply_repair(&rollback), 1);
         assert_eq!(ahead.versioned(b), (VersionNumber::ZERO, zero));
         assert!(ahead.checksum_ok(b));
-        assert_eq!(ahead.checksums, twin.checksums);
+        assert_eq!(ahead.sums(), twin.sums());
     }
 
     #[test]
@@ -521,7 +571,7 @@ mod tests {
     fn fresh_store_carries_the_checksum_of_a_zero_block() {
         let mut s = VersionedStore::new(3, 1024);
         let zero_sum = checksum(&[0], &[0u8; 1024]);
-        assert_eq!(s.checksums, vec![zero_sum; 3]);
+        assert_eq!(s.sums(), vec![zero_sum; 3]);
         assert!(s.scrub().is_empty());
     }
 
@@ -538,10 +588,7 @@ mod tests {
             StorageFault::Torn { keep: 64 },
         );
         s.apply_repair(&[(c, VersionNumber::new(9), BlockData::from(vec![4; 64]))]);
-        assert_eq!(
-            s.checksums,
-            vec![sum(3, 1), sum(5, 2), sum(9, 4), sum(0, 0)]
-        );
+        assert_eq!(s.sums(), vec![sum(3, 1), sum(5, 2), sum(9, 4), sum(0, 0)]);
     }
 
     #[test]
@@ -557,9 +604,8 @@ mod tests {
                 plain.install(k, BlockData::from(data), v)
             );
         }
-        assert_eq!(sealed.checksums, plain.checksums);
-        assert_eq!(sealed.versions, plain.versions);
-        assert_eq!(sealed.blocks, plain.blocks);
+        // Slot for slot: the same version, sum and data, zero slots alike.
+        assert_eq!(sealed.slots, plain.slots);
     }
 
     #[test]
@@ -591,12 +637,12 @@ mod tests {
         for bit in 0..data.len() * 8 {
             let mut flipped = data.clone();
             flipped[bit / 8] ^= 1 << (bit % 8);
-            s.blocks[0] = Some(BlockData::from(flipped));
+            s.slots[0].data = Some(BlockData::from(flipped));
             assert!(!s.checksum_ok(k), "flip of bit {bit} went unseen");
         }
-        s.blocks[0] = Some(BlockData::from(data));
+        s.slots[0].data = Some(BlockData::from(data));
         assert!(s.checksum_ok(k));
-        s.versions.set(k, VersionNumber::new(8));
+        s.slots[0].version = VersionNumber::new(8);
         assert!(!s.checksum_ok(k), "v + 1 under the same data went unseen");
     }
 
@@ -716,5 +762,209 @@ mod tests {
             BlockData::zeroed(5),
             VersionNumber::new(1),
         );
+    }
+
+    #[test]
+    fn a_slot_is_a_version_a_sum_and_a_data_pointer() {
+        assert_eq!(std::mem::size_of::<Slot>(), 32);
+    }
+
+    /// A block as the naive model keeps it: its own bytes, always, and a
+    /// sum it recomputes with [`checksum`] wherever the store's sum changes.
+    #[derive(Debug, Clone)]
+    struct ModelBlock {
+        version: VersionNumber,
+        sum: u64,
+        data: Vec<u8>,
+    }
+
+    impl ModelBlock {
+        fn new(version: VersionNumber, data: Vec<u8>) -> Self {
+            let sum = checksum(&[version.as_u64()], &data);
+            ModelBlock { version, sum, data }
+        }
+
+        fn sum_ok(&self) -> bool {
+            self.sum == checksum(&[self.version.as_u64()], &self.data)
+        }
+    }
+
+    const MODEL_BLOCKS: u64 = 4;
+    const MODEL_BLOCK_SIZE: usize = 16;
+
+    fn fresh_model() -> Vec<ModelBlock> {
+        let zero = ModelBlock::new(VersionNumber::ZERO, vec![0; MODEL_BLOCK_SIZE]);
+        vec![zero; MODEL_BLOCKS as usize]
+    }
+
+    fn model_vector(model: &[ModelBlock]) -> VersionVector {
+        model.iter().map(|b| b.version).collect()
+    }
+
+    fn model_diff(
+        model: &[ModelBlock],
+        remote: &VersionVector,
+    ) -> Vec<(BlockIndex, VersionNumber, BlockData)> {
+        remote
+            .iter()
+            .zip(model)
+            .filter(|((_, theirs), b)| b.version != *theirs)
+            .map(|((k, _), b)| (k, b.version, BlockData::from(b.data.clone())))
+            .collect()
+    }
+
+    /// Payload `fill`: all zero for 0, else bytes that differ along the
+    /// block, so a torn prefix shows.
+    fn payload(fill: u8) -> Vec<u8> {
+        (0..MODEL_BLOCK_SIZE)
+            .map(|i| {
+                if fill == 0 {
+                    0
+                } else {
+                    fill.wrapping_mul(i as u8 + 1)
+                }
+            })
+            .collect()
+    }
+
+    /// One step on store `side` (0 or 1) of a pair; a repair copies from
+    /// `side` to the other store.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Install(usize, u64, u64, u8),
+        InstallSealed(usize, u64, u64, u8),
+        InstallFaulty(usize, u64, u64, u8, StorageFault),
+        Scrub(usize),
+        Repair(usize),
+    }
+
+    fn fault() -> impl Strategy<Value = StorageFault> {
+        prop_oneof![
+            (0..MODEL_BLOCK_SIZE + 2).prop_map(|keep| StorageFault::Torn { keep }),
+            Just(StorageFault::StaleVersion),
+            (0usize..64).prop_map(|keep| StorageFault::WalTorn { keep }),
+        ]
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        let write = || (0usize..2, 0..MODEL_BLOCKS, 0u64..6, 0u8..4);
+        prop_oneof![
+            3 => write().prop_map(|(s, k, v, f)| Op::Install(s, k, v, f)),
+            3 => write().prop_map(|(s, k, v, f)| Op::InstallSealed(s, k, v, f)),
+            3 => (write(), fault()).prop_map(|((s, k, v, f), fault)| Op::InstallFaulty(s, k, v, f, fault)),
+            1 => (0usize..2).prop_map(Op::Scrub),
+            2 => (0usize..2).prop_map(Op::Repair),
+        ]
+    }
+
+    /// Applies `op` to the model and returns what the store's call must
+    /// return: an install's result and a scrub's reset list.
+    fn model_apply(models: &mut [Vec<ModelBlock>; 2], op: &Op) -> (bool, Vec<BlockIndex>) {
+        match *op {
+            Op::Install(s, k, v, fill) | Op::InstallSealed(s, k, v, fill) => {
+                let (v, b) = (VersionNumber::new(v), &mut models[s][k as usize]);
+                let newer = v > b.version;
+                if newer {
+                    *b = ModelBlock::new(v, payload(fill));
+                }
+                (newer, Vec::new())
+            }
+            Op::InstallFaulty(s, k, v, fill, fault) => {
+                let (v, b) = (VersionNumber::new(v), &mut models[s][k as usize]);
+                let newer = v > b.version;
+                if newer {
+                    let new = payload(fill);
+                    match fault {
+                        StorageFault::Torn { keep } => {
+                            let keep = keep.min(MODEL_BLOCK_SIZE);
+                            b.data[..keep].copy_from_slice(&new[..keep]);
+                            b.version = v;
+                            b.sum = checksum(&[v.as_u64()], &new);
+                        }
+                        StorageFault::StaleVersion => b.data = new,
+                        StorageFault::WalTorn { .. } => {}
+                    }
+                }
+                (newer, Vec::new())
+            }
+            Op::Scrub(s) => {
+                let mut reset = Vec::new();
+                for (i, b) in models[s].iter_mut().enumerate() {
+                    if !b.sum_ok() {
+                        *b = ModelBlock::new(VersionNumber::ZERO, vec![0; MODEL_BLOCK_SIZE]);
+                        reset.push(BlockIndex::new(i as u64));
+                    }
+                }
+                (false, reset)
+            }
+            Op::Repair(s) => {
+                let payload = model_diff(&models[s], &model_vector(&models[1 - s]));
+                for (k, v, data) in payload {
+                    models[1 - s][k.index()] = ModelBlock::new(v, data.as_slice().to_vec());
+                }
+                (false, Vec::new())
+            }
+        }
+    }
+
+    fn assert_matches(stores: &[VersionedStore; 2], models: &[Vec<ModelBlock>; 2]) {
+        for (store, model) in stores.iter().zip(models) {
+            for (k, b) in BlockIndex::all(MODEL_BLOCKS).zip(model) {
+                let data = BlockData::from(b.data.clone());
+                assert_eq!(store.version(k), b.version, "{k}");
+                assert_eq!(store.data(k), data, "{k}");
+                assert_eq!(store.versioned(k), (b.version, data), "{k}");
+                assert_eq!(store.checksum_ok(k), b.sum_ok(), "{k}");
+            }
+            assert_eq!(store.version_vector(), model_vector(model));
+        }
+        for s in 0..2 {
+            let remote = stores[1 - s].version_vector();
+            assert_eq!(
+                stores[s].diff_against(&remote),
+                model_diff(&models[s], &remote)
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn prop_the_store_matches_a_naive_per_block_model(
+            ops in prop::collection::vec(op(), 1..40),
+        ) {
+            let mut stores = [0, 1].map(|_| VersionedStore::new(MODEL_BLOCKS, MODEL_BLOCK_SIZE));
+            let mut models = [fresh_model(), fresh_model()];
+            assert_matches(&stores, &models);
+            for op in &ops {
+                let (installed, reset) = model_apply(&mut models, op);
+                match *op {
+                    Op::Install(s, k, v, fill) => prop_assert_eq!(
+                        stores[s].install(BlockIndex::new(k), BlockData::from(payload(fill)), VersionNumber::new(v)),
+                        installed
+                    ),
+                    Op::InstallSealed(s, k, v, fill) => {
+                        let block = SealedBlock::new(VersionNumber::new(v), BlockData::from(payload(fill)));
+                        prop_assert_eq!(stores[s].install_sealed(BlockIndex::new(k), block), installed);
+                    }
+                    Op::InstallFaulty(s, k, v, fill, fault) => prop_assert_eq!(
+                        stores[s].install_faulty(
+                            BlockIndex::new(k),
+                            BlockData::from(payload(fill)),
+                            VersionNumber::new(v),
+                            fault,
+                        ),
+                        installed
+                    ),
+                    Op::Scrub(s) => prop_assert_eq!(stores[s].scrub(), reset),
+                    Op::Repair(s) => {
+                        let payload = stores[s].diff_against(&stores[1 - s].version_vector());
+                        prop_assert_eq!(stores[1 - s].apply_repair(&payload), payload.len());
+                    }
+                }
+                assert_matches(&stores, &models);
+            }
+        }
     }
 }

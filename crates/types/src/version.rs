@@ -162,33 +162,6 @@ impl VersionVector {
             .collect()
     }
 
-    /// Blocks whose version in `self` differs from `other` in *either*
-    /// direction — the blocks a recovering site must adopt from an
-    /// authoritative repair source. A recovering site can be ahead of the
-    /// source on a block it installed just before crashing, without the
-    /// update ever reaching another site; such an orphaned write was never
-    /// acknowledged and must be rolled back to the source's copy, or the
-    /// next write at the colliding version would leave the replicas
-    /// permanently divergent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the vectors cover different numbers of blocks.
-    pub fn divergent_from(&self, other: &VersionVector) -> Vec<BlockIndex> {
-        assert_eq!(
-            self.versions.len(),
-            other.versions.len(),
-            "version vectors must cover the same device"
-        );
-        self.versions
-            .iter()
-            .zip(&other.versions)
-            .enumerate()
-            .filter(|(_, (mine, theirs))| mine != theirs)
-            .map(|(i, _)| BlockIndex::new(i as u64))
-            .collect()
-    }
-
     /// Whether `self` is component-wise `>=` `other`, i.e. at least as
     /// current for every block.
     ///
@@ -299,21 +272,6 @@ mod tests {
         b.bump(BlockIndex::new(2)); // equal on b2
         assert_eq!(a.stale_against(&b), vec![BlockIndex::new(1)]);
         assert_eq!(b.stale_against(&a), vec![BlockIndex::new(0)]);
-    }
-
-    #[test]
-    fn divergent_from_lists_both_directions() {
-        let mut a = VersionVector::new(3);
-        let mut b = VersionVector::new(3);
-        a.bump(BlockIndex::new(0)); // a ahead on b0 (e.g. an orphaned write)
-        b.bump(BlockIndex::new(1)); // b ahead on b1
-        a.bump(BlockIndex::new(2));
-        b.bump(BlockIndex::new(2)); // equal on b2
-        assert_eq!(
-            a.divergent_from(&b),
-            vec![BlockIndex::new(0), BlockIndex::new(1)]
-        );
-        assert_eq!(a.divergent_from(&a), vec![]);
     }
 
     #[test]
