@@ -352,7 +352,7 @@ pub(crate) fn try_complete_recovery<T: Transport>(
         };
         b.counter()
             .add(OpClass::Recovery, MsgKind::VersionVector, 1);
-        let Some((_, blocks)) = b.repair_payload(c, t, &vv) else {
+        let Some(blocks) = b.repair_payload(c, t, &vv) else {
             return false; // source vanished mid-repair; retry on next sweep
         };
         b.counter()

@@ -25,7 +25,7 @@ use blockrep_net::{DeliveryMode, MsgKind, OpClass, TrafficCounter};
 use blockrep_storage::SealedBlock;
 use blockrep_types::{
     BlockData, BlockIndex, DeviceConfig, DeviceError, DeviceResult, SiteId, SiteState,
-    VersionNumber, VersionVector,
+    VersionNumber,
 };
 use std::ops::{Deref, DerefMut};
 
@@ -384,10 +384,6 @@ pub struct ScatterSpec {
     /// stands for; `1` for the recovery exchanges, which carry no run.
     pub reply_units: u64,
 }
-
-/// A version vector paired with the repair blocks it implies — Figure 5's
-/// `(v', {blocks})` response.
-pub type RepairPayload = (VersionVector, RepairBlocks);
 
 /// What a protocol coordinator is, whichever runtime it runs on: the
 /// device configuration, the network environment and its §5 counter, the

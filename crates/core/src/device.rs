@@ -14,7 +14,7 @@
 //! A batch that spans shards is split by shard, the admission gate of
 //! every touched shard is taken in **ascending shard index** (the same
 //! lock-order discipline the workspace lint verifies on
-//! `TcpTransport::pipelined`), the caller runs every sub-batch in turn in
+//! `TcpTransport::scatter`), the caller runs every sub-batch in turn in
 //! that order, and the replies are stitched back in caller order. The
 //! device starts no thread.
 //!

@@ -19,7 +19,7 @@
 //!  deterministic Cluster), LiveTransport (threads + inboxes) or
 //!  TcpTransport (threads + sockets), optionally under Faulty<T>
 //!          │  votes, write updates, version vectors, repairs
-//!          ▼  (as WireRequests, to the one site service)
+//!          ▼  (as requests, to the one site service)
 //!  Replica per site: VersionedStore + was-available set (+ journal)
 //! ```
 //!
@@ -96,9 +96,7 @@ pub mod wire;
 pub(crate) mod available_copy;
 pub(crate) mod voting;
 
-pub use backend::{
-    Coordinator, Fold, RepairBlocks, RepairPayload, ScatterRequest, ScatterSpec, WriteBatch,
-};
+pub use backend::{Coordinator, Fold, RepairBlocks, ScatterRequest, ScatterSpec, WriteBatch};
 pub use cluster::{Cluster, ClusterOptions, Inline};
 pub use device::ReliableDevice;
 pub use live::{LiveCluster, LiveTransport};

@@ -31,8 +31,8 @@
 //! protocol can observe changes: every request at `s` still finds the casts
 //! before it served. Shutdown discards whatever is still queued.
 //!
-//! [`LiveTransport`] is the in-memory [`Transport`]: it moves the same
-//! [`WireRequest`] values the TCP cluster frames onto sockets, unencoded,
+//! [`LiveTransport`] is the in-memory [`Transport`]: it moves the requests
+//! the TCP cluster frames onto sockets as [`WireRequest`] values, unencoded,
 //! to threads running the same [`serve`]. The coordinator over it is
 //! [`ServerCluster`], which runs the protocol code the deterministic
 //! [`Cluster`](crate::Cluster) runs and charges the same traffic counter

@@ -1,5 +1,6 @@
 //! Per-site replica state.
 
+use crate::backend::RepairBlocks;
 use blockrep_storage::wal::{self, WalRecord};
 use blockrep_storage::{SealedBlock, StorageFault, VersionedStore};
 use blockrep_types::{BlockData, BlockIndex, DeviceConfig, SiteId, VersionNumber, VersionVector};
@@ -202,15 +203,12 @@ impl Replica {
     }
 
     /// Blocks whose version here differs from `remote` — the repair payload
-    /// for a recovering site (Figure 5's `(v', {blocks})` response). The
+    /// for a recovering site (Figure 5's `{blocks}`; `v'` is implied). The
     /// source is authoritative in both directions so that a write the
     /// recovering site installed orphaned just before crashing is rolled
     /// back rather than surviving as a colliding version.
-    pub fn repair_payload(
-        &self,
-        remote: &VersionVector,
-    ) -> (VersionVector, Vec<(BlockIndex, VersionNumber, BlockData)>) {
-        (self.version_vector(), self.store.diff_against(remote))
+    pub fn repair_payload(&self, remote: &VersionVector) -> RepairBlocks {
+        self.store.diff_against(remote)
     }
 
     /// Applies a repair payload; returns the number of blocks replaced.
@@ -270,10 +268,11 @@ mod tests {
             BlockData::from(vec![9; 8]),
             VersionNumber::new(4),
         );
-        let (vv, blocks) = current.repair_payload(&stale.version_vector());
+        let blocks = current.repair_payload(&stale.version_vector());
         assert_eq!(blocks.len(), 1);
         assert_eq!(stale.apply_repair(&blocks), 1);
-        assert_eq!(stale.version_vector(), vv);
+        // Figure 5's `v'` is implied: after the apply the vectors agree.
+        assert_eq!(stale.version_vector(), current.version_vector());
     }
 
     fn journaled_cfg() -> DeviceConfig {

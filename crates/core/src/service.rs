@@ -85,10 +85,7 @@ pub(crate) fn serve(replica: &mut Replica, request: Request<'_>) -> Option<WireR
             WireResponse::Versions(ks.iter().map(|&k| replica.version(k)).collect())
         }
         Request::VersionVector => WireResponse::Vector(replica.version_vector()),
-        Request::RepairPayload(vv) => {
-            let (vv, blocks) = replica.repair_payload(vv);
-            WireResponse::Payload(vv, blocks)
-        }
+        Request::RepairPayload(vv) => WireResponse::Payload(replica.repair_payload(vv)),
         Request::ApplyRepair(blocks) => WireResponse::Count(replica.apply_repair(blocks) as u64),
         Request::Scrub => WireResponse::Count(replica.scrub().len() as u64),
         Request::GetW => WireResponse::W(replica.was_available().iter().copied().collect()),

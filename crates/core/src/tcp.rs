@@ -172,16 +172,16 @@ impl TcpTransport {
         })
     }
 
-    /// `request` as one frame, and whether inside a trace envelope: wire
-    /// tracing is on and a span context is live.
-    /// [`wire::set_envelope_ids`] re-parents that frame without a second
-    /// encode.
-    fn trace_frame(&self, request: WireRequest) -> (Vec<u8>, bool) {
+    /// Frames `request` for `send`, in a trace envelope if wire tracing is
+    /// on and a span context is live — `send` learns which — that
+    /// [`wire::set_envelope_ids`] re-parents without a second encode.
+    fn trace_frame<R>(&self, request: Request<'_>, send: impl FnOnce(&mut [u8], bool) -> R) -> R {
         let live = self.wire_tracing.load(Ordering::Relaxed)
             && blockrep_obs::enabled()
             && crate::obs_hooks::tracing();
         let ctx = live.then(blockrep_obs::trace::current).flatten();
-        (request.traced(ctx).to_frame(), ctx.is_some())
+        let ids = ctx.map(|ctx| [ctx.trace_id, ctx.span_id]);
+        request.framed(ids, |frame| send(frame, ids.is_some()))
     }
 
     /// An idle connection to `to`, or a new one if none is idle. The pool's
@@ -204,17 +204,32 @@ impl TcpTransport {
             event!("tcp.conn.torn", site = to.as_u32());
         }
     }
+}
+
+impl Transport for TcpTransport {
+    const NAME: &'static str = "tcp";
+    /// A cast is an exchange that expects `Ack`, so an install fan-out is
+    /// worth pipelining.
+    const FANOUT: Fanout = Fanout::All;
 
     /// One exchange with `to`, over a connection no other exchange is using.
-    fn rpc(&self, to: SiteId, request: WireRequest) -> Option<WireResponse> {
+    fn call(&self, to: SiteId, request: Request<'_>) -> Option<WireResponse> {
         let _timer = crate::obs_hooks::timer(crate::obs_hooks::tcp_rpc_latency);
         let mut conn = self.checkout(to)?;
-        let (frame, _) = self.trace_frame(request);
-        let response = wire::write_frame(conn.get_mut(), &frame)
+        let sent = self.trace_frame(request, |frame, _| wire::write_frame(conn.get_mut(), frame));
+        let response = sent
             .ok()
             .and_then(|()| conn.read_frame(WireResponse::decode).ok());
         self.checkin(to, conn, response.is_some());
         response
+    }
+
+    fn cast(&self, to: SiteId, request: Request<'_>) -> bool {
+        matches!(self.call(to, request), Some(WireResponse::Ack))
+    }
+
+    fn local(&self, s: SiteId, request: Request<'_>) -> Option<WireResponse> {
+        serve(&mut self.replicas[s.index()].lock(), request)
     }
 
     /// Pipelined scatter: encodes `request` once and writes that frame to
@@ -222,46 +237,48 @@ impl TcpTransport {
     /// then hands the replies to `gather` in target order. Each target's
     /// connection is this scatter's own from checkout to checkin, so no
     /// lock is held across a round trip.
-    fn pipelined(
+    fn scatter(
         &self,
         targets: &[SiteId],
         eligible: &dyn Fn(SiteId) -> bool,
         gather: &mut dyn Fold,
-        request: WireRequest,
+        request: Request<'_>,
     ) {
         let tracing = blockrep_obs::enabled() && crate::obs_hooks::tracing();
-        let (mut frame, enveloped) = self.trace_frame(request);
-        let mut in_flight: SiteVec<(SiteId, Option<SiteConn>)> = SiteVec::new();
-        for &t in targets {
-            debug_assert!(
-                in_flight.last().is_none_or(|&(prev, _)| prev < t),
-                "scatter targets must ascend"
-            );
-            let conn = if eligible(t) {
-                let send_span = tracing
-                    .then(|| start_phase(crate::obs_hooks::phase_scatter_send(), t.as_u32()))
-                    .flatten();
-                self.checkout(t).and_then(|mut conn| {
-                    // The send span is the wire parent, so the server's
-                    // remote_apply span lands under this site's send leg
-                    // (a grandchild of the op — attribution sums direct
-                    // children only and must not double-count it).
-                    if let Some(ctx) = send_span.as_ref().filter(|_| enveloped) {
-                        let ctx = ctx.context();
-                        wire::set_envelope_ids(&mut frame, &[ctx.trace_id, ctx.span_id]);
-                    }
-                    if wire::write_frame(conn.get_mut(), &frame).is_ok() {
-                        Some(conn)
-                    } else {
-                        self.checkin(t, conn, false);
-                        None
-                    }
-                })
-            } else {
-                None
-            };
-            in_flight.push((t, conn));
-        }
+        let in_flight = self.trace_frame(request, |frame, enveloped| {
+            let mut in_flight: SiteVec<(SiteId, Option<SiteConn>)> = SiteVec::new();
+            for &t in targets {
+                debug_assert!(
+                    in_flight.last().is_none_or(|&(prev, _)| prev < t),
+                    "scatter targets must ascend"
+                );
+                let conn = if eligible(t) {
+                    let send_span = tracing
+                        .then(|| start_phase(crate::obs_hooks::phase_scatter_send(), t.as_u32()))
+                        .flatten();
+                    self.checkout(t).and_then(|mut conn| {
+                        // The send span is the wire parent, so the server's
+                        // remote_apply span lands under this site's send leg
+                        // (a grandchild of the op — attribution sums direct
+                        // children only and must not double-count it).
+                        if let Some(ctx) = send_span.as_ref().filter(|_| enveloped) {
+                            let ctx = ctx.context();
+                            wire::set_envelope_ids(frame, [ctx.trace_id, ctx.span_id]);
+                        }
+                        if wire::write_frame(conn.get_mut(), frame).is_ok() {
+                            Some(conn)
+                        } else {
+                            self.checkin(t, conn, false);
+                            None
+                        }
+                    })
+                } else {
+                    None
+                };
+                in_flight.push((t, conn));
+            }
+            in_flight
+        });
         let mut prev = None;
         for (t, conn) in in_flight {
             debug_assert!(prev < Some(t), "replies are gathered in target order");
@@ -277,35 +294,6 @@ impl TcpTransport {
             });
             gather.reply(t, response);
         }
-    }
-}
-
-impl Transport for TcpTransport {
-    const NAME: &'static str = "tcp";
-    /// A cast is an exchange that expects `Ack`, so an install fan-out is
-    /// worth pipelining.
-    const FANOUT: Fanout = Fanout::All;
-
-    fn call(&self, to: SiteId, request: Request<'_>) -> Option<WireResponse> {
-        self.rpc(to, request.into())
-    }
-
-    fn cast(&self, to: SiteId, request: Request<'_>) -> bool {
-        matches!(self.rpc(to, request.into()), Some(WireResponse::Ack))
-    }
-
-    fn local(&self, s: SiteId, request: Request<'_>) -> Option<WireResponse> {
-        serve(&mut self.replicas[s.index()].lock(), request)
-    }
-
-    fn scatter(
-        &self,
-        targets: &[SiteId],
-        eligible: &dyn Fn(SiteId) -> bool,
-        gather: &mut dyn Fold,
-        request: Request<'_>,
-    ) {
-        self.pipelined(targets, eligible, gather, request.into())
     }
 }
 
@@ -478,6 +466,35 @@ mod tests {
         assert!(c.read(sid(0), BlockIndex::new(0)).is_err());
         c.repair_site(sid(1));
         assert!(c.read(sid(0), BlockIndex::new(0)).is_ok());
+    }
+
+    /// Figure 5's reply carries the blocks the recovering site lacks, not
+    /// the source's vector: on a 64 Ki-block device one changed block costs
+    /// a reply of one block, where the vector alone was 512 KiB.
+    #[test]
+    fn a_repair_reply_is_as_large_as_what_changed() {
+        let cfg = DeviceConfig::builder(Scheme::AvailableCopy)
+            .sites(3)
+            .num_blocks(64 * 1024)
+            .block_size(32)
+            .build()
+            .unwrap();
+        let c = TcpCluster::spawn(cfg, DeliveryMode::Multicast).unwrap();
+        let (k, data) = (BlockIndex::new(40_000), BlockData::from(vec![5; 32]));
+        c.fail_site(sid(2));
+        c.write(sid(0), k, data.clone()).unwrap();
+        let stale = c.version_vector(sid(2), sid(2)).unwrap();
+        let mut conn = wire::FrameReader::new(TcpStream::connect(c.addr(sid(0))).unwrap());
+        let request = WireRequest::RepairPayload(stale).to_frame();
+        wire::write_frame(conn.get_mut(), &request).unwrap();
+        let (len, reply) = conn
+            .read_frame(|raw| Ok((raw.len(), WireResponse::decode(raw)?)))
+            .unwrap();
+        let changed = vec![(k, VersionNumber::new(1), data.clone())];
+        assert_eq!(reply, WireResponse::Payload(changed));
+        assert!(len < 4096, "a {len}-byte reply for one changed block");
+        c.repair_site(sid(2));
+        assert_eq!(c.read(sid(2), k).unwrap(), data);
     }
 
     #[test]

@@ -21,8 +21,7 @@
 //! into an answer — is [`ServerCluster`], once.
 
 use crate::backend::{
-    self, BlockVec, Coordinator, Fold, RepairBlocks, RepairPayload, ScatterRequest, ScatterSpec,
-    WriteBatch,
+    self, BlockVec, Coordinator, Fold, RepairBlocks, ScatterRequest, ScatterSpec, WriteBatch,
 };
 use crate::protocol;
 use crate::wire::{Request, WireResponse};
@@ -593,16 +592,16 @@ impl<T: Transport> ServerCluster<T> {
         }
     }
 
-    /// Sends `from`'s version vector `vv` to `to`; `to` answers with its own
-    /// vector and the blocks `from` is missing (Figure 5's exchange).
+    /// Sends `from`'s version vector `vv` to `to`; `to` answers with the
+    /// blocks whose version differs from `vv` (Figure 5's exchange).
     pub fn repair_payload(
         &self,
         from: SiteId,
         to: SiteId,
         vv: &VersionVector,
-    ) -> Option<RepairPayload> {
+    ) -> Option<RepairBlocks> {
         match self.call(from, to, Request::RepairPayload(vv))? {
-            WireResponse::Payload(vv, blocks) => Some((vv, blocks)),
+            WireResponse::Payload(blocks) => Some(blocks),
             _ => None,
         }
     }

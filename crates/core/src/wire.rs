@@ -15,7 +15,7 @@
 //! `Copy`. The site service serves that view, so a request served in
 //! process — by the deterministic cluster, or by a coordinator on its own
 //! site — copies nothing, and a sealed block keeps its seal. A request is
-//! made a `WireRequest` only where it crosses a thread or a socket.
+//! made a `WireRequest` only to cross a thread, never to cross a socket.
 
 use crate::backend::{BlockVec, RepairBlocks, WriteBatch};
 use blockrep_storage::{SealedBlock, StorageFault};
@@ -81,8 +81,8 @@ pub enum WireRequest {
 
 /// A request as its sender holds it: the [`WireRequest`] vocabulary with
 /// every payload borrowed, so it is `Copy` and serving it copies nothing.
-/// An install in process keeps the seals its write computed; made a
-/// `WireRequest` it crosses without them, since no frame carries a sum.
+/// An install in process keeps the seals its write computed; no frame
+/// carries a sum, so one crosses a thread or a socket without them.
 /// A trace envelope is not among them: a site opens one it took whole
 /// before it borrows the request inside.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -143,8 +143,8 @@ impl WireRequest {
 }
 
 impl From<Request<'_>> for WireRequest {
-    /// The request as it crosses a thread or a socket: every payload
-    /// copied (a block's payload shared, not copied).
+    /// The request as it crosses a thread: every payload copied (a block's
+    /// payload shared, not copied).
     fn from(request: Request<'_>) -> Self {
         match request {
             Request::Probe => WireRequest::Probe,
@@ -181,8 +181,8 @@ pub enum WireResponse {
     Data(BlockData),
     /// A version vector.
     Vector(VersionVector),
-    /// A repair payload.
-    Payload(VersionVector, RepairBlocks),
+    /// A repair payload: Figure 5's `{blocks}`, whose `v'` is implied.
+    Payload(RepairBlocks),
     /// A was-available set, in ascending order.
     W(Vec<SiteId>),
     /// A plain count (e.g. blocks reset by a scrub).
@@ -268,10 +268,6 @@ fn put_blocks<'a>(
     }
 }
 
-fn put_repair(buf: &mut impl BufMut, blocks: &RepairBlocks) {
-    put_blocks(buf, blocks.iter().map(|(k, v, data)| (*k, *v, data)));
-}
-
 /// A `u32` count, then that many items, each read by `get`.
 fn get_run<T>(
     raw: &mut &[u8],
@@ -338,64 +334,40 @@ fn get_sites(raw: &mut &[u8]) -> Result<Vec<SiteId>, DecodeError> {
     Ok((0..count).map(|_| SiteId::new(raw.get_u32_le())).collect())
 }
 
-impl WireRequest {
-    /// Serializes the request into a buffer of exactly its size.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(self.encoded_len());
-        self.encode_into(&mut buf);
-        buf
-    }
-
-    /// The exact number of bytes [`encode_into`](Self::encode_into) appends.
-    fn encoded_len(&self) -> usize {
-        let mut len = Len(0);
-        self.encode_into(&mut len);
-        len.0
-    }
-
-    /// The request as one whole frame — length prefix, then payload — in a
-    /// buffer allocated once at its final size.
-    pub fn to_frame(&self) -> Vec<u8> {
-        let mut frame = Vec::new();
-        start_frame(&mut frame, self.encoded_len());
-        self.encode_into(&mut frame);
-        frame
-    }
-
-    /// Appends the serialized request to `buf`. An envelope writes its own
-    /// few bytes and then its inner request into the same buffer.
-    pub fn encode_into(&self, buf: &mut impl BufMut) {
-        match self {
-            WireRequest::Probe => buf.put_u8(0),
-            WireRequest::FetchMany(ks) => {
+impl Request<'_> {
+    /// Appends the serialized request to `buf`: the one request encoder.
+    fn encode_into(&self, buf: &mut impl BufMut) {
+        match *self {
+            Request::Probe => buf.put_u8(0),
+            Request::FetchMany(ks) => {
                 buf.put_u8(2);
                 put_u64s(buf, ks.iter().map(|k| k.as_u64()));
             }
-            WireRequest::ApplyWrite(k, v, data) => {
+            Request::ApplyWrite(k, v, data) => {
                 buf.put_u8(3);
                 buf.put_u64_le(k.as_u64());
                 buf.put_u64_le(v.as_u64());
                 put_data(buf, data);
             }
-            WireRequest::VersionVector => buf.put_u8(5),
-            WireRequest::RepairPayload(vv) => {
+            Request::VersionVector => buf.put_u8(5),
+            Request::RepairPayload(vv) => {
                 buf.put_u8(6);
                 put_vv(buf, vv);
             }
-            WireRequest::ApplyRepair(blocks) => {
+            Request::ApplyRepair(blocks) => {
                 buf.put_u8(7);
-                put_repair(buf, blocks);
+                put_blocks(buf, blocks.iter().map(|(k, v, data)| (*k, *v, data)));
             }
-            WireRequest::GetW => buf.put_u8(8),
-            WireRequest::SetW(w) => {
+            Request::GetW => buf.put_u8(8),
+            Request::SetW(w) => {
                 buf.put_u8(9);
                 put_sites(buf, w.iter());
             }
-            WireRequest::AddW(s) => {
+            Request::AddW(s) => {
                 buf.put_u8(10);
                 buf.put_u32_le(s.as_u32());
             }
-            WireRequest::ApplyWriteFaulty(k, v, data, fault) => {
+            Request::ApplyWriteFaulty(k, v, data, fault) => {
                 buf.put_u8(12);
                 buf.put_u64_le(k.as_u64());
                 buf.put_u64_le(v.as_u64());
@@ -403,39 +375,78 @@ impl WireRequest {
                 match fault {
                     StorageFault::Torn { keep } => {
                         buf.put_u8(0);
-                        buf.put_u64_le(*keep as u64);
+                        buf.put_u64_le(keep as u64);
                     }
                     StorageFault::StaleVersion => buf.put_u8(1),
                     StorageFault::WalTorn { keep } => {
                         buf.put_u8(2);
-                        buf.put_u64_le(*keep as u64);
+                        buf.put_u64_le(keep as u64);
                     }
                 }
             }
-            WireRequest::Scrub => buf.put_u8(13),
-            WireRequest::VoteMany(ks) => {
+            Request::Scrub => buf.put_u8(13),
+            Request::VoteMany(ks) => {
                 buf.put_u8(14);
                 put_u64s(buf, ks.iter().map(|k| k.as_u64()));
             }
-            WireRequest::ApplyWriteMany(batch) => {
+            Request::ApplyWriteMany(batch) => {
                 buf.put_u8(15);
                 put_blocks(buf, batch.iter().map(|(k, b)| (*k, b.version(), b.data())));
             }
-            WireRequest::ReadLocalMany(ks) => {
+            Request::ReadLocalMany(ks) => {
                 buf.put_u8(16);
                 put_u64s(buf, ks.iter().map(|k| k.as_u64()));
             }
-            WireRequest::Traced {
-                trace_id,
-                parent_span,
-                inner,
-            } => {
-                buf.put_u8(17);
-                buf.put_u64_le(*trace_id);
-                buf.put_u64_le(*parent_span);
-                inner.encode_into(buf);
-            }
         }
+    }
+
+    /// Frames the request — inside a trace envelope carrying `ids`, if any
+    /// — in the buffer this thread reuses for it, and hands `send` that
+    /// frame. A buffer that grew past [`KEEP_BUFFER`] is released after.
+    pub(crate) fn framed<R>(&self, ids: Option<[u64; 2]>, send: impl FnOnce(&mut [u8]) -> R) -> R {
+        let mut frame = FRAME.take();
+        let head = encoded_len(|len| put_envelope(len, ids));
+        start_frame(&mut frame, head + encoded_len(|len| self.encode_into(len)));
+        put_envelope(&mut frame, ids);
+        self.encode_into(&mut frame);
+        let sent = send(&mut frame);
+        if frame.capacity() <= KEEP_BUFFER {
+            FRAME.set(frame);
+        }
+        sent
+    }
+}
+
+impl WireRequest {
+    /// Serializes the request into a buffer of exactly its size.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(encoded_len(|len| self.encode_into(len)));
+        self.encode_into(&mut buf);
+        buf
+    }
+
+    /// The request as one whole frame — length prefix, then payload — in a
+    /// buffer allocated once at its final size.
+    pub fn to_frame(&self) -> Vec<u8> {
+        let mut frame = Vec::new();
+        start_frame(&mut frame, encoded_len(|len| self.encode_into(len)));
+        self.encode_into(&mut frame);
+        frame
+    }
+
+    /// Appends the serialized request to `buf`, an envelope per trace layer first.
+    pub fn encode_into(&self, buf: &mut impl BufMut) {
+        let mut layer = self;
+        while let WireRequest::Traced {
+            trace_id,
+            parent_span,
+            inner,
+        } = layer
+        {
+            put_envelope(buf, Some([*trace_id, *parent_span]));
+            layer = inner;
+        }
+        layer.as_request().encode_into(buf);
     }
 
     /// Parses a request frame.
@@ -523,22 +534,15 @@ impl WireRequest {
 impl WireResponse {
     /// Serializes the response into a buffer of exactly its size.
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(self.encoded_len());
+        let mut buf = Vec::with_capacity(encoded_len(|len| self.encode_into(len)));
         self.encode_into(&mut buf);
         buf
-    }
-
-    /// The exact number of bytes [`encode_into`](Self::encode_into) appends.
-    fn encoded_len(&self) -> usize {
-        let mut len = Len(0);
-        self.encode_into(&mut len);
-        len.0
     }
 
     /// Replaces the contents of `frame` — a buffer its connection reuses —
     /// with the response as one whole frame: length prefix, then payload.
     pub fn frame_into(&self, frame: &mut Vec<u8>) {
-        start_frame(frame, self.encoded_len());
+        start_frame(frame, encoded_len(|len| self.encode_into(len)));
         self.encode_into(frame);
     }
 
@@ -562,10 +566,9 @@ impl WireResponse {
                 buf.put_u8(4);
                 put_vv(buf, vv);
             }
-            WireResponse::Payload(vv, blocks) => {
+            WireResponse::Payload(blocks) => {
                 buf.put_u8(5);
-                put_vv(buf, vv);
-                put_repair(buf, blocks);
+                put_blocks(buf, blocks.iter().map(|(k, v, data)| (*k, *v, data)));
             }
             WireResponse::W(w) => {
                 buf.put_u8(6);
@@ -608,10 +611,7 @@ impl WireResponse {
             ),
             3 => WireResponse::Data(get_data(&mut raw)?),
             4 => WireResponse::Vector(get_vv(&mut raw)?),
-            5 => {
-                let vv = get_vv(&mut raw)?;
-                WireResponse::Payload(vv, get_repair(&mut raw)?)
-            }
+            5 => WireResponse::Payload(get_repair(&mut raw)?),
             6 => WireResponse::W(get_sites(&mut raw)?),
             7 => {
                 need(raw, 8, "count")?;
@@ -634,13 +634,35 @@ const PREFIX: usize = 4;
 /// A connection's read buffer starts at this size.
 const READ_CHUNK: usize = 8 * 1024;
 
-/// A read buffer that grew past this is released once the frame that grew
-/// it is handled, not pinned for the life of the connection.
+/// A buffer that grew past this is released once the frame that grew it is
+/// handled, not pinned for the life of its connection or thread.
 const KEEP_BUFFER: usize = 1024 * 1024;
+
+thread_local! {
+    /// The buffer a thread frames its requests in ([`Request::framed`]).
+    static FRAME: std::cell::Cell<Vec<u8>> = const { std::cell::Cell::new(Vec::new()) };
+}
+
+/// A trace envelope, if there are `ids` for one: its tag, the trace id and
+/// the span the remote work is parented under.
+fn put_envelope(buf: &mut impl BufMut, ids: Option<[u64; 2]>) {
+    if let Some([trace_id, parent_span]) = ids {
+        buf.put_u8(17);
+        buf.put_u64_le(trace_id);
+        buf.put_u64_le(parent_span);
+    }
+}
 
 /// A [`BufMut`] that only counts: the exact size of a message is whatever
 /// its own encoder says it is.
 struct Len(usize);
+
+/// The exact number of bytes `encode` appends.
+fn encoded_len(encode: impl FnOnce(&mut Len)) -> usize {
+    let mut len = Len(0);
+    encode(&mut len);
+    len.0
+}
 
 impl BufMut for Len {
     fn put_slice(&mut self, src: &[u8]) {
@@ -660,13 +682,11 @@ fn start_frame(frame: &mut Vec<u8>, payload_len: usize) {
 /// Rewrites in place the ids of the envelope heading a framed request — a
 /// [`WireRequest::Traced`]'s trace id and parent span — so one encoded
 /// frame serves every target of a scatter.
-pub(crate) fn set_envelope_ids(frame: &mut [u8], ids: &[u64]) {
-    for (slot, id) in frame[PREFIX + 1..].chunks_exact_mut(8).zip(ids) {
-        slot.copy_from_slice(&id.to_le_bytes());
-    }
+pub(crate) fn set_envelope_ids(frame: &mut [u8], ids: [u64; 2]) {
+    put_envelope(&mut &mut frame[PREFIX..], Some(ids));
 }
 
-/// Sends one frame — prefix and payload, as [`WireRequest::to_frame`] or
+/// Sends one frame — prefix and payload, as `Request::framed` or
 /// [`WireResponse::frame_into`] built it — with a single write.
 ///
 /// # Errors
@@ -860,7 +880,7 @@ mod tests {
             }),
             arb_data().prop_map(WireResponse::Data),
             arb_vv().prop_map(WireResponse::Vector),
-            (arb_vv(), arb_blocks()).prop_map(|(vv, b)| WireResponse::Payload(vv, b)),
+            arb_blocks().prop_map(WireResponse::Payload),
             arb_sites().prop_map(WireResponse::W),
             any::<u64>().prop_map(WireResponse::Count),
             prop::collection::vec(any::<u32>(), 0..8).prop_map(|vs| WireResponse::Versions(
@@ -1089,13 +1109,13 @@ mod tests {
             req.encode_into(&mut buf);
             prop_assert_eq!(&buf[..head.len()], &head[..]);
             prop_assert_eq!(&buf[head.len()..], &req.encode()[..]);
-            prop_assert_eq!(req.encoded_len(), req.encode().len());
+            prop_assert_eq!(encoded_len(|len| req.encode_into(len)), req.encode().len());
             prop_assert_eq!(&req.to_frame()[..], &framed(&req.encode())[..]);
 
             let mut buf = head.clone();
             resp.encode_into(&mut buf);
             prop_assert_eq!(&buf[head.len()..], &resp.encode()[..]);
-            prop_assert_eq!(resp.encoded_len(), resp.encode().len());
+            prop_assert_eq!(encoded_len(|len| resp.encode_into(len)), resp.encode().len());
             // `frame_into` replaces whatever the reused buffer held.
             resp.frame_into(&mut buf);
             prop_assert_eq!(&buf[..], &framed(&resp.encode())[..]);
@@ -1110,9 +1130,38 @@ mod tests {
             let boxed = || Box::new(inner.clone());
             let mut frame = WireRequest::Traced { trace_id: 0, parent_span: 0, inner: boxed() }
                 .to_frame();
-            set_envelope_ids(&mut frame, &[trace_id, parent_span]);
+            set_envelope_ids(&mut frame, [trace_id, parent_span]);
             let traced = WireRequest::Traced { trace_id, parent_span, inner: boxed() };
             prop_assert_eq!(&frame, &traced.to_frame());
+        }
+
+        /// What a socket is sent — the borrowed view, framed in its
+        /// thread's buffer — is the owned request's frame byte for byte:
+        /// bare, and in one envelope. Nested envelopes, which only an owned
+        /// request can hold, encode one 17-byte envelope per layer ahead of
+        /// the frame's payload.
+        #[test]
+        fn the_socket_frame_is_the_owned_requests_frame(
+            req in arb_plain_request(),
+            ids in (any::<u64>(), any::<u64>()),
+            outer in (any::<u64>(), any::<u64>()),
+        ) {
+            let (ids, outer) = ([ids.0, ids.1], [outer.0, outer.1]);
+            let sent = |ids| req.as_request().framed(ids, |frame| frame.to_vec());
+            prop_assert_eq!(sent(None), req.to_frame());
+            let traced = |[trace_id, parent_span]: [u64; 2], inner| WireRequest::Traced {
+                trace_id,
+                parent_span,
+                inner: Box::new(inner),
+            };
+            let once = traced(ids, req.clone());
+            prop_assert_eq!(&sent(Some(ids)), &once.to_frame());
+            prop_assert_eq!(&sent(Some(ids))[PREFIX..], &once.encode()[..]);
+            let mut twice = Vec::new();
+            put_envelope(&mut twice, Some(outer));
+            twice.extend_from_slice(&once.encode());
+            prop_assert_eq!(&traced(outer, once.clone()).encode(), &twice);
+            prop_assert_eq!(&traced(outer, once).to_frame(), &framed(&twice));
         }
 
         #[test]
@@ -1288,5 +1337,26 @@ mod tests {
         let crossed = WireRequest::from(Request::ApplyWriteMany(&sealed));
         assert_eq!(crossed, plain);
         assert_eq!(crossed.to_frame(), plain.to_frame());
+        let sent = Request::ApplyWriteMany(&sealed).framed(None, |frame| frame.to_vec());
+        assert_eq!(sent, plain.to_frame());
+    }
+
+    /// A thread frames every request in one buffer, and lets it go once a
+    /// frame has grown it past `KEEP_BUFFER`: a repair request carries 8
+    /// bytes per block.
+    #[test]
+    fn a_thread_reuses_its_request_buffer_unless_it_grew_large() {
+        let ks = [BlockIndex::new(3); 16];
+        let vote = Request::VoteMany(&ks);
+        let at = vote.framed(Some([1, 2]), |frame| frame.as_ptr());
+        assert_eq!(vote.framed(None, |frame| frame.as_ptr()), at);
+        let vv = VersionVector::new(KEEP_BUFFER as u64 / 8);
+        let len = Request::RepairPayload(&vv).framed(None, |frame| frame.len());
+        assert!(len > KEEP_BUFFER);
+        assert_eq!(FRAME.take().capacity(), 0, "the large buffer was kept");
+        assert_eq!(
+            vote.framed(None, |frame| frame.to_vec()),
+            WireRequest::VoteMany(ks.to_vec()).to_frame()
+        );
     }
 }

@@ -2,7 +2,7 @@
 //! workspace's concurrency and wire-format invariants.
 //!
 //! The paper's one-copy guarantees lean on conventions the compiler cannot
-//! see: ascending target order in `TcpTransport::pipelined`'s send and
+//! see: ascending target order in `TcpTransport::scatter`'s send and
 //! gather loops (which take a per-site connection-pool lock per target and
 //! hold none across a round trip), the fence pairing of the flight
 //! recorder's seqlock, hoisted `enabled()` checks on the protocol hot

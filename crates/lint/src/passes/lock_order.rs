@@ -502,7 +502,7 @@ fn check_loop_discipline(
                                  across loop iterations without an ascending-order \
                                  assertion; concurrent callers locking the same sites in \
                                  a different order can deadlock — assert strictly \
-                                 ascending targets (see TcpTransport::pipelined)",
+                                 ascending targets (see TcpTransport::scatter)",
                                 func.name
                             ),
                         ));

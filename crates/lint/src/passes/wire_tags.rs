@@ -5,7 +5,13 @@
 //! `buf.put_u8(N)` and decode matches on integer patterns. The encoder is
 //! whichever of `encode` / `encode_into` holds the `match self` — since
 //! frames are built in place, `encode` is a thin wrapper and the arms live
-//! in `encode_into`. This pass
+//! in `encode_into`. An owned type may instead encode through a borrowed
+//! view of itself: its encoder holds no tagged match, writes what it adds
+//! (a trace envelope) itself or through a free function of the file, and
+//! hands the rest to the view that one of its own methods returns (`fn
+//! as_request(&self) -> Request<'_>`). The view has no `decode`, so its
+//! tags, with the owner's own, are checked against the owner's `decode`.
+//! This pass
 //! cross-checks, per impl, that the two sets agree and that no tag is
 //! claimed twice on either side. Only the *top-level* match arms count —
 //! nested sub-tag matches (e.g. the `StorageFault` encoding inside the
@@ -14,11 +20,14 @@
 
 use super::PassOutput;
 use crate::lexer::{Tok, Token};
-use crate::model::{match_brace, Function, Workspace};
+use crate::model::{match_brace, Function, SourceFile, Workspace};
 use crate::{Finding, Severity};
 use std::collections::BTreeMap;
 
 const PASS: &str = "wire-tags";
+
+/// Tags with the line that claims each.
+type Tags = Vec<(u64, u32)>;
 
 pub(crate) fn run(ws: &Workspace, out: &mut PassOutput) {
     for file in &ws.files {
@@ -38,13 +47,27 @@ pub(crate) fn run(ws: &Workspace, out: &mut PassOutput) {
                 }
             }
         }
-        for (ty, (encoders, decode)) in pairs {
-            // The encoder is the candidate that holds the tagged match.
-            let encoder = encoders
-                .into_iter()
-                .map(|func| (func, encode_tags(toks, func)))
-                .find(|(_, tags)| !tags.is_empty());
-            let (Some((encode, encode_tags)), Some(decode)) = (encoder, decode) else {
+        // Each type's own tagged encoder: the candidate that holds the
+        // tagged match.
+        let tagged: BTreeMap<&str, (&Function, Tags)> = pairs
+            .iter()
+            .filter_map(|(&ty, (encoders, _))| {
+                let mut found = encoders.iter().map(|&f| (f, encode_tags(toks, f)));
+                Some((ty, found.find(|(_, tags)| !tags.is_empty())?))
+            })
+            .collect();
+        for (&ty, (encoders, decode)) in &pairs {
+            let Some(decode) = decode else {
+                continue;
+            };
+            let encoder = match tagged.get(ty) {
+                Some((func, tags)) => Some((*func, tags.clone(), None)),
+                None => encoders.iter().find_map(|&func| {
+                    let (view, tags) = delegated(file, func, &tagged)?;
+                    Some((func, tags, Some(view)))
+                }),
+            };
+            let Some((encode, encode_tags, view)) = encoder else {
                 continue;
             };
             let decode_tags = decode_tags(toks, decode);
@@ -52,8 +75,11 @@ pub(crate) fn run(ws: &Workspace, out: &mut PassOutput) {
                 continue;
             }
             check(ty, &file.rel, &encode_tags, &decode_tags, out);
+            let via = view
+                .map(|v| format!(" (through `{v}`)"))
+                .unwrap_or_default();
             out.verified.push(format!(
-                "{}:{}: [wire-tags] `{ty}` encode/decode cover tags {{{}}}",
+                "{}:{}: [wire-tags] `{ty}` encode{via}/decode cover tags {{{}}}",
                 file.rel,
                 encode.line,
                 render_tags(&encode_tags)
@@ -62,33 +88,93 @@ pub(crate) fn run(ws: &Workspace, out: &mut PassOutput) {
     }
 }
 
+/// The tags an encoder with no tagged match of its own writes: each
+/// `put_u8(N)` in its body, the first one in each free function of the file
+/// it calls, and the tags of the view it delegates to — the type a method
+/// of its own impl returns, when that type has a tagged encoder. `None`
+/// when it names no such view.
+fn delegated(
+    file: &SourceFile,
+    func: &Function,
+    tagged: &BTreeMap<&str, (&Function, Tags)>,
+) -> Option<(String, Tags)> {
+    let toks = file.tokens();
+    let (open, close) = func.body;
+    let mut tags = Vec::new();
+    let mut view = None;
+    for j in open + 1..close {
+        let Some(name) = toks[j].tok.ident() else {
+            continue;
+        };
+        if !toks[j + 1].tok.is_punct('(') {
+            continue;
+        }
+        if name == "put_u8" {
+            if let Tok::Int(v) = toks[j + 2].tok {
+                tags.push((v, toks[j].line));
+            }
+            continue;
+        }
+        let method = toks[j - 1].tok.is_punct('.');
+        let callee = file.functions.iter().find(|f| {
+            f.name == name
+                && if method {
+                    f.impl_type == func.impl_type
+                } else {
+                    f.impl_type.is_none()
+                }
+        });
+        match callee {
+            Some(f) if !method => tags.extend(first_put_u8(toks, f.body.0, f.body.1)),
+            Some(f) => {
+                if let Some(ty) = return_type(toks, f).filter(|ty| tagged.contains_key(ty)) {
+                    view = Some(ty.to_string());
+                }
+            }
+            None => {}
+        }
+    }
+    let view = view?;
+    tags.extend(tagged[view.as_str()].1.iter().copied());
+    Some((view, tags))
+}
+
+/// The type a function's signature names first after `->`.
+fn return_type<'t>(toks: &'t [Token], func: &Function) -> Option<&'t str> {
+    let (start, end) = func.sig;
+    let arrow =
+        (start..end).find(|&j| toks[j].tok.is_punct('-') && toks[j + 1].tok.is_punct('>'))?;
+    toks[arrow + 2..end].iter().find_map(|t| t.tok.ident())
+}
+
+/// The tag the first `put_u8(` in `toks[from..to]` writes, if it is a
+/// literal.
+fn first_put_u8(toks: &[Token], from: usize, to: usize) -> Option<(u64, u32)> {
+    let j = (from..to.saturating_sub(2))
+        .find(|&j| toks[j].tok.is_ident("put_u8") && toks[j + 1].tok.is_punct('('))?;
+    match toks[j + 2].tok {
+        Tok::Int(v) => Some((v, toks[j].line)),
+        _ => None,
+    }
+}
+
 /// Tags claimed by an encoder: the first `put_u8(N)` in each top-level arm
 /// of the `match self`.
-fn encode_tags(toks: &[Token], func: &Function) -> Vec<(u64, u32)> {
+fn encode_tags(toks: &[Token], func: &Function) -> Tags {
     let Some((open, close)) = self_match(toks, func) else {
         return Vec::new();
     };
     let arms = arm_starts(toks, open, close);
-    let mut tags = Vec::new();
-    for (i, &arm) in arms.iter().enumerate() {
-        let end = arms.get(i + 1).copied().unwrap_or(close);
-        let mut j = arm;
-        while j + 2 < end {
-            if toks[j].tok.is_ident("put_u8") && toks[j + 1].tok.is_punct('(') {
-                if let Tok::Int(v) = toks[j + 2].tok {
-                    tags.push((v, toks[j].line));
-                }
-                break;
-            }
-            j += 1;
-        }
-    }
-    tags
+    let ends = arms.iter().skip(1).copied().chain([close]);
+    arms.iter()
+        .zip(ends)
+        .filter_map(|(&arm, end)| first_put_u8(toks, arm, end))
+        .collect()
 }
 
 /// Tags matched by `decode`: integer literals in the top-level arm
 /// patterns of its first `match`.
-fn decode_tags(toks: &[Token], func: &Function) -> Vec<(u64, u32)> {
+fn decode_tags(toks: &[Token], func: &Function) -> Tags {
     let (fopen, fclose) = func.body;
     let mut m = fopen + 1;
     let mut found = None;

@@ -40,6 +40,16 @@ fn clean_tree_produces_no_findings() {
         "{:#?}",
         report.verified
     );
+    // An owner that encodes through its borrowed view is checked against
+    // its own decode, its envelope tag counted.
+    assert!(
+        report
+            .verified
+            .iter()
+            .any(|v| v.contains("`Letter` encode (through `Note`)") && v.contains("{0, 9}")),
+        "{:#?}",
+        report.verified
+    );
 }
 
 #[test]
@@ -143,6 +153,28 @@ fn wire_tag_mismatches_are_caught() {
             .any(|f| f.message.contains("tag 7") && f.message.contains("orphan")),
         "{}",
         report.render()
+    );
+}
+
+#[test]
+fn a_tag_the_borrowed_encoder_drops_is_caught() {
+    let report = lint("wire_view");
+    assert_eq!(report.findings.len(), 1, "{}", report.render());
+    let f = &report.findings[0];
+    assert_eq!((f.pass, f.severity), ("wire-tags", Severity::Error));
+    assert!(
+        f.message.contains("`Msg` decodes wire tag 2") && f.message.contains("orphan"),
+        "{}",
+        f.message
+    );
+    // The envelope tag the owner writes through a free function counts.
+    assert!(
+        report
+            .verified
+            .iter()
+            .any(|v| v.contains("`Msg` encode (through `View`)") && v.contains("{0, 1, 9}")),
+        "{:#?}",
+        report.verified
     );
 }
 

@@ -28,7 +28,7 @@ fn workspace_is_clean_under_baseline() {
 fn key_invariants_are_positively_verified() {
     let report = blockrep_lint::run(&blockrep_lint::Config::new(workspace_root()))
         .expect("lint run succeeds");
-    // TcpTransport::pipelined's send and gather loops take a site's
+    // TcpTransport::scatter's send and gather loops take a site's
     // connection-pool lock per target, only to pop or push a connection, so
     // no lock is held across a round trip; each loop asserts ascending
     // target order, and the send loop's assertion must be machine-verified,

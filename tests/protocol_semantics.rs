@@ -239,7 +239,7 @@ fn recovered_site_catches_up_only_modified_blocks() {
     // lacks — here the two written while site 2 was down, not the device.
     // (Asked of the source locally: a failed site reaches no one yet.)
     let stale = c.version_vector(s(2), s(2)).unwrap();
-    let (_, payload) = c.repair_payload(s(0), s(0), &stale).unwrap();
+    let payload = c.repair_payload(s(0), s(0), &stale).unwrap();
     let repaired: Vec<_> = payload
         .iter()
         .map(|(k, v, d)| (*k, v.as_u64(), d.clone()))

@@ -31,7 +31,14 @@
 //! locks taken by stripe, 223 563 bytes and 156 allocations on three
 //! sites; since the coordinator's own legs borrow its key lists and write
 //! batch instead of copying them, 220 491 and 154, and 362 827 and 292 on
-//! five sites. The coordinator keeps one pool of idle connections per site, and
+//! five sites; later, 218 907 and 148, and 361 243 and 286. Since an exchange
+//! frames the coordinator's borrowed request into a buffer its thread
+//! reuses — no owned copy of the request, so no copy of an install's sealed
+//! batch, and no fresh frame per exchange — 147 456 bytes and 142
+//! allocations on three sites, and 289 792 and 280 on five: what a pair
+//! allocates beyond its decoded payload is now under 13 % of it, and a
+//! frame or a batch copied per exchange again breaks the 1.2x ceiling. The
+//! coordinator keeps one pool of idle connections per site, and
 //! a lone client reuses the one connection it has to each site, so the
 //! pool allocates nothing per pair.
 //!
@@ -241,9 +248,9 @@ fn assert_within_budget(sites: u64) -> (u64, u64) {
     println!("tcp batch pair, {sites} sites: {allocs} allocations, {bytes} bytes");
     let payload = blocks_decoded(sites) * BLOCK_SIZE as u64;
     assert!(
-        bytes * 2 <= payload * 5,
+        bytes * 5 <= payload * 6,
         "{sites} sites: {bytes} bytes allocated per pair \
-         for {payload} payload bytes on the links (budget 2.5x)"
+         for {payload} payload bytes decoded (budget 1.2x)"
     );
     let budget = blocks_decoded(sites) + PER_SITE * sites;
     assert!(
