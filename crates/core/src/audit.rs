@@ -73,7 +73,7 @@ pub fn check_invariants<T: Transport>(b: &ServerCluster<T>) -> Vec<Violation> {
     match scheme {
         Scheme::Voting => audit_voting(b, &sites, &mut violations),
         Scheme::AvailableCopy => audit_available_copy(b, &sites, &mut violations),
-        Scheme::NaiveAvailableCopy => audit_naive(&sites, &mut violations),
+        Scheme::NaiveAvailableCopy => audit_available_family(&sites, &mut violations),
     }
     violations
 }
@@ -152,10 +152,6 @@ fn audit_available_copy<T: Transport>(
             }
         }
     }
-}
-
-fn audit_naive(sites: &[(SiteId, SiteState, VersionVector)], violations: &mut Vec<Violation>) {
-    audit_available_family(sites, violations);
 }
 
 /// Invariants shared by both available copy schemes.

@@ -30,27 +30,8 @@ use crate::transport::{ServerCluster, Transport};
 use crate::wire::WireResponse;
 use blockrep_net::{MsgKind, OpClass};
 use blockrep_obs::event;
-use blockrep_types::{
-    BlockData, BlockIndex, DeviceError, DeviceResult, FailureTracking, SiteId, SiteState,
-};
+use blockrep_types::{BlockData, BlockIndex, DeviceResult, FailureTracking, SiteId, SiteState};
 use std::collections::BTreeSet;
-
-fn ensure_serving<T: Transport>(c: &ServerCluster<T>, origin: SiteId) -> DeviceResult<()> {
-    if !c.config().contains_site(origin) {
-        return Err(DeviceError::UnknownSite(origin));
-    }
-    match c.site_state(origin) {
-        SiteState::Available => Ok(()),
-        SiteState::Comatose => Err(DeviceError::SiteNotServing {
-            site: origin,
-            state: "comatose",
-        }),
-        SiteState::Failed => Err(DeviceError::SiteNotServing {
-            site: origin,
-            state: "failed",
-        }),
-    }
-}
 
 /// Read under the available copy schemes, for a run of blocks: "if there
 /// is a copy of the data block on the local site, then the read operation
@@ -67,7 +48,7 @@ pub(crate) fn read_many<T: Transport>(
     origin: SiteId,
     ks: &[BlockIndex],
 ) -> DeviceResult<BlockVec<BlockData>> {
-    ensure_serving(c, origin)?;
+    backend::ensure_origin(c, origin, SiteState::can_serve)?;
     for &k in ks {
         backend::check_block(c.config(), k)?;
     }
@@ -101,7 +82,7 @@ pub(crate) fn write_many<T: Transport>(
     ks: &[BlockIndex],
     naive: bool,
 ) -> DeviceResult<()> {
-    ensure_serving(c, origin)?;
+    backend::ensure_origin(c, origin, SiteState::can_serve)?;
     backend::check_writes(c.config(), writes)?;
     if writes.is_empty() {
         return Ok(());

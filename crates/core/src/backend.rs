@@ -20,7 +20,7 @@
 
 use crate::locks::BlockLockTable;
 use crate::transport::{Links, ServerCluster, Transport};
-use crate::wire::{Request, WireResponse};
+use crate::wire::{Batch, Request, WireResponse};
 use blockrep_net::{DeliveryMode, MsgKind, OpClass, TrafficCounter};
 use blockrep_storage::SealedBlock;
 use blockrep_types::{
@@ -267,12 +267,6 @@ pub type RepairBlocks = Vec<(BlockIndex, VersionNumber, BlockData)>;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WriteBatch(BlockVec<(BlockIndex, SealedBlock)>);
 
-impl From<Vec<(BlockIndex, SealedBlock)>> for WriteBatch {
-    fn from(blocks: Vec<(BlockIndex, SealedBlock)>) -> Self {
-        WriteBatch(blocks.into())
-    }
-}
-
 impl From<&[(BlockIndex, SealedBlock)]> for WriteBatch {
     /// A copy of the batch: its blocks' payloads are shared, not copied.
     fn from(blocks: &[(BlockIndex, SealedBlock)]) -> Self {
@@ -335,7 +329,7 @@ impl<'a> ScatterRequest<'a> {
             ScatterRequest::VoteMany(ks) => Some((Request::VoteMany(ks), false)),
             ScatterRequest::InstallMany(writes)
             | ScatterRequest::InstallIfAvailableMany(writes) => {
-                Some((Request::ApplyWriteMany(writes), true))
+                Some((Request::ApplyWriteMany(Batch::Sealed(writes)), true))
             }
         }
     }
@@ -465,6 +459,24 @@ fn leg<T: Transport>(
     }
     c.transport
         .exchange(&c.coord.links, origin, t, request, one_way)
+}
+
+/// Rejects an `origin` that is not a site of the device, or whose state
+/// does not let it coordinate: `serves` says which states may.
+pub(crate) fn ensure_origin<T: Transport>(
+    c: &ServerCluster<T>,
+    origin: SiteId,
+    serves: impl Fn(SiteState) -> bool,
+) -> DeviceResult<()> {
+    if !c.config().contains_site(origin) {
+        return Err(DeviceError::UnknownSite(origin));
+    }
+    let state = c.site_state(origin);
+    if serves(state) {
+        return Ok(());
+    }
+    let (site, state) = (origin, state.label());
+    Err(DeviceError::SiteNotServing { site, state })
 }
 
 /// Rejects a block index beyond the device.

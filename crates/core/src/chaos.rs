@@ -321,36 +321,24 @@ impl Oracle {
         }
         let observed = if first == 0 { None } else { Some(first) };
         match &self.blocks[b] {
-            BlockOracle::Exact(f) => {
-                if observed != *f {
-                    return Err(format!(
-                        "op {op}: one-copy violation on block {b}: read {observed:?}, \
-                         oracle says exactly {f:?}"
-                    ));
-                }
-            }
-            BlockOracle::Tainted => {
-                if !self.seen[b].contains(&observed) {
-                    return Err(format!(
-                        "op {op}: read of block {b} returned {observed:?}, which was \
-                         never written (history {:?})",
-                        self.seen[b]
-                    ));
-                }
-            }
+            BlockOracle::Exact(f) if observed != *f => Err(format!(
+                "op {op}: one-copy violation on block {b}: read {observed:?}, \
+                 oracle says exactly {f:?}"
+            )),
+            BlockOracle::Tainted if !self.seen[b].contains(&observed) => Err(format!(
+                "op {op}: read of block {b} returned {observed:?}, which was \
+                 never written (history {:?})",
+                self.seen[b]
+            )),
+            _ => Ok(()),
         }
-        Ok(())
-    }
-
-    fn any_tainted(&self) -> bool {
-        self.blocks.contains(&BlockOracle::Tainted)
     }
 
     /// If every site agrees on every block (same version, same uniform
     /// data), the replicas are indistinguishable from a fresh device plus
     /// clean writes: re-certify everything `Exact` and re-arm the chain.
     fn try_narrow<T: Transport>(&mut self, rt: &ServerCluster<T>) {
-        if !self.any_tainted() {
+        if !self.blocks.contains(&BlockOracle::Tainted) {
             return;
         }
         let ks: Vec<BlockIndex> = BlockIndex::all(self.blocks.len() as u64).collect();

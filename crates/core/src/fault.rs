@@ -29,7 +29,7 @@
 
 use crate::obs_hooks;
 use crate::transport::{Links, ServerCluster, Transport};
-use crate::wire::{Request, WireRequest, WireResponse};
+use crate::wire::{Batch, Request, WireRequest, WireResponse};
 use blockrep_obs::event;
 use blockrep_storage::StorageFault;
 use blockrep_types::{SiteId, SiteState};
@@ -343,8 +343,7 @@ impl<T: Transport> Transport for Faulty<T> {
             // to "processed, answered, then crashed".
             Fate::Storage(fault) => {
                 let first = match request {
-                    Request::ApplyWrite(k, v, data) => Some((k, v, data)),
-                    Request::ApplyWriteMany(blocks) => blocks
+                    Request::ApplyWriteMany(Batch::Sealed(blocks)) => blocks
                         .first()
                         .map(|(k, block)| (*k, block.version(), block.data())),
                     _ => return send(request),

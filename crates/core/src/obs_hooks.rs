@@ -71,33 +71,22 @@ pub(crate) fn tracing() -> bool {
 /// Opens an operation span (and installs its context) when tracing is on.
 #[inline]
 pub(crate) fn op_span(phase: fn() -> u32, site: u32) -> Option<Span> {
-    if blockrep_obs::enabled() && trace::enabled() {
-        Some(trace::start_op(phase(), site))
-    } else {
-        None
-    }
+    (blockrep_obs::enabled() && trace::enabled()).then(|| trace::start_op(phase(), site))
 }
 
 /// Opens a phase span under the current op span when tracing is on (and an
 /// op is actually open).
 #[inline]
 pub(crate) fn phase_span(phase: fn() -> u32, site: u32) -> Option<Span> {
-    if blockrep_obs::enabled() && trace::enabled() {
-        trace::start_phase(phase(), site)
-    } else {
-        None
-    }
+    let on = blockrep_obs::enabled() && trace::enabled();
+    on.then(|| trace::start_phase(phase(), site)).flatten()
 }
 
 /// Starts a latency timer for `metric` when observability is enabled; the
 /// `None` guard on the disabled path is free.
 #[inline]
 pub(crate) fn timer(metric: fn() -> &'static Histogram) -> Option<HistogramTimer<'static>> {
-    if blockrep_obs::enabled() {
-        Some(metric().timer())
-    } else {
-        None
-    }
+    blockrep_obs::enabled().then(|| metric().timer())
 }
 
 /// Records `value` into `metric` when observability is enabled.

@@ -1,7 +1,7 @@
 //! Per-site replica state.
 
 use crate::backend::RepairBlocks;
-use blockrep_storage::wal::{self, WalRecord};
+use blockrep_storage::wal;
 use blockrep_storage::{SealedBlock, StorageFault, VersionedStore};
 use blockrep_types::{BlockData, BlockIndex, DeviceConfig, SiteId, VersionNumber, VersionVector};
 use std::collections::BTreeSet;
@@ -112,7 +112,7 @@ impl Replica {
     fn journal_install(
         &mut self,
         k: BlockIndex,
-        data: &BlockData,
+        data: &[u8],
         v: VersionNumber,
         torn: Option<usize>,
     ) {
@@ -121,14 +121,7 @@ impl Replica {
         if self.journal.is_none() || v <= self.store.version(k) {
             return;
         }
-        let encoded = wal::encode_record(
-            JOURNAL_EPOCH,
-            &WalRecord {
-                block: k,
-                version: v,
-                payload: data.clone(),
-            },
-        );
+        let encoded = wal::encode_install(JOURNAL_EPOCH, k, v, data);
         let keep = torn.unwrap_or(encoded.len()).min(encoded.len());
         if let Some(journal) = &mut self.journal {
             if journal.len() + keep > JOURNAL_CAPACITY {
@@ -142,15 +135,22 @@ impl Replica {
     /// whether anything changed. On a journaled device the write-ahead
     /// record is appended first.
     pub fn install(&mut self, k: BlockIndex, data: BlockData, v: VersionNumber) -> bool {
-        self.journal_install(k, &data, v, None);
+        self.journal_install(k, data.as_slice(), v, None);
         self.store.install(k, data, v)
     }
 
     /// [`install`](Self::install) of a block sealed where its write chose
     /// the version: the store keeps the sum the seal carries.
     pub fn install_sealed(&mut self, k: BlockIndex, block: SealedBlock) -> bool {
-        self.journal_install(k, block.data(), block.version(), None);
+        self.journal_install(k, block.data().as_slice(), block.version(), None);
         self.store.install_sealed(k, block)
+    }
+
+    /// [`install`](Self::install) of bytes still in the frame they arrived
+    /// in: sealed here, and copied into the buffer the block already owns.
+    pub(crate) fn install_from(&mut self, k: BlockIndex, v: VersionNumber, data: &[u8]) -> bool {
+        self.journal_install(k, data, v, None);
+        self.store.install_from(k, v, data)
     }
 
     /// Installs a block but leaves it in the broken on-disk state `fault`
@@ -172,7 +172,7 @@ impl Replica {
             StorageFault::WalTorn { keep } => Some(keep),
             StorageFault::Torn { .. } | StorageFault::StaleVersion => None,
         };
-        self.journal_install(k, &data, v, torn);
+        self.journal_install(k, data.as_slice(), v, torn);
         self.store.install_faulty(k, data, v, fault)
     }
 
@@ -377,6 +377,20 @@ mod tests {
         // Replaying an old write is a no-op on disk and in the journal.
         r.install(k, BlockData::from(vec![9; 8]), VersionNumber::new(3));
         assert_eq!(journal_len(&r), Some(len));
+    }
+
+    #[test]
+    fn an_install_from_bytes_is_journaled_as_any_install_is() {
+        let (mut framed, mut decoded) = [0, 1]
+            .map(|_| Replica::new(SiteId::new(0), &journaled_cfg()))
+            .into();
+        for (k, v, fill) in [(2, 4, 5u8), (2, 3, 9), (1, 1, 7)] {
+            let (k, v, data) = (BlockIndex::new(k), VersionNumber::new(v), vec![fill; 8]);
+            let installed = framed.install_from(k, v, &data);
+            assert_eq!(installed, decoded.install(k, BlockData::from(data), v));
+            assert_eq!(framed.journal, decoded.journal, "{k} at {v}");
+        }
+        assert!(journal_len(&framed).unwrap() > 0);
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //! write with `Ack`. A traced envelope is answered as its inner request.
 
 use crate::replica::Replica;
-use crate::wire::{Request, WireRequest, WireResponse};
-use blockrep_types::{BlockData, BlockIndex};
+use crate::wire::{Batch, Request, WireRequest, WireResponse};
+use blockrep_types::BlockIndex;
 
 /// Whether `request` fits `replica`'s device: every block it names exists,
 /// every payload is one block long, a version vector covers every block,
@@ -30,13 +30,14 @@ use blockrep_types::{BlockData, BlockIndex};
 fn fits(replica: &Replica, request: Request<'_>) -> bool {
     let (num_blocks, block_size) = replica.geometry();
     let block = |k: &BlockIndex| k.as_u64() < num_blocks;
-    let install = |k: &BlockIndex, data: &BlockData| block(k) && data.len() == block_size;
+    let ok = |k: &BlockIndex, len: usize| block(k) && len == block_size;
     match request {
         Request::ApplyWrite(k, _, data) | Request::ApplyWriteFaulty(k, _, data, _) => {
-            install(&k, data)
+            ok(&k, data.len())
         }
-        Request::ApplyWriteMany(blocks) => blocks.iter().all(|(k, block)| install(k, block.data())),
-        Request::ApplyRepair(blocks) => blocks.iter().all(|(k, _, data)| install(k, data)),
+        Request::ApplyWriteMany(Batch::Sealed(bs)) => bs.iter().all(|(k, b)| ok(k, b.data().len())),
+        Request::ApplyWriteMany(Batch::Frame(run)) => run.iter().all(|(k, _, b)| ok(&k, b.len())),
+        Request::ApplyRepair(blocks) => blocks.iter().all(|(k, _, data)| ok(k, data.len())),
         Request::FetchMany(ks) | Request::ReadLocalMany(ks) | Request::VoteMany(ks) => {
             ks.iter().all(block)
         }
@@ -72,9 +73,15 @@ pub(crate) fn serve(replica: &mut Replica, request: Request<'_>) -> Option<WireR
             replica.install_faulty(k, data.clone(), v, fault);
             WireResponse::Ack
         }
-        Request::ApplyWriteMany(blocks) => {
+        Request::ApplyWriteMany(Batch::Sealed(blocks)) => {
             for (k, block) in blocks {
                 replica.install_sealed(*k, block.clone());
+            }
+            WireResponse::Ack
+        }
+        Request::ApplyWriteMany(Batch::Frame(run)) => {
+            for (k, v, data) in run.iter() {
+                replica.install_from(k, v, data);
             }
             WireResponse::Ack
         }
@@ -104,7 +111,7 @@ pub(crate) fn serve(replica: &mut Replica, request: Request<'_>) -> Option<WireR
     })
 }
 
-/// Serves a request a site took whole, off its socket or out of its inbox,
+/// Serves a request a site took whole, decoded or out of its inbox,
 /// through [`serve`]: a run of votes is answered in the run's own buffer,
 /// as the versions fit where the block indices were (a `Vec` collected in
 /// place).
@@ -183,6 +190,16 @@ mod tests {
         BlockData::from(vec![b; 8])
     }
 
+    /// Serves `request` as a TCP site does: an install from where its
+    /// blocks lie in its bytes, anything else decoded.
+    fn served_from_bytes(r: &mut Replica, request: &WireRequest) -> Option<WireResponse> {
+        let raw = request.encode();
+        match Request::install_in(&raw) {
+            Some(install) => serve(r, install),
+            None => serve_owned(r, 1, WireRequest::decode(&raw).unwrap()),
+        }
+    }
+
     /// The shape a reply must have, as a predicate over it.
     type Shape = fn(&WireResponse) -> bool;
 
@@ -251,8 +268,13 @@ mod tests {
             };
             assert_eq!(
                 serve_owned(&mut replica(), 1, traced),
-                Some(bare),
+                Some(bare.clone()),
                 "the envelope changes nothing about the reply to {request:?}"
+            );
+            assert_eq!(
+                served_from_bytes(&mut replica(), &request),
+                Some(bare),
+                "a frame is answered as the request it carries: {request:?}"
             );
         }
     }
@@ -289,6 +311,7 @@ mod tests {
             let mut r = replica();
             assert_eq!(serve_owned(&mut r, 1, traced), None, "{request:?}");
             assert_eq!(serve_owned(&mut r, 1, request.clone()), None, "{request:?}");
+            assert_eq!(served_from_bytes(&mut r, &request), None, "{request:?}");
             // Nothing of a batch lands, not even its blocks that fit.
             assert_eq!(
                 r.version_vector(),
@@ -297,6 +320,51 @@ mod tests {
             );
             assert_eq!(r.was_available().len(), 3, "{request:?}");
         }
+    }
+
+    #[test]
+    fn an_install_served_from_its_frame_lands_what_a_decoded_one_does() {
+        let (mut framed, mut owned) = (replica(), replica());
+        let batches = [
+            vec![(blk(0), ver(2), fill(1)), (blk(3), ver(1), fill(2))],
+            // A stale block and an equal version land nowhere; the others do.
+            vec![
+                (blk(0), ver(1), fill(7)),
+                (blk(3), ver(1), fill(8)),
+                (blk(1), ver(1), fill(9)),
+            ],
+            vec![(blk(0), ver(3), fill(4)), (blk(3), ver(5), fill(5))],
+        ];
+        for batch in batches {
+            let request = WireRequest::ApplyWriteMany(batch.into_iter().collect());
+            let raw = request.encode();
+            assert!(matches!(
+                Request::install_in(&raw),
+                Some(Request::ApplyWriteMany(Batch::Frame(_)))
+            ));
+            assert_eq!(
+                served_from_bytes(&mut framed, &request),
+                Some(WireResponse::Ack)
+            );
+            assert_eq!(serve_owned(&mut owned, 1, request), Some(WireResponse::Ack));
+        }
+        let fetch = WireRequest::FetchMany((0..BLOCKS).map(blk).collect());
+        let landed = serve_owned(&mut framed, 1, fetch.clone());
+        assert_eq!(landed, serve_owned(&mut owned, 1, fetch));
+        assert_eq!(
+            landed,
+            Some(WireResponse::Blocks(
+                vec![
+                    (ver(3), fill(4)),
+                    (ver(1), fill(9)),
+                    (ver(0), BlockData::zeroed(8)),
+                    (ver(5), fill(5))
+                ]
+                .into()
+            ))
+        );
+        // Each block was sealed afresh: a scrub finds every sum right.
+        assert!(framed.scrub().is_empty());
     }
 
     #[test]
@@ -341,7 +409,7 @@ mod tests {
         );
         // A block sealed in process lands with the seal's sum.
         let sealed = [(blk(3), SealedBlock::new(ver(6), fill(5)))];
-        let install = Request::ApplyWriteMany(&sealed);
+        let install = Request::ApplyWriteMany(Batch::Sealed(&sealed));
         assert_eq!(serve(&mut r, install), Some(WireResponse::Ack));
         assert_eq!(
             serve_owned(&mut r, 1, WireRequest::FetchMany(vec![blk(3)])),

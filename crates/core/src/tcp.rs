@@ -1,30 +1,29 @@
 //! The TCP cluster: server processes behind real sockets.
 //!
-//! The paper's deployment is "a set of server processes on several sites" of
-//! a network. [`TcpCluster`] is that, minus the machine room: every site is
-//! an OS thread accepting connections on a loopback `TcpListener` and
-//! serving each one on a thread of its own, and every protocol exchange
-//! between two sites is a length-prefixed [`wire`](crate::wire) frame over
-//! a real socket — serialization, framing and all. A connection carries one
-//! exchange at a time; the coordinator keeps a pool of idle connections per
-//! site, so a lone client uses exactly one connection per site and
-//! concurrent clients each dial their own rather than queue on one socket.
+//! The paper's deployment is "a set of server processes on several sites"
+//! of a network. [`TcpCluster`] is that, minus the machine room: every site
+//! is an OS thread accepting connections on a loopback `TcpListener` and
+//! serving each one on a thread of its own, and every exchange between two
+//! sites is a length-prefixed [`wire`](crate::wire) frame over a real
+//! socket. A connection carries one exchange at a time; the coordinator
+//! keeps a pool of idle connections per site, so a lone client uses one
+//! connection per site and concurrent clients each dial their own. A site
+//! serves each request while its frame is still in the connection's read
+//! buffer: an install's blocks are sealed there and copied into the
+//! buffers they already own in the store, so a site allocates nothing per
+//! block it is sent.
+//!
 //! What a coordinator asks of its *own* site is not an exchange: it is
 //! served on the coordinator's thread ([`Transport::local`]) under the
 //! per-site replica mutex every connection's thread also takes, per
-//! request. Every exchange here is an acknowledged round trip, so nothing
-//! can be queued ahead of a local leg and the mutex is the whole
-//! arrangement. [`TcpTransport`] is the socket [`Transport`]: the
-//! coordinator over it is the same [`ServerCluster`] that runs over inboxes,
-//! and the threads behind the listeners run the same [`serve`], so the three
-//! runtimes — deterministic, channel-threaded, TCP — are interchangeable
-//! and must agree, which the integration tests check.
-//!
-//! Fail-stop and partitions are enforced at the coordination layer, by the
-//! link model every runtime shares (a failed or partitioned-away site is
-//! not contacted), keeping failure injection deterministic; the site's
-//! server keeps its socket and its disk, exactly like a halted machine
-//! keeps both.
+//! request; every exchange is an acknowledged round trip, so nothing can
+//! be queued ahead of a local leg. [`TcpTransport`] is the socket
+//! [`Transport`]: the coordinator over it is the same [`ServerCluster`]
+//! that runs over inboxes, and the sites run the same [`serve`], so the
+//! three runtimes are interchangeable and must agree. Fail-stop and
+//! partitions are enforced by the link model every runtime shares; a
+//! failed site's server keeps its socket and its disk, like a halted
+//! machine.
 
 use crate::backend::{Coordinator, Fold, SiteVec};
 use crate::replica::Replica;
@@ -85,18 +84,24 @@ fn serve_conn(replica: &Mutex<Replica>, conn: TcpStream, links: &Links, site: u3
     // The connection's two buffers, reused from frame to frame.
     let mut conn = wire::FrameReader::new(conn);
     let mut reply = Vec::new();
-    while let Ok(request) = conn.read_frame(WireRequest::decode) {
+    // A request is served while its frame is still in the read buffer, so
+    // an install copies its blocks from there into the store. No response
+    // is a request that does not fit this site's disk: a peer that
+    // disagrees about its geometry.
+    while let Ok(Some(response)) = conn.read_frame(|raw| {
         // Emulated one-way link delay, outside the service's remote span:
         // transit time is the coordinator's gather wait, not this site's
         // apply work.
         links.delay();
-        // No response is a request that does not fit this site's disk: a
-        // peer that disagrees about its geometry. The replica is locked per
-        // request: the site's other connections, and a coordinator at this
-        // site serving its local legs, go in between.
-        let Some(response) = serve_owned(&mut replica.lock(), site, request) else {
-            break;
-        };
+        // The replica is locked per request: the site's other connections,
+        // and a coordinator at this site serving its local legs, go in
+        // between.
+        let replica = &mut replica.lock();
+        Ok(match Request::install_in(raw) {
+            Some(install) => serve(replica, install),
+            None => serve_owned(replica, site, WireRequest::decode(raw)?),
+        })
+    }) {
         response.frame_into(&mut reply);
         if wire::write_frame(conn.get_mut(), &reply).is_err() {
             break;
@@ -590,26 +595,77 @@ mod tests {
         }
     }
 
+    /// Site `s`'s version and bytes of every block.
+    fn disk(c: &TcpCluster, s: usize) -> Vec<(VersionNumber, BlockData)> {
+        let replica = c.transport.replicas[s].lock();
+        BlockIndex::all(4).map(|k| replica.versioned(k)).collect()
+    }
+
+    /// `payload` behind its length prefix: a frame of any content.
+    fn frame_of(payload: &[u8]) -> Vec<u8> {
+        let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(payload);
+        frame
+    }
+
     #[test]
     fn a_frame_that_does_not_fit_the_disk_fails_one_exchange_not_the_site() {
         for scheme in Scheme::ALL {
             let c = tcp(scheme, 3);
             let k = BlockIndex::new(0);
             c.write(sid(0), k, BlockData::from(vec![3; 32])).unwrap();
-            // Well-formed frames that site 1's disk cannot serve: a block
-            // past its end, and a payload one byte short of a block.
-            let short = BlockData::from(vec![5; 31]);
-            for misfit in [
+            // Installs of blocks newer than site 1 holds, so a block that
+            // landed would show.
+            let new = |i: u64, len: usize| {
+                (
+                    BlockIndex::new(i),
+                    VersionNumber::new(9),
+                    BlockData::from(vec![5; len]),
+                )
+            };
+            let batch = |blocks: Vec<_>| WireRequest::ApplyWriteMany(blocks.into_iter().collect());
+            let good = batch(vec![new(0, 32), new(1, 32), new(3, 32)]).encode();
+            // Well-formed frames that site 1's disk cannot serve — a block
+            // past its end, and a payload one byte short of a block — and
+            // install frames that are not well formed: a body cut short,
+            // and a trailing byte.
+            let mut misfits = [
                 WireRequest::VoteMany(vec![BlockIndex::new(4)]),
-                WireRequest::ApplyWrite(k, VersionNumber::new(9), short),
-            ] {
-                inject(&c, 1, &misfit.to_frame());
+                WireRequest::ApplyWrite(k, VersionNumber::new(9), BlockData::from(vec![5; 31])),
+                batch(vec![new(0, 32), new(4, 32), new(1, 32)]),
+                batch(vec![new(0, 32), new(1, 31), new(3, 32)]),
+            ]
+            .map(|misfit| misfit.to_frame())
+            .to_vec();
+            misfits.push(frame_of(&good[..good.len() - 1]));
+            misfits.push(frame_of(&[&good[..], &[0]].concat()));
+            let before = disk(&c, 1);
+            for misfit in &misfits {
+                inject(&c, 1, misfit);
                 // The site hangs up on it, so the exchange behind it fails
                 // once; the next one dials a site that is still serving.
-                assert_eq!(vote_of(&c, sid(0), sid(1), k), None, "{scheme}: {misfit:?}");
-                assert!(
-                    vote_of(&c, sid(0), sid(1), k).is_some(),
-                    "{scheme}: {misfit:?}"
+                assert_eq!(
+                    vote_of(&c, sid(0), sid(1), k),
+                    None,
+                    "{scheme}: {misfit:02x?}"
+                );
+                assert!(vote_of(&c, sid(0), sid(1), k).is_some(), "{scheme}");
+                // Not one block of the frame landed, not even those that fit.
+                assert_eq!(disk(&c, 1), before, "{scheme}: {misfit:02x?}");
+            }
+            // The well-formed frame they were cut from installs whole.
+            let mut conn = wire::FrameReader::new(TcpStream::connect(c.addr(sid(1))).unwrap());
+            wire::write_frame(conn.get_mut(), &frame_of(&good)).unwrap();
+            assert_eq!(
+                conn.read_frame(WireResponse::decode).unwrap(),
+                WireResponse::Ack
+            );
+            let landed = disk(&c, 1);
+            for i in [0, 1, 3] {
+                assert_eq!(
+                    landed[i],
+                    (VersionNumber::new(9), BlockData::from(vec![5; 32])),
+                    "{scheme}"
                 );
             }
             c.write(sid(1), k, BlockData::from(vec![4; 32])).unwrap();
@@ -620,6 +676,62 @@ mod tests {
                 "{scheme}"
             );
         }
+    }
+
+    /// A block a site serves its own coordinator shares the site's buffer.
+    /// An install that then arrives over a socket gives the block a buffer
+    /// of its own, and the reader keeps its bytes; once nothing else holds
+    /// the block, the next install from a socket copies into the buffer
+    /// the block already owns.
+    #[test]
+    fn a_block_held_across_an_install_from_a_socket_keeps_its_bytes() {
+        for scheme in Scheme::ALL {
+            let c = tcp(scheme, 3);
+            let k = BlockIndex::new(2);
+            let fill = |b: u8| BlockData::from(vec![b; 32]);
+            let buffer = || c.transport.replicas[0].lock().data(k).as_slice().as_ptr();
+            c.write(sid(1), k, fill(1)).unwrap();
+            let held = c.read(sid(0), k).unwrap();
+            assert_eq!(
+                held.as_slice().as_ptr(),
+                buffer(),
+                "{scheme}: the read shares the block"
+            );
+            c.write(sid(1), k, fill(2)).unwrap();
+            assert_eq!(
+                held,
+                fill(1),
+                "{scheme}: an install wrote into a held block"
+            );
+            assert_eq!(c.read(sid(0), k).unwrap(), fill(2), "{scheme}");
+            drop(held);
+            let own = buffer();
+            c.write(sid(1), k, fill(3)).unwrap();
+            assert_eq!(
+                buffer(),
+                own,
+                "{scheme}: an unshared block was given a new buffer"
+            );
+            assert_eq!(c.read(sid(0), k).unwrap(), fill(3), "{scheme}");
+        }
+        // A voting read at a stale site fetches the block from a remote
+        // site and installs it there too: the reader and the stale site's
+        // slot share the fetched buffer, and a later install to that site
+        // over a socket leaves the reader's copy as it was.
+        let c = tcp(Scheme::Voting, 3);
+        let (k, fill) = (BlockIndex::new(1), |b: u8| BlockData::from(vec![b; 32]));
+        c.write(sid(0), k, fill(1)).unwrap();
+        c.fail_site(sid(1));
+        c.write(sid(0), k, fill(2)).unwrap();
+        c.repair_site(sid(1));
+        let fetched = c.read(sid(1), k).unwrap();
+        assert_eq!(fetched, fill(2));
+        let slot = c.transport.replicas[1].lock().data(k);
+        assert_eq!(fetched.as_slice().as_ptr(), slot.as_slice().as_ptr());
+        drop(slot);
+        c.write(sid(2), k, fill(3)).unwrap();
+        assert_eq!(fetched, fill(2), "an install wrote into a fetched block");
+        assert_eq!(c.read(sid(1), k).unwrap(), fill(3));
     }
 
     #[test]

@@ -24,7 +24,7 @@ use crate::backend::{
     self, BlockVec, Coordinator, Fold, RepairBlocks, ScatterRequest, ScatterSpec, WriteBatch,
 };
 use crate::protocol;
-use crate::wire::{Request, WireResponse};
+use crate::wire::{Batch, Request, WireResponse};
 use blockrep_net::{Topology, TrafficCounter, TrafficSnapshot};
 use blockrep_types::{
     BlockData, BlockIndex, DeviceConfig, DeviceResult, Scheme, SiteId, SiteState, VersionNumber,
@@ -406,11 +406,7 @@ impl<T: Transport> ServerCluster<T> {
         let voting = self.coord.cfg.scheme() == Scheme::Voting;
         self.coord.cfg.site_ids().find(|&s| {
             let state = self.site_state(s);
-            if voting {
-                state.is_operational()
-            } else {
-                state.can_serve()
-            }
+            state.can_serve() || (voting && state.is_operational())
         })
     }
 
@@ -561,7 +557,7 @@ impl<T: Transport> ServerCluster<T> {
     /// applies them locally when `from == to`): each block is installed if
     /// newer, with the sum it was sealed with. Delivery is all-or-nothing.
     pub fn apply_write_many(&self, from: SiteId, to: SiteId, writes: &WriteBatch) -> bool {
-        self.cast(from, to, Request::ApplyWriteMany(writes))
+        self.cast(from, to, Request::ApplyWriteMany(Batch::Sealed(writes)))
     }
 
     /// Reads a run of blocks straight off `s`'s local disk in **one**

@@ -19,7 +19,8 @@ use crate::wire::WireResponse;
 use blockrep_net::{MsgKind, OpClass};
 use blockrep_obs::{event, span};
 use blockrep_types::{
-    BlockData, BlockIndex, DeviceConfig, DeviceError, DeviceResult, SiteId, VersionNumber,
+    BlockData, BlockIndex, DeviceConfig, DeviceError, DeviceResult, SiteId, SiteState,
+    VersionNumber,
 };
 
 /// What the origin's own leg reads of a block to vote with: its version (a
@@ -157,21 +158,6 @@ fn ensure_quorum<V>(round: &Round<V>, op: &'static str, quorum: u64) -> DeviceRe
     Ok(())
 }
 
-fn ensure_coordinator<T: Transport>(c: &ServerCluster<T>, origin: SiteId) -> DeviceResult<()> {
-    if !c.config().contains_site(origin) {
-        return Err(DeviceError::UnknownSite(origin));
-    }
-    let state = c.site_state(origin);
-    if state.is_operational() {
-        Ok(())
-    } else {
-        Err(DeviceError::SiteNotServing {
-            site: origin,
-            state: "failed",
-        })
-    }
-}
-
 /// The weighted-voting read algorithm of Figure 3, for a run of distinct
 /// blocks: one vote round, then per-block quorum decisions and refreshes.
 ///
@@ -193,7 +179,7 @@ pub(crate) fn read_many<T: Transport>(
     origin: SiteId,
     ks: &[BlockIndex],
 ) -> DeviceResult<BlockVec<BlockData>> {
-    ensure_coordinator(c, origin)?;
+    backend::ensure_origin(c, origin, SiteState::is_operational)?;
     for &k in ks {
         backend::check_block(c.config(), k)?;
     }
@@ -247,7 +233,7 @@ pub(crate) fn write_many<T: Transport>(
     writes: &[(BlockIndex, BlockData)],
     ks: &[BlockIndex],
 ) -> DeviceResult<()> {
-    ensure_coordinator(c, origin)?;
+    backend::ensure_origin(c, origin, SiteState::is_operational)?;
     backend::check_writes(c.config(), writes)?;
     if writes.is_empty() {
         return Ok(());
@@ -281,7 +267,7 @@ pub(crate) fn write_many<T: Transport>(
     // Fail-stop: a coordinator that crashed during the fan-out sent nothing
     // after it crashed, and completes nothing now — least of all a copy at
     // v_new that only its own disk holds.
-    ensure_coordinator(c, origin)?;
+    backend::ensure_origin(c, origin, SiteState::is_operational)?;
     {
         let _leg = obs_hooks::phase_span(obs_hooks::phase_local_leg, origin.as_u32());
         c.apply_write_many(origin, origin, &batch);

@@ -13,8 +13,8 @@
 //!
 //! What a sender holds is a [`Request`]: the same vocabulary, borrowed and
 //! `Copy`. The site service serves that view, so a request served in
-//! process — by the deterministic cluster, or by a coordinator on its own
-//! site — copies nothing, and a sealed block keeps its seal. A request is
+//! process copies nothing and a sealed block keeps its seal, and a TCP
+//! site serves an install where its blocks lie in the frame. A request is
 //! made a `WireRequest` only to cross a thread, never to cross a socket.
 
 use crate::backend::{BlockVec, RepairBlocks, WriteBatch};
@@ -60,7 +60,7 @@ pub enum WireRequest {
     VoteMany(Vec<BlockIndex>),
     /// Install a batch of blocks at their versions (each if newer) in one
     /// frame. Same payload shape as [`WireRequest::ApplyRepair`]: the
-    /// blocks' seals do not travel, and a decoded batch is sealed afresh.
+    /// blocks' seals do not travel, and a site seals each block afresh.
     ApplyWriteMany(WriteBatch),
     /// Read a run of blocks off the local disk in one frame.
     ReadLocalMany(Vec<BlockIndex>),
@@ -94,15 +94,52 @@ pub(crate) enum Request<'a> {
     VersionVector,
     RepairPayload(&'a VersionVector),
     ApplyWrite(BlockIndex, VersionNumber, &'a BlockData),
-    /// Install blocks sealed where their write chose the versions: the
-    /// replica stores each seal's sum.
-    ApplyWriteMany(&'a [(BlockIndex, SealedBlock)]),
+    ApplyWriteMany(Batch<'a>),
     ApplyWriteFaulty(BlockIndex, VersionNumber, &'a BlockData, StorageFault),
     ApplyRepair(&'a [(BlockIndex, VersionNumber, BlockData)]),
     Scrub,
     GetW,
     SetW(&'a [SiteId]),
     AddW(SiteId),
+}
+
+/// The blocks of an install, borrowed: sealed where their write chose the
+/// versions, so the replica stores each seal's sum — or where they lie in
+/// the frame they arrived in, for the site to seal and copy into its store.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Batch<'a> {
+    Sealed(&'a [(BlockIndex, SealedBlock)]),
+    Frame(BlockRun<'a>),
+}
+
+/// A run of blocks as [`put_blocks`] writes it, checked whole once and
+/// then read where it lies.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct BlockRun<'a>(&'a [u8]);
+
+impl<'a> BlockRun<'a> {
+    /// The run at the front of `raw`, which moves past it.
+    fn get(raw: &mut &'a [u8]) -> Result<Self, DecodeError> {
+        let run = *raw;
+        need(raw, 4, "run length")?;
+        for _ in 0..raw.get_u32_le() {
+            get_block(raw)?;
+        }
+        Ok(BlockRun(&run[..run.len() - raw.len()]))
+    }
+
+    /// Each block's index, version and payload, in frame order.
+    pub(crate) fn iter(self) -> impl Iterator<Item = (BlockIndex, VersionNumber, &'a [u8])> {
+        let mut raw = self.0;
+        (0..raw.get_u32_le()).map(move |_| get_block(&mut raw).expect("a checked run"))
+    }
+
+    /// Each block copied out of the frame into a buffer of its own.
+    fn blocks<T: FromIterator<(BlockIndex, VersionNumber, BlockData)>>(self) -> T {
+        self.iter()
+            .map(|(k, v, data)| (k, v, data.into()))
+            .collect()
+    }
 }
 
 impl WireRequest {
@@ -128,7 +165,7 @@ impl WireRequest {
             WireRequest::VersionVector => Request::VersionVector,
             WireRequest::RepairPayload(vv) => Request::RepairPayload(vv),
             WireRequest::ApplyWrite(k, v, data) => Request::ApplyWrite(*k, *v, data),
-            WireRequest::ApplyWriteMany(blocks) => Request::ApplyWriteMany(blocks),
+            WireRequest::ApplyWriteMany(blocks) => Request::ApplyWriteMany(Batch::Sealed(blocks)),
             WireRequest::ApplyWriteFaulty(k, v, data, fault) => {
                 Request::ApplyWriteFaulty(*k, *v, data, *fault)
             }
@@ -154,7 +191,8 @@ impl From<Request<'_>> for WireRequest {
             Request::VersionVector => WireRequest::VersionVector,
             Request::RepairPayload(vv) => WireRequest::RepairPayload(vv.clone()),
             Request::ApplyWrite(k, v, data) => WireRequest::ApplyWrite(k, v, data.clone()),
-            Request::ApplyWriteMany(blocks) => WireRequest::ApplyWriteMany(blocks.into()),
+            Request::ApplyWriteMany(Batch::Sealed(bs)) => WireRequest::ApplyWriteMany(bs.into()),
+            Request::ApplyWriteMany(Batch::Frame(run)) => WireRequest::ApplyWriteMany(run.blocks()),
             Request::ApplyWriteFaulty(k, v, data, fault) => {
                 WireRequest::ApplyWriteFaulty(k, v, data.clone(), fault)
             }
@@ -210,11 +248,7 @@ fn bad(what: &str) -> DecodeError {
 }
 
 fn need(raw: &[u8], bytes: usize, what: &str) -> Result<(), DecodeError> {
-    if raw.len() < bytes {
-        Err(bad(what))
-    } else {
-        Ok(())
-    }
+    (raw.len() >= bytes).then_some(()).ok_or_else(|| bad(what))
 }
 
 fn put_data(buf: &mut impl BufMut, data: &BlockData) {
@@ -222,16 +256,27 @@ fn put_data(buf: &mut impl BufMut, data: &BlockData) {
     buf.put_slice(data.as_slice());
 }
 
-/// The one copy a block makes on its way in: from the frame straight into
-/// the allocation it rests in. (Not a slice *of* the frame: one stored
-/// block would pin the whole batch's buffer for as long as it is current.)
-fn get_data(raw: &mut &[u8]) -> Result<BlockData, DecodeError> {
+/// A payload, where it lies in the frame.
+fn get_bytes<'a>(raw: &mut &'a [u8]) -> Result<&'a [u8], DecodeError> {
     need(raw, 4, "data length")?;
     let len = raw.get_u32_le() as usize;
-    need(raw, len, "data body")?;
-    let data = BlockData::from(&raw[..len]);
-    raw.advance(len);
+    let (data, rest) = raw.split_at_checked(len).ok_or_else(|| bad("data body"))?;
+    *raw = rest;
     Ok(data)
+}
+
+/// A payload copied out of the frame into a buffer of its own, never a
+/// slice *of* the frame: one block kept would pin the whole frame.
+fn get_data(raw: &mut &[u8]) -> Result<BlockData, DecodeError> {
+    get_bytes(raw).map(BlockData::from)
+}
+
+/// One block of a run: its index, version and payload, where it lies.
+fn get_block<'a>(raw: &mut &'a [u8]) -> Result<(BlockIndex, VersionNumber, &'a [u8]), DecodeError> {
+    need(raw, 16, "block header")?;
+    let k = BlockIndex::new(raw.get_u64_le());
+    let v = VersionNumber::new(raw.get_u64_le());
+    Ok((k, v, get_bytes(raw)?))
 }
 
 fn put_vv(buf: &mut impl BufMut, vv: &VersionVector) {
@@ -280,23 +325,6 @@ fn get_run<T>(
         out.push(get(raw)?);
     }
     Ok(out)
-}
-
-/// Reads what [`put_blocks`] wrote, making each block into a `T`.
-fn get_blocks<T>(
-    raw: &mut &[u8],
-    make: impl Fn(BlockIndex, VersionNumber, BlockData) -> T,
-) -> Result<Vec<T>, DecodeError> {
-    get_run(raw, |raw| {
-        need(raw, 16, "block header")?;
-        let k = BlockIndex::new(raw.get_u64_le());
-        let v = VersionNumber::new(raw.get_u64_le());
-        Ok(make(k, v, get_data(raw)?))
-    })
-}
-
-fn get_repair(raw: &mut &[u8]) -> Result<RepairBlocks, DecodeError> {
-    get_blocks(raw, |k, v, data| (k, v, data))
 }
 
 /// A `u32` count, then that many `u64`s: a run of block indices or of
@@ -391,7 +419,12 @@ impl Request<'_> {
             }
             Request::ApplyWriteMany(batch) => {
                 buf.put_u8(15);
-                put_blocks(buf, batch.iter().map(|(k, b)| (*k, b.version(), b.data())));
+                match batch {
+                    Batch::Sealed(batch) => {
+                        put_blocks(buf, batch.iter().map(|(k, b)| (*k, b.version(), b.data())))
+                    }
+                    Batch::Frame(run) => buf.put_slice(run.0),
+                }
             }
             Request::ReadLocalMany(ks) => {
                 buf.put_u8(16);
@@ -414,6 +447,17 @@ impl Request<'_> {
             FRAME.set(frame);
         }
         sent
+    }
+}
+
+impl<'a> Request<'a> {
+    /// The install a request frame carries, its blocks where they lie in
+    /// `raw` (read by the block-run parser the owned decode uses); `None`
+    /// for any other frame.
+    pub(crate) fn install_in(raw: &'a [u8]) -> Option<Self> {
+        let mut body = raw.strip_prefix(&[15])?;
+        let run = BlockRun::get(&mut body).ok().filter(|_| body.is_empty())?;
+        Some(Request::ApplyWriteMany(Batch::Frame(run)))
     }
 }
 
@@ -468,7 +512,7 @@ impl WireRequest {
             }
             5 => WireRequest::VersionVector,
             6 => WireRequest::RepairPayload(get_vv(&mut raw)?),
-            7 => WireRequest::ApplyRepair(get_repair(&mut raw)?),
+            7 => WireRequest::ApplyRepair(BlockRun::get(&mut raw)?.blocks()),
             8 => WireRequest::GetW,
             9 => WireRequest::SetW(get_sites(&mut raw)?),
             10 => {
@@ -501,10 +545,7 @@ impl WireRequest {
             }
             13 => WireRequest::Scrub,
             14 => WireRequest::VoteMany(get_u64s(&mut raw, BlockIndex::new)?),
-            15 => WireRequest::ApplyWriteMany(WriteBatch::from(get_blocks(
-                &mut raw,
-                |k, v, data| (k, SealedBlock::new(v, data)),
-            )?)),
+            15 => WireRequest::ApplyWriteMany(BlockRun::get(&mut raw)?.blocks()),
             17 => {
                 need(raw, 16, "trace envelope")?;
                 let trace_id = raw.get_u64_le();
@@ -611,7 +652,7 @@ impl WireResponse {
             ),
             3 => WireResponse::Data(get_data(&mut raw)?),
             4 => WireResponse::Vector(get_vv(&mut raw)?),
-            5 => WireResponse::Payload(get_repair(&mut raw)?),
+            5 => WireResponse::Payload(BlockRun::get(&mut raw)?.blocks()),
             6 => WireResponse::W(get_sites(&mut raw)?),
             7 => {
                 need(raw, 8, "count")?;
@@ -1334,10 +1375,11 @@ mod tests {
         );
         let sealed = [(k, SealedBlock::new(v, data.clone()))];
         let plain = WireRequest::ApplyWriteMany([(k, v, data)].into_iter().collect());
-        let crossed = WireRequest::from(Request::ApplyWriteMany(&sealed));
+        let crossed = WireRequest::from(Request::ApplyWriteMany(Batch::Sealed(&sealed)));
         assert_eq!(crossed, plain);
         assert_eq!(crossed.to_frame(), plain.to_frame());
-        let sent = Request::ApplyWriteMany(&sealed).framed(None, |frame| frame.to_vec());
+        let sent =
+            Request::ApplyWriteMany(Batch::Sealed(&sealed)).framed(None, |frame| frame.to_vec());
         assert_eq!(sent, plain.to_frame());
     }
 

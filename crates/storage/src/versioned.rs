@@ -268,6 +268,37 @@ impl VersionedStore {
         }
     }
 
+    /// [`install`](Self::install) of bytes borrowed from wherever they
+    /// arrived — a frame off a socket: the same monotone guard, and the
+    /// pair is sealed here. The bytes are copied into the buffer the slot
+    /// already owns when no clone shares it, so a stream of installs
+    /// allocates nothing; a zero slot, or one whose buffer a reader or a
+    /// cloned store still holds, gets a buffer of its own, and every clone
+    /// keeps the bytes it had. A stale install writes and hashes nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` is out of range or the payload size differs from the
+    /// block size.
+    pub fn install_from(&mut self, k: BlockIndex, v: VersionNumber, bytes: &[u8]) -> bool {
+        assert_eq!(
+            bytes.len(),
+            self.block_size,
+            "payload must match block size"
+        );
+        let slot = &mut self.slots[k.index()];
+        if v <= slot.version {
+            return false;
+        }
+        slot.version = v;
+        slot.sum = checksum(&[v.as_u64()], bytes);
+        match slot.data.as_mut().and_then(BlockData::get_mut) {
+            Some(own) => own.copy_from_slice(bytes),
+            None => slot.data = Some(BlockData::from(bytes)),
+        }
+        true
+    }
+
     /// Installs `data` at version `v` but leaves the block in the broken
     /// on-disk state that `fault` describes, simulating a crash in the
     /// middle of the synchronous block write. The same monotone guard as
@@ -608,6 +639,103 @@ mod tests {
         assert_eq!(sealed.slots, plain.slots);
     }
 
+    /// Where block `k`'s bytes live in `s`; the clone that tells is
+    /// dropped at once, so it shares nothing afterwards.
+    fn buffer(s: &VersionedStore, k: BlockIndex) -> *const u8 {
+        s.data(k).as_slice().as_ptr()
+    }
+
+    #[test]
+    fn an_install_from_bytes_reuses_the_buffer_its_slot_owns() {
+        let (mut s, k) = (VersionedStore::new(2, 8), BlockIndex::new(1));
+        assert!(s.install_from(k, VersionNumber::new(1), &[1; 8]));
+        let own = buffer(&s, k);
+        assert!(s.install_from(k, VersionNumber::new(2), &[2; 8]));
+        assert_eq!(buffer(&s, k), own, "an unshared buffer was replaced");
+        assert_eq!(
+            s.versioned(k),
+            (VersionNumber::new(2), BlockData::from(vec![2; 8]))
+        );
+        assert!(s.checksum_ok(k));
+    }
+
+    #[test]
+    fn a_block_a_reader_holds_keeps_its_bytes_across_an_install_from_bytes() {
+        let (mut s, k) = (VersionedStore::new(2, 8), BlockIndex::new(0));
+        s.install_from(k, VersionNumber::new(1), &[1; 8]);
+        let held = s.data(k);
+        assert!(s.install_from(k, VersionNumber::new(2), &[2; 8]));
+        assert_eq!(held.as_slice(), &[1; 8]);
+        assert_ne!(buffer(&s, k), held.as_slice().as_ptr());
+        assert_eq!(s.data(k).as_slice(), &[2; 8]);
+        assert!(s.checksum_ok(k));
+    }
+
+    #[test]
+    fn a_cloned_store_keeps_its_bytes_across_an_install_from_bytes() {
+        let (mut s, k) = (VersionedStore::new(2, 8), BlockIndex::new(0));
+        s.install_from(k, VersionNumber::new(1), &[1; 8]);
+        // The fork an explorer takes before it tries a next step.
+        let fork = s.clone();
+        assert!(s.install_from(k, VersionNumber::new(2), &[2; 8]));
+        assert_eq!(
+            fork.versioned(k),
+            (VersionNumber::new(1), BlockData::from(vec![1; 8]))
+        );
+        assert!(fork.checksum_ok(k));
+        assert_ne!(buffer(&s, k), buffer(&fork, k));
+        assert_eq!(s.data(k).as_slice(), &[2; 8]);
+    }
+
+    #[test]
+    fn a_zero_slot_gets_a_buffer_of_its_own_and_the_zero_block_stays_zero() {
+        let mut s = VersionedStore::new(3, 8);
+        let (fresh, reset, untouched) =
+            (BlockIndex::new(0), BlockIndex::new(1), BlockIndex::new(2));
+        s.install(reset, BlockData::from(vec![1; 8]), VersionNumber::new(1));
+        s.install_faulty(
+            reset,
+            BlockData::from(vec![2; 8]),
+            VersionNumber::new(2),
+            StorageFault::Torn { keep: 3 },
+        );
+        assert_eq!(s.scrub(), vec![reset]);
+        let zero = s.zero.as_slice().as_ptr();
+        assert_eq!(
+            buffer(&s, reset),
+            zero,
+            "a scrub-reset slot is the zero block"
+        );
+        for (k, fill) in [(fresh, 5), (reset, 6)] {
+            assert!(s.install_from(k, VersionNumber::new(3), &[fill; 8]));
+            assert_ne!(buffer(&s, k), zero, "{k}");
+            assert_eq!(s.data(k).as_slice(), &[fill; 8], "{k}");
+            assert!(s.checksum_ok(k), "{k}");
+        }
+        assert!(s.zero.is_zeroed());
+        assert_eq!(
+            s.versioned(untouched),
+            (VersionNumber::ZERO, BlockData::zeroed(8))
+        );
+        assert!(s.checksum_ok(untouched));
+    }
+
+    #[test]
+    fn a_stale_install_from_bytes_writes_no_byte() {
+        let (mut s, k) = (VersionedStore::new(2, 8), BlockIndex::new(0));
+        s.install_from(k, VersionNumber::new(2), &[1; 8]);
+        let (own, sums) = (buffer(&s, k), s.sums());
+        for v in [1, 2] {
+            assert!(!s.install_from(k, VersionNumber::new(v), &[9; 8]), "v{v}");
+        }
+        assert_eq!(buffer(&s, k), own);
+        assert_eq!(
+            s.versioned(k),
+            (VersionNumber::new(2), BlockData::from(vec![1; 8]))
+        );
+        assert_eq!(s.sums(), sums);
+    }
+
     #[test]
     fn a_sealed_install_stores_the_sum_it_carries() {
         let mut s = VersionedStore::new(2, 8);
@@ -833,6 +961,7 @@ mod tests {
     enum Op {
         Install(usize, u64, u64, u8),
         InstallSealed(usize, u64, u64, u8),
+        InstallFrom(usize, u64, u64, u8),
         InstallFaulty(usize, u64, u64, u8, StorageFault),
         Scrub(usize),
         Repair(usize),
@@ -851,6 +980,7 @@ mod tests {
         prop_oneof![
             3 => write().prop_map(|(s, k, v, f)| Op::Install(s, k, v, f)),
             3 => write().prop_map(|(s, k, v, f)| Op::InstallSealed(s, k, v, f)),
+            3 => write().prop_map(|(s, k, v, f)| Op::InstallFrom(s, k, v, f)),
             3 => (write(), fault()).prop_map(|((s, k, v, f), fault)| Op::InstallFaulty(s, k, v, f, fault)),
             1 => (0usize..2).prop_map(Op::Scrub),
             2 => (0usize..2).prop_map(Op::Repair),
@@ -861,7 +991,9 @@ mod tests {
     /// return: an install's result and a scrub's reset list.
     fn model_apply(models: &mut [Vec<ModelBlock>; 2], op: &Op) -> (bool, Vec<BlockIndex>) {
         match *op {
-            Op::Install(s, k, v, fill) | Op::InstallSealed(s, k, v, fill) => {
+            Op::Install(s, k, v, fill)
+            | Op::InstallSealed(s, k, v, fill)
+            | Op::InstallFrom(s, k, v, fill) => {
                 let (v, b) = (VersionNumber::new(v), &mut models[s][k as usize]);
                 let newer = v > b.version;
                 if newer {
@@ -948,6 +1080,10 @@ mod tests {
                         let block = SealedBlock::new(VersionNumber::new(v), BlockData::from(payload(fill)));
                         prop_assert_eq!(stores[s].install_sealed(BlockIndex::new(k), block), installed);
                     }
+                    Op::InstallFrom(s, k, v, fill) => prop_assert_eq!(
+                        stores[s].install_from(BlockIndex::new(k), VersionNumber::new(v), &payload(fill)),
+                        installed
+                    ),
                     Op::InstallFaulty(s, k, v, fill, fault) => prop_assert_eq!(
                         stores[s].install_faulty(
                             BlockIndex::new(k),

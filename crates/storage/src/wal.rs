@@ -83,17 +83,26 @@ impl WalRecord {
 
 /// Encodes one record for journal `epoch`.
 pub fn encode_record(epoch: u64, rec: &WalRecord) -> Vec<u8> {
-    let len = RECORD_FIXED + rec.payload.len() as u32;
-    let crc = checksum(
-        &[epoch, rec.block.as_u64(), rec.version.as_u64()],
-        rec.payload.as_slice(),
-    );
-    let mut out = Vec::with_capacity(rec.encoded_len());
+    encode_install(epoch, rec.block, rec.version, rec.payload.as_slice())
+}
+
+/// Encodes the record of an install of `payload` into `block` at
+/// `version`, for journal `epoch`: [`encode_record`] of a payload that is
+/// borrowed.
+pub fn encode_install(
+    epoch: u64,
+    block: BlockIndex,
+    version: VersionNumber,
+    payload: &[u8],
+) -> Vec<u8> {
+    let len = RECORD_FIXED + payload.len() as u32;
+    let crc = checksum(&[epoch, block.as_u64(), version.as_u64()], payload);
+    let mut out = Vec::with_capacity(RECORD_HEADER + payload.len());
     out.extend_from_slice(&len.to_le_bytes());
     out.extend_from_slice(&crc.to_le_bytes());
-    out.extend_from_slice(&rec.block.as_u64().to_le_bytes());
-    out.extend_from_slice(&rec.version.as_u64().to_le_bytes());
-    out.extend_from_slice(rec.payload.as_slice());
+    out.extend_from_slice(&block.as_u64().to_le_bytes());
+    out.extend_from_slice(&version.as_u64().to_le_bytes());
+    out.extend_from_slice(payload);
     out
 }
 

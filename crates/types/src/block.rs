@@ -55,6 +55,12 @@ impl BlockData {
         &self.bytes
     }
 
+    /// The payload, writable in place — `None` while a clone shares it.
+    #[inline]
+    pub fn get_mut(&mut self) -> Option<&mut [u8]> {
+        self.bytes.get_mut()
+    }
+
     /// The payload, writable. Edited in place when no clone shares it;
     /// otherwise first copied, once, into a buffer of its own, so every
     /// clone keeps the bytes it had.

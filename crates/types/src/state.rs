@@ -48,16 +48,20 @@ impl SiteState {
     pub const fn can_serve(self) -> bool {
         matches!(self, SiteState::Available)
     }
+
+    /// The state's name, as [`Display`](fmt::Display) writes it.
+    pub const fn label(self) -> &'static str {
+        match self {
+            SiteState::Failed => "failed",
+            SiteState::Comatose => "comatose",
+            SiteState::Available => "available",
+        }
+    }
 }
 
 impl fmt::Display for SiteState {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            SiteState::Failed => "failed",
-            SiteState::Comatose => "comatose",
-            SiteState::Available => "available",
-        };
-        f.write_str(s)
+        f.write_str(self.label())
     }
 }
 

@@ -398,6 +398,73 @@ fn chaos_journaled_restart_mid_flush_replays_acknowledged_install() {
     );
 }
 
+/// A step of a shrunk schedule: `origin` writes `fill` to block 0, its
+/// coordinator crashing at remote exchange `crash` if there is one.
+fn write_b0(origin: u32, fill: u8, crash: Option<u64>) -> ChaosStep {
+    ChaosStep {
+        action: Action::Write {
+            origin: sid(origin),
+            block: blk(0),
+            fill,
+        },
+        faults: crash
+            .map(|x| (x, FaultKind::CrashCoordinator))
+            .into_iter()
+            .collect(),
+    }
+}
+
+/// Asserts that seed `seed` of `scheme` fails today, shrunk to `steps`,
+/// with a diagnostic that contains `detail`.
+fn assert_split_version(seed: u64, scheme: Scheme, steps: &[ChaosStep], detail: &str) {
+    let failure = chaos::run_seed(seed, scheme, STEPS, false)
+        .expect_err("the seed passes: a crashed coordinator no longer splits a version");
+    assert_eq!(failure.steps, steps, "{failure}");
+    assert!(failure.detail.contains(detail), "{failure}");
+}
+
+// The three shrunk schedules of ROADMAP item 14, "A crashed coordinator
+// must not split a version": a write whose coordinator crashes part-way
+// through its fan-out, then a write to the same block from a site that
+// missed it, which picks the same version again. Like the explorer's
+// `a_crashed_coordinator_breaks_the_atomic_fan_out_assumption`, each pins
+// today's failure, so the change that mends it flips them.
+
+#[test]
+fn chaos_seed_10_naive_crashed_coordinator_splits_a_version() {
+    let steps = [write_b0(1, 77, Some(4)), write_b0(3, 83, None)];
+    let detail = "available site s0 missed the write of block b0";
+    assert_split_version(10, Scheme::NaiveAvailableCopy, &steps, detail);
+}
+
+#[test]
+fn chaos_seed_48_available_copy_crashed_coordinator_splits_a_version() {
+    let steps = [write_b0(0, 35, Some(2)), write_b0(3, 81, None)];
+    let detail = "available site s1 missed the write";
+    assert_split_version(48, Scheme::AvailableCopy, &steps, detail);
+}
+
+#[test]
+fn chaos_seed_94_voting_crashed_coordinator_splits_a_version() {
+    let steps = [
+        write_b0(3, 156, Some(3)),
+        write_b0(2, 231, None),
+        ChaosStep {
+            action: Action::Repair(sid(3)),
+            faults: vec![],
+        },
+        ChaosStep {
+            action: Action::Read {
+                origin: sid(3),
+                block: blk(0),
+            },
+            faults: vec![],
+        },
+    ];
+    let detail = "one-copy violation on block 0: read Some(156)";
+    assert_split_version(94, Scheme::Voting, &steps, detail);
+}
+
 /// FNV-1a, 64-bit: the same digest on every host and toolchain.
 struct Fnv(u64);
 

@@ -15,10 +15,12 @@
 //!    results and §5 traffic counts of a fully untraced run — the parity
 //!    the runtime suites pin survives turning the flight recorder on.
 
+use blockrep::core::wire::{write_frame, FrameReader, WireRequest, WireResponse};
 use blockrep::core::{Cluster, ClusterOptions, LiveCluster, TcpCluster};
 use blockrep::net::{DeliveryMode, TrafficSnapshot};
 use blockrep::obs::{self, trace};
-use blockrep::types::{BlockData, BlockIndex, DeviceConfig, Scheme, SiteId};
+use blockrep::types::{BlockData, BlockIndex, DeviceConfig, Scheme, SiteId, VersionNumber};
+use std::net::TcpStream;
 use std::sync::Mutex;
 
 /// Serializes the tests in this file: tracing flags and the flight
@@ -206,5 +208,50 @@ fn untraced_peer_mode_keeps_runtime_parity_byte_identical() {
         trace::enable();
     } else if was_obs {
         obs::enable();
+    }
+}
+
+/// An install frame in a trace envelope, sent to a TCP site by a peer the
+/// test plays: the batch lands, and the site's `phase.remote_apply` span
+/// hangs under the envelope's trace and parent span.
+#[test]
+fn a_traced_install_frame_installs_under_its_remote_apply_span() {
+    let _serial = TRACER_LOCK.lock().unwrap();
+    let was_obs = obs::enabled();
+    let was_tracing = trace::enabled();
+    trace::enable();
+    trace::clear();
+
+    let tcp = TcpCluster::spawn(cfg(Scheme::Voting), DeliveryMode::Multicast).unwrap();
+    let (trace_id, parent_span) = (0x5eed_0001, 0x5eed_0002);
+    let batch = [(blk(3), VersionNumber::new(4), fill(7))];
+    let traced = WireRequest::Traced {
+        trace_id,
+        parent_span,
+        inner: Box::new(WireRequest::ApplyWriteMany(batch.into_iter().collect())),
+    };
+    let mut peer = FrameReader::new(TcpStream::connect(tcp.addr(s(1))).unwrap());
+    write_frame(peer.get_mut(), &traced.to_frame()).unwrap();
+    assert_eq!(
+        peer.read_frame(WireResponse::decode).unwrap(),
+        WireResponse::Ack
+    );
+    assert_eq!(tcp.version_of(s(1), blk(3)), VersionNumber::new(4));
+    assert_eq!(tcp.data_of(s(1), blk(3)), fill(7));
+    let spans = trace::snapshot();
+    assert!(
+        spans.iter().any(|r| {
+            trace::phase_name(r.phase) == "phase.remote_apply"
+                && r.site == 1
+                && (r.trace_id, r.parent) == (trace_id, parent_span)
+        }),
+        "no remote apply span at site 1 under the envelope's ids"
+    );
+
+    if !was_tracing {
+        trace::disable();
+    }
+    if !was_obs {
+        obs::disable();
     }
 }
